@@ -18,6 +18,9 @@ Two selectable formulations exist for each half and all four are implemented:
 * ``composition="literal"``: both gates run on the raw input and their gated
   maps are multiplied elementwise, which squares the input contribution.
 
+Each forward returns its output together with a cache of the intermediates
+its backward needs (the attention halves return gate, gated map and cache);
+each backward takes that cache in place of the input and recomputes nothing.
 All backward passes are hand-derived and verified against central finite
 differences by the gradient-check suites.
 """
@@ -37,6 +40,8 @@ from .ops import (
     conv2d_forward,
     relu_grad,
     sigmoid,
+    spatial_stats,
+    spatial_stats_backward,
 )
 from .tensor import ConfigError, Tensor
 
@@ -236,24 +241,23 @@ def pconv_backward(x: Tensor, weights: Tensor, spec: PConvSpec, upstream: Tensor
 # FasterNet-style residual block
 # ---------------------------------------------------------------------------
 
-def fasternet_block_forward(x: Tensor, params: FasterNetBlockParams, spec: FasterNetBlockSpec) -> Tensor:
-    """x + PW2(act(PW1(pconv(x)))) with 1x1 convs PW1: c -> hidden, PW2 back."""
+def fasternet_block_forward(x: Tensor, params: FasterNetBlockParams, spec: FasterNetBlockSpec):
+    """x + PW2(act(PW1(pconv(x)))) with 1x1 convs PW1: c -> hidden, PW2 back.
+
+    Returns (output, cache) for :func:`fasternet_block_backward`."""
     pc = pconv_forward(x, params.pconv_w, spec.pconv)
     z1 = conv2d_forward(pc, params.pw1_w, params.pw1_b, spec.pw1_spec())
     a1 = activation(z1, spec.activation)
     z2 = conv2d_forward(a1, params.pw2_w, params.pw2_b, spec.pw2_spec())
-    return Tensor(x.data + z2.data)
+    return Tensor(x.data + z2.data), (x, pc, z1, a1)
 
 
 def fasternet_block_backward(
-    x: Tensor, params: FasterNetBlockParams, spec: FasterNetBlockSpec, upstream: Tensor
+    cache, params: FasterNetBlockParams, spec: FasterNetBlockSpec, upstream: Tensor
 ):
+    x, pc, z1, a1 = cache
     if upstream.shape != x.shape:
         raise ConfigError("upstream shape must match input (block preserves shape)")
-    pc = pconv_forward(x, params.pconv_w, spec.pconv)
-    z1 = conv2d_forward(pc, params.pw1_w, params.pw1_b, spec.pw1_spec())
-    a1 = activation(z1, spec.activation)
-
     g_a1, g_pw2w, g_pw2b = conv2d_backward(a1, params.pw2_w, spec.pw2_spec(), upstream)
     g_z1 = activation_backward(z1, spec.activation, g_a1)
     g_pc, g_pw1w, g_pw1b = conv2d_backward(pc, params.pw1_w, spec.pw1_spec(), g_z1)
@@ -282,42 +286,33 @@ def _check_channel_dims(spec: CBAMSpec, w1, b1, w2, b2) -> None:
         raise ConfigError(f"second layer wants W2 {want2}, b2 ({want2[0]},)")
 
 
-def _channel_gate(x: Tensor, w1, b1, w2, b2, spec: CBAMSpec):
-    """Shared forward internals; returns (gate (n, c), intermediates)."""
-    gap = x.data.mean(axis=(2, 3))
-    if spec.channel_mlp == "prose":
-        z1 = gap @ w1.T + b1
-        v1 = np.maximum(z1, 0.0)
-        z = v1 @ w2.T + b2
-        cache = (gap, z1, v1, None, None)
-    else:
-        z1 = gap @ w1.T + b1
-        z2 = gap @ w2.T + b2
-        v1 = np.maximum(z1, 0.0)
-        v2 = np.maximum(z2, 0.0)
-        z = v1 @ w1.T + b1 + v2 @ w2.T + b2
-        cache = (gap, z1, v1, z2, v2)
-    return sigmoid(z), z, cache
-
-
 def channel_attention(x: Tensor, w1, b1, w2, b2, spec: CBAMSpec):
     """Per-channel gates from the pooled input. Returns (gate map (n, c, 1, 1),
-    gated feature map). Gates depend on x only through its per-channel means."""
+    gated feature map, cache for :func:`channel_attention_backward`). Gates
+    depend on x only through its per-channel means."""
     if x.c != spec.channels:
         raise ConfigError(f"input has {x.c} channels, spec expects {spec.channels}")
     _check_channel_dims(spec, w1, b1, w2, b2)
-    gate, _, _ = _channel_gate(x, w1, b1, w2, b2, spec)
+    gap = x.data.mean(axis=(2, 3))
+    z1 = gap @ w1.T + b1
+    v1 = np.maximum(z1, 0.0)
+    if spec.channel_mlp == "prose":
+        z2 = v2 = None
+        z = v1 @ w2.T + b2
+    else:
+        z2 = gap @ w2.T + b2
+        v2 = np.maximum(z2, 0.0)
+        z = v1 @ w1.T + b1 + v2 @ w2.T + b2
+    gate = sigmoid(z)
     m_c = gate[:, :, None, None]
-    return Tensor(m_c), Tensor(m_c * x.data)
+    return Tensor(m_c), Tensor(m_c * x.data), (x, gate, gap, z1, v1, z2, v2)
 
 
-def channel_attention_backward(x: Tensor, w1, b1, w2, b2, spec: CBAMSpec, upstream_fc: Tensor):
-    """Gradients of <upstream_fc, gated map> w.r.t. x and all four parameters."""
+def channel_attention_backward(cache, w1, w2, spec: CBAMSpec, upstream_fc: Tensor):
+    """Gradients of <upstream_fc, gated map> w.r.t. x, W1, b1, W2 and b2."""
+    x, gate, gap, z1, v1, z2, v2 = cache
     if upstream_fc.shape != x.shape:
         raise ConfigError("upstream shape must match input")
-    _check_channel_dims(spec, w1, b1, w2, b2)
-    gate, z, (gap, z1, v1, z2, v2) = _channel_gate(x, w1, b1, w2, b2, spec)
-
     up = upstream_fc.data
     d_gate = (up * x.data).sum(axis=(2, 3))
     grad_x = up * gate[:, :, None, None]
@@ -358,30 +353,24 @@ def channel_attention_backward(x: Tensor, w1, b1, w2, b2, spec: CBAMSpec, upstre
 
 def spatial_attention(x: Tensor, conv_w: Tensor, conv_b, spec: CBAMSpec):
     """Per-position gates from channel max/mean statistics. Returns
-    (gate map (n, 1, h, w), gated feature map)."""
-    from .ops import spatial_stats
-
+    (gate map (n, 1, h, w), gated feature map, cache for
+    :func:`spatial_attention_backward`)."""
     stats = spatial_stats(x)
     z = conv2d_forward(stats, conv_w, conv_b, spec.spatial_conv_spec())
     m_s = sigmoid(z.data)
-    return Tensor(m_s), Tensor(m_s * x.data)
+    return Tensor(m_s), Tensor(m_s * x.data), (x, stats, m_s)
 
 
-def spatial_attention_backward(x: Tensor, conv_w: Tensor, conv_b, spec: CBAMSpec, upstream_fs: Tensor):
-    from .ops import spatial_stats, spatial_stats_backward
-
+def spatial_attention_backward(cache, conv_w: Tensor, spec: CBAMSpec, upstream_fs: Tensor):
+    """Gradients of <upstream_fs, gated map> w.r.t. x, the conv kernel and bias."""
+    x, stats, m_s = cache
     if upstream_fs.shape != x.shape:
         raise ConfigError("upstream shape must match input")
-    stats = spatial_stats(x)
-    cspec = spec.spatial_conv_spec()
-    z = conv2d_forward(stats, conv_w, conv_b, cspec)
-    m_s = sigmoid(z.data)
-
     up = upstream_fs.data
     d_ms = (up * x.data).sum(axis=1, keepdims=True)
     grad_x = up * m_s
     dz = Tensor(d_ms * m_s * (1.0 - m_s))
-    d_stats, gw, gb = conv2d_backward(stats, conv_w, cspec, dz)
+    d_stats, gw, gb = conv2d_backward(stats, conv_w, spec.spatial_conv_spec(), dz)
     grad_x = grad_x + spatial_stats_backward(x, d_stats).data
     return Tensor(grad_x), gw, gb
 
@@ -390,43 +379,37 @@ def spatial_attention_backward(x: Tensor, conv_w: Tensor, conv_b, spec: CBAMSpec
 # full block
 # ---------------------------------------------------------------------------
 
-def cbam_forward(x: Tensor, params: CBAMParams, spec: CBAMSpec) -> Tensor:
-    """Apply both attention gates.
+def cbam_forward(x: Tensor, params: CBAMParams, spec: CBAMSpec):
+    """Apply both attention gates; returns (output, cache for :func:`cbam_backward`).
 
     sequential: spatial attention consumes the channel-gated map.
     literal: both gates consume x and the two gated maps are multiplied,
     so the result carries x twice.
     """
-    _, f_c = channel_attention(x, params.w1, params.b1, params.w2, params.b2, spec)
+    _, f_c, c_cache = channel_attention(x, params.w1, params.b1, params.w2, params.b2, spec)
     if spec.composition == "sequential":
-        _, f_s = spatial_attention(f_c, params.spatial_w, params.spatial_b, spec)
-        return f_s
-    _, f_s = spatial_attention(x, params.spatial_w, params.spatial_b, spec)
-    return Tensor(f_c.data * f_s.data)
+        _, f_s, s_cache = spatial_attention(f_c, params.spatial_w, params.spatial_b, spec)
+        return f_s, (x, c_cache, s_cache, None, None)
+    _, f_s, s_cache = spatial_attention(x, params.spatial_w, params.spatial_b, spec)
+    return Tensor(f_c.data * f_s.data), (x, c_cache, s_cache, f_c, f_s)
 
 
-def cbam_backward(x: Tensor, params: CBAMParams, spec: CBAMSpec, upstream: Tensor):
+def cbam_backward(cache, params: CBAMParams, spec: CBAMSpec, upstream: Tensor):
+    x, c_cache, s_cache, f_c, f_s = cache
     if upstream.shape != x.shape:
         raise ConfigError("upstream shape must match input (cbam preserves shape)")
     if spec.composition == "sequential":
-        _, f_c = channel_attention(x, params.w1, params.b1, params.w2, params.b2, spec)
-        g_fc, gsw, gsb = spatial_attention_backward(
-            f_c, params.spatial_w, params.spatial_b, spec, upstream
-        )
+        g_fc, gsw, gsb = spatial_attention_backward(s_cache, params.spatial_w, spec, upstream)
         grad_x, gw1, gb1, gw2, gb2 = channel_attention_backward(
-            x, params.w1, params.b1, params.w2, params.b2, spec, g_fc
+            c_cache, params.w1, params.w2, spec, g_fc
         )
     else:
-        _, f_c = channel_attention(x, params.w1, params.b1, params.w2, params.b2, spec)
-        _, f_s = spatial_attention(x, params.spatial_w, params.spatial_b, spec)
         up_fc = Tensor(upstream.data * f_s.data)
         up_fs = Tensor(upstream.data * f_c.data)
         gx_c, gw1, gb1, gw2, gb2 = channel_attention_backward(
-            x, params.w1, params.b1, params.w2, params.b2, spec, up_fc
+            c_cache, params.w1, params.w2, spec, up_fc
         )
-        gx_s, gsw, gsb = spatial_attention_backward(
-            x, params.spatial_w, params.spatial_b, spec, up_fs
-        )
+        gx_s, gsw, gsb = spatial_attention_backward(s_cache, params.spatial_w, spec, up_fs)
         grad_x = Tensor(gx_c.data + gx_s.data)
     grads = CBAMParams(w1=gw1, b1=gb1, w2=gw2, b2=gb2, spatial_w=gsw, spatial_b=gsb)
     return grad_x, grads

@@ -97,6 +97,28 @@ def _probe(rng, shape):
     return rng.standard_normal(shape)
 
 
+# Central differences straddle a kink of relu or max when a probe lies within
+# one step of it and then average the two one-sided slopes; a case whose
+# kink input lies within KINK_MARGIN of a switch point is redrawn.
+KINK_MARGIN = 10 * FD_STEP
+
+
+def _near_kink(relu_input: np.ndarray) -> bool:
+    return bool(np.min(np.abs(relu_input)) < KINK_MARGIN)
+
+
+def _pool_near_tie(x: np.ndarray, window: int) -> bool:
+    """Whether the two largest candidates of some same-size pool window
+    differ by less than KINK_MARGIN."""
+    p = (window - 1) // 2
+    h, w = x.shape[2:]
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)), constant_values=-np.inf)
+    cands = np.stack([xp[:, :, di:di + h, dj:dj + w]
+                      for di in range(window) for dj in range(window)])
+    top2 = np.sort(cands, axis=0)[-2:]
+    return bool(np.min(top2[1] - top2[0]) < KINK_MARGIN)
+
+
 # ---------------------------------------------------------------------------
 # tensor_core operators
 # ---------------------------------------------------------------------------
@@ -199,11 +221,15 @@ def _check_spatial_stats(rng, cases):
 def _check_spp(rng, cases):
     worst = 0.0
     for _ in range(cases):
-        windows = [3] if rng.integers(2) else [3, 5]
-        x = _probe(rng, (1, 2, 6, 6))
-        g = _probe(rng, (1, 2 * (1 + len(windows)), 6, 6))
-        ga = ops.spp_backward(Tensor(x), windows, Tensor(g))
-        num = numerical_grad(lambda v: float((ops.spp(Tensor(v), windows).data * g).sum()), x)
+        while True:
+            windows = [3] if rng.integers(2) else [3, 5]
+            x = _probe(rng, (1, 2, 6, 6))
+            g = _probe(rng, (1, 2 * (1 + len(windows)), 6, 6))
+            if not any(_pool_near_tie(x, wsz) for wsz in windows):
+                break
+        _, cache = ops.spp(Tensor(x), windows)
+        ga = ops.spp_backward(cache, Tensor(g))
+        num = numerical_grad(lambda v: float((ops.spp(Tensor(v), windows)[0].data * g).sum()), x)
         worst = max(worst, max_rel_error(ga.data, num))
     return worst
 
@@ -239,10 +265,11 @@ def _check_block(rng, cases):
         params = blocks.FasterNetBlockParams.init(spec, rng)
         x = _probe(rng, (1, c, 4, 4))
         g = _probe(rng, (1, c, 4, 4))
-        gx, gp = blocks.fasternet_block_backward(Tensor(x), params, spec, Tensor(g))
+        _, cache = blocks.fasternet_block_forward(Tensor(x), params, spec)
+        gx, gp = blocks.fasternet_block_backward(cache, params, spec, Tensor(g))
 
         def run(v):
-            return float((blocks.fasternet_block_forward(Tensor(v), params, spec).data * g).sum())
+            return float((blocks.fasternet_block_forward(Tensor(v), params, spec)[0].data * g).sum())
 
         worst = max(worst, max_rel_error(gx.data, numerical_grad(run, x)))
         for attr in ("pconv_w", "pw1_w", "pw1_b", "pw2_w", "pw2_b"):
@@ -254,7 +281,7 @@ def _check_block(rng, cases):
                            ("pconv_w", "pw1_w", "pw1_b", "pw2_w", "pw2_b")}
                 patched[attr] = Tensor(v) if isinstance(getattr(params, attr), Tensor) else v
                 p2 = blocks.FasterNetBlockParams(**patched)
-                return float((blocks.fasternet_block_forward(Tensor(x), p2, spec).data * g).sum())
+                return float((blocks.fasternet_block_forward(Tensor(x), p2, spec)[0].data * g).sum())
 
             got = getattr(gp, attr)
             got = got.data if isinstance(got, Tensor) else got
@@ -266,21 +293,29 @@ def _channel_attention_suite(mlp_mode):
     def suite(rng, cases):
         worst = 0.0
         for _ in range(cases):
-            c = int(rng.integers(2, 7))
-            spec = blocks.CBAMSpec(c, reduction=2, channel_mlp=mlp_mode)
-            d1 = c if mlp_mode == "literal" else spec.hidden
-            d2in = spec.hidden if mlp_mode == "prose" else c
-            x = _probe(rng, (2, c, 3, 3))
-            w1 = _probe(rng, (d1, c))
-            b1 = _probe(rng, (d1,))
-            w2 = _probe(rng, (c, d2in))
-            b2 = _probe(rng, (c,))
-            g = _probe(rng, (2, c, 3, 3))
+            while True:
+                c = int(rng.integers(2, 7))
+                spec = blocks.CBAMSpec(c, reduction=2, channel_mlp=mlp_mode)
+                d1 = c if mlp_mode == "literal" else spec.hidden
+                d2in = spec.hidden if mlp_mode == "prose" else c
+                x = _probe(rng, (2, c, 3, 3))
+                w1 = _probe(rng, (d1, c))
+                b1 = _probe(rng, (d1,))
+                w2 = _probe(rng, (c, d2in))
+                b2 = _probe(rng, (c,))
+                g = _probe(rng, (2, c, 3, 3))
+                gap = x.mean(axis=(2, 3))
+                relu_inputs = [gap @ w1.T + b1]
+                if mlp_mode == "literal":
+                    relu_inputs.append(gap @ w2.T + b2)
+                if not any(_near_kink(z) for z in relu_inputs):
+                    break
+            _, _, cache = blocks.channel_attention(Tensor(x), w1, b1, w2, b2, spec)
             gx, gw1, gb1, gw2, gb2 = blocks.channel_attention_backward(
-                Tensor(x), w1, b1, w2, b2, spec, Tensor(g))
+                cache, w1, w2, spec, Tensor(g))
 
             def probe_fc(xx, a1, c1, a2, c2):
-                _, fc = blocks.channel_attention(Tensor(xx), a1, c1, a2, c2, spec)
+                _, fc, _ = blocks.channel_attention(Tensor(xx), a1, c1, a2, c2, spec)
                 return float((fc.data * g).sum())
 
             worst = max(worst, max_rel_error(gx.data, numerical_grad(
@@ -312,10 +347,11 @@ def _check_spatial_attention(rng, cases):
         w = _probe(rng, (1, 2, k, k))
         b = _probe(rng, (1,))
         g = _probe(rng, (2, c, 4, 4))
-        gx, gw, gb = blocks.spatial_attention_backward(Tensor(x), Tensor(w), b, spec, Tensor(g))
+        _, _, cache = blocks.spatial_attention(Tensor(x), Tensor(w), b, spec)
+        gx, gw, gb = blocks.spatial_attention_backward(cache, Tensor(w), spec, Tensor(g))
 
         def probe_fs(xx, ww, bb):
-            _, fs = blocks.spatial_attention(Tensor(xx), Tensor(ww), bb, spec)
+            _, fs, _ = blocks.spatial_attention(Tensor(xx), Tensor(ww), bb, spec)
             return float((fs.data * g).sum())
 
         worst = max(worst, max_rel_error(gx.data, numerical_grad(lambda v: probe_fs(v, w, b), x)))
@@ -336,10 +372,11 @@ def _cbam_suite(composition):
             params.spatial_b = _probe(rng, (1,))
             x = _probe(rng, (2, c, 3, 3))
             g = _probe(rng, (2, c, 3, 3))
-            gx, gp = blocks.cbam_backward(Tensor(x), params, spec, Tensor(g))
+            _, cache = blocks.cbam_forward(Tensor(x), params, spec)
+            gx, gp = blocks.cbam_backward(cache, params, spec, Tensor(g))
 
             def run_with(xx, pp):
-                return float((blocks.cbam_forward(Tensor(xx), pp, spec).data * g).sum())
+                return float((blocks.cbam_forward(Tensor(xx), pp, spec)[0].data * g).sum())
 
             worst = max(worst, max_rel_error(gx.data, numerical_grad(
                 lambda v: run_with(v, params), x)))

@@ -45,6 +45,8 @@ def read_image(path) -> Tensor:
         width, height, maxval = int(wtok), int(htok), int(mtok)
     except (StopIteration, ValueError, UnicodeDecodeError) as exc:
         raise ImageFormatError(f"bad header in {path}") from exc
+    if width < 1 or height < 1:
+        raise ImageFormatError(f"image size {width}x{height} must be at least 1x1")
     if maxval < 1 or maxval > 65535:
         raise ImageFormatError(f"unsupported maxval {maxval}")
     channels = {"P2": 1, "P5": 1, "P3": 3, "P6": 3}.get(magic)
@@ -65,6 +67,9 @@ def read_image(path) -> Tensor:
             raise ImageFormatError("bad ASCII pixel data") from exc
         if vals.size < count:
             raise ImageFormatError("pixel data truncated")
+    # NaN fails every comparison, so it is rejected as well
+    if not np.all((vals >= 0) & (vals <= maxval) & (vals == np.round(vals))):
+        raise ImageFormatError(f"pixel samples must be integers in [0, {maxval}]")
     img = vals.reshape(height, width, channels) / maxval
     return Tensor(np.transpose(img, (2, 0, 1))[None])
 

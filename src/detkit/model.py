@@ -180,25 +180,25 @@ def net_forward(params: dict[str, np.ndarray], spec: ToyNetSpec, x: Tensor):
         )
     stem_z = conv2d_forward(x, Tensor(params["stem.w"]), params["stem.b"], spec.stem_spec())
     stem_a = activation(stem_z, spec.activation)
-    b1 = fasternet_block_forward(stem_a, _block_params(params, "block1"), spec.block_spec())
-    b2 = fasternet_block_forward(b1, _block_params(params, "block2"), spec.block_spec())
-    neck = spp(b2, spec.spp_windows)
-    att = cbam_forward(neck, _cbam_params(params), spec.cbam_spec())
+    b1, b1_cache = fasternet_block_forward(stem_a, _block_params(params, "block1"), spec.block_spec())
+    b2, b2_cache = fasternet_block_forward(b1, _block_params(params, "block2"), spec.block_spec())
+    neck, spp_cache = spp(b2, spec.spp_windows)
+    att, cbam_cache = cbam_forward(neck, _cbam_params(params), spec.cbam_spec())
     head = conv2d_forward(att, Tensor(params["head.w"]), params["head.b"], spec.head_spec())
-    cache = (x, stem_z, stem_a, b1, b2, neck, att)
+    cache = (x, stem_z, b1_cache, b2_cache, spp_cache, cbam_cache, att)
     return head, cache
 
 
 def net_backward(params: dict[str, np.ndarray], spec: ToyNetSpec, cache, upstream: Tensor):
     """Gradients of <upstream, head> for every parameter, keyed like params."""
-    x, stem_z, stem_a, b1, b2, neck, att = cache
+    x, stem_z, b1_cache, b2_cache, spp_cache, cbam_cache, att = cache
     grads: dict[str, np.ndarray] = {}
 
     g_att, g_headw, g_headb = conv2d_backward(att, Tensor(params["head.w"]), spec.head_spec(), upstream)
     grads["head.w"] = g_headw.data
     grads["head.b"] = g_headb
 
-    g_neck, g_cbam = cbam_backward(neck, _cbam_params(params), spec.cbam_spec(), g_att)
+    g_neck, g_cbam = cbam_backward(cbam_cache, _cbam_params(params), spec.cbam_spec(), g_att)
     grads["cbam.fc1.w"] = g_cbam.w1
     grads["cbam.fc1.b"] = g_cbam.b1
     grads["cbam.fc2.w"] = g_cbam.w2
@@ -206,9 +206,9 @@ def net_backward(params: dict[str, np.ndarray], spec: ToyNetSpec, cache, upstrea
     grads["cbam.spatial.w"] = g_cbam.spatial_w.data
     grads["cbam.spatial.b"] = g_cbam.spatial_b
 
-    g_b2 = spp_backward(b2, spec.spp_windows, g_neck)
-    g_b1, gp2 = fasternet_block_backward(b1, _block_params(params, "block2"), spec.block_spec(), g_b2)
-    g_stem_a, gp1 = fasternet_block_backward(stem_a, _block_params(params, "block1"), spec.block_spec(), g_b1)
+    g_b2 = spp_backward(spp_cache, g_neck)
+    g_b1, gp2 = fasternet_block_backward(b2_cache, _block_params(params, "block2"), spec.block_spec(), g_b2)
+    g_stem_a, gp1 = fasternet_block_backward(b1_cache, _block_params(params, "block1"), spec.block_spec(), g_b1)
     for name, gp in (("block1", gp1), ("block2", gp2)):
         grads[f"{name}.pconv.w"] = gp.pconv_w.data
         grads[f"{name}.pw1.w"] = gp.pw1_w.data

@@ -5,8 +5,11 @@ Conventions shared by every operator here:
 * zero padding only, square kernels, identical stride in both axes;
 * conv output size is floor((in - k + 2p) / s) + 1 per spatial axis;
 * a backward pass computes the gradients of the scalar sum
-  <upstream, output> with respect to each argument, recomputing whatever
-  intermediate state it needs from the forward inputs (no tape).
+  <upstream, output> with respect to each argument and consumes the
+  forward's cache: the forward inputs for the elementwise ops and
+  convolution, the cache returned next to the output for ``spp``;
+* convolution runs as one matrix product over im2col windows, pooling as a
+  separable row-then-column max.
 
 Max reductions (pooling, per-position channel max) break ties by the first
 candidate in scan order, which keeps backward deterministic.
@@ -79,49 +82,88 @@ def _check_conv_args(x: Tensor, w: Tensor, b, spec: ConvSpec) -> None:
         raise ConfigError(f"bias length must be {spec.out_channels}")
 
 
+def _pad(x: np.ndarray, p: int, value: float = 0.0) -> np.ndarray:
+    """x with a border of p entries equal to value on both spatial axes."""
+    if p == 0:
+        return x
+    n, c, h, w = x.shape
+    out = np.full((n, c, h + 2 * p, w + 2 * p), value, dtype=x.dtype)
+    out[:, :, p:p + h, p:p + w] = x
+    return out
+
+
+def _columns(xp: np.ndarray, k: int, s: int) -> np.ndarray:
+    """im2col: every k x k window of xp at stride s, as (n, c*k*k, h_out*w_out).
+
+    When kernel equals stride the windows tile the input, so the columns are
+    an exact reshape (free for a 1x1 kernel); otherwise each kernel tap's
+    strided slice is copied into one column buffer."""
+    n, c, hp, wp = xp.shape
+    h_out, w_out = (hp - k) // s + 1, (wp - k) // s + 1
+    if k == s:
+        tiles = xp[:, :, :h_out * k, :w_out * k].reshape(n, c, h_out, k, w_out, k)
+        return tiles.transpose(0, 1, 3, 5, 2, 4).reshape(n, c * k * k, h_out * w_out)
+    cols = np.empty((n, c, k, k, h_out, w_out), dtype=xp.dtype)
+    for ki in range(k):
+        for kj in range(k):
+            cols[:, :, ki, kj] = xp[:, :, ki:ki + s * h_out:s, kj:kj + s * w_out:s]
+    return cols.reshape(n, c * k * k, h_out * w_out)
+
+
 def conv2d_forward(x: Tensor, w: Tensor, b, spec: ConvSpec) -> Tensor:
     """Cross-correlate x with w and add bias.
 
     Each output element is the dot product of the kernel with the
-    zero-padded input window plus the bias for that output channel.
+    zero-padded input window plus the bias for that output channel,
+    computed as one matrix product of the kernel with the im2col columns.
     """
     _check_conv_args(x, w, b, spec)
     k, s, p = spec.kernel, spec.stride, spec.padding
     h_out, w_out = spec.out_size(x.h), spec.out_size(x.w)
-    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p)))
-    out = np.zeros((x.n, spec.out_channels, h_out, w_out), dtype=x.dtype)
-    for ki in range(k):
-        for kj in range(k):
-            patch = xp[:, :, ki:ki + s * h_out:s, kj:kj + s * w_out:s]
-            out += np.einsum("nchw,oc->nohw", patch, w.data[:, :, ki, kj])
+    cols = _columns(_pad(x.data, p), k, s)
+    out = np.matmul(w.data.reshape(spec.out_channels, -1), cols)
+    out = out.reshape(x.n, spec.out_channels, h_out, w_out)
     if b is not None:
         out += np.asarray(b, dtype=x.dtype)[None, :, None, None]
     return Tensor(out)
 
 
 def conv2d_backward(x: Tensor, w: Tensor, spec: ConvSpec, upstream: Tensor):
-    """Gradients of <upstream, conv2d_forward(x, w, b)> w.r.t. x, w and b."""
+    """Gradients of <upstream, conv2d_forward(x, w, b)> w.r.t. x, w and b.
+
+    The input gradient is the transposed convolution: with non-overlapping
+    windows (kernel = stride) it is the kernel applied to upstream and
+    reshaped back into tiles; otherwise it is a stride-1 correlation of the
+    stride-dilated, (k-1)-padded upstream with the flipped kernel."""
     _check_conv_args(x, w, None, spec)
     k, s, p = spec.kernel, spec.stride, spec.padding
+    n, c, o = x.n, spec.in_channels, spec.out_channels
     h_out, w_out = spec.out_size(x.h), spec.out_size(x.w)
-    if upstream.shape != (x.n, spec.out_channels, h_out, w_out):
+    if upstream.shape != (n, o, h_out, w_out):
         raise ConfigError(
             f"upstream shape {upstream.shape} does not match forward output "
-            f"({x.n}, {spec.out_channels}, {h_out}, {w_out})"
+            f"({n}, {o}, {h_out}, {w_out})"
         )
-    up = upstream.data
-    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p)))
-    grad_w = np.zeros_like(w.data)
-    grad_xp = np.zeros_like(xp)
-    for ki in range(k):
-        for kj in range(k):
-            patch = xp[:, :, ki:ki + s * h_out:s, kj:kj + s * w_out:s]
-            grad_w[:, :, ki, kj] = np.einsum("nohw,nchw->oc", up, patch)
-            grad_xp[:, :, ki:ki + s * h_out:s, kj:kj + s * w_out:s] += np.einsum(
-                "nohw,oc->nchw", up, w.data[:, :, ki, kj]
-            )
+    up = upstream.data.reshape(n, o, h_out * w_out)
+    xp = _pad(x.data, p)
+    grad_w = np.tensordot(up, _columns(xp, k, s), axes=([0, 2], [0, 2])).reshape(w.shape)
+    grad_b = up.sum(axis=(0, 2))
+    if k == s:
+        tiles = np.matmul(w.data.reshape(o, -1).T, up).reshape(n, c, k, k, h_out, w_out)
+        covered = tiles.transpose(0, 1, 4, 2, 5, 3).reshape(n, c, h_out * k, w_out * k)
+    else:
+        span_h, span_w = s * (h_out - 1) + 1, s * (w_out - 1) + 1
+        dilated = np.zeros((n, o, span_h + 2 * (k - 1), span_w + 2 * (k - 1)), dtype=up.dtype)
+        dilated[:, :, k - 1:k - 1 + span_h:s, k - 1:k - 1 + span_w:s] = upstream.data
+        flipped = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
+        covered = np.matmul(flipped, _columns(dilated, k, 1))
+        covered = covered.reshape(n, c, span_h + k - 1, span_w + k - 1)
+    if covered.shape == xp.shape:
+        grad_xp = covered
+    else:  # rows and columns past the last window get no gradient
+        grad_xp = np.zeros_like(xp)
+        grad_xp[:, :, :covered.shape[2], :covered.shape[3]] = covered
     grad_x = grad_xp[:, :, p:p + x.h, p:p + x.w]
-    grad_b = up.sum(axis=(0, 2, 3))
     return Tensor(grad_x), Tensor(grad_w), grad_b
 
 
@@ -182,44 +224,50 @@ def spatial_stats_backward(x: Tensor, upstream: Tensor) -> Tensor:
 
 
 def _maxpool_same(x: np.ndarray, window: int):
-    """Stride-1 shape-preserving max pool; returns pooled map and the flat
-    window offset of each winner (first offset wins ties)."""
+    """Stride-1 shape-preserving max pool; returns the pooled map and the flat
+    window offset ``di * window + dj`` of each winner.
+
+    Separable: the max over each row window, then over each column window of
+    those row maxima. The winner is the first maximum in row-major scan order
+    of the window: the column pass keeps the smallest row offset holding the
+    maximum and the row pass, within that row, the smallest column offset.
+    Offsets are scanned in increasing order and a later one takes over only
+    when strictly larger, so its offset exceeds every earlier one and a
+    running ``maximum`` records it."""
     p = (window - 1) // 2
-    n, c, h, w = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)), constant_values=-np.inf)
-    best = None
-    arg = None
-    idx = 0
-    for di in range(window):
-        for dj in range(window):
-            sl = xp[:, :, di:di + h, dj:dj + w]
-            if best is None:
-                best = sl.copy()
-                arg = np.zeros((n, c, h, w), dtype=np.int32)
-            else:
-                mask = sl > best
-                np.copyto(best, sl, where=mask)
-                arg[mask] = idx
-            idx += 1
-    return best, arg
+    h, w = x.shape[2:]
+    xp = _pad(x, p, -np.inf)
+    row_max = xp[:, :, :, 0:w].copy()
+    row_arg = np.zeros(row_max.shape, dtype=np.intp)
+    for dj in range(1, window):
+        sl = xp[:, :, :, dj:dj + w]
+        np.maximum(row_arg, (sl > row_max) * dj, out=row_arg)
+        np.maximum(row_max, sl, out=row_max)
+    pooled = row_max[:, :, 0:h].copy()
+    arg = row_arg[:, :, 0:h].copy()
+    for di in range(1, window):
+        sl = row_max[:, :, di:di + h]
+        np.maximum(arg, (sl > pooled) * (row_arg[:, :, di:di + h] + di * window), out=arg)
+        np.maximum(pooled, sl, out=pooled)
+    return pooled, arg
 
 
-def _maxpool_same_backward(x: np.ndarray, window: int, upstream: np.ndarray) -> np.ndarray:
+def _maxpool_same_backward(arg: np.ndarray, window: int, upstream: np.ndarray) -> np.ndarray:
+    """Route each upstream entry to its recorded winner; shape of the input."""
     p = (window - 1) // 2
-    n, c, h, w = x.shape
-    _, arg = _maxpool_same(x, window)
-    grad_p = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
-    idx = 0
-    for di in range(window):
-        for dj in range(window):
-            grad_p[:, :, di:di + h, dj:dj + w] += upstream * (arg == idx)
-            idx += 1
-    return grad_p[:, :, p:p + h, p:p + w]
+    w = upstream.shape[3]
+    di, dj = np.divmod(arg, window)
+    target = np.arange(upstream.size).reshape(upstream.shape) + (di - p) * w + (dj - p)
+    grad = np.bincount(target.ravel(), weights=upstream.ravel(), minlength=upstream.size)
+    return grad.reshape(upstream.shape).astype(upstream.dtype, copy=False)
 
 
-def spp(x: Tensor, pool_windows) -> Tensor:
+def spp(x: Tensor, pool_windows):
     """Pyramid pooling: concatenate x with one shape-preserving max pool per
-    window size. Output channels = c * (1 + len(pool_windows))."""
+    window size. Output channels = c * (1 + len(pool_windows)).
+
+    Returns (output, cache); the cache holds each pool's winner offsets for
+    :func:`spp_backward`."""
     windows = list(pool_windows)
     for wsz in windows:
         if wsz % 2 == 0:
@@ -227,21 +275,24 @@ def spp(x: Tensor, pool_windows) -> Tensor:
         if wsz < 1:
             raise ConfigError("pool window must be >= 1")
     parts = [x.data]
+    winners = []
     for wsz in windows:
-        pooled, _ = _maxpool_same(x.data, wsz)
+        pooled, arg = _maxpool_same(x.data, wsz)
         parts.append(pooled)
-    return Tensor(np.concatenate(parts, axis=1))
+        winners.append(arg)
+    return Tensor(np.concatenate(parts, axis=1)), (x.shape, windows, winners)
 
 
-def spp_backward(x: Tensor, pool_windows, upstream: Tensor) -> Tensor:
-    windows = list(pool_windows)
-    expect_c = x.c * (1 + len(windows))
-    if upstream.shape != (x.n, expect_c, x.h, x.w):
+def spp_backward(cache, upstream: Tensor) -> Tensor:
+    shape, windows, winners = cache
+    n, c, h, w = shape
+    expect_c = c * (1 + len(windows))
+    if upstream.shape != (n, expect_c, h, w):
         raise ConfigError(f"upstream must have {expect_c} channels")
-    grad = upstream.data[:, :x.c].copy()
-    for g, wsz in enumerate(windows):
-        chunk = upstream.data[:, (g + 1) * x.c:(g + 2) * x.c]
-        grad += _maxpool_same_backward(x.data, wsz, chunk)
+    grad = upstream.data[:, :c].copy()
+    for g, (wsz, arg) in enumerate(zip(windows, winners)):
+        chunk = upstream.data[:, (g + 1) * c:(g + 2) * c]
+        grad += _maxpool_same_backward(arg, wsz, chunk)
     return Tensor(grad)
 
 

@@ -78,14 +78,14 @@ class TestFasterNetBlock:
             pw2_b=np.zeros(6),
         )
         x = Tensor(np.random.default_rng(4).standard_normal((2, 6, 4, 4)))
-        out = fasternet_block_forward(x, params, spec)
+        out, _ = fasternet_block_forward(x, params, spec)
         assert np.array_equal(out.data, x.data)
 
     def test_shape_preserved(self):
         spec = self._spec()
         params = FasterNetBlockParams.init(spec, np.random.default_rng(0))
         x = Tensor(np.random.default_rng(5).standard_normal((2, 6, 5, 7)))
-        assert fasternet_block_forward(x, params, spec).shape == x.shape
+        assert fasternet_block_forward(x, params, spec)[0].shape == x.shape
 
     def test_matches_chained_verified_ops(self):
         spec = self._spec()
@@ -97,7 +97,7 @@ class TestFasterNetBlock:
         a1 = ops.activation(z1, "mish")
         z2 = ops.conv2d_forward(a1, params.pw2_w, params.pw2_b, spec.pw2_spec())
         want = x.data + z2.data
-        got = fasternet_block_forward(x, params, spec)
+        got, _ = fasternet_block_forward(x, params, spec)
         assert np.allclose(got.data, want, atol=1e-12)
 
 
@@ -120,7 +120,7 @@ class TestChannelAttention:
         spec = CBAMSpec(channels=6, reduction=2)
         p = _zero_cbam_params(spec)
         x = Tensor(np.random.default_rng(7).standard_normal((2, 6, 3, 3)))
-        m_c, f_c = channel_attention(x, p.w1, p.b1, p.w2, p.b2, spec)
+        m_c, f_c, _ = channel_attention(x, p.w1, p.b1, p.w2, p.b2, spec)
         assert np.allclose(m_c.data, 0.5)
         assert np.allclose(f_c.data, 0.5 * x.data)
 
@@ -129,7 +129,7 @@ class TestChannelAttention:
         rng = np.random.default_rng(8)
         p = CBAMParams.init(spec, rng)
         x = Tensor(rng.standard_normal((3, 5, 4, 4)) * 5)
-        m_c, _ = channel_attention(x, p.w1, p.b1, p.w2, p.b2, spec)
+        m_c, _, _ = channel_attention(x, p.w1, p.b1, p.w2, p.b2, spec)
         assert np.all(m_c.data > 0.0) and np.all(m_c.data < 1.0)
 
     def test_gate_depends_only_on_channel_means(self):
@@ -143,8 +143,8 @@ class TestChannelAttention:
             shuffled, rng.permutation(16)[None, None, :].repeat(4, axis=1), axis=2
         ).reshape(1, 4, 4, 4)
         assert not np.array_equal(shuffled, x)
-        m1, _ = channel_attention(Tensor(x), p.w1, p.b1, p.w2, p.b2, spec)
-        m2, _ = channel_attention(Tensor(shuffled), p.w1, p.b1, p.w2, p.b2, spec)
+        m1, _, _ = channel_attention(Tensor(x), p.w1, p.b1, p.w2, p.b2, spec)
+        m2, _, _ = channel_attention(Tensor(shuffled), p.w1, p.b1, p.w2, p.b2, spec)
         assert np.allclose(m1.data, m2.data, atol=1e-12)
 
     def test_literal_mode_square_weights(self):
@@ -153,7 +153,7 @@ class TestChannelAttention:
         p = CBAMParams.init(spec, rng)
         assert p.w1.shape == (4, 4) and p.w2.shape == (4, 4)
         x = Tensor(rng.standard_normal((1, 4, 3, 3)))
-        m_c, f_c = channel_attention(x, p.w1, p.b1, p.w2, p.b2, spec)
+        m_c, f_c, _ = channel_attention(x, p.w1, p.b1, p.w2, p.b2, spec)
         # reference evaluation of the square-weight double-application form
         gap = x.data.mean(axis=(2, 3))
         v1 = np.maximum(gap @ p.w1.T + p.b1, 0.0)
@@ -174,7 +174,7 @@ class TestSpatialAttention:
     def test_zero_conv_gives_half_gate(self):
         spec = CBAMSpec(channels=3)
         x = Tensor(np.random.default_rng(11).standard_normal((2, 3, 4, 4)))
-        m_s, f_s = spatial_attention(x, Tensor.zeros((1, 2, 1, 1)), np.zeros(1), spec)
+        m_s, f_s, _ = spatial_attention(x, Tensor.zeros((1, 2, 1, 1)), np.zeros(1), spec)
         assert np.allclose(m_s.data, 0.5)
         assert np.allclose(f_s.data, 0.5 * x.data)
 
@@ -184,7 +184,7 @@ class TestSpatialAttention:
         w = Tensor(rng.standard_normal((1, 2, 3, 3)))
         b = rng.standard_normal(1)
         x = Tensor(rng.standard_normal((1, 3, 5, 5)))
-        m_s, f_s = spatial_attention(x, w, b, spec)
+        m_s, f_s, _ = spatial_attention(x, w, b, spec)
         stats = ops.spatial_stats(x)
         z = ops.conv2d_forward(stats, w, b, ConvSpec(2, 1, 3, 1, 1))
         want_gate = 1.0 / (1.0 + np.exp(-z.data))
@@ -196,7 +196,7 @@ class TestSpatialAttention:
         rng = np.random.default_rng(13)
         x = Tensor(rng.standard_normal((2, 4, 3, 3)) * 4)
         w = Tensor(rng.standard_normal((1, 2, 1, 1)))
-        m_s, _ = spatial_attention(x, w, rng.standard_normal(1), spec)
+        m_s, _, _ = spatial_attention(x, w, rng.standard_normal(1), spec)
         assert np.all(m_s.data > 0.0) and np.all(m_s.data < 1.0)
 
     def test_even_kernel_rejected(self):
@@ -208,13 +208,13 @@ class TestCBAM:
     def test_zero_params_sequential_quarters_input(self):
         spec = CBAMSpec(channels=4, composition="sequential")
         x = Tensor(np.random.default_rng(14).standard_normal((1, 4, 3, 3)))
-        out = cbam_forward(x, _zero_cbam_params(spec), spec)
+        out, _ = cbam_forward(x, _zero_cbam_params(spec), spec)
         assert np.allclose(out.data, 0.25 * x.data)
 
     def test_zero_params_literal_squares_input(self):
         spec = CBAMSpec(channels=4, composition="literal")
         x = Tensor(np.random.default_rng(15).standard_normal((1, 4, 3, 3)))
-        out = cbam_forward(x, _zero_cbam_params(spec), spec)
+        out, _ = cbam_forward(x, _zero_cbam_params(spec), spec)
         assert np.allclose(out.data, 0.25 * x.data * x.data)
 
     def test_sequential_equals_manual_chain(self):
@@ -222,9 +222,9 @@ class TestCBAM:
         rng = np.random.default_rng(16)
         p = CBAMParams.init(spec, rng)
         x = Tensor(rng.standard_normal((2, 5, 4, 4)))
-        _, f_c = channel_attention(x, p.w1, p.b1, p.w2, p.b2, spec)
-        _, want = spatial_attention(f_c, p.spatial_w, p.spatial_b, spec)
-        got = cbam_forward(x, p, spec)
+        _, f_c, _ = channel_attention(x, p.w1, p.b1, p.w2, p.b2, spec)
+        _, want, _ = spatial_attention(f_c, p.spatial_w, p.spatial_b, spec)
+        got, _ = cbam_forward(x, p, spec)
         assert np.allclose(got.data, want.data, atol=1e-12)
 
     @pytest.mark.parametrize("composition", ["sequential", "literal"])
@@ -233,4 +233,4 @@ class TestCBAM:
         rng = np.random.default_rng(17)
         p = CBAMParams.init(spec, rng)
         x = Tensor(rng.standard_normal((2, 6, 3, 5)))
-        assert cbam_forward(x, p, spec).shape == x.shape
+        assert cbam_forward(x, p, spec)[0].shape == x.shape

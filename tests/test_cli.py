@@ -1,6 +1,10 @@
 """End-to-end command-line behavior in temp dirs: artifacts and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -209,6 +213,43 @@ class TestTrainEvalDetect:
                          "--weights", str(train_dir / "weights.dkw"),
                          "--image", str(bad_img), "--out", str(tmp_path / "d.json")])
         assert code == cli.EXIT_IMAGE
+
+    @pytest.mark.parametrize("blob", [
+        b"P5\n-2 -3\n255\n" + bytes(6),     # negative dimensions
+        b"P5\n0 4\n255\n",                  # zero width
+        b"P2\n2 2\n255\n0 999\n1 2\n",      # sample above maxval
+    ], ids=["negative-size", "zero-width", "sample-above-maxval"])
+    def test_malformed_pgm_image_exit(self, tmp_path, small_config, blob):
+        from detkit.model import ToyNetSpec, init_params
+        from detkit.weights_io import save_weights
+
+        weights = tmp_path / "w.dkw"
+        save_weights(init_params(ToyNetSpec(image_size=32, stem_channels=8),
+                                 np.random.default_rng(0)), weights)
+        bad_img = tmp_path / "bad.pgm"
+        bad_img.write_bytes(blob)
+        code = cli.main(["detect", "--config", str(small_config),
+                         "--weights", str(weights),
+                         "--image", str(bad_img), "--out", str(tmp_path / "d.json")])
+        assert code == cli.EXIT_IMAGE
+
+    def test_train_byte_identical_across_processes_default_blas_threads(
+            self, tmp_path, small_config):
+        """Convolutions run as BLAS matrix products; two fresh processes with
+        the library's default thread count must still write the same bytes."""
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                            "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
+                            "NUMEXPR_NUM_THREADS")}
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        dirs = [tmp_path / "a", tmp_path / "b"]
+        for d in dirs:
+            subprocess.run([sys.executable, "-m", "detkit.cli", "train",
+                            "--config", str(small_config), "--out-dir", str(d)],
+                           env=env, check=True, capture_output=True)
+        for name in ("weights.dkw", "stats.jsonl"):
+            assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
     def test_unknown_config_key_parse_exit(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

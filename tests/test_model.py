@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from detkit import blocks, model, ops
 from detkit.losses import BBox, detection_loss, detection_loss_grad
 from detkit.model import (
     ToyNetSpec,
@@ -79,6 +80,34 @@ class TestBackward:
         grads = net_backward(params, spec, cache, Tensor(rng.standard_normal(head.shape)))
         for k, v in params.items():
             assert grads[k].shape == v.shape
+
+    def test_backward_runs_no_forward_op(self, monkeypatch):
+        """net_backward consumes the forward cache: with every forward op
+        made to raise under every module binding, it still returns the same
+        gradients."""
+        spec = tiny_spec()
+        rng = np.random.default_rng(6)
+        params = init_params(spec, rng)
+        head, cache = net_forward(params, spec, Tensor(rng.uniform(0, 1, (2, 1, 16, 16))))
+        upstream = Tensor(rng.standard_normal(head.shape))
+        want = net_backward(params, spec, cache, upstream)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("forward op called during backward")
+
+        forward_ops = ("conv2d_forward", "activation", "spp", "pconv_forward",
+                       "channel_attention", "spatial_attention", "spatial_stats")
+        patched = 0
+        for module in (ops, blocks, model):
+            for name in forward_ops:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+                    patched += 1
+        assert patched >= len(forward_ops)
+        got = net_backward(params, spec, cache, upstream)
+        assert set(got) == set(want)
+        for k in want:
+            assert np.array_equal(got[k], want[k]), k
 
 
 class TestStructure:

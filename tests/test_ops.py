@@ -1,11 +1,20 @@
 """Core operator tests: trivial identities, brute-force oracles, invariants."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_conv2d, naive_sliding_max
+from oracles import (
+    naive_conv2d,
+    naive_sliding_max,
+    per_tap_conv2d,
+    per_tap_conv2d_backward,
+    scan_maxpool_same,
+    scan_maxpool_same_backward,
+)
 
 from detkit import ops
 from detkit.ops import ConvSpec
@@ -93,6 +102,66 @@ class TestConvBackward:
         assert gw.data.item() == pytest.approx(15.0)
         assert gx.data.item() == pytest.approx(-10.0)
         assert gb.item() == pytest.approx(5.0)
+
+
+# Every kernel/stride/padding pairing of the grid, stem-like kernel = stride
+# included, on rectangular inputs whose two sides are consecutive integers,
+# so for any stride > 1 at least one side leaves rows past the last window.
+CONV_GRID = [
+    (k, s, p, max(1, k - 2 * p) + 2 * s)
+    for k, s, p in itertools.product((1, 2, 3, 5, 8), (1, 2, 3, 8), (0, 1, 2))
+]
+
+
+class TestConvMatchesPerTapOracle:
+    def test_grid_covers_stem_tiling_and_uneven_sizes(self):
+        assert {(k, s) for k, s, _, _ in CONV_GRID if k == s} == {(1, 1), (2, 2), (3, 3), (8, 8)}
+        for k, s, p, h in CONV_GRID:
+            assert s == 1 or (h + 2 * p - k) % s or (h + 1 + 2 * p - k) % s
+
+    @pytest.mark.parametrize("k,s,p,h", CONV_GRID)
+    def test_forward_and_backward(self, k, s, p, h):
+        rng = np.random.default_rng(1000 * k + 100 * s + p)
+        spec = ConvSpec(2, 3, k, s, p)
+        x = rng.standard_normal((2, 2, h, h + 1))
+        w = rng.standard_normal((3, 2, k, k))
+        b = rng.standard_normal(3)
+        want = per_tap_conv2d(x, w, b, s, p)
+        got = ops.conv2d_forward(Tensor(x), Tensor(w), b, spec).data
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12
+        up = rng.standard_normal(want.shape)
+        gx, gw, gb = ops.conv2d_backward(Tensor(x), Tensor(w), spec, Tensor(up))
+        for got_g, want_g in zip((gx.data, gw.data, gb),
+                                 per_tap_conv2d_backward(x, w, s, p, up)):
+            assert got_g.shape == want_g.shape
+            assert np.max(np.abs(got_g - want_g)) <= 1e-12
+
+
+class TestSeparableMaxPool:
+    @pytest.mark.parametrize("window", [1, 3, 5, 7])
+    def test_ties_pick_the_scan_order_winner(self, window):
+        """Integer inputs from {0, 1, 2} tie in nearly every window; values,
+        winner offsets and the routed gradient equal the scan exactly."""
+        rng = np.random.default_rng(window)
+        x = rng.integers(0, 3, size=(2, 3, 7, 9)).astype(np.float64)
+        pooled, arg = ops._maxpool_same(x, window)
+        want_pooled, want_arg = scan_maxpool_same(x, window)
+        assert np.array_equal(pooled, want_pooled)
+        assert np.array_equal(arg, want_arg)
+        up = rng.integers(-4, 5, size=x.shape).astype(np.float64)
+        assert np.array_equal(ops._maxpool_same_backward(arg, window, up),
+                              scan_maxpool_same_backward(x, window, up))
+
+    def test_spp_backward_routes_through_cached_winners(self):
+        rng = np.random.default_rng(21)
+        x = rng.integers(0, 4, size=(2, 2, 6, 5)).astype(np.float64)
+        out, cache = ops.spp(Tensor(x), [3, 5])
+        up = rng.integers(-3, 4, size=out.shape).astype(np.float64)
+        want = up[:, 0:2].copy()
+        want += scan_maxpool_same_backward(x, 3, up[:, 2:4])
+        want += scan_maxpool_same_backward(x, 5, up[:, 4:6])
+        assert np.array_equal(ops.spp_backward(cache, Tensor(up)).data, want)
 
 
 class TestPooling:
@@ -212,19 +281,19 @@ class TestSpp:
     def test_empty_windows_is_identity(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((1, 3, 4, 4))
-        out = ops.spp(Tensor(x), [])
+        out, _ = ops.spp(Tensor(x), [])
         assert np.array_equal(out.data, x)
 
     def test_constant_input(self):
         x = Tensor.full((1, 2, 4, 4), 1.5)
-        out = ops.spp(x, [3])
+        out, _ = ops.spp(x, [3])
         assert out.shape == (1, 4, 4, 4)
         assert np.allclose(out.data, 1.5)
 
     def test_matches_sliding_max_oracle(self):
         rng = np.random.default_rng(13)
         x = rng.standard_normal((2, 2, 6, 7))
-        out = ops.spp(Tensor(x), [3, 5]).data
+        out = ops.spp(Tensor(x), [3, 5])[0].data
         assert np.array_equal(out[:, 0:2], x)
         assert np.allclose(out[:, 2:4], naive_sliding_max(x, 3))
         assert np.allclose(out[:, 4:6], naive_sliding_max(x, 5))

@@ -18,6 +18,11 @@ Two selectable formulations exist for each half and all four are implemented:
 * ``composition="literal"``: both gates run on the raw input and their gated
   maps are multiplied elementwise, which squares the input contribution.
 
+Parameters live in the flat ``<layer>.<param>`` store of :mod:`detkit.model`.
+The block and CBAM functions read ``params[prefix + "pw1.w"]`` and friends and
+return gradients keyed the same way; ``prefix`` is ``"block1."``, ``"block2."``
+or ``"cbam."`` inside the network and ``""`` for a standalone block.
+
 Each forward returns its output together with a cache of the intermediates
 its backward needs (the attention halves return gate, gated map and cache);
 each backward takes that cache in place of the input and recomputes nothing.
@@ -147,62 +152,9 @@ class FasterNetBlockSpec:
         return ConvSpec(self.hidden, self.channels, kernel=1)
 
 
-@dataclass
-class CBAMParams:
-    """Learnable state for one CBAM block."""
-
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    spatial_w: Tensor
-    spatial_b: np.ndarray
-
-    @classmethod
-    def init(cls, spec: CBAMSpec, rng: np.random.Generator, dtype=np.float64) -> "CBAMParams":
-        c = spec.channels
-        d1 = c if spec.channel_mlp == "literal" else spec.hidden
-        d2 = c
-        w1 = (rng.standard_normal((d1, c)) * math.sqrt(2.0 / c)).astype(dtype)
-        w2 = (rng.standard_normal((d2, d1 if spec.channel_mlp == "prose" else c)) * math.sqrt(2.0 / d1)).astype(dtype)
-        k = spec.spatial_kernel
-        sw = (rng.standard_normal((1, 2, k, k)) * math.sqrt(2.0 / (2 * k * k))).astype(dtype)
-        return cls(
-            w1=w1,
-            b1=np.zeros(d1, dtype=dtype),
-            w2=w2,
-            b2=np.zeros(d2, dtype=dtype),
-            spatial_w=Tensor(sw),
-            spatial_b=np.zeros(1, dtype=dtype),
-        )
-
-
-@dataclass
-class FasterNetBlockParams:
-    """Learnable state for one block: pconv kernel plus the pointwise MLP."""
-
-    pconv_w: Tensor
-    pw1_w: Tensor
-    pw1_b: np.ndarray
-    pw2_w: Tensor
-    pw2_b: np.ndarray
-
-    @classmethod
-    def init(
-        cls, spec: FasterNetBlockSpec, rng: np.random.Generator, dtype=np.float64
-    ) -> "FasterNetBlockParams":
-        cp, k = spec.pconv.conv_channels, spec.pconv.kernel
-        c, hid = spec.channels, spec.hidden
-        pw = (rng.standard_normal((cp, cp, k, k)) * math.sqrt(2.0 / (cp * k * k))).astype(dtype)
-        w1 = (rng.standard_normal((hid, c, 1, 1)) * math.sqrt(2.0 / c)).astype(dtype)
-        w2 = (rng.standard_normal((c, hid, 1, 1)) * math.sqrt(2.0 / hid)).astype(dtype)
-        return cls(
-            pconv_w=Tensor(pw),
-            pw1_w=Tensor(w1),
-            pw1_b=np.zeros(hid, dtype=dtype),
-            pw2_w=Tensor(w2),
-            pw2_b=np.zeros(c, dtype=dtype),
-        )
+def he_normal(rng: np.random.Generator, shape, fan_in: int, dtype=np.float64) -> np.ndarray:
+    """He-normal draw: standard normal scaled by sqrt(2 / fan_in)."""
+    return (rng.standard_normal(shape) * math.sqrt(2.0 / fan_in)).astype(dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -241,33 +193,51 @@ def pconv_backward(x: Tensor, weights: Tensor, spec: PConvSpec, upstream: Tensor
 # FasterNet-style residual block
 # ---------------------------------------------------------------------------
 
-def fasternet_block_forward(x: Tensor, params: FasterNetBlockParams, spec: FasterNetBlockSpec):
+def fasternet_block_init(
+    spec: FasterNetBlockSpec, rng: np.random.Generator, dtype=np.float64, prefix: str = ""
+) -> dict[str, np.ndarray]:
+    """He-normal kernels and zero biases, keyed ``prefix + "pconv.w"`` etc."""
+    cp, k = spec.pconv.conv_channels, spec.pconv.kernel
+    c, hid = spec.channels, spec.hidden
+    return {
+        prefix + "pconv.w": he_normal(rng, (cp, cp, k, k), cp * k * k, dtype),
+        prefix + "pw1.w": he_normal(rng, (hid, c, 1, 1), c, dtype),
+        prefix + "pw1.b": np.zeros(hid, dtype=dtype),
+        prefix + "pw2.w": he_normal(rng, (c, hid, 1, 1), hid, dtype),
+        prefix + "pw2.b": np.zeros(c, dtype=dtype),
+    }
+
+
+def fasternet_block_forward(x: Tensor, params, spec: FasterNetBlockSpec, prefix: str = ""):
     """x + PW2(act(PW1(pconv(x)))) with 1x1 convs PW1: c -> hidden, PW2 back.
 
     Returns (output, cache) for :func:`fasternet_block_backward`."""
-    pc = pconv_forward(x, params.pconv_w, spec.pconv)
-    z1 = conv2d_forward(pc, params.pw1_w, params.pw1_b, spec.pw1_spec())
+    pc = pconv_forward(x, Tensor(params[prefix + "pconv.w"]), spec.pconv)
+    z1 = conv2d_forward(pc, Tensor(params[prefix + "pw1.w"]), params[prefix + "pw1.b"], spec.pw1_spec())
     a1 = activation(z1, spec.activation)
-    z2 = conv2d_forward(a1, params.pw2_w, params.pw2_b, spec.pw2_spec())
+    z2 = conv2d_forward(a1, Tensor(params[prefix + "pw2.w"]), params[prefix + "pw2.b"], spec.pw2_spec())
     return Tensor(x.data + z2.data), (x, pc, z1, a1)
 
 
 def fasternet_block_backward(
-    cache, params: FasterNetBlockParams, spec: FasterNetBlockSpec, upstream: Tensor
+    cache, params, spec: FasterNetBlockSpec, upstream: Tensor, prefix: str = ""
 ):
+    """Returns (input gradient, parameter gradients keyed like ``params``)."""
     x, pc, z1, a1 = cache
     if upstream.shape != x.shape:
         raise ConfigError("upstream shape must match input (block preserves shape)")
-    g_a1, g_pw2w, g_pw2b = conv2d_backward(a1, params.pw2_w, spec.pw2_spec(), upstream)
+    g_a1, g_pw2w, g_pw2b = conv2d_backward(a1, Tensor(params[prefix + "pw2.w"]), spec.pw2_spec(), upstream)
     g_z1 = activation_backward(z1, spec.activation, g_a1)
-    g_pc, g_pw1w, g_pw1b = conv2d_backward(pc, params.pw1_w, spec.pw1_spec(), g_z1)
-    g_x_branch, g_pconvw = pconv_backward(x, params.pconv_w, spec.pconv, g_pc)
-
-    grad_x = Tensor(upstream.data + g_x_branch.data)
-    grads = FasterNetBlockParams(
-        pconv_w=g_pconvw, pw1_w=g_pw1w, pw1_b=g_pw1b, pw2_w=g_pw2w, pw2_b=g_pw2b
-    )
-    return grad_x, grads
+    g_pc, g_pw1w, g_pw1b = conv2d_backward(pc, Tensor(params[prefix + "pw1.w"]), spec.pw1_spec(), g_z1)
+    g_x_branch, g_pconvw = pconv_backward(x, Tensor(params[prefix + "pconv.w"]), spec.pconv, g_pc)
+    grads = {
+        prefix + "pconv.w": g_pconvw.data,
+        prefix + "pw1.w": g_pw1w.data,
+        prefix + "pw1.b": g_pw1b,
+        prefix + "pw2.w": g_pw2w.data,
+        prefix + "pw2.b": g_pw2b,
+    }
+    return Tensor(upstream.data + g_x_branch.data), grads
 
 
 # ---------------------------------------------------------------------------
@@ -379,37 +349,61 @@ def spatial_attention_backward(cache, conv_w: Tensor, spec: CBAMSpec, upstream_f
 # full block
 # ---------------------------------------------------------------------------
 
-def cbam_forward(x: Tensor, params: CBAMParams, spec: CBAMSpec):
+def cbam_init(
+    spec: CBAMSpec, rng: np.random.Generator, dtype=np.float64, prefix: str = ""
+) -> dict[str, np.ndarray]:
+    """He-normal weights and zero biases, keyed ``prefix + "fc1.w"`` etc."""
+    c, k = spec.channels, spec.spatial_kernel
+    d1 = c if spec.channel_mlp == "literal" else spec.hidden
+    return {
+        prefix + "fc1.w": he_normal(rng, (d1, c), c, dtype),
+        prefix + "fc1.b": np.zeros(d1, dtype=dtype),
+        prefix + "fc2.w": he_normal(rng, (c, d1), d1, dtype),
+        prefix + "fc2.b": np.zeros(c, dtype=dtype),
+        prefix + "spatial.w": he_normal(rng, (1, 2, k, k), 2 * k * k, dtype),
+        prefix + "spatial.b": np.zeros(1, dtype=dtype),
+    }
+
+
+def cbam_forward(x: Tensor, params, spec: CBAMSpec, prefix: str = ""):
     """Apply both attention gates; returns (output, cache for :func:`cbam_backward`).
 
     sequential: spatial attention consumes the channel-gated map.
     literal: both gates consume x and the two gated maps are multiplied,
     so the result carries x twice.
     """
-    _, f_c, c_cache = channel_attention(x, params.w1, params.b1, params.w2, params.b2, spec)
+    w1, b1, w2, b2 = (params[prefix + k] for k in ("fc1.w", "fc1.b", "fc2.w", "fc2.b"))
+    spatial_w, spatial_b = Tensor(params[prefix + "spatial.w"]), params[prefix + "spatial.b"]
+    _, f_c, c_cache = channel_attention(x, w1, b1, w2, b2, spec)
     if spec.composition == "sequential":
-        _, f_s, s_cache = spatial_attention(f_c, params.spatial_w, params.spatial_b, spec)
+        _, f_s, s_cache = spatial_attention(f_c, spatial_w, spatial_b, spec)
         return f_s, (x, c_cache, s_cache, None, None)
-    _, f_s, s_cache = spatial_attention(x, params.spatial_w, params.spatial_b, spec)
+    _, f_s, s_cache = spatial_attention(x, spatial_w, spatial_b, spec)
     return Tensor(f_c.data * f_s.data), (x, c_cache, s_cache, f_c, f_s)
 
 
-def cbam_backward(cache, params: CBAMParams, spec: CBAMSpec, upstream: Tensor):
+def cbam_backward(cache, params, spec: CBAMSpec, upstream: Tensor, prefix: str = ""):
+    """Returns (input gradient, parameter gradients keyed like ``params``)."""
     x, c_cache, s_cache, f_c, f_s = cache
     if upstream.shape != x.shape:
         raise ConfigError("upstream shape must match input (cbam preserves shape)")
+    w1, w2 = params[prefix + "fc1.w"], params[prefix + "fc2.w"]
+    spatial_w = Tensor(params[prefix + "spatial.w"])
     if spec.composition == "sequential":
-        g_fc, gsw, gsb = spatial_attention_backward(s_cache, params.spatial_w, spec, upstream)
-        grad_x, gw1, gb1, gw2, gb2 = channel_attention_backward(
-            c_cache, params.w1, params.w2, spec, g_fc
-        )
+        g_fc, gsw, gsb = spatial_attention_backward(s_cache, spatial_w, spec, upstream)
+        grad_x, gw1, gb1, gw2, gb2 = channel_attention_backward(c_cache, w1, w2, spec, g_fc)
     else:
         up_fc = Tensor(upstream.data * f_s.data)
         up_fs = Tensor(upstream.data * f_c.data)
-        gx_c, gw1, gb1, gw2, gb2 = channel_attention_backward(
-            c_cache, params.w1, params.w2, spec, up_fc
-        )
-        gx_s, gsw, gsb = spatial_attention_backward(s_cache, params.spatial_w, spec, up_fs)
+        gx_c, gw1, gb1, gw2, gb2 = channel_attention_backward(c_cache, w1, w2, spec, up_fc)
+        gx_s, gsw, gsb = spatial_attention_backward(s_cache, spatial_w, spec, up_fs)
         grad_x = Tensor(gx_c.data + gx_s.data)
-    grads = CBAMParams(w1=gw1, b1=gb1, w2=gw2, b2=gb2, spatial_w=gsw, spatial_b=gsb)
+    grads = {
+        prefix + "fc1.w": gw1,
+        prefix + "fc1.b": gb1,
+        prefix + "fc2.w": gw2,
+        prefix + "fc2.b": gb2,
+        prefix + "spatial.w": gsw.data,
+        prefix + "spatial.b": gsb,
+    }
     return grad_x, grads

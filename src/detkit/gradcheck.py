@@ -262,30 +262,19 @@ def _check_block(rng, cases):
     for _ in range(cases):
         c = int(rng.integers(2, 5))
         spec = blocks.FasterNetBlockSpec(c, blocks.PConvSpec(c, max(1, c // 2), 3))
-        params = blocks.FasterNetBlockParams.init(spec, rng)
+        params = blocks.fasternet_block_init(spec, rng)
         x = _probe(rng, (1, c, 4, 4))
         g = _probe(rng, (1, c, 4, 4))
         _, cache = blocks.fasternet_block_forward(Tensor(x), params, spec)
         gx, gp = blocks.fasternet_block_backward(cache, params, spec, Tensor(g))
 
-        def run(v):
-            return float((blocks.fasternet_block_forward(Tensor(v), params, spec)[0].data * g).sum())
+        def run_with(xx, pp):
+            return float((blocks.fasternet_block_forward(Tensor(xx), pp, spec)[0].data * g).sum())
 
-        worst = max(worst, max_rel_error(gx.data, numerical_grad(run, x)))
-        for attr in ("pconv_w", "pw1_w", "pw1_b", "pw2_w", "pw2_b"):
-            base = getattr(params, attr)
-            arr = base.data if isinstance(base, Tensor) else base
-
-            def runp(v, attr=attr, arr=arr):
-                patched = {a: getattr(params, a) for a in
-                           ("pconv_w", "pw1_w", "pw1_b", "pw2_w", "pw2_b")}
-                patched[attr] = Tensor(v) if isinstance(getattr(params, attr), Tensor) else v
-                p2 = blocks.FasterNetBlockParams(**patched)
-                return float((blocks.fasternet_block_forward(Tensor(x), p2, spec)[0].data * g).sum())
-
-            got = getattr(gp, attr)
-            got = got.data if isinstance(got, Tensor) else got
-            worst = max(worst, max_rel_error(got, numerical_grad(runp, arr.copy())))
+        worst = max(worst, max_rel_error(gx.data, numerical_grad(lambda v: run_with(v, params), x)))
+        for key, arr in params.items():
+            worst = max(worst, max_rel_error(gp[key], numerical_grad(
+                lambda v, key=key: run_with(x, {**params, key: v}), arr.copy())))
     return worst
 
 
@@ -366,10 +355,9 @@ def _cbam_suite(composition):
         for _ in range(cases):
             c = int(rng.integers(2, 6))
             spec = blocks.CBAMSpec(c, reduction=2, spatial_kernel=1, composition=composition)
-            params = blocks.CBAMParams.init(spec, rng)
-            params.b1 = _probe(rng, params.b1.shape)
-            params.b2 = _probe(rng, params.b2.shape)
-            params.spatial_b = _probe(rng, (1,))
+            params = blocks.cbam_init(spec, rng)
+            for key in ("fc1.b", "fc2.b", "spatial.b"):
+                params[key] = _probe(rng, params[key].shape)
             x = _probe(rng, (2, c, 3, 3))
             g = _probe(rng, (2, c, 3, 3))
             _, cache = blocks.cbam_forward(Tensor(x), params, spec)
@@ -380,19 +368,9 @@ def _cbam_suite(composition):
 
             worst = max(worst, max_rel_error(gx.data, numerical_grad(
                 lambda v: run_with(v, params), x)))
-            for attr in ("w1", "b1", "w2", "b2", "spatial_w", "spatial_b"):
-                base = getattr(params, attr)
-                arr = base.data if isinstance(base, Tensor) else base
-
-                def runp(v, attr=attr):
-                    kwargs = {a: getattr(params, a) for a in
-                              ("w1", "b1", "w2", "b2", "spatial_w", "spatial_b")}
-                    kwargs[attr] = Tensor(v) if isinstance(getattr(params, attr), Tensor) else v
-                    return run_with(x, blocks.CBAMParams(**kwargs))
-
-                got = getattr(gp, attr)
-                got = got.data if isinstance(got, Tensor) else got
-                worst = max(worst, max_rel_error(got, numerical_grad(runp, arr.copy())))
+            for key, arr in params.items():
+                worst = max(worst, max_rel_error(gp[key], numerical_grad(
+                    lambda v, key=key: run_with(x, {**params, key: v}), arr.copy())))
         return worst
     return suite
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ops import sigmoid
 from .tensor import ConfigError, Tensor
 
 EPS = 1e-9
@@ -244,6 +245,7 @@ def _box_loss_grad(variant: str, pred: BBox, gt: BBox) -> np.ndarray:
 def cell_to_box(tx: float, ty: float, tw: float, th: float, row: int, col: int, stride: float) -> BBox:
     """Raw cell logits to a box: center ((col + sigmoid(tx)) s, (row + sigmoid(ty)) s),
     size (e^tw s, e^th s)."""
+    # math.exp, not np.exp: the two can differ by an ulp, which would change the weights.
     sx = 1.0 / (1.0 + math.exp(-tx)) if tx >= 0 else math.exp(tx) / (1.0 + math.exp(tx))
     sy = 1.0 / (1.0 + math.exp(-ty)) if ty >= 0 else math.exp(ty) / (1.0 + math.exp(ty))
     cx = (col + sx) * stride
@@ -256,15 +258,6 @@ def cell_to_box(tx: float, ty: float, tw: float, th: float, row: int, col: int, 
 def _bce_with_logits(z: np.ndarray, y: np.ndarray) -> np.ndarray:
     # stable form: max(z, 0) - z y + log(1 + exp(-|z|))
     return np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
-
-
-def _sigmoid_scalar_array(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 def _check_detection_args(predictions: Tensor, targets, stride: float, variant: str):
@@ -367,8 +360,7 @@ def detection_loss_grad(
         # corners -> (center, size): dc = g_x1 + g_x2, dsize = (g_x2 - g_x1)/2
         dcx, dcy = d_corners[0] + d_corners[2], d_corners[1] + d_corners[3]
         dw, dh = (d_corners[2] - d_corners[0]) / 2.0, (d_corners[3] - d_corners[1]) / 2.0
-        sx = _sigmoid_scalar_array(np.array([tx]))[0]
-        sy = _sigmoid_scalar_array(np.array([ty]))[0]
+        sx, sy = sigmoid(p[0:2, row, col]).astype(np.float64, copy=False)
         grad[0, row, col] += dcx * sx * (1.0 - sx) * stride
         grad[1, row, col] += dcy * sy * (1.0 - sy) * stride
         grad[2, row, col] += dw * pred_box.width
@@ -376,9 +368,8 @@ def detection_loss_grad(
 
         onehot = np.zeros(num_classes)
         onehot[cls] = 1.0
-        grad[5:, row, col] += (
-            (_sigmoid_scalar_array(p[5:, row, col]) - onehot) * cls_weight / (n_t * num_classes)
-        )
+        cls_prob = sigmoid(p[5:, row, col]).astype(np.float64, copy=False)
+        grad[5:, row, col] += (cls_prob - onehot) * cls_weight / (n_t * num_classes)
 
-    grad[4] += (_sigmoid_scalar_array(p[4]) - obj_target) * (obj_weight / (gh * gw))
+    grad[4] += (sigmoid(p[4]).astype(np.float64, copy=False) - obj_target) * (obj_weight / (gh * gw))
     return Tensor(grad[None])

@@ -5,9 +5,14 @@ runs on one grid), two partial-convolution residual blocks, pyramid max
 pooling, one CBAM attention block, then a pointwise prediction head emitting
 [tx, ty, tw, th, objectness, class logits] per cell.
 
-The same description drives three things: parameter initialization, the
-forward/backward execution, and the cost-model layer list, so reports,
-weight manifests and the executed network cannot drift apart.
+``ToyNetSpec`` is the one description of sizes and options. The layer
+sequence itself is written out in three places: ``init_params`` (the flat
+``<layer>.<param>`` store, whose order is the ``.dkw`` manifest order),
+``net_forward``/``net_backward`` (the call order) and ``cost_layers`` (the
+cost model's layer list). Tests hold them together: every parameter prefix
+names a cost layer, a golden digest pins the initial manifest, and a
+call-order test pins the layer calls. ``use_pconv`` changes only the cost
+model; the executed network always runs partial convolution.
 """
 
 from __future__ import annotations
@@ -18,15 +23,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import (
-    CBAMParams,
     CBAMSpec,
-    FasterNetBlockParams,
     FasterNetBlockSpec,
     PConvSpec,
     cbam_backward,
     cbam_forward,
+    cbam_init,
     fasternet_block_backward,
     fasternet_block_forward,
+    fasternet_block_init,
+    he_normal,
 )
 from .ops import ConvSpec, activation, activation_backward, conv2d_backward, conv2d_forward, spp, spp_backward
 from .postprocess import GridDecodeSpec
@@ -112,63 +118,22 @@ def backbone_param_names(params: dict[str, np.ndarray]) -> set[str]:
 
 
 def init_params(spec: ToyNetSpec, rng: np.random.Generator, dtype=np.float64) -> dict[str, np.ndarray]:
-    """Fresh parameter store. Head biases start with small objectness prior
-    (sigmoid(-2)) and a size prior of 2.5 cells so early boxes are plausible."""
-    params: dict[str, np.ndarray] = {}
-
-    def he(shape, fan_in):
-        return (rng.standard_normal(shape) * math.sqrt(2.0 / fan_in)).astype(dtype)
-
-    st = spec.stem_spec()
-    params["stem.w"] = he((st.out_channels, st.in_channels, st.kernel, st.kernel),
-                          st.in_channels * st.kernel**2)
-    params["stem.b"] = np.zeros(st.out_channels, dtype=dtype)
-
-    bspec = spec.block_spec()
-    for name in ("block1", "block2"):
-        bp = FasterNetBlockParams.init(bspec, rng, dtype)
-        params[f"{name}.pconv.w"] = bp.pconv_w.data
-        params[f"{name}.pw1.w"] = bp.pw1_w.data
-        params[f"{name}.pw1.b"] = bp.pw1_b
-        params[f"{name}.pw2.w"] = bp.pw2_w.data
-        params[f"{name}.pw2.b"] = bp.pw2_b
-
-    cp = CBAMParams.init(spec.cbam_spec(), rng, dtype)
-    params["cbam.fc1.w"] = cp.w1
-    params["cbam.fc1.b"] = cp.b1
-    params["cbam.fc2.w"] = cp.w2
-    params["cbam.fc2.b"] = cp.b2
-    params["cbam.spatial.w"] = cp.spatial_w.data
-    params["cbam.spatial.b"] = cp.spatial_b
-
-    hd = spec.head_spec()
-    params["head.w"] = he((hd.out_channels, hd.in_channels, 1, 1), hd.in_channels) * 0.1
-    head_b = np.zeros(hd.out_channels, dtype=dtype)
-    head_b[2] = head_b[3] = math.log(2.5)
-    head_b[4] = -2.0
-    params["head.b"] = head_b
-    return params
-
-
-def _block_params(params: dict[str, np.ndarray], name: str) -> FasterNetBlockParams:
-    return FasterNetBlockParams(
-        pconv_w=Tensor(params[f"{name}.pconv.w"]),
-        pw1_w=Tensor(params[f"{name}.pw1.w"]),
-        pw1_b=params[f"{name}.pw1.b"],
-        pw2_w=Tensor(params[f"{name}.pw2.w"]),
-        pw2_b=params[f"{name}.pw2.b"],
-    )
-
-
-def _cbam_params(params: dict[str, np.ndarray]) -> CBAMParams:
-    return CBAMParams(
-        w1=params["cbam.fc1.w"],
-        b1=params["cbam.fc1.b"],
-        w2=params["cbam.fc2.w"],
-        b2=params["cbam.fc2.b"],
-        spatial_w=Tensor(params["cbam.spatial.w"]),
-        spatial_b=params["cbam.spatial.b"],
-    )
+    """Fresh parameter store in manifest order. Head biases start with small
+    objectness prior (sigmoid(-2)) and a size prior of 2.5 cells so early boxes
+    are plausible."""
+    st, hd = spec.stem_spec(), spec.head_spec()
+    size_prior = math.log(2.5)
+    return {
+        "stem.w": he_normal(rng, (st.out_channels, st.in_channels, st.kernel, st.kernel),
+                            st.in_channels * st.kernel**2, dtype),
+        "stem.b": np.zeros(st.out_channels, dtype=dtype),
+        **fasternet_block_init(spec.block_spec(), rng, dtype, "block1."),
+        **fasternet_block_init(spec.block_spec(), rng, dtype, "block2."),
+        **cbam_init(spec.cbam_spec(), rng, dtype, "cbam."),
+        "head.w": he_normal(rng, (hd.out_channels, hd.in_channels, 1, 1), hd.in_channels, dtype) * 0.1,
+        "head.b": np.array([0.0, 0.0, size_prior, size_prior, -2.0] + [0.0] * spec.num_classes,
+                           dtype=dtype),
+    }
 
 
 def net_forward(params: dict[str, np.ndarray], spec: ToyNetSpec, x: Tensor):
@@ -180,47 +145,27 @@ def net_forward(params: dict[str, np.ndarray], spec: ToyNetSpec, x: Tensor):
         )
     stem_z = conv2d_forward(x, Tensor(params["stem.w"]), params["stem.b"], spec.stem_spec())
     stem_a = activation(stem_z, spec.activation)
-    b1, b1_cache = fasternet_block_forward(stem_a, _block_params(params, "block1"), spec.block_spec())
-    b2, b2_cache = fasternet_block_forward(b1, _block_params(params, "block2"), spec.block_spec())
+    b1, b1_cache = fasternet_block_forward(stem_a, params, spec.block_spec(), "block1.")
+    b2, b2_cache = fasternet_block_forward(b1, params, spec.block_spec(), "block2.")
     neck, spp_cache = spp(b2, spec.spp_windows)
-    att, cbam_cache = cbam_forward(neck, _cbam_params(params), spec.cbam_spec())
+    att, cbam_cache = cbam_forward(neck, params, spec.cbam_spec(), "cbam.")
     head = conv2d_forward(att, Tensor(params["head.w"]), params["head.b"], spec.head_spec())
     cache = (x, stem_z, b1_cache, b2_cache, spp_cache, cbam_cache, att)
     return head, cache
 
 
 def net_backward(params: dict[str, np.ndarray], spec: ToyNetSpec, cache, upstream: Tensor):
-    """Gradients of <upstream, head> for every parameter, keyed like params."""
+    """Gradients of <upstream, head> for every parameter, keyed and ordered like params."""
     x, stem_z, b1_cache, b2_cache, spp_cache, cbam_cache, att = cache
-    grads: dict[str, np.ndarray] = {}
-
     g_att, g_headw, g_headb = conv2d_backward(att, Tensor(params["head.w"]), spec.head_spec(), upstream)
-    grads["head.w"] = g_headw.data
-    grads["head.b"] = g_headb
-
-    g_neck, g_cbam = cbam_backward(cbam_cache, _cbam_params(params), spec.cbam_spec(), g_att)
-    grads["cbam.fc1.w"] = g_cbam.w1
-    grads["cbam.fc1.b"] = g_cbam.b1
-    grads["cbam.fc2.w"] = g_cbam.w2
-    grads["cbam.fc2.b"] = g_cbam.b2
-    grads["cbam.spatial.w"] = g_cbam.spatial_w.data
-    grads["cbam.spatial.b"] = g_cbam.spatial_b
-
+    g_neck, g_cbam = cbam_backward(cbam_cache, params, spec.cbam_spec(), g_att, "cbam.")
     g_b2 = spp_backward(spp_cache, g_neck)
-    g_b1, gp2 = fasternet_block_backward(b2_cache, _block_params(params, "block2"), spec.block_spec(), g_b2)
-    g_stem_a, gp1 = fasternet_block_backward(b1_cache, _block_params(params, "block1"), spec.block_spec(), g_b1)
-    for name, gp in (("block1", gp1), ("block2", gp2)):
-        grads[f"{name}.pconv.w"] = gp.pconv_w.data
-        grads[f"{name}.pw1.w"] = gp.pw1_w.data
-        grads[f"{name}.pw1.b"] = gp.pw1_b
-        grads[f"{name}.pw2.w"] = gp.pw2_w.data
-        grads[f"{name}.pw2.b"] = gp.pw2_b
-
+    g_b1, g_block2 = fasternet_block_backward(b2_cache, params, spec.block_spec(), g_b2, "block2.")
+    g_stem_a, g_block1 = fasternet_block_backward(b1_cache, params, spec.block_spec(), g_b1, "block1.")
     g_stem_z = activation_backward(stem_z, spec.activation, g_stem_a)
     _, g_stemw, g_stemb = conv2d_backward(x, Tensor(params["stem.w"]), spec.stem_spec(), g_stem_z)
-    grads["stem.w"] = g_stemw.data
-    grads["stem.b"] = g_stemb
-    return grads
+    return {"stem.w": g_stemw.data, "stem.b": g_stemb, **g_block1, **g_block2, **g_cbam,
+            "head.w": g_headw.data, "head.b": g_headb}
 
 
 def cost_layers(spec: ToyNetSpec) -> list[dict]:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import BBox, iou
+from .ops import sigmoid
 from .tensor import ConfigError, Tensor
 
 _LOGIT_CAP = 60.0  # e^60 ~ 1e26; caps box sizes before the image-bounds clamp
@@ -64,15 +65,6 @@ class GridDecodeSpec:
         return self.grid_h * self.stride
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def decode(head: Tensor, spec: GridDecodeSpec) -> list[Detection]:
     """Emit one detection per cell whose score clears the threshold, boxes
     clamped to the image bounds. Cells scan in row-major order."""
@@ -83,15 +75,17 @@ def decode(head: Tensor, spec: GridDecodeSpec) -> list[Detection]:
         )
     p = head.data[0]
     s = spec.stride
-    obj = _sigmoid(p[4])
-    cls = _sigmoid(p[5:])
+    # float64, so a float32 head scores and boxes in the same precision as a float64 one
+    sig = sigmoid(p).astype(np.float64, copy=False)
+    obj = sig[4]
+    cls = sig[5:]
     best_cls = cls.argmax(axis=0)
     score = obj * cls.max(axis=0)
 
     cols = np.arange(spec.grid_w)[None, :]
     rows = np.arange(spec.grid_h)[:, None]
-    cx = (cols + _sigmoid(p[0])) * s
-    cy = (rows + _sigmoid(p[1])) * s
+    cx = (cols + sig[0]) * s
+    cy = (rows + sig[1]) * s
     bw = np.exp(np.minimum(p[2], _LOGIT_CAP)) * s
     bh = np.exp(np.minimum(p[3], _LOGIT_CAP)) * s
 

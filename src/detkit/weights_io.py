@@ -144,8 +144,3 @@ def load_weights(path) -> dict[str, np.ndarray]:
         flat = np.frombuffer(payload[offset:end], dtype=dtype.newbyteorder("<"))
         params[name] = flat.astype(dtype).reshape(dims)
     return params
-
-
-def manifest_names(path) -> list[str]:
-    """Entry names in file order, without materializing the arrays."""
-    return list(load_weights(path).keys())

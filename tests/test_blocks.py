@@ -5,19 +5,23 @@ import pytest
 
 from detkit import blocks, ops
 from detkit.blocks import (
-    CBAMParams,
     CBAMSpec,
-    FasterNetBlockParams,
     FasterNetBlockSpec,
     PConvSpec,
     cbam_forward,
+    cbam_init,
     channel_attention,
     fasternet_block_forward,
+    fasternet_block_init,
     pconv_forward,
     spatial_attention,
 )
 from detkit.ops import ConvSpec
 from detkit.tensor import ConfigError, Tensor
+
+
+def _zeroed(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    return {k: np.zeros_like(v) for k, v in params.items()}
 
 
 class TestPConv:
@@ -70,95 +74,84 @@ class TestFasterNetBlock:
 
     def test_zero_params_is_identity(self):
         spec = self._spec()
-        params = FasterNetBlockParams(
-            pconv_w=Tensor.zeros((2, 2, 3, 3)),
-            pw1_w=Tensor.zeros((spec.hidden, 6, 1, 1)),
-            pw1_b=np.zeros(spec.hidden),
-            pw2_w=Tensor.zeros((6, spec.hidden, 1, 1)),
-            pw2_b=np.zeros(6),
-        )
+        params = _zeroed(fasternet_block_init(spec, np.random.default_rng(0)))
         x = Tensor(np.random.default_rng(4).standard_normal((2, 6, 4, 4)))
         out, _ = fasternet_block_forward(x, params, spec)
         assert np.array_equal(out.data, x.data)
 
     def test_shape_preserved(self):
         spec = self._spec()
-        params = FasterNetBlockParams.init(spec, np.random.default_rng(0))
+        params = fasternet_block_init(spec, np.random.default_rng(0))
         x = Tensor(np.random.default_rng(5).standard_normal((2, 6, 5, 7)))
         assert fasternet_block_forward(x, params, spec)[0].shape == x.shape
 
     def test_matches_chained_verified_ops(self):
         spec = self._spec()
         rng = np.random.default_rng(6)
-        params = FasterNetBlockParams.init(spec, rng)
+        params = fasternet_block_init(spec, rng)
         x = Tensor(rng.standard_normal((1, 6, 4, 4)))
-        pc = pconv_forward(x, params.pconv_w, spec.pconv)
-        z1 = ops.conv2d_forward(pc, params.pw1_w, params.pw1_b, spec.pw1_spec())
+        pc = pconv_forward(x, Tensor(params["pconv.w"]), spec.pconv)
+        z1 = ops.conv2d_forward(pc, Tensor(params["pw1.w"]), params["pw1.b"], spec.pw1_spec())
         a1 = ops.activation(z1, "mish")
-        z2 = ops.conv2d_forward(a1, params.pw2_w, params.pw2_b, spec.pw2_spec())
+        z2 = ops.conv2d_forward(a1, Tensor(params["pw2.w"]), params["pw2.b"], spec.pw2_spec())
         want = x.data + z2.data
         got, _ = fasternet_block_forward(x, params, spec)
         assert np.allclose(got.data, want, atol=1e-12)
 
 
-def _zero_cbam_params(spec: CBAMSpec) -> CBAMParams:
-    d1 = spec.channels if spec.channel_mlp == "literal" else spec.hidden
-    d2in = spec.hidden if spec.channel_mlp == "prose" else spec.channels
-    k = spec.spatial_kernel
-    return CBAMParams(
-        w1=np.zeros((d1, spec.channels)),
-        b1=np.zeros(d1),
-        w2=np.zeros((spec.channels, d2in)),
-        b2=np.zeros(spec.channels),
-        spatial_w=Tensor.zeros((1, 2, k, k)),
-        spatial_b=np.zeros(1),
-    )
+def _zero_cbam(spec: CBAMSpec) -> dict[str, np.ndarray]:
+    return _zeroed(cbam_init(spec, np.random.default_rng(0)))
+
+
+def _channel_weights(p):
+    return p["fc1.w"], p["fc1.b"], p["fc2.w"], p["fc2.b"]
 
 
 class TestChannelAttention:
     def test_zero_params_give_half_gate(self):
         spec = CBAMSpec(channels=6, reduction=2)
-        p = _zero_cbam_params(spec)
+        p = _zero_cbam(spec)
         x = Tensor(np.random.default_rng(7).standard_normal((2, 6, 3, 3)))
-        m_c, f_c, _ = channel_attention(x, p.w1, p.b1, p.w2, p.b2, spec)
+        m_c, f_c, _ = channel_attention(x, *_channel_weights(p), spec)
         assert np.allclose(m_c.data, 0.5)
         assert np.allclose(f_c.data, 0.5 * x.data)
 
     def test_gate_strictly_inside_unit_interval(self):
         spec = CBAMSpec(channels=5, reduction=2)
         rng = np.random.default_rng(8)
-        p = CBAMParams.init(spec, rng)
+        p = cbam_init(spec, rng)
         x = Tensor(rng.standard_normal((3, 5, 4, 4)) * 5)
-        m_c, _, _ = channel_attention(x, p.w1, p.b1, p.w2, p.b2, spec)
+        m_c, _, _ = channel_attention(x, *_channel_weights(p), spec)
         assert np.all(m_c.data > 0.0) and np.all(m_c.data < 1.0)
 
     def test_gate_depends_only_on_channel_means(self):
         """Two inputs with equal per-channel means produce identical gates."""
         spec = CBAMSpec(channels=4, reduction=2)
         rng = np.random.default_rng(9)
-        p = CBAMParams.init(spec, rng)
+        p = cbam_init(spec, rng)
         x = rng.standard_normal((1, 4, 4, 4))
         shuffled = x.reshape(1, 4, -1)
         shuffled = np.take_along_axis(
             shuffled, rng.permutation(16)[None, None, :].repeat(4, axis=1), axis=2
         ).reshape(1, 4, 4, 4)
         assert not np.array_equal(shuffled, x)
-        m1, _, _ = channel_attention(Tensor(x), p.w1, p.b1, p.w2, p.b2, spec)
-        m2, _, _ = channel_attention(Tensor(shuffled), p.w1, p.b1, p.w2, p.b2, spec)
+        m1, _, _ = channel_attention(Tensor(x), *_channel_weights(p), spec)
+        m2, _, _ = channel_attention(Tensor(shuffled), *_channel_weights(p), spec)
         assert np.allclose(m1.data, m2.data, atol=1e-12)
 
     def test_literal_mode_square_weights(self):
         spec = CBAMSpec(channels=4, reduction=2, channel_mlp="literal")
         rng = np.random.default_rng(10)
-        p = CBAMParams.init(spec, rng)
-        assert p.w1.shape == (4, 4) and p.w2.shape == (4, 4)
+        p = cbam_init(spec, rng)
+        assert p["fc1.w"].shape == (4, 4) and p["fc2.w"].shape == (4, 4)
         x = Tensor(rng.standard_normal((1, 4, 3, 3)))
-        m_c, f_c, _ = channel_attention(x, p.w1, p.b1, p.w2, p.b2, spec)
+        m_c, f_c, _ = channel_attention(x, *_channel_weights(p), spec)
         # reference evaluation of the square-weight double-application form
         gap = x.data.mean(axis=(2, 3))
-        v1 = np.maximum(gap @ p.w1.T + p.b1, 0.0)
-        v2 = np.maximum(gap @ p.w2.T + p.b2, 0.0)
-        z = v1 @ p.w1.T + p.b1 + v2 @ p.w2.T + p.b2
+        w1, b1, w2, b2 = _channel_weights(p)
+        v1 = np.maximum(gap @ w1.T + b1, 0.0)
+        v2 = np.maximum(gap @ w2.T + b2, 0.0)
+        z = v1 @ w1.T + b1 + v2 @ w2.T + b2
         want = 1.0 / (1.0 + np.exp(-z))
         assert np.allclose(m_c.data[:, :, 0, 0], want, atol=1e-12)
 
@@ -208,22 +201,22 @@ class TestCBAM:
     def test_zero_params_sequential_quarters_input(self):
         spec = CBAMSpec(channels=4, composition="sequential")
         x = Tensor(np.random.default_rng(14).standard_normal((1, 4, 3, 3)))
-        out, _ = cbam_forward(x, _zero_cbam_params(spec), spec)
+        out, _ = cbam_forward(x, _zero_cbam(spec), spec)
         assert np.allclose(out.data, 0.25 * x.data)
 
     def test_zero_params_literal_squares_input(self):
         spec = CBAMSpec(channels=4, composition="literal")
         x = Tensor(np.random.default_rng(15).standard_normal((1, 4, 3, 3)))
-        out, _ = cbam_forward(x, _zero_cbam_params(spec), spec)
+        out, _ = cbam_forward(x, _zero_cbam(spec), spec)
         assert np.allclose(out.data, 0.25 * x.data * x.data)
 
     def test_sequential_equals_manual_chain(self):
         spec = CBAMSpec(channels=5, reduction=2, composition="sequential")
         rng = np.random.default_rng(16)
-        p = CBAMParams.init(spec, rng)
+        p = cbam_init(spec, rng)
         x = Tensor(rng.standard_normal((2, 5, 4, 4)))
-        _, f_c, _ = channel_attention(x, p.w1, p.b1, p.w2, p.b2, spec)
-        _, want, _ = spatial_attention(f_c, p.spatial_w, p.spatial_b, spec)
+        _, f_c, _ = channel_attention(x, *_channel_weights(p), spec)
+        _, want, _ = spatial_attention(f_c, Tensor(p["spatial.w"]), p["spatial.b"], spec)
         got, _ = cbam_forward(x, p, spec)
         assert np.allclose(got.data, want.data, atol=1e-12)
 
@@ -231,6 +224,6 @@ class TestCBAM:
     def test_shape_preserved(self, composition):
         spec = CBAMSpec(channels=6, composition=composition)
         rng = np.random.default_rng(17)
-        p = CBAMParams.init(spec, rng)
+        p = cbam_init(spec, rng)
         x = Tensor(rng.standard_normal((2, 6, 3, 5)))
         assert cbam_forward(x, p, spec)[0].shape == x.shape

@@ -1,5 +1,8 @@
 """Whole-network assembly: shapes, directional gradients, freezing support."""
 
+import hashlib
+import sys
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from detkit.model import (
     net_forward,
 )
 from detkit.tensor import ConfigError, Tensor
+from detkit.weights_io import save_weights
 
 
 def tiny_spec():
@@ -108,6 +112,62 @@ class TestBackward:
         assert set(got) == set(want)
         for k in want:
             assert np.array_equal(got[k], want[k]), k
+
+
+class TestLayerCallOrder:
+    """perfbench's tracer labels the model.<layer> spans by the order in which
+    net_forward and net_backward call these ops through detkit.model's own
+    names; the k-th call is taken to be the k-th layer."""
+
+    FORWARD = ("conv2d_forward", "activation", "fasternet_block_forward",
+               "fasternet_block_forward", "spp", "cbam_forward", "conv2d_forward")
+    BACKWARD = ("conv2d_backward", "cbam_backward", "spp_backward",
+                "fasternet_block_backward", "fasternet_block_backward",
+                "activation_backward", "conv2d_backward")
+
+    def test_layer_ops_called_directly_in_order(self, monkeypatch):
+        calls = []
+        for name in set(self.FORWARD + self.BACKWARD):
+            def recorder(*args, _name=name, _fn=getattr(model, name), **kwargs):
+                calls.append((_name, sys._getframe(1).f_code.co_name))
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(model, name, recorder)
+        spec = tiny_spec()
+        rng = np.random.default_rng(7)
+        params = init_params(spec, rng)
+        head, cache = net_forward(params, spec, Tensor(rng.uniform(0, 1, (1, 1, 16, 16))))
+        assert calls == [(op, "net_forward") for op in self.FORWARD]
+        calls.clear()
+        net_backward(params, spec, cache, Tensor(rng.standard_normal(head.shape)))
+        assert calls == [(op, "net_backward") for op in self.BACKWARD]
+
+
+MANIFEST = [
+    "stem.w", "stem.b",
+    "block1.pconv.w", "block1.pw1.w", "block1.pw1.b", "block1.pw2.w", "block1.pw2.b",
+    "block2.pconv.w", "block2.pw1.w", "block2.pw1.b", "block2.pw2.w", "block2.pw2.b",
+    "cbam.fc1.w", "cbam.fc1.b", "cbam.fc2.w", "cbam.fc2.b", "cbam.spatial.w", "cbam.spatial.b",
+    "head.w", "head.b",
+]
+
+# SHA-256 of the saved initial weights of ToyNetSpec() drawn from PCG64(42).
+# Pins entry names, order, shapes, values and the rng draw order; no BLAS is
+# involved, so the digest does not depend on the machine.
+INIT_DIGESTS = {
+    "float64": "a6b7846aa1ec2855a7b42059271d3a19bcc036fe13f7123f371764081ea9595e",
+    "float32": "88de84f93bc3661dd62af4a096d0ef28fa3c1a3d5c82547f8ea27a74b5878316",
+}
+
+
+class TestInitGolden:
+    @pytest.mark.parametrize("dtype", sorted(INIT_DIGESTS))
+    def test_saved_init_digest(self, tmp_path, dtype):
+        params = init_params(ToyNetSpec(), np.random.Generator(np.random.PCG64(42)),
+                             dtype=getattr(np, dtype))
+        assert list(params) == MANIFEST
+        save_weights(params, tmp_path / "init.dkw")
+        digest = hashlib.sha256((tmp_path / "init.dkw").read_bytes()).hexdigest()
+        assert digest == INIT_DIGESTS[dtype]
 
 
 class TestStructure:

@@ -26,6 +26,9 @@ or ``"cbam."`` inside the network and ``""`` for a standalone block.
 Each forward returns its output together with a cache of the intermediates
 its backward needs (the attention halves return gate, gated map and cache);
 each backward takes that cache in place of the input and recomputes nothing.
+The caches nest the operator caches of :mod:`detkit.ops`: the block keeps its
+activation's cache (for mish, exp(-|x|) and tanh(softplus(x))) and the
+spatial gate keeps the channel argmax of its statistics.
 All backward passes are hand-derived and verified against central finite
 differences by the gradient-check suites.
 """
@@ -214,20 +217,20 @@ def fasternet_block_forward(x: Tensor, params, spec: FasterNetBlockSpec, prefix:
     Returns (output, cache) for :func:`fasternet_block_backward`."""
     pc = pconv_forward(x, Tensor(params[prefix + "pconv.w"]), spec.pconv)
     z1 = conv2d_forward(pc, Tensor(params[prefix + "pw1.w"]), params[prefix + "pw1.b"], spec.pw1_spec())
-    a1 = activation(z1, spec.activation)
+    a1, act_cache = activation(z1, spec.activation)
     z2 = conv2d_forward(a1, Tensor(params[prefix + "pw2.w"]), params[prefix + "pw2.b"], spec.pw2_spec())
-    return Tensor(x.data + z2.data), (x, pc, z1, a1)
+    return Tensor(x.data + z2.data), (x, pc, act_cache, a1)
 
 
 def fasternet_block_backward(
     cache, params, spec: FasterNetBlockSpec, upstream: Tensor, prefix: str = ""
 ):
     """Returns (input gradient, parameter gradients keyed like ``params``)."""
-    x, pc, z1, a1 = cache
+    x, pc, act_cache, a1 = cache
     if upstream.shape != x.shape:
         raise ConfigError("upstream shape must match input (block preserves shape)")
     g_a1, g_pw2w, g_pw2b = conv2d_backward(a1, Tensor(params[prefix + "pw2.w"]), spec.pw2_spec(), upstream)
-    g_z1 = activation_backward(z1, spec.activation, g_a1)
+    g_z1 = activation_backward(act_cache, spec.activation, g_a1)
     g_pc, g_pw1w, g_pw1b = conv2d_backward(pc, Tensor(params[prefix + "pw1.w"]), spec.pw1_spec(), g_z1)
     g_x_branch, g_pconvw = pconv_backward(x, Tensor(params[prefix + "pconv.w"]), spec.pconv, g_pc)
     grads = {
@@ -325,15 +328,15 @@ def spatial_attention(x: Tensor, conv_w: Tensor, conv_b, spec: CBAMSpec):
     """Per-position gates from channel max/mean statistics. Returns
     (gate map (n, 1, h, w), gated feature map, cache for
     :func:`spatial_attention_backward`)."""
-    stats = spatial_stats(x)
+    stats, stats_cache = spatial_stats(x)
     z = conv2d_forward(stats, conv_w, conv_b, spec.spatial_conv_spec())
     m_s = sigmoid(z.data)
-    return Tensor(m_s), Tensor(m_s * x.data), (x, stats, m_s)
+    return Tensor(m_s), Tensor(m_s * x.data), (x, stats, stats_cache, m_s)
 
 
 def spatial_attention_backward(cache, conv_w: Tensor, spec: CBAMSpec, upstream_fs: Tensor):
     """Gradients of <upstream_fs, gated map> w.r.t. x, the conv kernel and bias."""
-    x, stats, m_s = cache
+    x, stats, stats_cache, m_s = cache
     if upstream_fs.shape != x.shape:
         raise ConfigError("upstream shape must match input")
     up = upstream_fs.data
@@ -341,7 +344,7 @@ def spatial_attention_backward(cache, conv_w: Tensor, spec: CBAMSpec, upstream_f
     grad_x = up * m_s
     dz = Tensor(d_ms * m_s * (1.0 - m_s))
     d_stats, gw, gb = conv2d_backward(stats, conv_w, spec.spatial_conv_spec(), dz)
-    grad_x = grad_x + spatial_stats_backward(x, d_stats).data
+    grad_x = grad_x + spatial_stats_backward(stats_cache, d_stats).data
     return Tensor(grad_x), gw, gb
 
 

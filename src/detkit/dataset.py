@@ -11,6 +11,8 @@ Generation is fully deterministic for a given seed.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .losses import BBox
@@ -22,21 +24,37 @@ _NOISE_LOW, _NOISE_HIGH = 0.05, 0.40
 _SHAPE_LOW, _SHAPE_HIGH = 0.70, 0.95
 
 
+def _window(center: float, half: float, size: int) -> tuple[int, int]:
+    """Pixel range [lo, hi) within [0, size) covering [center - half, center + half]
+    with a pixel to spare on each side."""
+    lo = max(0, math.floor(center - half) - 1)
+    return lo, max(lo, min(size, math.ceil(center + half) + 1))
+
+
 def _rasterize(kind: int, cx: float, cy: float, half_w: float, half_h: float,
                size: int) -> np.ndarray:
-    """Boolean mask of pixels whose centers fall inside the shape."""
-    ys, xs = np.mgrid[0:size, 0:size]
-    px = xs + 0.5
-    py = ys + 0.5
+    """Boolean mask of pixels whose centers fall inside the shape.
+
+    Every kind lies inside its box [cx - half_w, cx + half_w] x
+    [cy - half_h, cy + half_h], so the predicate is evaluated only on the rows
+    and columns of that box, widened by a pixel against rounding."""
+    r0, r1 = _window(cy, half_h, size)
+    c0, c1 = _window(cx, half_w, size)
+    py = np.arange(r0, r1)[:, None] + 0.5
+    px = np.arange(c0, c1)[None, :] + 0.5
     if kind == 0:  # rectangle
-        return (np.abs(px - cx) <= half_w) & (np.abs(py - cy) <= half_h)
-    if kind == 1:  # ellipse
-        return ((px - cx) / half_w) ** 2 + ((py - cy) / half_h) ** 2 <= 1.0
-    if kind == 2:  # triangle: apex top-center, base at the bottom edge
+        inside = (np.abs(px - cx) <= half_w) & (np.abs(py - cy) <= half_h)
+    elif kind == 1:  # ellipse
+        inside = ((px - cx) / half_w) ** 2 + ((py - cy) / half_h) ** 2 <= 1.0
+    elif kind == 2:  # triangle: apex top-center, base at the bottom edge
         inside_y = (py >= cy - half_h) & (py <= cy + half_h)
         frac = np.clip((py - (cy - half_h)) / (2.0 * half_h), 0.0, 1.0)
-        return inside_y & (np.abs(px - cx) <= frac * half_w)
-    raise ConfigError(f"unknown shape kind {kind}")
+        inside = inside_y & (np.abs(px - cx) <= frac * half_w)
+    else:
+        raise ConfigError(f"unknown shape kind {kind}")
+    mask = np.zeros((size, size), dtype=bool)
+    mask[r0:r1, c0:c1] = inside
+    return mask
 
 
 def synth_dataset(seed: int, count: int, image_size: int = 64, classes: int = 3):

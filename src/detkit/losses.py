@@ -201,41 +201,36 @@ def _ciou(p: np.ndarray, g: np.ndarray):
 def wiou_loss(pred: BBox, gt: BBox) -> float:
     """Distance-weighted IoU loss: exp(rho^2 / D) * (1 - IoU), where D is the
     squared diagonal of the smallest enclosing box."""
-    p, g = _require_boxes(pred, gt)
-    iou_val, _ = _iou_with_grad(p, g)
-    rho2, _ = _center_dist_sq_with_grad(p, g)
-    diag2, _ = _enclosing_with_grad(p, g)
-    r = math.exp(rho2 / (diag2 + EPS))
-    return r * (1.0 - iou_val)
+    _require_boxes(pred, gt)
+    return _box_loss_and_grad("wiou", pred, gt)[0]
 
 
 def wiou_loss_grad(pred: BBox, gt: BBox) -> np.ndarray:
     """d(wiou_loss)/d(pred corners) with the enclosing-box normalizer D held
     fixed, i.e. the derivative of exp(rho^2 / D0) * (1 - IoU) at D0 = D(pred)."""
-    p, g = _require_boxes(pred, gt)
+    _require_boxes(pred, gt)
+    return _box_loss_and_grad("wiou", pred, gt)[1]
+
+
+_VARIANTS = ("iou", "ciou", "wiou")
+
+
+def _box_loss_and_grad(variant: str, pred: BBox, gt: BBox):
+    """Box loss of the variant and its gradient w.r.t. the pred corners, from
+    one evaluation of the IoU, centre-distance and enclosing-box terms."""
+    p, g = pred.as_array(), gt.as_array()
+    if variant == "ciou":
+        return _ciou(p, g)
     iou_val, d_iou = _iou_with_grad(p, g)
+    if variant == "iou":
+        # the value comes from iou(): the gradient core reports 0 once the
+        # union falls to EPS, iou() only at a zero union
+        return 1.0 - iou(pred, gt), -d_iou
     rho2, d_rho2 = _center_dist_sq_with_grad(p, g)
     diag2, _ = _enclosing_with_grad(p, g)
     d0 = diag2 + EPS
     r = math.exp(rho2 / d0)
-    return r * (d_rho2 / d0) * (1.0 - iou_val) - r * d_iou
-
-
-_BOX_LOSSES = {
-    "iou": lambda p, g: 1.0 - iou(p, g),
-    "ciou": ciou_loss,
-    "wiou": wiou_loss,
-}
-
-
-def _box_loss_grad(variant: str, pred: BBox, gt: BBox) -> np.ndarray:
-    if variant == "iou":
-        pv, gv = pred.as_array(), gt.as_array()
-        _, d_iou = _iou_with_grad(pv, gv)
-        return -d_iou
-    if variant == "ciou":
-        return ciou_loss_grad(pred, gt)
-    return wiou_loss_grad(pred, gt)
+    return r * (1.0 - iou_val), r * (d_rho2 / d0) * (1.0 - iou_val) - r * d_iou
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +256,7 @@ def _bce_with_logits(z: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _check_detection_args(predictions: Tensor, targets, stride: float, variant: str):
-    if variant not in _BOX_LOSSES:
+    if variant not in _VARIANTS:
         raise ConfigError(f"unknown loss variant {variant!r}")
     if predictions.n != 1:
         raise ConfigError("detection loss expects a single-image prediction grid")
@@ -293,6 +288,54 @@ def _assign_cells(targets, stride: float, gh: int, gw: int):
     return assigned
 
 
+def _detection_terms(predictions: Tensor, targets, variant: str, stride: float,
+                     box_weight: float, obj_weight: float, cls_weight: float, with_grad: bool):
+    """The composite loss of one image and, when with_grad, its gradient w.r.t.
+    the raw prediction grid (None otherwise). Arguments are checked and
+    targets assigned once; each target's box and box-loss terms are evaluated
+    once and serve both the value and the gradient."""
+    num_classes, gh, gw = _check_detection_args(predictions, targets, stride, variant)
+    p = predictions.data[0]
+    assigned = _assign_cells(targets, stride, gh, gw)
+    n_t = len(assigned)
+    grad = np.zeros_like(p) if with_grad else None
+
+    obj_target = np.zeros((gh, gw))
+    box_total = 0.0
+    cls_total = 0.0
+    for row, col, bbox, cls in assigned:
+        obj_target[row, col] = 1.0
+        pred_box = cell_to_box(p[0, row, col], p[1, row, col], p[2, row, col], p[3, row, col], row, col, stride)
+        box_value, d_corners = _box_loss_and_grad(variant, pred_box, bbox)
+        box_total += box_value
+        onehot = np.zeros(num_classes)
+        onehot[cls] = 1.0
+        cls_total += _bce_with_logits(p[5:, row, col], onehot).mean()
+        if not with_grad:
+            continue
+        d_corners = d_corners * (box_weight / n_t)
+        # corners -> (center, size): dc = g_x1 + g_x2, dsize = (g_x2 - g_x1)/2
+        dcx, dcy = d_corners[0] + d_corners[2], d_corners[1] + d_corners[3]
+        dw, dh = (d_corners[2] - d_corners[0]) / 2.0, (d_corners[3] - d_corners[1]) / 2.0
+        sx, sy = sigmoid(p[0:2, row, col]).astype(np.float64, copy=False)
+        grad[0, row, col] += dcx * sx * (1.0 - sx) * stride
+        grad[1, row, col] += dcy * sy * (1.0 - sy) * stride
+        grad[2, row, col] += dw * pred_box.width
+        grad[3, row, col] += dh * pred_box.height
+        cls_prob = sigmoid(p[5:, row, col]).astype(np.float64, copy=False)
+        grad[5:, row, col] += (cls_prob - onehot) * cls_weight / (n_t * num_classes)
+
+    box_loss = box_total / n_t if n_t else 0.0
+    cls_loss = cls_total / n_t if n_t else 0.0
+    obj_loss = float(_bce_with_logits(p[4], obj_target).mean())
+    total = box_weight * box_loss + obj_weight * obj_loss + cls_weight * cls_loss
+    if not math.isfinite(total):
+        raise FloatingPointError("detection loss is not finite")
+    if with_grad:
+        grad[4] += (sigmoid(p[4]).astype(np.float64, copy=False) - obj_target) * (obj_weight / (gh * gw))
+    return LossBreakdown(box_loss, obj_loss, cls_loss, total, variant), grad
+
+
 def detection_loss(
     predictions: Tensor,
     targets,
@@ -309,30 +352,27 @@ def detection_loss(
     center: the box term (selected variant, averaged over targets), a
     one-vs-all class BCE on assigned cells, and an objectness BCE over every
     cell (1 on assigned cells, 0 elsewhere).
+
+    Value only: finite-difference checks call this thousands of times.
     """
-    num_classes, gh, gw = _check_detection_args(predictions, targets, stride, variant)
-    p = predictions.data[0]
-    assigned = _assign_cells(targets, stride, gh, gw)
+    return _detection_terms(predictions, targets, variant, stride,
+                            box_weight, obj_weight, cls_weight, with_grad=False)[0]
 
-    obj_target = np.zeros((gh, gw))
-    box_total = 0.0
-    cls_total = 0.0
-    for row, col, bbox, cls in assigned:
-        obj_target[row, col] = 1.0
-        pred_box = cell_to_box(p[0, row, col], p[1, row, col], p[2, row, col], p[3, row, col], row, col, stride)
-        box_total += _BOX_LOSSES[variant](pred_box, bbox)
-        onehot = np.zeros(num_classes)
-        onehot[cls] = 1.0
-        cls_total += _bce_with_logits(p[5:, row, col], onehot).mean()
 
-    n_t = len(assigned)
-    box_loss = box_total / n_t if n_t else 0.0
-    cls_loss = cls_total / n_t if n_t else 0.0
-    obj_loss = float(_bce_with_logits(p[4], obj_target).mean())
-    total = box_weight * box_loss + obj_weight * obj_loss + cls_weight * cls_loss
-    if not math.isfinite(total):
-        raise FloatingPointError("detection loss is not finite")
-    return LossBreakdown(box_loss, obj_loss, cls_loss, total, variant)
+def detection_loss_and_grad(
+    predictions: Tensor,
+    targets,
+    variant: str = "wiou",
+    stride: float = 8.0,
+    box_weight: float = 5.0,
+    obj_weight: float = 1.0,
+    cls_weight: float = 1.0,
+) -> tuple[LossBreakdown, Tensor]:
+    """detection_loss() and the gradient of its total w.r.t. the raw
+    prediction grid, in one pass."""
+    br, grad = _detection_terms(predictions, targets, variant, stride,
+                                box_weight, obj_weight, cls_weight, with_grad=True)
+    return br, Tensor(grad[None])
 
 
 def detection_loss_grad(
@@ -345,31 +385,5 @@ def detection_loss_grad(
     cls_weight: float = 1.0,
 ) -> Tensor:
     """Gradient of detection_loss().total w.r.t. the raw prediction grid."""
-    num_classes, gh, gw = _check_detection_args(predictions, targets, stride, variant)
-    p = predictions.data[0]
-    assigned = _assign_cells(targets, stride, gh, gw)
-    grad = np.zeros_like(p)
-    n_t = len(assigned)
-
-    obj_target = np.zeros((gh, gw))
-    for row, col, bbox, cls in assigned:
-        obj_target[row, col] = 1.0
-        tx, ty, tw, th = (p[i, row, col] for i in range(4))
-        pred_box = cell_to_box(tx, ty, tw, th, row, col, stride)
-        d_corners = _box_loss_grad(variant, pred_box, bbox) * (box_weight / n_t)
-        # corners -> (center, size): dc = g_x1 + g_x2, dsize = (g_x2 - g_x1)/2
-        dcx, dcy = d_corners[0] + d_corners[2], d_corners[1] + d_corners[3]
-        dw, dh = (d_corners[2] - d_corners[0]) / 2.0, (d_corners[3] - d_corners[1]) / 2.0
-        sx, sy = sigmoid(p[0:2, row, col]).astype(np.float64, copy=False)
-        grad[0, row, col] += dcx * sx * (1.0 - sx) * stride
-        grad[1, row, col] += dcy * sy * (1.0 - sy) * stride
-        grad[2, row, col] += dw * pred_box.width
-        grad[3, row, col] += dh * pred_box.height
-
-        onehot = np.zeros(num_classes)
-        onehot[cls] = 1.0
-        cls_prob = sigmoid(p[5:, row, col]).astype(np.float64, copy=False)
-        grad[5:, row, col] += (cls_prob - onehot) * cls_weight / (n_t * num_classes)
-
-    grad[4] += (sigmoid(p[4]).astype(np.float64, copy=False) - obj_target) * (obj_weight / (gh * gw))
-    return Tensor(grad[None])
+    return detection_loss_and_grad(predictions, targets, variant, stride,
+                                   box_weight, obj_weight, cls_weight)[1]

@@ -144,25 +144,25 @@ def net_forward(params: dict[str, np.ndarray], spec: ToyNetSpec, x: Tensor):
             f"{spec.image_size}, {spec.image_size})"
         )
     stem_z = conv2d_forward(x, Tensor(params["stem.w"]), params["stem.b"], spec.stem_spec())
-    stem_a = activation(stem_z, spec.activation)
+    stem_a, stem_act_cache = activation(stem_z, spec.activation)
     b1, b1_cache = fasternet_block_forward(stem_a, params, spec.block_spec(), "block1.")
     b2, b2_cache = fasternet_block_forward(b1, params, spec.block_spec(), "block2.")
     neck, spp_cache = spp(b2, spec.spp_windows)
     att, cbam_cache = cbam_forward(neck, params, spec.cbam_spec(), "cbam.")
     head = conv2d_forward(att, Tensor(params["head.w"]), params["head.b"], spec.head_spec())
-    cache = (x, stem_z, b1_cache, b2_cache, spp_cache, cbam_cache, att)
+    cache = (x, stem_act_cache, b1_cache, b2_cache, spp_cache, cbam_cache, att)
     return head, cache
 
 
 def net_backward(params: dict[str, np.ndarray], spec: ToyNetSpec, cache, upstream: Tensor):
     """Gradients of <upstream, head> for every parameter, keyed and ordered like params."""
-    x, stem_z, b1_cache, b2_cache, spp_cache, cbam_cache, att = cache
+    x, stem_act_cache, b1_cache, b2_cache, spp_cache, cbam_cache, att = cache
     g_att, g_headw, g_headb = conv2d_backward(att, Tensor(params["head.w"]), spec.head_spec(), upstream)
     g_neck, g_cbam = cbam_backward(cbam_cache, params, spec.cbam_spec(), g_att, "cbam.")
     g_b2 = spp_backward(spp_cache, g_neck)
     g_b1, g_block2 = fasternet_block_backward(b2_cache, params, spec.block_spec(), g_b2, "block2.")
     g_stem_a, g_block1 = fasternet_block_backward(b1_cache, params, spec.block_spec(), g_b1, "block1.")
-    g_stem_z = activation_backward(stem_z, spec.activation, g_stem_a)
+    g_stem_z = activation_backward(stem_act_cache, spec.activation, g_stem_a)
     _, g_stemw, g_stemb = conv2d_backward(x, Tensor(params["stem.w"]), spec.stem_spec(), g_stem_z)
     return {"stem.w": g_stemw.data, "stem.b": g_stemb, **g_block1, **g_block2, **g_cbam,
             "head.w": g_headw.data, "head.b": g_headb}

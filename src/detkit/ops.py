@@ -6,8 +6,11 @@ Conventions shared by every operator here:
 * conv output size is floor((in - k + 2p) / s) + 1 per spatial axis;
 * a backward pass computes the gradients of the scalar sum
   <upstream, output> with respect to each argument and consumes the
-  forward's cache: the forward inputs for the elementwise ops and
-  convolution, the cache returned next to the output for ``spp``;
+  forward's cache: the forward inputs for convolution and global pooling,
+  the cache returned next to the output for ``activation``,
+  ``spatial_stats`` and ``spp``. Backward recomputes nothing the forward
+  already evaluated: mish keeps exp(-|x|) and tanh(softplus(x)), sigmoid
+  its output, the channel statistics their argmax;
 * convolution runs as one matrix product over im2col windows, pooling as a
   separable row-then-column max.
 
@@ -201,23 +204,26 @@ def global_pool_backward(x: Tensor, kind: str, upstream: Tensor) -> Tensor:
     return Tensor(grad)
 
 
-def spatial_stats(x: Tensor) -> Tensor:
+def spatial_stats(x: Tensor):
     """Per-position channel statistics: channel 0 is the max over channels,
-    channel 1 the mean. Output shape (n, 2, h, w)."""
+    channel 1 the mean. Output shape (n, 2, h, w).
+
+    Returns (output, cache); the cache records each position's winning channel
+    (the first maximum) for :func:`spatial_stats_backward`."""
     if x.c < 1:
         raise ConfigError("need at least one channel")
     mx = x.data.max(axis=1, keepdims=True)
     mean = x.data.mean(axis=1, keepdims=True)
-    return Tensor(np.concatenate([mx, mean], axis=1))
+    return Tensor(np.concatenate([mx, mean], axis=1)), (x, x.data.argmax(axis=1))
 
 
-def spatial_stats_backward(x: Tensor, upstream: Tensor) -> Tensor:
+def spatial_stats_backward(cache, upstream: Tensor) -> Tensor:
+    x, arg = cache
     if upstream.shape != (x.n, 2, x.h, x.w):
         raise ConfigError("upstream must have shape (n, 2, h, w)")
     up_max = upstream.data[:, 0:1]
     up_mean = upstream.data[:, 1:2]
     grad = np.zeros_like(x.data)
-    arg = x.data.argmax(axis=1)
     np.put_along_axis(grad, arg[:, None], up_max, axis=1)
     grad += up_mean / x.c
     return Tensor(grad)
@@ -308,50 +314,72 @@ def relu_grad(x: np.ndarray) -> np.ndarray:
     return (x > 0).astype(x.dtype)
 
 
+def _sigmoid_from_exp(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """sigmoid(x) given e = exp(-|x|): 1 / (1 + e) where x >= 0, e / (1 + e)
+    elsewhere. Neither branch can overflow."""
+    d = 1.0 + e
+    return np.divide(1.0, d, out=e / d, where=x >= 0)
+
+
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.result_type(x.dtype, np.float32))
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    return _sigmoid_from_exp(x, np.exp(-np.abs(x)))
 
 
-def sigmoid_grad(x: np.ndarray) -> np.ndarray:
+def _relu_forward(x):
+    return relu(x), (x,)
+
+
+def _relu_backward(cache, up):
+    return relu_grad(cache[0]) * up
+
+
+def _sigmoid_forward(x):
     s = sigmoid(x)
-    return s * (1.0 - s)
+    return s, (s,)
 
 
-def softplus(x: np.ndarray) -> np.ndarray:
-    # log(1 + e^x) without overflow for large |x|
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+def _sigmoid_backward(cache, up):
+    s, = cache
+    return s * (1.0 - s) * up
 
 
-def mish(x: np.ndarray) -> np.ndarray:
-    return x * np.tanh(softplus(x))
+def _mish_forward(x):
+    # x tanh(softplus(x)), softplus(x) = log(1 + e^x) = max(x, 0) + log1p(exp(-|x|))
+    e = np.exp(-np.abs(x))
+    t = np.tanh(np.maximum(x, 0.0) + np.log1p(e))
+    return x * t, (x, e, t)
 
 
-def mish_grad(x: np.ndarray) -> np.ndarray:
-    t = np.tanh(softplus(x))
-    return t + x * (1.0 - t * t) * sigmoid(x)
+def _mish_backward(cache, up):
+    x, e, t = cache
+    return (t + x * (1.0 - t * t) * _sigmoid_from_exp(x, e)) * up
 
 
-_ACT_FUNCS = {"relu": (relu, relu_grad), "sigmoid": (sigmoid, sigmoid_grad), "mish": (mish, mish_grad)}
+_ACT_FUNCS = {
+    "relu": (_relu_forward, _relu_backward),
+    "sigmoid": (_sigmoid_forward, _sigmoid_backward),
+    "mish": (_mish_forward, _mish_backward),
+}
 
 
-def activation(x: Tensor, kind: str) -> Tensor:
-    """Elementwise nonlinearity: relu, sigmoid, or mish."""
+def activation(x: Tensor, kind: str):
+    """Elementwise nonlinearity: relu, sigmoid, or mish.
+
+    Returns (output, cache); the cache holds what :func:`activation_backward`
+    needs: the input for relu, the output for sigmoid, and for mish the input,
+    exp(-|x|) and tanh(softplus(x))."""
     if kind not in _ACT_FUNCS:
         raise ConfigError(f"unknown activation {kind!r}")
-    return Tensor(_ACT_FUNCS[kind][0](x.data))
+    out, cache = _ACT_FUNCS[kind][0](x.data)
+    return Tensor(out), cache
 
 
-def activation_backward(x: Tensor, kind: str, upstream: Tensor) -> Tensor:
+def activation_backward(cache, kind: str, upstream: Tensor) -> Tensor:
     if kind not in _ACT_FUNCS:
         raise ConfigError(f"unknown activation {kind!r}")
-    if upstream.shape != x.shape:
+    if upstream.shape != cache[0].shape:
         raise ConfigError("upstream shape must match input")
-    return Tensor(_ACT_FUNCS[kind][1](x.data) * upstream.data)
+    return Tensor(_ACT_FUNCS[kind][1](cache, upstream.data))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import synth_dataset
-from .losses import detection_loss, detection_loss_grad
+from .losses import detection_loss_and_grad
 from .model import ToyNetSpec, backbone_param_names, init_params, net_backward, net_forward
 from .optim import AdamWState, adamw_step, cosine_lr
 from .tensor import ConfigError, Tensor
@@ -95,10 +95,8 @@ def _batch_loss_and_grads(params, cfg: TrainConfig, images, target_lists):
     bsz = len(images)
     for i, targets in enumerate(target_lists):
         single = Tensor(head.data[i:i + 1])
-        br = detection_loss(single, targets, cfg.loss_variant, float(cfg.net.stride),
-                            cfg.box_weight, cfg.obj_weight, cfg.cls_weight)
-        g = detection_loss_grad(single, targets, cfg.loss_variant, float(cfg.net.stride),
-                                cfg.box_weight, cfg.obj_weight, cfg.cls_weight)
+        br, g = detection_loss_and_grad(single, targets, cfg.loss_variant, float(cfg.net.stride),
+                                        cfg.box_weight, cfg.obj_weight, cfg.cls_weight)
         upstream[i] = g.data[0] / bsz
         totals += np.array([br.box_loss, br.objectness_loss, br.class_loss, br.total])
     grads = net_backward(params, cfg.net, cache, Tensor(upstream))

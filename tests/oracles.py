@@ -4,10 +4,14 @@ Everything here is deliberately written against the contract, not the
 production code paths: explicit loops, exhaustive scans, no shared helpers.
 """
 
+import math
+
 import numpy as np
 
+from detkit import losses
 from detkit.losses import BBox, iou
 from detkit.postprocess import Detection
+from detkit.tensor import Tensor
 
 
 def naive_conv2d(x, w, b, stride, padding):
@@ -135,3 +139,124 @@ def random_detections(rng, n, classes=3, size=50.0):
             int(rng.integers(classes)),
         ))
     return dets
+
+
+def full_grid_rasterize(kind, cx, cy, half_w, half_h, size):
+    """Shape mask with the predicate evaluated on every pixel of the image."""
+    ys, xs = np.mgrid[0:size, 0:size]
+    px = xs + 0.5
+    py = ys + 0.5
+    if kind == 0:  # rectangle
+        return (np.abs(px - cx) <= half_w) & (np.abs(py - cy) <= half_h)
+    if kind == 1:  # ellipse
+        return ((px - cx) / half_w) ** 2 + ((py - cy) / half_h) ** 2 <= 1.0
+    # triangle: apex top-center, base at the bottom edge
+    inside_y = (py >= cy - half_h) & (py <= cy + half_h)
+    frac = np.clip((py - (cy - half_h)) / (2.0 * half_h), 0.0, 1.0)
+    return inside_y & (np.abs(px - cx) <= frac * half_w)
+
+
+# Activations written per branch and recomputed from the input, as separate
+# functions for value and derivative.
+
+def masked_sigmoid(x):
+    """1 / (1 + e^-x) on x >= 0 and e^x / (1 + e^x) elsewhere, split by masks."""
+    out = np.empty_like(x, dtype=np.result_type(x.dtype, np.float32))
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def sigmoid_grad(x):
+    s = masked_sigmoid(x)
+    return s * (1.0 - s)
+
+
+def softplus(x):
+    # log(1 + e^x) without overflow for large |x|
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
+def mish(x):
+    return x * np.tanh(softplus(x))
+
+
+def mish_grad(x):
+    t = np.tanh(softplus(x))
+    return t + x * (1.0 - t * t) * masked_sigmoid(x)
+
+
+ACTIVATIONS = {
+    "relu": (lambda x: np.maximum(x, 0.0), lambda x: (x > 0).astype(x.dtype)),
+    "sigmoid": (masked_sigmoid, sigmoid_grad),
+    "mish": (mish, mish_grad),
+}
+
+
+def scan_spatial_stats_backward(x, upstream):
+    """Gradient of <upstream, spatial_stats(x)>: the max-channel gradient goes
+    to the first channel holding the maximum, found by a per-position scan."""
+    n, c, h, w = x.shape
+    grad = np.zeros_like(x)
+    for ni in range(n):
+        for i in range(h):
+            for j in range(w):
+                best = 0
+                for ci in range(1, c):
+                    if x[ni, ci, i, j] > x[ni, best, i, j]:
+                        best = ci
+                grad[ni, best, i, j] = upstream[ni, 0, i, j]
+    grad += upstream[:, 1:2] / c
+    return grad
+
+
+def _box_loss_grad(variant, pred, gt):
+    """Per-variant corner gradient, each computed on its own."""
+    p, g = pred.as_array(), gt.as_array()
+    iou_val, d_iou = losses._iou_with_grad(p, g)
+    if variant == "iou":
+        return -d_iou
+    if variant == "ciou":
+        return losses.ciou_loss_grad(pred, gt)
+    rho2, d_rho2 = losses._center_dist_sq_with_grad(p, g)
+    diag2, _ = losses._enclosing_with_grad(p, g)
+    d0 = diag2 + losses.EPS
+    r = math.exp(rho2 / d0)
+    return r * (d_rho2 / d0) * (1.0 - iou_val) - r * d_iou
+
+
+def separate_detection_loss_grad(predictions, targets, variant="wiou", stride=8.0,
+                                 box_weight=5.0, obj_weight=1.0, cls_weight=1.0):
+    """Gradient of detection_loss().total computed on its own, apart from the
+    loss value: its own argument check, cell assignment and box evaluation.
+    It reuses the box-geometry cores of detkit.losses; what it checks is that
+    the one-pass loss and gradient changes no bit of the separate gradient."""
+    num_classes, gh, gw = losses._check_detection_args(predictions, targets, stride, variant)
+    p = predictions.data[0]
+    assigned = losses._assign_cells(targets, stride, gh, gw)
+    grad = np.zeros_like(p)
+    n_t = len(assigned)
+
+    obj_target = np.zeros((gh, gw))
+    for row, col, bbox, cls in assigned:
+        obj_target[row, col] = 1.0
+        tx, ty, tw, th = (p[i, row, col] for i in range(4))
+        pred_box = losses.cell_to_box(tx, ty, tw, th, row, col, stride)
+        d_corners = _box_loss_grad(variant, pred_box, bbox) * (box_weight / n_t)
+        dcx, dcy = d_corners[0] + d_corners[2], d_corners[1] + d_corners[3]
+        dw, dh = (d_corners[2] - d_corners[0]) / 2.0, (d_corners[3] - d_corners[1]) / 2.0
+        sx, sy = masked_sigmoid(p[0:2, row, col]).astype(np.float64, copy=False)
+        grad[0, row, col] += dcx * sx * (1.0 - sx) * stride
+        grad[1, row, col] += dcy * sy * (1.0 - sy) * stride
+        grad[2, row, col] += dw * pred_box.width
+        grad[3, row, col] += dh * pred_box.height
+
+        onehot = np.zeros(num_classes)
+        onehot[cls] = 1.0
+        cls_prob = masked_sigmoid(p[5:, row, col]).astype(np.float64, copy=False)
+        grad[5:, row, col] += (cls_prob - onehot) * cls_weight / (n_t * num_classes)
+
+    grad[4] += (masked_sigmoid(p[4]).astype(np.float64, copy=False) - obj_target) * (obj_weight / (gh * gw))
+    return Tensor(grad[None])

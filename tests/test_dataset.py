@@ -1,7 +1,9 @@
 """Synthetic dataset contracts: determinism, bounds, mask-tight boxes."""
 
 import numpy as np
+from oracles import full_grid_rasterize
 
+from detkit import dataset
 from detkit.dataset import synth_dataset
 
 
@@ -53,3 +55,29 @@ class TestAnnotations:
             assert img.shape == (1, 1, 64, 64)
             assert img.data.min() >= 0.0
             assert img.data.max() <= 1.0
+
+
+class TestRasterize:
+    def test_window_matches_full_grid_oracle(self):
+        """Random shapes of every kind, on and off pixel centres, inside,
+        straddling and outside the image."""
+        rng = np.random.default_rng(19)
+        for _ in range(3000):
+            size = int(rng.choice([16, 32, 64]))
+            kind = int(rng.integers(3))
+            half_w, half_h = rng.uniform(0.3, size / 2, size=2)
+            cx, cy = rng.uniform(-size / 2, 1.5 * size, size=2)
+            if rng.integers(2):  # integer half-extents and centres on pixel centres
+                half_w, half_h = max(1.0, float(int(half_w))), max(1.0, float(int(half_h)))
+                cx, cy = int(cx) + 0.5, int(cy) + 0.5
+            got = dataset._rasterize(kind, cx, cy, half_w, half_h, size)
+            assert np.array_equal(got, full_grid_rasterize(kind, cx, cy, half_w, half_h, size))
+
+    def test_synth_dataset_unchanged_under_full_grid_oracle(self, monkeypatch):
+        sizes = [(5, 64, 3), (8, 32, 2), (6, 16, 1)]
+        want = [synth_dataset(seed, 12, size, k) for seed, size, k in sizes]
+        monkeypatch.setattr(dataset, "_rasterize", full_grid_rasterize)
+        for (seed, size, k), samples in zip(sizes, want):
+            for (img, targets), (ref_img, ref_targets) in zip(samples, synth_dataset(seed, 12, size, k)):
+                assert img.data.tobytes() == ref_img.data.tobytes()
+                assert targets == ref_targets

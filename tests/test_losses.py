@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import separate_detection_loss_grad
 
 from detkit import losses
 from detkit.losses import (
@@ -14,6 +15,7 @@ from detkit.losses import (
     ciou_loss,
     ciou_loss_grad,
     detection_loss,
+    detection_loss_and_grad,
     detection_loss_grad,
     iou,
     wiou_loss,
@@ -322,3 +324,42 @@ class TestDetectionLoss:
             num = (fp - fm) / (2 * h)
             denom = max(abs(got.reshape(-1)[idx]), abs(num), 1e-4)
             assert abs(got.reshape(-1)[idx] - num) / denom < 1e-4
+
+
+class TestDetectionLossAndGrad:
+    """The one-pass loss and gradient reproduces the value-only loss and the
+    separately computed gradient bit for bit."""
+
+    TARGET_SETS = {
+        "none": [],
+        "one": [(BBox(3.0, 2.5, 13.0, 11.0), 2)],
+        # the first two share cell (1, 1), so their gradients accumulate
+        "shared-cell": [(BBox(9.0, 9.5, 14.0, 14.0), 0), (BBox(8.5, 8.0, 15.5, 15.0), 1),
+                        (BBox(16.0, 1.0, 23.5, 7.0), 2)],
+    }
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("targets", sorted(TARGET_SETS))
+    @pytest.mark.parametrize("variant", ["iou", "ciou", "wiou"])
+    def test_matches_value_only_loss_and_separate_gradient(self, variant, targets, dtype):
+        rng = np.random.default_rng(27)
+        head = Tensor((rng.standard_normal((1, 8, 3, 3)) * 2.0).astype(dtype))
+        tg = self.TARGET_SETS[targets]
+        args = (variant, 8.0, 5.0, 2.5, 2.5)
+        br, grad = detection_loss_and_grad(head, tg, *args)
+        assert br == detection_loss(head, tg, *args)
+        want = separate_detection_loss_grad(head, tg, *args).data
+        assert grad.dtype == dtype
+        assert np.array_equal(grad.data, want)
+        assert np.array_equal(detection_loss_grad(head, tg, *args).data, want)
+
+    def test_iou_value_when_union_is_below_eps(self):
+        """Boxes of area ~1e-12: the gradient core gives IoU 0 once the union
+        is at most EPS, but the iou variant's value still comes from iou()."""
+        gt = BBox(4.0, 4.0, 4.0 + 1e-6, 4.0 + 1e-6)
+        head = np.zeros((1, 6, 1, 1))
+        head[0, 2:4] = math.log(2.5e-7)  # a 2e-6 square centred at (4, 4)
+        pred = losses.cell_to_box(0.0, 0.0, head[0, 2, 0, 0], head[0, 3, 0, 0], 0, 0, 8.0)
+        assert iou(pred, gt) == 0.25
+        br, _ = detection_loss_and_grad(Tensor(head), [(gt, 0)], "iou", 8.0)
+        assert br.box_loss == 0.75

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from detkit import blocks, model, ops
+from detkit import blocks, cli, model, ops
 from detkit.losses import BBox, detection_loss, detection_loss_grad
 from detkit.model import (
     ToyNetSpec,
@@ -168,6 +168,34 @@ class TestInitGolden:
         save_weights(params, tmp_path / "init.dkw")
         digest = hashlib.sha256((tmp_path / "init.dkw").read_bytes()).hexdigest()
         assert digest == INIT_DIGESTS[dtype]
+
+
+# SHA-256 of the weights.dkw and stats.jsonl that `detkit train` writes for a
+# 3-epoch run (seed 42, 10 images, batch 5; one frozen-backbone epoch, then two
+# full ones). Measured with NumPy 2.4 on x86-64 OpenBLAS; rerun-identical with
+# BLAS threads pinned to 1 or not.
+TRAIN_DIGESTS = {
+    "float64": {"weights.dkw": "43bcb7d3689494dec1dd2bca565f3e68c05c3a6a30fda7830a1e3abcedeefdb9",
+                "stats.jsonl": "d3c0c87db3214649e8c84865191283532bb5d7ab46a9fa0fe89d86d8bf56de66"},
+    "float32": {"weights.dkw": "481b59142440f56459c3b8f7244b82fc1e810f1e2d198890ab5d013eac154355",
+                "stats.jsonl": "2e17ce6d89e808b1f7c9b8b3578c59b7850a618d34d60b680fc579e368015b52"},
+}
+
+
+class TestTrainGolden:
+    """Pins the numerics of the whole train step: forward, loss, gradient,
+    backward and AdamW. A change may update these digests only when it
+    intends to change the numerics, and must say so in CHANGES.md; a speed-up
+    that keeps every floating-point expression keeps them."""
+
+    @pytest.mark.parametrize("dtype", sorted(TRAIN_DIGESTS))
+    def test_train_artifact_digests(self, tmp_path, dtype):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed = 42\nepochs = 3\nbatch_size = 5\ndataset_count = 10\ndtype = {dtype}\n")
+        assert cli.main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
+        got = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+               for name in TRAIN_DIGESTS[dtype]}
+        assert got == TRAIN_DIGESTS[dtype]
 
 
 class TestStructure:

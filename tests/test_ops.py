@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    ACTIVATIONS,
     naive_conv2d,
     naive_sliding_max,
     per_tap_conv2d,
     per_tap_conv2d_backward,
     scan_maxpool_same,
     scan_maxpool_same_backward,
+    scan_spatial_stats_backward,
 )
 
 from detkit import ops
@@ -197,21 +199,21 @@ class TestSpatialStats:
     def test_single_channel_duplicates(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((1, 1, 3, 3))
-        out = ops.spatial_stats(Tensor(x))
+        out, _ = ops.spatial_stats(Tensor(x))
         assert np.allclose(out.data[:, 0], x[:, 0])
         assert np.allclose(out.data[:, 1], x[:, 0])
 
     def test_two_constant_channels(self):
         x = np.zeros((1, 2, 2, 2))
         x[0, 1] = 10.0
-        out = ops.spatial_stats(Tensor(x))
+        out, _ = ops.spatial_stats(Tensor(x))
         assert np.allclose(out.data[0, 0], 10.0)
         assert np.allclose(out.data[0, 1], 5.0)
 
     def test_matches_per_pixel_scan(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal((2, 5, 3, 4))
-        out = ops.spatial_stats(Tensor(x)).data
+        out = ops.spatial_stats(Tensor(x))[0].data
         for n in range(2):
             for i in range(3):
                 for j in range(4):
@@ -219,37 +221,79 @@ class TestSpatialStats:
                     assert out[n, 0, i, j] == pytest.approx(max(col))
                     assert out[n, 1, i, j] == pytest.approx(sum(col) / 5)
 
+    def test_cached_backward_routes_ties_to_first_channel(self):
+        """{0, 1, 2}-valued inputs tie often; the argmax recorded by the
+        forward sends each max gradient to the first maximal channel, as a
+        per-position scan does."""
+        rng = np.random.default_rng(33)
+        for c in (1, 2, 5):
+            x = rng.integers(0, 3, size=(2, c, 4, 5)).astype(np.float64)
+            up = rng.standard_normal((2, 2, 4, 5))
+            _, cache = ops.spatial_stats(Tensor(x))
+            got = ops.spatial_stats_backward(cache, Tensor(up)).data
+            assert np.array_equal(got, scan_spatial_stats_backward(x, up))
+
 
 class TestActivations:
     def test_relu_values(self):
-        out = ops.activation(Tensor(np.array([[[[-1.0, 2.0]]]])), "relu")
+        out, _ = ops.activation(Tensor(np.array([[[[-1.0, 2.0]]]])), "relu")
         assert out.data.tolist() == [[[[0.0, 2.0]]]]
 
     def test_sigmoid_at_zero(self):
-        out = ops.activation(Tensor.zeros((1, 1, 1, 1)), "sigmoid")
+        out, _ = ops.activation(Tensor.zeros((1, 1, 1, 1)), "sigmoid")
         assert out.data.item() == pytest.approx(0.5)
 
     def test_mish_values(self):
         # x tanh(log(1 + e^x)): exactly 0 at 0; at 20 the softplus saturates
         # to ~20 + 2e-9 and tanh to 1 - 4e-18, so the value is 20 within 1e-6
         x = Tensor(np.array([[[[0.0, 20.0]]]]))
-        out = ops.activation(x, "mish")
+        out, _ = ops.activation(x, "mish")
         assert out.data[0, 0, 0, 0] == 0.0
         assert abs(out.data[0, 0, 0, 1] - 20.0) < 1e-6
 
     def test_relu_idempotent(self):
         rng = np.random.default_rng(4)
         x = Tensor(rng.standard_normal((2, 2, 3, 3)))
-        once = ops.activation(x, "relu")
-        twice = ops.activation(once, "relu")
+        once, _ = ops.activation(x, "relu")
+        twice, _ = ops.activation(once, "relu")
         assert np.array_equal(once.data, twice.data)
 
     # beyond |x| ~ 36.7 float64 rounds sigmoid to exactly 0.0 / 1.0, so the
     # strict mathematical bound is only testable inside that range
     @given(st.floats(min_value=-36, max_value=36, allow_nan=False))
     def test_sigmoid_strictly_inside_unit_interval(self, v):
-        out = ops.activation(Tensor(np.full((1, 1, 1, 1), v)), "sigmoid").data.item()
+        out = ops.activation(Tensor(np.full((1, 1, 1, 1), v)), "sigmoid")[0].data.item()
         assert 0.0 < out < 1.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", sorted(ACTIVATIONS))
+    def test_forward_and_cached_backward_match_oracle_bitwise(self, kind, dtype):
+        """The forward and the cache-consuming backward reproduce the
+        per-branch oracles bit for bit, on the branch points, the
+        underflow and saturation points and random values."""
+        special = [0.0, -0.0, 1e-300, -1e-300, 20.0, -20.0, 40.0, -40.0, 710.0, -710.0]
+        rng = np.random.default_rng(31)
+        values = np.concatenate([special, rng.standard_normal(190) * 8.0]).astype(dtype)
+        x = values.reshape(2, 5, 4, 5)
+        up = rng.standard_normal(x.shape).astype(dtype)
+        fwd, grad = ACTIVATIONS[kind]
+        out, cache = ops.activation(Tensor(x), kind)
+        assert out.dtype == dtype
+        assert np.array_equal(out.data, fwd(x))
+        got = ops.activation_backward(cache, kind, Tensor(up))
+        assert got.dtype == dtype
+        assert np.array_equal(got.data, grad(x) * up)
+
+    def test_sigmoid_matches_masked_oracle_bitwise(self):
+        rng = np.random.default_rng(32)
+        for dtype in (np.float32, np.float64):
+            x = (rng.standard_normal(997) * 30.0).astype(dtype)
+            assert np.array_equal(ops.sigmoid(x), ACTIVATIONS["sigmoid"][0](x))
+
+    def test_backward_rejects_mismatched_upstream(self):
+        _, cache = ops.activation(Tensor.zeros((1, 2, 3, 3)), "mish")
+        with pytest.raises(ConfigError):
+            ops.activation_backward(cache, "mish", Tensor.zeros((1, 2, 3, 4)))
 
 
 class TestFullyConnected:

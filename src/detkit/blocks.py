@@ -23,9 +23,11 @@ The block and CBAM functions read ``params[prefix + "pw1.w"]`` and friends and
 return gradients keyed the same way; ``prefix`` is ``"block1."``, ``"block2."``
 or ``"cbam."`` inside the network and ``""`` for a standalone block.
 
-Each forward returns its output together with a cache of the intermediates
-its backward needs (the attention halves return gate, gated map and cache);
-each backward takes that cache in place of the input and recomputes nothing.
+Feature maps, weights, gradients and caches are bare ndarrays, as in
+:mod:`detkit.ops`. Each forward returns its output together with a cache of
+the intermediates its backward needs (the attention halves return gate, gated
+map and cache); each backward takes that cache in place of the input and
+recomputes nothing.
 The caches nest the operator caches of :mod:`detkit.ops`: the block keeps its
 activation's cache (for mish, exp(-|x|) and tanh(softplus(x))) and the
 spatial gate keeps the channel argmax of its statistics.
@@ -51,7 +53,7 @@ from .ops import (
     spatial_stats,
     spatial_stats_backward,
 )
-from .tensor import ConfigError, Tensor
+from .tensor import ConfigError
 
 
 @dataclass(frozen=True)
@@ -164,32 +166,28 @@ def he_normal(rng: np.random.Generator, shape, fan_in: int, dtype=np.float64) ->
 # partial convolution
 # ---------------------------------------------------------------------------
 
-def pconv_forward(x: Tensor, weights: Tensor, spec: PConvSpec) -> Tensor:
+def pconv_forward(x: np.ndarray, weights: np.ndarray, spec: PConvSpec) -> np.ndarray:
     """Convolve channels [0, conv_channels); copy channels [conv_channels, c)
     through bit-identically. Spatial shape is preserved."""
-    if x.c != spec.channels:
-        raise ConfigError(f"input has {x.c} channels, spec expects {spec.channels}")
+    if x.shape[1] != spec.channels:
+        raise ConfigError(f"input has {x.shape[1]} channels, spec expects {spec.channels}")
     cp = spec.conv_channels
-    front = Tensor(x.data[:, :cp])
-    conv_out = conv2d_forward(front, weights, None, spec.conv_spec())
+    conv_out = conv2d_forward(x[:, :cp], weights, None, spec.conv_spec())
     if cp == spec.channels:
         return conv_out
-    return Tensor(np.concatenate([conv_out.data, x.data[:, cp:]], axis=1))
+    return np.concatenate([conv_out, x[:, cp:]], axis=1)
 
 
-def pconv_backward(x: Tensor, weights: Tensor, spec: PConvSpec, upstream: Tensor):
+def pconv_backward(x: np.ndarray, weights: np.ndarray, spec: PConvSpec, upstream: np.ndarray):
     """Gradients w.r.t. input and kernel; pass-through channels carry the
     upstream gradient unchanged."""
     if upstream.shape != x.shape:
         raise ConfigError("upstream shape must match input (pconv preserves shape)")
     cp = spec.conv_channels
-    front = Tensor(x.data[:, :cp])
-    up_front = Tensor(upstream.data[:, :cp])
-    gx_front, gw, _ = conv2d_backward(front, weights, spec.conv_spec(), up_front)
+    gx_front, gw, _ = conv2d_backward(x[:, :cp], weights, spec.conv_spec(), upstream[:, :cp])
     if cp == spec.channels:
         return gx_front, gw
-    grad_x = np.concatenate([gx_front.data, upstream.data[:, cp:]], axis=1)
-    return Tensor(grad_x), gw
+    return np.concatenate([gx_front, upstream[:, cp:]], axis=1), gw
 
 
 # ---------------------------------------------------------------------------
@@ -211,36 +209,36 @@ def fasternet_block_init(
     }
 
 
-def fasternet_block_forward(x: Tensor, params, spec: FasterNetBlockSpec, prefix: str = ""):
+def fasternet_block_forward(x: np.ndarray, params, spec: FasterNetBlockSpec, prefix: str = ""):
     """x + PW2(act(PW1(pconv(x)))) with 1x1 convs PW1: c -> hidden, PW2 back.
 
     Returns (output, cache) for :func:`fasternet_block_backward`."""
-    pc = pconv_forward(x, Tensor(params[prefix + "pconv.w"]), spec.pconv)
-    z1 = conv2d_forward(pc, Tensor(params[prefix + "pw1.w"]), params[prefix + "pw1.b"], spec.pw1_spec())
+    pc = pconv_forward(x, params[prefix + "pconv.w"], spec.pconv)
+    z1 = conv2d_forward(pc, params[prefix + "pw1.w"], params[prefix + "pw1.b"], spec.pw1_spec())
     a1, act_cache = activation(z1, spec.activation)
-    z2 = conv2d_forward(a1, Tensor(params[prefix + "pw2.w"]), params[prefix + "pw2.b"], spec.pw2_spec())
-    return Tensor(x.data + z2.data), (x, pc, act_cache, a1)
+    z2 = conv2d_forward(a1, params[prefix + "pw2.w"], params[prefix + "pw2.b"], spec.pw2_spec())
+    return x + z2, (x, pc, act_cache, a1)
 
 
 def fasternet_block_backward(
-    cache, params, spec: FasterNetBlockSpec, upstream: Tensor, prefix: str = ""
+    cache, params, spec: FasterNetBlockSpec, upstream: np.ndarray, prefix: str = ""
 ):
     """Returns (input gradient, parameter gradients keyed like ``params``)."""
     x, pc, act_cache, a1 = cache
     if upstream.shape != x.shape:
         raise ConfigError("upstream shape must match input (block preserves shape)")
-    g_a1, g_pw2w, g_pw2b = conv2d_backward(a1, Tensor(params[prefix + "pw2.w"]), spec.pw2_spec(), upstream)
+    g_a1, g_pw2w, g_pw2b = conv2d_backward(a1, params[prefix + "pw2.w"], spec.pw2_spec(), upstream)
     g_z1 = activation_backward(act_cache, spec.activation, g_a1)
-    g_pc, g_pw1w, g_pw1b = conv2d_backward(pc, Tensor(params[prefix + "pw1.w"]), spec.pw1_spec(), g_z1)
-    g_x_branch, g_pconvw = pconv_backward(x, Tensor(params[prefix + "pconv.w"]), spec.pconv, g_pc)
+    g_pc, g_pw1w, g_pw1b = conv2d_backward(pc, params[prefix + "pw1.w"], spec.pw1_spec(), g_z1)
+    g_x_branch, g_pconvw = pconv_backward(x, params[prefix + "pconv.w"], spec.pconv, g_pc)
     grads = {
-        prefix + "pconv.w": g_pconvw.data,
-        prefix + "pw1.w": g_pw1w.data,
+        prefix + "pconv.w": g_pconvw,
+        prefix + "pw1.w": g_pw1w,
         prefix + "pw1.b": g_pw1b,
-        prefix + "pw2.w": g_pw2w.data,
+        prefix + "pw2.w": g_pw2w,
         prefix + "pw2.b": g_pw2b,
     }
-    return Tensor(upstream.data + g_x_branch.data), grads
+    return upstream + g_x_branch, grads
 
 
 # ---------------------------------------------------------------------------
@@ -259,14 +257,14 @@ def _check_channel_dims(spec: CBAMSpec, w1, b1, w2, b2) -> None:
         raise ConfigError(f"second layer wants W2 {want2}, b2 ({want2[0]},)")
 
 
-def channel_attention(x: Tensor, w1, b1, w2, b2, spec: CBAMSpec):
+def channel_attention(x: np.ndarray, w1, b1, w2, b2, spec: CBAMSpec):
     """Per-channel gates from the pooled input. Returns (gate map (n, c, 1, 1),
     gated feature map, cache for :func:`channel_attention_backward`). Gates
     depend on x only through its per-channel means."""
-    if x.c != spec.channels:
-        raise ConfigError(f"input has {x.c} channels, spec expects {spec.channels}")
+    if x.shape[1] != spec.channels:
+        raise ConfigError(f"input has {x.shape[1]} channels, spec expects {spec.channels}")
     _check_channel_dims(spec, w1, b1, w2, b2)
-    gap = x.data.mean(axis=(2, 3))
+    gap = x.mean(axis=(2, 3))
     z1 = gap @ w1.T + b1
     v1 = np.maximum(z1, 0.0)
     if spec.channel_mlp == "prose":
@@ -278,17 +276,16 @@ def channel_attention(x: Tensor, w1, b1, w2, b2, spec: CBAMSpec):
         z = v1 @ w1.T + b1 + v2 @ w2.T + b2
     gate = sigmoid(z)
     m_c = gate[:, :, None, None]
-    return Tensor(m_c), Tensor(m_c * x.data), (x, gate, gap, z1, v1, z2, v2)
+    return m_c, m_c * x, (x, gate, gap, z1, v1, z2, v2)
 
 
-def channel_attention_backward(cache, w1, w2, spec: CBAMSpec, upstream_fc: Tensor):
+def channel_attention_backward(cache, w1, w2, spec: CBAMSpec, upstream_fc: np.ndarray):
     """Gradients of <upstream_fc, gated map> w.r.t. x, W1, b1, W2 and b2."""
     x, gate, gap, z1, v1, z2, v2 = cache
     if upstream_fc.shape != x.shape:
         raise ConfigError("upstream shape must match input")
-    up = upstream_fc.data
-    d_gate = (up * x.data).sum(axis=(2, 3))
-    grad_x = up * gate[:, :, None, None]
+    d_gate = (upstream_fc * x).sum(axis=(2, 3))
+    grad_x = upstream_fc * gate[:, :, None, None]
     dz = d_gate * gate * (1.0 - gate)
 
     if spec.channel_mlp == "prose":
@@ -316,36 +313,33 @@ def channel_attention_backward(cache, w1, w2, spec: CBAMSpec, upstream_fc: Tenso
         gb2 = gb2 + dz2.sum(axis=0)
         d_gap = dz1 @ w1 + dz2 @ w2
 
-    grad_x = grad_x + (d_gap / (x.h * x.w))[:, :, None, None]
-    return Tensor(grad_x), gw1, gb1, gw2, gb2
+    grad_x = grad_x + (d_gap / (x.shape[2] * x.shape[3]))[:, :, None, None]
+    return grad_x, gw1, gb1, gw2, gb2
 
 
 # ---------------------------------------------------------------------------
 # spatial attention
 # ---------------------------------------------------------------------------
 
-def spatial_attention(x: Tensor, conv_w: Tensor, conv_b, spec: CBAMSpec):
+def spatial_attention(x: np.ndarray, conv_w: np.ndarray, conv_b, spec: CBAMSpec):
     """Per-position gates from channel max/mean statistics. Returns
     (gate map (n, 1, h, w), gated feature map, cache for
     :func:`spatial_attention_backward`)."""
     stats, stats_cache = spatial_stats(x)
     z = conv2d_forward(stats, conv_w, conv_b, spec.spatial_conv_spec())
-    m_s = sigmoid(z.data)
-    return Tensor(m_s), Tensor(m_s * x.data), (x, stats, stats_cache, m_s)
+    m_s = sigmoid(z)
+    return m_s, m_s * x, (x, stats, stats_cache, m_s)
 
 
-def spatial_attention_backward(cache, conv_w: Tensor, spec: CBAMSpec, upstream_fs: Tensor):
+def spatial_attention_backward(cache, conv_w: np.ndarray, spec: CBAMSpec, upstream_fs: np.ndarray):
     """Gradients of <upstream_fs, gated map> w.r.t. x, the conv kernel and bias."""
     x, stats, stats_cache, m_s = cache
     if upstream_fs.shape != x.shape:
         raise ConfigError("upstream shape must match input")
-    up = upstream_fs.data
-    d_ms = (up * x.data).sum(axis=1, keepdims=True)
-    grad_x = up * m_s
-    dz = Tensor(d_ms * m_s * (1.0 - m_s))
+    d_ms = (upstream_fs * x).sum(axis=1, keepdims=True)
+    dz = d_ms * m_s * (1.0 - m_s)
     d_stats, gw, gb = conv2d_backward(stats, conv_w, spec.spatial_conv_spec(), dz)
-    grad_x = grad_x + spatial_stats_backward(stats_cache, d_stats).data
-    return Tensor(grad_x), gw, gb
+    return upstream_fs * m_s + spatial_stats_backward(stats_cache, d_stats), gw, gb
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +362,7 @@ def cbam_init(
     }
 
 
-def cbam_forward(x: Tensor, params, spec: CBAMSpec, prefix: str = ""):
+def cbam_forward(x: np.ndarray, params, spec: CBAMSpec, prefix: str = ""):
     """Apply both attention gates; returns (output, cache for :func:`cbam_backward`).
 
     sequential: spatial attention consumes the channel-gated map.
@@ -376,37 +370,34 @@ def cbam_forward(x: Tensor, params, spec: CBAMSpec, prefix: str = ""):
     so the result carries x twice.
     """
     w1, b1, w2, b2 = (params[prefix + k] for k in ("fc1.w", "fc1.b", "fc2.w", "fc2.b"))
-    spatial_w, spatial_b = Tensor(params[prefix + "spatial.w"]), params[prefix + "spatial.b"]
+    spatial_w, spatial_b = params[prefix + "spatial.w"], params[prefix + "spatial.b"]
     _, f_c, c_cache = channel_attention(x, w1, b1, w2, b2, spec)
     if spec.composition == "sequential":
         _, f_s, s_cache = spatial_attention(f_c, spatial_w, spatial_b, spec)
         return f_s, (x, c_cache, s_cache, None, None)
     _, f_s, s_cache = spatial_attention(x, spatial_w, spatial_b, spec)
-    return Tensor(f_c.data * f_s.data), (x, c_cache, s_cache, f_c, f_s)
+    return f_c * f_s, (x, c_cache, s_cache, f_c, f_s)
 
 
-def cbam_backward(cache, params, spec: CBAMSpec, upstream: Tensor, prefix: str = ""):
+def cbam_backward(cache, params, spec: CBAMSpec, upstream: np.ndarray, prefix: str = ""):
     """Returns (input gradient, parameter gradients keyed like ``params``)."""
     x, c_cache, s_cache, f_c, f_s = cache
     if upstream.shape != x.shape:
         raise ConfigError("upstream shape must match input (cbam preserves shape)")
-    w1, w2 = params[prefix + "fc1.w"], params[prefix + "fc2.w"]
-    spatial_w = Tensor(params[prefix + "spatial.w"])
+    w1, w2, spatial_w = (params[prefix + k] for k in ("fc1.w", "fc2.w", "spatial.w"))
     if spec.composition == "sequential":
         g_fc, gsw, gsb = spatial_attention_backward(s_cache, spatial_w, spec, upstream)
         grad_x, gw1, gb1, gw2, gb2 = channel_attention_backward(c_cache, w1, w2, spec, g_fc)
     else:
-        up_fc = Tensor(upstream.data * f_s.data)
-        up_fs = Tensor(upstream.data * f_c.data)
-        gx_c, gw1, gb1, gw2, gb2 = channel_attention_backward(c_cache, w1, w2, spec, up_fc)
-        gx_s, gsw, gsb = spatial_attention_backward(s_cache, spatial_w, spec, up_fs)
-        grad_x = Tensor(gx_c.data + gx_s.data)
+        gx_c, gw1, gb1, gw2, gb2 = channel_attention_backward(c_cache, w1, w2, spec, upstream * f_s)
+        gx_s, gsw, gsb = spatial_attention_backward(s_cache, spatial_w, spec, upstream * f_c)
+        grad_x = gx_c + gx_s
     grads = {
         prefix + "fc1.w": gw1,
         prefix + "fc1.b": gb1,
         prefix + "fc2.w": gw2,
         prefix + "fc2.b": gb2,
-        prefix + "spatial.w": gsw.data,
+        prefix + "spatial.w": gsw,
         prefix + "spatial.b": gsb,
     }
     return grad_x, grads

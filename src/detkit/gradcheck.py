@@ -119,6 +119,27 @@ def _pool_near_tie(x: np.ndarray, window: int) -> bool:
     return bool(np.min(top2[1] - top2[0]) < KINK_MARGIN)
 
 
+def _arg_errors(forward: Callable[..., np.ndarray], g: np.ndarray, args: tuple,
+                analytic) -> float:
+    """Worst error of analytic[i] against central differences of the probe
+    <g, forward(*args)> in args[i], over every argument."""
+    worst = 0.0
+    for i, (arg, grad) in enumerate(zip(args, analytic, strict=True)):
+        def probe(v, i=i):
+            return float((forward(*args[:i], v, *args[i + 1:]) * g).sum())
+        worst = max(worst, max_rel_error(grad, numerical_grad(probe, arg)))
+    return worst
+
+
+def _param_errors(forward, g: np.ndarray, x: np.ndarray, params: dict,
+                  grad_x: np.ndarray, grads: dict) -> float:
+    """:func:`_arg_errors` for a forward(x, params) over a parameter dict: each
+    parameter is matched to its analytic gradient by name."""
+    names = tuple(params)
+    return _arg_errors(lambda xx, *vals: forward(xx, dict(zip(names, vals))), g,
+                       (x, *params.values()), (grad_x, *(grads[k] for k in names)))
+
+
 # ---------------------------------------------------------------------------
 # tensor_core operators
 # ---------------------------------------------------------------------------
@@ -137,20 +158,8 @@ def _check_conv2d(rng: np.random.Generator, cases: int) -> float:
         w = _probe(rng, (cout, cin, k, k))
         b = _probe(rng, (cout,))
         g = _probe(rng, (2, cout, spec.out_size(h), spec.out_size(h)))
-
-        def fx(v):
-            return float((ops.conv2d_forward(Tensor(v), Tensor(w), b, spec).data * g).sum())
-
-        def fw(v):
-            return float((ops.conv2d_forward(Tensor(x), Tensor(v), b, spec).data * g).sum())
-
-        def fb(v):
-            return float((ops.conv2d_forward(Tensor(x), Tensor(w), v, spec).data * g).sum())
-
-        gx, gw, gb = ops.conv2d_backward(Tensor(x), Tensor(w), spec, Tensor(g))
-        worst = max(worst, max_rel_error(gx.data, numerical_grad(fx, x)))
-        worst = max(worst, max_rel_error(gw.data, numerical_grad(fw, w)))
-        worst = max(worst, max_rel_error(gb, numerical_grad(fb, b)))
+        worst = max(worst, _arg_errors(lambda xx, ww, bb: ops.conv2d_forward(xx, ww, bb, spec), g,
+                                       (x, w, b), ops.conv2d_backward(x, w, spec, g)))
     return worst
 
 
@@ -163,13 +172,8 @@ def _check_fc(rng, cases):
         w = _probe(rng, (nout, nin))
         b = _probe(rng, (nout,))
         g = _probe(rng, (batch, nout))
-        gx, gw, gb = ops.fully_connected_backward(x, w, g)
-        worst = max(worst, max_rel_error(gx, numerical_grad(
-            lambda v: float((ops.fully_connected(v, w, b) * g).sum()), x)))
-        worst = max(worst, max_rel_error(gw, numerical_grad(
-            lambda v: float((ops.fully_connected(x, v, b) * g).sum()), w)))
-        worst = max(worst, max_rel_error(gb, numerical_grad(
-            lambda v: float((ops.fully_connected(x, w, v) * g).sum()), b)))
+        worst = max(worst, _arg_errors(ops.fully_connected, g, (x, w, b),
+                                       ops.fully_connected_backward(x, w, g)))
     return worst
 
 
@@ -179,11 +183,9 @@ def _activation_suite(kind):
         for _ in range(cases):
             x = _probe(rng, (2, 3, 4, 4)) * 3.0
             g = _probe(rng, (2, 3, 4, 4))
-            _, cache = ops.activation(Tensor(x), kind)
-            ga = ops.activation_backward(cache, kind, Tensor(g))
-            num = numerical_grad(
-                lambda v: float((ops.activation(Tensor(v), kind)[0].data * g).sum()), x)
-            worst = max(worst, max_rel_error(ga.data, num))
+            _, cache = ops.activation(x, kind)
+            worst = max(worst, _arg_errors(lambda v: ops.activation(v, kind)[0], g, (x,),
+                                           (ops.activation_backward(cache, kind, g),)))
         return worst
     return suite
 
@@ -200,9 +202,8 @@ def _check_global_pool(rng, cases):
         kind = "avg" if rng.integers(2) else "max"
         x = _probe(rng, (2, 3, 4, 4))
         g = _probe(rng, (2, 3, 1, 1))
-        ga = ops.global_pool_backward(Tensor(x), kind, Tensor(g))
-        num = numerical_grad(lambda v: float((ops.global_pool(Tensor(v), kind).data * g).sum()), x)
-        worst = max(worst, max_rel_error(ga.data, num))
+        worst = max(worst, _arg_errors(lambda v: ops.global_pool(v, kind), g, (x,),
+                                       (ops.global_pool_backward(x, kind, g),)))
     return worst
 
 
@@ -212,10 +213,9 @@ def _check_spatial_stats(rng, cases):
     for _ in range(cases):
         x = _probe(rng, (2, 4, 3, 3))
         g = _probe(rng, (2, 2, 3, 3))
-        _, cache = ops.spatial_stats(Tensor(x))
-        ga = ops.spatial_stats_backward(cache, Tensor(g))
-        num = numerical_grad(lambda v: float((ops.spatial_stats(Tensor(v))[0].data * g).sum()), x)
-        worst = max(worst, max_rel_error(ga.data, num))
+        _, cache = ops.spatial_stats(x)
+        worst = max(worst, _arg_errors(lambda v: ops.spatial_stats(v)[0], g, (x,),
+                                       (ops.spatial_stats_backward(cache, g),)))
     return worst
 
 
@@ -229,10 +229,9 @@ def _check_spp(rng, cases):
             g = _probe(rng, (1, 2 * (1 + len(windows)), 6, 6))
             if not any(_pool_near_tie(x, wsz) for wsz in windows):
                 break
-        _, cache = ops.spp(Tensor(x), windows)
-        ga = ops.spp_backward(cache, Tensor(g))
-        num = numerical_grad(lambda v: float((ops.spp(Tensor(v), windows)[0].data * g).sum()), x)
-        worst = max(worst, max_rel_error(ga.data, num))
+        _, cache = ops.spp(x, windows)
+        worst = max(worst, _arg_errors(lambda v: ops.spp(v, windows)[0], g, (x,),
+                                       (ops.spp_backward(cache, g),)))
     return worst
 
 
@@ -250,11 +249,8 @@ def _check_pconv(rng, cases):
         x = _probe(rng, (2, c, 5, 5))
         w = _probe(rng, (cp, cp, 3, 3))
         g = _probe(rng, (2, c, 5, 5))
-        gx, gw = blocks.pconv_backward(Tensor(x), Tensor(w), spec, Tensor(g))
-        worst = max(worst, max_rel_error(gx.data, numerical_grad(
-            lambda v: float((blocks.pconv_forward(Tensor(v), Tensor(w), spec).data * g).sum()), x)))
-        worst = max(worst, max_rel_error(gw.data, numerical_grad(
-            lambda v: float((blocks.pconv_forward(Tensor(x), Tensor(v), spec).data * g).sum()), w)))
+        worst = max(worst, _arg_errors(lambda xx, ww: blocks.pconv_forward(xx, ww, spec), g,
+                                       (x, w), blocks.pconv_backward(x, w, spec, g)))
     return worst
 
 
@@ -267,16 +263,10 @@ def _check_block(rng, cases):
         params = blocks.fasternet_block_init(spec, rng)
         x = _probe(rng, (1, c, 4, 4))
         g = _probe(rng, (1, c, 4, 4))
-        _, cache = blocks.fasternet_block_forward(Tensor(x), params, spec)
-        gx, gp = blocks.fasternet_block_backward(cache, params, spec, Tensor(g))
-
-        def run_with(xx, pp):
-            return float((blocks.fasternet_block_forward(Tensor(xx), pp, spec)[0].data * g).sum())
-
-        worst = max(worst, max_rel_error(gx.data, numerical_grad(lambda v: run_with(v, params), x)))
-        for key, arr in params.items():
-            worst = max(worst, max_rel_error(gp[key], numerical_grad(
-                lambda v, key=key: run_with(x, {**params, key: v}), arr.copy())))
+        _, cache = blocks.fasternet_block_forward(x, params, spec)
+        gx, gp = blocks.fasternet_block_backward(cache, params, spec, g)
+        worst = max(worst, _param_errors(
+            lambda xx, pp: blocks.fasternet_block_forward(xx, pp, spec)[0], g, x, params, gx, gp))
     return worst
 
 
@@ -301,24 +291,10 @@ def _channel_attention_suite(mlp_mode):
                     relu_inputs.append(gap @ w2.T + b2)
                 if not any(_near_kink(z) for z in relu_inputs):
                     break
-            _, _, cache = blocks.channel_attention(Tensor(x), w1, b1, w2, b2, spec)
-            gx, gw1, gb1, gw2, gb2 = blocks.channel_attention_backward(
-                cache, w1, w2, spec, Tensor(g))
-
-            def probe_fc(xx, a1, c1, a2, c2):
-                _, fc, _ = blocks.channel_attention(Tensor(xx), a1, c1, a2, c2, spec)
-                return float((fc.data * g).sum())
-
-            worst = max(worst, max_rel_error(gx.data, numerical_grad(
-                lambda v: probe_fc(v, w1, b1, w2, b2), x)))
-            worst = max(worst, max_rel_error(gw1, numerical_grad(
-                lambda v: probe_fc(x, v, b1, w2, b2), w1)))
-            worst = max(worst, max_rel_error(gb1, numerical_grad(
-                lambda v: probe_fc(x, w1, v, w2, b2), b1)))
-            worst = max(worst, max_rel_error(gw2, numerical_grad(
-                lambda v: probe_fc(x, w1, b1, v, b2), w2)))
-            worst = max(worst, max_rel_error(gb2, numerical_grad(
-                lambda v: probe_fc(x, w1, b1, w2, v), b2)))
+            _, _, cache = blocks.channel_attention(x, w1, b1, w2, b2, spec)
+            worst = max(worst, _arg_errors(
+                lambda *args: blocks.channel_attention(*args, spec)[1], g, (x, w1, b1, w2, b2),
+                blocks.channel_attention_backward(cache, w1, w2, spec, g)))
         return worst
     return suite
 
@@ -338,16 +314,10 @@ def _check_spatial_attention(rng, cases):
         w = _probe(rng, (1, 2, k, k))
         b = _probe(rng, (1,))
         g = _probe(rng, (2, c, 4, 4))
-        _, _, cache = blocks.spatial_attention(Tensor(x), Tensor(w), b, spec)
-        gx, gw, gb = blocks.spatial_attention_backward(cache, Tensor(w), spec, Tensor(g))
-
-        def probe_fs(xx, ww, bb):
-            _, fs, _ = blocks.spatial_attention(Tensor(xx), Tensor(ww), bb, spec)
-            return float((fs.data * g).sum())
-
-        worst = max(worst, max_rel_error(gx.data, numerical_grad(lambda v: probe_fs(v, w, b), x)))
-        worst = max(worst, max_rel_error(gw.data, numerical_grad(lambda v: probe_fs(x, v, b), w)))
-        worst = max(worst, max_rel_error(gb, numerical_grad(lambda v: probe_fs(x, w, v), b)))
+        _, _, cache = blocks.spatial_attention(x, w, b, spec)
+        worst = max(worst, _arg_errors(
+            lambda *args: blocks.spatial_attention(*args, spec)[1], g, (x, w, b),
+            blocks.spatial_attention_backward(cache, w, spec, g)))
     return worst
 
 
@@ -362,17 +332,10 @@ def _cbam_suite(composition):
                 params[key] = _probe(rng, params[key].shape)
             x = _probe(rng, (2, c, 3, 3))
             g = _probe(rng, (2, c, 3, 3))
-            _, cache = blocks.cbam_forward(Tensor(x), params, spec)
-            gx, gp = blocks.cbam_backward(cache, params, spec, Tensor(g))
-
-            def run_with(xx, pp):
-                return float((blocks.cbam_forward(Tensor(xx), pp, spec)[0].data * g).sum())
-
-            worst = max(worst, max_rel_error(gx.data, numerical_grad(
-                lambda v: run_with(v, params), x)))
-            for key, arr in params.items():
-                worst = max(worst, max_rel_error(gp[key], numerical_grad(
-                    lambda v, key=key: run_with(x, {**params, key: v}), arr.copy())))
+            _, cache = blocks.cbam_forward(x, params, spec)
+            gx, gp = blocks.cbam_backward(cache, params, spec, g)
+            worst = max(worst, _param_errors(
+                lambda xx, pp: blocks.cbam_forward(xx, pp, spec)[0], g, x, params, gx, gp))
         return worst
     return suite
 

@@ -5,6 +5,11 @@ runs on one grid), two partial-convolution residual blocks, pyramid max
 pooling, one CBAM attention block, then a pointwise prediction head emitting
 [tx, ty, tw, th, objectness, class logits] per cell.
 
+Inside the network every value is a bare ndarray, as in :mod:`detkit.ops`
+and :mod:`detkit.blocks`; a ``Tensor`` appears only where data crosses the
+model: ``net_forward`` takes the input image batch as one and returns the
+head as one, and ``net_backward`` takes the head gradient as one.
+
 ``ToyNetSpec`` is the one description of sizes and options. The layer
 sequence itself is written out in three places: ``init_params`` (the flat
 ``<layer>.<param>`` store, whose order is the ``.dkw`` manifest order),
@@ -138,34 +143,33 @@ def init_params(spec: ToyNetSpec, rng: np.random.Generator, dtype=np.float64) ->
 
 def net_forward(params: dict[str, np.ndarray], spec: ToyNetSpec, x: Tensor):
     """Run the detector; returns (head tensor (n, 5+K, g, g), cache for backward)."""
-    if x.c != spec.in_channels or x.h != spec.image_size or x.w != spec.image_size:
+    if x.shape[1:] != (spec.in_channels, spec.image_size, spec.image_size):
         raise ConfigError(
             f"input shape {x.shape} does not match ({spec.in_channels}, "
             f"{spec.image_size}, {spec.image_size})"
         )
-    stem_z = conv2d_forward(x, Tensor(params["stem.w"]), params["stem.b"], spec.stem_spec())
+    stem_z = conv2d_forward(x.data, params["stem.w"], params["stem.b"], spec.stem_spec())
     stem_a, stem_act_cache = activation(stem_z, spec.activation)
     b1, b1_cache = fasternet_block_forward(stem_a, params, spec.block_spec(), "block1.")
     b2, b2_cache = fasternet_block_forward(b1, params, spec.block_spec(), "block2.")
     neck, spp_cache = spp(b2, spec.spp_windows)
     att, cbam_cache = cbam_forward(neck, params, spec.cbam_spec(), "cbam.")
-    head = conv2d_forward(att, Tensor(params["head.w"]), params["head.b"], spec.head_spec())
-    cache = (x, stem_act_cache, b1_cache, b2_cache, spp_cache, cbam_cache, att)
-    return head, cache
+    head = conv2d_forward(att, params["head.w"], params["head.b"], spec.head_spec())
+    return Tensor(head), (x.data, stem_act_cache, b1_cache, b2_cache, spp_cache, cbam_cache, att)
 
 
 def net_backward(params: dict[str, np.ndarray], spec: ToyNetSpec, cache, upstream: Tensor):
     """Gradients of <upstream, head> for every parameter, keyed and ordered like params."""
     x, stem_act_cache, b1_cache, b2_cache, spp_cache, cbam_cache, att = cache
-    g_att, g_headw, g_headb = conv2d_backward(att, Tensor(params["head.w"]), spec.head_spec(), upstream)
+    g_att, g_headw, g_headb = conv2d_backward(att, params["head.w"], spec.head_spec(), upstream.data)
     g_neck, g_cbam = cbam_backward(cbam_cache, params, spec.cbam_spec(), g_att, "cbam.")
     g_b2 = spp_backward(spp_cache, g_neck)
     g_b1, g_block2 = fasternet_block_backward(b2_cache, params, spec.block_spec(), g_b2, "block2.")
     g_stem_a, g_block1 = fasternet_block_backward(b1_cache, params, spec.block_spec(), g_b1, "block1.")
     g_stem_z = activation_backward(stem_act_cache, spec.activation, g_stem_a)
-    _, g_stemw, g_stemb = conv2d_backward(x, Tensor(params["stem.w"]), spec.stem_spec(), g_stem_z)
-    return {"stem.w": g_stemw.data, "stem.b": g_stemb, **g_block1, **g_block2, **g_cbam,
-            "head.w": g_headw.data, "head.b": g_headb}
+    _, g_stemw, g_stemb = conv2d_backward(x, params["stem.w"], spec.stem_spec(), g_stem_z)
+    return {"stem.w": g_stemw, "stem.b": g_stemb, **g_block1, **g_block2, **g_cbam,
+            "head.w": g_headw, "head.b": g_headb}
 
 
 def cost_layers(spec: ToyNetSpec) -> list[dict]:

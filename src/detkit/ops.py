@@ -2,6 +2,8 @@
 
 Conventions shared by every operator here:
 
+* feature maps, weights and gradients are bare ndarrays, feature maps in
+  (n, c, h, w) layout;
 * zero padding only, square kernels, identical stride in both axes;
 * conv output size is floor((in - k + 2p) / s) + 1 per spatial axis;
 * a backward pass computes the gradients of the scalar sum
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ConfigError, Tensor
+from .tensor import ConfigError
 
 
 @dataclass(frozen=True)
@@ -73,9 +75,9 @@ class LinearSpec:
 # convolution
 # ---------------------------------------------------------------------------
 
-def _check_conv_args(x: Tensor, w: Tensor, b, spec: ConvSpec) -> None:
-    if x.c != spec.in_channels:
-        raise ConfigError(f"input has {x.c} channels, spec expects {spec.in_channels}")
+def _check_conv_args(x: np.ndarray, w: np.ndarray, b, spec: ConvSpec) -> None:
+    if x.shape[1] != spec.in_channels:
+        raise ConfigError(f"input has {x.shape[1]} channels, spec expects {spec.in_channels}")
     if w.shape != (spec.out_channels, spec.in_channels, spec.kernel, spec.kernel):
         raise ConfigError(
             f"weights shape {w.shape} does not match spec "
@@ -113,7 +115,7 @@ def _columns(xp: np.ndarray, k: int, s: int) -> np.ndarray:
     return cols.reshape(n, c * k * k, h_out * w_out)
 
 
-def conv2d_forward(x: Tensor, w: Tensor, b, spec: ConvSpec) -> Tensor:
+def conv2d_forward(x: np.ndarray, w: np.ndarray, b, spec: ConvSpec) -> np.ndarray:
     """Cross-correlate x with w and add bias.
 
     Each output element is the dot product of the kernel with the
@@ -122,16 +124,16 @@ def conv2d_forward(x: Tensor, w: Tensor, b, spec: ConvSpec) -> Tensor:
     """
     _check_conv_args(x, w, b, spec)
     k, s, p = spec.kernel, spec.stride, spec.padding
-    h_out, w_out = spec.out_size(x.h), spec.out_size(x.w)
-    cols = _columns(_pad(x.data, p), k, s)
-    out = np.matmul(w.data.reshape(spec.out_channels, -1), cols)
-    out = out.reshape(x.n, spec.out_channels, h_out, w_out)
+    h_out, w_out = spec.out_size(x.shape[2]), spec.out_size(x.shape[3])
+    cols = _columns(_pad(x, p), k, s)
+    out = np.matmul(w.reshape(spec.out_channels, -1), cols)
+    out = out.reshape(x.shape[0], spec.out_channels, h_out, w_out)
     if b is not None:
         out += np.asarray(b, dtype=x.dtype)[None, :, None, None]
-    return Tensor(out)
+    return out
 
 
-def conv2d_backward(x: Tensor, w: Tensor, spec: ConvSpec, upstream: Tensor):
+def conv2d_backward(x: np.ndarray, w: np.ndarray, spec: ConvSpec, upstream: np.ndarray):
     """Gradients of <upstream, conv2d_forward(x, w, b)> w.r.t. x, w and b.
 
     The input gradient is the transposed convolution: with non-overlapping
@@ -140,25 +142,26 @@ def conv2d_backward(x: Tensor, w: Tensor, spec: ConvSpec, upstream: Tensor):
     stride-dilated, (k-1)-padded upstream with the flipped kernel."""
     _check_conv_args(x, w, None, spec)
     k, s, p = spec.kernel, spec.stride, spec.padding
-    n, c, o = x.n, spec.in_channels, spec.out_channels
-    h_out, w_out = spec.out_size(x.h), spec.out_size(x.w)
+    n, c, o = x.shape[0], spec.in_channels, spec.out_channels
+    h, w_in = x.shape[2:]
+    h_out, w_out = spec.out_size(h), spec.out_size(w_in)
     if upstream.shape != (n, o, h_out, w_out):
         raise ConfigError(
             f"upstream shape {upstream.shape} does not match forward output "
             f"({n}, {o}, {h_out}, {w_out})"
         )
-    up = upstream.data.reshape(n, o, h_out * w_out)
-    xp = _pad(x.data, p)
+    up = upstream.reshape(n, o, h_out * w_out)
+    xp = _pad(x, p)
     grad_w = np.tensordot(up, _columns(xp, k, s), axes=([0, 2], [0, 2])).reshape(w.shape)
     grad_b = up.sum(axis=(0, 2))
     if k == s:
-        tiles = np.matmul(w.data.reshape(o, -1).T, up).reshape(n, c, k, k, h_out, w_out)
+        tiles = np.matmul(w.reshape(o, -1).T, up).reshape(n, c, k, k, h_out, w_out)
         covered = tiles.transpose(0, 1, 4, 2, 5, 3).reshape(n, c, h_out * k, w_out * k)
     else:
         span_h, span_w = s * (h_out - 1) + 1, s * (w_out - 1) + 1
         dilated = np.zeros((n, o, span_h + 2 * (k - 1), span_w + 2 * (k - 1)), dtype=up.dtype)
-        dilated[:, :, k - 1:k - 1 + span_h:s, k - 1:k - 1 + span_w:s] = upstream.data
-        flipped = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
+        dilated[:, :, k - 1:k - 1 + span_h:s, k - 1:k - 1 + span_w:s] = upstream
+        flipped = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
         covered = np.matmul(flipped, _columns(dilated, k, 1))
         covered = covered.reshape(n, c, span_h + k - 1, span_w + k - 1)
     if covered.shape == xp.shape:
@@ -166,67 +169,60 @@ def conv2d_backward(x: Tensor, w: Tensor, spec: ConvSpec, upstream: Tensor):
     else:  # rows and columns past the last window get no gradient
         grad_xp = np.zeros_like(xp)
         grad_xp[:, :, :covered.shape[2], :covered.shape[3]] = covered
-    grad_x = grad_xp[:, :, p:p + x.h, p:p + x.w]
-    return Tensor(grad_x), Tensor(grad_w), grad_b
+    return grad_xp[:, :, p:p + h, p:p + w_in], grad_w, grad_b
 
 
 # ---------------------------------------------------------------------------
 # pooling and channel statistics
 # ---------------------------------------------------------------------------
 
-def global_pool(x: Tensor, kind: str) -> Tensor:
+def global_pool(x: np.ndarray, kind: str) -> np.ndarray:
     """Per-channel mean or max over all spatial positions, output (n, c, 1, 1)."""
-    if x.h * x.w < 1:
+    if x.shape[2] * x.shape[3] < 1:
         raise ConfigError("global pool needs a non-empty spatial extent")
     if kind == "avg":
-        out = x.data.mean(axis=(2, 3), keepdims=True)
-    elif kind == "max":
-        out = x.data.max(axis=(2, 3), keepdims=True)
-    else:
-        raise ConfigError(f"unknown pool kind {kind!r} (want 'avg' or 'max')")
-    return Tensor(out)
+        return x.mean(axis=(2, 3), keepdims=True)
+    if kind == "max":
+        return x.max(axis=(2, 3), keepdims=True)
+    raise ConfigError(f"unknown pool kind {kind!r} (want 'avg' or 'max')")
 
 
-def global_pool_backward(x: Tensor, kind: str, upstream: Tensor) -> Tensor:
-    if upstream.shape != (x.n, x.c, 1, 1):
+def global_pool_backward(x: np.ndarray, kind: str, upstream: np.ndarray) -> np.ndarray:
+    n, c, h, w = x.shape
+    if upstream.shape != (n, c, 1, 1):
         raise ConfigError("upstream must have shape (n, c, 1, 1)")
-    up = upstream.data
     if kind == "avg":
-        grad = np.broadcast_to(up / (x.h * x.w), x.shape).copy()
-    elif kind == "max":
-        flat = x.data.reshape(x.n, x.c, -1)
-        arg = flat.argmax(axis=2)
+        return np.broadcast_to(upstream / (h * w), x.shape).copy()
+    if kind == "max":
+        flat = x.reshape(n, c, -1)
         gflat = np.zeros_like(flat)
-        np.put_along_axis(gflat, arg[:, :, None], up.reshape(x.n, x.c, 1), axis=2)
-        grad = gflat.reshape(x.shape)
-    else:
-        raise ConfigError(f"unknown pool kind {kind!r}")
-    return Tensor(grad)
+        np.put_along_axis(gflat, flat.argmax(axis=2)[:, :, None], upstream.reshape(n, c, 1), axis=2)
+        return gflat.reshape(x.shape)
+    raise ConfigError(f"unknown pool kind {kind!r}")
 
 
-def spatial_stats(x: Tensor):
+def spatial_stats(x: np.ndarray):
     """Per-position channel statistics: channel 0 is the max over channels,
     channel 1 the mean. Output shape (n, 2, h, w).
 
     Returns (output, cache); the cache records each position's winning channel
     (the first maximum) for :func:`spatial_stats_backward`."""
-    if x.c < 1:
+    if x.shape[1] < 1:
         raise ConfigError("need at least one channel")
-    mx = x.data.max(axis=1, keepdims=True)
-    mean = x.data.mean(axis=1, keepdims=True)
-    return Tensor(np.concatenate([mx, mean], axis=1)), (x, x.data.argmax(axis=1))
+    mx = x.max(axis=1, keepdims=True)
+    mean = x.mean(axis=1, keepdims=True)
+    return np.concatenate([mx, mean], axis=1), (x, x.argmax(axis=1))
 
 
-def spatial_stats_backward(cache, upstream: Tensor) -> Tensor:
+def spatial_stats_backward(cache, upstream: np.ndarray) -> np.ndarray:
     x, arg = cache
-    if upstream.shape != (x.n, 2, x.h, x.w):
+    n, c, h, w = x.shape
+    if upstream.shape != (n, 2, h, w):
         raise ConfigError("upstream must have shape (n, 2, h, w)")
-    up_max = upstream.data[:, 0:1]
-    up_mean = upstream.data[:, 1:2]
-    grad = np.zeros_like(x.data)
-    np.put_along_axis(grad, arg[:, None], up_max, axis=1)
-    grad += up_mean / x.c
-    return Tensor(grad)
+    grad = np.zeros_like(x)
+    np.put_along_axis(grad, arg[:, None], upstream[:, 0:1], axis=1)
+    grad += upstream[:, 1:2] / c
+    return grad
 
 
 def _maxpool_same(x: np.ndarray, window: int):
@@ -268,7 +264,7 @@ def _maxpool_same_backward(arg: np.ndarray, window: int, upstream: np.ndarray) -
     return grad.reshape(upstream.shape).astype(upstream.dtype, copy=False)
 
 
-def spp(x: Tensor, pool_windows):
+def spp(x: np.ndarray, pool_windows):
     """Pyramid pooling: concatenate x with one shape-preserving max pool per
     window size. Output channels = c * (1 + len(pool_windows)).
 
@@ -280,26 +276,25 @@ def spp(x: Tensor, pool_windows):
             raise ConfigError(f"pool window {wsz} must be odd")
         if wsz < 1:
             raise ConfigError("pool window must be >= 1")
-    parts = [x.data]
+    parts = [x]
     winners = []
     for wsz in windows:
-        pooled, arg = _maxpool_same(x.data, wsz)
+        pooled, arg = _maxpool_same(x, wsz)
         parts.append(pooled)
         winners.append(arg)
-    return Tensor(np.concatenate(parts, axis=1)), (x.shape, windows, winners)
+    return np.concatenate(parts, axis=1), (x.shape, windows, winners)
 
 
-def spp_backward(cache, upstream: Tensor) -> Tensor:
+def spp_backward(cache, upstream: np.ndarray) -> np.ndarray:
     shape, windows, winners = cache
     n, c, h, w = shape
     expect_c = c * (1 + len(windows))
     if upstream.shape != (n, expect_c, h, w):
         raise ConfigError(f"upstream must have {expect_c} channels")
-    grad = upstream.data[:, :c].copy()
+    grad = upstream[:, :c].copy()
     for g, (wsz, arg) in enumerate(zip(windows, winners)):
-        chunk = upstream.data[:, (g + 1) * c:(g + 2) * c]
-        grad += _maxpool_same_backward(arg, wsz, chunk)
-    return Tensor(grad)
+        grad += _maxpool_same_backward(arg, wsz, upstream[:, (g + 1) * c:(g + 2) * c])
+    return grad
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +357,7 @@ _ACT_FUNCS = {
 }
 
 
-def activation(x: Tensor, kind: str):
+def activation(x: np.ndarray, kind: str):
     """Elementwise nonlinearity: relu, sigmoid, or mish.
 
     Returns (output, cache); the cache holds what :func:`activation_backward`
@@ -370,16 +365,15 @@ def activation(x: Tensor, kind: str):
     exp(-|x|) and tanh(softplus(x))."""
     if kind not in _ACT_FUNCS:
         raise ConfigError(f"unknown activation {kind!r}")
-    out, cache = _ACT_FUNCS[kind][0](x.data)
-    return Tensor(out), cache
+    return _ACT_FUNCS[kind][0](x)
 
 
-def activation_backward(cache, kind: str, upstream: Tensor) -> Tensor:
+def activation_backward(cache, kind: str, upstream: np.ndarray) -> np.ndarray:
     if kind not in _ACT_FUNCS:
         raise ConfigError(f"unknown activation {kind!r}")
     if upstream.shape != cache[0].shape:
         raise ConfigError("upstream shape must match input")
-    return Tensor(_ACT_FUNCS[kind][1](cache, upstream.data))
+    return _ACT_FUNCS[kind][1](cache, upstream)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
-"""Dense rank-4 tensors in (n, c, h, w) layout.
+"""Dense rank-4 tensors in (n, c, h, w) layout, and the ``.dkt`` file format.
 
-The Tensor type is the value currency of the whole library: feature maps,
-convolution weights, gradients. Data is stored row-major in (n, c, h, w)
-order, 64-bit by default. A global checked mode controls whether every
-construction validates shape and finiteness; verification suites run with
-it on, training may switch it off for speed.
+A Tensor wraps data where it crosses the model or a file: images read,
+generated or letterboxed, the network input, the head that
+``model.net_forward`` returns and the head gradient given to
+``model.net_backward`` (``losses`` and ``postprocess.decode`` consume the
+head), and ``.dkt`` files. Inside the network (``ops``, ``blocks``,
+``model``) and in the parameter store every value is a bare ndarray. Data is
+stored row-major in (n, c, h, w) order, 64-bit by default. A global checked
+mode controls whether each construction validates finiteness, so checked runs
+validate images, the network input, the head and the head gradient; training
+may switch it off for speed.
 """
 
 from __future__ import annotations
@@ -24,6 +29,10 @@ _TENSOR_MAGIC = b"DKT1"
 
 class ConfigError(ValueError):
     """Invalid shapes, dimensions or operator configuration."""
+
+
+class NonFiniteError(ConfigError):
+    """A checked-mode Tensor was given NaN or Inf."""
 
 
 class TensorFormatError(IOError):
@@ -61,7 +70,7 @@ class Tensor:
             raise ConfigError(f"tensor must be rank 4 (n, c, h, w), got shape {arr.shape}")
         arr = np.ascontiguousarray(arr)
         if _checked and arr.size and not np.isfinite(arr).all():
-            raise ConfigError("tensor contains NaN or Inf")
+            raise NonFiniteError("tensor contains NaN or Inf")
         self.data = arr
 
     @classmethod
@@ -98,9 +107,6 @@ class Tensor:
 
     def astype(self, dtype) -> "Tensor":
         return Tensor(self.data.astype(dtype))
-
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype})"

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,11 +21,12 @@ from .dataset import synth_dataset
 from .losses import detection_loss_and_grad
 from .model import ToyNetSpec, backbone_param_names, init_params, net_backward, net_forward
 from .optim import AdamWState, adamw_step, cosine_lr
-from .tensor import ConfigError, Tensor
+from .tensor import ConfigError, NonFiniteError, Tensor
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss became NaN or infinite; carries the epoch and step for diagnosis."""
+    """The head, a gradient or the loss became NaN or infinite; the message
+    names which, with the epoch and batch."""
 
 
 @dataclass(frozen=True)
@@ -86,20 +88,44 @@ class EpochStats:
         }, sort_keys=True)
 
 
+@contextmanager
+def _non_finite(what: str):
+    """Report a checked-mode Tensor's NonFiniteError inside the block as ``what``."""
+    try:
+        yield
+    except NonFiniteError:
+        raise NonFiniteError(what) from None
+
+
+def _require_finite(what: str, arr: np.ndarray) -> None:
+    """The same error for unchecked runs, where Tensors do not validate."""
+    if not np.isfinite(arr).all():
+        raise NonFiniteError(what)
+
+
 def _batch_loss_and_grads(params, cfg: TrainConfig, images, target_lists):
-    """Mean loss over a batch plus parameter gradients (single net backward)."""
+    """Mean loss over a batch plus parameter gradients (single net backward).
+
+    Raises NonFiniteError naming the first non-finite value, whether or not
+    checked mode is on: the head, the head gradient or a parameter gradient."""
     x = Tensor(np.concatenate([im.data for im in images], axis=0))
-    head, cache = net_forward(params, cfg.net, x)
+    with _non_finite("head"):
+        head, cache = net_forward(params, cfg.net, x)
+    _require_finite("head", head.data)
     upstream = np.zeros_like(head.data)
     totals = np.zeros(4)
     bsz = len(images)
-    for i, targets in enumerate(target_lists):
-        single = Tensor(head.data[i:i + 1])
-        br, g = detection_loss_and_grad(single, targets, cfg.loss_variant, float(cfg.net.stride),
-                                        cfg.box_weight, cfg.obj_weight, cfg.cls_weight)
-        upstream[i] = g.data[0] / bsz
-        totals += np.array([br.box_loss, br.objectness_loss, br.class_loss, br.total])
+    with _non_finite("head gradient"):
+        for i, targets in enumerate(target_lists):
+            single = Tensor(head.data[i:i + 1])
+            br, g = detection_loss_and_grad(single, targets, cfg.loss_variant, float(cfg.net.stride),
+                                            cfg.box_weight, cfg.obj_weight, cfg.cls_weight)
+            upstream[i] = g.data[0] / bsz
+            totals += np.array([br.box_loss, br.objectness_loss, br.class_loss, br.total])
+    _require_finite("head gradient", upstream)
     grads = net_backward(params, cfg.net, cache, Tensor(upstream))
+    for name, grad in grads.items():
+        _require_finite(f"{name} gradient", grad)
     return totals / bsz, grads
 
 
@@ -134,6 +160,10 @@ def train_toy(config: TrainConfig):
             targets = [data[i][1] for i in idx]
             try:
                 totals, grads = _batch_loss_and_grads(params, config, images, targets)
+            except NonFiniteError as exc:
+                raise TrainingDiverged(
+                    f"non-finite {exc} at epoch {epoch}, batch {batches}"
+                ) from exc
             except (FloatingPointError, OverflowError) as exc:
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}, batch {batches}: {exc}"

@@ -96,9 +96,9 @@ def test_criterion_3a_conv_matches_naive_oracle():
         x = rng.standard_normal((2, cin, h, h))
         w = rng.standard_normal((cout, cin, k, k))
         b = rng.standard_normal(cout)
-        got = ops.conv2d_forward(Tensor(x), Tensor(w), b, ops.ConvSpec(cin, cout, k, s, p))
+        got = ops.conv2d_forward(x, w, b, ops.ConvSpec(cin, cout, k, s, p))
         want = naive_conv2d(x, w, b, s, p)
-        assert np.max(np.abs(got.data - want)) <= 1e-10
+        assert np.max(np.abs(got - want)) <= 1e-10
         checked += 1
     report("criterion 3a (conv vs sliding-window oracle)",
            f"{checked} configs, elementwise <= 1e-10")
@@ -127,10 +127,10 @@ def test_criterion_3c_shape_law_matches_execution():
         if size + 2 * p < k or (size - k + 2 * p) // s + 1 < 1:
             continue
         out = ops.conv2d_forward(
-            Tensor.zeros((1, 1, size, size)), Tensor.zeros((1, 1, k, k)), None,
+            np.zeros((1, 1, size, size)), np.zeros((1, 1, k, k)), None,
             ops.ConvSpec(1, 1, k, s, p))
-        assert out.h == conv_out_size(size, k, p, s)
-        assert out.w == conv_out_size(size, k, p, s)
+        assert out.shape[2] == conv_out_size(size, k, p, s)
+        assert out.shape[3] == conv_out_size(size, k, p, s)
         checked += 1
     report("criterion 3c (output-size law vs executed shapes)",
            f"{checked} valid random configs agree")

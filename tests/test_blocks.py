@@ -17,7 +17,7 @@ from detkit.blocks import (
     spatial_attention,
 )
 from detkit.ops import ConvSpec
-from detkit.tensor import ConfigError, Tensor
+from detkit.tensor import ConfigError
 
 
 def _zeroed(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -28,35 +28,35 @@ class TestPConv:
     def test_degenerate_full_conv(self):
         rng = np.random.default_rng(1)
         c = 4
-        x = Tensor(rng.standard_normal((2, c, 5, 5)))
-        w = Tensor(rng.standard_normal((c, c, 3, 3)))
+        x = rng.standard_normal((2, c, 5, 5))
+        w = rng.standard_normal((c, c, 3, 3))
         spec = PConvSpec(c, c, 3)
         got = pconv_forward(x, w, spec)
         want = ops.conv2d_forward(x, w, None, ConvSpec(c, c, 3, 1, 1))
-        assert np.array_equal(got.data, want.data)
+        assert np.array_equal(got, want)
 
     def test_pass_through_bit_identical(self):
         rng = np.random.default_rng(2)
         spec = PConvSpec(channels=8, conv_channels=2, kernel=3)
-        x = Tensor(rng.standard_normal((3, 8, 6, 6)))
-        w = Tensor(rng.standard_normal((2, 2, 3, 3)))
+        x = rng.standard_normal((3, 8, 6, 6))
+        w = rng.standard_normal((2, 2, 3, 3))
         out = pconv_forward(x, w, spec)
-        assert out.data[:, 2:].tobytes() == x.data[:, 2:].tobytes()
+        assert out[:, 2:].tobytes() == x[:, 2:].tobytes()
 
     def test_front_channels_match_conv_oracle(self):
         rng = np.random.default_rng(3)
         spec = PConvSpec(channels=8, conv_channels=2, kernel=3)
-        x = Tensor(rng.standard_normal((1, 8, 5, 5)))
-        w = Tensor(rng.standard_normal((2, 2, 3, 3)))
+        x = rng.standard_normal((1, 8, 5, 5))
+        w = rng.standard_normal((2, 2, 3, 3))
         out = pconv_forward(x, w, spec)
-        sub = Tensor(x.data[:, :2])
+        sub = x[:, :2]
         want = ops.conv2d_forward(sub, w, None, ConvSpec(2, 2, 3, 1, 1))
-        assert np.allclose(out.data[:, :2], want.data, atol=1e-12)
+        assert np.allclose(out[:, :2], want, atol=1e-12)
 
     def test_spatial_shape_preserved(self):
         spec = PConvSpec(4, 2, 5)
-        x = Tensor.zeros((1, 4, 7, 9))
-        out = pconv_forward(x, Tensor.zeros((2, 2, 5, 5)), spec)
+        x = np.zeros((1, 4, 7, 9))
+        out = pconv_forward(x, np.zeros((2, 2, 5, 5)), spec)
         assert out.shape == x.shape
 
     def test_conv_channels_bound(self):
@@ -75,28 +75,28 @@ class TestFasterNetBlock:
     def test_zero_params_is_identity(self):
         spec = self._spec()
         params = _zeroed(fasternet_block_init(spec, np.random.default_rng(0)))
-        x = Tensor(np.random.default_rng(4).standard_normal((2, 6, 4, 4)))
+        x = np.random.default_rng(4).standard_normal((2, 6, 4, 4))
         out, _ = fasternet_block_forward(x, params, spec)
-        assert np.array_equal(out.data, x.data)
+        assert np.array_equal(out, x)
 
     def test_shape_preserved(self):
         spec = self._spec()
         params = fasternet_block_init(spec, np.random.default_rng(0))
-        x = Tensor(np.random.default_rng(5).standard_normal((2, 6, 5, 7)))
+        x = np.random.default_rng(5).standard_normal((2, 6, 5, 7))
         assert fasternet_block_forward(x, params, spec)[0].shape == x.shape
 
     def test_matches_chained_verified_ops(self):
         spec = self._spec()
         rng = np.random.default_rng(6)
         params = fasternet_block_init(spec, rng)
-        x = Tensor(rng.standard_normal((1, 6, 4, 4)))
-        pc = pconv_forward(x, Tensor(params["pconv.w"]), spec.pconv)
-        z1 = ops.conv2d_forward(pc, Tensor(params["pw1.w"]), params["pw1.b"], spec.pw1_spec())
+        x = rng.standard_normal((1, 6, 4, 4))
+        pc = pconv_forward(x, params["pconv.w"], spec.pconv)
+        z1 = ops.conv2d_forward(pc, params["pw1.w"], params["pw1.b"], spec.pw1_spec())
         a1, _ = ops.activation(z1, "mish")
-        z2 = ops.conv2d_forward(a1, Tensor(params["pw2.w"]), params["pw2.b"], spec.pw2_spec())
-        want = x.data + z2.data
+        z2 = ops.conv2d_forward(a1, params["pw2.w"], params["pw2.b"], spec.pw2_spec())
+        want = x + z2
         got, _ = fasternet_block_forward(x, params, spec)
-        assert np.allclose(got.data, want, atol=1e-12)
+        assert np.allclose(got, want, atol=1e-12)
 
 
 def _zero_cbam(spec: CBAMSpec) -> dict[str, np.ndarray]:
@@ -111,18 +111,18 @@ class TestChannelAttention:
     def test_zero_params_give_half_gate(self):
         spec = CBAMSpec(channels=6, reduction=2)
         p = _zero_cbam(spec)
-        x = Tensor(np.random.default_rng(7).standard_normal((2, 6, 3, 3)))
+        x = np.random.default_rng(7).standard_normal((2, 6, 3, 3))
         m_c, f_c, _ = channel_attention(x, *_channel_weights(p), spec)
-        assert np.allclose(m_c.data, 0.5)
-        assert np.allclose(f_c.data, 0.5 * x.data)
+        assert np.allclose(m_c, 0.5)
+        assert np.allclose(f_c, 0.5 * x)
 
     def test_gate_strictly_inside_unit_interval(self):
         spec = CBAMSpec(channels=5, reduction=2)
         rng = np.random.default_rng(8)
         p = cbam_init(spec, rng)
-        x = Tensor(rng.standard_normal((3, 5, 4, 4)) * 5)
+        x = rng.standard_normal((3, 5, 4, 4)) * 5
         m_c, _, _ = channel_attention(x, *_channel_weights(p), spec)
-        assert np.all(m_c.data > 0.0) and np.all(m_c.data < 1.0)
+        assert np.all(m_c > 0.0) and np.all(m_c < 1.0)
 
     def test_gate_depends_only_on_channel_means(self):
         """Two inputs with equal per-channel means produce identical gates."""
@@ -135,30 +135,30 @@ class TestChannelAttention:
             shuffled, rng.permutation(16)[None, None, :].repeat(4, axis=1), axis=2
         ).reshape(1, 4, 4, 4)
         assert not np.array_equal(shuffled, x)
-        m1, _, _ = channel_attention(Tensor(x), *_channel_weights(p), spec)
-        m2, _, _ = channel_attention(Tensor(shuffled), *_channel_weights(p), spec)
-        assert np.allclose(m1.data, m2.data, atol=1e-12)
+        m1, _, _ = channel_attention(x, *_channel_weights(p), spec)
+        m2, _, _ = channel_attention(shuffled, *_channel_weights(p), spec)
+        assert np.allclose(m1, m2, atol=1e-12)
 
     def test_literal_mode_square_weights(self):
         spec = CBAMSpec(channels=4, reduction=2, channel_mlp="literal")
         rng = np.random.default_rng(10)
         p = cbam_init(spec, rng)
         assert p["fc1.w"].shape == (4, 4) and p["fc2.w"].shape == (4, 4)
-        x = Tensor(rng.standard_normal((1, 4, 3, 3)))
+        x = rng.standard_normal((1, 4, 3, 3))
         m_c, f_c, _ = channel_attention(x, *_channel_weights(p), spec)
         # reference evaluation of the square-weight double-application form
-        gap = x.data.mean(axis=(2, 3))
+        gap = x.mean(axis=(2, 3))
         w1, b1, w2, b2 = _channel_weights(p)
         v1 = np.maximum(gap @ w1.T + b1, 0.0)
         v2 = np.maximum(gap @ w2.T + b2, 0.0)
         z = v1 @ w1.T + b1 + v2 @ w2.T + b2
         want = 1.0 / (1.0 + np.exp(-z))
-        assert np.allclose(m_c.data[:, :, 0, 0], want, atol=1e-12)
+        assert np.allclose(m_c[:, :, 0, 0], want, atol=1e-12)
 
     def test_dim_mismatch_rejected(self):
         spec = CBAMSpec(channels=4, reduction=2)
         with pytest.raises(ConfigError):
-            channel_attention(Tensor.zeros((1, 4, 2, 2)),
+            channel_attention(np.zeros((1, 4, 2, 2)),
                               np.zeros((3, 4)), np.zeros(3),
                               np.zeros((4, 2)), np.zeros(4), spec)
 
@@ -166,31 +166,31 @@ class TestChannelAttention:
 class TestSpatialAttention:
     def test_zero_conv_gives_half_gate(self):
         spec = CBAMSpec(channels=3)
-        x = Tensor(np.random.default_rng(11).standard_normal((2, 3, 4, 4)))
-        m_s, f_s, _ = spatial_attention(x, Tensor.zeros((1, 2, 1, 1)), np.zeros(1), spec)
-        assert np.allclose(m_s.data, 0.5)
-        assert np.allclose(f_s.data, 0.5 * x.data)
+        x = np.random.default_rng(11).standard_normal((2, 3, 4, 4))
+        m_s, f_s, _ = spatial_attention(x, np.zeros((1, 2, 1, 1)), np.zeros(1), spec)
+        assert np.allclose(m_s, 0.5)
+        assert np.allclose(f_s, 0.5 * x)
 
     def test_matches_composed_ops(self):
         spec = CBAMSpec(channels=3, spatial_kernel=3)
         rng = np.random.default_rng(12)
-        w = Tensor(rng.standard_normal((1, 2, 3, 3)))
+        w = rng.standard_normal((1, 2, 3, 3))
         b = rng.standard_normal(1)
-        x = Tensor(rng.standard_normal((1, 3, 5, 5)))
+        x = rng.standard_normal((1, 3, 5, 5))
         m_s, f_s, _ = spatial_attention(x, w, b, spec)
         stats, _ = ops.spatial_stats(x)
         z = ops.conv2d_forward(stats, w, b, ConvSpec(2, 1, 3, 1, 1))
-        want_gate = 1.0 / (1.0 + np.exp(-z.data))
-        assert np.allclose(m_s.data, want_gate, atol=1e-12)
-        assert np.allclose(f_s.data, want_gate * x.data, atol=1e-12)
+        want_gate = 1.0 / (1.0 + np.exp(-z))
+        assert np.allclose(m_s, want_gate, atol=1e-12)
+        assert np.allclose(f_s, want_gate * x, atol=1e-12)
 
     def test_gate_range(self):
         spec = CBAMSpec(channels=4, spatial_kernel=1)
         rng = np.random.default_rng(13)
-        x = Tensor(rng.standard_normal((2, 4, 3, 3)) * 4)
-        w = Tensor(rng.standard_normal((1, 2, 1, 1)))
+        x = rng.standard_normal((2, 4, 3, 3)) * 4
+        w = rng.standard_normal((1, 2, 1, 1))
         m_s, _, _ = spatial_attention(x, w, rng.standard_normal(1), spec)
-        assert np.all(m_s.data > 0.0) and np.all(m_s.data < 1.0)
+        assert np.all(m_s > 0.0) and np.all(m_s < 1.0)
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ConfigError):
@@ -200,30 +200,30 @@ class TestSpatialAttention:
 class TestCBAM:
     def test_zero_params_sequential_quarters_input(self):
         spec = CBAMSpec(channels=4, composition="sequential")
-        x = Tensor(np.random.default_rng(14).standard_normal((1, 4, 3, 3)))
+        x = np.random.default_rng(14).standard_normal((1, 4, 3, 3))
         out, _ = cbam_forward(x, _zero_cbam(spec), spec)
-        assert np.allclose(out.data, 0.25 * x.data)
+        assert np.allclose(out, 0.25 * x)
 
     def test_zero_params_literal_squares_input(self):
         spec = CBAMSpec(channels=4, composition="literal")
-        x = Tensor(np.random.default_rng(15).standard_normal((1, 4, 3, 3)))
+        x = np.random.default_rng(15).standard_normal((1, 4, 3, 3))
         out, _ = cbam_forward(x, _zero_cbam(spec), spec)
-        assert np.allclose(out.data, 0.25 * x.data * x.data)
+        assert np.allclose(out, 0.25 * x * x)
 
     def test_sequential_equals_manual_chain(self):
         spec = CBAMSpec(channels=5, reduction=2, composition="sequential")
         rng = np.random.default_rng(16)
         p = cbam_init(spec, rng)
-        x = Tensor(rng.standard_normal((2, 5, 4, 4)))
+        x = rng.standard_normal((2, 5, 4, 4))
         _, f_c, _ = channel_attention(x, *_channel_weights(p), spec)
-        _, want, _ = spatial_attention(f_c, Tensor(p["spatial.w"]), p["spatial.b"], spec)
+        _, want, _ = spatial_attention(f_c, p["spatial.w"], p["spatial.b"], spec)
         got, _ = cbam_forward(x, p, spec)
-        assert np.allclose(got.data, want.data, atol=1e-12)
+        assert np.allclose(got, want, atol=1e-12)
 
     @pytest.mark.parametrize("composition", ["sequential", "literal"])
     def test_shape_preserved(self, composition):
         spec = CBAMSpec(channels=6, composition=composition)
         rng = np.random.default_rng(17)
         p = cbam_init(spec, rng)
-        x = Tensor(rng.standard_normal((2, 6, 3, 5)))
+        x = rng.standard_normal((2, 6, 3, 5))
         assert cbam_forward(x, p, spec)[0].shape == x.shape

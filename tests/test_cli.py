@@ -1,5 +1,6 @@
 """End-to-end command-line behavior in temp dirs: artifacts and exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from detkit import cli
+from detkit import cli, tensor
 from detkit.dataset import synth_dataset
 from detkit.imageio import read_image, write_image
 from detkit.postprocess import detections_from_json
@@ -34,7 +35,19 @@ def small_config(tmp_path):
     return path
 
 
+# SHA-256 of the stdout of `detkit gradcheck --cases 3 --seed 7`: every suite's
+# name, case count and max_rel_err repr. It pins the gate's inputs and numerics:
+# each suite's random draws, its probes and the operators' floating-point
+# expressions. Measured with NumPy 2.4 on x86-64 OpenBLAS.
+GRADCHECK_STDOUT_DIGEST = "e8ee8a5f31ad9ae61099a44c6d1137d02412b126fa58e0d86df8a7d95c37da9d"
+
+
 class TestGradcheckCommand:
+    def test_stdout_digest_is_pinned(self, capsys):
+        assert cli.main(["gradcheck", "--cases", "3", "--seed", "7"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == GRADCHECK_STDOUT_DIGEST, out
+
     def test_filtered_run_passes(self, capsys):
         code = cli.main(["gradcheck", "--filter", "fully_connected", "--cases", "5"])
         out = capsys.readouterr().out
@@ -250,6 +263,22 @@ class TestTrainEvalDetect:
                            env=env, check=True, capture_output=True)
         for name in ("weights.dkw", "stats.jsonl"):
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
+    @pytest.mark.parametrize("checked", ["true", "false"])
+    def test_divergence_exit_names_the_head(self, tmp_path, capsys, checked):
+        """An exploding learning rate makes the head non-finite in epoch 0;
+        checked and unchecked runs alike exit 10 and say where."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epochs = 3\nlr_max = 1e300\nlr_min = 1e300\nfreeze_fraction = 0.0\n"
+                       f"dataset_count = 10\nimage_size = 32\nchecked = {checked}\n",
+                       encoding="utf-8")
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                code = cli.main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+        finally:
+            tensor.set_checked(True)
+        assert code == cli.EXIT_DIVERGED
+        assert "error: non-finite head at epoch 0, batch 1" in capsys.readouterr().err
 
     def test_unknown_config_key_parse_exit(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

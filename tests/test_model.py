@@ -114,6 +114,28 @@ class TestBackward:
             assert np.array_equal(got[k], want[k]), k
 
 
+class TestTensorBoundary:
+    def test_forward_and_backward_build_only_the_head_tensor(self, monkeypatch):
+        """Inside the network every value is a bare ndarray: one net_forward
+        plus one net_backward construct exactly one Tensor, the head."""
+        spec = tiny_spec()
+        rng = np.random.default_rng(8)
+        params = init_params(spec, rng)
+        x = Tensor(rng.uniform(0, 1, (2, 1, 16, 16)))
+        upstream = Tensor(rng.standard_normal((2, 5 + 2, 2, 2)))
+        built = []
+        original = Tensor.__init__
+
+        def counting_init(obj, *args, **kwargs):
+            built.append(obj)
+            original(obj, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counting_init)
+        head, cache = net_forward(params, spec, x)
+        net_backward(params, spec, cache, upstream)
+        assert len(built) == 1 and built[0] is head
+
+
 class TestLayerCallOrder:
     """perfbench's tracer labels the model.<layer> spans by the order in which
     net_forward and net_backward call these ops through detkit.model's own

@@ -20,7 +20,7 @@ from oracles import (
 
 from detkit import ops
 from detkit.ops import ConvSpec
-from detkit.tensor import ConfigError, Tensor
+from detkit.tensor import ConfigError
 
 
 class TestConvForward:
@@ -33,17 +33,17 @@ class TestConvForward:
         x = rng.standard_normal((1, 1, 4, 4))
         w = np.zeros((1, 1, 3, 3))
         w[0, 0, 1, 1] = 1.0
-        out = ops.conv2d_forward(Tensor(x), Tensor(w), np.zeros(1), ConvSpec(1, 1, 3, 1, 1))
-        assert np.allclose(out.data, x)
+        out = ops.conv2d_forward(x, w, np.zeros(1), ConvSpec(1, 1, 3, 1, 1))
+        assert np.allclose(out, x)
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal((2, 3, 8, 8))
         w = rng.standard_normal((4, 3, 3, 3))
         b = rng.standard_normal(4)
-        got = ops.conv2d_forward(Tensor(x), Tensor(w), b, ConvSpec(3, 4, 3, 2, 1))
+        got = ops.conv2d_forward(x, w, b, ConvSpec(3, 4, 3, 2, 1))
         want = naive_conv2d(x, w, b, stride=2, padding=1)
-        assert np.max(np.abs(got.data - want)) <= 1e-10
+        assert np.max(np.abs(got - want)) <= 1e-10
 
     def test_matches_naive_oracle_many_configs(self):
         rng = np.random.default_rng(42)
@@ -58,51 +58,51 @@ class TestConvForward:
             x = rng.standard_normal((2, cin, h, h))
             w = rng.standard_normal((cout, cin, k, k))
             b = rng.standard_normal(cout)
-            got = ops.conv2d_forward(Tensor(x), Tensor(w), b, ConvSpec(cin, cout, k, s, p))
+            got = ops.conv2d_forward(x, w, b, ConvSpec(cin, cout, k, s, p))
             want = naive_conv2d(x, w, b, s, p)
-            assert np.max(np.abs(got.data - want)) <= 1e-10
+            assert np.max(np.abs(got - want)) <= 1e-10
 
     def test_linearity_in_input(self):
         rng = np.random.default_rng(5)
         spec = ConvSpec(2, 3, 3, 1, 1)
-        w = Tensor(rng.standard_normal((3, 2, 3, 3)))
+        w = rng.standard_normal((3, 2, 3, 3))
         x = rng.standard_normal((1, 2, 5, 5))
         y = rng.standard_normal((1, 2, 5, 5))
         a, b = 0.37, -1.9
-        lhs = ops.conv2d_forward(Tensor(a * x + b * y), w, None, spec).data
-        rhs = (a * ops.conv2d_forward(Tensor(x), w, None, spec).data
-               + b * ops.conv2d_forward(Tensor(y), w, None, spec).data)
+        lhs = ops.conv2d_forward(a * x + b * y, w, None, spec)
+        rhs = (a * ops.conv2d_forward(x, w, None, spec)
+               + b * ops.conv2d_forward(y, w, None, spec))
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     def test_shape_mismatch_rejected(self):
-        x = Tensor.zeros((1, 2, 4, 4))
-        w = Tensor.zeros((1, 3, 3, 3))
+        x = np.zeros((1, 2, 4, 4))
+        w = np.zeros((1, 3, 3, 3))
         with pytest.raises(ConfigError):
             ops.conv2d_forward(x, w, None, ConvSpec(3, 1, 3, 1, 1))
 
     def test_too_small_input_rejected(self):
         spec = ConvSpec(1, 1, kernel=5, stride=1, padding=0)
         with pytest.raises(ConfigError):
-            ops.conv2d_forward(Tensor.zeros((1, 1, 3, 3)), Tensor.zeros((1, 1, 5, 5)), None, spec)
+            ops.conv2d_forward(np.zeros((1, 1, 3, 3)), np.zeros((1, 1, 5, 5)), None, spec)
 
 
 class TestConvBackward:
     def test_zero_upstream_gives_zero_grads(self):
         rng = np.random.default_rng(0)
-        x = Tensor(rng.standard_normal((1, 2, 5, 5)))
-        w = Tensor(rng.standard_normal((3, 2, 3, 3)))
+        x = rng.standard_normal((1, 2, 5, 5))
+        w = rng.standard_normal((3, 2, 3, 3))
         spec = ConvSpec(2, 3, 3, 1, 1)
-        gx, gw, gb = ops.conv2d_backward(x, w, spec, Tensor.zeros((1, 3, 5, 5)))
-        assert not gx.data.any() and not gw.data.any() and not gb.any()
+        gx, gw, gb = ops.conv2d_backward(x, w, spec, np.zeros((1, 3, 5, 5)))
+        assert not gx.any() and not gw.any() and not gb.any()
 
     def test_scalar_chain_rule(self):
         # 1x1 input and kernel: d<g, w*x>/dw = g*x, /dx = g*w
-        x = Tensor(np.full((1, 1, 1, 1), 3.0))
-        w = Tensor(np.full((1, 1, 1, 1), -2.0))
-        g = Tensor(np.full((1, 1, 1, 1), 5.0))
+        x = np.full((1, 1, 1, 1), 3.0)
+        w = np.full((1, 1, 1, 1), -2.0)
+        g = np.full((1, 1, 1, 1), 5.0)
         gx, gw, gb = ops.conv2d_backward(x, w, ConvSpec(1, 1, 1), g)
-        assert gw.data.item() == pytest.approx(15.0)
-        assert gx.data.item() == pytest.approx(-10.0)
+        assert gw.item() == pytest.approx(15.0)
+        assert gx.item() == pytest.approx(-10.0)
         assert gb.item() == pytest.approx(5.0)
 
 
@@ -129,12 +129,12 @@ class TestConvMatchesPerTapOracle:
         w = rng.standard_normal((3, 2, k, k))
         b = rng.standard_normal(3)
         want = per_tap_conv2d(x, w, b, s, p)
-        got = ops.conv2d_forward(Tensor(x), Tensor(w), b, spec).data
+        got = ops.conv2d_forward(x, w, b, spec)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12
         up = rng.standard_normal(want.shape)
-        gx, gw, gb = ops.conv2d_backward(Tensor(x), Tensor(w), spec, Tensor(up))
-        for got_g, want_g in zip((gx.data, gw.data, gb),
+        gx, gw, gb = ops.conv2d_backward(x, w, spec, up)
+        for got_g, want_g in zip((gx, gw, gb),
                                  per_tap_conv2d_backward(x, w, s, p, up)):
             assert got_g.shape == want_g.shape
             assert np.max(np.abs(got_g - want_g)) <= 1e-12
@@ -158,32 +158,32 @@ class TestSeparableMaxPool:
     def test_spp_backward_routes_through_cached_winners(self):
         rng = np.random.default_rng(21)
         x = rng.integers(0, 4, size=(2, 2, 6, 5)).astype(np.float64)
-        out, cache = ops.spp(Tensor(x), [3, 5])
+        out, cache = ops.spp(x, [3, 5])
         up = rng.integers(-3, 4, size=out.shape).astype(np.float64)
         want = up[:, 0:2].copy()
         want += scan_maxpool_same_backward(x, 3, up[:, 2:4])
         want += scan_maxpool_same_backward(x, 5, up[:, 4:6])
-        assert np.array_equal(ops.spp_backward(cache, Tensor(up)).data, want)
+        assert np.array_equal(ops.spp_backward(cache, up), want)
 
 
 class TestPooling:
     def test_constant_map(self):
-        t = Tensor.full((1, 2, 3, 3), 0.7)
+        t = np.full((1, 2, 3, 3), 0.7)
         for kind in ("avg", "max"):
             out = ops.global_pool(t, kind)
             assert out.shape == (1, 2, 1, 1)
-            assert np.allclose(out.data, 0.7)
+            assert np.allclose(out, 0.7)
 
     def test_small_map_values(self):
-        t = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
-        assert ops.global_pool(t, "avg").data.item() == pytest.approx(2.5)
-        assert ops.global_pool(t, "max").data.item() == pytest.approx(4.0)
+        t = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
+        assert ops.global_pool(t, "avg").item() == pytest.approx(2.5)
+        assert ops.global_pool(t, "max").item() == pytest.approx(4.0)
 
     def test_matches_scan_oracle(self):
         rng = np.random.default_rng(9)
         x = rng.standard_normal((2, 3, 4, 5))
-        got_avg = ops.global_pool(Tensor(x), "avg").data
-        got_max = ops.global_pool(Tensor(x), "max").data
+        got_avg = ops.global_pool(x, "avg")
+        got_max = ops.global_pool(x, "max")
         for n in range(2):
             for c in range(3):
                 vals = [x[n, c, i, j] for i in range(4) for j in range(5)]
@@ -192,28 +192,28 @@ class TestPooling:
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
-            ops.global_pool(Tensor.zeros((1, 1, 2, 2)), "median")
+            ops.global_pool(np.zeros((1, 1, 2, 2)), "median")
 
 
 class TestSpatialStats:
     def test_single_channel_duplicates(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((1, 1, 3, 3))
-        out, _ = ops.spatial_stats(Tensor(x))
-        assert np.allclose(out.data[:, 0], x[:, 0])
-        assert np.allclose(out.data[:, 1], x[:, 0])
+        out, _ = ops.spatial_stats(x)
+        assert np.allclose(out[:, 0], x[:, 0])
+        assert np.allclose(out[:, 1], x[:, 0])
 
     def test_two_constant_channels(self):
         x = np.zeros((1, 2, 2, 2))
         x[0, 1] = 10.0
-        out, _ = ops.spatial_stats(Tensor(x))
-        assert np.allclose(out.data[0, 0], 10.0)
-        assert np.allclose(out.data[0, 1], 5.0)
+        out, _ = ops.spatial_stats(x)
+        assert np.allclose(out[0, 0], 10.0)
+        assert np.allclose(out[0, 1], 5.0)
 
     def test_matches_per_pixel_scan(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal((2, 5, 3, 4))
-        out = ops.spatial_stats(Tensor(x))[0].data
+        out = ops.spatial_stats(x)[0]
         for n in range(2):
             for i in range(3):
                 for j in range(4):
@@ -229,40 +229,40 @@ class TestSpatialStats:
         for c in (1, 2, 5):
             x = rng.integers(0, 3, size=(2, c, 4, 5)).astype(np.float64)
             up = rng.standard_normal((2, 2, 4, 5))
-            _, cache = ops.spatial_stats(Tensor(x))
-            got = ops.spatial_stats_backward(cache, Tensor(up)).data
+            _, cache = ops.spatial_stats(x)
+            got = ops.spatial_stats_backward(cache, up)
             assert np.array_equal(got, scan_spatial_stats_backward(x, up))
 
 
 class TestActivations:
     def test_relu_values(self):
-        out, _ = ops.activation(Tensor(np.array([[[[-1.0, 2.0]]]])), "relu")
-        assert out.data.tolist() == [[[[0.0, 2.0]]]]
+        out, _ = ops.activation(np.array([[[[-1.0, 2.0]]]]), "relu")
+        assert out.tolist() == [[[[0.0, 2.0]]]]
 
     def test_sigmoid_at_zero(self):
-        out, _ = ops.activation(Tensor.zeros((1, 1, 1, 1)), "sigmoid")
-        assert out.data.item() == pytest.approx(0.5)
+        out, _ = ops.activation(np.zeros((1, 1, 1, 1)), "sigmoid")
+        assert out.item() == pytest.approx(0.5)
 
     def test_mish_values(self):
         # x tanh(log(1 + e^x)): exactly 0 at 0; at 20 the softplus saturates
         # to ~20 + 2e-9 and tanh to 1 - 4e-18, so the value is 20 within 1e-6
-        x = Tensor(np.array([[[[0.0, 20.0]]]]))
+        x = np.array([[[[0.0, 20.0]]]])
         out, _ = ops.activation(x, "mish")
-        assert out.data[0, 0, 0, 0] == 0.0
-        assert abs(out.data[0, 0, 0, 1] - 20.0) < 1e-6
+        assert out[0, 0, 0, 0] == 0.0
+        assert abs(out[0, 0, 0, 1] - 20.0) < 1e-6
 
     def test_relu_idempotent(self):
         rng = np.random.default_rng(4)
-        x = Tensor(rng.standard_normal((2, 2, 3, 3)))
+        x = rng.standard_normal((2, 2, 3, 3))
         once, _ = ops.activation(x, "relu")
         twice, _ = ops.activation(once, "relu")
-        assert np.array_equal(once.data, twice.data)
+        assert np.array_equal(once, twice)
 
     # beyond |x| ~ 36.7 float64 rounds sigmoid to exactly 0.0 / 1.0, so the
     # strict mathematical bound is only testable inside that range
     @given(st.floats(min_value=-36, max_value=36, allow_nan=False))
     def test_sigmoid_strictly_inside_unit_interval(self, v):
-        out = ops.activation(Tensor(np.full((1, 1, 1, 1), v)), "sigmoid")[0].data.item()
+        out = ops.activation(np.full((1, 1, 1, 1), v), "sigmoid")[0].item()
         assert 0.0 < out < 1.0
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -277,12 +277,12 @@ class TestActivations:
         x = values.reshape(2, 5, 4, 5)
         up = rng.standard_normal(x.shape).astype(dtype)
         fwd, grad = ACTIVATIONS[kind]
-        out, cache = ops.activation(Tensor(x), kind)
+        out, cache = ops.activation(x, kind)
         assert out.dtype == dtype
-        assert np.array_equal(out.data, fwd(x))
-        got = ops.activation_backward(cache, kind, Tensor(up))
+        assert np.array_equal(out, fwd(x))
+        got = ops.activation_backward(cache, kind, up)
         assert got.dtype == dtype
-        assert np.array_equal(got.data, grad(x) * up)
+        assert np.array_equal(got, grad(x) * up)
 
     def test_sigmoid_matches_masked_oracle_bitwise(self):
         rng = np.random.default_rng(32)
@@ -291,9 +291,9 @@ class TestActivations:
             assert np.array_equal(ops.sigmoid(x), ACTIVATIONS["sigmoid"][0](x))
 
     def test_backward_rejects_mismatched_upstream(self):
-        _, cache = ops.activation(Tensor.zeros((1, 2, 3, 3)), "mish")
+        _, cache = ops.activation(np.zeros((1, 2, 3, 3)), "mish")
         with pytest.raises(ConfigError):
-            ops.activation_backward(cache, "mish", Tensor.zeros((1, 2, 3, 4)))
+            ops.activation_backward(cache, "mish", np.zeros((1, 2, 3, 4)))
 
 
 class TestFullyConnected:
@@ -325,26 +325,26 @@ class TestSpp:
     def test_empty_windows_is_identity(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((1, 3, 4, 4))
-        out, _ = ops.spp(Tensor(x), [])
-        assert np.array_equal(out.data, x)
+        out, _ = ops.spp(x, [])
+        assert np.array_equal(out, x)
 
     def test_constant_input(self):
-        x = Tensor.full((1, 2, 4, 4), 1.5)
+        x = np.full((1, 2, 4, 4), 1.5)
         out, _ = ops.spp(x, [3])
         assert out.shape == (1, 4, 4, 4)
-        assert np.allclose(out.data, 1.5)
+        assert np.allclose(out, 1.5)
 
     def test_matches_sliding_max_oracle(self):
         rng = np.random.default_rng(13)
         x = rng.standard_normal((2, 2, 6, 7))
-        out = ops.spp(Tensor(x), [3, 5])[0].data
+        out = ops.spp(x, [3, 5])[0]
         assert np.array_equal(out[:, 0:2], x)
         assert np.allclose(out[:, 2:4], naive_sliding_max(x, 3))
         assert np.allclose(out[:, 4:6], naive_sliding_max(x, 5))
 
     def test_even_window_rejected(self):
         with pytest.raises(ConfigError):
-            ops.spp(Tensor.zeros((1, 1, 4, 4)), [4])
+            ops.spp(np.zeros((1, 1, 4, 4)), [4])
 
 
 @settings(max_examples=60, deadline=None)
@@ -360,7 +360,7 @@ def test_conv_shape_law_matches_execution(in_size, k, p, s):
     predicted = (in_size - k + 2 * p) // s + 1
     if predicted < 1 or in_size + 2 * p < k:
         return
-    x = Tensor.zeros((1, 1, in_size, in_size))
-    w = Tensor.zeros((1, 1, k, k))
+    x = np.zeros((1, 1, in_size, in_size))
+    w = np.zeros((1, 1, k, k))
     out = ops.conv2d_forward(x, w, None, ConvSpec(1, 1, k, s, p))
-    assert out.h == predicted and out.w == predicted
+    assert out.shape[2] == predicted and out.shape[3] == predicted

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from detkit.model import ToyNetSpec, backbone_param_names, init_params
-from detkit.tensor import ConfigError
+from detkit import tensor, train
+from detkit.losses import detection_loss_and_grad
+from detkit.model import ToyNetSpec, backbone_param_names, init_params, net_backward
+from detkit.tensor import ConfigError, Tensor
 from detkit.train import TrainConfig, TrainingDiverged, train_toy
 
 
@@ -94,6 +96,38 @@ class TestDivergence:
         cfg = small_config(epochs=30, lr_max=1e6, lr_min=1e6, freeze_fraction=0.0)
         with pytest.raises(TrainingDiverged):
             train_toy(cfg)
+
+    def test_first_non_finite_parameter_gradient_is_named(self, monkeypatch):
+        """With a finite head and head gradient, the message names the first
+        parameter gradient, in manifest order, that is not finite."""
+        def poisoned(*args, **kwargs):
+            grads = net_backward(*args, **kwargs)
+            grads["block2.pw1.b"][0] = np.inf
+            grads["cbam.fc1.w"][0, 0] = np.nan
+            return grads
+
+        monkeypatch.setattr(train, "net_backward", poisoned)
+        with pytest.raises(TrainingDiverged,
+                           match=r"non-finite block2\.pw1\.b gradient at epoch 0, batch 0$"):
+            train_toy(small_config(epochs=1))
+
+    @pytest.mark.parametrize("checked", [True, False])
+    def test_non_finite_head_gradient_is_named(self, monkeypatch, checked):
+        """A non-finite loss gradient is named before the backward runs,
+        whether its Tensor rejects it (checked) or the trainer does."""
+        def poisoned(*args, **kwargs):
+            br, grad = detection_loss_and_grad(*args, **kwargs)
+            bad = grad.data.copy()
+            bad[0, 4, 0, 0] = np.nan
+            return br, Tensor(bad)
+
+        monkeypatch.setattr(train, "detection_loss_and_grad", poisoned)
+        tensor.set_checked(checked)
+        try:
+            with pytest.raises(TrainingDiverged, match=r"non-finite head gradient at epoch 0, batch 0$"):
+                train_toy(small_config(epochs=1))
+        finally:
+            tensor.set_checked(True)
 
 
 class TestConfigValidation:

@@ -7,6 +7,9 @@ where its memory-traffic savings come from (see :mod:`detkit.cost`).
 CBAM composes a channel gate (per-channel weights from globally pooled
 statistics pushed through a two-layer MLP) with a spatial gate (per-position
 weights from channel-wise max/mean maps pushed through a small convolution).
+The channel gate composes the verified ``global_pool``, ``fully_connected``
+and ``relu`` and feeds its MLP the average-pooled descriptor g only; CBAM's
+eq. 2 also passes the max-pooled descriptor through the shared MLP.
 Two selectable formulations exist for each half and all four are implemented:
 
 * ``channel_mlp="prose"``: the bottleneck MLP, sigma(W2 relu(W1 g + b1) + b2).
@@ -48,6 +51,11 @@ from .ops import (
     activation_backward,
     conv2d_backward,
     conv2d_forward,
+    fully_connected,
+    fully_connected_backward,
+    global_pool,
+    global_pool_backward,
+    relu,
     relu_grad,
     sigmoid,
     spatial_stats,
@@ -264,16 +272,17 @@ def channel_attention(x: np.ndarray, w1, b1, w2, b2, spec: CBAMSpec):
     if x.shape[1] != spec.channels:
         raise ConfigError(f"input has {x.shape[1]} channels, spec expects {spec.channels}")
     _check_channel_dims(spec, w1, b1, w2, b2)
-    gap = x.mean(axis=(2, 3))
-    z1 = gap @ w1.T + b1
-    v1 = np.maximum(z1, 0.0)
+    gap = global_pool(x, "avg")[:, :, 0, 0]
+    z1 = fully_connected(gap, w1, b1)
+    v1 = relu(z1)
     if spec.channel_mlp == "prose":
         z2 = v2 = None
-        z = v1 @ w2.T + b2
+        z = fully_connected(v1, w2, b2)
     else:
-        z2 = gap @ w2.T + b2
-        v2 = np.maximum(z2, 0.0)
-        z = v1 @ w1.T + b1 + v2 @ w2.T + b2
+        z2 = fully_connected(gap, w2, b2)
+        v2 = relu(z2)
+        # (W1 v1 + b1) + W2 v2 + b2: a second fully_connected would add b2 first
+        z = fully_connected(v1, w1, b1) + v2 @ w2.T + b2
     gate = sigmoid(z)
     m_c = gate[:, :, None, None]
     return m_c, m_c * x, (x, gate, gap, z1, v1, z2, v2)
@@ -285,36 +294,21 @@ def channel_attention_backward(cache, w1, w2, spec: CBAMSpec, upstream_fc: np.nd
     if upstream_fc.shape != x.shape:
         raise ConfigError("upstream shape must match input")
     d_gate = (upstream_fc * x).sum(axis=(2, 3))
-    grad_x = upstream_fc * gate[:, :, None, None]
     dz = d_gate * gate * (1.0 - gate)
-
     if spec.channel_mlp == "prose":
-        gb2 = dz.sum(axis=0)
-        gw2 = dz.T @ v1
-        dv1 = dz @ w2
-        dz1 = dv1 * relu_grad(z1)
-        gb1 = dz1.sum(axis=0)
-        gw1 = dz1.T @ gap
-        d_gap = dz1 @ w1
+        dv1, gw2, gb2 = fully_connected_backward(v1, w2, dz)
+        d_gap, gw1, gb1 = fully_connected_backward(gap, w1, dv1 * relu_grad(z1))
     else:
         # W1/b1 and W2/b2 each appear twice: inside their relu branch and in
         # the output combination, so the gradients accumulate across both uses.
-        gw1 = dz.T @ v1
-        gw2 = dz.T @ v2
-        gb1 = dz.sum(axis=0)
-        gb2 = dz.sum(axis=0)
-        dv1 = dz @ w1
-        dv2 = dz @ w2
-        dz1 = dv1 * relu_grad(z1)
-        dz2 = dv2 * relu_grad(z2)
-        gw1 = gw1 + dz1.T @ gap
-        gb1 = gb1 + dz1.sum(axis=0)
-        gw2 = gw2 + dz2.T @ gap
-        gb2 = gb2 + dz2.sum(axis=0)
-        d_gap = dz1 @ w1 + dz2 @ w2
-
-    grad_x = grad_x + (d_gap / (x.shape[2] * x.shape[3]))[:, :, None, None]
-    return grad_x, gw1, gb1, gw2, gb2
+        dv1, gw1, gb1 = fully_connected_backward(v1, w1, dz)
+        dv2, gw2, gb2 = fully_connected_backward(v2, w2, dz)
+        d_gap1, gw1_in, gb1_in = fully_connected_backward(gap, w1, dv1 * relu_grad(z1))
+        d_gap2, gw2_in, gb2_in = fully_connected_backward(gap, w2, dv2 * relu_grad(z2))
+        gw1, gb1, gw2, gb2 = gw1 + gw1_in, gb1 + gb1_in, gw2 + gw2_in, gb2 + gb2_in
+        d_gap = d_gap1 + d_gap2
+    grad_x = upstream_fc * gate[:, :, None, None]
+    return grad_x + global_pool_backward(x, "avg", d_gap[:, :, None, None]), gw1, gb1, gw2, gb2
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,8 @@ from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from . import gradcheck as gradcheck_mod
 from .config import ParseError, parse_kv_file
 from .cost import CostReport, model_cost
@@ -152,8 +154,10 @@ def cmd_gradcheck(args) -> int:
 
 
 def _bench_rows(spec: ToyNetSpec):
-    pconv_report = model_cost(cost_layers(replace(spec, use_pconv=True)))
-    full_report = model_cost(cost_layers(replace(spec, use_pconv=False)))
+    """Cost rows of spec beside its full-conv twin, the same spec with the
+    partial convolutions covering every channel."""
+    pconv_report = model_cost(cost_layers(spec))
+    full_report = model_cost(cost_layers(replace(spec, cp_fraction=1.0)))
     rows = []
     for pl, fl in zip(pconv_report.layers, full_report.layers):
         ratio = Fraction(pl.mem_access_approx, fl.mem_access_approx) if fl.mem_access_approx else Fraction(1)
@@ -228,7 +232,10 @@ def cmd_train(args) -> int:
         set_checked(False)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    params, stats = train_toy(cfg)
+    # A diverging run is reported by the TrainingDiverged error, which names
+    # the first non-finite value; numpy's overflow warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        params, stats = train_toy(cfg)
     save_weights(params, out_dir / "weights.dkw")
     with open(out_dir / "stats.jsonl", "w", encoding="utf-8") as fh:
         for st in stats:

@@ -285,13 +285,10 @@ def _channel_attention_suite(mlp_mode):
                 w2 = _probe(rng, (c, d2in))
                 b2 = _probe(rng, (c,))
                 g = _probe(rng, (2, c, 3, 3))
-                gap = x.mean(axis=(2, 3))
-                relu_inputs = [gap @ w1.T + b1]
-                if mlp_mode == "literal":
-                    relu_inputs.append(gap @ w2.T + b2)
-                if not any(_near_kink(z) for z in relu_inputs):
+                _, _, cache = blocks.channel_attention(x, w1, b1, w2, b2, spec)
+                _, _, _, z1, _, z2, _ = cache  # the relu inputs; z2 is None in prose mode
+                if not any(_near_kink(z) for z in (z1, z2) if z is not None):
                     break
-            _, _, cache = blocks.channel_attention(x, w1, b1, w2, b2, spec)
             worst = max(worst, _arg_errors(
                 lambda *args: blocks.channel_attention(*args, spec)[1], g, (x, w1, b1, w2, b2),
                 blocks.channel_attention_backward(cache, w1, w2, spec, g)))

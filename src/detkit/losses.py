@@ -43,10 +43,6 @@ class BBox:
         if not (self.x1 <= self.x2 and self.y1 <= self.y2):
             raise ConfigError(f"degenerate corner order: {self}")
 
-    @classmethod
-    def from_center(cls, cx: float, cy: float, w: float, h: float) -> "BBox":
-        return cls(cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
-
     @property
     def width(self) -> float:
         return self.x2 - self.x1

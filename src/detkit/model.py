@@ -16,8 +16,9 @@ sequence itself is written out in three places: ``init_params`` (the flat
 ``net_forward``/``net_backward`` (the call order) and ``cost_layers`` (the
 cost model's layer list). Tests hold them together: every parameter prefix
 names a cost layer, a golden digest pins the initial manifest, and a
-call-order test pins the layer calls. ``use_pconv`` changes only the cost
-model; the executed network always runs partial convolution.
+call-order test pins the layer calls. At ``cp_fraction = 1.0`` the partial
+convolution covers every channel and is a bias-free full convolution: that
+spec is the full-conv twin ``detkit bench`` prices, and it runs like any other.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ class ToyNetSpec:
     cbam_composition: str = "sequential"
     cbam_channel_mlp: str = "prose"
     activation: str = "mish"
-    use_pconv: bool = True
 
     def __post_init__(self):
         if self.image_size % self.stride != 0:
@@ -186,16 +186,10 @@ def cost_layers(spec: ToyNetSpec) -> list[dict]:
     ]
     bspec = spec.block_spec()
     for name in ("block1", "block2"):
-        if spec.use_pconv:
-            layers.append({
-                "kind": "pconv", "name": f"{name}.pconv",
-                "h": g, "w": g, "c": c, "c_p": spec.conv_channels, "k": spec.pconv_kernel,
-            })
-        else:
-            layers.append({
-                "kind": "conv", "name": f"{name}.conv",
-                "h": g, "w": g, "c_in": c, "c_out": c, "k": spec.pconv_kernel,
-            })
+        layers.append({
+            "kind": "pconv", "name": f"{name}.pconv",
+            "h": g, "w": g, "c": c, "c_p": spec.conv_channels, "k": spec.pconv_kernel,
+        })
         layers.append({"kind": "conv", "name": f"{name}.pw1",
                        "h": g, "w": g, "c_in": c, "c_out": bspec.hidden, "k": 1})
         layers.append({"kind": "conv", "name": f"{name}.pw2",

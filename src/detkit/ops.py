@@ -59,18 +59,6 @@ class ConvSpec:
         return out
 
 
-@dataclass(frozen=True)
-class LinearSpec:
-    """Fully connected layer dimensions; weight is (out, in), bias length out."""
-
-    in_features: int
-    out_features: int
-
-    def __post_init__(self):
-        if self.in_features < 1 or self.out_features < 1:
-            raise ConfigError("feature counts must be >= 1")
-
-
 # ---------------------------------------------------------------------------
 # convolution
 # ---------------------------------------------------------------------------

@@ -187,8 +187,21 @@ def detections_to_json(dets: list[Detection]) -> str:
 
 
 def detections_from_json(text: str) -> list[Detection]:
-    rows = json.loads(text)
-    return [
-        Detection(BBox(*row["bbox"]), float(row["score"]), int(row["class"]))
-        for row in rows
-    ]
+    """Parse the output of :func:`detections_to_json`. Text that is not a
+    list of {"bbox": [x1, y1, x2, y2], "score": s, "class": k} rows raises
+    ``ConfigError`` naming the first bad row."""
+    try:
+        rows = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"detections are not valid JSON: {exc}") from exc
+    if not isinstance(rows, list):
+        raise ConfigError(f"detections must be a JSON list of rows, got {type(rows).__name__}")
+    dets = []
+    for i, row in enumerate(rows):
+        try:
+            x1, y1, x2, y2 = row["bbox"]
+            dets.append(Detection(BBox(float(x1), float(y1), float(x2), float(y2)),
+                                  float(row["score"]), int(row["class"])))
+        except (KeyError, TypeError, ValueError, ConfigError) as exc:
+            raise ConfigError(f"detections row {i} {row!r}: {type(exc).__name__}: {exc}") from exc
+    return dets

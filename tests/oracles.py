@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from detkit import losses
+from detkit import losses, ops
 from detkit.losses import BBox, iou
 from detkit.postprocess import Detection
 from detkit.tensor import Tensor
@@ -210,6 +210,52 @@ def scan_spatial_stats_backward(x, upstream):
                 grad[ni, best, i, j] = upstream[ni, 0, i, j]
     grad += upstream[:, 1:2] / c
     return grad
+
+
+# CBAM's channel gate with its MLP written out inline: the mean over the
+# spatial axes, hand-written affine maps, and a backward that derives the MLP
+# gradient by hand. The gate itself is ops.sigmoid, which has its own oracle.
+
+def inline_channel_attention(x, w1, b1, w2, b2, channel_mlp):
+    """(gate (n, c, 1, 1), gated map, cache) of the prose or literal gate."""
+    gap = x.mean(axis=(2, 3))
+    z1 = gap @ w1.T + b1
+    v1 = np.maximum(z1, 0.0)
+    if channel_mlp == "prose":
+        z2 = v2 = None
+        z = v1 @ w2.T + b2
+    else:
+        z2 = gap @ w2.T + b2
+        v2 = np.maximum(z2, 0.0)
+        z = v1 @ w1.T + b1 + v2 @ w2.T + b2
+    gate = ops.sigmoid(z)
+    m_c = gate[:, :, None, None]
+    return m_c, m_c * x, (x, gate, gap, z1, v1, z2, v2)
+
+
+def inline_channel_attention_backward(cache, w1, w2, channel_mlp, upstream):
+    """Gradients of <upstream, gated map> w.r.t. x, W1, b1, W2 and b2."""
+    x, gate, gap, z1, v1, z2, v2 = cache
+    d_gate = (upstream * x).sum(axis=(2, 3))
+    grad_x = upstream * gate[:, :, None, None]
+    dz = d_gate * gate * (1.0 - gate)
+    if channel_mlp == "prose":
+        gb2 = dz.sum(axis=0)
+        gw2 = dz.T @ v1
+        dz1 = (dz @ w2) * (z1 > 0).astype(z1.dtype)
+        gb1 = dz1.sum(axis=0)
+        gw1 = dz1.T @ gap
+        d_gap = dz1 @ w1
+    else:
+        dz1 = (dz @ w1) * (z1 > 0).astype(z1.dtype)
+        dz2 = (dz @ w2) * (z2 > 0).astype(z2.dtype)
+        gw1 = dz.T @ v1 + dz1.T @ gap
+        gb1 = dz.sum(axis=0) + dz1.sum(axis=0)
+        gw2 = dz.T @ v2 + dz2.T @ gap
+        gb2 = dz.sum(axis=0) + dz2.sum(axis=0)
+        d_gap = dz1 @ w1 + dz2 @ w2
+    grad_x = grad_x + (d_gap / (x.shape[2] * x.shape[3]))[:, :, None, None]
+    return grad_x, gw1, gb1, gw2, gb2
 
 
 def _box_loss_grad(variant, pred, gt):

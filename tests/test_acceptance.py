@@ -213,7 +213,7 @@ def test_criterion_6_pconv_net_strictly_cheaper():
 
     spec = ToyNetSpec()
     pconv_report = model_cost(cost_layers(spec))
-    full_report = model_cost(cost_layers(replace(spec, use_pconv=False)))
+    full_report = model_cost(cost_layers(replace(spec, cp_fraction=1.0)))
     assert pconv_report.total_params < full_report.total_params
     assert pconv_report.total_macs < full_report.total_macs
     report("criterion 6 (cheaper than full-conv twin)",

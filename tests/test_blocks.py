@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import inline_channel_attention, inline_channel_attention_backward
 
 from detkit import blocks, ops
 from detkit.blocks import (
@@ -11,6 +12,7 @@ from detkit.blocks import (
     cbam_forward,
     cbam_init,
     channel_attention,
+    channel_attention_backward,
     fasternet_block_forward,
     fasternet_block_init,
     pconv_forward,
@@ -154,6 +156,29 @@ class TestChannelAttention:
         z = v1 @ w1.T + b1 + v2 @ w2.T + b2
         want = 1.0 / (1.0 + np.exp(-z))
         assert np.allclose(m_c[:, :, 0, 0], want, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("channel_mlp", ["prose", "literal"])
+    def test_matches_inline_mlp_oracle_bitwise(self, channel_mlp, dtype):
+        """The gate composed of global_pool, fully_connected and relu, and its
+        backward through their backward passes, equal the hand-written MLP
+        bit for bit: gate, gated map and all five gradients."""
+        rng = np.random.default_rng(19)
+        for _ in range(40):
+            c, n = int(rng.integers(1, 130)), int(rng.integers(1, 6))
+            h, w = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+            spec = CBAMSpec(channels=c, reduction=int(rng.integers(1, 5)), channel_mlp=channel_mlp)
+            d1 = c if channel_mlp == "literal" else spec.hidden
+            x, up = (rng.standard_normal((n, c, h, w)).astype(dtype) for _ in range(2))
+            w1, w2 = rng.standard_normal((d1, c)).astype(dtype), rng.standard_normal((c, d1)).astype(dtype)
+            b1, b2 = rng.standard_normal(d1).astype(dtype), rng.standard_normal(c).astype(dtype)
+            m_c, f_c, cache = channel_attention(x, w1, b1, w2, b2, spec)
+            want_m, want_f, want_cache = inline_channel_attention(x, w1, b1, w2, b2, channel_mlp)
+            got = (m_c, f_c, *channel_attention_backward(cache, w1, w2, spec, up))
+            want = (want_m, want_f,
+                    *inline_channel_attention_backward(want_cache, w1, w2, channel_mlp, up))
+            for g, wv in zip(got, want, strict=True):
+                assert g.dtype == wv.dtype and np.array_equal(g, wv)
 
     def test_dim_mismatch_rejected(self):
         spec = CBAMSpec(channels=4, reduction=2)

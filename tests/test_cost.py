@@ -163,14 +163,16 @@ class TestModelCost:
         pconv_report = model_cost(cost_layers(spec))
         from dataclasses import replace
 
-        full_report = model_cost(cost_layers(replace(spec, use_pconv=False)))
+        full_report = model_cost(cost_layers(replace(spec, cp_fraction=1.0)))
         assert pconv_report.total_params < full_report.total_params
         assert pconv_report.total_macs < full_report.total_macs
 
-    def test_params_total_matches_initialized_model(self):
+    @pytest.mark.parametrize("cp_fraction", [0.25, 1.0])
+    def test_params_total_matches_initialized_model(self, cp_fraction):
         """The cost report's parameter count agrees with the real parameter
-        store element count (construct-and-count oracle)."""
-        spec = ToyNetSpec()
+        store element count (construct-and-count oracle), for the default
+        net and for its full-conv twin."""
+        spec = ToyNetSpec(cp_fraction=cp_fraction)
         params = init_params(spec, np.random.default_rng(0))
         n_elements = sum(v.size for v in params.values())
         report = model_cost(cost_layers(spec))

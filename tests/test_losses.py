@@ -5,7 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import separate_detection_loss_grad
 
@@ -25,6 +25,30 @@ from detkit.tensor import ConfigError, Tensor
 
 UNIT = BBox(0.0, 0.0, 1.0, 1.0)
 UNIT_SHIFTED = BBox(0.5, 0.0, 1.5, 1.0)
+DYADIC = st.integers(-2**15, 2**15)
+
+
+def _check_iou_pair(data, shift) -> bool:
+    """IoU of the boxes spanned by data is in [0, 1] and symmetric, before
+    and after both are shifted. Translation invariance holds in floating
+    point when the shift moves every corner exactly: the differences of the
+    shifted corners are then those of the unshifted ones, and the IoU is
+    bit-identical. Returns whether the shift was exact."""
+    ax, ay, bx, by = (sorted(data[i:i + 2]) for i in range(0, 8, 2))
+    a = BBox(ax[0], ay[0], ax[1], ay[1])
+    b = BBox(bx[0], by[0], bx[1], by[1])
+    dx, dy = shift
+    a2 = BBox(a.x1 + dx, a.y1 + dy, a.x2 + dx, a.y2 + dy)
+    b2 = BBox(b.x1 + dx, b.y1 + dy, b.x2 + dx, b.y2 + dy)
+    v, v2 = iou(a, b), iou(a2, b2)
+    assert 0.0 <= v <= 1.0 and iou(b, a) == v
+    assert 0.0 <= v2 <= 1.0 and iou(b2, a2) == v2
+    exact = all(math.fsum((c + d, -c, -d)) == 0.0
+                for box in (a, b)
+                for c, d in ((box.x1, dx), (box.y1, dy), (box.x2, dx), (box.y2, dy)))
+    if exact:
+        assert v2 == v
+    return exact
 
 
 class TestIoU:
@@ -46,21 +70,23 @@ class TestIoU:
         data=st.tuples(*[st.floats(-20, 20) for _ in range(8)]),
         shift=st.tuples(st.floats(-50, 50), st.floats(-50, 50)),
     )
+    @example(data=(0.0, 5.14e-291, 0.0, 1.0, 0.0, 5.14e-291, 0.0, 1.0), shift=(1.0, 0.0))
     @settings(max_examples=80, deadline=None)
     def test_symmetry_and_translation_invariance(self, data, shift):
-        ax = sorted(data[0:2])
-        ay = sorted(data[2:4])
-        bx = sorted(data[4:6])
-        by = sorted(data[6:8])
-        a = BBox(ax[0], ay[0], ax[1], ay[1])
-        b = BBox(bx[0], by[0], bx[1], by[1])
-        v = iou(a, b)
-        assert 0.0 <= v <= 1.0
-        assert iou(b, a) == v
-        dx, dy = shift
-        a2 = BBox(a.x1 + dx, a.y1 + dy, a.x2 + dx, a.y2 + dy)
-        b2 = BBox(b.x1 + dx, b.y1 + dy, b.x2 + dx, b.y2 + dy)
-        assert iou(a2, b2) == pytest.approx(v, abs=1e-10)
+        """The explicit example shifts a box of width 5.14e-291 by 1.0: the
+        shifted width rounds to 0, the shift is not exact, and the IoU drops
+        from 1 to 0 by the zero-union convention."""
+        _check_iou_pair(data, shift)
+
+    @given(
+        data=st.tuples(*[DYADIC.map(lambda k: k / 1024) for _ in range(8)]),
+        shift=st.tuples(*[DYADIC.map(lambda k: k / 256) for _ in range(2)]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_exact_shift_keeps_iou_bit_identical(self, data, shift):
+        """Corners on a 2^-10 grid in [-32, 32] and shifts on a 2^-8 grid in
+        [-128, 128] always shift exactly."""
+        assert _check_iou_pair(data, shift)
 
     @given(scale=st.floats(0.01, 80.0))
     @settings(max_examples=60, deadline=None)

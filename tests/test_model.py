@@ -100,7 +100,8 @@ class TestBackward:
             raise AssertionError("forward op called during backward")
 
         forward_ops = ("conv2d_forward", "activation", "spp", "pconv_forward",
-                       "channel_attention", "spatial_attention", "spatial_stats")
+                       "channel_attention", "spatial_attention", "spatial_stats",
+                       "global_pool", "fully_connected")
         patched = 0
         for module in (ops, blocks, model):
             for name in forward_ops:

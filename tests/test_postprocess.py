@@ -179,3 +179,14 @@ class TestDetectionJson:
         text = detections_to_json([Detection(BBox(1, 2, 3, 4), 0.5, 1)])
         rows = json.loads(text)
         assert rows == [{"bbox": [1.0, 2.0, 3.0, 4.0], "score": 0.5, "class": 1}]
+
+    @pytest.mark.parametrize("text, match", [
+        ('[{"bbox": [0, 0, 1, 1], "score": 0.5, "class": 0}, {"bbox": [0, 0, 1, 1], "score": 0.5}]',
+         r"row 1 .*KeyError: 'class'"),
+        ('[{"bbox": [0, 0, 1], "score": 0.5, "class": 0}]', r"row 0 .*expected 4, got 3"),
+        ('{"bbox": [0, 0, 1, 1], "score": 0.5, "class": 0}', "JSON list of rows, got dict"),
+        ('[{"bbox": [0, 0, 1, 1], "score": 0.5, "class": 0}', "not valid JSON"),
+    ], ids=["missing-class", "three-element-bbox", "top-level-object", "truncated"])
+    def test_malformed_rows_raise_config_error(self, text, match):
+        with pytest.raises(ConfigError, match=match):
+            detections_from_json(text)

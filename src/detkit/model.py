@@ -10,6 +10,13 @@ and :mod:`detkit.blocks`; a ``Tensor`` appears only where data crosses the
 model: ``net_forward`` takes the input image batch as one and returns the
 head as one, and ``net_backward`` takes the head gradient as one.
 
+The freeze boundary is the neck, the SPP output: the stem and both blocks
+below it form the backbone, CBAM and the head above it train in every phase.
+``net_forward(..., freeze_backbone=True)`` keeps no backbone cache, and
+``net_forward(..., neck=...)`` starts from a neck computed earlier; either
+way ``net_backward`` then stops at the neck and returns only the ``cbam.*``
+and ``head.*`` gradients, so what trains is decided by what it returns.
+
 ``ToyNetSpec`` is the one description of sizes and options. The layer
 sequence itself is written out in three places: ``init_params`` (the flat
 ``<layer>.<param>`` store, whose order is the ``.dkw`` manifest order),
@@ -25,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,13 +123,6 @@ class ToyNetSpec:
                               self.num_classes, score_threshold)
 
 
-BACKBONE_PREFIXES = ("stem", "block1", "block2")
-
-
-def backbone_param_names(params: dict[str, np.ndarray]) -> set[str]:
-    return {k for k in params if k.split(".", 1)[0] in BACKBONE_PREFIXES}
-
-
 def init_params(spec: ToyNetSpec, rng: np.random.Generator, dtype=np.float64) -> dict[str, np.ndarray]:
     """Fresh parameter store in manifest order. Head biases start with small
     objectness prior (sigmoid(-2)) and a size prior of 2.5 cells so early boxes
@@ -141,35 +142,61 @@ def init_params(spec: ToyNetSpec, rng: np.random.Generator, dtype=np.float64) ->
     }
 
 
-def net_forward(params: dict[str, np.ndarray], spec: ToyNetSpec, x: Tensor):
-    """Run the detector; returns (head tensor (n, 5+K, g, g), cache for backward)."""
-    if x.shape[1:] != (spec.in_channels, spec.image_size, spec.image_size):
-        raise ConfigError(
-            f"input shape {x.shape} does not match ({spec.in_channels}, "
-            f"{spec.image_size}, {spec.image_size})"
-        )
-    stem_z = conv2d_forward(x.data, params["stem.w"], params["stem.b"], spec.stem_spec())
-    stem_a, stem_act_cache = activation(stem_z, spec.activation)
-    b1, b1_cache = fasternet_block_forward(stem_a, params, spec.block_spec(), "block1.")
-    b2, b2_cache = fasternet_block_forward(b1, params, spec.block_spec(), "block2.")
-    neck, spp_cache = spp(b2, spec.spp_windows)
+class NetCache(NamedTuple):
+    """What ``net_backward`` needs from ``net_forward``. ``backbone`` holds the
+    input and the stem, block and SPP caches; it is None when the backbone is
+    frozen, and the backward then stops at ``neck``."""
+
+    backbone: tuple | None
+    neck: np.ndarray
+    cbam: tuple
+    att: np.ndarray
+
+
+def net_forward(params: dict[str, np.ndarray], spec: ToyNetSpec, x: Tensor | None = None,
+                neck: np.ndarray | None = None, freeze_backbone: bool = False):
+    """Run the detector; returns (head tensor (n, 5+K, g, g), NetCache).
+
+    With ``neck``, the SPP output (n, neck_channels, g, g) of a frozen
+    backbone, the backbone is not run and ``x`` is not used. With
+    ``freeze_backbone`` the backbone runs but its caches are not kept.
+    Either way the cache has no backbone part."""
+    backbone = None
+    if neck is None:
+        if x.shape[1:] != (spec.in_channels, spec.image_size, spec.image_size):
+            raise ConfigError(
+                f"input shape {x.shape} does not match ({spec.in_channels}, "
+                f"{spec.image_size}, {spec.image_size})"
+            )
+        stem_z = conv2d_forward(x.data, params["stem.w"], params["stem.b"], spec.stem_spec())
+        stem_a, stem_act_cache = activation(stem_z, spec.activation)
+        b1, b1_cache = fasternet_block_forward(stem_a, params, spec.block_spec(), "block1.")
+        b2, b2_cache = fasternet_block_forward(b1, params, spec.block_spec(), "block2.")
+        neck, spp_cache = spp(b2, spec.spp_windows)
+        if not freeze_backbone:
+            backbone = (x.data, stem_act_cache, b1_cache, b2_cache, spp_cache)
     att, cbam_cache = cbam_forward(neck, params, spec.cbam_spec(), "cbam.")
     head = conv2d_forward(att, params["head.w"], params["head.b"], spec.head_spec())
-    return Tensor(head), (x.data, stem_act_cache, b1_cache, b2_cache, spp_cache, cbam_cache, att)
+    return Tensor(head), NetCache(backbone, neck, cbam_cache, att)
 
 
-def net_backward(params: dict[str, np.ndarray], spec: ToyNetSpec, cache, upstream: Tensor):
-    """Gradients of <upstream, head> for every parameter, keyed and ordered like params."""
-    x, stem_act_cache, b1_cache, b2_cache, spp_cache, cbam_cache, att = cache
-    g_att, g_headw, g_headb = conv2d_backward(att, params["head.w"], spec.head_spec(), upstream.data)
-    g_neck, g_cbam = cbam_backward(cbam_cache, params, spec.cbam_spec(), g_att, "cbam.")
+def net_backward(params: dict[str, np.ndarray], spec: ToyNetSpec, cache: NetCache, upstream: Tensor):
+    """Gradients of <upstream, head>, keyed and ordered like params: every
+    parameter's, or, when the cache has no backbone part, only those of
+    ``cbam.*`` and ``head.*``."""
+    g_att, g_headw, g_headb = conv2d_backward(cache.att, params["head.w"], spec.head_spec(), upstream.data)
+    g_neck, g_cbam = cbam_backward(cache.cbam, params, spec.cbam_spec(), g_att, "cbam.")
+    head_grads = {**g_cbam, "head.w": g_headw, "head.b": g_headb}
+    if cache.backbone is None:
+        return head_grads
+    x, stem_act_cache, b1_cache, b2_cache, spp_cache = cache.backbone
     g_b2 = spp_backward(spp_cache, g_neck)
     g_b1, g_block2 = fasternet_block_backward(b2_cache, params, spec.block_spec(), g_b2, "block2.")
     g_stem_a, g_block1 = fasternet_block_backward(b1_cache, params, spec.block_spec(), g_b1, "block1.")
     g_stem_z = activation_backward(stem_act_cache, spec.activation, g_stem_a)
-    _, g_stemw, g_stemb = conv2d_backward(x, params["stem.w"], spec.stem_spec(), g_stem_z)
-    return {"stem.w": g_stemw, "stem.b": g_stemb, **g_block1, **g_block2, **g_cbam,
-            "head.w": g_headw, "head.b": g_headb}
+    _, g_stemw, g_stemb = conv2d_backward(x, params["stem.w"], spec.stem_spec(), g_stem_z,
+                                          input_grad=False)
+    return {"stem.w": g_stemw, "stem.b": g_stemb, **g_block1, **g_block2, **head_grads}
 
 
 def cost_layers(spec: ToyNetSpec) -> list[dict]:

@@ -121,8 +121,10 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b, spec: ConvSpec) -> np.ndarra
     return out
 
 
-def conv2d_backward(x: np.ndarray, w: np.ndarray, spec: ConvSpec, upstream: np.ndarray):
-    """Gradients of <upstream, conv2d_forward(x, w, b)> w.r.t. x, w and b.
+def conv2d_backward(x: np.ndarray, w: np.ndarray, spec: ConvSpec, upstream: np.ndarray,
+                    input_grad: bool = True):
+    """Gradients of <upstream, conv2d_forward(x, w, b)> w.r.t. x, w and b; the
+    first is None when ``input_grad`` is false (x is the network input).
 
     The input gradient is the transposed convolution: with non-overlapping
     windows (kernel = stride) it is the kernel applied to upstream and
@@ -142,6 +144,8 @@ def conv2d_backward(x: np.ndarray, w: np.ndarray, spec: ConvSpec, upstream: np.n
     xp = _pad(x, p)
     grad_w = np.tensordot(up, _columns(xp, k, s), axes=([0, 2], [0, 2])).reshape(w.shape)
     grad_b = up.sum(axis=(0, 2))
+    if not input_grad:
+        return None, grad_w, grad_b
     if k == s:
         tiles = np.matmul(w.reshape(o, -1).T, up).reshape(n, c, k, k, h_out, w_out)
         covered = tiles.transpose(0, 1, 4, 2, 5, 3).reshape(n, c, h_out * k, w_out * k)

@@ -188,8 +188,9 @@ def detections_to_json(dets: list[Detection]) -> str:
 
 def detections_from_json(text: str) -> list[Detection]:
     """Parse the output of :func:`detections_to_json`. Text that is not a
-    list of {"bbox": [x1, y1, x2, y2], "score": s, "class": k} rows raises
-    ``ConfigError`` naming the first bad row."""
+    list of {"bbox": [x1, y1, x2, y2], "score": s, "class": k} rows, with an
+    integer class and a score that is not a bool, raises ``ConfigError``
+    naming the first bad row."""
     try:
         rows = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -200,8 +201,13 @@ def detections_from_json(text: str) -> list[Detection]:
     for i, row in enumerate(rows):
         try:
             x1, y1, x2, y2 = row["bbox"]
+            score, label = row["score"], row["class"]
+            if isinstance(score, bool):
+                raise TypeError(f"score must be a number, got {score!r}")
+            if isinstance(label, bool) or not isinstance(label, int):
+                raise TypeError(f"class must be an integer, got {label!r}")
             dets.append(Detection(BBox(float(x1), float(y1), float(x2), float(y2)),
-                                  float(row["score"]), int(row["class"])))
+                                  float(score), label))
         except (KeyError, TypeError, ValueError, ConfigError) as exc:
             raise ConfigError(f"detections row {i} {row!r}: {type(exc).__name__}: {exc}") from exc
     return dets

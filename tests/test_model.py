@@ -1,4 +1,4 @@
-"""Whole-network assembly: shapes, directional gradients, freezing support."""
+"""Whole-network assembly: shapes, directional gradients, the freeze boundary."""
 
 import hashlib
 import sys
@@ -10,7 +10,6 @@ from detkit import blocks, cli, model, ops
 from detkit.losses import BBox, detection_loss, detection_loss_grad
 from detkit.model import (
     ToyNetSpec,
-    backbone_param_names,
     cost_layers,
     init_params,
     net_backward,
@@ -115,6 +114,52 @@ class TestBackward:
             assert np.array_equal(got[k], want[k]), k
 
 
+class TestFreezeBoundary:
+    def test_frozen_backward_stops_at_the_neck(self):
+        """A forward that keeps no backbone cache, or starts from a stored
+        neck, gives the full forward's head; its backward returns exactly the
+        cbam.* and head.* gradients of the full backward, bit for bit."""
+        spec = tiny_spec()
+        rng = np.random.default_rng(4)
+        params = init_params(spec, rng)
+        x = Tensor(rng.uniform(0, 1, (3, 1, 16, 16)))
+        head, cache = net_forward(params, spec, x)
+        upstream = Tensor(rng.standard_normal(head.shape))
+        full = net_backward(params, spec, cache, upstream)
+        trainable = [k for k in MANIFEST if k.startswith(("cbam.", "head."))]
+        for frozen_head, frozen_cache in (net_forward(params, spec, x, freeze_backbone=True),
+                                          net_forward(params, spec, neck=cache.neck)):
+            assert frozen_head.data.tobytes() == head.data.tobytes()
+            assert frozen_cache.backbone is None
+            grads = net_backward(params, spec, frozen_cache, upstream)
+            assert list(grads) == trainable
+            for k in trainable:
+                assert grads[k].tobytes() == full[k].tobytes(), k
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_neck_of_an_image_does_not_depend_on_its_batch(self, dtype):
+        """The trainer stores each image's neck from whichever batch computed
+        it and reuses it in other batches, so it must be bit-identical alone,
+        in a shuffled batch of 5 and in the whole set."""
+        spec = ToyNetSpec()
+        rng = np.random.default_rng(12)
+        params = init_params(spec, rng, dtype)
+        images = rng.uniform(0, 1, (9, 1, 64, 64)).astype(dtype)
+
+        def necks(rows):
+            _, cache = net_forward(params, spec, Tensor(images[rows]), freeze_backbone=True)
+            assert cache.neck.dtype == dtype
+            return dict(zip(rows, cache.neck))
+
+        whole = necks(list(range(9)))
+        shuffled = necks(list(rng.permutation(9)[:5]))
+        for i in range(9):
+            alone = necks([i])[i]
+            assert alone.tobytes() == whole[i].tobytes(), i
+            if i in shuffled:
+                assert shuffled[i].tobytes() == whole[i].tobytes(), i
+
+
 class TestTensorBoundary:
     def test_forward_and_backward_build_only_the_head_tensor(self, monkeypatch):
         """Inside the network every value is a bare ndarray: one net_forward
@@ -205,6 +250,24 @@ TRAIN_DIGESTS = {
 }
 
 
+# The same run with freeze_fraction = 1.0: three frozen-backbone epochs, so
+# the last two train on the necks stored in the first.
+FROZEN_TRAIN_DIGESTS = {
+    "float64": {"weights.dkw": "06e87dd5e6cd33df79d3a8dfb93c955131e2fe39eb01c62ce5995acf98a3822a",
+                "stats.jsonl": "2b28e1fd162f85dbb02be20fdec3a89ed08342ee928fe4b1a147ff48389c2027"},
+    "float32": {"weights.dkw": "ab32c14d8558b6cc432e6d8c899cffe7c1a11c961f08f22b6d8d863968823f59",
+                "stats.jsonl": "69d5d564daf5073ee164aadc86376e27ca18ddb42684e019eda4c19ffc7d03a8"},
+}
+
+
+def train_digests(tmp_path, dtype, extra=""):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"seed = 42\nepochs = 3\nbatch_size = 5\ndataset_count = 10\ndtype = {dtype}\n{extra}")
+    assert cli.main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
+    return {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+            for name in ("weights.dkw", "stats.jsonl")}
+
+
 class TestTrainGolden:
     """Pins the numerics of the whole train step: forward, loss, gradient,
     backward and AdamW. A change may update these digests only when it
@@ -213,22 +276,14 @@ class TestTrainGolden:
 
     @pytest.mark.parametrize("dtype", sorted(TRAIN_DIGESTS))
     def test_train_artifact_digests(self, tmp_path, dtype):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"seed = 42\nepochs = 3\nbatch_size = 5\ndataset_count = 10\ndtype = {dtype}\n")
-        assert cli.main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
-        got = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
-               for name in TRAIN_DIGESTS[dtype]}
-        assert got == TRAIN_DIGESTS[dtype]
+        assert train_digests(tmp_path, dtype) == TRAIN_DIGESTS[dtype]
+
+    @pytest.mark.parametrize("dtype", sorted(FROZEN_TRAIN_DIGESTS))
+    def test_all_frozen_train_artifact_digests(self, tmp_path, dtype):
+        assert train_digests(tmp_path, dtype, "freeze_fraction = 1.0\n") == FROZEN_TRAIN_DIGESTS[dtype]
 
 
 class TestStructure:
-    def test_backbone_names(self):
-        spec = tiny_spec()
-        params = init_params(spec, np.random.default_rng(4))
-        frozen = backbone_param_names(params)
-        assert "stem.w" in frozen and "block2.pw1.w" in frozen
-        assert "head.w" not in frozen and "cbam.fc1.w" not in frozen
-
     def test_cost_layers_mirror_params(self):
         spec = tiny_spec()
         params = init_params(spec, np.random.default_rng(5))

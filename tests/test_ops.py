@@ -138,6 +138,9 @@ class TestConvMatchesPerTapOracle:
                                  per_tap_conv2d_backward(x, w, s, p, up)):
             assert got_g.shape == want_g.shape
             assert np.max(np.abs(got_g - want_g)) <= 1e-12
+        no_gx, gw_only, gb_only = ops.conv2d_backward(x, w, spec, up, input_grad=False)
+        assert no_gx is None
+        assert gw_only.tobytes() == gw.tobytes() and gb_only.tobytes() == gb.tobytes()
 
 
 class TestSeparableMaxPool:

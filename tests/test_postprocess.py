@@ -186,7 +186,12 @@ class TestDetectionJson:
         ('[{"bbox": [0, 0, 1], "score": 0.5, "class": 0}]', r"row 0 .*expected 4, got 3"),
         ('{"bbox": [0, 0, 1, 1], "score": 0.5, "class": 0}', "JSON list of rows, got dict"),
         ('[{"bbox": [0, 0, 1, 1], "score": 0.5, "class": 0}', "not valid JSON"),
-    ], ids=["missing-class", "three-element-bbox", "top-level-object", "truncated"])
+        ('[{"bbox": [0, 0, 1, 1], "score": 0.5, "class": 0}, {"bbox": [0, 0, 1, 1], "score": 0.5, "class": 1.7}]',
+         r"row 1 .*class must be an integer, got 1\.7"),
+        ('[{"bbox": [0, 0, 1, 1], "score": true, "class": 0}]', r"row 0 .*score must be a number, got True"),
+        ('[{"bbox": [0, 0, 1, 1], "score": 0.5, "class": false}]', r"row 0 .*class must be an integer, got False"),
+    ], ids=["missing-class", "three-element-bbox", "top-level-object", "truncated",
+            "fractional-class", "bool-score", "bool-class"])
     def test_malformed_rows_raise_config_error(self, text, match):
         with pytest.raises(ConfigError, match=match):
             detections_from_json(text)

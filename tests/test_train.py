@@ -1,11 +1,13 @@
 """Trainer contracts: freeze phase, determinism, loss descent, divergence."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from detkit import tensor, train
+from detkit import model, tensor, train
 from detkit.losses import detection_loss_and_grad
-from detkit.model import ToyNetSpec, backbone_param_names, init_params, net_backward
+from detkit.model import ToyNetSpec, init_params, net_backward
 from detkit.tensor import ConfigError, Tensor
 from detkit.train import TrainConfig, TrainingDiverged, train_toy
 
@@ -39,13 +41,44 @@ class TestPhases:
         params, stats = train_toy(cfg)
         rng = np.random.Generator(np.random.PCG64(cfg.seed))
         fresh = init_params(cfg.net, rng)
-        frozen = backbone_param_names(fresh)
+        frozen = [k for k in fresh if k.startswith(("stem.", "block1.", "block2."))]
         assert all(st.phase == "frozen-backbone" for st in stats)
         for k in frozen:
             assert params[k].tobytes() == fresh[k].tobytes(), f"{k} moved while frozen"
         moved = [k for k in fresh if k not in frozen
                  and not np.array_equal(params[k], fresh[k])]
-        assert moved, "head and neck should train during phase one"
+        assert moved, "CBAM and head should train during phase one"
+
+    def test_frozen_epochs_run_no_backbone_backward_and_one_backbone_forward_per_image(
+            self, monkeypatch):
+        """Over three frozen epochs the backbone forward sees each image once
+        (the later epochs read the stored necks) and no backward below the
+        neck runs: every conv2d_backward is the head's."""
+        cfg = small_config(epochs=3, freeze_fraction=1.0)
+        stem = cfg.net.stem_spec()
+        stem_w = (stem.out_channels, stem.in_channels, stem.kernel, stem.kernel)
+        images, calls = Counter(), Counter()
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                key = "stem." + name if name.startswith("conv2d") and args[1].shape == stem_w else name
+                if name.endswith("backward"):
+                    calls[key] += 1
+                else:
+                    images[key] += len(args[0])
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in ("conv2d_forward", "fasternet_block_forward", "spp", "conv2d_backward",
+                     "cbam_backward", "activation_backward", "fasternet_block_backward",
+                     "spp_backward"):
+            monkeypatch.setattr(model, name, counting(name, getattr(model, name)))
+        _, stats = train_toy(cfg)
+        assert [st.phase for st in stats] == ["frozen-backbone"] * 3
+        n, steps = cfg.dataset_count, 3 * cfg.dataset_count // cfg.batch_size
+        assert images == {"stem.conv2d_forward": n, "fasternet_block_forward": 2 * n, "spp": n,
+                          "conv2d_forward": 3 * n}
+        assert calls == {"conv2d_backward": steps, "cbam_backward": steps}
 
     def test_phase_labels_follow_freeze_fraction(self):
         cfg = small_config(epochs=4, freeze_fraction=0.5)
@@ -110,6 +143,21 @@ class TestDivergence:
         with pytest.raises(TrainingDiverged,
                            match=r"non-finite block2\.pw1\.b gradient at epoch 0, batch 0$"):
             train_toy(small_config(epochs=1))
+
+    def test_frozen_step_names_the_first_non_finite_trainable_gradient(self, monkeypatch):
+        """A frozen step gets no backbone gradient back; the message names
+        the first non-finite one among CBAM's and the head's."""
+        def poisoned(*args, **kwargs):
+            grads = net_backward(*args, **kwargs)
+            assert not any(k.startswith(("stem.", "block1.", "block2.")) for k in grads)
+            grads["cbam.fc2.b"][0] = np.nan
+            grads["head.w"][0, 0] = np.inf
+            return grads
+
+        monkeypatch.setattr(train, "net_backward", poisoned)
+        with pytest.raises(TrainingDiverged,
+                           match=r"non-finite cbam\.fc2\.b gradient at epoch 0, batch 0$"):
+            train_toy(small_config(epochs=1, freeze_fraction=1.0))
 
     @pytest.mark.parametrize("checked", [True, False])
     def test_non_finite_head_gradient_is_named(self, monkeypatch, checked):

@@ -82,8 +82,8 @@ class PConvSpec:
             raise ConfigError(
                 f"conv_channels must be in [1, {self.channels}], got {self.conv_channels}"
             )
-        if self.kernel % 2 == 0:
-            raise ConfigError("partial conv kernel must be odd")
+        if self.kernel < 1 or self.kernel % 2 == 0:
+            raise ConfigError(f"partial conv kernel must be odd and >= 1, got {self.kernel}")
 
     @property
     def untouched(self) -> int:
@@ -104,7 +104,7 @@ class CBAMSpec:
     """Attention block configuration.
 
     hidden width of the prose-mode MLP is max(1, channels // reduction).
-    spatial_kernel must be odd; the default 1 keeps the spatial gate pointwise.
+    spatial_kernel must be odd and positive; the default 1 keeps the spatial gate pointwise.
     """
 
     channels: int
@@ -118,8 +118,8 @@ class CBAMSpec:
             raise ConfigError("channels must be >= 1")
         if self.reduction < 1:
             raise ConfigError("reduction must be >= 1")
-        if self.spatial_kernel % 2 == 0:
-            raise ConfigError("spatial kernel must be odd")
+        if self.spatial_kernel < 1 or self.spatial_kernel % 2 == 0:
+            raise ConfigError(f"spatial kernel must be odd and >= 1, got {self.spatial_kernel}")
         if self.composition not in ("sequential", "literal"):
             raise ConfigError(f"unknown composition {self.composition!r}")
         if self.channel_mlp not in ("prose", "literal"):
@@ -128,6 +128,12 @@ class CBAMSpec:
     @property
     def hidden(self) -> int:
         return max(1, self.channels // self.reduction)
+
+    @property
+    def mlp_width(self) -> int:
+        """Output width of the channel MLP's first layer, input width of its
+        second: hidden in prose mode, channels in literal mode."""
+        return self.channels if self.channel_mlp == "literal" else self.hidden
 
     def spatial_conv_spec(self) -> ConvSpec:
         return ConvSpec(
@@ -254,11 +260,8 @@ def fasternet_block_backward(
 # ---------------------------------------------------------------------------
 
 def _check_channel_dims(spec: CBAMSpec, w1, b1, w2, b2) -> None:
-    c = spec.channels
-    if spec.channel_mlp == "prose":
-        want1, want2 = (spec.hidden, c), (c, spec.hidden)
-    else:
-        want1, want2 = (c, c), (c, c)
+    c, d = spec.channels, spec.mlp_width
+    want1, want2 = (d, c), (c, d)
     if np.shape(w1) != want1 or np.shape(b1) != (want1[0],):
         raise ConfigError(f"first layer wants W1 {want1}, b1 ({want1[0]},)")
     if np.shape(w2) != want2 or np.shape(b2) != (want2[0],):
@@ -344,8 +347,7 @@ def cbam_init(
     spec: CBAMSpec, rng: np.random.Generator, dtype=np.float64, prefix: str = ""
 ) -> dict[str, np.ndarray]:
     """He-normal weights and zero biases, keyed ``prefix + "fc1.w"`` etc."""
-    c, k = spec.channels, spec.spatial_kernel
-    d1 = c if spec.channel_mlp == "literal" else spec.hidden
+    c, d1, k = spec.channels, spec.mlp_width, spec.spatial_kernel
     return {
         prefix + "fc1.w": he_normal(rng, (d1, c), c, dtype),
         prefix + "fc1.b": np.zeros(d1, dtype=dtype),

@@ -46,7 +46,6 @@ from .train import TrainConfig, TrainingDiverged, train_toy
 from .weights_io import (
     WeightsChecksumError,
     WeightsError,
-    WeightsTruncatedError,
     WeightsVersionError,
     load_weights,
     save_weights,
@@ -63,48 +62,34 @@ EXIT_IMAGE = 8
 EXIT_FORMAT = 9
 EXIT_DIVERGED = 10
 
-_NET_SCHEMA = {
-    "image_size": "int",
-    "in_channels": "int",
-    "stem_channels": "int",
-    "num_classes": "int",
-    "stride": "int",
-    "cp_fraction": "float",
-    "pconv_kernel": "int",
-    "expansion": "float",
-    "spp_windows": "int_tuple",
-    "cbam_reduction": "int",
-    "cbam_spatial_kernel": "int",
-    "cbam_composition": "str",
-    "cbam_channel_mlp": "str",
-    "activation": "str",
-}
-
-_RUN_SCHEMA = dict(_NET_SCHEMA, **{
-    "seed": "int",
-    "epochs": "int",
-    "batch_size": "int",
-    "lr_max": "float",
-    "lr_min": "float",
-    "weight_decay": "float",
-    "loss_variant": "str",
-    "freeze_fraction": "float",
-    "dataset_count": "int",
-    "box_weight": "float",
-    "obj_weight": "float",
-    "cls_weight": "float",
-    "score_threshold": "float",
-    "nms_iou": "float",
-    "eval_iou": "float",
-    "checked": "bool",
-    "dtype": "str",
-})
+# Exit code of each error a subcommand may raise, matched in order: a
+# ParseError is checked before the ConfigError that other bad values raise.
+_EXIT_CODES = (
+    (ParseError, EXIT_PARSE),
+    (FileNotFoundError, EXIT_MISSING),
+    (WeightsChecksumError, EXIT_CHECKSUM),
+    (WeightsVersionError, EXIT_VERSION),
+    (WeightsError, EXIT_FORMAT),
+    (ImageFormatError, EXIT_IMAGE),
+    (TrainingDiverged, EXIT_DIVERGED),
+    (ConfigError, EXIT_CONFIG),
+)
 
 _RUN_DEFAULTS = {"score_threshold": 0.25, "nms_iou": 0.45, "eval_iou": 0.5, "checked": True}
 
+# Config keys are the spec and trainer fields; each annotation names its parser.
+_PARSER_OF_TYPE = {"int": "int", "float": "float", "str": "str", "bool": "bool",
+                   "tuple[int, ...]": "int_tuple"}
+_NET_SCHEMA = {f.name: _PARSER_OF_TYPE[f.type] for f in fields(ToyNetSpec)}
+_RUN_SCHEMA = {
+    **_NET_SCHEMA,
+    **{f.name: _PARSER_OF_TYPE[f.type] for f in fields(TrainConfig) if f.name != "net"},
+    **{k: type(v).__name__ for k, v in _RUN_DEFAULTS.items()},
+}
+
 
 def _load_net_spec(values: dict) -> ToyNetSpec:
-    net_keys = {f.name for f in fields(ToyNetSpec)} & values.keys()
+    net_keys = _NET_SCHEMA.keys() & values.keys()
     return ToyNetSpec(**{k: values[k] for k in net_keys})
 
 
@@ -115,10 +100,6 @@ def _load_run_config(path) -> tuple[TrainConfig, dict]:
     net = _load_net_spec(values)
     train_keys = {f.name for f in fields(TrainConfig)} - {"net"}
     cfg_kwargs = {k: values[k] for k in train_keys & values.keys()}
-    if "image_size" in values:
-        cfg_kwargs["image_size"] = values["image_size"]
-    if "num_classes" in values:
-        cfg_kwargs["num_classes"] = values["num_classes"]
     cfg = TrainConfig(net=net, **cfg_kwargs)
     return cfg, values
 
@@ -368,30 +349,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ParseError as exc:
+    except tuple(types for types, _ in _EXIT_CODES) as exc:
+        code = next(code for types, code in _EXIT_CODES if isinstance(exc, types))
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISSING
-    except WeightsChecksumError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECKSUM
-    except WeightsVersionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERSION
-    except (WeightsTruncatedError, WeightsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except ImageFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IMAGE
-    except TrainingDiverged as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return code
 
 
 if __name__ == "__main__":

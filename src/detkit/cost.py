@@ -28,12 +28,16 @@ MAC counts are h_out * w_out * k^2 * c_in * c_out for convolutions and
 in_features * out_features for fully connected layers. Max pooling performs
 comparisons, not multiply-accumulates, so pooling layers report zero MACs
 but nonzero memory traffic.
+
+Each ``*_cost`` builder prices one layer and returns a ``LayerCost`` row.
+:func:`detkit.model.cost_layers` calls them on the layer specs the network
+runs; :func:`model_cost` takes those rows, in order, and only sums them into
+a ``CostReport``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .tensor import ConfigError
 
@@ -196,43 +200,7 @@ def spp_cost(h: int, w: int, c: int, num_windows: int, name: str = "spp") -> Lay
     return LayerCost(name, 0, 0, mem, mem)
 
 
-def feature_access_ratio(c: int, c_p: int) -> Fraction:
-    """Exact ratio of partial-conv feature memory traffic to a full
-    convolution's over the same map: (h*w*2c_p) / (h*w*2c) = c_p / c."""
-    if not 1 <= c_p <= c:
-        raise ConfigError(f"c_p must be in [1, {c}]")
-    return Fraction(c_p, c)
-
-
-_LAYER_KINDS = {
-    "conv": ({"h", "w", "c_in", "c_out", "k"}, {"stride", "padding", "bias", "name"}),
-    "pconv": ({"h", "w", "c", "c_p", "k"}, {"name"}),
-    "linear": ({"in_features", "out_features"}, {"bias", "name"}),
-    "spp": ({"h", "w", "c", "num_windows"}, {"name"}),
-}
-
-
-def model_cost(net_spec) -> CostReport:
-    """Aggregate layer costs for a network described as a sequence of
-    {"kind": ..., ...} mappings (kinds: conv, pconv, linear, spp)."""
-    report = CostReport()
-    builders = {"conv": conv_cost, "pconv": pconv_cost, "linear": linear_cost, "spp": spp_cost}
-    for idx, layer in enumerate(net_spec):
-        layer = dict(layer)
-        kind = layer.pop("kind", None)
-        label = layer.get("name", f"layer{idx}")
-        if kind not in builders:
-            raise ConfigError(f"layer {label!r}: unknown kind {kind!r}")
-        required, optional = _LAYER_KINDS[kind]
-        missing = required - layer.keys()
-        unknown = layer.keys() - required - optional
-        if missing:
-            raise ConfigError(f"layer {label!r}: missing fields {sorted(missing)}")
-        if unknown:
-            raise ConfigError(f"layer {label!r}: unknown fields {sorted(unknown)}")
-        layer.setdefault("name", label)
-        try:
-            report.layers.append(builders[kind](**layer))
-        except ConfigError as exc:
-            raise ConfigError(f"layer {label!r}: {exc}") from exc
-    return report
+def model_cost(layers) -> CostReport:
+    """Report over a sequence of ``LayerCost`` rows, such as
+    :func:`detkit.model.cost_layers` returns."""
+    return CostReport(list(layers))

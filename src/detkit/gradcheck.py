@@ -277,12 +277,11 @@ def _channel_attention_suite(mlp_mode):
             while True:
                 c = int(rng.integers(2, 7))
                 spec = blocks.CBAMSpec(c, reduction=2, channel_mlp=mlp_mode)
-                d1 = c if mlp_mode == "literal" else spec.hidden
-                d2in = spec.hidden if mlp_mode == "prose" else c
+                d = spec.mlp_width
                 x = _probe(rng, (2, c, 3, 3))
-                w1 = _probe(rng, (d1, c))
-                b1 = _probe(rng, (d1,))
-                w2 = _probe(rng, (c, d2in))
+                w1 = _probe(rng, (d, c))
+                b1 = _probe(rng, (d,))
+                w2 = _probe(rng, (c, d))
                 b2 = _probe(rng, (c,))
                 g = _probe(rng, (2, c, 3, 3))
                 _, _, cache = blocks.channel_attention(x, w1, b1, w2, b2, spec)

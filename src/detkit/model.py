@@ -21,7 +21,11 @@ and ``head.*`` gradients, so what trains is decided by what it returns.
 sequence itself is written out in three places: ``init_params`` (the flat
 ``<layer>.<param>`` store, whose order is the ``.dkw`` manifest order),
 ``net_forward``/``net_backward`` (the call order) and ``cost_layers`` (the
-cost model's layer list). Tests hold them together: every parameter prefix
+cost model's rows). ``cost_layers`` restates no size: it prices each row on
+the spec the forward runs that layer with (``stem_spec()``, the block's
+``pconv``, ``pw1_spec()`` and ``pw2_spec()``, ``cbam_spec()`` and its
+``spatial_conv_spec()``, ``head_spec()``) by calling the :mod:`detkit.cost`
+builders directly. Tests hold them together: every parameter prefix
 names a cost layer, a golden digest pins the initial manifest, and a
 call-order test pins the layer calls. At ``cp_fraction = 1.0`` the partial
 convolution covers every channel and is a bias-free full convolution: that
@@ -48,6 +52,7 @@ from .blocks import (
     fasternet_block_init,
     he_normal,
 )
+from .cost import LayerCost, conv_cost, linear_cost, pconv_cost, spp_cost
 from .ops import ConvSpec, activation, activation_backward, conv2d_backward, conv2d_forward, spp, spp_backward
 from .postprocess import GridDecodeSpec
 from .tensor import ConfigError, Tensor
@@ -71,8 +76,12 @@ class ToyNetSpec:
     activation: str = "mish"
 
     def __post_init__(self):
+        for name in ("image_size", "in_channels", "num_classes", "stride",
+                     "pconv_kernel", "cbam_spatial_kernel"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.image_size % self.stride != 0:
-            raise ConfigError("image size must be a multiple of the stride")
+            raise ConfigError("image_size must be a multiple of stride")
         if not 0.0 < self.cp_fraction <= 1.0:
             raise ConfigError("cp_fraction must be in (0, 1]")
         if self.stem_channels < 4:
@@ -199,40 +208,26 @@ def net_backward(params: dict[str, np.ndarray], spec: ToyNetSpec, cache: NetCach
     return {"stem.w": g_stemw, "stem.b": g_stemb, **g_block1, **g_block2, **head_grads}
 
 
-def cost_layers(spec: ToyNetSpec) -> list[dict]:
-    """Layer descriptors for the cost model; mirrors the executed network."""
+def cost_layers(spec: ToyNetSpec) -> list[LayerCost]:
+    """Cost rows of one image's pass, in call order, each priced on the spec
+    the forward runs that layer with."""
     g = spec.grid
-    c = spec.stem_channels
-    layers: list[dict] = [
-        {
-            "kind": "conv", "name": "stem",
-            "h": spec.image_size, "w": spec.image_size,
-            "c_in": spec.in_channels, "c_out": c,
-            "k": spec.stride, "stride": spec.stride, "padding": 0,
-        }
-    ]
-    bspec = spec.block_spec()
+
+    def conv(name: str, size: int, cs: ConvSpec) -> LayerCost:
+        return conv_cost(size, size, cs.in_channels, cs.out_channels, cs.kernel,
+                         cs.stride, cs.padding, name=name)
+
+    block, cb = spec.block_spec(), spec.cbam_spec()
+    pc = block.pconv
+    layers = [conv("stem", spec.image_size, spec.stem_spec())]
     for name in ("block1", "block2"):
-        layers.append({
-            "kind": "pconv", "name": f"{name}.pconv",
-            "h": g, "w": g, "c": c, "c_p": spec.conv_channels, "k": spec.pconv_kernel,
-        })
-        layers.append({"kind": "conv", "name": f"{name}.pw1",
-                       "h": g, "w": g, "c_in": c, "c_out": bspec.hidden, "k": 1})
-        layers.append({"kind": "conv", "name": f"{name}.pw2",
-                       "h": g, "w": g, "c_in": bspec.hidden, "c_out": c, "k": 1})
-    layers.append({"kind": "spp", "name": "spp", "h": g, "w": g, "c": c,
-                   "num_windows": len(spec.spp_windows)})
-    cb = spec.cbam_spec()
-    d1 = cb.channels if cb.channel_mlp == "literal" else cb.hidden
-    layers.append({"kind": "linear", "name": "cbam.fc1",
-                   "in_features": cb.channels, "out_features": d1})
-    layers.append({"kind": "linear", "name": "cbam.fc2",
-                   "in_features": d1 if cb.channel_mlp == "prose" else cb.channels,
-                   "out_features": cb.channels})
-    layers.append({"kind": "conv", "name": "cbam.spatial",
-                   "h": g, "w": g, "c_in": 2, "c_out": 1, "k": cb.spatial_kernel})
-    layers.append({"kind": "conv", "name": "head",
-                   "h": g, "w": g, "c_in": spec.neck_channels,
-                   "c_out": spec.head_channels, "k": 1})
-    return layers
+        layers += [pconv_cost(g, g, pc.channels, pc.conv_channels, pc.kernel, name=f"{name}.pconv"),
+                   conv(f"{name}.pw1", g, block.pw1_spec()),
+                   conv(f"{name}.pw2", g, block.pw2_spec())]
+    return layers + [
+        spp_cost(g, g, spec.stem_channels, len(spec.spp_windows), name="spp"),
+        linear_cost(cb.channels, cb.mlp_width, name="cbam.fc1"),
+        linear_cost(cb.mlp_width, cb.channels, name="cbam.fc2"),
+        conv("cbam.spatial", g, cb.spatial_conv_spec()),
+        conv("head", g, spec.head_spec()),
+    ]

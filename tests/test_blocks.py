@@ -69,6 +69,11 @@ class TestPConv:
         with pytest.raises(ConfigError):
             PConvSpec(channels=4, conv_channels=2, kernel=4)
 
+    @pytest.mark.parametrize("kernel", [-1, -3])
+    def test_negative_kernel_rejected(self, kernel):
+        with pytest.raises(ConfigError, match=f"kernel must be odd and >= 1, got {kernel}"):
+            PConvSpec(channels=4, conv_channels=2, kernel=kernel)
+
 
 class TestFasterNetBlock:
     def _spec(self, c=6):
@@ -220,6 +225,11 @@ class TestSpatialAttention:
     def test_even_kernel_rejected(self):
         with pytest.raises(ConfigError):
             CBAMSpec(channels=3, spatial_kernel=2)
+
+    @pytest.mark.parametrize("kernel", [-1, -3])
+    def test_negative_kernel_rejected(self, kernel):
+        with pytest.raises(ConfigError, match=f"kernel must be odd and >= 1, got {kernel}"):
+            CBAMSpec(channels=3, spatial_kernel=kernel)
 
 
 class TestCBAM:

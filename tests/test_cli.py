@@ -1,11 +1,14 @@
 """End-to-end command-line behavior in temp dirs: artifacts and exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +17,10 @@ import pytest
 from detkit import cli, tensor
 from detkit.dataset import synth_dataset
 from detkit.imageio import read_image, write_image
+from detkit.model import ToyNetSpec
 from detkit.postprocess import detections_from_json
 from detkit.tensor import Tensor
+from detkit.train import TrainConfig
 
 SMALL_CFG = """
 # small deterministic run for tests
@@ -120,6 +125,131 @@ class TestReportCommand:
         payload = json.loads(json_out.read_text())
         assert payload["totals"]["params"] == sum(r["params"] for r in payload["layers"])
         assert csv_out.read_text().startswith("layer,")
+
+    @pytest.mark.parametrize("command", ["report", "train"])
+    @pytest.mark.parametrize("key,value", [
+        ("stride", "0"), ("stride", "-8"), ("image_size", "0"), ("in_channels", "0"),
+        ("num_classes", "-5"), ("pconv_kernel", "-1"), ("cbam_spatial_kernel", "-1"),
+    ])
+    def test_out_of_range_spec_value_is_a_config_error(self, tmp_path, capsys, command, key, value):
+        path = tmp_path / "net.cfg"
+        path.write_text(f"{key} = {value}\n", encoding="utf-8")
+        argv = (["report", "--spec", str(path)] if command == "report" else
+                ["train", "--config", str(path), "--out-dir", str(tmp_path / "o")])
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert key in err
+
+
+class TestConfigSchema:
+    # A value for every key, none of them the default.
+    VALUES = {
+        "image_size": 48, "in_channels": 3, "stem_channels": 12, "num_classes": 4,
+        "stride": 4, "cp_fraction": 0.5, "pconv_kernel": 5, "expansion": 1.5,
+        "spp_windows": (3, 7), "cbam_reduction": 2, "cbam_spatial_kernel": 3,
+        "cbam_composition": "literal", "cbam_channel_mlp": "literal", "activation": "relu",
+        "seed": 7, "epochs": 3, "batch_size": 2, "lr_max": 0.001, "lr_min": 2e-05,
+        "weight_decay": 0.001, "loss_variant": "ciou", "freeze_fraction": 0.5,
+        "dataset_count": 9, "box_weight": 4.0, "obj_weight": 1.5, "cls_weight": 1.0,
+        "dtype": "float32",
+        "score_threshold": 0.3, "nms_iou": 0.5, "eval_iou": 0.6, "checked": False,
+    }
+
+    def test_keys_are_the_dataclass_fields_and_run_values(self):
+        net = {f.name for f in fields(ToyNetSpec)}
+        train = {f.name for f in fields(TrainConfig)} - {"net"}
+        run = {"score_threshold", "nms_iou", "eval_iou", "checked"}
+        assert set(cli._NET_SCHEMA) == net
+        assert set(cli._RUN_SCHEMA) == net | train | run == set(self.VALUES)
+
+    def test_every_key_loads_into_its_field(self, tmp_path):
+        def text(v):
+            if isinstance(v, tuple):
+                return ", ".join(map(str, v))
+            return str(v).lower() if isinstance(v, bool) else str(v)
+
+        path = tmp_path / "run.cfg"
+        path.write_text("".join(f"{k} = {text(v)}\n" for k, v in self.VALUES.items()),
+                        encoding="utf-8")
+        cfg, values = cli._load_run_config(path)
+        defaults = {**cli._RUN_DEFAULTS}
+        for obj in (TrainConfig(), ToyNetSpec()):
+            defaults.update((f.name, getattr(obj, f.name)) for f in fields(obj))
+        for key, want in self.VALUES.items():
+            assert defaults[key] != want, key
+            # image_size and num_classes are fields of both dataclasses
+            loaded = [getattr(o, key) for o in (cfg.net, cfg) if hasattr(o, key)] or [values[key]]
+            assert all(v == want and type(v) is type(want) for v in loaded), key
+
+
+# SHA-256 of what `detkit report` (stdout, --json-out, --csv-out) and `detkit
+# bench` (stdout, bench.json, bench.csv) write for three net specs. The cost
+# model is exact integer arithmetic, so the digests do not depend on the machine.
+COST_SPECS = {
+    "default": "",
+    "cp-half": "cp_fraction = 0.5\n",
+    "literal-k3": "cbam_channel_mlp = literal\ncbam_composition = literal\ncbam_spatial_kernel = 3\n",
+}
+COST_DIGESTS = {
+    "cp-half": {
+        "bench stdout": "ce9da94fb5ecb0a4b6b6d61fdeb4663b402f0d31db44d67f3ce8169adb6a07c0",
+        "bench.csv": "f5595251a2e14111b8a3208a4924a71caa0cd11b3d9b5564dfddf58494810e21",
+        "bench.json": "ac6de139f13f83acef85cd53519d453881413f48e9f1598ad6424873082c5f6e",
+        "cost.csv": "8d7e860fa8293ba177ac476aaa22ed7b0dd77affc94f93af75909875bd5ec8d1",
+        "cost.json": "60d7d3476725a0ae197ee77d7d8a80eb785abe20dfcc18f9c676fa6ca093c643",
+        "report stdout": "236409ec0a5d81e5c334326db7869db6543c6816ff55bc5b8b431403367be862",
+    },
+    "default": {
+        "bench stdout": "623b6203bb71aaa648411113dee46f0dd60aa4e93efe049c6a7dac93cd9621e7",
+        "bench.csv": "14e980eea66490c93e662651bfa2b118342f3e37804ab90702ba7b98e05ece12",
+        "bench.json": "cdb42f9d7179a3806c6800e643636ce639784c68c7b8f42e2c2e578b737c462b",
+        "cost.csv": "3e6bd8760f38588ab40c087377d470cca1df545270b09f0fe4cd2d95002d170a",
+        "cost.json": "501f19251b72fff5ee26534f2b87aba5d1dcbb30e9fd7ddda4a214632be05fd7",
+        "report stdout": "9ecfab6d683e1c16570c40fbfc3d12127302a4e0fbf616fe9e652c7267b149b0",
+    },
+    "literal-k3": {
+        "bench stdout": "f65cba5a31b6e81c8ab7bdab98d5049ab429066d2a0d23d925f2b61270d10671",
+        "bench.csv": "838d726ec2743c88fc5bdd5fe17f60037033fb6ab983190d4b2051fc7beb999e",
+        "bench.json": "caf21bec141abdb4cdf4a7446fe287d32dd8e3c1211e52aa1a91ea7577a31d23",
+        "cost.csv": "ebaea9cf5c5b3d74678510ffe9123bc9487c4f42374a67d5f50b6dcbf69cdd96",
+        "cost.json": "b5d7acf3b983e0f8233d2f4365866f2882e9668e522668e17c84cca786126f75",
+        "report stdout": "d6c22a2532c91666f79f020dbd7dee4a6ba583d81dece7c8f2180fd61e8949e4",
+    },
+}
+
+
+def cost_digests(tmp_path, spec_text, bench_flags=()):
+    spec = tmp_path / "net.cfg"
+    spec.write_text(spec_text, encoding="utf-8")
+    runs = {
+        "report": ["report", "--spec", str(spec), "--json-out", str(tmp_path / "cost.json"),
+                   "--csv-out", str(tmp_path / "cost.csv")],
+        "bench": ["bench", "--out-dir", str(tmp_path),
+                  *(bench_flags or ["--spec", str(spec)])],
+    }
+    digests = {}
+    for command, argv in runs.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv) == 0
+        digests[f"{command} stdout"] = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    for name in ("cost.json", "cost.csv", "bench.json", "bench.csv"):
+        digests[name] = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    return digests
+
+
+class TestCostGolden:
+    @pytest.mark.parametrize("case", sorted(COST_SPECS))
+    def test_report_and_bench_digests(self, tmp_path, case):
+        assert cost_digests(tmp_path, COST_SPECS[case]) == COST_DIGESTS[case]
+
+    def test_cp_fraction_flag_prices_like_the_spec_key(self, tmp_path):
+        """`bench --cp-fraction 0.5` on the default spec writes what a spec
+        file with cp_fraction = 0.5 does."""
+        digests = cost_digests(tmp_path, COST_SPECS["cp-half"], ["--cp-fraction", "0.5"])
+        bench = {k: v for k, v in digests.items() if k.startswith("bench")}
+        assert bench == {k: v for k, v in COST_DIGESTS["cp-half"].items() if k.startswith("bench")}
 
 
 class TestTrainEvalDetect:

@@ -10,7 +10,6 @@ from detkit.cost import (
     LayerCost,
     conv_cost,
     conv_out_size,
-    feature_access_ratio,
     linear_cost,
     model_cost,
     pconv_cost,
@@ -111,7 +110,6 @@ class TestPConvCost:
             h, w, k = int(rng.integers(1, 33)), int(rng.integers(1, 33)), 3
             pc = pconv_cost(h, w, c, cp, k)
             assert Fraction(pc.mem_access_approx, h * w * 2 * c) == Fraction(cp, c)
-            assert feature_access_ratio(c, cp) == Fraction(cp, c)
 
     def test_macs_match_loop_instrumentation(self):
         rng = np.random.default_rng(45)
@@ -142,7 +140,7 @@ class TestModelCost:
 
     def test_single_conv_totals(self):
         lc = conv_cost(16, 16, 3, 8, 3)
-        report = model_cost([{"kind": "conv", "h": 16, "w": 16, "c_in": 3, "c_out": 8, "k": 3}])
+        report = model_cost([lc])
         assert report.total_params == lc.params
         assert report.total_macs == lc.macs
 
@@ -151,12 +149,6 @@ class TestModelCost:
         assert report.total_params == sum(l.params for l in report.layers)
         assert report.total_macs == sum(l.macs for l in report.layers)
         assert report.total_mem_exact == sum(l.mem_access_exact for l in report.layers)
-
-    def test_invalid_layer_names_the_layer(self):
-        with pytest.raises(ConfigError, match="bogus"):
-            model_cost([{"kind": "warp", "name": "bogus"}])
-        with pytest.raises(ConfigError, match="stem"):
-            model_cost([{"kind": "conv", "name": "stem", "h": 16}])
 
     def test_pconv_net_strictly_cheaper_than_full_twin(self):
         spec = ToyNetSpec()

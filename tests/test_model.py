@@ -287,6 +287,6 @@ class TestStructure:
     def test_cost_layers_mirror_params(self):
         spec = tiny_spec()
         params = init_params(spec, np.random.default_rng(5))
-        layer_names = {l["name"] for l in cost_layers(spec)}
+        layer_names = {l.name for l in cost_layers(spec)}
         param_prefixes = {k.rsplit(".", 1)[0] for k in params}
         assert param_prefixes <= layer_names

@@ -5,15 +5,13 @@ central finite differences, an analytical cost model with exact integer
 arithmetic, and a deterministic toy training/evaluation pipeline.
 """
 
-from .tensor import ConfigError, Tensor, is_checked, load_tensor, save_tensor, set_checked
+from .tensor import ConfigError, Tensor, load_tensor, save_tensor
 
 __all__ = [
     "ConfigError",
     "Tensor",
-    "is_checked",
     "load_tensor",
     "save_tensor",
-    "set_checked",
 ]
 
 __version__ = "0.1.0"

@@ -41,7 +41,7 @@ from .postprocess import (
     letterbox,
     nms,
 )
-from .tensor import ConfigError, set_checked, verify_mode_forced
+from .tensor import ConfigError, verify_mode_forced
 from .train import TrainConfig, TrainingDiverged, train_toy
 from .weights_io import (
     WeightsChecksumError,
@@ -75,6 +75,7 @@ _EXIT_CODES = (
     (ConfigError, EXIT_CONFIG),
 )
 
+# "checked" only keeps older configs parsing: every Tensor checks finiteness.
 _RUN_DEFAULTS = {"score_threshold": 0.25, "nms_iou": 0.45, "eval_iou": 0.5, "checked": True}
 
 # Config keys are the spec and trainer fields; each annotation names its parser.
@@ -206,11 +207,9 @@ def cmd_report(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg, values = _load_run_config(args.config)
+    cfg, _ = _load_run_config(args.config)
     if verify_mode_forced():
         cfg = replace(cfg, dtype="float64")
-    elif not values.get("checked", True):
-        set_checked(False)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     # A diverging run is reported by the TrainingDiverged error, which names
@@ -228,8 +227,8 @@ def cmd_train(args) -> int:
 
 
 def _run_model_on_dataset(cfg: TrainConfig, values: dict, params):
-    dspec = cfg.net.decode_spec(values.get("score_threshold", 0.25))
-    nms_iou = values.get("nms_iou", 0.45)
+    dspec = cfg.net.decode_spec(values["score_threshold"])
+    nms_iou = values["nms_iou"]
     data = synth_dataset(cfg.seed, cfg.dataset_count, cfg.image_size, cfg.num_classes)
     all_dets, all_gts = [], []
     for image, targets in data:
@@ -248,7 +247,7 @@ def cmd_eval(args) -> int:
     report = model_cost(cost_layers(cfg.net))
     summary, curve, per_class = evaluate(
         all_dets, all_gts,
-        iou_thr=values.get("eval_iou", 0.5),
+        iou_thr=values["eval_iou"],
         model_size_mb=report.model_size_bytes(8) / 1e6,
         computation_macs=report.total_macs,
     )
@@ -272,8 +271,8 @@ def cmd_detect(args) -> int:
     model_in = to_channels(image, cfg.net.in_channels)
     boxed, scale, pads = letterbox(model_in, cfg.net.image_size, cfg.net.image_size)
     head, _ = net_forward(params, cfg.net, boxed)
-    dspec = cfg.net.decode_spec(values.get("score_threshold", 0.25))
-    dets = nms(decode(head, dspec), values.get("nms_iou", 0.45))
+    dspec = cfg.net.decode_spec(values["score_threshold"])
+    dets = nms(decode(head, dspec), values["nms_iou"])
 
     mapped = []
     for d in dets:
@@ -343,8 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if verify_mode_forced():
-        set_checked(True)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -53,9 +53,10 @@ from .blocks import (
     he_normal,
 )
 from .cost import LayerCost, conv_cost, linear_cost, pconv_cost, spp_cost
-from .ops import ConvSpec, activation, activation_backward, conv2d_backward, conv2d_forward, spp, spp_backward
+from .ops import (ConvSpec, activation, activation_backward, check_activation, check_pool_windows,
+                  conv2d_backward, conv2d_forward, spp, spp_backward)
 from .postprocess import GridDecodeSpec
-from .tensor import ConfigError, Tensor
+from .tensor import ConfigError, Tensor, _require_finite
 
 
 @dataclass(frozen=True)
@@ -86,6 +87,11 @@ class ToyNetSpec:
             raise ConfigError("cp_fraction must be in (0, 1]")
         if self.stem_channels < 4:
             raise ConfigError("stem must have at least 4 channels")
+        for name, check in (("spp_windows", check_pool_windows), ("activation", check_activation)):
+            try:
+                check(getattr(self, name))
+            except ConfigError as exc:
+                raise ConfigError(f"{name}: {exc}") from None
 
     @property
     def grid(self) -> int:
@@ -186,6 +192,7 @@ def net_forward(params: dict[str, np.ndarray], spec: ToyNetSpec, x: Tensor | Non
             backbone = (x.data, stem_act_cache, b1_cache, b2_cache, spp_cache)
     att, cbam_cache = cbam_forward(neck, params, spec.cbam_spec(), "cbam.")
     head = conv2d_forward(att, params["head.w"], params["head.b"], spec.head_spec())
+    _require_finite("head", head)
     return Tensor(head), NetCache(backbone, neck, cbam_cache, att)
 
 

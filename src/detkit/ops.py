@@ -256,18 +256,24 @@ def _maxpool_same_backward(arg: np.ndarray, window: int, upstream: np.ndarray) -
     return grad.reshape(upstream.shape).astype(upstream.dtype, copy=False)
 
 
-def spp(x: np.ndarray, pool_windows):
-    """Pyramid pooling: concatenate x with one shape-preserving max pool per
-    window size. Output channels = c * (1 + len(pool_windows)).
-
-    Returns (output, cache); the cache holds each pool's winner offsets for
-    :func:`spp_backward`."""
+def check_pool_windows(pool_windows) -> list[int]:
+    """The windows as a list; each must be odd and >= 1."""
     windows = list(pool_windows)
     for wsz in windows:
         if wsz % 2 == 0:
             raise ConfigError(f"pool window {wsz} must be odd")
         if wsz < 1:
             raise ConfigError("pool window must be >= 1")
+    return windows
+
+
+def spp(x: np.ndarray, pool_windows):
+    """Pyramid pooling: concatenate x with one shape-preserving max pool per
+    window size. Output channels = c * (1 + len(pool_windows)).
+
+    Returns (output, cache); the cache holds each pool's winner offsets for
+    :func:`spp_backward`."""
+    windows = check_pool_windows(pool_windows)
     parts = [x]
     winners = []
     for wsz in windows:
@@ -349,20 +355,23 @@ _ACT_FUNCS = {
 }
 
 
+def check_activation(kind: str) -> None:
+    if kind not in _ACT_FUNCS:
+        raise ConfigError(f"unknown activation {kind!r}")
+
+
 def activation(x: np.ndarray, kind: str):
     """Elementwise nonlinearity: relu, sigmoid, or mish.
 
     Returns (output, cache); the cache holds what :func:`activation_backward`
     needs: the input for relu, the output for sigmoid, and for mish the input,
     exp(-|x|) and tanh(softplus(x))."""
-    if kind not in _ACT_FUNCS:
-        raise ConfigError(f"unknown activation {kind!r}")
+    check_activation(kind)
     return _ACT_FUNCS[kind][0](x)
 
 
 def activation_backward(cache, kind: str, upstream: np.ndarray) -> np.ndarray:
-    if kind not in _ACT_FUNCS:
-        raise ConfigError(f"unknown activation {kind!r}")
+    check_activation(kind)
     if upstream.shape != cache[0].shape:
         raise ConfigError("upstream shape must match input")
     return _ACT_FUNCS[kind][1](cache, upstream)

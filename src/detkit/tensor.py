@@ -6,10 +6,10 @@ generated or letterboxed, the network input, the head that
 ``model.net_backward`` (``losses`` and ``postprocess.decode`` consume the
 head), and ``.dkt`` files. Inside the network (``ops``, ``blocks``,
 ``model``) and in the parameter store every value is a bare ndarray. Data is
-stored row-major in (n, c, h, w) order, 64-bit by default. A global checked
-mode controls whether each construction validates finiteness, so checked runs
-validate images, the network input, the head and the head gradient; training
-may switch it off for speed.
+stored row-major in (n, c, h, w) order, 64-bit by default. Every construction
+rejects NaN and Inf, so no non-finite image, network input, head or head
+gradient gets through; :func:`_require_finite` is that check, and callers that
+know what a value is use it to name it (``net_forward`` names the head).
 """
 
 from __future__ import annotations
@@ -32,28 +32,29 @@ class ConfigError(ValueError):
 
 
 class NonFiniteError(ConfigError):
-    """A checked-mode Tensor was given NaN or Inf."""
+    """A value held NaN or Inf; the message names the value."""
 
 
 class TensorFormatError(IOError):
     """Malformed or truncated tensor file."""
 
 
-_checked = True
+def _require_finite(what: str, arr: np.ndarray) -> None:
+    """Raise NonFiniteError("non-finite <what>") if arr holds NaN or Inf.
 
-
-def set_checked(flag: bool) -> None:
-    """Toggle validation (shape and finiteness checks) on tensor construction."""
-    global _checked
-    _checked = bool(flag)
+    Package-private so that tracers of the public API do not wrap a call
+    made by every Tensor construction."""
+    if not np.isfinite(arr).all():
+        raise NonFiniteError(f"non-finite {what}")
 
 
 def is_checked() -> bool:
-    return _checked
+    """Always True: finiteness checks cannot be switched off."""
+    return True
 
 
 def verify_mode_forced() -> bool:
-    """True when the DETKIT_VERIFY environment variable demands checked 64-bit runs."""
+    """True when the DETKIT_VERIFY environment variable demands 64-bit training."""
     return os.environ.get("DETKIT_VERIFY", "") == "1"
 
 
@@ -69,8 +70,7 @@ class Tensor:
         if arr.ndim != 4:
             raise ConfigError(f"tensor must be rank 4 (n, c, h, w), got shape {arr.shape}")
         arr = np.ascontiguousarray(arr)
-        if _checked and arr.size and not np.isfinite(arr).all():
-            raise NonFiniteError("tensor contains NaN or Inf")
+        _require_finite("tensor", arr)
         self.data = arr
 
     @classmethod

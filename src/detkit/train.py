@@ -8,14 +8,14 @@ frozen epoch, and read back in the later ones; phase 2 fine-tunes everything.
 The learning rate follows a cosine schedule over the full epoch range.
 Training is deterministic for a fixed seed: dataset generation, parameter
 initialization and batch shuffling all draw from one seeded generator, and
-every reduction happens in a fixed order.
+every reduction happens in a fixed order. A non-finite head, head gradient,
+parameter gradient or loss stops training with a TrainingDiverged naming it.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +24,7 @@ from .dataset import synth_dataset
 from .losses import detection_loss_and_grad
 from .model import ToyNetSpec, init_params, net_backward, net_forward
 from .optim import AdamWState, adamw_step, cosine_lr
-from .tensor import ConfigError, NonFiniteError, Tensor
+from .tensor import ConfigError, NonFiniteError, Tensor, _require_finite
 
 
 class TrainingDiverged(RuntimeError):
@@ -91,21 +91,6 @@ class EpochStats:
         }, sort_keys=True)
 
 
-@contextmanager
-def _non_finite(what: str):
-    """Report a checked-mode Tensor's NonFiniteError inside the block as ``what``."""
-    try:
-        yield
-    except NonFiniteError:
-        raise NonFiniteError(what) from None
-
-
-def _require_finite(what: str, arr: np.ndarray) -> None:
-    """The same error for unchecked runs, where Tensors do not validate."""
-    if not np.isfinite(arr).all():
-        raise NonFiniteError(what)
-
-
 def _batch_loss_and_grads(params, cfg: TrainConfig, images, target_lists, frozen, neck):
     """Mean loss over a batch plus parameter gradients (single net backward).
 
@@ -113,23 +98,22 @@ def _batch_loss_and_grads(params, cfg: TrainConfig, images, target_lists, frozen
     gradients come back; ``neck``, the batch's stored neck, then stands in for
     the images. Returns (loss terms, gradients, the batch's neck).
 
-    Raises NonFiniteError naming the first non-finite value, whether or not
-    checked mode is on: the head, the head gradient or a parameter gradient."""
+    Raises NonFiniteError naming the first non-finite value: the head (named
+    by ``net_forward``), the head gradient or a parameter gradient."""
     x = None if neck is not None else Tensor(np.concatenate([im.data for im in images], axis=0))
-    with _non_finite("head"):
-        head, cache = net_forward(params, cfg.net, x, neck=neck, freeze_backbone=frozen)
-    _require_finite("head", head.data)
+    head, cache = net_forward(params, cfg.net, x, neck=neck, freeze_backbone=frozen)
     upstream = np.zeros_like(head.data)
     totals = np.zeros(4)
     bsz = len(images)
-    with _non_finite("head gradient"):
-        for i, targets in enumerate(target_lists):
-            single = Tensor(head.data[i:i + 1])
+    for i, targets in enumerate(target_lists):
+        single = Tensor(head.data[i:i + 1])
+        try:  # the Tensor of the loss gradient rejects NaN/Inf: name it
             br, g = detection_loss_and_grad(single, targets, cfg.loss_variant, float(cfg.net.stride),
                                             cfg.box_weight, cfg.obj_weight, cfg.cls_weight)
-            upstream[i] = g.data[0] / bsz
-            totals += np.array([br.box_loss, br.objectness_loss, br.class_loss, br.total])
-    _require_finite("head gradient", upstream)
+        except NonFiniteError:
+            raise NonFiniteError("non-finite head gradient") from None
+        upstream[i] = g.data[0] / bsz
+        totals += np.array([br.box_loss, br.objectness_loss, br.class_loss, br.total])
     grads = net_backward(params, cfg.net, cache, Tensor(upstream))
     for name, grad in grads.items():
         _require_finite(f"{name} gradient", grad)
@@ -176,9 +160,7 @@ def train_toy(config: TrainConfig):
             try:
                 totals, grads, neck = _batch_loss_and_grads(params, config, images, targets, frozen, stored)
             except NonFiniteError as exc:
-                raise TrainingDiverged(
-                    f"non-finite {exc} at epoch {epoch}, batch {batches}"
-                ) from exc
+                raise TrainingDiverged(f"{exc} at epoch {epoch}, batch {batches}") from exc
             except (FloatingPointError, OverflowError) as exc:
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}, batch {batches}: {exc}"

@@ -19,7 +19,7 @@ from detkit.dataset import synth_dataset
 from detkit.imageio import read_image, write_image
 from detkit.model import ToyNetSpec
 from detkit.postprocess import detections_from_json
-from detkit.tensor import Tensor
+from detkit.tensor import NonFiniteError, Tensor
 from detkit.train import TrainConfig
 
 SMALL_CFG = """
@@ -130,6 +130,7 @@ class TestReportCommand:
     @pytest.mark.parametrize("key,value", [
         ("stride", "0"), ("stride", "-8"), ("image_size", "0"), ("in_channels", "0"),
         ("num_classes", "-5"), ("pconv_kernel", "-1"), ("cbam_spatial_kernel", "-1"),
+        ("spp_windows", "4"), ("spp_windows", "0"), ("spp_windows", "-3"), ("activation", "foo"),
     ])
     def test_out_of_range_spec_value_is_a_config_error(self, tmp_path, capsys, command, key, value):
         path = tmp_path / "net.cfg"
@@ -405,14 +406,43 @@ class TestTrainEvalDetect:
         cfg.write_text("epochs = 3\nlr_max = 1e300\nlr_min = 1e300\nfreeze_fraction = 0.0\n"
                        f"dataset_count = 10\nimage_size = 32\nchecked = {checked}\n",
                        encoding="utf-8")
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", RuntimeWarning)
-                code = cli.main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
-        finally:
-            tensor.set_checked(True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
         assert code == cli.EXIT_DIVERGED
         assert capsys.readouterr().err == "error: non-finite head at epoch 0, batch 1\n"
+
+    @pytest.mark.parametrize("checked", ["true", "false"])
+    @pytest.mark.parametrize("command", ["detect", "eval"])
+    def test_nan_weight_exit_names_the_head(self, tmp_path, capsys, command, checked):
+        """A NaN in head.b makes every head non-finite: detect and eval exit 2
+        and name the head, whatever the config's checked key says."""
+        from detkit.model import init_params
+        from detkit.weights_io import save_weights
+
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL_CFG + f"checked = {checked}\n", encoding="utf-8")
+        params = init_params(ToyNetSpec(image_size=32, stem_channels=8), np.random.default_rng(0))
+        params["head.b"][0] = np.nan
+        weights = tmp_path / "nan.dkw"
+        save_weights(params, weights)
+        image = tmp_path / "x.pgm"
+        write_image(image, Tensor.full((1, 1, 32, 32), 0.2))
+        argv = [command, "--config", str(cfg), "--weights", str(weights)] + (
+            ["--image", str(image), "--out", str(tmp_path / "d.json")] if command == "detect"
+            else ["--out-dir", str(tmp_path / "e")])
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "error: non-finite head\n"
+
+    def test_unchecked_train_leaves_tensors_checked(self, tmp_path):
+        """checked = false has no effect: after a train run that sets it, a
+        Tensor made in the same process still rejects NaN."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL_CFG + "checked = false\n", encoding="utf-8")
+        assert cli.main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 0
+        assert tensor.is_checked() is True
+        with pytest.raises(NonFiniteError, match="^non-finite tensor$"):
+            Tensor(np.full((1, 1, 2, 2), np.nan))
 
     def test_unknown_config_key_parse_exit(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-import detkit.tensor as dt
 from detkit.tensor import ConfigError, Tensor, TensorFormatError, load_tensor, save_tensor
 
 
@@ -33,15 +32,6 @@ class TestConstruction:
         bad[0, 0, 1, 1] = np.inf
         with pytest.raises(ConfigError):
             Tensor(bad)
-
-    def test_fast_mode_skips_finiteness(self):
-        bad = np.zeros((1, 1, 2, 2))
-        bad[0, 0, 0, 0] = np.nan
-        dt.set_checked(False)
-        try:
-            Tensor(bad)
-        finally:
-            dt.set_checked(True)
 
 
 class TestSerialization:

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from detkit import model, tensor, train
+from detkit import model, train
 from detkit.losses import detection_loss_and_grad
 from detkit.model import ToyNetSpec, init_params, net_backward
 from detkit.tensor import ConfigError, Tensor
@@ -159,10 +159,9 @@ class TestDivergence:
                            match=r"non-finite cbam\.fc2\.b gradient at epoch 0, batch 0$"):
             train_toy(small_config(epochs=1, freeze_fraction=1.0))
 
-    @pytest.mark.parametrize("checked", [True, False])
-    def test_non_finite_head_gradient_is_named(self, monkeypatch, checked):
-        """A non-finite loss gradient is named before the backward runs,
-        whether its Tensor rejects it (checked) or the trainer does."""
+    def test_non_finite_head_gradient_is_named(self, monkeypatch):
+        """A non-finite loss gradient, rejected by its Tensor, is named before
+        the backward runs."""
         def poisoned(*args, **kwargs):
             br, grad = detection_loss_and_grad(*args, **kwargs)
             bad = grad.data.copy()
@@ -170,12 +169,8 @@ class TestDivergence:
             return br, Tensor(bad)
 
         monkeypatch.setattr(train, "detection_loss_and_grad", poisoned)
-        tensor.set_checked(checked)
-        try:
-            with pytest.raises(TrainingDiverged, match=r"non-finite head gradient at epoch 0, batch 0$"):
-                train_toy(small_config(epochs=1))
-        finally:
-            tensor.set_checked(True)
+        with pytest.raises(TrainingDiverged, match=r"non-finite head gradient at epoch 0, batch 0$"):
+            train_toy(small_config(epochs=1))
 
 
 class TestConfigValidation:

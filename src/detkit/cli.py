@@ -298,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="detkit",
         description="Verification-first detection toolkit (set DETKIT_VERIFY=1 "
-                    "to force checked 64-bit execution)",
+                    "to make train run in float64)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -86,6 +86,26 @@ def iou(a: BBox, b: BBox) -> float:
     return inter / union
 
 
+def corners(boxes: list[BBox]) -> np.ndarray:
+    """(len(boxes), 4) float64 array of [x1, y1, x2, y2] rows."""
+    return np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=np.float64).reshape(-1, 4)
+
+
+def pairwise_iou(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """IoU of every corner row of p (n, 4) against every row of g (m, 4), as
+    an (n, m) array. Entry [i, j] equals iou() of the two boxes to the bit:
+    the same float64 expression, evaluated elementwise."""
+    px1, py1, px2, py2 = (p[:, k, None] for k in range(4))
+    gx1, gy1, gx2, gy2 = g.T
+    iw = np.minimum(px2, gx2) - np.maximum(px1, gx1)
+    ih = np.minimum(py2, gy2) - np.maximum(py1, gy1)
+    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
+    union = (px2 - px1) * (py2 - py1) + (gx2 - gx1) * (gy2 - gy1) - inter
+    out = np.zeros_like(union)
+    np.divide(inter, union, out=out, where=union > 0.0)
+    return out
+
+
 def _iou_with_grad(p: np.ndarray, g: np.ndarray):
     """IoU of pred corners p = [x1, y1, x2, y2] against fixed gt corners g,
     plus d(iou)/dp. Subgradient 0 is used exactly at min/max ties."""

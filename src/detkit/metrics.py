@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import BBox, iou
+from .losses import BBox, corners, pairwise_iou
 from .postprocess import Detection
 from .tensor import ConfigError
 
@@ -71,19 +71,16 @@ def match_image(dets: list[Detection], gts: list[tuple[BBox, int]], iou_thr: flo
     """Greedy match for one image; returns a true-positive flag per detection
     in the original detection order."""
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    taken = [False] * len(gts)
+    ious = pairwise_iou(corners([d.bbox for d in dets]), corners([gbox for gbox, _ in gts]))
+    gt_cls = np.array([gcls for _, gcls in gts], dtype=np.int64)
+    untaken = np.ones(len(gts), dtype=bool)
     tp = [False] * len(dets)
     for i in order:
-        best_j = -1
-        best_iou = iou_thr
-        for j, (gbox, gcls) in enumerate(gts):
-            if taken[j] or gcls != dets[i].class_id:
-                continue
-            v = iou(dets[i].bbox, gbox)
-            if v >= best_iou and (best_j < 0 or v > best_iou):
-                best_iou, best_j = v, j
-        if best_j >= 0:
-            taken[best_j] = True
+        # the highest IoU at or above the threshold; ties go to the first gt
+        ok = untaken & (gt_cls == dets[i].class_id) & (ious[i] >= iou_thr)
+        if ok.any():
+            j = int(np.where(ok, ious[i], -np.inf).argmax())
+            untaken[j] = False
             tp[i] = True
     return tp
 

@@ -12,7 +12,9 @@ Conventions shared by every operator here:
   the cache returned next to the output for ``activation``,
   ``spatial_stats`` and ``spp``. Backward recomputes nothing the forward
   already evaluated: mish keeps exp(-|x|) and tanh(softplus(x)), sigmoid
-  its output, the channel statistics their argmax;
+  its output. The channel statistics keep only their input: the argmax that
+  routes the max gradient is taken in the backward, the one caller that
+  reads it;
 * convolution runs as one matrix product over im2col windows, pooling as a
   separable row-then-column max.
 
@@ -197,20 +199,22 @@ def spatial_stats(x: np.ndarray):
     """Per-position channel statistics: channel 0 is the max over channels,
     channel 1 the mean. Output shape (n, 2, h, w).
 
-    Returns (output, cache); the cache records each position's winning channel
-    (the first maximum) for :func:`spatial_stats_backward`."""
+    Returns (output, cache); the cache is the input, from which
+    :func:`spatial_stats_backward` finds each position's winning channel (the
+    first maximum). Forward-only callers never pay for that argmax."""
     if x.shape[1] < 1:
         raise ConfigError("need at least one channel")
     mx = x.max(axis=1, keepdims=True)
     mean = x.mean(axis=1, keepdims=True)
-    return np.concatenate([mx, mean], axis=1), (x, x.argmax(axis=1))
+    return np.concatenate([mx, mean], axis=1), (x,)
 
 
 def spatial_stats_backward(cache, upstream: np.ndarray) -> np.ndarray:
-    x, arg = cache
+    (x,) = cache
     n, c, h, w = x.shape
     if upstream.shape != (n, 2, h, w):
         raise ConfigError("upstream must have shape (n, 2, h, w)")
+    arg = x.argmax(axis=1)
     grad = np.zeros_like(x)
     np.put_along_axis(grad, arg[:, None], upstream[:, 0:1], axis=1)
     grad += upstream[:, 1:2] / c

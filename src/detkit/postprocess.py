@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import BBox, iou
+from .losses import BBox, corners, pairwise_iou
 from .ops import sigmoid
 from .tensor import ConfigError, Tensor
 
@@ -77,29 +77,24 @@ def decode(head: Tensor, spec: GridDecodeSpec) -> list[Detection]:
     s = spec.stride
     # float64, so a float32 head scores and boxes in the same precision as a float64 one
     sig = sigmoid(p).astype(np.float64, copy=False)
-    obj = sig[4]
     cls = sig[5:]
-    best_cls = cls.argmax(axis=0)
-    score = obj * cls.max(axis=0)
+    score = sig[4] * cls.max(axis=0)
+    emit = score >= spec.score_threshold
 
     cols = np.arange(spec.grid_w)[None, :]
     rows = np.arange(spec.grid_h)[:, None]
-    cx = (cols + sig[0]) * s
-    cy = (rows + sig[1]) * s
-    bw = np.exp(np.minimum(p[2], _LOGIT_CAP)) * s
-    bh = np.exp(np.minimum(p[3], _LOGIT_CAP)) * s
-
-    out: list[Detection] = []
-    for i in range(spec.grid_h):
-        for j in range(spec.grid_w):
-            if score[i, j] < spec.score_threshold:
-                continue
-            x1 = min(max(cx[i, j] - bw[i, j] / 2.0, 0.0), spec.image_w)
-            x2 = min(max(cx[i, j] + bw[i, j] / 2.0, 0.0), spec.image_w)
-            y1 = min(max(cy[i, j] - bh[i, j] / 2.0, 0.0), spec.image_h)
-            y2 = min(max(cy[i, j] + bh[i, j] / 2.0, 0.0), spec.image_h)
-            out.append(Detection(BBox(x1, y1, x2, y2), float(score[i, j]), int(best_cls[i, j])))
-    return out
+    cx = ((cols + sig[0]) * s)[emit]
+    cy = ((rows + sig[1]) * s)[emit]
+    half_w = (np.exp(np.minimum(p[2], _LOGIT_CAP)) * s)[emit] / 2.0
+    half_h = (np.exp(np.minimum(p[3], _LOGIT_CAP)) * s)[emit] / 2.0
+    boxes = np.stack([
+        np.minimum(np.maximum(cx - half_w, 0.0), spec.image_w),
+        np.minimum(np.maximum(cy - half_h, 0.0), spec.image_h),
+        np.minimum(np.maximum(cx + half_w, 0.0), spec.image_w),
+        np.minimum(np.maximum(cy + half_h, 0.0), spec.image_h),
+    ], axis=1)
+    return [Detection(BBox(*box), sc, k) for box, sc, k in
+            zip(boxes.tolist(), score[emit].tolist(), cls.argmax(axis=0)[emit].tolist())]
 
 
 def encode_box(bbox: BBox, spec: GridDecodeSpec) -> tuple[int, int, float, float, float, float]:
@@ -126,18 +121,20 @@ def nms(dets: list[Detection], iou_threshold: float = 0.45) -> list[Detection]:
     detection and drop same-class detections overlapping it beyond the
     threshold. Ordering (and tie-breaks) are part of the contract: output is
     sorted by descending score, then ascending class id, then input order."""
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, dets[i].class_id, i))
-    suppressed = [False] * len(dets)
+    # lexsort is stable, so input order breaks (score, class) ties
+    order = np.lexsort(([d.class_id for d in dets], [-d.score for d in dets]))
+    ranked = [dets[i] for i in order.tolist()]
+    classes = np.array([d.class_id for d in ranked])
+    boxes = corners([d.bbox for d in ranked])
+    over = pairwise_iou(boxes, boxes) > iou_threshold
+    over &= classes[:, None] == classes[None, :]
+    suppressed = np.zeros(len(ranked), dtype=bool)
     keep: list[Detection] = []
-    for pos, i in enumerate(order):
-        if suppressed[i]:
+    for pos, d in enumerate(ranked):
+        if suppressed[pos]:
             continue
-        keep.append(dets[i])
-        for j in order[pos + 1:]:
-            if suppressed[j] or dets[j].class_id != dets[i].class_id:
-                continue
-            if iou(dets[i].bbox, dets[j].bbox) > iou_threshold:
-                suppressed[j] = True
+        keep.append(d)
+        suppressed[pos + 1:] |= over[pos, pos + 1:]
     return keep
 
 

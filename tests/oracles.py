@@ -10,7 +10,7 @@ import numpy as np
 
 from detkit import losses, ops
 from detkit.losses import BBox, iou
-from detkit.postprocess import Detection
+from detkit.postprocess import _LOGIT_CAP, Detection
 from detkit.tensor import Tensor
 
 
@@ -111,6 +111,71 @@ def scan_maxpool_same_backward(x, window, upstream):
         di, dj = divmod(idx, window)
         grad_p[:, :, di:di + h, dj:dj + w] += upstream * (arg == idx)
     return grad_p[:, :, p:p + h, p:p + w]
+
+
+def scalar_decode(head, spec):
+    """Grid decode one cell at a time: each emitted cell's corners are clamped
+    with Python min/max on its own scalars."""
+    p = head.data[0]
+    s = spec.stride
+    sig = ops.sigmoid(p).astype(np.float64, copy=False)
+    cls = sig[5:]
+    best_cls = cls.argmax(axis=0)
+    score = sig[4] * cls.max(axis=0)
+    cx = (np.arange(spec.grid_w)[None, :] + sig[0]) * s
+    cy = (np.arange(spec.grid_h)[:, None] + sig[1]) * s
+    bw = np.exp(np.minimum(p[2], _LOGIT_CAP)) * s
+    bh = np.exp(np.minimum(p[3], _LOGIT_CAP)) * s
+    out = []
+    for i in range(spec.grid_h):
+        for j in range(spec.grid_w):
+            if score[i, j] < spec.score_threshold:
+                continue
+            x1 = min(max(cx[i, j] - bw[i, j] / 2.0, 0.0), spec.image_w)
+            x2 = min(max(cx[i, j] + bw[i, j] / 2.0, 0.0), spec.image_w)
+            y1 = min(max(cy[i, j] - bh[i, j] / 2.0, 0.0), spec.image_h)
+            y2 = min(max(cy[i, j] + bh[i, j] / 2.0, 0.0), spec.image_h)
+            out.append(Detection(BBox(x1, y1, x2, y2), float(score[i, j]), int(best_cls[i, j])))
+    return out
+
+
+def scalar_nms(dets, thr):
+    """Greedy class-aware NMS over the (-score, class, input order) ranking,
+    one scalar iou() call per surviving same-class pair."""
+    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, dets[i].class_id, i))
+    suppressed = [False] * len(dets)
+    keep = []
+    for pos, i in enumerate(order):
+        if suppressed[i]:
+            continue
+        keep.append(dets[i])
+        for j in order[pos + 1:]:
+            if suppressed[j] or dets[j].class_id != dets[i].class_id:
+                continue
+            if iou(dets[i].bbox, dets[j].bbox) > thr:
+                suppressed[j] = True
+    return keep
+
+
+def scalar_match_image(dets, gts, iou_thr):
+    """Greedy matching in (-score, input order): each detection claims the
+    first untaken same-class ground truth of the highest IoU >= iou_thr."""
+    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+    taken = [False] * len(gts)
+    tp = [False] * len(dets)
+    for i in order:
+        best_j = -1
+        best_iou = iou_thr
+        for j, (gbox, gcls) in enumerate(gts):
+            if taken[j] or gcls != dets[i].class_id:
+                continue
+            v = iou(dets[i].bbox, gbox)
+            if v >= best_iou and (best_j < 0 or v > best_iou):
+                best_iou, best_j = v, j
+        if best_j >= 0:
+            taken[best_j] = True
+            tp[i] = True
+    return tp
 
 
 def brute_force_nms(dets, thr):

@@ -253,6 +253,92 @@ class TestCostGolden:
         assert bench == {k: v for k, v in COST_DIGESTS["cp-half"].items() if k.startswith("bench")}
 
 
+def _quiet_main(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+# SHA-256 of the detections JSON that `detkit detect` writes at score threshold
+# 0.01, so nearly every grid cell reaches NMS. The weights are ToyNetSpec()
+# drawn from PCG64(7) in each dtype; the scenes are synthetic shapes cropped to
+# (h, w) = DETECT_SIZES, so letterbox scales up, not at all, and down. Pins
+# the forward at batch 1, decode, NMS and the letterbox inverse. Measured with
+# NumPy 2.4 on x86-64 OpenBLAS.
+DETECT_SIZES = ((40, 28), (64, 64), (90, 150))
+DETECT_DIGESTS = {
+    "float64": ("ec0edf698be548055ab7c066dc6278374533666f530b24c7dbc52d100bcb32b9",
+                "f930e8e1c8eadf3aa3a86ecda2c118aeab11ab5504ecc99e1a91867616166481",
+                "94d61dd2757ed96a5467fc0a17b5e8f73f0b1471ed15e6e9b4fc598b325cf85c"),
+    "float32": ("da5202494a43b717cfe4b9d66bb0787850fb53ab17defd06f5b6bb5f3aceac62",
+                "78c190351dc048bee2b0a6ea7d68d86d55dd4d40e805214a1c3166502cb51dae",
+                "0940a352cd8e3068478165dbaba9797e86699d5917f5928e956f52e6f610b725"),
+}
+
+# SHA-256 of the summary.json and pr_curve.csv that `detkit eval` writes at
+# score threshold 0.01 for the weights of the float64 TRAIN_DIGESTS run
+# (tests/test_model.py), on its 10 training images, at two matching IoU
+# thresholds. Pins decode, NMS, matching and the PR curve on hundreds of
+# detections per run.
+EVAL_DIGESTS = {
+    "0.5": {"summary.json": "b3879c14825149b3b59f0e2cd2dfed9334ce13f979ece2194b8e0796c17b1a90",
+            "pr_curve.csv": "32d4c56a83a7fb9653adc2d9f2971e63bcab0bfdbbe53ea8b412e512776826af"},
+    "0.1": {"summary.json": "0ff599faee3e24b642c3465029a8848139a754eb29260e4f80cf8c41f507baa7",
+            "pr_curve.csv": "124895814358e9bb78931bde9fac63b4db8494b104f359a6d4f929310480aede"},
+}
+EVAL_CFG = "seed = 42\nepochs = 3\nbatch_size = 5\ndataset_count = 10\nscore_threshold = 0.01\n"
+
+
+def detect_digests(tmp_path, dtype):
+    from detkit.model import init_params
+    from detkit.weights_io import save_weights
+
+    cfg = tmp_path / "detect.cfg"
+    cfg.write_text("score_threshold = 0.01\n", encoding="utf-8")
+    weights = tmp_path / "init.dkw"
+    save_weights(init_params(ToyNetSpec(), np.random.Generator(np.random.PCG64(7)),
+                             dtype=getattr(np, dtype)), weights)
+    digests = []
+    for k, (h, w) in enumerate(DETECT_SIZES):
+        scene, _ = synth_dataset(11 + k, 1, max(h, w))[0]
+        image = tmp_path / f"scene{k}.pgm"
+        write_image(image, Tensor(scene.data[:, :, :h, :w]))
+        out = tmp_path / f"dets{k}.json"
+        _quiet_main(["detect", "--config", str(cfg), "--weights", str(weights),
+                     "--image", str(image), "--out", str(out)])
+        digests.append(_sha256(out))
+    return tuple(digests)
+
+
+def eval_digests(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(EVAL_CFG, encoding="utf-8")
+    _quiet_main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "train")])
+    digests = {}
+    for iou_thr in EVAL_DIGESTS:
+        cfg.write_text(EVAL_CFG + f"eval_iou = {iou_thr}\n", encoding="utf-8")
+        out = tmp_path / f"eval{iou_thr}"
+        _quiet_main(["eval", "--config", str(cfg), "--weights", str(tmp_path / "train" / "weights.dkw"),
+                     "--out-dir", str(out)])
+        digests[iou_thr] = {name: _sha256(out / name) for name in ("summary.json", "pr_curve.csv")}
+    return digests
+
+
+class TestDetectEvalGolden:
+    """Pins what detect and eval write, so a faster decode, NMS or matcher
+    must keep every detection, score and PR point to the bit."""
+
+    @pytest.mark.parametrize("dtype", sorted(DETECT_DIGESTS))
+    def test_detect_json_digests(self, tmp_path, dtype):
+        assert detect_digests(tmp_path, dtype) == DETECT_DIGESTS[dtype]
+
+    def test_eval_artifact_digests(self, tmp_path):
+        assert eval_digests(tmp_path) == EVAL_DIGESTS
+
+
 class TestTrainEvalDetect:
     def test_pipeline_round_trip(self, tmp_path, small_config, capsys):
         train_dir = tmp_path / "train"

@@ -14,10 +14,12 @@ from detkit.losses import (
     BBox,
     ciou_loss,
     ciou_loss_grad,
+    corners,
     detection_loss,
     detection_loss_and_grad,
     detection_loss_grad,
     iou,
+    pairwise_iou,
     wiou_loss,
     wiou_loss_grad,
 )
@@ -87,6 +89,21 @@ class TestIoU:
         """Corners on a 2^-10 grid in [-32, 32] and shifts on a 2^-8 grid in
         [-128, 128] always shift exactly."""
         assert _check_iou_pair(data, shift)
+
+    @given(rows=st.lists(st.tuples(*[st.floats(-20, 20) for _ in range(4)]), max_size=8),
+           picks=st.lists(st.integers(0, 7), max_size=8))
+    @example(rows=[(0.0, 0.0, 5.14e-291, 1.0), (1.0, 1.0, 1.0, 1.0), (0.0, 0.0, 1.0, 1.0)],
+             picks=[0, 1, 2, 2, 1])
+    @settings(max_examples=80, deadline=None)
+    def test_pairwise_matrix_is_scalar_iou_bit_for_bit(self, rows, picks):
+        """Row set a against b = a's boxes picked with repeats: duplicates,
+        zero-area boxes (union 0) and empty sides included."""
+        a = [BBox(min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2)) for x1, y1, x2, y2 in rows]
+        b = [a[k % len(a)] for k in picks] if a else []
+        got = pairwise_iou(corners(a), corners(b))
+        assert got.shape == (len(a), len(b)) and got.dtype == np.float64
+        want = np.array([[iou(p, g) for g in b] for p in a], dtype=np.float64).reshape(got.shape)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @given(scale=st.floats(0.01, 80.0))
     @settings(max_examples=60, deadline=None)

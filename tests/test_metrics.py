@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from oracles import random_detections, scalar_match_image
+
 from detkit.losses import BBox
-from detkit.metrics import EvalSummary, PRCurve, evaluate, pr_curve_csv
+from detkit.metrics import EvalSummary, PRCurve, evaluate, match_image, pr_curve_csv
 from detkit.postprocess import Detection
 from detkit.tensor import ConfigError
 
@@ -98,6 +100,36 @@ class TestEvaluate:
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ConfigError):
             evaluate([[]], [[], []])
+
+
+class TestMatchImage:
+    """match_image reads one IoU matrix; it flags the same detections as the
+    pair-by-pair scalar_match_image."""
+
+    @pytest.mark.parametrize("thr", [0.0, 0.1, 0.5, 1.0])
+    def test_matches_scalar_matching(self, thr):
+        rng = np.random.default_rng(50)
+        for _ in range(200):
+            dets = random_detections(rng, int(rng.integers(0, 25)), size=20.0)
+            gts = [(d.bbox, d.class_id) for d in random_detections(rng, int(rng.integers(0, 6)), size=20.0)]
+            # duplicate ground truths and detections that sit exactly on one
+            gts += gts[:int(rng.integers(0, 3))]
+            dets += [det(g.x1, g.y1, g.x2, g.y2, 0.5, c) for g, c in gts[:int(rng.integers(0, 3))]]
+            assert match_image(dets, gts, thr) == scalar_match_image(dets, gts, thr)
+
+    def test_equal_iou_goes_to_the_first_ground_truth(self):
+        """The first detection overlaps both ground truths at IoU 1/3 and
+        claims the first, which leaves the second for the detection that
+        overlaps only it."""
+        gts = [gt(0, 0, 2, 2), gt(2, 0, 4, 2)]
+        dets = [det(1, 0, 3, 2, 0.9), det(2, 0, 4, 2, 0.8)]
+        assert match_image(dets, gts, 0.3) == [True, True]
+        assert match_image(dets, gts[::-1], 0.3) == [True, False]
+
+    def test_zero_area_pair_matches_only_at_threshold_zero(self):
+        """A zero-union pair has IoU 0, which meets a threshold of 0."""
+        assert match_image([det(1, 1, 1, 1, 0.5)], [gt(1, 1, 1, 1)], 0.0) == [True]
+        assert match_image([det(1, 1, 1, 1, 0.5)], [gt(1, 1, 1, 1)], 0.1) == [False]
 
 
 class TestPRCurve:

@@ -225,9 +225,8 @@ class TestSpatialStats:
                     assert out[n, 1, i, j] == pytest.approx(sum(col) / 5)
 
     def test_cached_backward_routes_ties_to_first_channel(self):
-        """{0, 1, 2}-valued inputs tie often; the argmax recorded by the
-        forward sends each max gradient to the first maximal channel, as a
-        per-position scan does."""
+        """{0, 1, 2}-valued inputs tie often; the backward sends each max
+        gradient to the first maximal channel, as a per-position scan does."""
         rng = np.random.default_rng(33)
         for c in (1, 2, 5):
             x = rng.integers(0, 3, size=(2, c, 4, 5)).astype(np.float64)
@@ -235,6 +234,18 @@ class TestSpatialStats:
             _, cache = ops.spatial_stats(x)
             got = ops.spatial_stats_backward(cache, up)
             assert np.array_equal(got, scan_spatial_stats_backward(x, up))
+
+    def test_statistic_on_exact_ties_is_the_channel_max(self):
+        """Ties between equal values and between -0.0 and 0.0: the max
+        channel is x.max(axis=1) bit for bit and the mean x.mean(axis=1),
+        and the backward still routes to the first maximum."""
+        rng = np.random.default_rng(34)
+        x = rng.choice([-0.0, 0.0, 1.0, -1.0], size=(3, 6, 4, 4))
+        out, cache = ops.spatial_stats(x)
+        assert out.tobytes() == np.stack([x.max(axis=1), x.mean(axis=1)], axis=1).tobytes()
+        up = rng.standard_normal((3, 2, 4, 4))
+        got = ops.spatial_stats_backward(cache, up)
+        assert np.array_equal(got, scan_spatial_stats_backward(x, up))
 
 
 class TestActivations:

@@ -1,11 +1,13 @@
-"""Decode round trips, NMS against a brute-force reference, letterbox."""
+"""Decode round trips, decode and NMS against scalar and brute-force
+references, letterbox."""
 
 import numpy as np
 import pytest
-from oracles import brute_force_nms, random_detections
+from oracles import brute_force_nms, random_detections, scalar_decode, scalar_nms
 
 from detkit.losses import BBox, iou
 from detkit.postprocess import (
+    _LOGIT_CAP,
     Detection,
     GridDecodeSpec,
     box_from_letterboxed,
@@ -83,6 +85,100 @@ class TestDecode:
                 (box.x1, box.y1, box.x2, box.y2),
             ):
                 assert abs(got - want) < 1e-6
+
+
+def bits(dets):
+    """Every field of every detection, floats as their exact hex."""
+    return [(d.bbox.x1.hex(), d.bbox.y1.hex(), d.bbox.x2.hex(), d.bbox.y2.hex(),
+             d.score.hex(), d.class_id) for d in dets]
+
+
+def hostile_head(rng, spec, dtype):
+    """Random logits plus the edge cases of decode: cells whose score is
+    exactly 0.25 (all-zero logits), size logits at and beyond _LOGIT_CAP that
+    clamp at both image edges, and cells whose boxes underflow to zero size."""
+    head = rng.normal(0.0, 2.0, size=(1, spec.channels, spec.grid_h, spec.grid_w))
+    cells = spec.grid_h * spec.grid_w
+    flat = head.reshape(spec.channels, cells)
+    picks = rng.permutation(cells)
+    flat[:, picks[:cells // 6]] = 0.0
+    flat[2:4, picks[cells // 6:cells // 3]] = rng.choice([_LOGIT_CAP, _LOGIT_CAP + 1.0, 400.0, 8.0],
+                                                        size=(2, len(picks[cells // 6:cells // 3])))
+    flat[2:4, picks[cells // 3:cells // 2]] = -200.0
+    return Tensor(head.astype(dtype))
+
+
+class TestArrayDecode:
+    """decode equals the one-cell-at-a-time scalar_decode to the bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("threshold", [0.0, 0.01, 0.25, 0.6])
+    def test_matches_scalar_decode(self, dtype, threshold):
+        rng = np.random.default_rng(40)
+        for grid_h, grid_w, classes in ((8, 8, 3), (3, 5, 1), (1, 1, 2), (6, 2, 4)):
+            spec = GridDecodeSpec(grid_h, grid_w, 8.0, classes, score_threshold=threshold)
+            for _ in range(10):
+                head = hostile_head(rng, spec, dtype)
+                assert bits(decode(head, spec)) == bits(scalar_decode(head, spec))
+
+    def test_score_at_threshold_and_both_edges_clamped(self):
+        spec = GridDecodeSpec(2, 2, 8.0, 1, score_threshold=0.25)
+        head = np.zeros((1, 6, 2, 2))
+        head[0, 2:4, 1, 0] = _LOGIT_CAP  # a box far wider than the image
+        dets = decode(Tensor(head), spec)
+        assert len(dets) == 4 and all(d.score == 0.25 for d in dets)
+        assert (dets[2].bbox.x1, dets[2].bbox.x2) == (0.0, spec.image_w)
+        assert (dets[2].bbox.y1, dets[2].bbox.y2) == (0.0, spec.image_h)
+        assert bits(dets) == bits(scalar_decode(Tensor(head), spec))
+
+
+def tied_detections(rng, n, classes=2):
+    """Detections drawn from a few scores and a few boxes, so exact score
+    ties, duplicate boxes and zero-area boxes are common."""
+    boxes = [BBox(0.0, 0.0, 4.0, 4.0), BBox(1.0, 1.0, 5.0, 5.0), BBox(2.0, 2.0, 2.0, 6.0),
+             BBox(3.0, 3.0, 3.0, 3.0), BBox(0.0, 2.0, 4.0, 6.0)]
+    scores = (0.25, 0.5, 0.5000000000000001, 1.0)
+    return [Detection(boxes[rng.integers(len(boxes))], scores[rng.integers(len(scores))],
+                      int(rng.integers(classes))) for _ in range(n)]
+
+
+class TestArrayNMS:
+    """nms keeps the same detection objects, in the same order, as the
+    pair-by-pair scalar_nms."""
+
+    @pytest.mark.parametrize("thr", [0.0, 0.3, 0.45, 1.0])
+    def test_matches_scalar_nms(self, thr):
+        rng = np.random.default_rng(41)
+        for trial in range(300):
+            n = int(rng.integers(0, 40))
+            dets = tied_detections(rng, n) if trial % 2 else random_detections(rng, n)
+            assert [id(d) for d in nms(dets, thr)] == [id(d) for d in scalar_nms(dets, thr)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("thr", [0.0, 0.45, 1.0])
+    def test_matches_scalar_nms_on_decoded_heads(self, dtype, thr):
+        rng = np.random.default_rng(42)
+        spec = GridDecodeSpec(8, 8, 8.0, 3, score_threshold=0.01)
+        for _ in range(20):
+            dets = decode(hostile_head(rng, spec, dtype), spec)
+            assert [id(d) for d in nms(dets, thr)] == [id(d) for d in scalar_nms(dets, thr)]
+
+    def test_empty_list(self):
+        assert nms([], 0.45) == []
+
+    def test_zero_threshold_keeps_touching_and_zero_area_boxes(self):
+        """Boxes that only touch, and a zero-area box inside another, have IoU
+        0, which is not above a threshold of 0."""
+        a = Detection(BBox(0.0, 0.0, 2.0, 2.0), 0.9, 0)
+        touching = Detection(BBox(2.0, 0.0, 4.0, 2.0), 0.8, 0)
+        line = Detection(BBox(1.0, 0.0, 1.0, 2.0), 0.7, 0)
+        overlapping = Detection(BBox(1.0, 1.0, 3.0, 3.0), 0.6, 0)
+        assert nms([a, touching, line, overlapping], 0.0) == [a, touching, line]
+
+    def test_threshold_one_keeps_duplicates(self):
+        a = Detection(BBox(0.0, 0.0, 2.0, 2.0), 0.5, 0)
+        b = Detection(BBox(0.0, 0.0, 2.0, 2.0), 0.5, 0)
+        assert [id(d) for d in nms([b, a], 1.0)] == [id(b), id(a)]
 
 
 class TestNMS:

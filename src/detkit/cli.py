@@ -18,6 +18,7 @@ outputs are JSON (sorted keys) or CSV; exit codes are stable and documented:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import fields, replace
@@ -294,7 +295,10 @@ def cmd_detect(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and reused by every
+    main() call: rebuilding it was the largest cost of a detect call."""
     parser = argparse.ArgumentParser(
         prog="detkit",
         description="Verification-first detection toolkit (set DETKIT_VERIFY=1 "
@@ -342,8 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except tuple(types for types, _ in _EXIT_CODES) as exc:

@@ -383,13 +383,14 @@ def _check_wiou(rng, cases):
     for _ in range(cases):
         pred, gt = _random_box_pair(rng)
         p, g = pred.as_array(), gt.as_array()
-        diag2, _ = losses._enclosing_with_grad(p, g)
-        d0 = diag2 + losses.EPS
+        cw = max(p[2], g[2]) - min(p[0], g[0])
+        ch = max(p[3], g[3]) - min(p[1], g[1])
+        d0 = cw * cw + ch * ch + losses.EPS
 
         def frozen(v):
-            b = losses.BBox(*v)
-            rho2, _ = losses._center_dist_sq_with_grad(v, g)
-            return float(np.exp(rho2 / d0) * (1.0 - losses.iou(b, gt)))
+            dx = (v[0] + v[2]) / 2.0 - (g[0] + g[2]) / 2.0
+            dy = (v[1] + v[3]) / 2.0 - (g[1] + g[3]) / 2.0
+            return float(np.exp((dx * dx + dy * dy) / d0) * (1.0 - losses.iou(losses.BBox(*v), gt)))
 
         grad = losses.wiou_loss_grad(pred, gt)
         worst = max(worst, max_rel_error(grad, numerical_grad(frozen, p)))
@@ -400,7 +401,11 @@ def _check_wiou(rng, cases):
 def _check_detection_loss(rng, cases):
     """Covers the iou and ciou variants, whose composite gradient is the true
     derivative. The wiou box core holds its enclosing-box normalizer fixed by
-    design, so its detached gradient is checked by the wiou_loss suite."""
+    design, so its detached gradient is checked by the wiou_loss suite.
+
+    The central differences of all the head's entries come from one batch:
+    grid 2i has entry i at orig + FD_STEP, grid 2i + 1 at orig - FD_STEP, as
+    numerical_grad sets them."""
     worst = 0.0
     for case in range(cases):
         k = 2
@@ -413,8 +418,14 @@ def _check_detection_loss(rng, cases):
         targets = [(losses.BBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2),
                     int(rng.integers(k)))]
         variant = "iou" if case % 2 == 0 else "ciou"
-        grad = losses.detection_loss_grad(Tensor(head), targets, variant, stride)
-        num = numerical_grad(
-            lambda v: losses.detection_loss(Tensor(v), targets, variant, stride).total, head)
-        worst = max(worst, max_rel_error(grad.data, num))
+        _, grad = losses.detection_loss_and_grad(Tensor(head), [targets], variant, stride)
+        flat = head.reshape(-1)
+        i = np.arange(flat.size)
+        steps = np.tile(flat, (2 * flat.size, 1))
+        steps[2 * i, i] += FD_STEP
+        steps[2 * i + 1, i] -= FD_STEP
+        terms = losses.detection_loss(Tensor(steps.reshape(-1, *head.shape[1:])),
+                                      [targets] * len(steps), variant, stride)
+        total = np.array([t.total for t in terms])
+        worst = max(worst, max_rel_error(grad, (total[0::2] - total[1::2]) / (2.0 * FD_STEP)))
     return worst

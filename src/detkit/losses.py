@@ -15,6 +15,12 @@ All three losses share the plain intersection-over-union core:
 Every denominator carries eps = 1e-9; the losses never return NaN for
 finite inputs. Gradients are exact away from the measure-zero set where
 box edges coincide (min/max switch points).
+
+The box losses are written once, over rows: ``_box_rows`` takes T pred/gt
+corner pairs as (T, 4) arrays and returns each row's loss and corner
+gradient. ``ciou_loss``/``wiou_loss`` and their gradients call it on one row;
+``detection_loss`` and ``detection_loss_and_grad`` take a whole batch of
+prediction grids and evaluate all of its targets in one call.
 """
 
 from __future__ import annotations
@@ -25,9 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ops import sigmoid
-from .tensor import ConfigError, Tensor
+from .tensor import ConfigError, Tensor, _require_finite
 
 EPS = 1e-9
+_VARIANTS = ("iou", "ciou", "wiou")
 
 
 @dataclass(frozen=True)
@@ -106,147 +113,105 @@ def pairwise_iou(p: np.ndarray, g: np.ndarray) -> np.ndarray:
     return out
 
 
-def _iou_with_grad(p: np.ndarray, g: np.ndarray):
-    """IoU of pred corners p = [x1, y1, x2, y2] against fixed gt corners g,
-    plus d(iou)/dp. Subgradient 0 is used exactly at min/max ties."""
-    ix1, iy1 = max(p[0], g[0]), max(p[1], g[1])
-    ix2, iy2 = min(p[2], g[2]), min(p[3], g[3])
-    iw, ih = ix2 - ix1, iy2 - iy1
-    grad = np.zeros(4)
-    area_p = (p[2] - p[0]) * (p[3] - p[1])
-    area_g = (g[2] - g[0]) * (g[3] - g[1])
-    if iw <= 0.0 or ih <= 0.0:
-        inter = 0.0
-        d_inter = np.zeros(4)
-    else:
-        inter = iw * ih
-        d_inter = np.array(
-            [
-                -ih if p[0] > g[0] else 0.0,
-                -iw if p[1] > g[1] else 0.0,
-                ih if p[2] < g[2] else 0.0,
-                iw if p[3] < g[3] else 0.0,
-            ]
-        )
-    union = area_p + area_g - inter
-    if union <= EPS:
-        return 0.0, grad
-    d_area_p = np.array([-(p[3] - p[1]), -(p[2] - p[0]), p[3] - p[1], p[2] - p[0]])
-    d_union = d_area_p - d_inter
-    val = inter / union
-    grad = (d_inter * union - inter * d_union) / (union * union)
-    return val, grad
+def _box_rows(variant: str, p: np.ndarray, g: np.ndarray):
+    """Box loss of the variant for each row of pred corners p against gt
+    corners g, both (T, 4) float64 [x1, y1, x2, y2], and its gradient w.r.t.
+    p: ((T,), (T, 4)). The IoU, centre-distance and enclosing-box terms are
+    evaluated once and serve the value and the gradient. Subgradient 0 is used
+    exactly at min/max ties.
 
+    Each entry is the float expression of a one-pair evaluation, so a row's
+    bits do not depend on the other rows; math.atan2 and math.exp run per row,
+    because np.arctan2 and np.exp can differ from them in the last bit."""
+    px1, py1, px2, py2 = p.T
+    gx1, gy1, gx2, gy2 = g.T
+    w, h = px2 - px1, py2 - py1
+    iw = np.minimum(px2, gx2) - np.maximum(px1, gx1)
+    ih = np.minimum(py2, gy2) - np.maximum(py1, gy1)
+    overlap = (iw > 0.0) & (ih > 0.0)
+    inter = np.where(overlap, iw * ih, 0.0)
+    d_inter = np.where(overlap[:, None] & np.stack([px1 > gx1, py1 > gy1, px2 < gx2, py2 < gy2], axis=1),
+                       np.stack([-ih, -iw, ih, iw], axis=1), 0.0)
+    union = w * h + (gx2 - gx1) * (gy2 - gy1) - inter
+    valid = union > EPS
+    un = union[:, None]
+    d_union = np.stack([-h, -w, h, w], axis=1) - d_inter
+    d_iou = np.divide(d_inter * un - inter[:, None] * d_union, un * un,
+                      out=np.zeros_like(d_inter), where=valid[:, None])
+    if variant == "iou":
+        # the value is iou()'s, 0 only at a zero union; the gradient above is
+        # 0 once the union falls to EPS
+        return 1.0 - np.divide(inter, union, out=np.zeros_like(union), where=union > 0.0), -d_iou
+    iou_val = np.divide(inter, union, out=np.zeros_like(union), where=valid)
 
-def _enclosing_with_grad(p: np.ndarray, g: np.ndarray):
-    """Squared diagonal of the smallest box enclosing p and g, with d/dp."""
-    ex1 = min(p[0], g[0])
-    ey1 = min(p[1], g[1])
-    ex2 = max(p[2], g[2])
-    ey2 = max(p[3], g[3])
-    cw, ch = ex2 - ex1, ey2 - ey1
-    d2 = cw * cw + ch * ch
-    grad = np.array(
-        [
-            -2.0 * cw if p[0] < g[0] else 0.0,
-            -2.0 * ch if p[1] < g[1] else 0.0,
-            2.0 * cw if p[2] > g[2] else 0.0,
-            2.0 * ch if p[3] > g[3] else 0.0,
-        ]
-    )
-    return d2, grad
-
-
-def _center_dist_sq_with_grad(p: np.ndarray, g: np.ndarray):
-    dx = (p[0] + p[2]) / 2.0 - (g[0] + g[2]) / 2.0
-    dy = (p[1] + p[3]) / 2.0 - (g[1] + g[3]) / 2.0
+    dx = (px1 + px2) / 2.0 - (gx1 + gx2) / 2.0
+    dy = (py1 + py2) / 2.0 - (gy1 + gy2) / 2.0
     rho2 = dx * dx + dy * dy
-    grad = np.array([dx, dy, dx, dy])
-    return rho2, grad
+    d_rho2 = np.stack([dx, dy, dx, dy], axis=1)
+    cw = np.maximum(px2, gx2) - np.minimum(px1, gx1)
+    ch = np.maximum(py2, gy2) - np.minimum(py1, gy1)
+    diag2 = cw * cw + ch * ch
+    if variant == "wiou":
+        # the enclosing-box normalizer is held fixed in the gradient
+        d0 = diag2 + EPS
+        r = np.array([math.exp(x) for x in (rho2 / d0).tolist()])
+        return (r * (1.0 - iou_val),
+                r[:, None] * (d_rho2 / d0[:, None]) * (1.0 - iou_val)[:, None] - r[:, None] * d_iou)
+
+    d_diag2 = np.where(np.stack([px1 < gx1, py1 < gy1, px2 > gx2, py2 > gy2], axis=1),
+                       np.stack([-2.0 * cw, -2.0 * ch, 2.0 * cw, 2.0 * ch], axis=1), 0.0)
+    diag2e = (diag2 + EPS)[:, None]
+    # atan2 keeps the aspect term finite for zero-height predictions
+    d_angle = np.array([math.atan2(a, b) - math.atan2(c, d) for a, b, c, d in
+                        zip((gx2 - gx1).tolist(), (gy2 - gy1).tolist(), w.tolist(), h.tolist())])
+    q = 4.0 / math.pi**2
+    v = q * d_angle * d_angle
+    denom_wh = w * w + h * h
+    wh_ok = (denom_wh > EPS)[:, None]
+    # gradient of the angle gap (atan2(wg, hg) - atan2(w, h)) w.r.t. the pred
+    # corners, via d atan2(w, h) = (h dw - w dh) / (w^2 + h^2) and
+    # dw/dx1 = -1, dw/dx2 = 1, dh/dy1 = -1, dh/dy2 = 1
+    d_angle_grad = np.divide(np.stack([h, -w, -h, w], axis=1), denom_wh[:, None],
+                             out=np.zeros((len(w), 4)), where=wh_ok)
+    d_v = np.where(wh_ok, (2.0 * q * d_angle)[:, None] * d_angle_grad, 0.0)
+
+    den = (1.0 - iou_val) + v + EPS
+    loss = 1.0 - iou_val + rho2 / diag2e[:, 0] + v * v / den
+    d_alpha_v = ((2.0 * v)[:, None] * d_v * den[:, None]
+                 - (v * v)[:, None] * (-d_iou + d_v)) / (den * den)[:, None]
+    grad = -d_iou + (d_rho2 * diag2e - rho2[:, None] * d_diag2) / (diag2e * diag2e) + d_alpha_v
+    return loss, grad
 
 
-def _require_boxes(pred: BBox, gt: BBox) -> tuple[np.ndarray, np.ndarray]:
+def _pair(variant: str, pred: BBox, gt: BBox):
+    """One row of _box_rows: the loss of pred against gt and its gradient."""
     if gt.area <= 0.0:
         raise ConfigError("ground-truth box must be non-degenerate")
-    return pred.as_array(), gt.as_array()
+    loss, grad = _box_rows(variant, corners([pred]), corners([gt]))
+    return float(loss[0]), grad[0]
 
 
 def ciou_loss(pred: BBox, gt: BBox) -> float:
     """Complete IoU loss: 1 - IoU + center penalty + aspect penalty."""
-    return _ciou(pred.as_array(), _require_boxes(pred, gt)[1])[0]
+    return _pair("ciou", pred, gt)[0]
 
 
 def ciou_loss_grad(pred: BBox, gt: BBox) -> np.ndarray:
     """d(ciou_loss)/d(pred corners), exact chain rule including the coupling
     factor alpha."""
-    p, g = _require_boxes(pred, gt)
-    return _ciou(p, g)[1]
-
-
-def _ciou(p: np.ndarray, g: np.ndarray):
-    iou_val, d_iou = _iou_with_grad(p, g)
-    rho2, d_rho2 = _center_dist_sq_with_grad(p, g)
-    diag2, d_diag2 = _enclosing_with_grad(p, g)
-    diag2e = diag2 + EPS
-
-    w, h = p[2] - p[0], p[3] - p[1]
-    wg, hg = g[2] - g[0], g[3] - g[1]
-    # atan2 keeps the aspect term finite for zero-height predictions
-    d_angle = math.atan2(wg, hg) - math.atan2(w, h)
-    q = 4.0 / math.pi**2
-    v = q * d_angle * d_angle
-    denom_wh = w * w + h * h
-    if denom_wh <= EPS:
-        d_v = np.zeros(4)
-    else:
-        # gradient of the angle gap (atan2(wg, hg) - atan2(w, h)) w.r.t. the
-        # pred corners, via d atan2(w, h) = (h dw - w dh) / (w^2 + h^2) and
-        # dw/dx1 = -1, dw/dx2 = 1, dh/dy1 = -1, dh/dy2 = 1
-        d_angle_grad = np.array([h, -w, -h, w]) / denom_wh
-        d_v = 2.0 * q * d_angle * d_angle_grad
-
-    den = (1.0 - iou_val) + v + EPS
-    alpha_v = v * v / den
-    loss = 1.0 - iou_val + rho2 / diag2e + alpha_v
-
-    d_alpha_v = (2.0 * v * d_v * den - v * v * (-d_iou + d_v)) / (den * den)
-    grad = -d_iou + (d_rho2 * diag2e - rho2 * d_diag2) / (diag2e * diag2e) + d_alpha_v
-    return loss, grad
+    return _pair("ciou", pred, gt)[1]
 
 
 def wiou_loss(pred: BBox, gt: BBox) -> float:
     """Distance-weighted IoU loss: exp(rho^2 / D) * (1 - IoU), where D is the
     squared diagonal of the smallest enclosing box."""
-    _require_boxes(pred, gt)
-    return _box_loss_and_grad("wiou", pred, gt)[0]
+    return _pair("wiou", pred, gt)[0]
 
 
 def wiou_loss_grad(pred: BBox, gt: BBox) -> np.ndarray:
     """d(wiou_loss)/d(pred corners) with the enclosing-box normalizer D held
     fixed, i.e. the derivative of exp(rho^2 / D0) * (1 - IoU) at D0 = D(pred)."""
-    _require_boxes(pred, gt)
-    return _box_loss_and_grad("wiou", pred, gt)[1]
-
-
-_VARIANTS = ("iou", "ciou", "wiou")
-
-
-def _box_loss_and_grad(variant: str, pred: BBox, gt: BBox):
-    """Box loss of the variant and its gradient w.r.t. the pred corners, from
-    one evaluation of the IoU, centre-distance and enclosing-box terms."""
-    p, g = pred.as_array(), gt.as_array()
-    if variant == "ciou":
-        return _ciou(p, g)
-    iou_val, d_iou = _iou_with_grad(p, g)
-    if variant == "iou":
-        # the value comes from iou(): the gradient core reports 0 once the
-        # union falls to EPS, iou() only at a zero union
-        return 1.0 - iou(pred, gt), -d_iou
-    rho2, d_rho2 = _center_dist_sq_with_grad(p, g)
-    diag2, _ = _enclosing_with_grad(p, g)
-    d0 = diag2 + EPS
-    r = math.exp(rho2 / d0)
-    return r * (1.0 - iou_val), r * (d_rho2 / d0) * (1.0 - iou_val) - r * d_iou
+    return _pair("wiou", pred, gt)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -271,135 +236,121 @@ def _bce_with_logits(z: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
 
 
-def _check_detection_args(predictions: Tensor, targets, stride: float, variant: str):
+def _detection_terms(predictions: Tensor, target_lists, variant: str, stride: float,
+                     box_weight: float, obj_weight: float, cls_weight: float, with_grad: bool):
+    """The composite loss of every image of the batch and, when with_grad,
+    the gradient w.r.t. the raw prediction grids (None otherwise). The batch's
+    targets are the rows of one _box_rows call, in image then target order.
+    An image's terms and gradient are those it gets on its own: per-image sums
+    run in target order and two targets of one cell accumulate in that order."""
     if variant not in _VARIANTS:
         raise ConfigError(f"unknown loss variant {variant!r}")
-    if predictions.n != 1:
-        raise ConfigError("detection loss expects a single-image prediction grid")
-    if predictions.c < 6:
+    n, c, gh, gw = predictions.shape
+    if c < 6:
         raise ConfigError("prediction grid needs at least 5 + 1 channels")
     if stride <= 0:
         raise ConfigError("stride must be positive")
-    num_classes = predictions.c - 5
-    gh, gw = predictions.h, predictions.w
+    if len(target_lists) != n:
+        raise ConfigError(f"{len(target_lists)} target lists for {n} prediction grids")
+    num_classes = c - 5
     img_w, img_h = gw * stride, gh * stride
-    for bbox, cls in targets:
-        if not 0 <= cls < num_classes:
-            raise ConfigError(f"class id {cls} out of range [0, {num_classes})")
-        if bbox.area <= 0.0:
-            raise ConfigError("target box must have positive area")
-        if bbox.x1 < 0 or bbox.y1 < 0 or bbox.x2 > img_w or bbox.y2 > img_h:
-            raise ConfigError(f"target {bbox} lies outside the {img_w}x{img_h} image")
-    return num_classes, gh, gw
+    head = predictions.data
+    # one row per target; each trains the single cell containing its center
+    assigned, gt, pred = [], [], []
+    for i, targets in enumerate(target_lists):
+        for bbox, cls in targets:
+            if not 0 <= cls < num_classes:
+                raise ConfigError(f"class id {cls} out of range [0, {num_classes})")
+            if bbox.area <= 0.0:
+                raise ConfigError("target box must have positive area")
+            if bbox.x1 < 0 or bbox.y1 < 0 or bbox.x2 > img_w or bbox.y2 > img_h:
+                raise ConfigError(f"target {bbox} lies outside the {img_w}x{img_h} image")
+            cx, cy = bbox.center
+            col = min(int(cx / stride), gw - 1)
+            row = min(int(cy / stride), gh - 1)
+            assigned.append((i, row, col, cls))
+            gt.append(bbox)
+            pred.append(cell_to_box(*head[i, :4, row, col].tolist(), row, col, stride))
+    img, rows, cols, classes = np.array(assigned, dtype=np.intp).reshape(-1, 4).T
+    n_t = np.bincount(img, minlength=n)
+    onehot = np.zeros((len(img), num_classes))
+    onehot[np.arange(len(img)), classes] = 1.0
+    obj_target = np.zeros((n, gh, gw))
+    obj_target[img, rows, cols] = 1.0
 
-
-def _assign_cells(targets, stride: float, gh: int, gw: int):
-    """Each target is assigned to the single cell containing its center."""
-    assigned = []
-    for bbox, cls in targets:
-        cx, cy = bbox.center
-        col = min(int(cx / stride), gw - 1)
-        row = min(int(cy / stride), gh - 1)
-        assigned.append((row, col, bbox, cls))
-    return assigned
-
-
-def _detection_terms(predictions: Tensor, targets, variant: str, stride: float,
-                     box_weight: float, obj_weight: float, cls_weight: float, with_grad: bool):
-    """The composite loss of one image and, when with_grad, its gradient w.r.t.
-    the raw prediction grid (None otherwise). Arguments are checked and
-    targets assigned once; each target's box and box-loss terms are evaluated
-    once and serve both the value and the gradient."""
-    num_classes, gh, gw = _check_detection_args(predictions, targets, stride, variant)
-    p = predictions.data[0]
-    assigned = _assign_cells(targets, stride, gh, gw)
-    n_t = len(assigned)
-    grad = np.zeros_like(p) if with_grad else None
-
-    obj_target = np.zeros((gh, gw))
-    box_total = 0.0
-    cls_total = 0.0
-    for row, col, bbox, cls in assigned:
-        obj_target[row, col] = 1.0
-        pred_box = cell_to_box(p[0, row, col], p[1, row, col], p[2, row, col], p[3, row, col], row, col, stride)
-        box_value, d_corners = _box_loss_and_grad(variant, pred_box, bbox)
-        box_total += box_value
-        onehot = np.zeros(num_classes)
-        onehot[cls] = 1.0
-        cls_total += _bce_with_logits(p[5:, row, col], onehot).mean()
-        if not with_grad:
-            continue
-        d_corners = d_corners * (box_weight / n_t)
-        # corners -> (center, size): dc = g_x1 + g_x2, dsize = (g_x2 - g_x1)/2
-        dcx, dcy = d_corners[0] + d_corners[2], d_corners[1] + d_corners[3]
-        dw, dh = (d_corners[2] - d_corners[0]) / 2.0, (d_corners[3] - d_corners[1]) / 2.0
-        sx, sy = sigmoid(p[0:2, row, col]).astype(np.float64, copy=False)
-        grad[0, row, col] += dcx * sx * (1.0 - sx) * stride
-        grad[1, row, col] += dcy * sy * (1.0 - sy) * stride
-        grad[2, row, col] += dw * pred_box.width
-        grad[3, row, col] += dh * pred_box.height
-        cls_prob = sigmoid(p[5:, row, col]).astype(np.float64, copy=False)
-        grad[5:, row, col] += (cls_prob - onehot) * cls_weight / (n_t * num_classes)
-
-    box_loss = box_total / n_t if n_t else 0.0
-    cls_loss = cls_total / n_t if n_t else 0.0
-    obj_loss = float(_bce_with_logits(p[4], obj_target).mean())
+    p = corners(pred)
+    box_value, d_corners = _box_rows(variant, p, corners(gt))
+    cls_logits = head[img, 5:, rows, cols]
+    box_total, cls_total = np.zeros(n), np.zeros(n)
+    np.add.at(box_total, img, box_value)
+    np.add.at(cls_total, img, _bce_with_logits(cls_logits, onehot).mean(axis=1))
+    box_loss = box_total / np.maximum(n_t, 1)  # 0 for an image without targets
+    cls_loss = cls_total / np.maximum(n_t, 1)
+    obj_loss = _bce_with_logits(head[:, 4], obj_target).reshape(n, -1).mean(axis=1)
     total = box_weight * box_loss + obj_weight * obj_loss + cls_weight * cls_loss
-    if not math.isfinite(total):
+    if not np.isfinite(total).all():
         raise FloatingPointError("detection loss is not finite")
-    if with_grad:
-        grad[4] += (sigmoid(p[4]).astype(np.float64, copy=False) - obj_target) * (obj_weight / (gh * gw))
-    return LossBreakdown(box_loss, obj_loss, cls_loss, total, variant), grad
+    terms = [LossBreakdown(*map(float, t), variant) for t in zip(box_loss, obj_loss, cls_loss, total)]
+    if not with_grad:
+        return terms, None
+
+    d = d_corners * (box_weight / n_t[img])[:, None]
+    # corners -> (center, size): dc = g_x1 + g_x2, dsize = (g_x2 - g_x1)/2
+    dcx, dcy = d[:, 0] + d[:, 2], d[:, 1] + d[:, 3]
+    dw, dh = (d[:, 2] - d[:, 0]) / 2.0, (d[:, 3] - d[:, 1]) / 2.0
+    sx, sy = sigmoid(head[img, 0:2, rows, cols]).astype(np.float64, copy=False).T
+    cell_grad = np.stack([dcx * sx * (1.0 - sx) * stride, dcy * sy * (1.0 - sy) * stride,
+                          dw * (p[:, 2] - p[:, 0]), dh * (p[:, 3] - p[:, 1])], axis=1)
+    cls_prob = sigmoid(cls_logits).astype(np.float64, copy=False)
+    cls_grad = (cls_prob - onehot) * cls_weight / (n_t[img] * num_classes)[:, None]
+    grad = np.zeros_like(head)
+    # np.add.at, like +=, adds in the grid's dtype after a float64 sum and
+    # accumulates a cell's targets in target order
+    np.add.at(grad, (img, slice(0, 4), rows, cols), cell_grad)
+    np.add.at(grad, (img, slice(5, None), rows, cols), cls_grad)
+    grad[:, 4] += (sigmoid(head[:, 4]).astype(np.float64, copy=False) - obj_target) * (obj_weight / (gh * gw))
+    _require_finite("head gradient", grad)
+    return terms, grad
 
 
 def detection_loss(
     predictions: Tensor,
-    targets,
+    target_lists,
     variant: str = "wiou",
     stride: float = 8.0,
     box_weight: float = 5.0,
     obj_weight: float = 1.0,
     cls_weight: float = 1.0,
-) -> LossBreakdown:
-    """Composite loss over one prediction grid.
+) -> list[LossBreakdown]:
+    """Composite loss of each prediction grid of a batch.
 
-    predictions: (1, 5 + K, gh, gw), channel layout [tx, ty, tw, th,
-    objectness, class logits...]. Each target trains the cell containing its
-    center: the box term (selected variant, averaged over targets), a
-    one-vs-all class BCE on assigned cells, and an objectness BCE over every
-    cell (1 on assigned cells, 0 elsewhere).
+    predictions: (n, 5 + K, gh, gw), channel layout [tx, ty, tw, th,
+    objectness, class logits...]; target_lists: one list of (BBox, class id)
+    per image. Each target trains the cell containing its center: the box
+    term (selected variant, averaged over the image's targets), a one-vs-all
+    class BCE on assigned cells, and an objectness BCE over every cell (1 on
+    assigned cells, 0 elsewhere). Returns one LossBreakdown per image, each
+    equal to the image's loss on its own.
 
-    Value only: finite-difference checks call this thousands of times.
+    Value only: finite-difference checks evaluate it on batches of perturbed
+    grids.
     """
-    return _detection_terms(predictions, targets, variant, stride,
+    return _detection_terms(predictions, target_lists, variant, stride,
                             box_weight, obj_weight, cls_weight, with_grad=False)[0]
 
 
 def detection_loss_and_grad(
     predictions: Tensor,
-    targets,
+    target_lists,
     variant: str = "wiou",
     stride: float = 8.0,
     box_weight: float = 5.0,
     obj_weight: float = 1.0,
     cls_weight: float = 1.0,
-) -> tuple[LossBreakdown, Tensor]:
-    """detection_loss() and the gradient of its total w.r.t. the raw
-    prediction grid, in one pass."""
-    br, grad = _detection_terms(predictions, targets, variant, stride,
-                                box_weight, obj_weight, cls_weight, with_grad=True)
-    return br, Tensor(grad[None])
-
-
-def detection_loss_grad(
-    predictions: Tensor,
-    targets,
-    variant: str = "wiou",
-    stride: float = 8.0,
-    box_weight: float = 5.0,
-    obj_weight: float = 1.0,
-    cls_weight: float = 1.0,
-) -> Tensor:
-    """Gradient of detection_loss().total w.r.t. the raw prediction grid."""
-    return detection_loss_and_grad(predictions, targets, variant, stride,
-                                   box_weight, obj_weight, cls_weight)[1]
+) -> tuple[list[LossBreakdown], np.ndarray]:
+    """detection_loss() and, in one pass, the gradient of each image's total
+    w.r.t. its raw prediction grid: an (n, 5 + K, gh, gw) array in the grids'
+    dtype. A non-finite gradient raises NonFiniteError("non-finite head
+    gradient")."""
+    return _detection_terms(predictions, target_lists, variant, stride,
+                            box_weight, obj_weight, cls_weight, with_grad=True)

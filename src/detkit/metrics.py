@@ -11,7 +11,7 @@ curve. Precision with zero predictions is defined as 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -57,14 +57,7 @@ class EvalSummary:
         return cls(precision, recall, f1, ap, model_size_mb, computation_macs)
 
     def to_json_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "ap": self.ap,
-            "model_size_mb": self.model_size_mb,
-            "computation_macs": self.computation_macs,
-        }
+        return asdict(self)
 
 
 def match_image(dets: list[Detection], gts: list[tuple[BBox, int]], iou_thr: float):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -80,44 +80,30 @@ class EpochStats:
     total_loss: float
 
     def to_json_line(self) -> str:
-        return json.dumps({
-            "epoch": self.epoch,
-            "phase": self.phase,
-            "lr": self.lr,
-            "box_loss": self.box_loss,
-            "objectness_loss": self.objectness_loss,
-            "class_loss": self.class_loss,
-            "total_loss": self.total_loss,
-        }, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def _batch_loss_and_grads(params, cfg: TrainConfig, images, target_lists, frozen, neck):
-    """Mean loss over a batch plus parameter gradients (single net backward).
+    """Mean loss over a batch plus parameter gradients: one net forward, one
+    loss call over the whole batch and one net backward.
 
     ``frozen`` stops the backward at the neck, so only the CBAM and head
     gradients come back; ``neck``, the batch's stored neck, then stands in for
     the images. Returns (loss terms, gradients, the batch's neck).
 
     Raises NonFiniteError naming the first non-finite value: the head (named
-    by ``net_forward``), the head gradient or a parameter gradient."""
+    by ``net_forward``), the head gradient (named by the loss) or a parameter
+    gradient."""
     x = None if neck is not None else Tensor(np.concatenate([im.data for im in images], axis=0))
     head, cache = net_forward(params, cfg.net, x, neck=neck, freeze_backbone=frozen)
-    upstream = np.zeros_like(head.data)
-    totals = np.zeros(4)
+    terms, grad = detection_loss_and_grad(head, target_lists, cfg.loss_variant, float(cfg.net.stride),
+                                          cfg.box_weight, cfg.obj_weight, cfg.cls_weight)
     bsz = len(images)
-    for i, targets in enumerate(target_lists):
-        single = Tensor(head.data[i:i + 1])
-        try:  # the Tensor of the loss gradient rejects NaN/Inf: name it
-            br, g = detection_loss_and_grad(single, targets, cfg.loss_variant, float(cfg.net.stride),
-                                            cfg.box_weight, cfg.obj_weight, cfg.cls_weight)
-        except NonFiniteError:
-            raise NonFiniteError("non-finite head gradient") from None
-        upstream[i] = g.data[0] / bsz
-        totals += np.array([br.box_loss, br.objectness_loss, br.class_loss, br.total])
-    grads = net_backward(params, cfg.net, cache, Tensor(upstream))
-    for name, grad in grads.items():
-        _require_finite(f"{name} gradient", grad)
-    return totals / bsz, grads, cache.neck
+    totals = np.array([[t.box_loss, t.objectness_loss, t.class_loss, t.total] for t in terms])
+    grads = net_backward(params, cfg.net, cache, Tensor(grad / bsz))
+    for name, g in grads.items():
+        _require_finite(f"{name} gradient", g)
+    return totals.sum(axis=0) / bsz, grads, cache.neck
 
 
 def train_toy(config: TrainConfig):

@@ -11,7 +11,7 @@ import numpy as np
 from detkit import losses, ops
 from detkit.losses import BBox, iou
 from detkit.postprocess import _LOGIT_CAP, Detection
-from detkit.tensor import Tensor
+from detkit.tensor import ConfigError, Tensor
 
 
 def naive_conv2d(x, w, b, stride, padding):
@@ -323,16 +323,201 @@ def inline_channel_attention_backward(cache, w1, w2, channel_mlp, upstream):
     return grad_x, gw1, gb1, gw2, gb2
 
 
+# ---------------------------------------------------------------------------
+# the detection loss, one image and one target at a time
+# ---------------------------------------------------------------------------
+# The scalar box cores and the per-image composite loss that detkit.losses
+# evaluated before it took whole batches as rows. They are the bit-for-bit
+# reference of losses.detection_loss_and_grad and losses._box_rows.
+
+def iou_with_grad(p, g):
+    """IoU of pred corners p = [x1, y1, x2, y2] against fixed gt corners g,
+    plus d(iou)/dp. Subgradient 0 is used exactly at min/max ties."""
+    ix1, iy1 = max(p[0], g[0]), max(p[1], g[1])
+    ix2, iy2 = min(p[2], g[2]), min(p[3], g[3])
+    iw, ih = ix2 - ix1, iy2 - iy1
+    grad = np.zeros(4)
+    area_p = (p[2] - p[0]) * (p[3] - p[1])
+    area_g = (g[2] - g[0]) * (g[3] - g[1])
+    if iw <= 0.0 or ih <= 0.0:
+        inter = 0.0
+        d_inter = np.zeros(4)
+    else:
+        inter = iw * ih
+        d_inter = np.array(
+            [
+                -ih if p[0] > g[0] else 0.0,
+                -iw if p[1] > g[1] else 0.0,
+                ih if p[2] < g[2] else 0.0,
+                iw if p[3] < g[3] else 0.0,
+            ]
+        )
+    union = area_p + area_g - inter
+    if union <= losses.EPS:
+        return 0.0, grad
+    d_area_p = np.array([-(p[3] - p[1]), -(p[2] - p[0]), p[3] - p[1], p[2] - p[0]])
+    d_union = d_area_p - d_inter
+    val = inter / union
+    grad = (d_inter * union - inter * d_union) / (union * union)
+    return val, grad
+
+
+def enclosing_with_grad(p, g):
+    """Squared diagonal of the smallest box enclosing p and g, with d/dp."""
+    ex1 = min(p[0], g[0])
+    ey1 = min(p[1], g[1])
+    ex2 = max(p[2], g[2])
+    ey2 = max(p[3], g[3])
+    cw, ch = ex2 - ex1, ey2 - ey1
+    d2 = cw * cw + ch * ch
+    grad = np.array(
+        [
+            -2.0 * cw if p[0] < g[0] else 0.0,
+            -2.0 * ch if p[1] < g[1] else 0.0,
+            2.0 * cw if p[2] > g[2] else 0.0,
+            2.0 * ch if p[3] > g[3] else 0.0,
+        ]
+    )
+    return d2, grad
+
+
+def center_dist_sq_with_grad(p, g):
+    dx = (p[0] + p[2]) / 2.0 - (g[0] + g[2]) / 2.0
+    dy = (p[1] + p[3]) / 2.0 - (g[1] + g[3]) / 2.0
+    rho2 = dx * dx + dy * dy
+    grad = np.array([dx, dy, dx, dy])
+    return rho2, grad
+
+
+def scalar_ciou(p, g):
+    """CIoU loss of one corner pair and its gradient w.r.t. p."""
+    iou_val, d_iou = iou_with_grad(p, g)
+    rho2, d_rho2 = center_dist_sq_with_grad(p, g)
+    diag2, d_diag2 = enclosing_with_grad(p, g)
+    diag2e = diag2 + losses.EPS
+
+    w, h = p[2] - p[0], p[3] - p[1]
+    wg, hg = g[2] - g[0], g[3] - g[1]
+    d_angle = math.atan2(wg, hg) - math.atan2(w, h)
+    q = 4.0 / math.pi**2
+    v = q * d_angle * d_angle
+    denom_wh = w * w + h * h
+    if denom_wh <= losses.EPS:
+        d_v = np.zeros(4)
+    else:
+        d_angle_grad = np.array([h, -w, -h, w]) / denom_wh
+        d_v = 2.0 * q * d_angle * d_angle_grad
+
+    den = (1.0 - iou_val) + v + losses.EPS
+    alpha_v = v * v / den
+    loss = 1.0 - iou_val + rho2 / diag2e + alpha_v
+
+    d_alpha_v = (2.0 * v * d_v * den - v * v * (-d_iou + d_v)) / (den * den)
+    grad = -d_iou + (d_rho2 * diag2e - rho2 * d_diag2) / (diag2e * diag2e) + d_alpha_v
+    return loss, grad
+
+
+def scalar_box_loss_and_grad(variant, pred, gt):
+    """Box loss of the variant and its gradient w.r.t. the pred corners."""
+    p, g = pred.as_array(), gt.as_array()
+    if variant == "ciou":
+        return scalar_ciou(p, g)
+    iou_val, d_iou = iou_with_grad(p, g)
+    if variant == "iou":
+        return 1.0 - iou(pred, gt), -d_iou
+    rho2, d_rho2 = center_dist_sq_with_grad(p, g)
+    diag2, _ = enclosing_with_grad(p, g)
+    d0 = diag2 + losses.EPS
+    r = math.exp(rho2 / d0)
+    return r * (1.0 - iou_val), r * (d_rho2 / d0) * (1.0 - iou_val) - r * d_iou
+
+
+def check_detection_args(predictions, targets, stride, variant):
+    if variant not in ("iou", "ciou", "wiou"):
+        raise ConfigError(f"unknown loss variant {variant!r}")
+    if predictions.n != 1:
+        raise ConfigError("detection loss expects a single-image prediction grid")
+    if predictions.c < 6:
+        raise ConfigError("prediction grid needs at least 5 + 1 channels")
+    if stride <= 0:
+        raise ConfigError("stride must be positive")
+    num_classes = predictions.c - 5
+    gh, gw = predictions.h, predictions.w
+    img_w, img_h = gw * stride, gh * stride
+    for bbox, cls in targets:
+        if not 0 <= cls < num_classes:
+            raise ConfigError(f"class id {cls} out of range [0, {num_classes})")
+        if bbox.area <= 0.0:
+            raise ConfigError("target box must have positive area")
+        if bbox.x1 < 0 or bbox.y1 < 0 or bbox.x2 > img_w or bbox.y2 > img_h:
+            raise ConfigError(f"target {bbox} lies outside the {img_w}x{img_h} image")
+    return num_classes, gh, gw
+
+
+def assign_cells(targets, stride, gh, gw):
+    """Each target is assigned to the single cell containing its center."""
+    assigned = []
+    for bbox, cls in targets:
+        cx, cy = bbox.center
+        col = min(int(cx / stride), gw - 1)
+        row = min(int(cy / stride), gh - 1)
+        assigned.append((row, col, bbox, cls))
+    return assigned
+
+
+def per_image_detection_loss_and_grad(predictions, targets, variant="wiou", stride=8.0,
+                                      box_weight=5.0, obj_weight=1.0, cls_weight=1.0):
+    """The composite loss of one (1, 5 + K, gh, gw) grid and its gradient,
+    one target at a time: (LossBreakdown, (1, 5 + K, gh, gw) ndarray)."""
+    num_classes, gh, gw = check_detection_args(predictions, targets, stride, variant)
+    p = predictions.data[0]
+    assigned = assign_cells(targets, stride, gh, gw)
+    n_t = len(assigned)
+    grad = np.zeros_like(p)
+
+    obj_target = np.zeros((gh, gw))
+    box_total = 0.0
+    cls_total = 0.0
+    for row, col, bbox, cls in assigned:
+        obj_target[row, col] = 1.0
+        pred_box = losses.cell_to_box(p[0, row, col], p[1, row, col], p[2, row, col], p[3, row, col],
+                                      row, col, stride)
+        box_value, d_corners = scalar_box_loss_and_grad(variant, pred_box, bbox)
+        box_total += box_value
+        onehot = np.zeros(num_classes)
+        onehot[cls] = 1.0
+        cls_total += losses._bce_with_logits(p[5:, row, col], onehot).mean()
+        d_corners = d_corners * (box_weight / n_t)
+        dcx, dcy = d_corners[0] + d_corners[2], d_corners[1] + d_corners[3]
+        dw, dh = (d_corners[2] - d_corners[0]) / 2.0, (d_corners[3] - d_corners[1]) / 2.0
+        sx, sy = ops.sigmoid(p[0:2, row, col]).astype(np.float64, copy=False)
+        grad[0, row, col] += dcx * sx * (1.0 - sx) * stride
+        grad[1, row, col] += dcy * sy * (1.0 - sy) * stride
+        grad[2, row, col] += dw * pred_box.width
+        grad[3, row, col] += dh * pred_box.height
+        cls_prob = ops.sigmoid(p[5:, row, col]).astype(np.float64, copy=False)
+        grad[5:, row, col] += (cls_prob - onehot) * cls_weight / (n_t * num_classes)
+
+    box_loss = box_total / n_t if n_t else 0.0
+    cls_loss = cls_total / n_t if n_t else 0.0
+    obj_loss = float(losses._bce_with_logits(p[4], obj_target).mean())
+    total = box_weight * box_loss + obj_weight * obj_loss + cls_weight * cls_loss
+    if not math.isfinite(total):
+        raise FloatingPointError("detection loss is not finite")
+    grad[4] += (ops.sigmoid(p[4]).astype(np.float64, copy=False) - obj_target) * (obj_weight / (gh * gw))
+    return losses.LossBreakdown(box_loss, obj_loss, cls_loss, total, variant), grad[None]
+
+
 def _box_loss_grad(variant, pred, gt):
     """Per-variant corner gradient, each computed on its own."""
     p, g = pred.as_array(), gt.as_array()
-    iou_val, d_iou = losses._iou_with_grad(p, g)
+    iou_val, d_iou = iou_with_grad(p, g)
     if variant == "iou":
         return -d_iou
     if variant == "ciou":
-        return losses.ciou_loss_grad(pred, gt)
-    rho2, d_rho2 = losses._center_dist_sq_with_grad(p, g)
-    diag2, _ = losses._enclosing_with_grad(p, g)
+        return scalar_ciou(p, g)[1]
+    rho2, d_rho2 = center_dist_sq_with_grad(p, g)
+    diag2, _ = enclosing_with_grad(p, g)
     d0 = diag2 + losses.EPS
     r = math.exp(rho2 / d0)
     return r * (d_rho2 / d0) * (1.0 - iou_val) - r * d_iou
@@ -340,13 +525,13 @@ def _box_loss_grad(variant, pred, gt):
 
 def separate_detection_loss_grad(predictions, targets, variant="wiou", stride=8.0,
                                  box_weight=5.0, obj_weight=1.0, cls_weight=1.0):
-    """Gradient of detection_loss().total computed on its own, apart from the
-    loss value: its own argument check, cell assignment and box evaluation.
-    It reuses the box-geometry cores of detkit.losses; what it checks is that
-    the one-pass loss and gradient changes no bit of the separate gradient."""
-    num_classes, gh, gw = losses._check_detection_args(predictions, targets, stride, variant)
+    """Gradient of the loss of one (1, 5 + K, gh, gw) grid computed on its
+    own, apart from the loss value: its own argument check, cell assignment
+    and box evaluation. What it checks is that computing the loss and the
+    gradient in one pass changes no bit of the separate gradient."""
+    num_classes, gh, gw = check_detection_args(predictions, targets, stride, variant)
     p = predictions.data[0]
-    assigned = losses._assign_cells(targets, stride, gh, gw)
+    assigned = assign_cells(targets, stride, gh, gw)
     grad = np.zeros_like(p)
     n_t = len(assigned)
 

@@ -67,3 +67,16 @@ def test_probes_near_a_kink_are_redrawn(name, cases, seed):
     cases are redrawn instead of failing a correct gradient."""
     (result,) = gradcheck.run_suites(name, cases=cases, seed=seed)
     assert result.passed, f"{name}: max rel err {result.max_err}"
+
+
+@pytest.mark.parametrize("name,seed,want", [
+    ("ciou_loss", 7, 3.4137909684774896e-07),
+    ("wiou_loss", 7, 4.869031003038038e-07),
+    ("detection_loss", 11, 7.997000798178511e-07),
+])
+def test_loss_suite_errors_are_pinned(name, seed, want):
+    """The loss suites' 100-case worst errors, to the bit: the loss and its
+    gradient, and the finite differences taken of them, change no bit when
+    the loss is restructured."""
+    (result,) = gradcheck.run_suites(name, cases=100, seed=seed)
+    assert result.max_err == want

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import separate_detection_loss_grad
+from oracles import per_image_detection_loss_and_grad, separate_detection_loss_grad
 
 from detkit import losses
 from detkit.losses import (
@@ -17,7 +17,6 @@ from detkit.losses import (
     corners,
     detection_loss,
     detection_loss_and_grad,
-    detection_loss_grad,
     iou,
     pairwise_iou,
     wiou_loss,
@@ -288,7 +287,7 @@ class TestDetectionLoss:
 
     def test_zero_targets(self):
         head = self._head()
-        br = detection_loss(head, [], "wiou", stride=8.0)
+        br, = detection_loss(head, [[]], "wiou", stride=8.0)
         assert br.box_loss == 0.0 and br.class_loss == 0.0
         # BCE of logit 0 against label 0 is log 2 per cell
         assert br.objectness_loss == pytest.approx(math.log(2.0), abs=1e-12)
@@ -308,7 +307,7 @@ class TestDetectionLoss:
         head[0, 3, row, col] = th
         head[0, 4, row, col] = 40.0  # confident "object" at the target cell
         head[0, 5, row, col] = 40.0  # confident class
-        br = detection_loss(Tensor(head), [(target, 0)], "wiou", stride=8.0)
+        br, = detection_loss(Tensor(head), [[(target, 0)]], "wiou", stride=8.0)
         assert br.total < 1e-9
 
     def test_two_cell_hand_computed_case(self):
@@ -317,7 +316,7 @@ class TestDetectionLoss:
         k = 1
         head = np.zeros((1, 6, 1, 2))
         target = BBox(2.0, 2.0, 6.0, 6.0)  # center (4, 4) -> cell (0, 0)
-        br = detection_loss(Tensor(head), [(target, 0)], "wiou",
+        br, = detection_loss(Tensor(head), [[(target, 0)]], "wiou",
                             stride=8.0, box_weight=1.0, obj_weight=1.0, cls_weight=1.0)
         # pred box from zero logits: center (4, 4), size 8x8 -> (0, 0, 8, 8)
         pred = BBox(0.0, 0.0, 8.0, 8.0)
@@ -338,7 +337,7 @@ class TestDetectionLoss:
         rng = np.random.default_rng(25)
         head = Tensor(rng.standard_normal((1, 8, 3, 3)))
         targets = [(BBox(4.0, 4.0, 14.0, 12.0), 1)]
-        br = detection_loss(head, targets, "ciou", stride=8.0,
+        br, = detection_loss(head, [targets], "ciou", stride=8.0,
                             box_weight=5.0, obj_weight=2.0, cls_weight=3.0)
         assert br.total == pytest.approx(
             5.0 * br.box_loss + 2.0 * br.objectness_loss + 3.0 * br.class_loss, rel=1e-12)
@@ -346,23 +345,23 @@ class TestDetectionLoss:
     def test_target_outside_image_rejected(self):
         head = self._head()
         with pytest.raises(ConfigError):
-            detection_loss(head, [(BBox(-1.0, 0.0, 5.0, 5.0), 0)], "wiou", stride=8.0)
+            detection_loss(head, [[(BBox(-1.0, 0.0, 5.0, 5.0), 0)]], "wiou", stride=8.0)
         with pytest.raises(ConfigError):
-            detection_loss(head, [(BBox(0.0, 0.0, 25.0, 5.0), 0)], "wiou", stride=8.0)
+            detection_loss(head, [[(BBox(0.0, 0.0, 25.0, 5.0), 0)]], "wiou", stride=8.0)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(26)
         head = rng.standard_normal((1, 7, 2, 2))
         targets = [(BBox(2.0, 3.0, 9.0, 10.0), 1), (BBox(9.5, 9.5, 15.0, 15.5), 0)]
-        got = detection_loss_grad(Tensor(head), targets, "ciou", stride=8.0).data
+        got = detection_loss_and_grad(Tensor(head), [targets], "ciou", stride=8.0)[1]
         h = 1e-6
         flat = head.reshape(-1)
         for idx in range(flat.size):
             orig = flat[idx]
             flat[idx] = orig + h
-            fp = detection_loss(Tensor(head), targets, "ciou", stride=8.0).total
+            fp = detection_loss(Tensor(head), [targets], "ciou", stride=8.0)[0].total
             flat[idx] = orig - h
-            fm = detection_loss(Tensor(head), targets, "ciou", stride=8.0).total
+            fm = detection_loss(Tensor(head), [targets], "ciou", stride=8.0)[0].total
             flat[idx] = orig
             num = (fp - fm) / (2 * h)
             denom = max(abs(got.reshape(-1)[idx]), abs(num), 1e-4)
@@ -389,12 +388,12 @@ class TestDetectionLossAndGrad:
         head = Tensor((rng.standard_normal((1, 8, 3, 3)) * 2.0).astype(dtype))
         tg = self.TARGET_SETS[targets]
         args = (variant, 8.0, 5.0, 2.5, 2.5)
-        br, grad = detection_loss_and_grad(head, tg, *args)
-        assert br == detection_loss(head, tg, *args)
+        (br,), grad = detection_loss_and_grad(head, [tg], *args)
+        assert [br] == detection_loss(head, [tg], *args)
         want = separate_detection_loss_grad(head, tg, *args).data
         assert grad.dtype == dtype
-        assert np.array_equal(grad.data, want)
-        assert np.array_equal(detection_loss_grad(head, tg, *args).data, want)
+        assert np.array_equal(grad, want)
+        assert np.array_equal(per_image_detection_loss_and_grad(head, tg, *args)[1], want)
 
     def test_iou_value_when_union_is_below_eps(self):
         """Boxes of area ~1e-12: the gradient core gives IoU 0 once the union
@@ -404,5 +403,113 @@ class TestDetectionLossAndGrad:
         head[0, 2:4] = math.log(2.5e-7)  # a 2e-6 square centred at (4, 4)
         pred = losses.cell_to_box(0.0, 0.0, head[0, 2, 0, 0], head[0, 3, 0, 0], 0, 0, 8.0)
         assert iou(pred, gt) == 0.25
-        br, _ = detection_loss_and_grad(Tensor(head), [(gt, 0)], "iou", 8.0)
+        (br,), _ = detection_loss_and_grad(Tensor(head), [[(gt, 0)]], "iou", 8.0)
         assert br.box_loss == 0.75
+
+
+def _same_bits(got, want) -> bool:
+    """Equal values and equal sign bits, so 0.0 and -0.0 differ."""
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.dtype == want.dtype and np.array_equal(got, want)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+class TestBatchedLossMatchesPerImageOracle:
+    """detection_loss_and_grad over a batch equals, bit for bit, the
+    per-image, per-target loss of tests/oracles.py run on each image alone."""
+
+    ARGS = (8.0, 5.0, 2.5, 2.5)  # stride and the default TrainConfig weights
+    # 3x3 grid of stride 8: targets 0 and 1 of image 2 share cell (1, 1);
+    # image 5's ten targets are more than numpy sums one at a time
+    MIXED = [
+        [],
+        [(BBox(3.0, 2.5, 13.0, 11.0), 2)],
+        [(BBox(9.0, 9.5, 14.0, 14.0), 0), (BBox(8.5, 8.0, 15.5, 15.0), 1),
+         (BBox(16.0, 1.0, 23.5, 7.0), 2)],
+        [],
+        [(BBox(0.5, 16.5, 7.5, 23.5), 1), (BBox(2.0, 2.0, 22.0, 22.0), 0)],
+        [(BBox(1.0 + 2.1 * k, 0.5 + 2.0 * k, 3.5 + 2.0 * k, 4.0 + 1.9 * k), k % 3) for k in range(10)],
+    ]
+
+    def _check(self, head, target_lists, variant):
+        terms, grad = detection_loss_and_grad(Tensor(head), target_lists, variant, *self.ARGS)
+        assert terms == detection_loss(Tensor(head), target_lists, variant, *self.ARGS)
+        assert grad.shape == head.shape and grad.dtype == head.dtype
+        for i, targets in enumerate(target_lists):
+            want_terms, want_grad = per_image_detection_loss_and_grad(
+                Tensor(head[i:i + 1]), targets, variant, *self.ARGS)
+            assert terms[i] == want_terms
+            assert all(_same_bits(getattr(terms[i], f), getattr(want_terms, f))
+                       for f in ("box_loss", "objectness_loss", "class_loss", "total"))
+            assert _same_bits(grad[i], want_grad[0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("variant", ["iou", "ciou", "wiou"])
+    def test_mixed_target_counts_and_a_shared_cell(self, variant, dtype):
+        # at this seed, image 5's ten box losses sum to different bits one at
+        # a time and pairwise (numpy's sum), for every variant and dtype
+        rng = np.random.default_rng(150)
+        head = (rng.standard_normal((len(self.MIXED), 8, 3, 3)) * 2.0).astype(dtype)
+        self._check(head, self.MIXED, variant)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("variant", ["iou", "ciou", "wiou"])
+    def test_benchmark_dataset_batches(self, variant, dtype, seed):
+        """The train benchmark's data: synth_dataset(seed, 50, 64, 3) in
+        batches of 5 on the 8x8 grid."""
+        from detkit.dataset import synth_dataset
+
+        data = synth_dataset(seed, 50, 64, 3)
+        rng = np.random.default_rng(seed)
+        for start in range(0, len(data), 5):
+            head = (rng.standard_normal((5, 8, 8, 8)) * 1.5).astype(dtype)
+            self._check(head, [t for _, t in data[start:start + 5]], variant)
+
+    @pytest.mark.parametrize("variant", ["iou", "ciou", "wiou"])
+    def test_an_image_does_not_depend_on_its_batch(self, variant):
+        """Each image's terms and gradient are the same alone, in its batch,
+        and in a batch reordered around it."""
+        rng = np.random.default_rng(32)
+        head = rng.standard_normal((len(self.MIXED), 8, 3, 3)) * 2.0
+        terms, grad = detection_loss_and_grad(Tensor(head), self.MIXED, variant, *self.ARGS)
+        order = [3, 0, 5, 4, 2, 1]
+        shuffled_terms, shuffled_grad = detection_loss_and_grad(
+            Tensor(head[order]), [self.MIXED[i] for i in order], variant, *self.ARGS)
+        for k, i in enumerate(order):
+            (alone_terms,), alone_grad = detection_loss_and_grad(
+                Tensor(head[i:i + 1]), [self.MIXED[i]], variant, *self.ARGS)
+            assert terms[i] == alone_terms == shuffled_terms[k]
+            assert _same_bits(grad[i], alone_grad[0]) and _same_bits(grad[i], shuffled_grad[k])
+
+    def test_one_target_list_per_grid(self):
+        with pytest.raises(ConfigError, match="2 target lists for 1 prediction grids"):
+            detection_loss(Tensor.zeros((1, 6, 2, 2)), [[], []])
+
+
+class TestBoxRowsMatchScalarOracle:
+    """Every row of _box_rows equals the one-pair scalar evaluation."""
+
+    @pytest.mark.parametrize("variant", ["iou", "ciou", "wiou"])
+    def test_rows_are_the_scalar_pairs(self, variant):
+        from oracles import scalar_box_loss_and_grad
+
+        rng = np.random.default_rng(33)
+        pairs = []
+        for _ in range(200):
+            px1, px2 = np.sort(rng.uniform(0.0, 10.0, 2))
+            py1, py2 = np.sort(rng.uniform(0.0, 10.0, 2))
+            gx1, gx2 = np.sort(rng.uniform(0.0, 10.0, 2))
+            gy1, gy2 = np.sort(rng.uniform(0.0, 10.0, 2))
+            pairs.append((BBox(px1, py1, px2, py2), BBox(gx1, gy1, gx2, gy2)))
+        # shared edges (min/max ties), a disjoint pair, a zero-height pred,
+        # and a pred whose w^2 + h^2 is below EPS
+        pairs += [(UNIT, UNIT), (UNIT_SHIFTED, UNIT), (BBox(5.0, 5.0, 6.0, 6.0), UNIT),
+                  (BBox(0.0, 0.5, 2.0, 0.5), UNIT),
+                  (BBox(0.5, 0.5, 0.5 + 1e-5, 0.5 + 1e-5), BBox(0.0, 0.0, 0.1, 10.0))]
+        loss, grad = losses._box_rows(variant, corners([p for p, _ in pairs]),
+                                      corners([g for _, g in pairs]))
+        for k, (pred, gt) in enumerate(pairs):
+            want_loss, want_grad = scalar_box_loss_and_grad(variant, pred, gt)
+            assert _same_bits(loss[k], np.float64(want_loss))
+            assert _same_bits(grad[k], want_grad)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from detkit import blocks, cli, model, ops
-from detkit.losses import BBox, detection_loss, detection_loss_grad
+from detkit.losses import BBox, detection_loss, detection_loss_and_grad
 from detkit.model import (
     ToyNetSpec,
     cost_layers,
@@ -58,11 +58,11 @@ class TestBackward:
 
         def loss_of(p):
             head, _ = net_forward(p, spec, x)
-            return detection_loss(head, targets, "ciou", float(spec.stride)).total
+            return detection_loss(head, [targets], "ciou", float(spec.stride))[0].total
 
         head, cache = net_forward(params, spec, x)
-        upstream = detection_loss_grad(head, targets, "ciou", float(spec.stride))
-        grads = net_backward(params, spec, cache, upstream)
+        _, upstream = detection_loss_and_grad(head, [targets], "ciou", float(spec.stride))
+        grads = net_backward(params, spec, cache, Tensor(upstream))
         assert set(grads) == set(params)
 
         h = 1e-6

@@ -5,10 +5,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from detkit import model, train
-from detkit.losses import detection_loss_and_grad
+from detkit import losses, model, train
 from detkit.model import ToyNetSpec, init_params, net_backward
-from detkit.tensor import ConfigError, Tensor
+from detkit.tensor import ConfigError
 from detkit.train import TrainConfig, TrainingDiverged, train_toy
 
 
@@ -160,15 +159,16 @@ class TestDivergence:
             train_toy(small_config(epochs=1, freeze_fraction=1.0))
 
     def test_non_finite_head_gradient_is_named(self, monkeypatch):
-        """A non-finite loss gradient, rejected by its Tensor, is named before
-        the backward runs."""
-        def poisoned(*args, **kwargs):
-            br, grad = detection_loss_and_grad(*args, **kwargs)
-            bad = grad.data.copy()
-            bad[0, 4, 0, 0] = np.nan
-            return br, Tensor(bad)
+        """A non-finite loss gradient with a finite loss value is named by the
+        loss, before the backward runs."""
+        box_rows = losses._box_rows
 
-        monkeypatch.setattr(train, "detection_loss_and_grad", poisoned)
+        def poisoned(*args, **kwargs):
+            value, grad = box_rows(*args, **kwargs)
+            grad[0, 0] = np.nan
+            return value, grad
+
+        monkeypatch.setattr(losses, "_box_rows", poisoned)
         with pytest.raises(TrainingDiverged, match=r"non-finite head gradient at epoch 0, batch 0$"):
             train_toy(small_config(epochs=1))
 

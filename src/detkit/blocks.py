@@ -85,10 +85,6 @@ class PConvSpec:
         if self.kernel < 1 or self.kernel % 2 == 0:
             raise ConfigError(f"partial conv kernel must be odd and >= 1, got {self.kernel}")
 
-    @property
-    def untouched(self) -> int:
-        return self.channels - self.conv_channels
-
     def conv_spec(self) -> ConvSpec:
         return ConvSpec(
             in_channels=self.conv_channels,

@@ -42,7 +42,7 @@ from .postprocess import (
     letterbox,
     nms,
 )
-from .tensor import ConfigError, verify_mode_forced
+from .tensor import ConfigError, Tensor, verify_mode_forced
 from .train import TrainConfig, TrainingDiverged, train_toy
 from .weights_io import (
     WeightsChecksumError,
@@ -111,6 +111,15 @@ def _require_file(path, what: str) -> Path:
     if not p.is_file():
         raise FileNotFoundError(f"{what} not found: {p}")
     return p
+
+
+def _head(params: dict, spec: ToyNetSpec, x: Tensor) -> Tensor:
+    """The head net_forward computes from loaded weights. Weights that lack a
+    parameter of the spec are a configuration error, as a wrong shape is."""
+    try:
+        return net_forward(params, spec, x)[0]
+    except KeyError as exc:
+        raise ConfigError(f"weights have no parameter {exc.args[0]!r}") from None
 
 
 def _json_dump(obj, path) -> None:
@@ -233,8 +242,7 @@ def _run_model_on_dataset(cfg: TrainConfig, values: dict, params):
     data = synth_dataset(cfg.seed, cfg.dataset_count, cfg.image_size, cfg.num_classes)
     all_dets, all_gts = [], []
     for image, targets in data:
-        head, _ = net_forward(params, cfg.net, image)
-        dets = nms(decode(head, dspec), nms_iou)
+        dets = nms(decode(_head(params, cfg.net, image), dspec), nms_iou)
         all_dets.append(dets)
         all_gts.append(targets)
     return all_dets, all_gts
@@ -271,9 +279,8 @@ def cmd_detect(args) -> int:
     orig_h, orig_w = image.h, image.w
     model_in = to_channels(image, cfg.net.in_channels)
     boxed, scale, pads = letterbox(model_in, cfg.net.image_size, cfg.net.image_size)
-    head, _ = net_forward(params, cfg.net, boxed)
     dspec = cfg.net.decode_spec(values["score_threshold"])
-    dets = nms(decode(head, dspec), values["nms_iou"])
+    dets = nms(decode(_head(params, cfg.net, boxed), dspec), values["nms_iou"])
 
     mapped = []
     for d in dets:

@@ -1,17 +1,20 @@
 """Central-finite-difference verification of every hand-derived backward pass.
 
-Each registered suite draws a batch of random cases, computes analytic
-gradients of the scalar probe <G, f(x)> (G random), compares them against
-central differences, and reports the worst relative error seen. The error
-metric is |a - n| / max(|a|, |n|, 1e-4): purely relative for gradients of
-ordinary size, absolute (scaled by 1e4) for entries near zero, so
-finite-difference noise (~1e-10 at 64-bit with h = 1e-6) never false-alarms
-while sign or indexing bugs always exceed the 1e-4 gate.
+A registered suite checks one random case: it computes analytic gradients of
+the scalar probe <G, f(x)> (G random), compares them against central
+differences and returns the worst relative error, or None when its draw lies
+on a relu or max kink. ``run_suites`` calls a suite once per case, redrawing a
+None, with every case drawn from one seeded generator, and reports the worst
+error seen. The error metric is |a - n| / max(|a|, |n|, 1e-4): purely
+relative for gradients of ordinary size, absolute (scaled by 1e4) for entries
+near zero, so finite-difference noise (~1e-10 at 64-bit with h = 1e-6) never
+false-alarms while sign or indexing bugs always exceed the 1e-4 gate.
 """
 
 from __future__ import annotations
 
 import fnmatch
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -25,8 +28,7 @@ REL_ERR_FLOOR = 1e-4
 PASS_THRESHOLD = 1e-4
 
 
-def numerical_grad(f: Callable[[np.ndarray], float], x: np.ndarray,
-                   h: float = FD_STEP) -> np.ndarray:
+def numerical_grad(f: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
     """Central differences of a scalar function, one entry at a time."""
     x = np.asarray(x, dtype=np.float64)
     grad = np.zeros_like(x)
@@ -34,22 +36,21 @@ def numerical_grad(f: Callable[[np.ndarray], float], x: np.ndarray,
     gflat = grad.reshape(-1)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + h
+        flat[i] = orig + FD_STEP
         fp = f(x)
-        flat[i] = orig - h
+        flat[i] = orig - FD_STEP
         fm = f(x)
         flat[i] = orig
-        gflat[i] = (fp - fm) / (2.0 * h)
+        gflat[i] = (fp - fm) / (2.0 * FD_STEP)
     return grad
 
 
-def max_rel_error(analytic: np.ndarray, numeric: np.ndarray,
-                  floor: float = REL_ERR_FLOOR) -> float:
+def max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     a = np.asarray(analytic, dtype=np.float64).ravel()
     n = np.asarray(numeric, dtype=np.float64).ravel()
     if a.shape != n.shape:
         raise ConfigError("gradient shapes differ")
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
+    denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), REL_ERR_FLOOR)
     if a.size == 0:
         return 0.0
     return float(np.max(np.abs(a - n) / denom))
@@ -66,7 +67,8 @@ class GradCheckResult:
         return self.max_err < PASS_THRESHOLD
 
 
-_SUITES: dict[str, Callable[[np.random.Generator, int], float]] = {}
+# A suite maps (rng, case index) to that case's worst error, or None to redraw.
+_SUITES: dict[str, Callable[[np.random.Generator, int], float | None]] = {}
 
 
 def register(name: str):
@@ -81,6 +83,8 @@ def suite_names() -> list[str]:
 
 
 def run_suites(pattern: str = "*", cases: int = 100, seed: int = 0) -> list[GradCheckResult]:
+    if cases < 1 or seed < 0:
+        raise ConfigError(f"cases must be >= 1 and seed >= 0, got cases={cases}, seed={seed}")
     names = [n for n in suite_names() if fnmatch.fnmatch(n, pattern)]
     if not names:
         raise ConfigError(
@@ -88,8 +92,14 @@ def run_suites(pattern: str = "*", cases: int = 100, seed: int = 0) -> list[Grad
         )
     results = []
     for name in names:
-        rng = np.random.Generator(np.random.PCG64(seed))
-        results.append(GradCheckResult(name, cases, _SUITES[name](rng, cases)))
+        suite, rng = _SUITES[name], np.random.Generator(np.random.PCG64(seed))
+        worst = 0.0
+        for case in range(cases):
+            err = None
+            while err is None:
+                err = suite(rng, case)
+            worst = max(worst, err)
+        results.append(GradCheckResult(name, cases, worst))
     return results
 
 
@@ -98,8 +108,9 @@ def _probe(rng, shape):
 
 
 # Central differences straddle a kink of relu or max when a probe lies within
-# one step of it and then average the two one-sided slopes; a case whose
-# kink input lies within KINK_MARGIN of a switch point is redrawn.
+# one step of it and then average the two one-sided slopes; a suite whose
+# kink input lies within KINK_MARGIN of a switch point returns None, and
+# run_suites redraws the case.
 KINK_MARGIN = 10 * FD_STEP
 
 
@@ -145,94 +156,71 @@ def _param_errors(forward, g: np.ndarray, x: np.ndarray, params: dict,
 # ---------------------------------------------------------------------------
 
 @register("conv2d")
-def _check_conv2d(rng: np.random.Generator, cases: int) -> float:
-    worst = 0.0
-    for _ in range(cases):
-        cin, cout = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        k = int(rng.integers(1, 4))
-        s = int(rng.integers(1, 3))
-        p = int(rng.integers(0, 2))
-        h = int(rng.integers(k, k + 4))
-        spec = ops.ConvSpec(cin, cout, k, s, p)
-        x = _probe(rng, (2, cin, h, h))
-        w = _probe(rng, (cout, cin, k, k))
-        b = _probe(rng, (cout,))
-        g = _probe(rng, (2, cout, spec.out_size(h), spec.out_size(h)))
-        worst = max(worst, _arg_errors(lambda xx, ww, bb: ops.conv2d_forward(xx, ww, bb, spec), g,
-                                       (x, w, b), ops.conv2d_backward(x, w, spec, g)))
-    return worst
+def _check_conv2d(rng: np.random.Generator, case: int) -> float:
+    cin, cout = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    k = int(rng.integers(1, 4))
+    s = int(rng.integers(1, 3))
+    p = int(rng.integers(0, 2))
+    h = int(rng.integers(k, k + 4))
+    spec = ops.ConvSpec(cin, cout, k, s, p)
+    x = _probe(rng, (2, cin, h, h))
+    w = _probe(rng, (cout, cin, k, k))
+    b = _probe(rng, (cout,))
+    g = _probe(rng, (2, cout, spec.out_size(h), spec.out_size(h)))
+    return _arg_errors(lambda xx, ww, bb: ops.conv2d_forward(xx, ww, bb, spec), g,
+                       (x, w, b), ops.conv2d_backward(x, w, spec, g))
 
 
 @register("fully_connected")
-def _check_fc(rng, cases):
-    worst = 0.0
-    for _ in range(cases):
-        nin, nout, batch = int(rng.integers(1, 6)), int(rng.integers(1, 6)), int(rng.integers(1, 4))
-        x = _probe(rng, (batch, nin))
-        w = _probe(rng, (nout, nin))
-        b = _probe(rng, (nout,))
-        g = _probe(rng, (batch, nout))
-        worst = max(worst, _arg_errors(ops.fully_connected, g, (x, w, b),
-                                       ops.fully_connected_backward(x, w, g)))
-    return worst
+def _check_fc(rng, case):
+    nin, nout, batch = int(rng.integers(1, 6)), int(rng.integers(1, 6)), int(rng.integers(1, 4))
+    x = _probe(rng, (batch, nin))
+    w = _probe(rng, (nout, nin))
+    b = _probe(rng, (nout,))
+    g = _probe(rng, (batch, nout))
+    return _arg_errors(ops.fully_connected, g, (x, w, b), ops.fully_connected_backward(x, w, g))
 
 
-def _activation_suite(kind):
-    def suite(rng, cases):
-        worst = 0.0
-        for _ in range(cases):
-            x = _probe(rng, (2, 3, 4, 4)) * 3.0
-            g = _probe(rng, (2, 3, 4, 4))
-            _, cache = ops.activation(x, kind)
-            worst = max(worst, _arg_errors(lambda v: ops.activation(v, kind)[0], g, (x,),
-                                           (ops.activation_backward(cache, kind, g),)))
-        return worst
-    return suite
+def _check_activation(rng, case, kind):
+    x = _probe(rng, (2, 3, 4, 4)) * 3.0
+    g = _probe(rng, (2, 3, 4, 4))
+    _, cache = ops.activation(x, kind)
+    return _arg_errors(lambda v: ops.activation(v, kind)[0], g, (x,),
+                       (ops.activation_backward(cache, kind, g),))
 
 
-register("activation_relu")(_activation_suite("relu"))
-register("activation_sigmoid")(_activation_suite("sigmoid"))
-register("activation_mish")(_activation_suite("mish"))
+register("activation_relu")(functools.partial(_check_activation, kind="relu"))
+register("activation_sigmoid")(functools.partial(_check_activation, kind="sigmoid"))
+register("activation_mish")(functools.partial(_check_activation, kind="mish"))
 
 
 @register("global_pool")
-def _check_global_pool(rng, cases):
-    worst = 0.0
-    for _ in range(cases):
-        kind = "avg" if rng.integers(2) else "max"
-        x = _probe(rng, (2, 3, 4, 4))
-        g = _probe(rng, (2, 3, 1, 1))
-        worst = max(worst, _arg_errors(lambda v: ops.global_pool(v, kind), g, (x,),
-                                       (ops.global_pool_backward(x, kind, g),)))
-    return worst
+def _check_global_pool(rng, case):
+    kind = "avg" if rng.integers(2) else "max"
+    x = _probe(rng, (2, 3, 4, 4))
+    g = _probe(rng, (2, 3, 1, 1))
+    return _arg_errors(lambda v: ops.global_pool(v, kind), g, (x,),
+                       (ops.global_pool_backward(x, kind, g),))
 
 
 @register("spatial_stats")
-def _check_spatial_stats(rng, cases):
-    worst = 0.0
-    for _ in range(cases):
-        x = _probe(rng, (2, 4, 3, 3))
-        g = _probe(rng, (2, 2, 3, 3))
-        _, cache = ops.spatial_stats(x)
-        worst = max(worst, _arg_errors(lambda v: ops.spatial_stats(v)[0], g, (x,),
-                                       (ops.spatial_stats_backward(cache, g),)))
-    return worst
+def _check_spatial_stats(rng, case):
+    x = _probe(rng, (2, 4, 3, 3))
+    g = _probe(rng, (2, 2, 3, 3))
+    _, cache = ops.spatial_stats(x)
+    return _arg_errors(lambda v: ops.spatial_stats(v)[0], g, (x,),
+                       (ops.spatial_stats_backward(cache, g),))
 
 
 @register("spp")
-def _check_spp(rng, cases):
-    worst = 0.0
-    for _ in range(cases):
-        while True:
-            windows = [3] if rng.integers(2) else [3, 5]
-            x = _probe(rng, (1, 2, 6, 6))
-            g = _probe(rng, (1, 2 * (1 + len(windows)), 6, 6))
-            if not any(_pool_near_tie(x, wsz) for wsz in windows):
-                break
-        _, cache = ops.spp(x, windows)
-        worst = max(worst, _arg_errors(lambda v: ops.spp(v, windows)[0], g, (x,),
-                                       (ops.spp_backward(cache, g),)))
-    return worst
+def _check_spp(rng, case):
+    windows = [3] if rng.integers(2) else [3, 5]
+    x = _probe(rng, (1, 2, 6, 6))
+    g = _probe(rng, (1, 2 * (1 + len(windows)), 6, 6))
+    if any(_pool_near_tie(x, wsz) for wsz in windows):
+        return None
+    _, cache = ops.spp(x, windows)
+    return _arg_errors(lambda v: ops.spp(v, windows)[0], g, (x,), (ops.spp_backward(cache, g),))
 
 
 # ---------------------------------------------------------------------------
@@ -240,104 +228,81 @@ def _check_spp(rng, cases):
 # ---------------------------------------------------------------------------
 
 @register("pconv")
-def _check_pconv(rng, cases):
-    worst = 0.0
-    for _ in range(cases):
-        c = int(rng.integers(2, 7))
-        cp = int(rng.integers(1, c + 1))
-        spec = blocks.PConvSpec(c, cp, 3)
-        x = _probe(rng, (2, c, 5, 5))
-        w = _probe(rng, (cp, cp, 3, 3))
-        g = _probe(rng, (2, c, 5, 5))
-        worst = max(worst, _arg_errors(lambda xx, ww: blocks.pconv_forward(xx, ww, spec), g,
-                                       (x, w), blocks.pconv_backward(x, w, spec, g)))
-    return worst
+def _check_pconv(rng, case):
+    c = int(rng.integers(2, 7))
+    cp = int(rng.integers(1, c + 1))
+    spec = blocks.PConvSpec(c, cp, 3)
+    x = _probe(rng, (2, c, 5, 5))
+    w = _probe(rng, (cp, cp, 3, 3))
+    g = _probe(rng, (2, c, 5, 5))
+    return _arg_errors(lambda xx, ww: blocks.pconv_forward(xx, ww, spec), g,
+                       (x, w), blocks.pconv_backward(x, w, spec, g))
 
 
 @register("fasternet_block")
-def _check_block(rng, cases):
-    worst = 0.0
-    for _ in range(cases):
-        c = int(rng.integers(2, 5))
-        spec = blocks.FasterNetBlockSpec(c, blocks.PConvSpec(c, max(1, c // 2), 3))
-        params = blocks.fasternet_block_init(spec, rng)
-        x = _probe(rng, (1, c, 4, 4))
-        g = _probe(rng, (1, c, 4, 4))
-        _, cache = blocks.fasternet_block_forward(x, params, spec)
-        gx, gp = blocks.fasternet_block_backward(cache, params, spec, g)
-        worst = max(worst, _param_errors(
-            lambda xx, pp: blocks.fasternet_block_forward(xx, pp, spec)[0], g, x, params, gx, gp))
-    return worst
+def _check_block(rng, case):
+    c = int(rng.integers(2, 5))
+    spec = blocks.FasterNetBlockSpec(c, blocks.PConvSpec(c, max(1, c // 2), 3))
+    params = blocks.fasternet_block_init(spec, rng)
+    x = _probe(rng, (1, c, 4, 4))
+    g = _probe(rng, (1, c, 4, 4))
+    _, cache = blocks.fasternet_block_forward(x, params, spec)
+    gx, gp = blocks.fasternet_block_backward(cache, params, spec, g)
+    return _param_errors(
+        lambda xx, pp: blocks.fasternet_block_forward(xx, pp, spec)[0], g, x, params, gx, gp)
 
 
-def _channel_attention_suite(mlp_mode):
-    def suite(rng, cases):
-        worst = 0.0
-        for _ in range(cases):
-            while True:
-                c = int(rng.integers(2, 7))
-                spec = blocks.CBAMSpec(c, reduction=2, channel_mlp=mlp_mode)
-                d = spec.mlp_width
-                x = _probe(rng, (2, c, 3, 3))
-                w1 = _probe(rng, (d, c))
-                b1 = _probe(rng, (d,))
-                w2 = _probe(rng, (c, d))
-                b2 = _probe(rng, (c,))
-                g = _probe(rng, (2, c, 3, 3))
-                _, _, cache = blocks.channel_attention(x, w1, b1, w2, b2, spec)
-                _, _, _, z1, _, z2, _ = cache  # the relu inputs; z2 is None in prose mode
-                if not any(_near_kink(z) for z in (z1, z2) if z is not None):
-                    break
-            worst = max(worst, _arg_errors(
-                lambda *args: blocks.channel_attention(*args, spec)[1], g, (x, w1, b1, w2, b2),
-                blocks.channel_attention_backward(cache, w1, w2, spec, g)))
-        return worst
-    return suite
+def _check_channel_attention(rng, case, mlp_mode):
+    c = int(rng.integers(2, 7))
+    spec = blocks.CBAMSpec(c, reduction=2, channel_mlp=mlp_mode)
+    d = spec.mlp_width
+    x = _probe(rng, (2, c, 3, 3))
+    w1 = _probe(rng, (d, c))
+    b1 = _probe(rng, (d,))
+    w2 = _probe(rng, (c, d))
+    b2 = _probe(rng, (c,))
+    g = _probe(rng, (2, c, 3, 3))
+    _, _, cache = blocks.channel_attention(x, w1, b1, w2, b2, spec)
+    _, _, _, z1, _, z2, _ = cache  # the relu inputs; z2 is None in prose mode
+    if any(_near_kink(z) for z in (z1, z2) if z is not None):
+        return None
+    return _arg_errors(lambda *args: blocks.channel_attention(*args, spec)[1], g,
+                       (x, w1, b1, w2, b2), blocks.channel_attention_backward(cache, w1, w2, spec, g))
 
 
-register("channel_attention")(_channel_attention_suite("prose"))
-register("channel_attention_literal")(_channel_attention_suite("literal"))
+register("channel_attention")(functools.partial(_check_channel_attention, mlp_mode="prose"))
+register("channel_attention_literal")(functools.partial(_check_channel_attention, mlp_mode="literal"))
 
 
 @register("spatial_attention")
-def _check_spatial_attention(rng, cases):
-    worst = 0.0
-    for _ in range(cases):
-        c = int(rng.integers(2, 6))
-        k = 3 if rng.integers(2) else 1
-        spec = blocks.CBAMSpec(c, spatial_kernel=k)
-        x = _probe(rng, (2, c, 4, 4))
-        w = _probe(rng, (1, 2, k, k))
-        b = _probe(rng, (1,))
-        g = _probe(rng, (2, c, 4, 4))
-        _, _, cache = blocks.spatial_attention(x, w, b, spec)
-        worst = max(worst, _arg_errors(
-            lambda *args: blocks.spatial_attention(*args, spec)[1], g, (x, w, b),
-            blocks.spatial_attention_backward(cache, w, spec, g)))
-    return worst
+def _check_spatial_attention(rng, case):
+    c = int(rng.integers(2, 6))
+    k = 3 if rng.integers(2) else 1
+    spec = blocks.CBAMSpec(c, spatial_kernel=k)
+    x = _probe(rng, (2, c, 4, 4))
+    w = _probe(rng, (1, 2, k, k))
+    b = _probe(rng, (1,))
+    g = _probe(rng, (2, c, 4, 4))
+    _, _, cache = blocks.spatial_attention(x, w, b, spec)
+    return _arg_errors(lambda *args: blocks.spatial_attention(*args, spec)[1], g, (x, w, b),
+                       blocks.spatial_attention_backward(cache, w, spec, g))
 
 
-def _cbam_suite(composition):
-    def suite(rng, cases):
-        worst = 0.0
-        for _ in range(cases):
-            c = int(rng.integers(2, 6))
-            spec = blocks.CBAMSpec(c, reduction=2, spatial_kernel=1, composition=composition)
-            params = blocks.cbam_init(spec, rng)
-            for key in ("fc1.b", "fc2.b", "spatial.b"):
-                params[key] = _probe(rng, params[key].shape)
-            x = _probe(rng, (2, c, 3, 3))
-            g = _probe(rng, (2, c, 3, 3))
-            _, cache = blocks.cbam_forward(x, params, spec)
-            gx, gp = blocks.cbam_backward(cache, params, spec, g)
-            worst = max(worst, _param_errors(
-                lambda xx, pp: blocks.cbam_forward(xx, pp, spec)[0], g, x, params, gx, gp))
-        return worst
-    return suite
+def _check_cbam(rng, case, composition):
+    c = int(rng.integers(2, 6))
+    spec = blocks.CBAMSpec(c, reduction=2, spatial_kernel=1, composition=composition)
+    params = blocks.cbam_init(spec, rng)
+    for key in ("fc1.b", "fc2.b", "spatial.b"):
+        params[key] = _probe(rng, params[key].shape)
+    x = _probe(rng, (2, c, 3, 3))
+    g = _probe(rng, (2, c, 3, 3))
+    _, cache = blocks.cbam_forward(x, params, spec)
+    gx, gp = blocks.cbam_backward(cache, params, spec, g)
+    return _param_errors(lambda xx, pp: blocks.cbam_forward(xx, pp, spec)[0], g, x, params, gx, gp)
 
 
-register("cbam_sequential")(_cbam_suite("sequential"))
-register("cbam_literal")(_cbam_suite("literal"))
+register("cbam_sequential")(functools.partial(_check_cbam, composition="sequential"))
+register("cbam_literal")(functools.partial(_check_cbam, composition="literal"))
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +318,6 @@ def _random_box_pair(rng):
         py1, py2 = sorted(vals[2:4])
         gx1, gx2 = sorted(vals[4:6])
         gy1, gy2 = sorted(vals[6:8])
-        coords = [px1, py1, px2, py2, gx1, gy1, gx2, gy2]
         if min(px2 - px1, py2 - py1, gx2 - gx1, gy2 - gy1) < 0.2:
             continue
         gaps = [abs(a - b) for a, b in ((px1, gx1), (px2, gx2), (py1, gy1), (py2, gy2))]
@@ -363,69 +327,58 @@ def _random_box_pair(rng):
 
 
 @register("ciou_loss")
-def _check_ciou(rng, cases):
-    worst = 0.0
-    for _ in range(cases):
-        pred, gt = _random_box_pair(rng)
-        grad = losses.ciou_loss_grad(pred, gt)
-        num = numerical_grad(
-            lambda v: losses.ciou_loss(losses.BBox(*v), gt), pred.as_array())
-        worst = max(worst, max_rel_error(grad, num))
-    return worst
+def _check_ciou(rng, case):
+    pred, gt = _random_box_pair(rng)
+    num = numerical_grad(lambda v: losses.ciou_loss(losses.BBox(*v), gt), pred.as_array())
+    return max_rel_error(losses.ciou_loss_grad(pred, gt), num)
 
 
 @register("wiou_loss")
-def _check_wiou(rng, cases):
+def _check_wiou(rng, case):
     """The analytic gradient holds the enclosing-box normalizer fixed, so the
     oracle differentiates the loss with that normalizer frozen at its
     unperturbed value."""
-    worst = 0.0
-    for _ in range(cases):
-        pred, gt = _random_box_pair(rng)
-        p, g = pred.as_array(), gt.as_array()
-        cw = max(p[2], g[2]) - min(p[0], g[0])
-        ch = max(p[3], g[3]) - min(p[1], g[1])
-        d0 = cw * cw + ch * ch + losses.EPS
+    pred, gt = _random_box_pair(rng)
+    p, g = pred.as_array(), gt.as_array()
+    cw = max(p[2], g[2]) - min(p[0], g[0])
+    ch = max(p[3], g[3]) - min(p[1], g[1])
+    d0 = cw * cw + ch * ch + losses.EPS
 
-        def frozen(v):
-            dx = (v[0] + v[2]) / 2.0 - (g[0] + g[2]) / 2.0
-            dy = (v[1] + v[3]) / 2.0 - (g[1] + g[3]) / 2.0
-            return float(np.exp((dx * dx + dy * dy) / d0) * (1.0 - losses.iou(losses.BBox(*v), gt)))
+    def frozen(v):
+        dx = (v[0] + v[2]) / 2.0 - (g[0] + g[2]) / 2.0
+        dy = (v[1] + v[3]) / 2.0 - (g[1] + g[3]) / 2.0
+        return float(np.exp((dx * dx + dy * dy) / d0) * (1.0 - losses.iou(losses.BBox(*v), gt)))
 
-        grad = losses.wiou_loss_grad(pred, gt)
-        worst = max(worst, max_rel_error(grad, numerical_grad(frozen, p)))
-    return worst
+    return max_rel_error(losses.wiou_loss_grad(pred, gt), numerical_grad(frozen, p))
 
 
 @register("detection_loss")
-def _check_detection_loss(rng, cases):
-    """Covers the iou and ciou variants, whose composite gradient is the true
-    derivative. The wiou box core holds its enclosing-box normalizer fixed by
-    design, so its detached gradient is checked by the wiou_loss suite.
+def _check_detection_loss(rng, case):
+    """Covers the iou and ciou variants, alternating by case, whose composite
+    gradient is the true derivative. The wiou box core holds its enclosing-box
+    normalizer fixed by design, so its detached gradient is checked by the
+    wiou_loss suite.
 
     The central differences of all the head's entries come from one batch:
     grid 2i has entry i at orig + FD_STEP, grid 2i + 1 at orig - FD_STEP, as
     numerical_grad sets them."""
-    worst = 0.0
-    for case in range(cases):
-        k = 2
-        gh = gw = 3
-        stride = 8.0
-        head = _probe(rng, (1, 5 + k, gh, gw))
-        w, h = rng.uniform(4.0, 10.0, size=2)
-        cx = rng.uniform(w / 2 + 0.1, 24.0 - w / 2 - 0.1)
-        cy = rng.uniform(h / 2 + 0.1, 24.0 - h / 2 - 0.1)
-        targets = [(losses.BBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2),
-                    int(rng.integers(k)))]
-        variant = "iou" if case % 2 == 0 else "ciou"
-        _, grad = losses.detection_loss_and_grad(Tensor(head), [targets], variant, stride)
-        flat = head.reshape(-1)
-        i = np.arange(flat.size)
-        steps = np.tile(flat, (2 * flat.size, 1))
-        steps[2 * i, i] += FD_STEP
-        steps[2 * i + 1, i] -= FD_STEP
-        terms = losses.detection_loss(Tensor(steps.reshape(-1, *head.shape[1:])),
-                                      [targets] * len(steps), variant, stride)
-        total = np.array([t.total for t in terms])
-        worst = max(worst, max_rel_error(grad, (total[0::2] - total[1::2]) / (2.0 * FD_STEP)))
-    return worst
+    k = 2
+    gh = gw = 3
+    stride = 8.0
+    head = _probe(rng, (1, 5 + k, gh, gw))
+    w, h = rng.uniform(4.0, 10.0, size=2)
+    cx = rng.uniform(w / 2 + 0.1, 24.0 - w / 2 - 0.1)
+    cy = rng.uniform(h / 2 + 0.1, 24.0 - h / 2 - 0.1)
+    targets = [(losses.BBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2),
+                int(rng.integers(k)))]
+    variant = "iou" if case % 2 == 0 else "ciou"
+    _, grad = losses.detection_loss_and_grad(Tensor(head), [targets], variant, stride)
+    flat = head.reshape(-1)
+    i = np.arange(flat.size)
+    steps = np.tile(flat, (2 * flat.size, 1))
+    steps[2 * i, i] += FD_STEP
+    steps[2 * i + 1, i] -= FD_STEP
+    terms = losses.detection_loss(Tensor(steps.reshape(-1, *head.shape[1:])),
+                                  [targets] * len(steps), variant, stride)
+    total = np.array([t.total for t in terms])
+    return max_rel_error(grad, (total[0::2] - total[1::2]) / (2.0 * FD_STEP))

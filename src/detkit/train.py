@@ -52,6 +52,8 @@ class TrainConfig:
     net: ToyNetSpec = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.epochs < 0 or self.batch_size < 1 or self.dataset_count < 1:
             raise ConfigError("epochs must be >= 0, batch size and dataset count >= 1")
         if not 0.0 <= self.freeze_fraction <= 1.0:

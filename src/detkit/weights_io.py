@@ -24,6 +24,7 @@ mismatch and a flipped byte inside the checksum itself is too.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 
 import numpy as np
@@ -137,8 +138,7 @@ def load_weights(path) -> dict[str, np.ndarray]:
 
     params: dict[str, np.ndarray] = {}
     for name, dims, offset in entries:
-        n_elem = int(np.prod(dims, dtype=np.int64)) if dims else 1
-        end = offset + n_elem * dtype.itemsize
+        end = offset + math.prod(dims) * dtype.itemsize  # exact: no int64 wrap
         if end > payload_size:
             raise WeightsTruncatedError(f"entry {name!r} runs past the payload")
         flat = np.frombuffer(payload[offset:end], dtype=dtype.newbyteorder("<"))

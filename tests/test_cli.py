@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import struct
 import subprocess
 import sys
 import warnings
@@ -70,7 +71,7 @@ class TestGradcheckCommand:
         """A deliberately wrong backward pass must fail the run and be named."""
         from detkit import gradcheck as gc
 
-        def broken_suite(rng, cases):
+        def broken_suite(rng, case):
             return 0.5  # far beyond the 1e-4 gate
 
         monkeypatch.setitem(gc._SUITES, "broken_op_fixture", broken_suite)
@@ -78,6 +79,16 @@ class TestGradcheckCommand:
         captured = capsys.readouterr()
         assert code == cli.EXIT_GRADCHECK
         assert "broken_op_fixture" in captured.err
+
+    @pytest.mark.parametrize("flag,value", [("--cases", "0"), ("--cases", "-1"), ("--seed", "-1")])
+    def test_no_case_or_a_negative_seed_is_a_config_error(self, capsys, flag, value):
+        """A run that checks no case passes nothing, and a negative seed has no
+        generator: both exit 2 before any suite runs."""
+        code = cli.main(["gradcheck", "--filter", "fully_connected", flag, value])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err.startswith("error: cases must be >= 1 and seed >= 0, got ")
 
 
 class TestBenchCommand:
@@ -519,6 +530,53 @@ class TestTrainEvalDetect:
             else ["--out-dir", str(tmp_path / "e")])
         assert cli.main(argv) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == "error: non-finite head\n"
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_negative_seed_exit(self, tmp_path, capsys, command):
+        from detkit.model import init_params
+        from detkit.weights_io import save_weights
+
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL_CFG.replace("seed = 5", "seed = -1"), encoding="utf-8")
+        weights = tmp_path / "w.dkw"
+        save_weights(init_params(ToyNetSpec(image_size=32, stem_channels=8),
+                                 np.random.default_rng(0)), weights)
+        argv = [command, "--config", str(cfg), "--out-dir", str(tmp_path / "o")] + (
+            ["--weights", str(weights)] if command == "eval" else [])
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("command", ["detect", "eval"])
+    def test_weights_without_a_parameter_exit_names_it(self, tmp_path, small_config, capsys,
+                                                       command):
+        """Well-formed weights that lack one of the net's parameters exit 2
+        and name it, as weights of a wrong shape do."""
+        from detkit.model import init_params
+        from detkit.weights_io import save_weights
+
+        params = init_params(ToyNetSpec(image_size=32, stem_channels=8), np.random.default_rng(0))
+        del params["head.w"]
+        weights = tmp_path / "partial.dkw"
+        save_weights(params, weights)
+        image = tmp_path / "x.pgm"
+        write_image(image, Tensor.full((1, 1, 32, 32), 0.2))
+        argv = [command, "--config", str(small_config), "--weights", str(weights)] + (
+            ["--image", str(image), "--out", str(tmp_path / "d.json")] if command == "detect"
+            else ["--out-dir", str(tmp_path / "e")])
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "error: weights have no parameter 'head.w'\n"
+
+    def test_weight_dims_past_int64_format_exit(self, tmp_path, small_config, capsys):
+        """An entry of 2**31 x 2**31 x 4 elements, 2**64, wraps to 0 in int64.
+        Counted exactly, it runs past the file's empty payload: exit 9."""
+        body = (b"DKW1" + struct.pack("<HBI", 1, 2, 1) + struct.pack("<H", 6) + b"stem.w"
+                + struct.pack("<B3IQ", 3, 2**31, 2**31, 4, 0) + struct.pack("<Q", 0))
+        weights = tmp_path / "huge.dkw"
+        weights.write_bytes(body + hashlib.blake2b(body, digest_size=8).digest())
+        code = cli.main(["eval", "--config", str(small_config), "--weights", str(weights),
+                         "--out-dir", str(tmp_path / "e")])
+        assert code == cli.EXIT_FORMAT
+        assert capsys.readouterr().err == "error: entry 'stem.w' runs past the payload\n"
 
     def test_unchecked_train_leaves_tensors_checked(self, tmp_path):
         """checked = false has no effect: after a train run that sets it, a

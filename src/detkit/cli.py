@@ -35,13 +35,7 @@ from .imageio import ImageFormatError, draw_boxes, read_image, to_channels, writ
 from .losses import BBox
 from .metrics import evaluate, pr_curve_csv
 from .model import ToyNetSpec, cost_layers, net_forward
-from .postprocess import (
-    box_from_letterboxed,
-    decode,
-    detections_to_json,
-    letterbox,
-    nms,
-)
+from .postprocess import decode, detections_to_json, letterbox, nms
 from .tensor import ConfigError, Tensor, verify_mode_forced
 from .train import TrainConfig, TrainingDiverged, train_toy
 from .weights_io import (
@@ -282,19 +276,19 @@ def cmd_detect(args) -> int:
     dspec = cfg.net.decode_spec(values["score_threshold"])
     dets = nms(decode(_head(params, cfg.net, boxed), dspec), values["nms_iou"])
 
-    mapped = []
-    for d in dets:
-        raw = box_from_letterboxed(d.bbox, scale, pads)
-        clamped = BBox(
-            min(max(raw.x1, 0.0), orig_w), min(max(raw.y1, 0.0), orig_h),
-            min(max(raw.x2, 0.0), orig_w), min(max(raw.y2, 0.0), orig_h),
-        )
-        mapped.append(type(d)(clamped, d.score, d.class_id))
-    text = detections_to_json(mapped)
+    # Each box back in source pixels, clamped to the image. A corner past the
+    # right or bottom edge becomes the image's int width or height.
+    px, py = pads
+    rows = [(min(max((d.bbox.x1 - px) / scale, 0.0), orig_w),
+             min(max((d.bbox.y1 - py) / scale, 0.0), orig_h),
+             min(max((d.bbox.x2 - px) / scale, 0.0), orig_w),
+             min(max((d.bbox.y2 - py) / scale, 0.0), orig_h),
+             d.class_id, d.score) for d in dets]
+    text = detections_to_json(rows)
     Path(args.out).write_text(text + "\n", encoding="utf-8")
     print(text)
     if args.overlay:
-        write_image(args.overlay, draw_boxes(image, [d.bbox for d in mapped]))
+        write_image(args.overlay, draw_boxes(image, [BBox(*row[:4]) for row in rows]))
     return EXIT_OK
 
 

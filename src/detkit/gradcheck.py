@@ -5,7 +5,8 @@ the scalar probe <G, f(x)> (G random), compares them against central
 differences and returns the worst relative error, or None when its draw lies
 on a relu or max kink. ``run_suites`` calls a suite once per case, redrawing a
 None, with every case drawn from one seeded generator, and reports the worst
-error seen. The error metric is |a - n| / max(|a|, |n|, 1e-4): purely
+error seen; a non-finite gradient gives a nan error, which is the worst and
+fails. The error metric is |a - n| / max(|a|, |n|, 1e-4): purely
 relative for gradients of ordinary size, absolute (scaled by 1e4) for entries
 near zero, so finite-difference noise (~1e-10 at 64-bit with h = 1e-6) never
 false-alarms while sign or indexing bugs always exceed the 1e-4 gate.
@@ -67,6 +68,12 @@ class GradCheckResult:
         return self.max_err < PASS_THRESHOLD
 
 
+def _worse(a: float, b: float) -> float:
+    """The larger error, or nan when either is nan: Python's max keeps its
+    first argument against a nan, so a nan gradient would pass unseen."""
+    return float(np.maximum(a, b))
+
+
 # A suite maps (rng, case index) to that case's worst error, or None to redraw.
 _SUITES: dict[str, Callable[[np.random.Generator, int], float | None]] = {}
 
@@ -98,7 +105,7 @@ def run_suites(pattern: str = "*", cases: int = 100, seed: int = 0) -> list[Grad
             err = None
             while err is None:
                 err = suite(rng, case)
-            worst = max(worst, err)
+            worst = _worse(worst, err)
         results.append(GradCheckResult(name, cases, worst))
     return results
 
@@ -138,7 +145,7 @@ def _arg_errors(forward: Callable[..., np.ndarray], g: np.ndarray, args: tuple,
     for i, (arg, grad) in enumerate(zip(args, analytic, strict=True)):
         def probe(v, i=i):
             return float((forward(*args[:i], v, *args[i + 1:]) * g).sum())
-        worst = max(worst, max_rel_error(grad, numerical_grad(probe, arg)))
+        worst = _worse(worst, max_rel_error(grad, numerical_grad(probe, arg)))
     return worst
 
 

@@ -10,13 +10,14 @@ Conventions shared by every operator here:
   <upstream, output> with respect to each argument and consumes the
   forward's cache: the forward inputs for convolution and global pooling,
   the cache returned next to the output for ``activation``,
-  ``spatial_stats`` and ``spp``. Backward recomputes nothing the forward
-  already evaluated: mish keeps exp(-|x|) and tanh(softplus(x)), sigmoid
-  its output. The channel statistics keep only their input: the argmax that
-  routes the max gradient is taken in the backward, the one caller that
-  reads it;
+  ``spatial_stats`` and ``spp``. Backward reuses what the forward
+  evaluated: mish keeps exp(-|x|) and tanh(softplus(x)), sigmoid its
+  output. The channel statistics and SPP keep only their input: the argmax
+  that routes a max gradient and each pool window's winners are found in
+  the backward, the one caller that reads them;
 * convolution runs as one matrix product over im2col windows, pooling as a
-  separable row-then-column max.
+  separable row-then-column max; SPP cascades its pools as YOLOv8's SPPF
+  does, pool 5 being pool 3 of pool 3.
 
 Max reductions (pooling, per-position channel max) break ties by the first
 candidate in scan order, which keeps backward deterministic.
@@ -182,11 +183,13 @@ def global_pool(x: np.ndarray, kind: str) -> np.ndarray:
 
 
 def global_pool_backward(x: np.ndarray, kind: str, upstream: np.ndarray) -> np.ndarray:
+    """Gradient of <upstream, global_pool(x, kind)>, shape of x. For "avg" it
+    is a read-only broadcast view of upstream / (h * w): callers add it."""
     n, c, h, w = x.shape
     if upstream.shape != (n, c, 1, 1):
         raise ConfigError("upstream must have shape (n, c, 1, 1)")
     if kind == "avg":
-        return np.broadcast_to(upstream / (h * w), x.shape).copy()
+        return np.broadcast_to(upstream / (h * w), x.shape)
     if kind == "max":
         flat = x.reshape(n, c, -1)
         gflat = np.zeros_like(flat)
@@ -223,7 +226,8 @@ def spatial_stats_backward(cache, upstream: np.ndarray) -> np.ndarray:
 
 def _maxpool_same(x: np.ndarray, window: int):
     """Stride-1 shape-preserving max pool; returns the pooled map and the flat
-    window offset ``di * window + dj`` of each winner.
+    window offset ``di * window + dj`` of each winner, which
+    :func:`spp_backward` routes its gradient to.
 
     Separable: the max over each row window, then over each column window of
     those row maxima. The winner is the first maximum in row-major scan order
@@ -271,30 +275,57 @@ def check_pool_windows(pool_windows) -> list[int]:
     return windows
 
 
+def _maxpool_values(x: np.ndarray, window: int) -> np.ndarray:
+    """The pooled map of :func:`_maxpool_same` without the winners: a
+    separable row-then-column running ``maximum``. Window 1 is x itself."""
+    if window == 1:
+        return x
+    p = (window - 1) // 2
+    h, w = x.shape[2:]
+    xp = _pad(x, p, -np.inf)
+    row_max = np.maximum(xp[:, :, :, 0:w], xp[:, :, :, 1:1 + w])
+    for dj in range(2, window):
+        np.maximum(row_max, xp[:, :, :, dj:dj + w], out=row_max)
+    pooled = np.maximum(row_max[:, :, 0:h], row_max[:, :, 1:1 + h])
+    for di in range(2, window):
+        np.maximum(pooled, row_max[:, :, di:di + h], out=pooled)
+    return pooled
+
+
 def spp(x: np.ndarray, pool_windows):
     """Pyramid pooling: concatenate x with one shape-preserving max pool per
     window size. Output channels = c * (1 + len(pool_windows)).
 
-    Returns (output, cache); the cache holds each pool's winner offsets for
-    :func:`spp_backward`."""
+    Pools cascade as in YOLOv8's SPPF: a window b that follows a window
+    a <= b is the (b - a + 1) pool of pool a, which covers the same
+    -inf-padded b x b window, and a smaller window pools x itself. Max is
+    exact, so the values are those of pooling x directly.
+
+    Returns (output, cache); the cache is the input and the windows, from
+    which :func:`spp_backward` finds each pool's winners. Forward-only
+    callers never pay for them."""
     windows = check_pool_windows(pool_windows)
     parts = [x]
-    winners = []
+    prev, prev_wsz = x, 1
     for wsz in windows:
-        pooled, arg = _maxpool_same(x, wsz)
-        parts.append(pooled)
-        winners.append(arg)
-    return np.concatenate(parts, axis=1), (x.shape, windows, winners)
+        if wsz >= prev_wsz:
+            prev = _maxpool_values(prev, wsz - prev_wsz + 1)
+        else:
+            prev = _maxpool_values(x, wsz)
+        prev_wsz = wsz
+        parts.append(prev)
+    return np.concatenate(parts, axis=1), (x, windows)
 
 
 def spp_backward(cache, upstream: np.ndarray) -> np.ndarray:
-    shape, windows, winners = cache
-    n, c, h, w = shape
+    x, windows = cache
+    n, c, h, w = x.shape
     expect_c = c * (1 + len(windows))
     if upstream.shape != (n, expect_c, h, w):
         raise ConfigError(f"upstream must have {expect_c} channels")
     grad = upstream[:, :c].copy()
-    for g, (wsz, arg) in enumerate(zip(windows, winners)):
+    for g, wsz in enumerate(windows):
+        _, arg = _maxpool_same(x, wsz)
         grad += _maxpool_same_backward(arg, wsz, upstream[:, (g + 1) * c:(g + 2) * c])
     return grad
 

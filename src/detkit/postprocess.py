@@ -10,6 +10,7 @@ can be validated as a round trip.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -174,13 +175,31 @@ def box_from_letterboxed(bbox: BBox, scale: float, pads: tuple[int, int]) -> BBo
     )
 
 
-def detections_to_json(dets: list[Detection]) -> str:
-    """Serialize as [{"bbox": [x1, y1, x2, y2], "score": s, "class": k}, ...]."""
-    rows = [
-        {"bbox": [d.bbox.x1, d.bbox.y1, d.bbox.x2, d.bbox.y2], "score": d.score, "class": d.class_id}
-        for d in dets
-    ]
-    return json.dumps(rows, indent=2, sort_keys=True)
+# One row as json.dumps(rows, indent=2, sort_keys=True) lays it out.
+_JSON_ROW = """  {
+    "bbox": [
+      %s,
+      %s,
+      %s,
+      %s
+    ],
+    "class": %s,
+    "score": %s
+  }"""
+
+
+def detections_to_json(dets: list[tuple]) -> str:
+    """Serialize rows (x1, y1, x2, y2, class, score) as
+    [{"bbox": [x1, y1, x2, y2], "class": k, "score": s}, ...], byte for byte
+    as ``json.dumps(rows, indent=2, sort_keys=True)`` writes them. json's C
+    encoder writes every value on one line, as it writes any number (a float
+    subclass such as numpy's float64 prints as a float), and a fixed template
+    lays each row out; an indented ``json.dumps`` would run the pure-Python
+    encoder instead, several times slower."""
+    if not dets:
+        return "[]"
+    values = json.dumps(list(itertools.chain.from_iterable(dets)))[1:-1].split(", ")
+    return "[\n" + ",\n".join([_JSON_ROW] * len(dets)) % tuple(values) + "\n]"
 
 
 def detections_from_json(text: str) -> list[Detection]:

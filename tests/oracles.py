@@ -4,6 +4,7 @@ Everything here is deliberately written against the contract, not the
 production code paths: explicit loops, exhaustive scans, no shared helpers.
 """
 
+import json
 import math
 
 import numpy as np
@@ -111,6 +112,13 @@ def scan_maxpool_same_backward(x, window, upstream):
         di, dj = divmod(idx, window)
         grad_p[:, :, di:di + h, dj:dj + w] += upstream * (arg == idx)
     return grad_p[:, :, p:p + h, p:p + w]
+
+
+def json_dumps_detections(rows):
+    """What detections_to_json writes for rows (x1, y1, x2, y2, class, score),
+    as json's encoder writes the list of row dicts."""
+    return json.dumps([{"bbox": list(row[:4]), "score": row[5], "class": row[4]} for row in rows],
+                      indent=2, sort_keys=True)
 
 
 def scalar_decode(head, spec):

@@ -67,17 +67,20 @@ class TestGradcheckCommand:
         assert code == cli.EXIT_CONFIG
         assert "conv2d" in err  # valid names are listed
 
-    def test_broken_backward_detected_and_named(self, capsys, monkeypatch):
-        """A deliberately wrong backward pass must fail the run and be named."""
+    @pytest.mark.parametrize("err", [0.5, float("nan")], ids=["far-beyond-gate", "nan"])
+    def test_broken_backward_detected_and_named(self, capsys, monkeypatch, err):
+        """A deliberately wrong backward pass must fail the run and be named,
+        with its worst error printed: a nan after a passing case too."""
         from detkit import gradcheck as gc
 
         def broken_suite(rng, case):
-            return 0.5  # far beyond the 1e-4 gate
+            return err if case == 1 else 1e-6
 
         monkeypatch.setitem(gc._SUITES, "broken_op_fixture", broken_suite)
         code = cli.main(["gradcheck", "--filter", "broken_op_fixture", "--cases", "3"])
         captured = capsys.readouterr()
         assert code == cli.EXIT_GRADCHECK
+        assert captured.out.split() == ["broken_op_fixture", "cases=3", f"max_rel_err={err!r}", "FAIL"]
         assert "broken_op_fixture" in captured.err
 
     @pytest.mark.parametrize("flag,value", [("--cases", "0"), ("--cases", "-1"), ("--seed", "-1")])
@@ -417,6 +420,30 @@ class TestTrainEvalDetect:
                          "--out", str(out_json)])
         assert code == 0
         assert json.loads(out_json.read_text()) == []
+
+    def test_detect_prints_an_edge_clamped_corner_as_an_int(self, tmp_path, small_config, capsys):
+        """Every cell predicts a box past the letterboxed frame. Mapped back to
+        the 40 x 20 source, y2 = 30 clamps to the image's int height and prints
+        as 20; x2 = 40.0 is not past the edge and stays a float."""
+        from detkit.model import ToyNetSpec, init_params
+        from detkit.weights_io import save_weights
+
+        spec = ToyNetSpec(image_size=32, stem_channels=8)
+        params = init_params(spec, np.random.default_rng(0))
+        params["head.w"][:] = 0.0
+        params["head.b"][:] = [0.0, 0.0, 10.0, 10.0, 40.0, 0.0, 0.0, 0.0]
+        weights = tmp_path / "edge.dkw"
+        save_weights(params, weights)
+        img_path = tmp_path / "wide.pgm"
+        write_image(img_path, Tensor.full((1, 1, 20, 40), 0.2))
+        out_json = tmp_path / "dets.json"
+        code = cli.main(["detect", "--config", str(small_config), "--weights", str(weights),
+                         "--image", str(img_path), "--out", str(out_json)])
+        assert code == 0
+        text = ('[\n  {\n    "bbox": [\n      0.0,\n      0.0,\n      40.0,\n      20\n    ],\n'
+                '    "class": 0,\n    "score": 0.5\n  }\n]')
+        assert out_json.read_text() == text + "\n"
+        assert capsys.readouterr().out == text + "\n"
 
     def test_missing_weights_distinct_exit(self, tmp_path, small_config, capsys):
         code = cli.main(["eval", "--config", str(small_config),

@@ -4,9 +4,12 @@ These are the same registered suites the `detkit gradcheck` command runs;
 keeping them in the test suite pins the 1e-4 gate at 64-bit precision.
 """
 
+import math
+
+import numpy as np
 import pytest
 
-from detkit import gradcheck
+from detkit import gradcheck, ops
 
 # Each suite's 100-case worst error at its gate seed, to the bit: the suites'
 # draws, probes and finite differences, and the operators' floating-point
@@ -97,3 +100,20 @@ def test_runner_redraws_a_none_and_keeps_the_worst_error(monkeypatch):
     (result,) = gradcheck.run_suites("runner_fixture", cases=3, seed=0)
     assert calls == [0, 1, 1, 2]
     assert (result.cases, result.max_err) == (3, 0.5)
+
+
+def test_a_nan_gradient_fails_its_suite_and_is_reported(monkeypatch):
+    """A NaN in one weight-gradient entry makes that case's error nan, and
+    the nan outranks every finite error of the other arguments and cases."""
+    real = ops.fully_connected_backward
+
+    def nan_weight_grad(x, weights, upstream):
+        gx, gw, gb = real(x, weights, upstream)
+        gw = gw.copy()
+        gw.flat[0] = np.nan
+        return gx, gw, gb
+
+    monkeypatch.setattr(ops, "fully_connected_backward", nan_weight_grad)
+    (result,) = gradcheck.run_suites("fully_connected", cases=3, seed=7)
+    assert math.isnan(result.max_err)
+    assert not result.passed

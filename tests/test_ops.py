@@ -158,15 +158,65 @@ class TestSeparableMaxPool:
         assert np.array_equal(ops._maxpool_same_backward(arg, window, up),
                               scan_maxpool_same_backward(x, window, up))
 
-    def test_spp_backward_routes_through_cached_winners(self):
+
+SPP_WINDOWS = [(3, 5), (5, 9, 13), (5, 3), (3, 3), (1, 3), ()]
+
+
+class TestSppCascade:
+    """spp pools values only, each window cascaded from the one before it as
+    SPPF does; spp_backward finds the winners from the cached input."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("windows", SPP_WINDOWS, ids=str)
+    def test_cascaded_values_equal_the_scan_per_window(self, windows, dtype):
+        rng = np.random.default_rng(len(windows))
+        x = rng.standard_normal((2, 3, 7, 9)).astype(dtype)
+        out, _ = ops.spp(x, windows)
+        want = np.concatenate([x] + [scan_maxpool_same(x, wsz)[0] for wsz in windows], axis=1)
+        assert out.dtype == dtype
+        assert np.array_equal(out, want)
+
+    @pytest.mark.parametrize("inputs", ["integers", "relu"])
+    @pytest.mark.parametrize("windows", SPP_WINDOWS, ids=str)
+    def test_backward_routes_to_the_scan_winners_on_ties(self, windows, inputs):
+        """Integer maps from {0, 1, 2} and a relu map that is mostly exact
+        zeros tie in nearly every window; the gradient goes to the first
+        maximum in row-major scan order, exactly as the scan routes it."""
         rng = np.random.default_rng(21)
-        x = rng.integers(0, 4, size=(2, 2, 6, 5)).astype(np.float64)
-        out, cache = ops.spp(x, [3, 5])
+        if inputs == "integers":
+            x = rng.integers(0, 3, size=(2, 2, 6, 5)).astype(np.float64)
+        else:
+            x = ops.relu(rng.standard_normal((2, 2, 6, 5)) - 0.7)
+        out, cache = ops.spp(x, windows)
         up = rng.integers(-3, 4, size=out.shape).astype(np.float64)
         want = up[:, 0:2].copy()
-        want += scan_maxpool_same_backward(x, 3, up[:, 2:4])
-        want += scan_maxpool_same_backward(x, 5, up[:, 4:6])
+        for g, wsz in enumerate(windows):
+            want += scan_maxpool_same_backward(x, wsz, up[:, 2 * (g + 1):2 * (g + 2)])
         assert np.array_equal(ops.spp_backward(cache, up), want)
+
+    def test_forward_finds_no_winners_and_backward_finds_each_once(self, monkeypatch):
+        """Forward-only callers (detect, eval, a frozen epoch) never search
+        for winners; a full backward searches once per pool window."""
+        from detkit.model import ToyNetSpec, init_params, net_backward, net_forward
+        from detkit.tensor import Tensor
+
+        calls = []
+        real = ops._maxpool_same
+
+        def counting(x, window):
+            calls.append(window)
+            return real(x, window)
+
+        monkeypatch.setattr(ops, "_maxpool_same", counting)
+        spec = ToyNetSpec(image_size=16, stem_channels=4, spp_windows=(3, 5, 9))
+        rng = np.random.default_rng(4)
+        params = init_params(spec, rng)
+        x = Tensor(rng.uniform(size=(2, 1, 16, 16)))
+        net_forward(params, spec, x, freeze_backbone=True)
+        head, cache = net_forward(params, spec, x)
+        assert calls == []
+        net_backward(params, spec, cache, Tensor(rng.standard_normal(head.shape)))
+        assert calls == [3, 5, 9]
 
 
 class TestPooling:
@@ -196,6 +246,18 @@ class TestPooling:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             ops.global_pool(np.zeros((1, 1, 2, 2)), "median")
+
+    def test_avg_backward_is_a_read_only_view_of_the_copied_broadcast(self):
+        """The avg gradient keeps the bits of the full copy it replaces; being
+        read-only, a caller that wrote into it would raise."""
+        rng = np.random.default_rng(10)
+        x = rng.standard_normal((2, 3, 4, 5))
+        up = rng.standard_normal((2, 3, 1, 1))
+        got = ops.global_pool_backward(x, "avg", up)
+        want = np.broadcast_to(up / 20, x.shape).copy()
+        assert got.shape == want.shape
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+        assert not got.flags.writeable
 
 
 class TestSpatialStats:

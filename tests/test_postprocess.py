@@ -1,9 +1,19 @@
 """Decode round trips, decode and NMS against scalar and brute-force
-references, letterbox."""
+references, letterbox, and the detections JSON writer against json.dumps."""
+
+import json
 
 import numpy as np
 import pytest
-from oracles import brute_force_nms, random_detections, scalar_decode, scalar_nms
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import (
+    brute_force_nms,
+    json_dumps_detections,
+    random_detections,
+    scalar_decode,
+    scalar_nms,
+)
 
 from detkit.losses import BBox, iou
 from detkit.postprocess import (
@@ -260,21 +270,37 @@ class TestLetterbox:
             letterbox(Tensor.zeros((1, 1, 4, 4)), 0, 4)
 
 
+_COORD = st.one_of(st.floats(), st.floats().map(np.float64), st.integers())
+_SCORE = st.floats(0.0, 1.0)
+_ROWS = st.lists(st.tuples(_COORD, _COORD, _COORD, _COORD, st.integers(0, 1000),
+                           st.one_of(_SCORE, _SCORE.map(np.float64))), max_size=4)
+
+
 class TestDetectionJson:
     def test_round_trip(self):
         dets = [
             Detection(BBox(1.0, 2.0, 3.5, 4.25), 0.75, 2),
             Detection(BBox(0.0, 0.0, 1.0, 1.0), 0.5, 0),
         ]
-        back = detections_from_json(detections_to_json(dets))
+        rows = [(d.bbox.x1, d.bbox.y1, d.bbox.x2, d.bbox.y2, d.class_id, d.score) for d in dets]
+        back = detections_from_json(detections_to_json(rows))
         assert back == dets
 
     def test_schema_fields(self):
-        import json
-
-        text = detections_to_json([Detection(BBox(1, 2, 3, 4), 0.5, 1)])
+        text = detections_to_json([(1, 2, 3, 4, 1, 0.5)])
         rows = json.loads(text)
         assert rows == [{"bbox": [1.0, 2.0, 3.0, 4.0], "score": 0.5, "class": 1}]
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=_ROWS)
+    @example(rows=[])
+    @example(rows=[(0.0, 1e-07, 1e+16, 28, 3, np.float64(0.5)), (-0.0, 5e-324, 40, 1.5, 0, 1.0)])
+    @example(rows=[(float("nan"), float("inf"), -float("inf"), 2**70, 7, np.float64(1e-300))])
+    def test_writer_matches_json_dumps_byte_for_byte(self, rows):
+        """Finite floats print as float.__repr__, ints as int.__repr__, a
+        numpy float64 as a float and nan or inf as json's NaN or Infinity,
+        exactly as json's encoder writes them."""
+        assert detections_to_json(rows) == json_dumps_detections(rows)
 
     @pytest.mark.parametrize("text, match", [
         ('[{"bbox": [0, 0, 1, 1], "score": 0.5, "class": 0}, {"bbox": [0, 0, 1, 1], "score": 0.5}]',

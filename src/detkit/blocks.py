@@ -33,7 +33,8 @@ map and cache); each backward takes that cache in place of the input and
 recomputes nothing.
 The caches nest the operator caches of :mod:`detkit.ops`: the block keeps its
 activation's cache (for mish, exp(-|x|) and tanh(softplus(x))) and the
-spatial gate keeps the channel argmax of its statistics.
+spatial gate keeps its input, from which the backward takes the channel
+argmax of its statistics.
 All backward passes are hand-derived and verified against central finite
 differences by the gradient-check suites.
 """

@@ -72,6 +72,9 @@ _EXIT_CODES = (
 
 # "checked" only keeps older configs parsing: every Tensor checks finiteness.
 _RUN_DEFAULTS = {"score_threshold": 0.25, "nms_iou": 0.45, "eval_iou": 0.5, "checked": True}
+# Run values compared against scores and IoUs: each must lie in [0, 1], which
+# also rejects NaN, since every comparison with NaN is false.
+_FRACTION_KEYS = ("score_threshold", "nms_iou", "eval_iou")
 
 # Config keys are the spec and trainer fields; each annotation names its parser.
 _PARSER_OF_TYPE = {"int": "int", "float": "float", "str": "str", "bool": "bool",
@@ -93,6 +96,9 @@ def _load_run_config(path) -> tuple[TrainConfig, dict]:
     values = dict(_RUN_DEFAULTS)
     if path is not None:
         values.update(parse_kv_file(path, _RUN_SCHEMA))
+    for key in _FRACTION_KEYS:
+        if not 0.0 <= values[key] <= 1.0:
+            raise ConfigError(f"{key} must be in [0, 1], got {values[key]}")
     net = _load_net_spec(values)
     train_keys = {f.name for f in fields(TrainConfig)} - {"net"}
     cfg_kwargs = {k: values[k] for k in train_keys & values.keys()}

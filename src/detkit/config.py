@@ -2,10 +2,13 @@
 
 One `key = value` per line, `#` comments, no sections, no includes.
 Unknown keys are rejected with their line number; every key has a declared
-parser. Booleans accept true/false/1/0/yes/no.
+parser. Booleans accept true/false/1/0/yes/no. A file that is not UTF-8 is a
+parse error on the line of its first bad byte.
 """
 
 from __future__ import annotations
+
+import io
 
 
 class ParseError(ValueError):
@@ -42,20 +45,28 @@ def parse_kv_file(path, schema: dict[str, str]) -> dict:
     """Read the file against a {key: parser-name} schema; unknown keys and
     unparseable values raise ParseError with the offending line number."""
     result: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError(path, line_no, f"expected 'key = value', got {raw.strip()!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in schema:
-                raise ParseError(path, line_no, f"unknown key {key!r}")
-            if key in result:
-                raise ParseError(path, line_no, f"duplicate key {key!r}")
-            try:
-                result[key] = PARSERS[schema[key]](value)
-            except ValueError as exc:
-                raise ParseError(path, line_no, f"bad value for {key!r}: {exc}") from exc
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # lines end at \n, \r\n or \r, as a text-mode read splits them
+        head = data[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        raise ParseError(path, head.count(b"\n") + 1,
+                         f"not UTF-8: {exc.reason} at byte {exc.start}") from exc
+    for line_no, raw in enumerate(io.StringIO(text, newline=None), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParseError(path, line_no, f"expected 'key = value', got {raw.strip()!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in schema:
+            raise ParseError(path, line_no, f"unknown key {key!r}")
+        if key in result:
+            raise ParseError(path, line_no, f"duplicate key {key!r}")
+        try:
+            result[key] = PARSERS[schema[key]](value)
+        except ValueError as exc:
+            raise ParseError(path, line_no, f"bad value for {key!r}: {exc}") from exc
     return result

@@ -6,10 +6,22 @@ differences and returns the worst relative error, or None when its draw lies
 on a relu or max kink. ``run_suites`` calls a suite once per case, redrawing a
 None, with every case drawn from one seeded generator, and reports the worst
 error seen; a non-finite gradient gives a nan error, which is the worst and
-fails. The error metric is |a - n| / max(|a|, |n|, 1e-4): purely
-relative for gradients of ordinary size, absolute (scaled by 1e4) for entries
-near zero, so finite-difference noise (~1e-10 at 64-bit with h = 1e-6) never
-false-alarms while sign or indexing bugs always exceed the 1e-4 gate.
+fails.
+
+A central difference of the probe takes f(x + h e_k) - f(x - h e_k)
+elementwise and only then the inner product with G. Differencing the two probe
+sums instead leaves their rounding, about eps |<G, f>| / h with sums of
+O(10-100), in every slope: enough to fail a correct gradient on an unlucky
+draw. The batch input (the first argument) is probed PROBES_PER_FORWARD
+entries per forward, their perturbed copies stacked along the batch axis, so
+every probed forward must treat each sample on its own; the other arguments
+are probed one entry at a time. The three loss suites differentiate a scalar
+loss.
+
+The error metric is |a - n| / max(|a|, |n|, 1e-4): purely relative for
+gradients of ordinary size, absolute (scaled by 1e4) for entries near zero.
+Every probe-based suite reports below 1e-5 at its 100-case gate seed, a tenth
+of the 1e-4 gate that sign, indexing and 0.1 % scaling errors exceed.
 """
 
 from __future__ import annotations
@@ -27,23 +39,20 @@ from .tensor import ConfigError, Tensor
 FD_STEP = 1e-6
 REL_ERR_FLOOR = 1e-4
 PASS_THRESHOLD = 1e-4
+# Entries of a suite's batch input probed per forward. Each forward stacks
+# twice as many copies of the input; more entries per forward save calls but
+# grow the stacked arrays.
+PROBES_PER_FORWARD = 16
 
 
-def numerical_grad(f: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
-    """Central differences of a scalar function, one entry at a time."""
+def numerical_grad(f_rows: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
+    """Central differences of a scalar function of x in every entry of x.
+    f_rows maps the (2 x.size, *x.shape) stack of perturbed copies of x
+    (copy 2k has entry k at +FD_STEP, copy 2k + 1 at -FD_STEP) to their
+    values in one call."""
     x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    flat = x.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + FD_STEP
-        fp = f(x)
-        flat[i] = orig - FD_STEP
-        fm = f(x)
-        flat[i] = orig
-        gflat[i] = (fp - fm) / (2.0 * FD_STEP)
-    return grad
+    values = f_rows(_plus_minus(x.reshape(-1), np.arange(x.size)).reshape(-1, *x.shape))
+    return ((values[0::2] - values[1::2]) / (2.0 * FD_STEP)).reshape(x.shape)
 
 
 def max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -137,15 +146,60 @@ def _pool_near_tie(x: np.ndarray, window: int) -> bool:
     return bool(np.min(top2[1] - top2[0]) < KINK_MARGIN)
 
 
+def _plus_minus(flat: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """Copies of the 1-D array flat, two per entry: row 2j has entry
+    entries[j] at orig + FD_STEP and row 2j + 1 at orig - FD_STEP."""
+    rows = np.tile(flat, (2 * len(entries), 1))
+    j = np.arange(len(entries))
+    rows[2 * j, entries] += FD_STEP
+    rows[2 * j + 1, entries] -= FD_STEP
+    return rows
+
+
+def _probe_slopes(diffs: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Central differences <g, f(v + h e_k) - f(v - h e_k)> / 2h from the
+    (m, *g.shape) output differences of m entries."""
+    return (diffs * g).reshape(len(diffs), -1).sum(axis=1) / (2.0 * FD_STEP)
+
+
+def batch_input_slopes(forward: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
+                       g: np.ndarray) -> np.ndarray:
+    """Central differences of the probe <g, forward(x)> in every entry of the
+    batch input x, PROBES_PER_FORWARD entries per forward: their 2m perturbed
+    copies of x are stacked along the batch axis, so forward must treat each
+    sample on its own."""
+    flat = x.reshape(-1)
+    slopes = np.empty(flat.size)
+    for start in range(0, flat.size, PROBES_PER_FORWARD):
+        entries = np.arange(start, min(start + PROBES_PER_FORWARD, flat.size))
+        y = forward(_plus_minus(flat, entries).reshape(-1, *x.shape[1:]))
+        y = y.reshape(-1, *g.shape)
+        slopes[entries] = _probe_slopes(y[0::2] - y[1::2], g)
+    return slopes.reshape(x.shape)
+
+
+def _entry_slopes(forward: Callable[[np.ndarray], np.ndarray], v: np.ndarray,
+                  g: np.ndarray) -> np.ndarray:
+    """Central differences of the probe <g, forward(v)> in every entry of v,
+    one forward per perturbed copy."""
+    rows = _plus_minus(v.reshape(-1), np.arange(v.size)).reshape(-1, *v.shape)
+    diffs = [forward(rows[2 * k]) - forward(rows[2 * k + 1]) for k in range(v.size)]
+    return _probe_slopes(np.stack(diffs), g).reshape(v.shape)
+
+
 def _arg_errors(forward: Callable[..., np.ndarray], g: np.ndarray, args: tuple,
                 analytic) -> float:
     """Worst error of analytic[i] against central differences of the probe
-    <g, forward(*args)> in args[i], over every argument."""
+    <g, forward(*args)> in args[i], over every argument. args[0] is the batch
+    input, probed in batches; the others are probed one entry at a time."""
+    x, rest = args[0], args[1:]
+    numeric = [batch_input_slopes(lambda v: forward(v, *rest), x, g)]
+    for i in range(1, len(args)):
+        numeric.append(_entry_slopes(lambda v, i=i: forward(*args[:i], v, *args[i + 1:]),
+                                     args[i], g))
     worst = 0.0
-    for i, (arg, grad) in enumerate(zip(args, analytic, strict=True)):
-        def probe(v, i=i):
-            return float((forward(*args[:i], v, *args[i + 1:]) * g).sum())
-        worst = _worse(worst, max_rel_error(grad, numerical_grad(probe, arg)))
+    for grad, num in zip(analytic, numeric, strict=True):
+        worst = _worse(worst, max_rel_error(grad, num))
     return worst
 
 
@@ -335,8 +389,12 @@ def _random_box_pair(rng):
 
 @register("ciou_loss")
 def _check_ciou(rng, case):
+    """The eight perturbed predictions are the rows of one _box_rows call,
+    whose rows' bits do not depend on each other."""
     pred, gt = _random_box_pair(rng)
-    num = numerical_grad(lambda v: losses.ciou_loss(losses.BBox(*v), gt), pred.as_array())
+    g = gt.as_array()
+    num = numerical_grad(lambda rows: losses._box_rows("ciou", rows, np.tile(g, (len(rows), 1)))[0],
+                         pred.as_array())
     return max_rel_error(losses.ciou_loss_grad(pred, gt), num)
 
 
@@ -356,7 +414,8 @@ def _check_wiou(rng, case):
         dy = (v[1] + v[3]) / 2.0 - (g[1] + g[3]) / 2.0
         return float(np.exp((dx * dx + dy * dy) / d0) * (1.0 - losses.iou(losses.BBox(*v), gt)))
 
-    return max_rel_error(losses.wiou_loss_grad(pred, gt), numerical_grad(frozen, p))
+    return max_rel_error(losses.wiou_loss_grad(pred, gt),
+                         numerical_grad(lambda rows: np.array([frozen(v) for v in rows]), p))
 
 
 @register("detection_loss")
@@ -364,11 +423,7 @@ def _check_detection_loss(rng, case):
     """Covers the iou and ciou variants, alternating by case, whose composite
     gradient is the true derivative. The wiou box core holds its enclosing-box
     normalizer fixed by design, so its detached gradient is checked by the
-    wiou_loss suite.
-
-    The central differences of all the head's entries come from one batch:
-    grid 2i has entry i at orig + FD_STEP, grid 2i + 1 at orig - FD_STEP, as
-    numerical_grad sets them."""
+    wiou_loss suite. All the perturbed heads are the grids of one batch."""
     k = 2
     gh = gw = 3
     stride = 8.0
@@ -380,12 +435,10 @@ def _check_detection_loss(rng, case):
                 int(rng.integers(k)))]
     variant = "iou" if case % 2 == 0 else "ciou"
     _, grad = losses.detection_loss_and_grad(Tensor(head), [targets], variant, stride)
-    flat = head.reshape(-1)
-    i = np.arange(flat.size)
-    steps = np.tile(flat, (2 * flat.size, 1))
-    steps[2 * i, i] += FD_STEP
-    steps[2 * i + 1, i] -= FD_STEP
-    terms = losses.detection_loss(Tensor(steps.reshape(-1, *head.shape[1:])),
-                                  [targets] * len(steps), variant, stride)
-    total = np.array([t.total for t in terms])
-    return max_rel_error(grad, (total[0::2] - total[1::2]) / (2.0 * FD_STEP))
+
+    def totals(rows):
+        terms = losses.detection_loss(Tensor(rows.reshape(-1, *head.shape[1:])),
+                                      [targets] * len(rows), variant, stride)
+        return np.array([t.total for t in terms])
+
+    return max_rel_error(grad, numerical_grad(totals, head))

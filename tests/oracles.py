@@ -33,6 +33,24 @@ def naive_conv2d(x, w, b, stride, padding):
     return out
 
 
+def entrywise_central_differences(forward, x, g, h):
+    """Central differences of the probe <g, forward(x)> in every entry of x,
+    one entry at a time: the two perturbed outputs are differenced elementwise
+    before the inner product with g."""
+    x = np.array(x, dtype=np.float64)
+    flat = x.reshape(-1)
+    grad = np.zeros(flat.size)
+    for k in range(flat.size):
+        orig = flat[k]
+        flat[k] = orig + h
+        fp = np.array(forward(x))  # a copy: the forward may return a view of x
+        flat[k] = orig - h
+        fm = np.array(forward(x))
+        flat[k] = orig
+        grad[k] = np.sum((fp - fm) * g) / (2.0 * h)
+    return grad.reshape(x.shape)
+
+
 def naive_sliding_max(x, window):
     """Max over the window clipped to the image, stride 1."""
     n, c, h, w = x.shape

@@ -46,7 +46,7 @@ def small_config(tmp_path):
 # name, case count and max_rel_err repr. It pins the gate's inputs and numerics:
 # each suite's random draws, its probes and the operators' floating-point
 # expressions. Measured with NumPy 2.4 on x86-64 OpenBLAS.
-GRADCHECK_STDOUT_DIGEST = "e8ee8a5f31ad9ae61099a44c6d1137d02412b126fa58e0d86df8a7d95c37da9d"
+GRADCHECK_STDOUT_DIGEST = "224a26d4d37af5d7087e9a98e56bff1199167773757fa022cabe180c27e44418"
 
 
 class TestGradcheckCommand:
@@ -54,6 +54,18 @@ class TestGradcheckCommand:
         assert cli.main(["gradcheck", "--cases", "3", "--seed", "7"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == GRADCHECK_STDOUT_DIGEST, out
+
+    def test_stdout_digest_holds_with_two_blas_threads(self):
+        """The batched finite-difference probes run larger matrix products,
+        which BLAS may split across threads; a fresh process with two BLAS
+        threads must print the same bytes."""
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = ["gradcheck", "--cases", "3", "--seed", "7"]
+        out = subprocess.run([sys.executable, "-m", "detkit.cli", *argv],
+                             env=env, check=True, capture_output=True).stdout
+        assert hashlib.sha256(out).hexdigest() == GRADCHECK_STDOUT_DIGEST, out.decode()
 
     def test_filtered_run_passes(self, capsys):
         code = cli.main(["gradcheck", "--filter", "fully_connected", "--cases", "5"])
@@ -196,6 +208,47 @@ class TestConfigSchema:
             # image_size and num_classes are fields of both dataclasses
             loaded = [getattr(o, key) for o in (cfg.net, cfg) if hasattr(o, key)] or [values[key]]
             assert all(v == want and type(v) is type(want) for v in loaded), key
+
+
+class TestHostileConfigValues:
+    @pytest.mark.parametrize("command", ["report", "train"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_a_file_that_is_not_utf8_is_a_parse_error_naming_its_line(
+            self, tmp_path, capsys, command, newline):
+        """A Latin-1 byte in the comment on line 2 exits 5 naming line 2,
+        not a UnicodeDecodeError traceback."""
+        path = tmp_path / "net.cfg"
+        path.write_bytes(newline.join(["image_size = 64", "# caf\xe9", "activation = mish", ""])
+                         .encode("latin-1"))
+        argv = (["report", "--spec", str(path)] if command == "report" else
+                ["train", "--config", str(path), "--out-dir", str(tmp_path / "o")])
+        assert cli.main(argv) == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:2: not UTF-8: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["train", "eval", "detect"])
+    @pytest.mark.parametrize("key", ["score_threshold", "nms_iou", "eval_iou"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "1.5", "2"])
+    def test_a_threshold_outside_the_unit_interval_is_a_config_error(
+            self, tmp_path, capsys, command, key, value):
+        """NaN, an infinity or a value past 0 or 1 exits 2 naming the key,
+        before any weights or image is read."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL_CFG + f"{key} = {value}\n", encoding="utf-8")
+        argv = {"train": ["train", "--config", str(cfg), "--out-dir", str(tmp_path / "o")],
+                "eval": ["eval", "--config", str(cfg), "--weights", str(tmp_path / "w.dkw"),
+                         "--out-dir", str(tmp_path / "e")],
+                "detect": ["detect", "--config", str(cfg), "--weights", str(tmp_path / "w.dkw"),
+                           "--image", str(tmp_path / "i.pgm"), "--out", str(tmp_path / "d.json")],
+                }[command]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {key} must be in [0, 1], got {float(value)}\n"
+
+    def test_thresholds_at_the_ends_of_the_unit_interval_load(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("score_threshold = 0\nnms_iou = 1\neval_iou = 1.0\n", encoding="utf-8")
+        _, values = cli._load_run_config(cfg)
+        assert (values["score_threshold"], values["nms_iou"], values["eval_iou"]) == (0.0, 1.0, 1.0)
 
 
 # SHA-256 of what `detkit report` (stdout, --json-out, --csv-out) and `detkit

@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import entrywise_central_differences
 
 from detkit import gradcheck, ops
 
@@ -15,28 +16,33 @@ from detkit import gradcheck, ops
 # draws, probes and finite differences, and the operators' floating-point
 # expressions, change no bit when the code around them is restructured.
 CORE_SUITES = {  # seed 7
-    "conv2d": 7.4877342253927246e-06,
-    "fully_connected": 1.753343207994422e-07,
-    "activation_relu": 5.316575792182081e-06,
-    "activation_sigmoid": 7.962115334825e-06,
-    "activation_mish": 1.4801740789673794e-05,
-    "pconv": 7.425258275860908e-05,
-    "channel_attention": 8.24760704949191e-06,
-    "channel_attention_literal": 1.5035397805257533e-05,
-    "spatial_attention": 4.5932051738473145e-06,
-    "cbam_sequential": 5.433159616652361e-06,
-    "cbam_literal": 5.628469633946951e-06,
+    "conv2d": 6.028157658740256e-07,
+    "fully_connected": 5.036606362730684e-08,
+    "activation_relu": 7.484005284367688e-10,
+    "activation_sigmoid": 1.5450985646090973e-06,
+    "activation_mish": 9.112859234845088e-08,
+    "pconv": 9.56457856855054e-07,
+    "channel_attention": 1.4234402089367943e-06,
+    "channel_attention_literal": 3.524186739227948e-06,
+    "spatial_attention": 1.1380230235274492e-06,
+    "cbam_sequential": 5.869895183669753e-06,
+    "cbam_literal": 2.1018559885187943e-06,
     "ciou_loss": 3.4137909684774896e-07,
     "wiou_loss": 4.869031003038038e-07,
 }
 
 EXTRA_SUITES = {  # seed 11
-    "global_pool": 6.745076273546809e-08,
-    "spatial_stats": 1.6379650517420417e-06,
-    "spp": 2.7343640621796505e-06,
-    "fasternet_block": 8.27580226570035e-06,
+    "global_pool": 1.027956490494862e-09,
+    "spatial_stats": 1.3341941845342406e-08,
+    "spp": 1.3981211766804862e-10,
+    "fasternet_block": 2.384171632769652e-06,
     "detection_loss": 7.997000798178511e-07,
 }
+
+# The suites that check a probe <G, f(x)> of a per-sample forward; the other
+# three differentiate a scalar box or detection loss.
+PROBE_SUITES = sorted((CORE_SUITES.keys() | EXTRA_SUITES.keys())
+                      - {"ciou_loss", "wiou_loss", "detection_loss"})
 
 
 @pytest.mark.parametrize("name", CORE_SUITES)
@@ -54,6 +60,75 @@ def test_supporting_backward_passes_match_central_differences(name):
     assert result.max_err == EXTRA_SUITES[name]
 
 
+def test_probe_suites_run_below_a_tenth_of_the_gate():
+    """Differencing the outputs before the inner product with G leaves the
+    error to the gradient, not to the rounding of two O(10) probe sums."""
+    errors = {**CORE_SUITES, **EXTRA_SUITES}
+    assert {name: errors[name] for name in PROBE_SUITES
+            if not errors[name] < gradcheck.PASS_THRESHOLD / 10} == {}
+
+
+@pytest.mark.parametrize("name", PROBE_SUITES)
+def test_batched_input_differences_match_one_entry_at_a_time(name, monkeypatch):
+    """Every probe-based suite probes its batch input with perturbed copies
+    stacked along the batch axis. On a per-sample forward that gives the
+    one-entry-at-a-time central differences; a forward that mixed samples
+    would not."""
+    calls = []
+    real = gradcheck.batch_input_slopes
+
+    def spy(forward, x, g):
+        slopes = real(forward, x, g)
+        calls.append((forward, x, g, slopes))
+        return slopes
+
+    monkeypatch.setattr(gradcheck, "batch_input_slopes", spy)
+    gradcheck.run_suites(name, cases=1, seed=7)
+    assert len(calls) == 1
+    forward, x, g, slopes = calls[0]
+    oracle = entrywise_central_differences(forward, x, g, gradcheck.FD_STEP)
+    assert gradcheck.max_rel_error(slopes, oracle) < 1e-9
+
+
+def test_batched_input_differences_see_a_forward_that_mixes_samples():
+    """The comparison above has teeth: centring over the batch couples the
+    samples, and the stacked copies then disagree with the oracle."""
+    rng = np.random.default_rng(0)
+    x, g = rng.standard_normal((2, 3)), rng.standard_normal((2, 3))
+
+    def centred(v):
+        return v - v.mean(axis=0)
+
+    oracle = entrywise_central_differences(centred, x, g, gradcheck.FD_STEP)
+    assert gradcheck.max_rel_error(gradcheck.batch_input_slopes(centred, x, g), oracle) > 1e-2
+
+
+# Correct pconv gradients that reported 1.0057e-4 (a false alarm) and
+# 5.02e-5 when the two probe sums were differenced; the error, to the bit.
+@pytest.mark.parametrize("seed,err", [(1393656021, 3.703405297678748e-06),
+                                      (2014114309, 7.779626027052047e-06)])
+def test_pconv_seeds_near_the_gate_pass_with_margin(seed, err):
+    (result,) = gradcheck.run_suites("pconv", cases=1, seed=seed)
+    assert result.passed
+    assert result.max_err == err
+
+
+def test_a_tenth_of_a_percent_off_in_one_input_gradient_entry_fails_conv2d(monkeypatch):
+    """A conv2d_backward whose input gradient is 0.1 % off in one entry fails
+    the conv2d suite."""
+    real = ops.conv2d_backward
+
+    def off(*args, **kwargs):
+        gx, gw, gb = real(*args, **kwargs)
+        gx = gx.copy()
+        gx.flat[0] *= 1.001
+        return gx, gw, gb
+
+    monkeypatch.setattr(ops, "conv2d_backward", off)
+    (result,) = gradcheck.run_suites("conv2d", cases=3, seed=7)
+    assert not result.passed
+
+
 def test_unknown_suite_name_lists_valid_ones():
     from detkit.tensor import ConfigError
 
@@ -68,8 +143,8 @@ def test_registry_covers_every_core_operator():
 
 # The worst error of each redraw run below, to the bit.
 REDRAWN_ERRORS = {
-    "channel_attention_literal": 5.8359499707267624e-08,
-    "spp": 3.565087335222925e-08,
+    "channel_attention_literal": 2.296201298838112e-08,
+    "spp": 1.3977808503122168e-10,
 }
 
 

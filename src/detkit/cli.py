@@ -32,10 +32,9 @@ from .config import ParseError, parse_kv_file
 from .cost import CostReport, model_cost
 from .dataset import synth_dataset
 from .imageio import ImageFormatError, draw_boxes, read_image, to_channels, write_image
-from .losses import BBox
 from .metrics import evaluate, pr_curve_csv
 from .model import ToyNetSpec, cost_layers, net_forward
-from .postprocess import decode, detections_to_json, letterbox, nms
+from .postprocess import boxes_to_source, decode, detections_to_json, letterbox, nms
 from .tensor import ConfigError, Tensor, verify_mode_forced
 from .train import TrainConfig, TrainingDiverged, train_toy
 from .weights_io import (
@@ -276,25 +275,18 @@ def cmd_detect(args) -> int:
     image_path = _require_file(args.image, "image file")
     params = load_weights(weights_path)
     image = read_image(image_path)
-    orig_h, orig_w = image.h, image.w
     model_in = to_channels(image, cfg.net.in_channels)
     boxed, scale, pads = letterbox(model_in, cfg.net.image_size, cfg.net.image_size)
     dspec = cfg.net.decode_spec(values["score_threshold"])
     dets = nms(decode(_head(params, cfg.net, boxed), dspec), values["nms_iou"])
-
-    # Each box back in source pixels, clamped to the image. A corner past the
-    # right or bottom edge becomes the image's int width or height.
-    px, py = pads
-    rows = [(min(max((d.bbox.x1 - px) / scale, 0.0), orig_w),
-             min(max((d.bbox.y1 - py) / scale, 0.0), orig_h),
-             min(max((d.bbox.x2 - px) / scale, 0.0), orig_w),
-             min(max((d.bbox.y2 - py) / scale, 0.0), orig_h),
-             d.class_id, d.score) for d in dets]
+    boxes = boxes_to_source(dets[:, :4], scale, pads, image.w, image.h)
+    rows = [(*box, k, score) for box, k, score in
+            zip(boxes, dets[:, 5].astype(np.int64).tolist(), dets[:, 4].tolist())]
     text = detections_to_json(rows)
     Path(args.out).write_text(text + "\n", encoding="utf-8")
     print(text)
     if args.overlay:
-        write_image(args.overlay, draw_boxes(image, [BBox(*row[:4]) for row in rows]))
+        write_image(args.overlay, draw_boxes(image, boxes))
     return EXIT_OK
 
 

@@ -15,7 +15,6 @@ import math
 
 import numpy as np
 
-from .losses import BBox
 from .tensor import ConfigError, Tensor
 
 CLASS_NAMES = ("rectangle", "ellipse", "triangle")
@@ -58,7 +57,8 @@ def _rasterize(kind: int, cx: float, cy: float, half_w: float, half_h: float,
 
 
 def synth_dataset(seed: int, count: int, image_size: int = 64, classes: int = 3):
-    """Deterministic list of (image Tensor (1, 1, S, S), [(BBox, class_id)])."""
+    """Deterministic list of (image Tensor (1, 1, S, S), targets): an image's
+    targets are a (t, 5) float64 array of rows [x1, y1, x2, y2, class]."""
     if count < 1:
         raise ConfigError("count must be >= 1")
     if classes < 1 or classes > len(CLASS_NAMES):
@@ -75,7 +75,7 @@ def synth_dataset(seed: int, count: int, image_size: int = 64, classes: int = 3)
     samples = []
     for _ in range(count):
         img = rng.uniform(_NOISE_LOW, _NOISE_HIGH, size=(image_size, image_size))
-        targets: list[tuple[BBox, int]] = []
+        targets: list[tuple[float, float, float, float, int]] = []
         wanted = int(rng.integers(1, 5))
         for _ in range(wanted):
             placed = False
@@ -84,11 +84,10 @@ def synth_dataset(seed: int, count: int, image_size: int = 64, classes: int = 3)
                 half_h = int(rng.integers(min_half, max_half + 1))
                 cx = int(rng.integers(half_w, image_size - half_w)) + 0.5
                 cy = int(rng.integers(half_h, image_size - half_h)) + 0.5
-                box = BBox(cx - half_w, cy - half_h, cx + half_w, cy + half_h)
+                x1, y1, x2, y2 = cx - half_w, cy - half_h, cx + half_w, cy + half_h
                 clash = any(
-                    box.x1 < other.x2 + 2 and other.x1 < box.x2 + 2
-                    and box.y1 < other.y2 + 2 and other.y1 < box.y2 + 2
-                    for other, _ in targets
+                    x1 < ox2 + 2 and ox1 < x2 + 2 and y1 < oy2 + 2 and oy1 < y2 + 2
+                    for ox1, oy1, ox2, oy2, _ in targets
                 )
                 if clash:
                     continue
@@ -96,7 +95,7 @@ def synth_dataset(seed: int, count: int, image_size: int = 64, classes: int = 3)
                 value = float(rng.uniform(_SHAPE_LOW, _SHAPE_HIGH))
                 mask = _rasterize(kind, cx, cy, float(half_w), float(half_h), image_size)
                 img[mask] = value
-                targets.append((box, kind))
+                targets.append((x1, y1, x2, y2, kind))
                 placed = True
                 break
             if not placed:
@@ -107,6 +106,6 @@ def synth_dataset(seed: int, count: int, image_size: int = 64, classes: int = 3)
             cx = cy = image_size // 2 + 0.5
             mask = _rasterize(0, cx, cy, half, half, image_size)
             img[mask] = 0.9
-            targets.append((BBox(cx - half, cy - half, cx + half, cy + half), 0))
-        samples.append((Tensor(img[None, None, :, :]), targets))
+            targets.append((cx - half, cy - half, cx + half, cy + half, 0))
+        samples.append((Tensor(img[None, None, :, :]), np.array(targets, dtype=np.float64)))
     return samples

@@ -371,8 +371,8 @@ register("cbam_literal")(functools.partial(_check_cbam, composition="literal"))
 # ---------------------------------------------------------------------------
 
 def _random_box_pair(rng):
-    """Non-degenerate pred/gt with no coinciding edges (losses are only
-    differentiable away from min/max switch points)."""
+    """Non-degenerate pred/gt corner rows with no coinciding edges (losses are
+    only differentiable away from min/max switch points)."""
     while True:
         vals = rng.uniform(0.0, 10.0, size=8)
         px1, px2 = sorted(vals[0:2])
@@ -384,18 +384,17 @@ def _random_box_pair(rng):
         gaps = [abs(a - b) for a, b in ((px1, gx1), (px2, gx2), (py1, gy1), (py2, gy2))]
         if min(gaps) < 1e-3:
             continue
-        return losses.BBox(px1, py1, px2, py2), losses.BBox(gx1, gy1, gx2, gy2)
+        return np.array([px1, py1, px2, py2]), np.array([gx1, gy1, gx2, gy2])
 
 
 @register("ciou_loss")
 def _check_ciou(rng, case):
-    """The eight perturbed predictions are the rows of one _box_rows call,
-    whose rows' bits do not depend on each other."""
-    pred, gt = _random_box_pair(rng)
-    g = gt.as_array()
-    num = numerical_grad(lambda rows: losses._box_rows("ciou", rows, np.tile(g, (len(rows), 1)))[0],
-                         pred.as_array())
-    return max_rel_error(losses.ciou_loss_grad(pred, gt), num)
+    """The analytic gradient is _box_rows' on the one row; the eight perturbed
+    predictions are the rows of one more _box_rows call, whose rows' bits do
+    not depend on each other."""
+    p, g = _random_box_pair(rng)
+    num = numerical_grad(lambda rows: losses._box_rows("ciou", rows, np.tile(g, (len(rows), 1)))[0], p)
+    return max_rel_error(losses._box_rows("ciou", p[None], g[None])[1][0], num)
 
 
 @register("wiou_loss")
@@ -403,19 +402,17 @@ def _check_wiou(rng, case):
     """The analytic gradient holds the enclosing-box normalizer fixed, so the
     oracle differentiates the loss with that normalizer frozen at its
     unperturbed value."""
-    pred, gt = _random_box_pair(rng)
-    p, g = pred.as_array(), gt.as_array()
+    p, g = _random_box_pair(rng)
     cw = max(p[2], g[2]) - min(p[0], g[0])
     ch = max(p[3], g[3]) - min(p[1], g[1])
     d0 = cw * cw + ch * ch + losses.EPS
 
-    def frozen(v):
-        dx = (v[0] + v[2]) / 2.0 - (g[0] + g[2]) / 2.0
-        dy = (v[1] + v[3]) / 2.0 - (g[1] + g[3]) / 2.0
-        return float(np.exp((dx * dx + dy * dy) / d0) * (1.0 - losses.iou(losses.BBox(*v), gt)))
+    def frozen(rows):
+        dx = (rows[:, 0] + rows[:, 2]) / 2.0 - (g[0] + g[2]) / 2.0
+        dy = (rows[:, 1] + rows[:, 3]) / 2.0 - (g[1] + g[3]) / 2.0
+        return np.exp((dx * dx + dy * dy) / d0) * (1.0 - losses.pairwise_iou(rows, g[None])[:, 0])
 
-    return max_rel_error(losses.wiou_loss_grad(pred, gt),
-                         numerical_grad(lambda rows: np.array([frozen(v) for v in rows]), p))
+    return max_rel_error(losses._box_rows("wiou", p[None], g[None])[1][0], numerical_grad(frozen, p))
 
 
 @register("detection_loss")
@@ -431,8 +428,7 @@ def _check_detection_loss(rng, case):
     w, h = rng.uniform(4.0, 10.0, size=2)
     cx = rng.uniform(w / 2 + 0.1, 24.0 - w / 2 - 0.1)
     cy = rng.uniform(h / 2 + 0.1, 24.0 - h / 2 - 0.1)
-    targets = [(losses.BBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2),
-                int(rng.integers(k)))]
+    targets = np.array([[cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2, rng.integers(k)]])
     variant = "iou" if case % 2 == 0 else "ciou"
     _, grad = losses.detection_loss_and_grad(Tensor(head), [targets], variant, stride)
 

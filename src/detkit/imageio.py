@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .losses import BBox
 from .tensor import Tensor
 
 
@@ -98,14 +97,15 @@ def to_channels(image: Tensor, channels: int) -> Tensor:
     raise ImageFormatError(f"cannot adapt {image.c} channels to {channels}")
 
 
-def draw_boxes(image: Tensor, boxes: list[BBox]) -> Tensor:
-    """Copy of the image with box outlines burned in (red when 3 channels)."""
+def draw_boxes(image: Tensor, boxes) -> Tensor:
+    """Copy of the image with the outlines of the corner rows (x1, y1, x2, y2)
+    burned in (red when 3 channels)."""
     out = image.data.copy()
-    for box in boxes:
-        x1 = int(np.clip(round(box.x1), 0, image.w - 1))
-        x2 = int(np.clip(round(box.x2) - 1, 0, image.w - 1))
-        y1 = int(np.clip(round(box.y1), 0, image.h - 1))
-        y2 = int(np.clip(round(box.y2) - 1, 0, image.h - 1))
+    for bx1, by1, bx2, by2 in boxes:
+        x1 = int(np.clip(round(bx1), 0, image.w - 1))
+        x2 = int(np.clip(round(bx2) - 1, 0, image.w - 1))
+        y1 = int(np.clip(round(by1), 0, image.h - 1))
+        y2 = int(np.clip(round(by2) - 1, 0, image.h - 1))
         if x2 < x1 or y2 < y1:
             continue
         if image.c == 3:

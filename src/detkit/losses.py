@@ -1,26 +1,29 @@
-"""Axis-aligned box geometry and the IoU / CIoU / WIoU loss ladder.
+"""The IoU / CIoU / WIoU box-loss ladder and the composite detection loss.
 
-All three losses share the plain intersection-over-union core:
+Boxes are float64 corner rows [x1, y1, x2, y2]. ``_box_rows`` evaluates one
+variant over T (pred, gt) row pairs and returns each row's loss and its
+gradient w.r.t. the pred corners; there are no one-pair functions. All three
+variants share the plain intersection-over-union core:
 
-* ``ciou_loss`` adds a normalized center-distance penalty and an
-  aspect-ratio consistency penalty: 1 - IoU + rho^2 / c^2 + alpha v.
-  The coupling factor alpha = v / ((1 - IoU) + v + eps) is differentiated
-  through, so the analytic gradient matches finite differences of the loss.
-* ``wiou_loss`` scales 1 - IoU by exp(rho^2 / D) where D is the squared
-  diagonal of the smallest enclosing box. D is held fixed during backward
-  (treated as a constant), so ``wiou_loss_grad`` is NOT the derivative of
-  the forward value when the prediction touches the enclosing box. That
-  asymmetry is deliberate and covered by a dedicated test.
+* ``iou``: 1 - IoU.
+* ``ciou`` adds a normalized center-distance penalty and an aspect-ratio
+  consistency penalty: 1 - IoU + rho^2 / c^2 + alpha v. The coupling factor
+  alpha = v / ((1 - IoU) + v + eps) is differentiated through, so the
+  analytic gradient matches finite differences of the loss.
+* ``wiou`` scales 1 - IoU by exp(rho^2 / D) where D is the squared diagonal
+  of the smallest enclosing box. D is held fixed during backward (treated as
+  a constant), so its gradient is NOT the derivative of the forward value
+  when the prediction touches the enclosing box. That asymmetry is
+  deliberate and covered by a dedicated test.
 
 Every denominator carries eps = 1e-9; the losses never return NaN for
 finite inputs. Gradients are exact away from the measure-zero set where
 box edges coincide (min/max switch points).
 
-The box losses are written once, over rows: ``_box_rows`` takes T pred/gt
-corner pairs as (T, 4) arrays and returns each row's loss and corner
-gradient. ``ciou_loss``/``wiou_loss`` and their gradients call it on one row;
 ``detection_loss`` and ``detection_loss_and_grad`` take a whole batch of
-prediction grids and evaluate all of its targets in one call.
+prediction grids, with each image's targets as a (t, 5) array of rows
+[x1, y1, x2, y2, class], and evaluate all of the batch's targets in one
+``_box_rows`` call.
 """
 
 from __future__ import annotations
@@ -38,39 +41,6 @@ _VARIANTS = ("iou", "ciou", "wiou")
 
 
 @dataclass(frozen=True)
-class BBox:
-    """Axis-aligned box in image pixel coordinates, corners (x1, y1), (x2, y2)."""
-
-    x1: float
-    y1: float
-    x2: float
-    y2: float
-
-    def __post_init__(self):
-        if not (self.x1 <= self.x2 and self.y1 <= self.y2):
-            raise ConfigError(f"degenerate corner order: {self}")
-
-    @property
-    def width(self) -> float:
-        return self.x2 - self.x1
-
-    @property
-    def height(self) -> float:
-        return self.y2 - self.y1
-
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
-    @property
-    def center(self) -> tuple[float, float]:
-        return ((self.x1 + self.x2) / 2.0, (self.y1 + self.y2) / 2.0)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x1, self.y1, self.x2, self.y2], dtype=np.float64)
-
-
-@dataclass(frozen=True)
 class LossBreakdown:
     """Composite detection loss parts; total is their weighted sum."""
 
@@ -81,27 +51,11 @@ class LossBreakdown:
     variant: str
 
 
-def iou(a: BBox, b: BBox) -> float:
-    """Intersection area over union area, in [0, 1]. Two boxes with zero
-    union (both degenerate) give 0 by convention."""
-    iw = min(a.x2, b.x2) - max(a.x1, b.x1)
-    ih = min(a.y2, b.y2) - max(a.y1, b.y1)
-    inter = max(iw, 0.0) * max(ih, 0.0)
-    union = a.area + b.area - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
-
-
-def corners(boxes: list[BBox]) -> np.ndarray:
-    """(len(boxes), 4) float64 array of [x1, y1, x2, y2] rows."""
-    return np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=np.float64).reshape(-1, 4)
-
-
 def pairwise_iou(p: np.ndarray, g: np.ndarray) -> np.ndarray:
     """IoU of every corner row of p (n, 4) against every row of g (m, 4), as
-    an (n, m) array. Entry [i, j] equals iou() of the two boxes to the bit:
-    the same float64 expression, evaluated elementwise."""
+    an (n, m) array, in [0, 1]. Entry [i, j] is the one-pair float64
+    expression, evaluated elementwise, so its bits do not depend on the other
+    rows. Two boxes with zero union (both degenerate) give 0 by convention."""
     px1, py1, px2, py2 = (p[:, k, None] for k in range(4))
     gx1, gy1, gx2, gy2 = g.T
     iw = np.minimum(px2, gx2) - np.maximum(px1, gx1)
@@ -139,8 +93,8 @@ def _box_rows(variant: str, p: np.ndarray, g: np.ndarray):
     d_iou = np.divide(d_inter * un - inter[:, None] * d_union, un * un,
                       out=np.zeros_like(d_inter), where=valid[:, None])
     if variant == "iou":
-        # the value is iou()'s, 0 only at a zero union; the gradient above is
-        # 0 once the union falls to EPS
+        # the value is pairwise_iou's, 0 only at a zero union; the gradient
+        # above is 0 once the union falls to EPS
         return 1.0 - np.divide(inter, union, out=np.zeros_like(union), where=union > 0.0), -d_iou
     iou_val = np.divide(inter, union, out=np.zeros_like(union), where=valid)
 
@@ -183,52 +137,25 @@ def _box_rows(variant: str, p: np.ndarray, g: np.ndarray):
     return loss, grad
 
 
-def _pair(variant: str, pred: BBox, gt: BBox):
-    """One row of _box_rows: the loss of pred against gt and its gradient."""
-    if gt.area <= 0.0:
-        raise ConfigError("ground-truth box must be non-degenerate")
-    loss, grad = _box_rows(variant, corners([pred]), corners([gt]))
-    return float(loss[0]), grad[0]
-
-
-def ciou_loss(pred: BBox, gt: BBox) -> float:
-    """Complete IoU loss: 1 - IoU + center penalty + aspect penalty."""
-    return _pair("ciou", pred, gt)[0]
-
-
-def ciou_loss_grad(pred: BBox, gt: BBox) -> np.ndarray:
-    """d(ciou_loss)/d(pred corners), exact chain rule including the coupling
-    factor alpha."""
-    return _pair("ciou", pred, gt)[1]
-
-
-def wiou_loss(pred: BBox, gt: BBox) -> float:
-    """Distance-weighted IoU loss: exp(rho^2 / D) * (1 - IoU), where D is the
-    squared diagonal of the smallest enclosing box."""
-    return _pair("wiou", pred, gt)[0]
-
-
-def wiou_loss_grad(pred: BBox, gt: BBox) -> np.ndarray:
-    """d(wiou_loss)/d(pred corners) with the enclosing-box normalizer D held
-    fixed, i.e. the derivative of exp(rho^2 / D0) * (1 - IoU) at D0 = D(pred)."""
-    return _pair("wiou", pred, gt)[1]
-
-
 # ---------------------------------------------------------------------------
 # grid cell transform and the composite detection loss
 # ---------------------------------------------------------------------------
 
-def cell_to_box(tx: float, ty: float, tw: float, th: float, row: int, col: int, stride: float) -> BBox:
-    """Raw cell logits to a box: center ((col + sigmoid(tx)) s, (row + sigmoid(ty)) s),
-    size (e^tw s, e^th s)."""
-    # math.exp, not np.exp: the two can differ by an ulp, which would change the weights.
-    sx = 1.0 / (1.0 + math.exp(-tx)) if tx >= 0 else math.exp(tx) / (1.0 + math.exp(tx))
-    sy = 1.0 / (1.0 + math.exp(-ty)) if ty >= 0 else math.exp(ty) / (1.0 + math.exp(ty))
-    cx = (col + sx) * stride
-    cy = (row + sy) * stride
-    w = math.exp(tw) * stride
-    h = math.exp(th) * stride
-    return BBox(cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
+def _cell_boxes(t: np.ndarray, rows: np.ndarray, cols: np.ndarray, stride: float) -> np.ndarray:
+    """Raw logits t (T, 4) [tx, ty, tw, th] of the cells at (rows, cols) to
+    corner rows: center ((col + sigmoid(tx)) s, (row + sigmoid(ty)) s), size
+    (e^tw s, e^th s)."""
+    # math.exp per row, not np.exp: the two can differ by an ulp, which would
+    # change the weights. A Python loop costs less than the numpy calls
+    # around a list of exps for the few targets of a batch.
+    boxes = []
+    for (tx, ty, tw, th), row, col in zip(t.tolist(), rows.tolist(), cols.tolist()):
+        sx = 1.0 / (1.0 + math.exp(-tx)) if tx >= 0 else math.exp(tx) / (1.0 + math.exp(tx))
+        sy = 1.0 / (1.0 + math.exp(-ty)) if ty >= 0 else math.exp(ty) / (1.0 + math.exp(ty))
+        cx, cy = (col + sx) * stride, (row + sy) * stride
+        half_w, half_h = math.exp(tw) * stride / 2.0, math.exp(th) * stride / 2.0
+        boxes.append((cx - half_w, cy - half_h, cx + half_w, cy + half_h))
+    return np.array(boxes, dtype=np.float64).reshape(-1, 4)
 
 
 def _bce_with_logits(z: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -255,31 +182,31 @@ def _detection_terms(predictions: Tensor, target_lists, variant: str, stride: fl
     num_classes = c - 5
     img_w, img_h = gw * stride, gh * stride
     head = predictions.data
-    # one row per target; each trains the single cell containing its center
-    assigned, gt, pred = [], [], []
-    for i, targets in enumerate(target_lists):
-        for bbox, cls in targets:
-            if not 0 <= cls < num_classes:
-                raise ConfigError(f"class id {cls} out of range [0, {num_classes})")
-            if bbox.area <= 0.0:
-                raise ConfigError("target box must have positive area")
-            if bbox.x1 < 0 or bbox.y1 < 0 or bbox.x2 > img_w or bbox.y2 > img_h:
-                raise ConfigError(f"target {bbox} lies outside the {img_w}x{img_h} image")
-            cx, cy = bbox.center
-            col = min(int(cx / stride), gw - 1)
-            row = min(int(cy / stride), gh - 1)
-            assigned.append((i, row, col, cls))
-            gt.append(bbox)
-            pred.append(cell_to_box(*head[i, :4, row, col].tolist(), row, col, stride))
-    img, rows, cols, classes = np.array(assigned, dtype=np.intp).reshape(-1, 4).T
+    per_image = [np.asarray(t, dtype=np.float64).reshape(-1, 5) for t in target_lists]
+    img = np.repeat(np.arange(n), [len(t) for t in per_image])
+    targets = np.concatenate(per_image) if per_image else np.empty((0, 5))
+    x1, y1, x2, y2, cls = targets.T
+    bad = ~((cls >= 0) & (cls < num_classes) & (cls == np.trunc(cls)))
+    if bad.any():
+        raise ConfigError(f"class id {cls[bad][0]:g} is not an integer in [0, {num_classes})")
+    w, h = x2 - x1, y2 - y1
+    if not ((w > 0.0) & (h > 0.0) & (w * h > 0.0)).all():
+        raise ConfigError("target box must have positive area")
+    bad = (x1 < 0) | (y1 < 0) | (x2 > img_w) | (y2 > img_h)
+    if bad.any():
+        raise ConfigError(f"target {targets[bad][0, :4].tolist()} lies outside the {img_w}x{img_h} image")
+    # each target trains the single cell containing its center
+    cols = np.minimum(((x1 + x2) / 2.0 / stride).astype(np.intp), gw - 1)
+    rows = np.minimum(((y1 + y2) / 2.0 / stride).astype(np.intp), gh - 1)
+    classes = cls.astype(np.intp)
     n_t = np.bincount(img, minlength=n)
     onehot = np.zeros((len(img), num_classes))
     onehot[np.arange(len(img)), classes] = 1.0
     obj_target = np.zeros((n, gh, gw))
     obj_target[img, rows, cols] = 1.0
 
-    p = corners(pred)
-    box_value, d_corners = _box_rows(variant, p, corners(gt))
+    p = _cell_boxes(head[img, :4, rows, cols], rows, cols, stride)
+    box_value, d_corners = _box_rows(variant, p, targets[:, :4])
     cls_logits = head[img, 5:, rows, cols]
     box_total, cls_total = np.zeros(n), np.zeros(n)
     np.add.at(box_total, img, box_value)
@@ -325,8 +252,11 @@ def detection_loss(
     """Composite loss of each prediction grid of a batch.
 
     predictions: (n, 5 + K, gh, gw), channel layout [tx, ty, tw, th,
-    objectness, class logits...]; target_lists: one list of (BBox, class id)
-    per image. Each target trains the cell containing its center: the box
+    objectness, class logits...]; target_lists: one (t, 5) float64 array per
+    image, a row [x1, y1, x2, y2, class] per target, with an integer class id
+    in [0, K) and a box of positive area inside the gw * stride by
+    gh * stride image (an image without targets may pass []). Each target
+    trains the cell containing its center: the box
     term (selected variant, averaged over the image's targets), a one-vs-all
     class BCE on assigned cells, and an objectness BCE over every cell (1 on
     assigned cells, 0 elsewhere). Returns one LossBreakdown per image, each

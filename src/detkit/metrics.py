@@ -1,5 +1,9 @@
 """Detection evaluation: greedy matching, precision/recall, PR curve, AP.
 
+An image's detections are the (n, 6) rows [x1, y1, x2, y2, score, class]
+that ``postprocess.nms`` returns, and its ground truths the (t, 5) rows
+[x1, y1, x2, y2, class] that ``dataset.synth_dataset`` yields.
+
 Matching is per image: detections are processed in descending score order
 (ties by input order) and each claims at most one unmatched ground truth of
 the same class with IoU at or above the threshold. Precision and recall are
@@ -15,8 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .losses import BBox, corners, pairwise_iou
-from .postprocess import Detection
+from .losses import pairwise_iou
 from .tensor import ConfigError
 
 
@@ -60,17 +63,16 @@ class EvalSummary:
         return asdict(self)
 
 
-def match_image(dets: list[Detection], gts: list[tuple[BBox, int]], iou_thr: float):
-    """Greedy match for one image; returns a true-positive flag per detection
-    in the original detection order."""
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    ious = pairwise_iou(corners([d.bbox for d in dets]), corners([gbox for gbox, _ in gts]))
-    gt_cls = np.array([gcls for _, gcls in gts], dtype=np.int64)
+def match_image(dets: np.ndarray, gts: np.ndarray, iou_thr: float) -> list[bool]:
+    """Greedy match of one image's (n, 6) detections against its (t, 5)
+    ground truths; returns a true-positive flag per detection in the original
+    detection order."""
+    ious = pairwise_iou(dets[:, :4], gts[:, :4])
     untaken = np.ones(len(gts), dtype=bool)
     tp = [False] * len(dets)
-    for i in order:
+    for i in np.argsort(-dets[:, 4], kind="stable").tolist():
         # the highest IoU at or above the threshold; ties go to the first gt
-        ok = untaken & (gt_cls == dets[i].class_id) & (ious[i] >= iou_thr)
+        ok = untaken & (gts[:, 4] == dets[i, 5]) & (ious[i] >= iou_thr)
         if ok.any():
             j = int(np.where(ok, ious[i], -np.inf).argmax())
             untaken[j] = False
@@ -124,14 +126,15 @@ def evaluate(detections, ground_truths, iou_thr: float = 0.5,
     for dets, gts in zip(detections, ground_truths):
         n_gt += len(gts)
         n_det += len(dets)
-        for _, gcls in gts:
+        for gcls in gts[:, 4].astype(np.int64).tolist():
             class_gt_counts[gcls] = class_gt_counts.get(gcls, 0) + 1
         tp = match_image(dets, gts, iou_thr)
-        for d, flag in zip(dets, tp):
-            n_tp += bool(flag)
-            key = (d.class_id, d.bbox.x1, d.bbox.y1, d.bbox.x2, d.bbox.y2)
-            pooled.append((d.score, flag, key))
-            per_class.setdefault(d.class_id, []).append((d.score, flag, key))
+        for (x1, y1, x2, y2, score, cls), flag in zip(dets.tolist(), tp):
+            n_tp += flag
+            # an int class id: summary.json's per_class_ap keys print it
+            key = (int(cls), x1, y1, x2, y2)
+            pooled.append((score, flag, key))
+            per_class.setdefault(key[0], []).append((score, flag, key))
 
     precision = n_tp / n_det if n_det else 0.0
     recall = n_tp / n_gt if n_gt else 0.0

@@ -4,8 +4,11 @@ A head tensor of shape (1, 5 + K, grid_h, grid_w) holds, per cell,
 [tx, ty, tw, th, objectness, K class logits]. Decode turns each cell into a
 candidate box: center ((col + sigmoid(tx)) stride, (row + sigmoid(ty)) stride),
 size (e^tw stride, e^th stride), scored sigmoid(obj) * max_k sigmoid(cls_k).
-``encode_box`` is the exact inverse of that transform and exists so decode
-can be validated as a round trip.
+
+An image's detections are one (n, 6) float64 array of rows
+[x1, y1, x2, y2, score, class]: decode emits it, nms filters it, and
+evaluation and the detect command read it. Only detections read back from a
+JSON file are objects, the ``Detection`` rows of ``detections_from_json``.
 """
 
 from __future__ import annotations
@@ -17,24 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import BBox, corners, pairwise_iou
+from .losses import pairwise_iou
 from .ops import sigmoid
 from .tensor import ConfigError, Tensor
 
 _LOGIT_CAP = 60.0  # e^60 ~ 1e26; caps box sizes before the image-bounds clamp
-
-
-@dataclass(frozen=True)
-class Detection:
-    bbox: BBox
-    score: float
-    class_id: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.score <= 1.0:
-            raise ConfigError(f"score {self.score} outside [0, 1]")
-        if self.class_id < 0:
-            raise ConfigError("class id must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -66,9 +56,10 @@ class GridDecodeSpec:
         return self.grid_h * self.stride
 
 
-def decode(head: Tensor, spec: GridDecodeSpec) -> list[Detection]:
-    """Emit one detection per cell whose score clears the threshold, boxes
-    clamped to the image bounds. Cells scan in row-major order."""
+def decode(head: Tensor, spec: GridDecodeSpec) -> np.ndarray:
+    """The (n, 6) detections [x1, y1, x2, y2, score, class] of the cells whose
+    score clears the threshold, boxes clamped to the image bounds. Cells scan
+    in row-major order."""
     if head.shape != (1, spec.channels, spec.grid_h, spec.grid_w):
         raise ConfigError(
             f"head shape {head.shape} does not match spec "
@@ -88,55 +79,35 @@ def decode(head: Tensor, spec: GridDecodeSpec) -> list[Detection]:
     cy = ((rows + sig[1]) * s)[emit]
     half_w = (np.exp(np.minimum(p[2], _LOGIT_CAP)) * s)[emit] / 2.0
     half_h = (np.exp(np.minimum(p[3], _LOGIT_CAP)) * s)[emit] / 2.0
-    boxes = np.stack([
+    return np.stack([
         np.minimum(np.maximum(cx - half_w, 0.0), spec.image_w),
         np.minimum(np.maximum(cy - half_h, 0.0), spec.image_h),
         np.minimum(np.maximum(cx + half_w, 0.0), spec.image_w),
         np.minimum(np.maximum(cy + half_h, 0.0), spec.image_h),
+        score[emit],
+        cls.argmax(axis=0)[emit],
     ], axis=1)
-    return [Detection(BBox(*box), sc, k) for box, sc, k in
-            zip(boxes.tolist(), score[emit].tolist(), cls.argmax(axis=0)[emit].tolist())]
 
 
-def encode_box(bbox: BBox, spec: GridDecodeSpec) -> tuple[int, int, float, float, float, float]:
-    """Inverse of the decode transform: the cell (row, col) owning the box
-    center plus the logits (tx, ty, tw, th) that decode back to the box."""
-    cx, cy = bbox.center
-    if not (0 <= cx <= spec.image_w and 0 <= cy <= spec.image_h):
-        raise ConfigError("box center outside the image")
-    if bbox.width <= 0 or bbox.height <= 0:
-        raise ConfigError("cannot encode a degenerate box")
-    col = min(int(cx / spec.stride), spec.grid_w - 1)
-    row = min(int(cy / spec.stride), spec.grid_h - 1)
-    fx = min(max(cx / spec.stride - col, 1e-9), 1.0 - 1e-9)
-    fy = min(max(cy / spec.stride - row, 1e-9), 1.0 - 1e-9)
-    tx = math.log(fx / (1.0 - fx))
-    ty = math.log(fy / (1.0 - fy))
-    tw = math.log(bbox.width / spec.stride)
-    th = math.log(bbox.height / spec.stride)
-    return row, col, tx, ty, tw, th
-
-
-def nms(dets: list[Detection], iou_threshold: float = 0.45) -> list[Detection]:
-    """Greedy class-aware suppression: repeatedly keep the best remaining
-    detection and drop same-class detections overlapping it beyond the
-    threshold. Ordering (and tie-breaks) are part of the contract: output is
-    sorted by descending score, then ascending class id, then input order."""
+def nms(dets: np.ndarray, iou_threshold: float = 0.45) -> np.ndarray:
+    """Greedy class-aware suppression of (n, 6) detections: repeatedly keep
+    the best remaining detection and drop same-class detections overlapping it
+    beyond the threshold. Ordering (and tie-breaks) are part of the contract:
+    output is sorted by descending score, then ascending class id, then input
+    order."""
     # lexsort is stable, so input order breaks (score, class) ties
-    order = np.lexsort(([d.class_id for d in dets], [-d.score for d in dets]))
-    ranked = [dets[i] for i in order.tolist()]
-    classes = np.array([d.class_id for d in ranked])
-    boxes = corners([d.bbox for d in ranked])
-    over = pairwise_iou(boxes, boxes) > iou_threshold
+    ranked = dets[np.lexsort((dets[:, 5], -dets[:, 4]))]
+    classes = ranked[:, 5]
+    over = pairwise_iou(ranked[:, :4], ranked[:, :4]) > iou_threshold
     over &= classes[:, None] == classes[None, :]
     suppressed = np.zeros(len(ranked), dtype=bool)
-    keep: list[Detection] = []
-    for pos, d in enumerate(ranked):
+    keep = []
+    for pos in range(len(ranked)):
         if suppressed[pos]:
             continue
-        keep.append(d)
+        keep.append(pos)
         suppressed[pos + 1:] |= over[pos, pos + 1:]
-    return keep
+    return ranked[keep]
 
 
 def letterbox(image: Tensor, target_h: int, target_w: int):
@@ -162,17 +133,17 @@ def letterbox(image: Tensor, target_h: int, target_w: int):
     return Tensor(out), scale, (pad_left, pad_top)
 
 
-def box_to_letterboxed(bbox: BBox, scale: float, pads: tuple[int, int]) -> BBox:
+def boxes_to_source(boxes: np.ndarray, scale: float, pads: tuple[int, int],
+                    width: int, height: int) -> list[tuple]:
+    """Corner rows (n, 4) of the letterboxed frame mapped back to the source
+    image, the inverse of ``letterbox``'s (x * scale + pad_x, y * scale + pad_y),
+    and clamped to [0, width] x [0, height]. Each row is a tuple of Python
+    numbers: a corner past the right or bottom edge becomes the int width or
+    height itself."""
     px, py = pads
-    return BBox(bbox.x1 * scale + px, bbox.y1 * scale + py, bbox.x2 * scale + px, bbox.y2 * scale + py)
-
-
-def box_from_letterboxed(bbox: BBox, scale: float, pads: tuple[int, int]) -> BBox:
-    px, py = pads
-    return BBox(
-        (bbox.x1 - px) / scale, (bbox.y1 - py) / scale,
-        (bbox.x2 - px) / scale, (bbox.y2 - py) / scale,
-    )
+    return [(min(max((x1 - px) / scale, 0.0), width), min(max((y1 - py) / scale, 0.0), height),
+             min(max((x2 - px) / scale, 0.0), width), min(max((y2 - py) / scale, 0.0), height))
+            for x1, y1, x2, y2 in boxes.tolist()]
 
 
 # One row as json.dumps(rows, indent=2, sort_keys=True) lays it out.
@@ -202,11 +173,43 @@ def detections_to_json(dets: list[tuple]) -> str:
     return "[\n" + ",\n".join([_JSON_ROW] * len(dets)) % tuple(values) + "\n]"
 
 
+@dataclass(frozen=True)
+class BBox:
+    """Finite corners (x1, y1), (x2, y2) with x1 <= x2 and y1 <= y2."""
+
+    x1: float
+    y1: float
+    x2: float
+    y2: float
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.x1, self.y1, self.x2, self.y2))):
+            raise ConfigError(f"non-finite corner: {self}")
+        if not (self.x1 <= self.x2 and self.y1 <= self.y2):
+            raise ConfigError(f"degenerate corner order: {self}")
+
+
+@dataclass(frozen=True)
+class Detection:
+    """One row of a detections file: a box, a score in [0, 1] and a class id
+    >= 0."""
+
+    bbox: BBox
+    score: float
+    class_id: int
+
+    def __post_init__(self):
+        if not 0.0 <= self.score <= 1.0:
+            raise ConfigError(f"score {self.score} outside [0, 1]")
+        if self.class_id < 0:
+            raise ConfigError("class id must be >= 0")
+
+
 def detections_from_json(text: str) -> list[Detection]:
     """Parse the output of :func:`detections_to_json`. Text that is not a
-    list of {"bbox": [x1, y1, x2, y2], "score": s, "class": k} rows, with an
-    integer class and a score that is not a bool, raises ``ConfigError``
-    naming the first bad row."""
+    list of {"bbox": [x1, y1, x2, y2], "score": s, "class": k} rows, with
+    finite, ordered corners, an integer class and a score in [0, 1] that is
+    not a bool, raises ``ConfigError`` naming the first bad row."""
     try:
         rows = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -56,6 +56,11 @@ class TrainConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.epochs < 0 or self.batch_size < 1 or self.dataset_count < 1:
             raise ConfigError("epochs must be >= 0, batch size and dataset count >= 1")
+        for key in ("lr_max", "lr_min", "weight_decay", "box_weight", "obj_weight", "cls_weight"):
+            value = getattr(self, key)
+            # also false for NaN
+            if not 0.0 <= value < math.inf:
+                raise ConfigError(f"{key} must be finite and >= 0, got {value}")
         if not 0.0 <= self.freeze_fraction <= 1.0:
             raise ConfigError("freeze fraction must be in [0, 1]")
         if self.dtype not in ("float64", "float32"):

@@ -6,13 +6,131 @@ production code paths: explicit loops, exhaustive scans, no shared helpers.
 
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from detkit import losses, ops
-from detkit.losses import BBox, iou
-from detkit.postprocess import _LOGIT_CAP, Detection
+from detkit.postprocess import _LOGIT_CAP
 from detkit.tensor import ConfigError, Tensor
+
+# ---------------------------------------------------------------------------
+# The scalar box API: one box, one detection, one pair at a time, as detkit
+# wrote it before its boxes became float64 rows. Detections are (n, 6) rows
+# [x1, y1, x2, y2, score, class] and targets (t, 5) rows [x1, y1, x2, y2,
+# class]; the converters below move between the two forms.
+
+
+@dataclass(frozen=True)
+class BBox:
+    """Axis-aligned box in image pixel coordinates, corners (x1, y1), (x2, y2)."""
+
+    x1: float
+    y1: float
+    x2: float
+    y2: float
+
+    def __post_init__(self):
+        if not (self.x1 <= self.x2 and self.y1 <= self.y2):
+            raise ConfigError(f"degenerate corner order: {self}")
+
+    @property
+    def width(self) -> float:
+        return self.x2 - self.x1
+
+    @property
+    def height(self) -> float:
+        return self.y2 - self.y1
+
+    @property
+    def area(self) -> float:
+        return self.width * self.height
+
+    @property
+    def center(self) -> tuple[float, float]:
+        return ((self.x1 + self.x2) / 2.0, (self.y1 + self.y2) / 2.0)
+
+    def as_array(self) -> np.ndarray:
+        return np.array([self.x1, self.y1, self.x2, self.y2], dtype=np.float64)
+
+
+@dataclass(frozen=True)
+class Detection:
+    bbox: BBox
+    score: float
+    class_id: int
+
+
+def iou(a, b):
+    """Intersection area over union area, in [0, 1]. Two boxes with zero
+    union (both degenerate) give 0 by convention."""
+    iw = min(a.x2, b.x2) - max(a.x1, b.x1)
+    ih = min(a.y2, b.y2) - max(a.y1, b.y1)
+    inter = max(iw, 0.0) * max(ih, 0.0)
+    union = a.area + b.area - inter
+    if union <= 0.0:
+        return 0.0
+    return inter / union
+
+
+def corners(boxes):
+    """(len(boxes), 4) float64 array of [x1, y1, x2, y2] rows."""
+    return np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=np.float64).reshape(-1, 4)
+
+
+def detection_rows(dets):
+    """(n, 6) float64 rows [x1, y1, x2, y2, score, class] of Detections."""
+    return np.array([(d.bbox.x1, d.bbox.y1, d.bbox.x2, d.bbox.y2, d.score, d.class_id)
+                     for d in dets], dtype=np.float64).reshape(-1, 6)
+
+
+def target_rows(targets):
+    """(t, 5) float64 rows [x1, y1, x2, y2, class] of (BBox, class) pairs."""
+    return np.array([(b.x1, b.y1, b.x2, b.y2, k) for b, k in targets],
+                    dtype=np.float64).reshape(-1, 5)
+
+
+def target_pairs(rows):
+    """The (BBox, int class) pairs of (t, 5) target rows."""
+    return [(BBox(*row[:4]), int(row[4]))
+            for row in np.asarray(rows, dtype=np.float64).reshape(-1, 5).tolist()]
+
+
+def cell_to_box(tx, ty, tw, th, row, col, stride):
+    """Raw cell logits to a box: center ((col + sigmoid(tx)) s, (row + sigmoid(ty)) s),
+    size (e^tw s, e^th s)."""
+    sx = 1.0 / (1.0 + math.exp(-tx)) if tx >= 0 else math.exp(tx) / (1.0 + math.exp(tx))
+    sy = 1.0 / (1.0 + math.exp(-ty)) if ty >= 0 else math.exp(ty) / (1.0 + math.exp(ty))
+    cx = (col + sx) * stride
+    cy = (row + sy) * stride
+    w = math.exp(tw) * stride
+    h = math.exp(th) * stride
+    return BBox(cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
+
+
+def encode_box(bbox, spec):
+    """Inverse of the decode transform: the cell (row, col) owning the box
+    center plus the logits (tx, ty, tw, th) that decode back to the box."""
+    cx, cy = bbox.center
+    if not (0 <= cx <= spec.image_w and 0 <= cy <= spec.image_h):
+        raise ConfigError("box center outside the image")
+    if bbox.width <= 0 or bbox.height <= 0:
+        raise ConfigError("cannot encode a degenerate box")
+    col = min(int(cx / spec.stride), spec.grid_w - 1)
+    row = min(int(cy / spec.stride), spec.grid_h - 1)
+    fx = min(max(cx / spec.stride - col, 1e-9), 1.0 - 1e-9)
+    fy = min(max(cy / spec.stride - row, 1e-9), 1.0 - 1e-9)
+    tx = math.log(fx / (1.0 - fx))
+    ty = math.log(fy / (1.0 - fy))
+    tw = math.log(bbox.width / spec.stride)
+    th = math.log(bbox.height / spec.stride)
+    return row, col, tx, ty, tw, th
+
+
+def box_to_letterboxed(bbox, scale, pads):
+    """A source-image box in the letterboxed frame: (x * scale + pad_x, y * scale + pad_y)."""
+    px, py = pads
+    return BBox(bbox.x1 * scale + px, bbox.y1 * scale + py, bbox.x2 * scale + px, bbox.y2 * scale + py)
 
 
 def naive_conv2d(x, w, b, stride, padding):
@@ -494,7 +612,9 @@ def assign_cells(targets, stride, gh, gw):
 def per_image_detection_loss_and_grad(predictions, targets, variant="wiou", stride=8.0,
                                       box_weight=5.0, obj_weight=1.0, cls_weight=1.0):
     """The composite loss of one (1, 5 + K, gh, gw) grid and its gradient,
-    one target at a time: (LossBreakdown, (1, 5 + K, gh, gw) ndarray)."""
+    one target at a time: (LossBreakdown, (1, 5 + K, gh, gw) ndarray). The
+    image's (t, 5) target rows are read as (BBox, class) pairs."""
+    targets = target_pairs(targets)
     num_classes, gh, gw = check_detection_args(predictions, targets, stride, variant)
     p = predictions.data[0]
     assigned = assign_cells(targets, stride, gh, gw)
@@ -506,7 +626,7 @@ def per_image_detection_loss_and_grad(predictions, targets, variant="wiou", stri
     cls_total = 0.0
     for row, col, bbox, cls in assigned:
         obj_target[row, col] = 1.0
-        pred_box = losses.cell_to_box(p[0, row, col], p[1, row, col], p[2, row, col], p[3, row, col],
+        pred_box = cell_to_box(p[0, row, col], p[1, row, col], p[2, row, col], p[3, row, col],
                                       row, col, stride)
         box_value, d_corners = scalar_box_loss_and_grad(variant, pred_box, bbox)
         box_total += box_value
@@ -553,8 +673,10 @@ def separate_detection_loss_grad(predictions, targets, variant="wiou", stride=8.
                                  box_weight=5.0, obj_weight=1.0, cls_weight=1.0):
     """Gradient of the loss of one (1, 5 + K, gh, gw) grid computed on its
     own, apart from the loss value: its own argument check, cell assignment
-    and box evaluation. What it checks is that computing the loss and the
-    gradient in one pass changes no bit of the separate gradient."""
+    and box evaluation, on the image's (t, 5) target rows read as (BBox,
+    class) pairs. What it checks is that computing the loss and the gradient
+    in one pass changes no bit of the separate gradient."""
+    targets = target_pairs(targets)
     num_classes, gh, gw = check_detection_args(predictions, targets, stride, variant)
     p = predictions.data[0]
     assigned = assign_cells(targets, stride, gh, gw)
@@ -565,7 +687,7 @@ def separate_detection_loss_grad(predictions, targets, variant="wiou", stride=8.
     for row, col, bbox, cls in assigned:
         obj_target[row, col] = 1.0
         tx, ty, tw, th = (p[i, row, col] for i in range(4))
-        pred_box = losses.cell_to_box(tx, ty, tw, th, row, col, stride)
+        pred_box = cell_to_box(tx, ty, tw, th, row, col, stride)
         d_corners = _box_loss_grad(variant, pred_box, bbox) * (box_weight / n_t)
         dcx, dcy = d_corners[0] + d_corners[2], d_corners[1] + d_corners[3]
         dw, dh = (d_corners[2] - d_corners[0]) / 2.0, (d_corners[3] - d_corners[1]) / 2.0

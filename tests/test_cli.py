@@ -244,6 +244,36 @@ class TestHostileConfigValues:
         assert cli.main(argv) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == f"error: {key} must be in [0, 1], got {float(value)}\n"
 
+    @pytest.mark.parametrize("command", ["train", "eval", "detect"])
+    @pytest.mark.parametrize("key", ["lr_max", "lr_min", "weight_decay",
+                                     "box_weight", "obj_weight", "cls_weight"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "-1e-300"])
+    def test_a_rate_or_loss_weight_that_is_not_finite_and_non_negative_is_a_config_error(
+            self, tmp_path, capsys, command, key, value):
+        """A NaN learning rate would train to NaN weights, a negative one would
+        ascend the loss and an infinite loss weight would diverge: each exits 2
+        naming the key, before anything is trained or read."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL_CFG.replace("lr_max = 0.004\n", "") + f"{key} = {value}\n",
+                       encoding="utf-8")
+        out = tmp_path / "o"
+        argv = {"train": ["train", "--config", str(cfg), "--out-dir", str(out)],
+                "eval": ["eval", "--config", str(cfg), "--weights", str(tmp_path / "w.dkw"),
+                         "--out-dir", str(out)],
+                "detect": ["detect", "--config", str(cfg), "--weights", str(tmp_path / "w.dkw"),
+                           "--image", str(tmp_path / "i.pgm"), "--out", str(out / "d.json")],
+                }[command]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {key} must be finite and >= 0, got {float(value)}\n"
+        assert not out.exists()
+
+    def test_zero_rates_and_loss_weights_load(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        keys = ("lr_max", "lr_min", "weight_decay", "box_weight", "obj_weight", "cls_weight")
+        cfg.write_text("".join(f"{k} = 0\n" for k in keys), encoding="utf-8")
+        train_cfg, _ = cli._load_run_config(cfg)
+        assert [getattr(train_cfg, k) for k in keys] == [0.0] * len(keys)
+
     def test_thresholds_at_the_ends_of_the_unit_interval_load(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("score_threshold = 0\nnms_iou = 1\neval_iou = 1.0\n", encoding="utf-8")

@@ -13,7 +13,7 @@ class TestDeterminism:
         b = synth_dataset(7, 10, 64, 3)
         for (img_a, t_a), (img_b, t_b) in zip(a, b):
             assert img_a.data.tobytes() == img_b.data.tobytes()
-            assert t_a == t_b
+            assert np.array_equal(t_a, t_b)
 
     def test_different_seeds_differ(self):
         a = synth_dataset(1, 4, 64, 3)
@@ -24,12 +24,13 @@ class TestDeterminism:
 class TestAnnotations:
     def test_boxes_inside_bounds_with_positive_area(self):
         for img, targets in synth_dataset(11, 30, 64, 3):
+            assert targets.dtype == np.float64 and targets.shape[1:] == (5,)
             assert 1 <= len(targets) <= 4
-            for box, cls in targets:
-                assert 0 <= cls < 3
-                assert box.area > 0
-                assert 0.0 <= box.x1 < box.x2 <= 64.0
-                assert 0.0 <= box.y1 < box.y2 <= 64.0
+            for x1, y1, x2, y2, cls in targets.tolist():
+                assert cls in (0, 1, 2)
+                assert (x2 - x1) * (y2 - y1) > 0
+                assert 0.0 <= x1 < x2 <= 64.0
+                assert 0.0 <= y1 < y2 <= 64.0
 
     def test_mask_tight_boxes_within_one_pixel(self):
         """Rasterize-and-scan oracle: threshold the (bright shape on dim
@@ -37,18 +38,17 @@ class TestAnnotations:
         pixel-tight box against the annotation."""
         for img, targets in synth_dataset(13, 20, 64, 3):
             plane = img.data[0, 0]
-            for box, cls in targets:
-                x1 = max(int(np.floor(box.x1)) - 1, 0)
-                y1 = max(int(np.floor(box.y1)) - 1, 0)
-                x2 = min(int(np.ceil(box.x2)) + 1, 64)
-                y2 = min(int(np.ceil(box.y2)) + 1, 64)
+            for box in targets[:, :4]:
+                x1 = max(int(np.floor(box[0])) - 1, 0)
+                y1 = max(int(np.floor(box[1])) - 1, 0)
+                x2 = min(int(np.ceil(box[2])) + 1, 64)
+                y2 = min(int(np.ceil(box[3])) + 1, 64)
                 crop = plane[y1:y2, x1:x2]
                 ys, xs = np.nonzero(crop > 0.55)
                 assert len(ys) > 0, "annotation region contains no shape pixels"
                 # pixel (i, j) covers [j, j+1) x [i, i+1)
                 tight = (x1 + xs.min(), y1 + ys.min(), x1 + xs.max() + 1, y1 + ys.max() + 1)
-                for got, want in zip(tight, (box.x1, box.y1, box.x2, box.y2)):
-                    assert abs(got - want) <= 1.0
+                assert np.all(np.abs(np.array(tight) - box) <= 1.0)
 
     def test_images_normalized(self):
         for img, _ in synth_dataset(17, 5, 64, 3):
@@ -80,4 +80,4 @@ class TestRasterize:
         for (seed, size, k), samples in zip(sizes, want):
             for (img, targets), (ref_img, ref_targets) in zip(samples, synth_dataset(seed, 12, size, k)):
                 assert img.data.tobytes() == ref_img.data.tobytes()
-                assert targets == ref_targets
+                assert np.array_equal(targets, ref_targets)

@@ -1,4 +1,8 @@
-"""Box geometry and loss-ladder tests: hand values, oracles, invariants."""
+"""Box geometry and loss-ladder tests: hand values, oracles, invariants.
+
+The box losses are evaluated through ``_box_rows`` on one (pred, gt) row; the
+scalar boxes and IoU of tests/oracles.py build the rows and check the values.
+"""
 
 import math
 
@@ -7,26 +11,43 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import per_image_detection_loss_and_grad, separate_detection_loss_grad
+from oracles import (
+    BBox,
+    cell_to_box,
+    corners,
+    encode_box,
+    iou,
+    per_image_detection_loss_and_grad,
+    separate_detection_loss_grad,
+)
 
 from detkit import losses
-from detkit.losses import (
-    BBox,
-    ciou_loss,
-    ciou_loss_grad,
-    corners,
-    detection_loss,
-    detection_loss_and_grad,
-    iou,
-    pairwise_iou,
-    wiou_loss,
-    wiou_loss_grad,
-)
+from detkit.losses import detection_loss, detection_loss_and_grad, pairwise_iou
 from detkit.tensor import ConfigError, Tensor
 
 UNIT = BBox(0.0, 0.0, 1.0, 1.0)
 UNIT_SHIFTED = BBox(0.5, 0.0, 1.5, 1.0)
 DYADIC = st.integers(-2**15, 2**15)
+
+
+def box_loss(variant, pred, gt):
+    """The variant's loss of pred against gt and its corner gradient: the one
+    row of a _box_rows call."""
+    loss, grad = losses._box_rows(variant, corners([pred]), corners([gt]))
+    return float(loss[0]), grad[0]
+
+
+def ciou(pred, gt):
+    return box_loss("ciou", pred, gt)[0]
+
+
+def wiou(pred, gt):
+    return box_loss("wiou", pred, gt)[0]
+
+
+def iou_rows(a, b):
+    """pairwise_iou of the two boxes."""
+    return float(pairwise_iou(corners([a]), corners([b]))[0, 0])
 
 
 def _check_iou_pair(data, shift) -> bool:
@@ -41,9 +62,9 @@ def _check_iou_pair(data, shift) -> bool:
     dx, dy = shift
     a2 = BBox(a.x1 + dx, a.y1 + dy, a.x2 + dx, a.y2 + dy)
     b2 = BBox(b.x1 + dx, b.y1 + dy, b.x2 + dx, b.y2 + dy)
-    v, v2 = iou(a, b), iou(a2, b2)
-    assert 0.0 <= v <= 1.0 and iou(b, a) == v
-    assert 0.0 <= v2 <= 1.0 and iou(b2, a2) == v2
+    v, v2 = iou_rows(a, b), iou_rows(a2, b2)
+    assert 0.0 <= v <= 1.0 and iou_rows(b, a) == v
+    assert 0.0 <= v2 <= 1.0 and iou_rows(b2, a2) == v2
     exact = all(math.fsum((c + d, -c, -d)) == 0.0
                 for box in (a, b)
                 for c, d in ((box.x1, dx), (box.y1, dy), (box.x2, dx), (box.y2, dy)))
@@ -54,18 +75,18 @@ def _check_iou_pair(data, shift) -> bool:
 
 class TestIoU:
     def test_identical_boxes(self):
-        assert iou(UNIT, UNIT) == 1.0
+        assert iou_rows(UNIT, UNIT) == 1.0
 
     def test_disjoint_boxes(self):
-        assert iou(UNIT, BBox(5.0, 5.0, 6.0, 6.0)) == 0.0
+        assert iou_rows(UNIT, BBox(5.0, 5.0, 6.0, 6.0)) == 0.0
 
     def test_half_overlapping_unit_squares(self):
         # intersection 0.5, union 1.5
-        assert iou(UNIT, UNIT_SHIFTED) == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert iou_rows(UNIT, UNIT_SHIFTED) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_degenerate_pair_is_zero(self):
         point = BBox(1.0, 1.0, 1.0, 1.0)
-        assert iou(point, point) == 0.0
+        assert iou_rows(point, point) == 0.0
 
     @given(
         data=st.tuples(*[st.floats(-20, 20) for _ in range(8)]),
@@ -109,10 +130,10 @@ class TestIoU:
     def test_scale_invariance(self, scale):
         a = BBox(1.0, 2.0, 4.0, 6.0)
         b = BBox(2.0, 3.0, 5.0, 4.5)
-        v = iou(a, b)
+        v = iou_rows(a, b)
         a2 = BBox(a.x1 * scale, a.y1 * scale, a.x2 * scale, a.y2 * scale)
         b2 = BBox(b.x1 * scale, b.y1 * scale, b.x2 * scale, b.y2 * scale)
-        assert iou(a2, b2) == pytest.approx(v, rel=1e-9)
+        assert iou_rows(a2, b2) == pytest.approx(v, rel=1e-9)
 
 
 def mp_ciou(pred, gt):
@@ -139,12 +160,12 @@ def mp_ciou(pred, gt):
 class TestCIoU:
     def test_zero_at_exact_match(self):
         b = BBox(2.0, 3.0, 7.0, 11.0)
-        assert ciou_loss(b, b) == pytest.approx(0.0, abs=1e-9)
+        assert ciou(b, b) == pytest.approx(0.0, abs=1e-9)
 
     def test_concentric_same_aspect_equals_iou_complement(self):
         gt = BBox(-2.0, -1.0, 2.0, 1.0)
         pred = BBox(-4.0, -2.0, 4.0, 2.0)  # same center, same 2:1 aspect
-        assert ciou_loss(pred, gt) == pytest.approx(1.0 - iou(pred, gt), abs=1e-9)
+        assert ciou(pred, gt) == pytest.approx(1.0 - iou(pred, gt), abs=1e-9)
 
     def test_matches_high_precision_oracle(self):
         rng = np.random.default_rng(21)
@@ -156,7 +177,7 @@ class TestCIoU:
                 continue
             pred = BBox(px[0], py[0], px[1], py[1])
             gt = BBox(gx[0], gy[0], gx[1], gy[1])
-            assert ciou_loss(pred, gt) == pytest.approx(mp_ciou(pred, gt), abs=1e-12)
+            assert ciou(pred, gt) == pytest.approx(mp_ciou(pred, gt), abs=1e-12)
 
     def test_at_least_iou_complement(self):
         rng = np.random.default_rng(22)
@@ -168,23 +189,19 @@ class TestCIoU:
                 continue
             pred = BBox(px[0], py[0], px[1], py[1])
             gt = BBox(gx[0], gy[0], gx[1], gy[1])
-            assert ciou_loss(pred, gt) >= (1.0 - iou(pred, gt)) - 1e-12
+            assert ciou(pred, gt) >= (1.0 - iou(pred, gt)) - 1e-12
 
     def test_degenerate_pred_finite(self):
         pred = BBox(1.0, 1.0, 1.0, 1.0)
         gt = BBox(0.0, 0.0, 2.0, 2.0)
-        val = ciou_loss(pred, gt)
+        val = ciou(pred, gt)
         assert math.isfinite(val) and val >= 0.0
-
-    def test_degenerate_gt_rejected(self):
-        with pytest.raises(ConfigError):
-            ciou_loss(UNIT, BBox(1.0, 1.0, 1.0, 1.0))
 
     def test_translation_invariance(self):
         pred = BBox(0.0, 0.0, 2.0, 3.0)
         gt = BBox(1.0, 1.0, 2.5, 4.0)
-        base = ciou_loss(pred, gt)
-        moved = ciou_loss(
+        base = ciou(pred, gt)
+        moved = ciou(
             BBox(pred.x1 + 11.5, pred.y1 - 3.25, pred.x2 + 11.5, pred.y2 - 3.25),
             BBox(gt.x1 + 11.5, gt.y1 - 3.25, gt.x2 + 11.5, gt.y2 - 3.25),
         )
@@ -194,17 +211,17 @@ class TestCIoU:
 class TestWIoU:
     def test_zero_at_exact_match(self):
         b = BBox(1.0, 2.0, 4.0, 9.0)
-        assert wiou_loss(b, b) == pytest.approx(0.0, abs=1e-12)
+        assert wiou(b, b) == pytest.approx(0.0, abs=1e-12)
 
     def test_coincident_centers_reduce_to_iou_complement(self):
         gt = BBox(-1.0, -1.0, 1.0, 1.0)
         pred = BBox(-3.0, -0.5, 3.0, 0.5)  # same center, different size/aspect
-        assert wiou_loss(pred, gt) == pytest.approx(1.0 - iou(pred, gt), abs=1e-15)
+        assert wiou(pred, gt) == pytest.approx(1.0 - iou(pred, gt), abs=1e-15)
 
     def test_unit_square_offset_hand_value(self):
         # enclosing box 1.5 x 1, D = 3.25, centers 0.5 apart, IoU = 1/3
         want = math.exp(0.25 / (3.25 + 1e-9)) * (2.0 / 3.0)
-        assert wiou_loss(UNIT_SHIFTED, UNIT) == pytest.approx(want, abs=1e-9)
+        assert wiou(UNIT_SHIFTED, UNIT) == pytest.approx(want, abs=1e-9)
 
     def test_at_least_iou_complement(self):
         rng = np.random.default_rng(23)
@@ -216,13 +233,13 @@ class TestWIoU:
                 continue
             pred = BBox(px[0], py[0], px[1], py[1])
             gt = BBox(gx[0], gy[0], gx[1], gy[1])
-            assert wiou_loss(pred, gt) >= (1.0 - iou(pred, gt)) - 1e-12
+            assert wiou(pred, gt) >= (1.0 - iou(pred, gt)) - 1e-12
 
     def test_translation_invariance(self):
         pred = BBox(0.0, 0.0, 2.0, 3.0)
         gt = BBox(1.0, 1.0, 2.5, 4.0)
-        base = wiou_loss(pred, gt)
-        moved = wiou_loss(
+        base = wiou(pred, gt)
+        moved = wiou(
             BBox(pred.x1 - 7.0, pred.y1 + 2.5, pred.x2 - 7.0, pred.y2 + 2.5),
             BBox(gt.x1 - 7.0, gt.y1 + 2.5, gt.x2 - 7.0, gt.y2 + 2.5),
         )
@@ -234,7 +251,7 @@ class TestWIoU:
         gradient must match the D-frozen derivative, not the full one."""
         pred = BBox(0.0, 0.0, 4.0, 4.0)  # strictly contains gt: encl box = pred
         gt = BBox(1.0, 1.5, 2.0, 2.5)
-        got = wiou_loss_grad(pred, gt)
+        got = box_loss("wiou", pred, gt)[1]
 
         h = 1e-7
         full = np.zeros(4)
@@ -244,7 +261,7 @@ class TestWIoU:
         for i in range(4):
             pp = p0.copy(); pp[i] += h
             pm = p0.copy(); pm[i] -= h
-            full[i] = (wiou_loss(BBox(*pp), gt) - wiou_loss(BBox(*pm), gt)) / (2 * h)
+            full[i] = (wiou(BBox(*pp), gt) - wiou(BBox(*pm), gt)) / (2 * h)
 
             def frozen_val(q):
                 b = BBox(*q)
@@ -271,12 +288,12 @@ class TestLossGradients:
                 continue
             pred = BBox(px[0], py[0], px[1], py[1])
             gt = BBox(gx[0], gy[0], gx[1], gy[1])
-            got = ciou_loss_grad(pred, gt)
+            got = box_loss("ciou", pred, gt)[1]
             p0 = pred.as_array()
             for i in range(4):
                 pp = p0.copy(); pp[i] += h
                 pm = p0.copy(); pm[i] -= h
-                num = (ciou_loss(BBox(*pp), gt) - ciou_loss(BBox(*pm), gt)) / (2 * h)
+                num = (ciou(BBox(*pp), gt) - ciou(BBox(*pm), gt)) / (2 * h)
                 denom = max(abs(got[i]), abs(num), 1e-4)
                 assert abs(got[i] - num) / denom < 1e-4
 
@@ -294,7 +311,7 @@ class TestDetectionLoss:
         assert br.total == pytest.approx(br.objectness_loss, abs=1e-12)
 
     def test_saturated_perfect_predictions_drive_total_to_zero(self):
-        from detkit.postprocess import GridDecodeSpec, encode_box
+        from detkit.postprocess import GridDecodeSpec
 
         spec = GridDecodeSpec(3, 3, 8.0, 1)
         target = BBox(6.0, 6.0, 16.0, 18.0)
@@ -307,7 +324,7 @@ class TestDetectionLoss:
         head[0, 3, row, col] = th
         head[0, 4, row, col] = 40.0  # confident "object" at the target cell
         head[0, 5, row, col] = 40.0  # confident class
-        br, = detection_loss(Tensor(head), [[(target, 0)]], "wiou", stride=8.0)
+        br, = detection_loss(Tensor(head), [np.array([[6.0, 6.0, 16.0, 18.0, 0]])], "wiou", stride=8.0)
         assert br.total < 1e-9
 
     def test_two_cell_hand_computed_case(self):
@@ -316,11 +333,11 @@ class TestDetectionLoss:
         k = 1
         head = np.zeros((1, 6, 1, 2))
         target = BBox(2.0, 2.0, 6.0, 6.0)  # center (4, 4) -> cell (0, 0)
-        br, = detection_loss(Tensor(head), [[(target, 0)]], "wiou",
+        br, = detection_loss(Tensor(head), [np.array([[2.0, 2.0, 6.0, 6.0, 0]])], "wiou",
                             stride=8.0, box_weight=1.0, obj_weight=1.0, cls_weight=1.0)
         # pred box from zero logits: center (4, 4), size 8x8 -> (0, 0, 8, 8)
         pred = BBox(0.0, 0.0, 8.0, 8.0)
-        want_box = wiou_loss(pred, target)
+        want_box = wiou(pred, target)
         inter = 16.0
         union = 64.0 + 16.0 - inter
         assert iou(pred, target) == pytest.approx(inter / union)
@@ -336,23 +353,37 @@ class TestDetectionLoss:
     def test_total_is_weighted_sum(self):
         rng = np.random.default_rng(25)
         head = Tensor(rng.standard_normal((1, 8, 3, 3)))
-        targets = [(BBox(4.0, 4.0, 14.0, 12.0), 1)]
+        targets = np.array([[4.0, 4.0, 14.0, 12.0, 1]])
         br, = detection_loss(head, [targets], "ciou", stride=8.0,
                             box_weight=5.0, obj_weight=2.0, cls_weight=3.0)
         assert br.total == pytest.approx(
             5.0 * br.box_loss + 2.0 * br.objectness_loss + 3.0 * br.class_loss, rel=1e-12)
 
-    def test_target_outside_image_rejected(self):
-        head = self._head()
-        with pytest.raises(ConfigError):
-            detection_loss(head, [[(BBox(-1.0, 0.0, 5.0, 5.0), 0)]], "wiou", stride=8.0)
-        with pytest.raises(ConfigError):
-            detection_loss(head, [[(BBox(0.0, 0.0, 25.0, 5.0), 0)]], "wiou", stride=8.0)
+    @pytest.mark.parametrize("row, match", [
+        ([-1.0, 0.0, 5.0, 5.0, 0], r"target \[-1\.0, 0\.0, 5\.0, 5\.0\] lies outside the 24\.0x24\.0 image"),
+        ([0.0, 0.0, 25.0, 5.0, 0], "lies outside"),
+        ([0.0, 0.0, 5.0, np.inf, 0], "lies outside"),
+        ([1.0, 1.0, 1.0, 1.0, 0], "positive area"),
+        ([2.0, 0.0, 1.0, 5.0, 0], "positive area"),
+        ([0.0, 0.0, 5.0, np.nan, 0], "positive area"),
+        ([0.0, 0.0, 1e-200, 1e-200, 0], "positive area"),
+        ([0.0, 0.0, 5.0, 5.0, 3], r"class id 3 is not an integer in \[0, 3\)"),
+        ([0.0, 0.0, 5.0, 5.0, -1], "class id -1 is not"),
+        ([0.0, 0.0, 5.0, 5.0, 1.5], "class id 1.5 is not"),
+        ([0.0, 0.0, 5.0, 5.0, np.nan], "class id nan is not"),
+    ], ids=["left", "right", "inf", "zero-area", "flipped", "nan-corner", "area-underflow",
+            "class-past-k", "negative-class", "fractional-class", "nan-class"])
+    def test_bad_target_rejected(self, row, match):
+        """The bad row is the second target of the second image."""
+        good = [2.0, 2.0, 6.0, 6.0, 0]
+        with pytest.raises(ConfigError, match=match):
+            detection_loss(Tensor.zeros((2, 8, 3, 3)), [[good], np.array([good, row])],
+                           "wiou", stride=8.0)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(26)
         head = rng.standard_normal((1, 7, 2, 2))
-        targets = [(BBox(2.0, 3.0, 9.0, 10.0), 1), (BBox(9.5, 9.5, 15.0, 15.5), 0)]
+        targets = np.array([[2.0, 3.0, 9.0, 10.0, 1], [9.5, 9.5, 15.0, 15.5, 0]])
         got = detection_loss_and_grad(Tensor(head), [targets], "ciou", stride=8.0)[1]
         h = 1e-6
         flat = head.reshape(-1)
@@ -373,11 +404,11 @@ class TestDetectionLossAndGrad:
     separately computed gradient bit for bit."""
 
     TARGET_SETS = {
-        "none": [],
-        "one": [(BBox(3.0, 2.5, 13.0, 11.0), 2)],
+        "none": np.empty((0, 5)),
+        "one": np.array([[3.0, 2.5, 13.0, 11.0, 2]]),
         # the first two share cell (1, 1), so their gradients accumulate
-        "shared-cell": [(BBox(9.0, 9.5, 14.0, 14.0), 0), (BBox(8.5, 8.0, 15.5, 15.0), 1),
-                        (BBox(16.0, 1.0, 23.5, 7.0), 2)],
+        "shared-cell": np.array([[9.0, 9.5, 14.0, 14.0, 0], [8.5, 8.0, 15.5, 15.0, 1],
+                                 [16.0, 1.0, 23.5, 7.0, 2]]),
     }
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -397,13 +428,13 @@ class TestDetectionLossAndGrad:
 
     def test_iou_value_when_union_is_below_eps(self):
         """Boxes of area ~1e-12: the gradient core gives IoU 0 once the union
-        is at most EPS, but the iou variant's value still comes from iou()."""
+        is at most EPS, but the iou variant's value is still the IoU's."""
         gt = BBox(4.0, 4.0, 4.0 + 1e-6, 4.0 + 1e-6)
         head = np.zeros((1, 6, 1, 1))
         head[0, 2:4] = math.log(2.5e-7)  # a 2e-6 square centred at (4, 4)
-        pred = losses.cell_to_box(0.0, 0.0, head[0, 2, 0, 0], head[0, 3, 0, 0], 0, 0, 8.0)
+        pred = cell_to_box(0.0, 0.0, head[0, 2, 0, 0], head[0, 3, 0, 0], 0, 0, 8.0)
         assert iou(pred, gt) == 0.25
-        (br,), _ = detection_loss_and_grad(Tensor(head), [[(gt, 0)]], "iou", 8.0)
+        (br,), _ = detection_loss_and_grad(Tensor(head), [[[gt.x1, gt.y1, gt.x2, gt.y2, 0]]], "iou", 8.0)
         assert br.box_loss == 0.75
 
 
@@ -422,13 +453,12 @@ class TestBatchedLossMatchesPerImageOracle:
     # 3x3 grid of stride 8: targets 0 and 1 of image 2 share cell (1, 1);
     # image 5's ten targets are more than numpy sums one at a time
     MIXED = [
+        np.empty((0, 5)),
+        np.array([[3.0, 2.5, 13.0, 11.0, 2]]),
+        np.array([[9.0, 9.5, 14.0, 14.0, 0], [8.5, 8.0, 15.5, 15.0, 1], [16.0, 1.0, 23.5, 7.0, 2]]),
         [],
-        [(BBox(3.0, 2.5, 13.0, 11.0), 2)],
-        [(BBox(9.0, 9.5, 14.0, 14.0), 0), (BBox(8.5, 8.0, 15.5, 15.0), 1),
-         (BBox(16.0, 1.0, 23.5, 7.0), 2)],
-        [],
-        [(BBox(0.5, 16.5, 7.5, 23.5), 1), (BBox(2.0, 2.0, 22.0, 22.0), 0)],
-        [(BBox(1.0 + 2.1 * k, 0.5 + 2.0 * k, 3.5 + 2.0 * k, 4.0 + 1.9 * k), k % 3) for k in range(10)],
+        np.array([[0.5, 16.5, 7.5, 23.5, 1], [2.0, 2.0, 22.0, 22.0, 0]]),
+        np.array([[1.0 + 2.1 * k, 0.5 + 2.0 * k, 3.5 + 2.0 * k, 4.0 + 1.9 * k, k % 3] for k in range(10)]),
     ]
 
     def _check(self, head, target_lists, variant):
@@ -513,3 +543,28 @@ class TestBoxRowsMatchScalarOracle:
             want_loss, want_grad = scalar_box_loss_and_grad(variant, pred, gt)
             assert _same_bits(loss[k], np.float64(want_loss))
             assert _same_bits(grad[k], want_grad)
+
+
+class TestCellBoxes:
+    """_cell_boxes, the cell-to-box transform of the loss, equals the
+    one-cell math.exp transform of cell_to_box to the bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rows_are_the_scalar_cells(self, dtype):
+        rng = np.random.default_rng(34)
+        t = rng.standard_normal((300, 4)) * 4.0
+        t[:10] = -0.0
+        t[10:20] = 0.0
+        t[20:60, :2] = rng.choice([-800.0, -40.0, 40.0, 800.0], size=(40, 2))
+        t[60:80, 2:] = rng.choice([-700.0, -60.0, 60.0, 700.0], size=(20, 2))
+        t = t.astype(dtype)
+        rows, cols = rng.integers(0, 8, size=(2, len(t)))
+        got = losses._cell_boxes(t, rows, cols, 8.0)
+        want = corners([cell_to_box(*v, r, c, 8.0)
+                        for v, r, c in zip(t.astype(np.float64).tolist(), rows.tolist(), cols.tolist())])
+        assert _same_bits(got, want)
+
+    def test_a_size_logit_past_exp_range_overflows(self):
+        """As math.exp does; training reports it as a non-finite loss."""
+        with pytest.raises(OverflowError):
+            losses._cell_boxes(np.array([[0.0, 0.0, 710.0, 0.0]]), np.array([0]), np.array([0]), 8.0)

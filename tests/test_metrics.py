@@ -3,20 +3,33 @@
 import numpy as np
 import pytest
 
-from oracles import random_detections, scalar_match_image
+from oracles import Detection, detection_rows, random_detections, scalar_match_image, target_rows
 
-from detkit.losses import BBox
-from detkit.metrics import EvalSummary, PRCurve, evaluate, match_image, pr_curve_csv
-from detkit.postprocess import Detection
+from detkit import metrics
+from detkit.metrics import EvalSummary, PRCurve, match_image, pr_curve_csv
 from detkit.tensor import ConfigError
 
 
 def det(x1, y1, x2, y2, score, cls=0):
-    return Detection(BBox(x1, y1, x2, y2), score, cls)
+    """A detection row [x1, y1, x2, y2, score, class]."""
+    return [x1, y1, x2, y2, score, cls]
 
 
 def gt(x1, y1, x2, y2, cls=0):
-    return (BBox(x1, y1, x2, y2), cls)
+    """A ground-truth row [x1, y1, x2, y2, class]."""
+    return [x1, y1, x2, y2, cls]
+
+
+def evaluate(dets, gts, **kwargs):
+    """metrics.evaluate on per-image lists of det and gt rows, as the
+    (n, 6) and (t, 5) arrays it reads."""
+    return metrics.evaluate([np.array(d, dtype=np.float64).reshape(-1, 6) for d in dets],
+                            [np.array(g, dtype=np.float64).reshape(-1, 5) for g in gts], **kwargs)
+
+
+def match(dets, gts, thr):
+    return match_image(np.array(dets, dtype=np.float64).reshape(-1, 6),
+                       np.array(gts, dtype=np.float64).reshape(-1, 5), thr)
 
 
 class TestEvaluate:
@@ -32,6 +45,8 @@ class TestEvaluate:
         assert summary.f1 == 1.0
         assert summary.ap == pytest.approx(1.0)
         assert all(v == pytest.approx(1.0) for v in per_class.values())
+        # summary.json writes str(k): a class id must stay an int, not 1.0
+        assert list(per_class) == [0, 1, 2] and all(type(k) is int for k in per_class)
 
     def test_zero_predictions_defines_precision_zero(self):
         gts = [[gt(0, 0, 10, 10)]]
@@ -87,7 +102,7 @@ class TestEvaluate:
                 if rng.random() < 0.8:
                     dx, dy = rng.uniform(-2, 2, size=2)
                     img_dets.append(det(x + dx, y + dy, x + dx + 10, y + dy + 10,
-                                        float(rng.uniform(0.3, 1.0)), img_gts[-1][1]))
+                                        float(rng.uniform(0.3, 1.0)), img_gts[-1][4]))
             gts.append(img_gts)
             dets.append(img_dets)
         base, base_curve, base_pc = evaluate(dets, gts)
@@ -114,8 +129,9 @@ class TestMatchImage:
             gts = [(d.bbox, d.class_id) for d in random_detections(rng, int(rng.integers(0, 6)), size=20.0)]
             # duplicate ground truths and detections that sit exactly on one
             gts += gts[:int(rng.integers(0, 3))]
-            dets += [det(g.x1, g.y1, g.x2, g.y2, 0.5, c) for g, c in gts[:int(rng.integers(0, 3))]]
-            assert match_image(dets, gts, thr) == scalar_match_image(dets, gts, thr)
+            dets += [Detection(g, 0.5, c) for g, c in gts[:int(rng.integers(0, 3))]]
+            got = match_image(detection_rows(dets), target_rows(gts), thr)
+            assert got == scalar_match_image(dets, gts, thr)
 
     def test_equal_iou_goes_to_the_first_ground_truth(self):
         """The first detection overlaps both ground truths at IoU 1/3 and
@@ -123,13 +139,13 @@ class TestMatchImage:
         overlaps only it."""
         gts = [gt(0, 0, 2, 2), gt(2, 0, 4, 2)]
         dets = [det(1, 0, 3, 2, 0.9), det(2, 0, 4, 2, 0.8)]
-        assert match_image(dets, gts, 0.3) == [True, True]
-        assert match_image(dets, gts[::-1], 0.3) == [True, False]
+        assert match(dets, gts, 0.3) == [True, True]
+        assert match(dets, gts[::-1], 0.3) == [True, False]
 
     def test_zero_area_pair_matches_only_at_threshold_zero(self):
         """A zero-union pair has IoU 0, which meets a threshold of 0."""
-        assert match_image([det(1, 1, 1, 1, 0.5)], [gt(1, 1, 1, 1)], 0.0) == [True]
-        assert match_image([det(1, 1, 1, 1, 0.5)], [gt(1, 1, 1, 1)], 0.1) == [False]
+        assert match([det(1, 1, 1, 1, 0.5)], [gt(1, 1, 1, 1)], 0.0) == [True]
+        assert match([det(1, 1, 1, 1, 0.5)], [gt(1, 1, 1, 1)], 0.1) == [False]
 
 
 class TestPRCurve:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from detkit import blocks, cli, model, ops
-from detkit.losses import BBox, detection_loss, detection_loss_and_grad
+from detkit.losses import detection_loss, detection_loss_and_grad
 from detkit.model import (
     ToyNetSpec,
     cost_layers,
@@ -54,7 +54,7 @@ class TestBackward:
         rng = np.random.default_rng(2)
         params = init_params(spec, rng)
         x = Tensor(rng.uniform(0, 1, size=(1, 1, 16, 16)))
-        targets = [(BBox(3.0, 3.0, 11.0, 12.0), 1)]
+        targets = np.array([[3.0, 3.0, 11.0, 12.0, 1]])
 
         def loss_of(p):
             head, _ = net_forward(p, spec, x)

@@ -1,5 +1,6 @@
-"""Decode round trips, decode and NMS against scalar and brute-force
-references, letterbox, and the detections JSON writer against json.dumps."""
+"""Decode round trips, decode and NMS on (n, 6) rows against scalar and
+brute-force references, letterbox and its inverse, the detections JSON writer
+against json.dumps, and what the benchmark harness reads."""
 
 import json
 
@@ -8,24 +9,27 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    BBox,
+    Detection,
+    box_to_letterboxed,
     brute_force_nms,
+    detection_rows,
+    encode_box,
+    iou,
     json_dumps_detections,
     random_detections,
     scalar_decode,
     scalar_nms,
 )
 
-from detkit.losses import BBox, iou
+from detkit import postprocess
 from detkit.postprocess import (
     _LOGIT_CAP,
-    Detection,
     GridDecodeSpec,
-    box_from_letterboxed,
-    box_to_letterboxed,
+    boxes_to_source,
     decode,
     detections_from_json,
     detections_to_json,
-    encode_box,
     letterbox,
     nms,
 )
@@ -44,33 +48,43 @@ def head_with_one_cell(spec, row, col, tx, ty, tw, th, obj=40.0, cls_id=0, cls_l
     return Tensor(head)
 
 
+def same_rows(got, want) -> bool:
+    """Equal (n, 6) float64 detections, bit for bit."""
+    return got.dtype == want.dtype == np.float64 and got.shape == want.shape \
+        and got.tobytes() == want.tobytes()
+
+
+def det(x1, y1, x2, y2, score, cls=0):
+    return np.array([[x1, y1, x2, y2, score, cls]], dtype=np.float64)
+
+
 class TestDecode:
     def test_zero_offsets_put_center_at_cell_center(self):
         spec = GridDecodeSpec(4, 4, 8.0, 1, score_threshold=0.25)
         head = head_with_one_cell(spec, row=2, col=1, tx=0.0, ty=0.0, tw=0.0, th=0.0)
-        (det,) = decode(head, spec)
-        assert det.bbox.center == (pytest.approx(12.0), pytest.approx(20.0))
+        (x1, y1, x2, y2, _, _), = decode(head, spec)
+        assert ((x1 + x2) / 2, (y1 + y2) / 2) == (pytest.approx(12.0), pytest.approx(20.0))
 
     def test_zero_size_logits_give_stride_sized_box(self):
         spec = GridDecodeSpec(4, 4, 8.0, 1)
         head = head_with_one_cell(spec, 1, 1, 0.0, 0.0, 0.0, 0.0)
-        (det,) = decode(head, spec)
-        assert det.bbox.width == pytest.approx(8.0)
-        assert det.bbox.height == pytest.approx(8.0)
+        (x1, y1, x2, y2, _, _), = decode(head, spec)
+        assert x2 - x1 == pytest.approx(8.0)
+        assert y2 - y1 == pytest.approx(8.0)
 
     def test_score_threshold_gates_emission(self):
         spec = GridDecodeSpec(2, 2, 8.0, 1, score_threshold=0.25)
         head = Tensor.zeros((1, 6, 2, 2))  # score sigmoid(0)^2 = 0.25 everywhere
         assert len(decode(head, spec)) == 4
         spec_hi = GridDecodeSpec(2, 2, 8.0, 1, score_threshold=0.2500001)
-        assert decode(head, spec_hi) == []
+        assert decode(head, spec_hi).shape == (0, 6)
 
     def test_boxes_clamped_to_image(self):
         spec = GridDecodeSpec(2, 2, 8.0, 1)
         head = head_with_one_cell(spec, 0, 0, 0.0, 0.0, 3.0, 3.0)  # huge box
-        (det,) = decode(head, spec)
-        assert det.bbox.x1 >= 0.0 and det.bbox.y1 >= 0.0
-        assert det.bbox.x2 <= spec.image_w and det.bbox.y2 <= spec.image_h
+        (x1, y1, x2, y2, _, _), = decode(head, spec)
+        assert x1 >= 0.0 and y1 >= 0.0
+        assert x2 <= spec.image_w and y2 <= spec.image_h
 
     def test_channel_mismatch_rejected(self):
         spec = GridDecodeSpec(2, 2, 8.0, 3)
@@ -88,19 +102,9 @@ class TestDecode:
             box = BBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
             row, col, tx, ty, tw, th = encode_box(box, spec)
             head = head_with_one_cell(spec, row, col, tx, ty, tw, th, cls_id=1)
-            (det,) = decode(head, spec)
-            assert det.class_id == 1
-            for got, want in zip(
-                (det.bbox.x1, det.bbox.y1, det.bbox.x2, det.bbox.y2),
-                (box.x1, box.y1, box.x2, box.y2),
-            ):
-                assert abs(got - want) < 1e-6
-
-
-def bits(dets):
-    """Every field of every detection, floats as their exact hex."""
-    return [(d.bbox.x1.hex(), d.bbox.y1.hex(), d.bbox.x2.hex(), d.bbox.y2.hex(),
-             d.score.hex(), d.class_id) for d in dets]
+            (row,) = decode(head, spec)
+            assert row[5] == 1
+            assert np.all(np.abs(row[:4] - box.as_array()) < 1e-6)
 
 
 def hostile_head(rng, spec, dtype):
@@ -119,7 +123,7 @@ def hostile_head(rng, spec, dtype):
 
 
 class TestArrayDecode:
-    """decode equals the one-cell-at-a-time scalar_decode to the bit."""
+    """decode's rows equal the one-cell-at-a-time scalar_decode to the bit."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("threshold", [0.0, 0.01, 0.25, 0.6])
@@ -129,17 +133,16 @@ class TestArrayDecode:
             spec = GridDecodeSpec(grid_h, grid_w, 8.0, classes, score_threshold=threshold)
             for _ in range(10):
                 head = hostile_head(rng, spec, dtype)
-                assert bits(decode(head, spec)) == bits(scalar_decode(head, spec))
+                assert same_rows(decode(head, spec), detection_rows(scalar_decode(head, spec)))
 
     def test_score_at_threshold_and_both_edges_clamped(self):
         spec = GridDecodeSpec(2, 2, 8.0, 1, score_threshold=0.25)
         head = np.zeros((1, 6, 2, 2))
         head[0, 2:4, 1, 0] = _LOGIT_CAP  # a box far wider than the image
         dets = decode(Tensor(head), spec)
-        assert len(dets) == 4 and all(d.score == 0.25 for d in dets)
-        assert (dets[2].bbox.x1, dets[2].bbox.x2) == (0.0, spec.image_w)
-        assert (dets[2].bbox.y1, dets[2].bbox.y2) == (0.0, spec.image_h)
-        assert bits(dets) == bits(scalar_decode(Tensor(head), spec))
+        assert len(dets) == 4 and np.all(dets[:, 4] == 0.25)
+        assert tuple(dets[2, :4]) == (0.0, 0.0, spec.image_w, spec.image_h)
+        assert same_rows(dets, detection_rows(scalar_decode(Tensor(head), spec)))
 
 
 def tied_detections(rng, n, classes=2):
@@ -153,8 +156,8 @@ def tied_detections(rng, n, classes=2):
 
 
 class TestArrayNMS:
-    """nms keeps the same detection objects, in the same order, as the
-    pair-by-pair scalar_nms."""
+    """nms keeps the same rows, in the same order, as the pair-by-pair
+    scalar_nms."""
 
     @pytest.mark.parametrize("thr", [0.0, 0.3, 0.45, 1.0])
     def test_matches_scalar_nms(self, thr):
@@ -162,77 +165,78 @@ class TestArrayNMS:
         for trial in range(300):
             n = int(rng.integers(0, 40))
             dets = tied_detections(rng, n) if trial % 2 else random_detections(rng, n)
-            assert [id(d) for d in nms(dets, thr)] == [id(d) for d in scalar_nms(dets, thr)]
+            assert same_rows(nms(detection_rows(dets), thr), detection_rows(scalar_nms(dets, thr)))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("thr", [0.0, 0.45, 1.0])
-    def test_matches_scalar_nms_on_decoded_heads(self, dtype, thr):
+    @pytest.mark.parametrize("score_threshold", [0.01, 0.25])
+    def test_decode_and_nms_match_the_scalar_pipeline(self, score_threshold, thr, dtype):
         rng = np.random.default_rng(42)
-        spec = GridDecodeSpec(8, 8, 8.0, 3, score_threshold=0.01)
+        spec = GridDecodeSpec(8, 8, 8.0, 3, score_threshold=score_threshold)
         for _ in range(20):
-            dets = decode(hostile_head(rng, spec, dtype), spec)
-            assert [id(d) for d in nms(dets, thr)] == [id(d) for d in scalar_nms(dets, thr)]
+            head = hostile_head(rng, spec, dtype)
+            want = detection_rows(scalar_nms(scalar_decode(head, spec), thr))
+            assert same_rows(nms(decode(head, spec), thr), want)
 
-    def test_empty_list(self):
-        assert nms([], 0.45) == []
+    def test_empty(self):
+        assert nms(np.empty((0, 6)), 0.45).shape == (0, 6)
 
     def test_zero_threshold_keeps_touching_and_zero_area_boxes(self):
         """Boxes that only touch, and a zero-area box inside another, have IoU
         0, which is not above a threshold of 0."""
-        a = Detection(BBox(0.0, 0.0, 2.0, 2.0), 0.9, 0)
-        touching = Detection(BBox(2.0, 0.0, 4.0, 2.0), 0.8, 0)
-        line = Detection(BBox(1.0, 0.0, 1.0, 2.0), 0.7, 0)
-        overlapping = Detection(BBox(1.0, 1.0, 3.0, 3.0), 0.6, 0)
-        assert nms([a, touching, line, overlapping], 0.0) == [a, touching, line]
+        dets = np.concatenate([det(0.0, 0.0, 2.0, 2.0, 0.9), det(2.0, 0.0, 4.0, 2.0, 0.8),
+                               det(1.0, 0.0, 1.0, 2.0, 0.7), det(1.0, 1.0, 3.0, 3.0, 0.6)])
+        assert same_rows(nms(dets, 0.0), dets[:3])
 
     def test_threshold_one_keeps_duplicates(self):
-        a = Detection(BBox(0.0, 0.0, 2.0, 2.0), 0.5, 0)
-        b = Detection(BBox(0.0, 0.0, 2.0, 2.0), 0.5, 0)
-        assert [id(d) for d in nms([b, a], 1.0)] == [id(b), id(a)]
+        dets = np.concatenate([det(0.0, 0.0, 2.0, 2.0, 0.5), det(0.0, 0.0, 2.0, 2.0, 0.5)])
+        assert same_rows(nms(dets, 1.0), dets)
+
+    def test_score_ties_keep_input_order(self):
+        """Equal scores and classes rank in input order, and the first of two
+        overlapping boxes suppresses the second."""
+        dets = np.concatenate([det(0.0, 0.0, 2.0, 2.0, 0.5, 1), det(5.0, 5.0, 7.0, 7.0, 0.5, 0),
+                               det(0.0, 0.0, 2.0, 2.1, 0.5, 1)])
+        assert same_rows(nms(dets, 0.45), dets[[1, 0]])
+        assert same_rows(nms(dets[[2, 1, 0]], 0.45), dets[[1, 2]])
 
 
 class TestNMS:
     def test_single_detection_kept(self):
-        d = Detection(BBox(0, 0, 2, 2), 0.8, 0)
-        assert nms([d]) == [d]
+        d = det(0, 0, 2, 2, 0.8)
+        assert same_rows(nms(d), d)
 
     def test_identical_boxes_keep_higher_score(self):
-        a = Detection(BBox(0, 0, 2, 2), 0.9, 0)
-        b = Detection(BBox(0, 0, 2, 2), 0.8, 0)
-        assert nms([b, a]) == [a]
+        dets = np.concatenate([det(0, 0, 2, 2, 0.8), det(0, 0, 2, 2, 0.9)])
+        assert same_rows(nms(dets), dets[1:])
 
     def test_different_classes_do_not_suppress(self):
-        a = Detection(BBox(0, 0, 2, 2), 0.9, 0)
-        b = Detection(BBox(0, 0, 2, 2), 0.8, 1)
-        assert nms([a, b]) == [a, b]
+        dets = np.concatenate([det(0, 0, 2, 2, 0.9, 0), det(0, 0, 2, 2, 0.8, 1)])
+        assert same_rows(nms(dets), dets)
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(32)
         for _ in range(200):
             dets = random_detections(rng, int(rng.integers(0, 31)))
-            got = nms(dets, 0.45)
-            want = brute_force_nms(dets, 0.45)
-            assert {id(d) for d in got} == {id(d) for d in want}
-            assert got == want  # includes ordering
+            assert same_rows(nms(detection_rows(dets), 0.45), detection_rows(brute_force_nms(dets, 0.45)))
 
     def test_output_is_subset_with_no_close_pairs(self):
         rng = np.random.default_rng(33)
-        dets = random_detections(rng, 25)
+        dets = detection_rows(random_detections(rng, 25))
         out = nms(dets, 0.45)
-        assert all(d in dets for d in out)
-        for i, a in enumerate(out):
-            for b in out[i + 1:]:
-                if a.class_id == b.class_id:
-                    assert iou(a.bbox, b.bbox) <= 0.45
-        scores = [d.score for d in out]
-        assert scores == sorted(scores, reverse=True)
+        assert all((dets == row).all(axis=1).any() for row in out)
+        boxes = [BBox(*row[:4]) for row in out.tolist()]
+        for i in range(len(out)):
+            for j in range(i + 1, len(out)):
+                if out[i, 5] == out[j, 5]:
+                    assert iou(boxes[i], boxes[j]) <= 0.45
+        assert np.all(np.diff(out[:, 4]) <= 0)
 
     def test_idempotent(self):
         rng = np.random.default_rng(34)
         for _ in range(20):
-            dets = random_detections(rng, 20)
-            once = nms(dets, 0.45)
-            assert nms(once, 0.45) == once
+            once = nms(detection_rows(random_detections(rng, 20)), 0.45)
+            assert same_rows(nms(once, 0.45), once)
 
 
 class TestLetterbox:
@@ -253,6 +257,7 @@ class TestLetterbox:
         assert np.allclose(out.data[:, :, 12:, :], 0.5)
 
     def test_box_round_trip_within_a_pixel(self):
+        """boxes_to_source inverts the letterbox mapping of a source box."""
         rng = np.random.default_rng(36)
         img = Tensor(rng.uniform(0, 1, size=(1, 1, 30, 50)))
         _, scale, pads = letterbox(img, 32, 32)
@@ -260,10 +265,18 @@ class TestLetterbox:
             x1, y1 = rng.uniform(0, 20, size=2)
             box = BBox(x1, y1, x1 + rng.uniform(1, 25), y1 + rng.uniform(1, 9))
             fwd = box_to_letterboxed(box, scale, pads)
-            back = box_from_letterboxed(fwd, scale, pads)
-            for got, want in zip((back.x1, back.y1, back.x2, back.y2),
-                                 (box.x1, box.y1, box.x2, box.y2)):
-                assert abs(got - want) <= 1.0
+            (back,) = boxes_to_source(np.array([[fwd.x1, fwd.y1, fwd.x2, fwd.y2]]), scale, pads, 50, 30)
+            assert np.all(np.abs(np.array(back) - box.as_array()) <= 1.0)
+
+    def test_inverse_clamps_to_the_image_and_keeps_an_edge_an_int(self):
+        """Corners past the image clamp to 0.0 and to the int width or height;
+        a corner inside the image stays a float, even at the edge."""
+        (row,) = boxes_to_source(np.array([[-8.0, -4.0, 90.0, 60.0]]), 2.0, (0, 4), 40, 20)
+        assert row == (0.0, 0.0, 40, 20)
+        assert [type(v) for v in row] == [float, float, int, int]
+        (row,) = boxes_to_source(np.array([[0.0, 4.0, 80.0, 24.0]]), 2.0, (0, 4), 40, 20)
+        assert row == (0.0, 0.0, 40.0, 10.0) and type(row[2]) is float
+        assert boxes_to_source(np.empty((0, 4)), 2.0, (0, 4), 40, 20) == []
 
     def test_empty_target_rejected(self):
         with pytest.raises(ConfigError):
@@ -278,13 +291,9 @@ _ROWS = st.lists(st.tuples(_COORD, _COORD, _COORD, _COORD, st.integers(0, 1000),
 
 class TestDetectionJson:
     def test_round_trip(self):
-        dets = [
-            Detection(BBox(1.0, 2.0, 3.5, 4.25), 0.75, 2),
-            Detection(BBox(0.0, 0.0, 1.0, 1.0), 0.5, 0),
-        ]
-        rows = [(d.bbox.x1, d.bbox.y1, d.bbox.x2, d.bbox.y2, d.class_id, d.score) for d in dets]
+        rows = [(1.0, 2.0, 3.5, 4.25, 2, 0.75), (0.0, 0.0, 1.0, 1.0, 0, 0.5)]
         back = detections_from_json(detections_to_json(rows))
-        assert back == dets
+        assert back == [postprocess.Detection(postprocess.BBox(*row[:4]), row[5], row[4]) for row in rows]
 
     def test_schema_fields(self):
         text = detections_to_json([(1, 2, 3, 4, 1, 0.5)])
@@ -312,8 +321,39 @@ class TestDetectionJson:
          r"row 1 .*class must be an integer, got 1\.7"),
         ('[{"bbox": [0, 0, 1, 1], "score": true, "class": 0}]', r"row 0 .*score must be a number, got True"),
         ('[{"bbox": [0, 0, 1, 1], "score": 0.5, "class": false}]', r"row 0 .*class must be an integer, got False"),
+        ('[{"bbox": [0, 0, 1, 1], "score": 0.5, "class": 0}, '
+         '{"bbox": [0, 0, Infinity, 1], "score": 0.5, "class": 0}]',
+         r"row 1 .*'bbox': \[0, 0, inf, 1\].*non-finite corner"),
+        ('[{"bbox": [-Infinity, 0, 1, 1], "score": 0.5, "class": 0}]', r"row 0 .*non-finite corner"),
+        ('[{"bbox": [0, -Infinity, 1, Infinity], "score": 0.5, "class": 0}]', r"row 0 .*non-finite corner"),
+        ('[{"bbox": [0, 0, 1, NaN], "score": 0.5, "class": 0}]', r"row 0 .*non-finite corner"),
+        ('[{"bbox": [0, 0, 1e999, 1], "score": 0.5, "class": 0}]', r"row 0 .*non-finite corner"),
+        ('[{"bbox": [2, 0, 1, 1], "score": 0.5, "class": 0}]', r"row 0 .*degenerate corner order"),
+        ('[{"bbox": [0, 0, 1, 1], "score": 1.5, "class": 0}]', r"row 0 .*score 1\.5 outside \[0, 1\]"),
     ], ids=["missing-class", "three-element-bbox", "top-level-object", "truncated",
-            "fractional-class", "bool-score", "bool-class"])
+            "fractional-class", "bool-score", "bool-class", "infinite-x2", "infinite-x1",
+            "infinite-y1-y2", "nan-y2", "overflowing-x2", "flipped-x", "score-above-one"])
     def test_malformed_rows_raise_config_error(self, text, match):
         with pytest.raises(ConfigError, match=match):
             detections_from_json(text)
+
+
+class TestBenchmarkContract:
+    """What the benchmark harness reads from detkit: its detect check reads
+    the rows of detections_from_json, and its candidate and kept-ratio counts
+    sum len() of decode's and nms's results. A change that breaks either
+    fails here rather than as a benchmark run with incorrect outputs."""
+
+    def test_json_rows_expose_score_class_and_corners(self):
+        (d,) = detections_from_json(detections_to_json([(1.0, 2.0, 3.5, 4.25, 2, 0.75)]))
+        assert (d.score, d.class_id) == (0.75, 2) and type(d.class_id) is int
+        assert (d.bbox.x1, d.bbox.y1, d.bbox.x2, d.bbox.y2) == (1.0, 2.0, 3.5, 4.25)
+
+    def test_len_of_decode_and_nms_counts_detections(self):
+        rng = np.random.default_rng(43)
+        spec = GridDecodeSpec(8, 8, 8.0, 3, score_threshold=0.01)
+        head = hostile_head(rng, spec, np.float64)
+        dets = decode(head, spec)
+        kept = nms(dets, 0.45)
+        want = scalar_decode(head, spec)
+        assert len(dets) == len(want) > len(kept) == len(scalar_nms(want, 0.45)) > 6

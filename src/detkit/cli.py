@@ -35,7 +35,7 @@ from .imageio import ImageFormatError, draw_boxes, read_image, to_channels, writ
 from .metrics import evaluate, pr_curve_csv
 from .model import ToyNetSpec, cost_layers, net_forward
 from .postprocess import boxes_to_source, decode, detections_to_json, letterbox, nms
-from .tensor import ConfigError, Tensor, verify_mode_forced
+from .tensor import ConfigError, Tensor
 from .train import TrainConfig, TrainingDiverged, train_toy
 from .weights_io import (
     WeightsChecksumError,
@@ -217,8 +217,6 @@ def cmd_report(args) -> int:
 
 def cmd_train(args) -> int:
     cfg, _ = _load_run_config(args.config)
-    if verify_mode_forced():
-        cfg = replace(cfg, dtype="float64")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     # A diverging run is reported by the TrainingDiverged error, which names
@@ -236,12 +234,12 @@ def cmd_train(args) -> int:
 
 
 def _run_model_on_dataset(cfg: TrainConfig, values: dict, params):
-    dspec = cfg.net.decode_spec(values["score_threshold"])
-    nms_iou = values["nms_iou"]
-    data = synth_dataset(cfg.seed, cfg.dataset_count, cfg.image_size, cfg.num_classes)
+    net = cfg.net
+    score_threshold, nms_iou = values["score_threshold"], values["nms_iou"]
+    data = synth_dataset(cfg.seed, cfg.dataset_count, net.image_size, net.num_classes)
     all_dets, all_gts = [], []
     for image, targets in data:
-        dets = nms(decode(_head(params, cfg.net, image), dspec), nms_iou)
+        dets = nms(decode(_head(params, net, image), net.stride, score_threshold), nms_iou)
         all_dets.append(dets)
         all_gts.append(targets)
     return all_dets, all_gts
@@ -277,8 +275,8 @@ def cmd_detect(args) -> int:
     image = read_image(image_path)
     model_in = to_channels(image, cfg.net.in_channels)
     boxed, scale, pads = letterbox(model_in, cfg.net.image_size, cfg.net.image_size)
-    dspec = cfg.net.decode_spec(values["score_threshold"])
-    dets = nms(decode(_head(params, cfg.net, boxed), dspec), values["nms_iou"])
+    dets = nms(decode(_head(params, cfg.net, boxed), cfg.net.stride, values["score_threshold"]),
+               values["nms_iou"])
     boxes = boxes_to_source(dets[:, :4], scale, pads, image.w, image.h)
     rows = [(*box, k, score) for box, k, score in
             zip(boxes, dets[:, 5].astype(np.int64).tolist(), dets[:, 4].tolist())]
@@ -300,8 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     main() call: rebuilding it was the largest cost of a detect call."""
     parser = argparse.ArgumentParser(
         prog="detkit",
-        description="Verification-first detection toolkit (set DETKIT_VERIFY=1 "
-                    "to make train run in float64)",
+        description="Verification-first detection toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -15,8 +15,9 @@ O(10-100), in every slope: enough to fail a correct gradient on an unlucky
 draw. The batch input (the first argument) is probed PROBES_PER_FORWARD
 entries per forward, their perturbed copies stacked along the batch axis, so
 every probed forward must treat each sample on its own; the other arguments
-are probed one entry at a time. The three loss suites differentiate a scalar
-loss.
+are probed one entry at a time. The three loss suites take the same path with
+G = 1 over a batch input of one row, a box pair or a head, whose perturbed
+copies are the rows of one loss call.
 
 The error metric is |a - n| / max(|a|, |n|, 1e-4): purely relative for
 gradients of ordinary size, absolute (scaled by 1e4) for entries near zero.
@@ -43,16 +44,6 @@ PASS_THRESHOLD = 1e-4
 # twice as many copies of the input; more entries per forward save calls but
 # grow the stacked arrays.
 PROBES_PER_FORWARD = 16
-
-
-def numerical_grad(f_rows: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
-    """Central differences of a scalar function of x in every entry of x.
-    f_rows maps the (2 x.size, *x.shape) stack of perturbed copies of x
-    (copy 2k has entry k at +FD_STEP, copy 2k + 1 at -FD_STEP) to their
-    values in one call."""
-    x = np.asarray(x, dtype=np.float64)
-    values = f_rows(_plus_minus(x.reshape(-1), np.arange(x.size)).reshape(-1, *x.shape))
-    return ((values[0::2] - values[1::2]) / (2.0 * FD_STEP)).reshape(x.shape)
 
 
 def max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -393,8 +384,8 @@ def _check_ciou(rng, case):
     predictions are the rows of one more _box_rows call, whose rows' bits do
     not depend on each other."""
     p, g = _random_box_pair(rng)
-    num = numerical_grad(lambda rows: losses._box_rows("ciou", rows, np.tile(g, (len(rows), 1)))[0], p)
-    return max_rel_error(losses._box_rows("ciou", p[None], g[None])[1][0], num)
+    return _arg_errors(lambda rows: losses._box_rows("ciou", rows, np.tile(g, (len(rows), 1)))[0],
+                       np.ones(1), (p[None],), (losses._box_rows("ciou", p[None], g[None])[1],))
 
 
 @register("wiou_loss")
@@ -412,7 +403,8 @@ def _check_wiou(rng, case):
         dy = (rows[:, 1] + rows[:, 3]) / 2.0 - (g[1] + g[3]) / 2.0
         return np.exp((dx * dx + dy * dy) / d0) * (1.0 - losses.pairwise_iou(rows, g[None])[:, 0])
 
-    return max_rel_error(losses._box_rows("wiou", p[None], g[None])[1][0], numerical_grad(frozen, p))
+    return _arg_errors(frozen, np.ones(1), (p[None],),
+                       (losses._box_rows("wiou", p[None], g[None])[1],))
 
 
 @register("detection_loss")
@@ -420,7 +412,8 @@ def _check_detection_loss(rng, case):
     """Covers the iou and ciou variants, alternating by case, whose composite
     gradient is the true derivative. The wiou box core holds its enclosing-box
     normalizer fixed by design, so its detached gradient is checked by the
-    wiou_loss suite. All the perturbed heads are the grids of one batch."""
+    wiou_loss suite. The perturbed heads are probed PROBES_PER_FORWARD
+    entries per loss call, as the grids of one batch."""
     k = 2
     gh = gw = 3
     stride = 8.0
@@ -437,4 +430,4 @@ def _check_detection_loss(rng, case):
                                       [targets] * len(rows), variant, stride)
         return np.array([t.total for t in terms])
 
-    return max_rel_error(grad, numerical_grad(totals, head))
+    return _arg_errors(totals, np.ones(1), (head,), (grad,))

@@ -17,7 +17,10 @@ below it form the backbone, CBAM and the head above it train in every phase.
 way ``net_backward`` then stops at the neck and returns only the ``cbam.*``
 and ``head.*`` gradients, so what trains is decided by what it returns.
 
-``ToyNetSpec`` is the one description of sizes and options. The layer
+``ToyNetSpec`` is the one description of sizes and options; the trainer and
+the CLI read the image size and class count from it, and
+``postprocess.decode`` takes only its ``stride``, reading the grid and the
+class count from the head it decodes. The layer
 sequence itself is written out in three places: ``init_params`` (the flat
 ``<layer>.<param>`` store, whose order is the ``.dkw`` manifest order),
 ``net_forward``/``net_backward`` (the call order) and ``cost_layers`` (the
@@ -55,7 +58,6 @@ from .blocks import (
 from .cost import LayerCost, conv_cost, linear_cost, pconv_cost, spp_cost
 from .ops import (ConvSpec, activation, activation_backward, check_activation, check_pool_windows,
                   conv2d_backward, conv2d_forward, spp, spp_backward)
-from .postprocess import GridDecodeSpec
 from .tensor import ConfigError, Tensor, _require_finite
 
 
@@ -85,6 +87,9 @@ class ToyNetSpec:
             raise ConfigError("image_size must be a multiple of stride")
         if not 0.0 < self.cp_fraction <= 1.0:
             raise ConfigError("cp_fraction must be in (0, 1]")
+        # also false for NaN; an infinite ratio has no hidden width
+        if not 0.0 < self.expansion < math.inf:
+            raise ConfigError(f"expansion must be finite and > 0, got {self.expansion}")
         if self.stem_channels < 4:
             raise ConfigError("stem must have at least 4 channels")
         for name, check in (("spp_windows", check_pool_windows), ("activation", check_activation)):
@@ -132,10 +137,6 @@ class ToyNetSpec:
 
     def head_spec(self) -> ConvSpec:
         return ConvSpec(self.neck_channels, self.head_channels, kernel=1)
-
-    def decode_spec(self, score_threshold: float = 0.25) -> GridDecodeSpec:
-        return GridDecodeSpec(self.grid, self.grid, float(self.stride),
-                              self.num_classes, score_threshold)
 
 
 def init_params(spec: ToyNetSpec, rng: np.random.Generator, dtype=np.float64) -> dict[str, np.ndarray]:

@@ -4,6 +4,9 @@ A head tensor of shape (1, 5 + K, grid_h, grid_w) holds, per cell,
 [tx, ty, tw, th, objectness, K class logits]. Decode turns each cell into a
 candidate box: center ((col + sigmoid(tx)) stride, (row + sigmoid(ty)) stride),
 size (e^tw stride, e^th stride), scored sigmoid(obj) * max_k sigmoid(cls_k).
+It reads the grid and K from the head's shape, as YOLOv8 reads its anchor
+grid from the feature map it decodes; the stride and the score threshold are
+its only settings.
 
 An image's detections are one (n, 6) float64 array of rows
 [x1, y1, x2, y2, score, class]: decode emits it, nms filters it, and
@@ -27,63 +30,39 @@ from .tensor import ConfigError, Tensor
 _LOGIT_CAP = 60.0  # e^60 ~ 1e26; caps box sizes before the image-bounds clamp
 
 
-@dataclass(frozen=True)
-class GridDecodeSpec:
-    grid_h: int
-    grid_w: int
-    stride: float
-    num_classes: int
-    score_threshold: float = 0.25
-
-    def __post_init__(self):
-        if self.grid_h < 1 or self.grid_w < 1:
-            raise ConfigError("grid dims must be >= 1")
-        if self.stride <= 0:
-            raise ConfigError("stride must be positive")
-        if self.num_classes < 1:
-            raise ConfigError("need at least one class")
-
-    @property
-    def channels(self) -> int:
-        return 5 + self.num_classes
-
-    @property
-    def image_w(self) -> float:
-        return self.grid_w * self.stride
-
-    @property
-    def image_h(self) -> float:
-        return self.grid_h * self.stride
-
-
-def decode(head: Tensor, spec: GridDecodeSpec) -> np.ndarray:
+def decode(head: Tensor, stride: float, score_threshold: float) -> np.ndarray:
     """The (n, 6) detections [x1, y1, x2, y2, score, class] of the cells whose
-    score clears the threshold, boxes clamped to the image bounds. Cells scan
-    in row-major order."""
-    if head.shape != (1, spec.channels, spec.grid_h, spec.grid_w):
-        raise ConfigError(
-            f"head shape {head.shape} does not match spec "
-            f"(1, {spec.channels}, {spec.grid_h}, {spec.grid_w})"
-        )
+    score clears the threshold, boxes clamped to the image the grid covers,
+    (grid_w stride) x (grid_h stride). The grid and the class count K are the
+    head's own: its shape is (1, 5 + K, grid_h, grid_w) with K >= 1. Cells
+    scan in row-major order. A head of another shape, or a stride that is not
+    > 0, raises ConfigError."""
+    n, channels, grid_h, grid_w = head.shape
+    if n != 1 or channels < 6:
+        raise ConfigError(f"head shape {head.shape} is not (1, 5 + K, h, w) with K >= 1")
+    if not stride > 0:
+        raise ConfigError(f"stride must be > 0, got {stride}")
     p = head.data[0]
-    s = spec.stride
+    # a Python float: a numpy scalar would promote a float32 head's box sizes to float64
+    s = float(stride)
+    image_w, image_h = grid_w * s, grid_h * s
     # float64, so a float32 head scores and boxes in the same precision as a float64 one
     sig = sigmoid(p).astype(np.float64, copy=False)
     cls = sig[5:]
     score = sig[4] * cls.max(axis=0)
-    emit = score >= spec.score_threshold
+    emit = score >= score_threshold
 
-    cols = np.arange(spec.grid_w)[None, :]
-    rows = np.arange(spec.grid_h)[:, None]
+    cols = np.arange(grid_w)[None, :]
+    rows = np.arange(grid_h)[:, None]
     cx = ((cols + sig[0]) * s)[emit]
     cy = ((rows + sig[1]) * s)[emit]
     half_w = (np.exp(np.minimum(p[2], _LOGIT_CAP)) * s)[emit] / 2.0
     half_h = (np.exp(np.minimum(p[3], _LOGIT_CAP)) * s)[emit] / 2.0
     return np.stack([
-        np.minimum(np.maximum(cx - half_w, 0.0), spec.image_w),
-        np.minimum(np.maximum(cy - half_h, 0.0), spec.image_h),
-        np.minimum(np.maximum(cx + half_w, 0.0), spec.image_w),
-        np.minimum(np.maximum(cy + half_h, 0.0), spec.image_h),
+        np.minimum(np.maximum(cx - half_w, 0.0), image_w),
+        np.minimum(np.maximum(cy - half_h, 0.0), image_h),
+        np.minimum(np.maximum(cx + half_w, 0.0), image_w),
+        np.minimum(np.maximum(cy + half_h, 0.0), image_h),
         score[emit],
         cls.argmax(axis=0)[emit],
     ], axis=1)

@@ -14,7 +14,6 @@ know what a value is use it to name it (``net_forward`` names the head).
 
 from __future__ import annotations
 
-import os
 import struct
 
 import numpy as np
@@ -51,11 +50,6 @@ def _require_finite(what: str, arr: np.ndarray) -> None:
 def is_checked() -> bool:
     """Always True: finiteness checks cannot be switched off."""
     return True
-
-
-def verify_mode_forced() -> bool:
-    """True when the DETKIT_VERIFY environment variable demands 64-bit training."""
-    return os.environ.get("DETKIT_VERIFY", "") == "1"
 
 
 class Tensor:

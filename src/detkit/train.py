@@ -43,13 +43,11 @@ class TrainConfig:
     loss_variant: str = "wiou"
     freeze_fraction: float = 0.3
     dataset_count: int = 50
-    image_size: int = 64
-    num_classes: int = 3
     box_weight: float = 5.0
     obj_weight: float = 2.5
     cls_weight: float = 2.5
     dtype: str = "float64"
-    net: ToyNetSpec = field(default=None)  # type: ignore[assignment]
+    net: ToyNetSpec = field(default_factory=ToyNetSpec)
 
     def __post_init__(self):
         if self.seed < 0:
@@ -65,11 +63,6 @@ class TrainConfig:
             raise ConfigError("freeze fraction must be in [0, 1]")
         if self.dtype not in ("float64", "float32"):
             raise ConfigError("dtype must be float64 or float32")
-        if self.net is None:
-            object.__setattr__(self, "net", ToyNetSpec(
-                image_size=self.image_size, num_classes=self.num_classes))
-        if self.net.image_size != self.image_size or self.net.num_classes != self.num_classes:
-            raise ConfigError("net spec disagrees with image size or class count")
 
     @property
     def np_dtype(self):
@@ -116,8 +109,8 @@ def _batch_loss_and_grads(params, cfg: TrainConfig, images, target_lists, frozen
 def train_toy(config: TrainConfig):
     """Run the two-phase schedule; returns (params, [EpochStats])."""
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    data = synth_dataset(config.seed, config.dataset_count, config.image_size,
-                         config.num_classes)
+    data = synth_dataset(config.seed, config.dataset_count, config.net.image_size,
+                         config.net.num_classes)
     if config.dtype != "float64":
         data = [(img.astype(config.np_dtype), t) for img, t in data]
     params = init_params(config.net, rng, dtype=config.np_dtype)

@@ -29,10 +29,10 @@ import struct
 
 import numpy as np
 
+from .tensor import _DTYPE_TAGS, _TAG_DTYPES
+
 FORMAT_VERSION = 1
 _MAGIC = b"DKW1"
-_DTYPE_TAGS = {np.dtype(np.float32): 1, np.dtype(np.float64): 2}
-_TAG_DTYPES = {v: k for k, v in _DTYPE_TAGS.items()}
 
 
 class WeightsError(IOError):

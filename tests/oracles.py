@@ -108,22 +108,23 @@ def cell_to_box(tx, ty, tw, th, row, col, stride):
     return BBox(cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
 
 
-def encode_box(bbox, spec):
-    """Inverse of the decode transform: the cell (row, col) owning the box
-    center plus the logits (tx, ty, tw, th) that decode back to the box."""
+def encode_box(bbox, stride, grid_h, grid_w):
+    """Inverse of the decode transform on a grid_h x grid_w grid: the cell
+    (row, col) owning the box center plus the logits (tx, ty, tw, th) that
+    decode back to the box."""
     cx, cy = bbox.center
-    if not (0 <= cx <= spec.image_w and 0 <= cy <= spec.image_h):
+    if not (0 <= cx <= grid_w * stride and 0 <= cy <= grid_h * stride):
         raise ConfigError("box center outside the image")
     if bbox.width <= 0 or bbox.height <= 0:
         raise ConfigError("cannot encode a degenerate box")
-    col = min(int(cx / spec.stride), spec.grid_w - 1)
-    row = min(int(cy / spec.stride), spec.grid_h - 1)
-    fx = min(max(cx / spec.stride - col, 1e-9), 1.0 - 1e-9)
-    fy = min(max(cy / spec.stride - row, 1e-9), 1.0 - 1e-9)
+    col = min(int(cx / stride), grid_w - 1)
+    row = min(int(cy / stride), grid_h - 1)
+    fx = min(max(cx / stride - col, 1e-9), 1.0 - 1e-9)
+    fy = min(max(cy / stride - row, 1e-9), 1.0 - 1e-9)
     tx = math.log(fx / (1.0 - fx))
     ty = math.log(fy / (1.0 - fy))
-    tw = math.log(bbox.width / spec.stride)
-    th = math.log(bbox.height / spec.stride)
+    tw = math.log(bbox.width / stride)
+    th = math.log(bbox.height / stride)
     return row, col, tx, ty, tw, th
 
 
@@ -257,28 +258,31 @@ def json_dumps_detections(rows):
                       indent=2, sort_keys=True)
 
 
-def scalar_decode(head, spec):
-    """Grid decode one cell at a time: each emitted cell's corners are clamped
-    with Python min/max on its own scalars."""
+def scalar_decode(head, stride, score_threshold):
+    """Grid decode one cell at a time, on the grid of the head's shape: each
+    emitted cell's corners are clamped with Python min/max on its own scalars
+    to the image the grid covers."""
     p = head.data[0]
-    s = spec.stride
+    s = stride
+    grid_h, grid_w = p.shape[1:]
+    image_w, image_h = grid_w * s, grid_h * s
     sig = ops.sigmoid(p).astype(np.float64, copy=False)
     cls = sig[5:]
     best_cls = cls.argmax(axis=0)
     score = sig[4] * cls.max(axis=0)
-    cx = (np.arange(spec.grid_w)[None, :] + sig[0]) * s
-    cy = (np.arange(spec.grid_h)[:, None] + sig[1]) * s
+    cx = (np.arange(grid_w)[None, :] + sig[0]) * s
+    cy = (np.arange(grid_h)[:, None] + sig[1]) * s
     bw = np.exp(np.minimum(p[2], _LOGIT_CAP)) * s
     bh = np.exp(np.minimum(p[3], _LOGIT_CAP)) * s
     out = []
-    for i in range(spec.grid_h):
-        for j in range(spec.grid_w):
-            if score[i, j] < spec.score_threshold:
+    for i in range(grid_h):
+        for j in range(grid_w):
+            if score[i, j] < score_threshold:
                 continue
-            x1 = min(max(cx[i, j] - bw[i, j] / 2.0, 0.0), spec.image_w)
-            x2 = min(max(cx[i, j] + bw[i, j] / 2.0, 0.0), spec.image_w)
-            y1 = min(max(cy[i, j] - bh[i, j] / 2.0, 0.0), spec.image_h)
-            y2 = min(max(cy[i, j] + bh[i, j] / 2.0, 0.0), spec.image_h)
+            x1 = min(max(cx[i, j] - bw[i, j] / 2.0, 0.0), image_w)
+            x2 = min(max(cx[i, j] + bw[i, j] / 2.0, 0.0), image_w)
+            y1 = min(max(cy[i, j] - bh[i, j] / 2.0, 0.0), image_h)
+            y2 = min(max(cy[i, j] + bh[i, j] / 2.0, 0.0), image_h)
             out.append(Detection(BBox(x1, y1, x2, y2), float(score[i, j]), int(best_cls[i, j])))
     return out
 

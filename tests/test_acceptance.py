@@ -180,12 +180,11 @@ def test_criterion_4_loss_identities():
 # -------------------------------------------------------------------------
 
 def _evaluate_params(params, cfg):
-    data = synth_dataset(cfg.seed, cfg.dataset_count, cfg.image_size, cfg.num_classes)
-    dspec = cfg.net.decode_spec(0.25)
+    data = synth_dataset(cfg.seed, cfg.dataset_count, cfg.net.image_size, cfg.net.num_classes)
     dets, gts = [], []
     for image, targets in data:
         head, _ = net_forward(params, cfg.net, image)
-        dets.append(nms(decode(head, dspec), 0.45))
+        dets.append(nms(decode(head, cfg.net.stride, 0.25), 0.45))
         gts.append(targets)
     summary, _, per_class = evaluate(dets, gts, iou_thr=0.5)
     return summary, per_class
@@ -193,7 +192,7 @@ def _evaluate_params(params, cfg):
 
 def test_criterion_5_overfit_run_reaches_target_metrics():
     start = time.monotonic()
-    cfg = TrainConfig(seed=42, epochs=200, dataset_count=50, num_classes=3,
+    cfg = TrainConfig(seed=42, epochs=200, dataset_count=50, net=ToyNetSpec(num_classes=3),
                       loss_variant="wiou")
     baseline_params = init_params(cfg.net, np.random.Generator(np.random.PCG64(cfg.seed)))
     base_summary, _ = _evaluate_params(baseline_params, cfg)

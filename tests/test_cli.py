@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from detkit import cli, tensor
+from detkit.config import parse_kv_file
 from detkit.dataset import synth_dataset
 from detkit.imageio import read_image, write_image
 from detkit.model import ToyNetSpec
@@ -205,9 +207,23 @@ class TestConfigSchema:
             defaults.update((f.name, getattr(obj, f.name)) for f in fields(obj))
         for key, want in self.VALUES.items():
             assert defaults[key] != want, key
-            # image_size and num_classes are fields of both dataclasses
-            loaded = [getattr(o, key) for o in (cfg.net, cfg) if hasattr(o, key)] or [values[key]]
-            assert all(v == want and type(v) is type(want) for v in loaded), key
+            loaded = getattr(cfg.net, key) if key in cli._NET_SCHEMA else getattr(cfg, key, values[key])
+            assert loaded == want and type(loaded) is type(want), key
+
+    def test_readme_config_block_lists_every_key_at_its_default(self, tmp_path):
+        """The README's ini block parses, and it shows each config key once,
+        at the default the program uses."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        (block,) = re.findall(r"^```ini\n(.*?)^```", readme, re.S | re.M)
+        path = tmp_path / "readme.cfg"
+        path.write_text(block, encoding="utf-8")
+        defaults = dict(cli._RUN_DEFAULTS)
+        for obj in (TrainConfig(), ToyNetSpec()):
+            defaults.update((f.name, getattr(obj, f.name)) for f in fields(obj) if f.name != "net")
+        shown = parse_kv_file(path, cli._RUN_SCHEMA)
+        assert shown.keys() == cli._RUN_SCHEMA.keys()
+        for key, value in shown.items():
+            assert value == defaults[key] and type(value) is type(defaults[key]), key
 
 
 class TestHostileConfigValues:
@@ -265,6 +281,24 @@ class TestHostileConfigValues:
                 }[command]
         assert cli.main(argv) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == f"error: {key} must be finite and >= 0, got {float(value)}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["report", "bench", "train"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+    def test_an_expansion_that_is_not_finite_and_positive_is_a_config_error(
+            self, tmp_path, capsys, command, value):
+        """The block's hidden width is ceil(expansion * channels): a NaN or
+        infinite ratio exits 2 naming the key, not with a traceback from
+        math.ceil, and nothing is written."""
+        path = tmp_path / "net.cfg"
+        path.write_text(f"expansion = {value}\n", encoding="utf-8")
+        out = tmp_path / "o"
+        argv = {"report": ["report", "--spec", str(path), "--json-out", str(out)],
+                "bench": ["bench", "--spec", str(path), "--out-dir", str(out)],
+                "train": ["train", "--config", str(path), "--out-dir", str(out)],
+                }[command]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: expansion must be finite and > 0, got {float(value)}\n"
         assert not out.exists()
 
     def test_zero_rates_and_loss_weights_load(self, tmp_path):

@@ -311,11 +311,8 @@ class TestDetectionLoss:
         assert br.total == pytest.approx(br.objectness_loss, abs=1e-12)
 
     def test_saturated_perfect_predictions_drive_total_to_zero(self):
-        from detkit.postprocess import GridDecodeSpec
-
-        spec = GridDecodeSpec(3, 3, 8.0, 1)
         target = BBox(6.0, 6.0, 16.0, 18.0)
-        row, col, tx, ty, tw, th = encode_box(target, spec)
+        row, col, tx, ty, tw, th = encode_box(target, 8.0, 3, 3)
         head = np.full((1, 6, 3, 3), 0.0)
         head[0, 4] = -40.0  # objectness: confident "no object" everywhere
         head[0, 0, row, col] = tx

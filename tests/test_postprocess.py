@@ -25,7 +25,6 @@ from oracles import (
 from detkit import postprocess
 from detkit.postprocess import (
     _LOGIT_CAP,
-    GridDecodeSpec,
     boxes_to_source,
     decode,
     detections_from_json,
@@ -36,8 +35,9 @@ from detkit.postprocess import (
 from detkit.tensor import ConfigError, Tensor
 
 
-def head_with_one_cell(spec, row, col, tx, ty, tw, th, obj=40.0, cls_id=0, cls_logit=40.0):
-    head = np.zeros((1, spec.channels, spec.grid_h, spec.grid_w))
+def head_with_one_cell(grid, classes, row, col, tx, ty, tw, th, obj=40.0, cls_id=0,
+                       cls_logit=40.0):
+    head = np.zeros((1, 5 + classes, grid, grid))
     head[0, 4] = -40.0
     head[0, 0, row, col] = tx
     head[0, 1, row, col] = ty
@@ -60,60 +60,71 @@ def det(x1, y1, x2, y2, score, cls=0):
 
 class TestDecode:
     def test_zero_offsets_put_center_at_cell_center(self):
-        spec = GridDecodeSpec(4, 4, 8.0, 1, score_threshold=0.25)
-        head = head_with_one_cell(spec, row=2, col=1, tx=0.0, ty=0.0, tw=0.0, th=0.0)
-        (x1, y1, x2, y2, _, _), = decode(head, spec)
+        head = head_with_one_cell(4, 1, row=2, col=1, tx=0.0, ty=0.0, tw=0.0, th=0.0)
+        (x1, y1, x2, y2, _, _), = decode(head, 8.0, 0.25)
         assert ((x1 + x2) / 2, (y1 + y2) / 2) == (pytest.approx(12.0), pytest.approx(20.0))
 
     def test_zero_size_logits_give_stride_sized_box(self):
-        spec = GridDecodeSpec(4, 4, 8.0, 1)
-        head = head_with_one_cell(spec, 1, 1, 0.0, 0.0, 0.0, 0.0)
-        (x1, y1, x2, y2, _, _), = decode(head, spec)
+        head = head_with_one_cell(4, 1, 1, 1, 0.0, 0.0, 0.0, 0.0)
+        (x1, y1, x2, y2, _, _), = decode(head, 8.0, 0.25)
         assert x2 - x1 == pytest.approx(8.0)
         assert y2 - y1 == pytest.approx(8.0)
 
     def test_score_threshold_gates_emission(self):
-        spec = GridDecodeSpec(2, 2, 8.0, 1, score_threshold=0.25)
         head = Tensor.zeros((1, 6, 2, 2))  # score sigmoid(0)^2 = 0.25 everywhere
-        assert len(decode(head, spec)) == 4
-        spec_hi = GridDecodeSpec(2, 2, 8.0, 1, score_threshold=0.2500001)
-        assert decode(head, spec_hi).shape == (0, 6)
+        assert len(decode(head, 8.0, 0.25)) == 4
+        assert decode(head, 8.0, 0.2500001).shape == (0, 6)
 
     def test_boxes_clamped_to_image(self):
-        spec = GridDecodeSpec(2, 2, 8.0, 1)
-        head = head_with_one_cell(spec, 0, 0, 0.0, 0.0, 3.0, 3.0)  # huge box
-        (x1, y1, x2, y2, _, _), = decode(head, spec)
+        head = head_with_one_cell(2, 1, 0, 0, 0.0, 0.0, 3.0, 3.0)  # huge box
+        (x1, y1, x2, y2, _, _), = decode(head, 8.0, 0.25)
         assert x1 >= 0.0 and y1 >= 0.0
-        assert x2 <= spec.image_w and y2 <= spec.image_h
+        assert x2 <= 16.0 and y2 <= 16.0
 
-    def test_channel_mismatch_rejected(self):
-        spec = GridDecodeSpec(2, 2, 8.0, 3)
-        with pytest.raises(ConfigError):
-            decode(Tensor.zeros((1, 6, 2, 2)), spec)
+    @pytest.mark.parametrize("shape", [(2, 6, 2, 2), (0, 6, 2, 2), (1, 5, 2, 2), (1, 1, 2, 2)],
+                             ids=["batch-2", "batch-0", "no-class", "one-channel"])
+    def test_head_that_is_not_one_image_with_a_class_rejected(self, shape):
+        with pytest.raises(ConfigError, match=r"is not \(1, 5 \+ K, h, w\) with K >= 1"):
+            decode(Tensor.zeros(shape), 8.0, 0.25)
+
+    @pytest.mark.parametrize("stride", [0, -8, 0.0, -1e-300, float("nan")])
+    def test_stride_not_positive_rejected(self, stride):
+        with pytest.raises(ConfigError, match="stride must be > 0"):
+            decode(Tensor.zeros((1, 6, 2, 2)), stride, 0.25)
+
+    def test_numpy_scalar_stride_decodes_like_a_python_number(self):
+        """A float32 head's box sizes stay float32 whatever number type the
+        stride is, so the rows are the same bits. (A stride of 3, unlike a
+        power of two, rounds differently in float32 and float64.)"""
+        head = hostile_head(np.random.default_rng(44), (1, 8, 8, 8), np.float32)
+        want = decode(head, 3, 0.25)
+        for stride in (3.0, np.int64(3), np.float64(3.0)):
+            assert same_rows(decode(head, stride, 0.25), want)
 
     def test_encode_decode_round_trip(self):
-        spec = GridDecodeSpec(8, 8, 8.0, 2)
         rng = np.random.default_rng(31)
         for _ in range(60):
             w = rng.uniform(3.0, 40.0)
             h = rng.uniform(3.0, 40.0)
-            cx = rng.uniform(w / 2 + 0.2, spec.image_w - w / 2 - 0.2)
-            cy = rng.uniform(h / 2 + 0.2, spec.image_h - h / 2 - 0.2)
+            cx = rng.uniform(w / 2 + 0.2, 64.0 - w / 2 - 0.2)
+            cy = rng.uniform(h / 2 + 0.2, 64.0 - h / 2 - 0.2)
             box = BBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
-            row, col, tx, ty, tw, th = encode_box(box, spec)
-            head = head_with_one_cell(spec, row, col, tx, ty, tw, th, cls_id=1)
-            (row,) = decode(head, spec)
+            row, col, tx, ty, tw, th = encode_box(box, 8.0, 8, 8)
+            head = head_with_one_cell(8, 2, row, col, tx, ty, tw, th, cls_id=1)
+            (row,) = decode(head, 8.0, 0.25)
             assert row[5] == 1
             assert np.all(np.abs(row[:4] - box.as_array()) < 1e-6)
 
 
-def hostile_head(rng, spec, dtype):
-    """Random logits plus the edge cases of decode: cells whose score is
-    exactly 0.25 (all-zero logits), size logits at and beyond _LOGIT_CAP that
-    clamp at both image edges, and cells whose boxes underflow to zero size."""
-    head = rng.normal(0.0, 2.0, size=(1, spec.channels, spec.grid_h, spec.grid_w))
-    cells = spec.grid_h * spec.grid_w
-    flat = head.reshape(spec.channels, cells)
+def hostile_head(rng, shape, dtype):
+    """Random logits of the given head shape plus the edge cases of decode:
+    cells whose score is exactly 0.25 (all-zero logits), size logits at and
+    beyond _LOGIT_CAP that clamp at both image edges, and cells whose boxes
+    underflow to zero size."""
+    head = rng.normal(0.0, 2.0, size=shape)
+    _, channels, grid_h, grid_w = shape
+    cells = grid_h * grid_w
+    flat = head.reshape(channels, cells)
     picks = rng.permutation(cells)
     flat[:, picks[:cells // 6]] = 0.0
     flat[2:4, picks[cells // 6:cells // 3]] = rng.choice([_LOGIT_CAP, _LOGIT_CAP + 1.0, 400.0, 8.0],
@@ -130,19 +141,18 @@ class TestArrayDecode:
     def test_matches_scalar_decode(self, dtype, threshold):
         rng = np.random.default_rng(40)
         for grid_h, grid_w, classes in ((8, 8, 3), (3, 5, 1), (1, 1, 2), (6, 2, 4)):
-            spec = GridDecodeSpec(grid_h, grid_w, 8.0, classes, score_threshold=threshold)
             for _ in range(10):
-                head = hostile_head(rng, spec, dtype)
-                assert same_rows(decode(head, spec), detection_rows(scalar_decode(head, spec)))
+                head = hostile_head(rng, (1, 5 + classes, grid_h, grid_w), dtype)
+                assert same_rows(decode(head, 8.0, threshold),
+                                 detection_rows(scalar_decode(head, 8.0, threshold)))
 
     def test_score_at_threshold_and_both_edges_clamped(self):
-        spec = GridDecodeSpec(2, 2, 8.0, 1, score_threshold=0.25)
         head = np.zeros((1, 6, 2, 2))
         head[0, 2:4, 1, 0] = _LOGIT_CAP  # a box far wider than the image
-        dets = decode(Tensor(head), spec)
+        dets = decode(Tensor(head), 8.0, 0.25)
         assert len(dets) == 4 and np.all(dets[:, 4] == 0.25)
-        assert tuple(dets[2, :4]) == (0.0, 0.0, spec.image_w, spec.image_h)
-        assert same_rows(dets, detection_rows(scalar_decode(Tensor(head), spec)))
+        assert tuple(dets[2, :4]) == (0.0, 0.0, 16.0, 16.0)
+        assert same_rows(dets, detection_rows(scalar_decode(Tensor(head), 8.0, 0.25)))
 
 
 def tied_detections(rng, n, classes=2):
@@ -172,11 +182,10 @@ class TestArrayNMS:
     @pytest.mark.parametrize("score_threshold", [0.01, 0.25])
     def test_decode_and_nms_match_the_scalar_pipeline(self, score_threshold, thr, dtype):
         rng = np.random.default_rng(42)
-        spec = GridDecodeSpec(8, 8, 8.0, 3, score_threshold=score_threshold)
         for _ in range(20):
-            head = hostile_head(rng, spec, dtype)
-            want = detection_rows(scalar_nms(scalar_decode(head, spec), thr))
-            assert same_rows(nms(decode(head, spec), thr), want)
+            head = hostile_head(rng, (1, 8, 8, 8), dtype)
+            want = detection_rows(scalar_nms(scalar_decode(head, 8.0, score_threshold), thr))
+            assert same_rows(nms(decode(head, 8.0, score_threshold), thr), want)
 
     def test_empty(self):
         assert nms(np.empty((0, 6)), 0.45).shape == (0, 6)
@@ -351,9 +360,8 @@ class TestBenchmarkContract:
 
     def test_len_of_decode_and_nms_counts_detections(self):
         rng = np.random.default_rng(43)
-        spec = GridDecodeSpec(8, 8, 8.0, 3, score_threshold=0.01)
-        head = hostile_head(rng, spec, np.float64)
-        dets = decode(head, spec)
+        head = hostile_head(rng, (1, 8, 8, 8), np.float64)
+        dets = decode(head, 8.0, 0.01)
         kept = nms(dets, 0.45)
-        want = scalar_decode(head, spec)
+        want = scalar_decode(head, 8.0, 0.01)
         assert len(dets) == len(want) > len(kept) == len(scalar_nms(want, 0.45)) > 6

@@ -17,8 +17,6 @@ def small_config(**kwargs):
         epochs=4,
         batch_size=4,
         dataset_count=8,
-        image_size=32,
-        num_classes=3,
         net=ToyNetSpec(image_size=32, stem_channels=8),
     )
     defaults.update(kwargs)
@@ -177,7 +175,3 @@ class TestConfigValidation:
     def test_bad_freeze_fraction(self):
         with pytest.raises(ConfigError):
             small_config(freeze_fraction=1.5)
-
-    def test_net_must_agree_with_top_level(self):
-        with pytest.raises(ConfigError):
-            TrainConfig(image_size=64, net=ToyNetSpec(image_size=32))

@@ -146,16 +146,18 @@ class CBAMSpec:
 class FasterNetBlockSpec:
     """Residual block: partial conv, then a two-layer pointwise conv MLP."""
 
-    channels: int
     pconv: PConvSpec
     expansion: float = 2.0
     activation: str = "mish"
 
     def __post_init__(self):
-        if self.pconv.channels != self.channels:
-            raise ConfigError("pconv channels must match block channels")
-        if self.expansion <= 0:
-            raise ConfigError("expansion ratio must be > 0")
+        # also false for NaN; an infinite ratio has no hidden width
+        if not 0.0 < self.expansion < math.inf:
+            raise ConfigError(f"expansion must be finite and > 0, got {self.expansion}")
+
+    @property
+    def channels(self) -> int:
+        return self.pconv.channels
 
     @property
     def hidden(self) -> int:

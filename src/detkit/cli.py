@@ -191,11 +191,7 @@ def cmd_bench(args) -> int:
             "pconv_mem_approx": pconv_report.total_mem_approx,
         },
     }, out_dir / "bench.json")
-    lines = ["layer,full_params,pconv_params,full_macs,pconv_macs,full_mem_approx,pconv_mem_approx,feature_access_ratio"]
-    for r in rows:
-        lines.append(",".join(str(r[k]) for k in (
-            "layer", "full_params", "pconv_params", "full_macs", "pconv_macs",
-            "full_mem_approx", "pconv_mem_approx", "feature_access_ratio")))
+    lines = [",".join(rows[0])] + [",".join(map(str, r.values())) for r in rows]
     lines.append(f"TOTAL,{full_report.total_params},{pconv_report.total_params},"
                  f"{full_report.total_macs},{pconv_report.total_macs},"
                  f"{full_report.total_mem_approx},{pconv_report.total_mem_approx},")
@@ -250,12 +246,11 @@ def cmd_eval(args) -> int:
     weights_path = _require_file(args.weights, "weights file")
     params = load_weights(weights_path)
     all_dets, all_gts = _run_model_on_dataset(cfg, values, params)
-    report = model_cost(cost_layers(cfg.net))
     summary, curve, per_class = evaluate(
         all_dets, all_gts,
         iou_thr=values["eval_iou"],
-        model_size_mb=report.model_size_bytes(8) / 1e6,
-        computation_macs=report.total_macs,
+        model_size_mb=sum(p.nbytes for p in params.values()) / 1e6,
+        computation_macs=model_cost(cost_layers(cfg.net)).total_macs,
     )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -7,20 +7,20 @@ Counts are element accesses for one image. A convolution over a map of
 spatial size h x w reads every input position once and writes every output
 position once, plus one access per kernel weight:
 
-    full conv, square case (c_in = c_out = c, stride 1, same padding):
-        exact  = h*w*2c + k^2 * c^2
-        approx = h*w*2c            (weight accesses dropped)
+    exact  = h*w*c_in + h_out*w_out*c_out + k^2 * c_in * c_out
+    approx = h*w*c_in + h_out*w_out*c_out      (weight accesses dropped)
 
-    full conv, general case:
-        exact  = h*w*c_in + h_out*w_out*c_out + k^2 * c_in * c_out
-        approx = h*w*c_in + h_out*w_out*c_out
+A shape-preserving square conv (c_in = c_out = c, stride 1, same padding)
+gives exact = h*w*2c + k^2 * c^2. The partial conv over the first c_p of c
+channels is that same formula, bias-free, at c_in = c_out = c_p, since it
+runs a regular convolution on those channels:
 
-    partial conv over the first c_p of c channels (shape preserving):
-        exact  = h*w*2c_p + k^2 * c_p^2
-        approx = h*w*2c_p
+    exact  = h*w*2c_p + k^2 * c_p^2
+    approx = h*w*2c_p
 
-The approximation drops the weight term, which is only fair when
-h*w*2c_p >> k^2 * c_p^2; both figures are therefore always reported.
+The approximation drops the weight term, which is only fair when the
+feature term dwarfs it (h*w*2c_p >> k^2 * c_p^2 for the partial conv);
+both figures are therefore always reported.
 The untouched c - c_p channels of a partial conv cost nothing here: the
 operator never reads or writes them (pass-through).
 
@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .ops import ConvSpec
 from .tensor import ConfigError
 
 
@@ -79,8 +80,9 @@ class CostReport:
     def total_mem_approx(self) -> int:
         return sum(l.mem_access_approx for l in self.layers)
 
-    def model_size_bytes(self, bytes_per_element: int = 8) -> int:
-        return self.total_params * bytes_per_element
+    def model_size_bytes(self) -> int:
+        """Size of the parameters stored as float64."""
+        return self.total_params * 8
 
     def rows(self) -> list[dict]:
         return [
@@ -94,7 +96,7 @@ class CostReport:
             for l in self.layers
         ]
 
-    def to_json_dict(self, bytes_per_element: int = 8) -> dict:
+    def to_json_dict(self) -> dict:
         return {
             "layers": self.rows(),
             "totals": {
@@ -102,7 +104,7 @@ class CostReport:
                 "macs": self.total_macs,
                 "mem_exact": self.total_mem_exact,
                 "mem_approx": self.total_mem_approx,
-                "model_size_bytes": self.model_size_bytes(bytes_per_element),
+                "model_size_bytes": self.model_size_bytes(),
             },
         }
 
@@ -129,32 +131,13 @@ class CostReport:
         return "\n".join(out) + "\n"
 
 
-def conv_out_size(in_size: int, k: int, p: int, s: int) -> int:
-    """floor((in - k + 2p) / s) + 1; raises when the result would be < 1."""
-    if s < 1:
-        raise ConfigError("stride must be >= 1")
-    if k < 1 or in_size < 1 or p < 0:
-        raise ConfigError("invalid conv geometry")
-    out = (in_size - k + 2 * p) // s + 1
-    if out < 1:
-        raise ConfigError(
-            f"conv output size {out} < 1 for in={in_size}, k={k}, p={p}, s={s}"
-        )
-    return out
-
-
-def conv_cost(h: int, w: int, c_in: int, c_out: int, k: int,
-              stride: int = 1, padding: int | None = None,
-              bias: bool = True, name: str = "conv") -> LayerCost:
-    """Cost of a full convolution. Default geometry is shape preserving
-    (stride 1, padding (k - 1) // 2); see the module docstring for the
+def conv_cost(spec: ConvSpec, h: int, w: int, bias: bool = True,
+              name: str = "conv") -> LayerCost:
+    """Cost of the convolution ``spec`` over an h x w input; output sizes
+    come from ``spec.out_size``. See the module docstring for the
     memory-access model."""
-    if min(h, w, c_in, c_out, k) < 1:
-        raise ConfigError("conv dims must be >= 1")
-    if padding is None:
-        padding = (k - 1) // 2
-    h_out = conv_out_size(h, k, padding, stride)
-    w_out = conv_out_size(w, k, padding, stride)
+    k, c_in, c_out = spec.kernel, spec.in_channels, spec.out_channels
+    h_out, w_out = spec.out_size(h), spec.out_size(w)
     params = k * k * c_in * c_out + (c_out if bias else 0)
     macs = h_out * w_out * k * k * c_in * c_out
     feature_access = h * w * c_in + h_out * w_out * c_out
@@ -162,27 +145,11 @@ def conv_cost(h: int, w: int, c_in: int, c_out: int, k: int,
     return LayerCost(name, params, macs, exact, feature_access)
 
 
-def pconv_cost(h: int, w: int, c: int, c_p: int, k: int, name: str = "pconv") -> LayerCost:
-    """Cost of a partial convolution over the first c_p of c channels
-    (stride 1, same padding, no bias)."""
-    if min(h, w, c, c_p, k) < 1:
-        raise ConfigError("pconv dims must be >= 1")
-    if not 1 <= c_p <= c:
-        raise ConfigError(f"c_p must be in [1, {c}]")
-    h_out = conv_out_size(h, k, (k - 1) // 2, 1)
-    w_out = conv_out_size(w, k, (k - 1) // 2, 1)
-    params = k * k * c_p * c_p
-    macs = h_out * w_out * k * k * c_p * c_p
-    approx = h * w * 2 * c_p
-    exact = approx + k * k * c_p * c_p
-    return LayerCost(name, params, macs, exact, approx)
-
-
-def linear_cost(in_features: int, out_features: int, bias: bool = True,
-                name: str = "linear") -> LayerCost:
+def linear_cost(in_features: int, out_features: int, name: str = "linear") -> LayerCost:
+    """Cost of a fully connected layer with bias."""
     if in_features < 1 or out_features < 1:
         raise ConfigError("feature counts must be >= 1")
-    params = in_features * out_features + (out_features if bias else 0)
+    params = in_features * out_features + out_features
     macs = in_features * out_features
     exact = in_features + out_features + in_features * out_features
     approx = in_features + out_features

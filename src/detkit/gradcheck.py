@@ -294,7 +294,7 @@ def _check_pconv(rng, case):
 @register("fasternet_block")
 def _check_block(rng, case):
     c = int(rng.integers(2, 5))
-    spec = blocks.FasterNetBlockSpec(c, blocks.PConvSpec(c, max(1, c // 2), 3))
+    spec = blocks.FasterNetBlockSpec(blocks.PConvSpec(c, max(1, c // 2), 3))
     params = blocks.fasternet_block_init(spec, rng)
     x = _probe(rng, (1, c, 4, 4))
     g = _probe(rng, (1, c, 4, 4))

@@ -24,15 +24,18 @@ class count from the head it decodes. The layer
 sequence itself is written out in three places: ``init_params`` (the flat
 ``<layer>.<param>`` store, whose order is the ``.dkw`` manifest order),
 ``net_forward``/``net_backward`` (the call order) and ``cost_layers`` (the
-cost model's rows). ``cost_layers`` restates no size: it prices each row on
-the spec the forward runs that layer with (``stem_spec()``, the block's
-``pconv``, ``pw1_spec()`` and ``pw2_spec()``, ``cbam_spec()`` and its
-``spatial_conv_spec()``, ``head_spec()``) by calling the :mod:`detkit.cost`
-builders directly. Tests hold them together: every parameter prefix
-names a cost layer, a golden digest pins the initial manifest, and a
-call-order test pins the layer calls. At ``cp_fraction = 1.0`` the partial
-convolution covers every channel and is a bias-free full convolution: that
-spec is the full-conv twin ``detkit bench`` prices, and it runs like any other.
+cost model's rows). ``cost_layers`` restates no size: it prices every
+convolution with ``cost.conv_cost`` on the ``ConvSpec`` the forward passes
+to ``conv2d_forward`` (``stem_spec()``, the block's ``pconv.conv_spec()``
+without a bias, ``pw1_spec()``, ``pw2_spec()``, the CBAM
+``spatial_conv_spec()`` and ``head_spec()``), and the CBAM MLP on
+``cbam_spec()``. Tests hold them together: every parameter prefix names a
+cost layer, a golden digest pins the initial manifest, a call-order test
+pins the layer calls, and a recorded forward checks that the conv rows
+price exactly the convolutions it runs. At ``cp_fraction = 1.0`` the
+partial convolution covers every channel and is a bias-free full
+convolution: that spec is the full-conv twin ``detkit bench`` prices, and
+it runs like any other.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from .blocks import (
     fasternet_block_init,
     he_normal,
 )
-from .cost import LayerCost, conv_cost, linear_cost, pconv_cost, spp_cost
+from .cost import LayerCost, conv_cost, linear_cost, spp_cost
 from .ops import (ConvSpec, activation, activation_backward, check_activation, check_pool_windows,
                   conv2d_backward, conv2d_forward, spp, spp_backward)
 from .tensor import ConfigError, Tensor, _require_finite
@@ -87,9 +90,6 @@ class ToyNetSpec:
             raise ConfigError("image_size must be a multiple of stride")
         if not 0.0 < self.cp_fraction <= 1.0:
             raise ConfigError("cp_fraction must be in (0, 1]")
-        # also false for NaN; an infinite ratio has no hidden width
-        if not 0.0 < self.expansion < math.inf:
-            raise ConfigError(f"expansion must be finite and > 0, got {self.expansion}")
         if self.stem_channels < 4:
             raise ConfigError("stem must have at least 4 channels")
         for name, check in (("spp_windows", check_pool_windows), ("activation", check_activation)):
@@ -97,6 +97,9 @@ class ToyNetSpec:
                 check(getattr(self, name))
             except ConfigError as exc:
                 raise ConfigError(f"{name}: {exc}") from None
+        # the layer specs check what they own: expansion, the odd kernels, reduction
+        self.block_spec()
+        self.cbam_spec()
 
     @property
     def grid(self) -> int:
@@ -120,7 +123,6 @@ class ToyNetSpec:
 
     def block_spec(self) -> FasterNetBlockSpec:
         return FasterNetBlockSpec(
-            channels=self.stem_channels,
             pconv=PConvSpec(self.stem_channels, self.conv_channels, self.pconv_kernel),
             expansion=self.expansion,
             activation=self.activation,
@@ -220,22 +222,16 @@ def cost_layers(spec: ToyNetSpec) -> list[LayerCost]:
     """Cost rows of one image's pass, in call order, each priced on the spec
     the forward runs that layer with."""
     g = spec.grid
-
-    def conv(name: str, size: int, cs: ConvSpec) -> LayerCost:
-        return conv_cost(size, size, cs.in_channels, cs.out_channels, cs.kernel,
-                         cs.stride, cs.padding, name=name)
-
     block, cb = spec.block_spec(), spec.cbam_spec()
-    pc = block.pconv
-    layers = [conv("stem", spec.image_size, spec.stem_spec())]
+    layers = [conv_cost(spec.stem_spec(), spec.image_size, spec.image_size, name="stem")]
     for name in ("block1", "block2"):
-        layers += [pconv_cost(g, g, pc.channels, pc.conv_channels, pc.kernel, name=f"{name}.pconv"),
-                   conv(f"{name}.pw1", g, block.pw1_spec()),
-                   conv(f"{name}.pw2", g, block.pw2_spec())]
+        layers += [conv_cost(block.pconv.conv_spec(), g, g, bias=False, name=f"{name}.pconv"),
+                   conv_cost(block.pw1_spec(), g, g, name=f"{name}.pw1"),
+                   conv_cost(block.pw2_spec(), g, g, name=f"{name}.pw2")]
     return layers + [
         spp_cost(g, g, spec.stem_channels, len(spec.spp_windows), name="spp"),
         linear_cost(cb.channels, cb.mlp_width, name="cbam.fc1"),
         linear_cost(cb.mlp_width, cb.channels, name="cbam.fc2"),
-        conv("cbam.spatial", g, cb.spatial_conv_spec()),
-        conv("head", g, spec.head_spec()),
+        conv_cost(cb.spatial_conv_spec(), g, g, name="cbam.spatial"),
+        conv_cost(spec.head_spec(), g, g, name="head"),
     ]

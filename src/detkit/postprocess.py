@@ -46,7 +46,8 @@ def decode(head: Tensor, stride: float, score_threshold: float) -> np.ndarray:
     # a Python float: a numpy scalar would promote a float32 head's box sizes to float64
     s = float(stride)
     image_w, image_h = grid_w * s, grid_h * s
-    # float64, so a float32 head scores and boxes in the same precision as a float64 one
+    # float64 scores and box centres for any head; the box sizes below are
+    # exponentials of the head's own logits and keep its dtype
     sig = sigmoid(p).astype(np.float64, copy=False)
     cls = sig[5:]
     score = sig[4] * cls.max(axis=0)

@@ -14,7 +14,8 @@ import pytest
 from oracles import BBox, brute_force_nms, detection_rows, naive_conv2d, random_detections
 
 from detkit import cli, gradcheck, ops
-from detkit.cost import conv_cost, conv_out_size, model_cost, pconv_cost
+from detkit.blocks import PConvSpec
+from detkit.cost import conv_cost, model_cost
 from detkit.dataset import synth_dataset
 from detkit.losses import _box_rows, pairwise_iou
 from detkit.metrics import evaluate
@@ -42,8 +43,8 @@ def test_criterion_1_memory_access_ratio_exact_quarter():
         h = int(rng.integers(1, 129))
         w = int(rng.integers(1, 129))
         k = 2 * int(rng.integers(0, 4)) + 1
-        pc = pconv_cost(h, w, c, c // 4, k)
-        full = conv_cost(h, w, c, c, k)
+        pc = conv_cost(PConvSpec(c, c // 4, k).conv_spec(), h, w, bias=False)
+        full = conv_cost(ops.ConvSpec(c, c, k, padding=(k - 1) // 2), h, w)
         ratio = Fraction(pc.mem_access_approx, full.mem_access_approx)
         assert ratio == Fraction(1, 4), f"h={h} w={w} c={c} k={k}: {ratio}"
         checked += 1
@@ -125,11 +126,9 @@ def test_criterion_3c_shape_law_matches_execution():
         p = int(rng.integers(0, 4))
         if size + 2 * p < k or (size - k + 2 * p) // s + 1 < 1:
             continue
-        out = ops.conv2d_forward(
-            np.zeros((1, 1, size, size)), np.zeros((1, 1, k, k)), None,
-            ops.ConvSpec(1, 1, k, s, p))
-        assert out.shape[2] == conv_out_size(size, k, p, s)
-        assert out.shape[3] == conv_out_size(size, k, p, s)
+        spec = ops.ConvSpec(1, 1, k, s, p)
+        out = ops.conv2d_forward(np.zeros((1, 1, size, size)), np.zeros((1, 1, k, k)), None, spec)
+        assert out.shape[2] == out.shape[3] == spec.out_size(size) == (size - k + 2 * p) // s + 1
         checked += 1
     report("criterion 3c (output-size law vs executed shapes)",
            f"{checked} valid random configs agree")

@@ -1,5 +1,7 @@
 """Partial convolution, residual block, and attention behavior tests."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from oracles import inline_channel_attention, inline_channel_attention_backward
@@ -77,7 +79,17 @@ class TestPConv:
 
 class TestFasterNetBlock:
     def _spec(self, c=6):
-        return FasterNetBlockSpec(c, PConvSpec(c, 2, 3), expansion=2.0, activation="mish")
+        return FasterNetBlockSpec(PConvSpec(c, 2, 3), expansion=2.0, activation="mish")
+
+    def test_channels_are_the_pconv_channels(self):
+        assert self._spec(c=7).channels == 7
+        assert "channels" not in {f.name for f in fields(FasterNetBlockSpec)}
+
+    @pytest.mark.parametrize("expansion", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_an_expansion_that_is_not_finite_and_positive_is_rejected(self, expansion):
+        """A NaN or infinite ratio would crash math.ceil in hidden."""
+        with pytest.raises(ConfigError, match=f"^expansion must be finite and > 0, got {expansion}$"):
+            FasterNetBlockSpec(PConvSpec(8, 2, 3), expansion=expansion)
 
     def test_zero_params_is_identity(self):
         spec = self._spec()

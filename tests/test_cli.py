@@ -505,6 +505,21 @@ class TestTrainEvalDetect:
             assert 0.0 <= d.bbox.y1 <= d.bbox.y2 <= 32.0
         assert read_image(overlay).shape == (1, 1, 32, 32)
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_eval_model_size_is_what_the_loaded_weights_hold(self, tmp_path, small_config, dtype):
+        """A float32 model is half the size of its float64 twin."""
+        from detkit.model import init_params
+        from detkit.weights_io import save_weights
+
+        params = init_params(ToyNetSpec(image_size=32, stem_channels=8), np.random.default_rng(0),
+                             dtype=getattr(np, dtype))
+        save_weights(params, tmp_path / "w.dkw")
+        _quiet_main(["eval", "--config", str(small_config), "--weights", str(tmp_path / "w.dkw"),
+                     "--out-dir", str(tmp_path / "e")])
+        summary = json.loads((tmp_path / "e" / "summary.json").read_text())
+        n_values = sum(p.size for p in params.values())
+        assert summary["model_size_mb"] == n_values * np.dtype(dtype).itemsize / 1e6
+
     def test_train_eval_byte_identical_across_runs(self, tmp_path, small_config):
         dirs = [tmp_path / "a", tmp_path / "b"]
         for d in dirs:

@@ -1,0 +1,59 @@
+"""The detkit names the benchmark harness reads all exist.
+
+``perfbench/`` imports detkit names and reads attributes of detkit modules,
+such as ``gradcheck._SUITES`` and ``cost.model_cost``. Deleting or renaming
+one would otherwise show only when the benchmark runs; here it fails a test.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import detkit
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+DETKIT = Path(detkit.__file__).parent
+
+
+def _resolve(module: str, name: str):
+    """detkit's ``module.name``, a submodule if it is not an attribute."""
+    mod = importlib.import_module(module)
+    if hasattr(mod, name):
+        return getattr(mod, name)
+    return importlib.import_module(f"{module}.{name}")
+
+
+def detkit_references() -> set[tuple[str, str, str]]:
+    """(file, module, name) for every ``from detkit... import name`` and every
+    ``alias.name`` whose alias is bound to a detkit module in that file."""
+    refs = set()
+    for path in sorted(PERFBENCH.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        where = str(path.relative_to(PERFBENCH))
+        modules = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules.update((a.asname or a.name, a.name) for a in node.names if a.name == "detkit")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "detkit":
+                for a in node.names:
+                    refs.add((where, node.module, a.name))
+                    if node.module == "detkit" and (DETKIT / f"{a.name}.py").is_file():
+                        modules[a.asname or a.name] = f"detkit.{a.name}"
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules):
+                refs.add((where, modules[node.value.id], node.attr))
+    return refs
+
+
+def test_every_detkit_name_the_benchmark_reads_exists():
+    refs = detkit_references()
+    assert ("layers.py", "detkit.cost", "model_cost") in refs
+    assert ("worker.py", "detkit.gradcheck", "_SUITES") in refs
+    missing = []
+    for where, module, name in sorted(refs):
+        try:
+            _resolve(module, name)
+        except ImportError:
+            missing.append(f"{where}: {module}.{name}")
+    assert not missing, missing

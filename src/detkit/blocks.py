@@ -84,7 +84,7 @@ class PConvSpec:
                 f"conv_channels must be in [1, {self.channels}], got {self.conv_channels}"
             )
         if self.kernel < 1 or self.kernel % 2 == 0:
-            raise ConfigError(f"partial conv kernel must be odd and >= 1, got {self.kernel}")
+            raise ConfigError(f"kernel must be odd and >= 1, got {self.kernel}")
 
     def conv_spec(self) -> ConvSpec:
         return ConvSpec(
@@ -114,13 +114,13 @@ class CBAMSpec:
         if self.channels < 1:
             raise ConfigError("channels must be >= 1")
         if self.reduction < 1:
-            raise ConfigError("reduction must be >= 1")
+            raise ConfigError(f"reduction must be >= 1, got {self.reduction}")
         if self.spatial_kernel < 1 or self.spatial_kernel % 2 == 0:
-            raise ConfigError(f"spatial kernel must be odd and >= 1, got {self.spatial_kernel}")
+            raise ConfigError(f"spatial_kernel must be odd and >= 1, got {self.spatial_kernel}")
         if self.composition not in ("sequential", "literal"):
-            raise ConfigError(f"unknown composition {self.composition!r}")
+            raise ConfigError(f"composition must be 'sequential' or 'literal', got {self.composition!r}")
         if self.channel_mlp not in ("prose", "literal"):
-            raise ConfigError(f"unknown channel_mlp {self.channel_mlp!r}")
+            raise ConfigError(f"channel_mlp must be 'prose' or 'literal', got {self.channel_mlp!r}")
 
     @property
     def hidden(self) -> int:

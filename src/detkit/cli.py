@@ -229,28 +229,19 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _run_model_on_dataset(cfg: TrainConfig, values: dict, params):
-    net = cfg.net
-    score_threshold, nms_iou = values["score_threshold"], values["nms_iou"]
-    data = synth_dataset(cfg.seed, cfg.dataset_count, net.image_size, net.num_classes)
-    all_dets, all_gts = [], []
-    for image, targets in data:
-        dets = nms(decode(_head(params, net, image), net.stride, score_threshold), nms_iou)
-        all_dets.append(dets)
-        all_gts.append(targets)
-    return all_dets, all_gts
-
-
 def cmd_eval(args) -> int:
     cfg, values = _load_run_config(args.config)
     weights_path = _require_file(args.weights, "weights file")
     params = load_weights(weights_path)
-    all_dets, all_gts = _run_model_on_dataset(cfg, values, params)
+    net = cfg.net
+    data = synth_dataset(cfg.seed, cfg.dataset_count, net.image_size, net.num_classes)
+    all_dets = [nms(decode(_head(params, net, image), net.stride, values["score_threshold"]),
+                    values["nms_iou"]) for image, _ in data]
     summary, curve, per_class = evaluate(
-        all_dets, all_gts,
+        all_dets, [targets for _, targets in data],
         iou_thr=values["eval_iou"],
         model_size_mb=sum(p.nbytes for p in params.values()) / 1e6,
-        computation_macs=model_cost(cost_layers(cfg.net)).total_macs,
+        computation_macs=model_cost(cost_layers(net)).total_macs,
     )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -6,11 +6,18 @@ that ``postprocess.nms`` returns, and its ground truths the (t, 5) rows
 
 Matching is per image: detections are processed in descending score order
 (ties by input order) and each claims at most one unmatched ground truth of
-the same class with IoU at or above the threshold. Precision and recall are
+the same class with IoU at or above the threshold; ``match_image`` returns
+an (n,) bool true-positive flag per detection. Precision and recall are
 reported at the final operating point (every supplied detection counts);
-the PR curve sweeps the score threshold implicitly through the sorted
-detection list and AP is the exact area under the all-points interpolated
-curve. Precision with zero predictions is defined as 0.
+precision with zero predictions is defined as 0.
+
+``evaluate`` concatenates every image's detections and flags and ranks them
+once, with a stable ``np.lexsort`` on (-score, class, x1, y1, x2, y2), so the
+result does not depend on the order of the images. The PR curve sweeps the
+score threshold down that ranked flag vector, and each class's curve is the
+same vector under a class mask. AP is the exact area under the all-points
+interpolated curve: the sum over ranks of the recall step times the running
+max of precision from the right, added left to right.
 """
 
 from __future__ import annotations
@@ -63,13 +70,13 @@ class EvalSummary:
         return asdict(self)
 
 
-def match_image(dets: np.ndarray, gts: np.ndarray, iou_thr: float) -> list[bool]:
+def match_image(dets: np.ndarray, gts: np.ndarray, iou_thr: float) -> np.ndarray:
     """Greedy match of one image's (n, 6) detections against its (t, 5)
-    ground truths; returns a true-positive flag per detection in the original
+    ground truths; returns the (n,) true-positive flags in the original
     detection order."""
     ious = pairwise_iou(dets[:, :4], gts[:, :4])
     untaken = np.ones(len(gts), dtype=bool)
-    tp = [False] * len(dets)
+    tp = np.zeros(len(dets), dtype=bool)
     for i in np.argsort(-dets[:, 4], kind="stable").tolist():
         # the highest IoU at or above the threshold; ties go to the first gt
         ok = untaken & (gts[:, 4] == dets[i, 5]) & (ious[i] >= iou_thr)
@@ -80,69 +87,46 @@ def match_image(dets: np.ndarray, gts: np.ndarray, iou_thr: float) -> list[bool]
     return tp
 
 
-def _ap_all_points(recalls: np.ndarray, precisions: np.ndarray) -> float:
-    """Exact area under the all-points interpolated PR curve."""
-    if len(recalls) == 0:
-        return 0.0
-    r = np.concatenate([[0.0], recalls, [recalls[-1]]])
-    p = np.concatenate([[0.0], precisions, [0.0]])
-    # interpolated precision: running max from the right
-    for i in range(len(p) - 2, -1, -1):
-        p[i] = max(p[i], p[i + 1])
-    ap = 0.0
-    for i in range(1, len(r)):
-        ap += (r[i] - r[i - 1]) * p[i]
-    return float(ap)
-
-
-def _curve_from_flags(flags_scores: list[tuple[float, bool, tuple]], n_gt: int):
-    """Build the swept PR curve from pooled (score, tp, tiebreak) records."""
-    if not flags_scores or n_gt == 0:
+def _curve(flags: np.ndarray, n_gt: int) -> PRCurve:
+    """The swept PR curve of ranked true-positive flags and its all-points AP."""
+    if len(flags) == 0 or n_gt == 0:
         return PRCurve((), (), 0.0)
-    ordered = sorted(flags_scores, key=lambda z: (-z[0],) + z[2])
-    tp = np.cumsum([1 if z[1] else 0 for z in ordered])
-    fp = np.cumsum([0 if z[1] else 1 for z in ordered])
-    recalls = tp / n_gt
-    precisions = tp / np.maximum(tp + fp, 1)
-    ap = _ap_all_points(recalls, precisions)
-    return PRCurve(tuple(recalls.tolist()), tuple(precisions.tolist()), ap)
+    hits = np.cumsum(flags)
+    recalls = hits / n_gt
+    precisions = hits / np.arange(1, len(flags) + 1)
+    # interpolated precision: the running max from the right
+    envelope = np.maximum.accumulate(precisions[::-1])[::-1]
+    ap = np.add.accumulate(np.diff(recalls, prepend=0.0) * envelope)[-1]
+    return PRCurve(tuple(recalls.tolist()), tuple(precisions.tolist()), float(ap))
 
 
 def evaluate(detections, ground_truths, iou_thr: float = 0.5,
              model_size_mb: float = 0.0, computation_macs: int = 0):
     """Score per-image detections against per-image ground truths.
 
-    Returns (EvalSummary, PRCurve, per_class_ap dict). The result does not
-    depend on the order in which images are supplied.
+    Returns (EvalSummary, PRCurve, per_class_ap dict); per_class_ap has the
+    AP of each ground-truth class id, in ascending order.
     """
     if len(detections) != len(ground_truths):
         raise ConfigError("detections and ground truths must cover the same images")
-    pooled: list[tuple[float, bool, tuple]] = []
-    per_class: dict[int, list[tuple[float, bool, tuple]]] = {}
-    class_gt_counts: dict[int, int] = {}
-    n_gt = 0
-    n_tp = 0
-    n_det = 0
-    for dets, gts in zip(detections, ground_truths):
-        n_gt += len(gts)
-        n_det += len(dets)
-        for gcls in gts[:, 4].astype(np.int64).tolist():
-            class_gt_counts[gcls] = class_gt_counts.get(gcls, 0) + 1
-        tp = match_image(dets, gts, iou_thr)
-        for (x1, y1, x2, y2, score, cls), flag in zip(dets.tolist(), tp):
-            n_tp += flag
-            # an int class id: summary.json's per_class_ap keys print it
-            key = (int(cls), x1, y1, x2, y2)
-            pooled.append((score, flag, key))
-            per_class.setdefault(key[0], []).append((score, flag, key))
+    flags = np.concatenate([np.zeros(0, dtype=bool), *(
+        match_image(dets, gts, iou_thr) for dets, gts in zip(detections, ground_truths))])
+    dets = np.concatenate([np.empty((0, 6)), *detections])
+    # int class ids: summary.json's per_class_ap keys print them
+    classes = dets[:, 5].astype(np.int64)
+    gt_classes = np.concatenate([np.empty(0), *(gts[:, 4] for gts in ground_truths)]).astype(np.int64)
+    x1, y1, x2, y2, score = dets[:, :5].T
+    # np.lexsort's last key ranks first: (-score, class, x1, y1, x2, y2)
+    order = np.lexsort((y2, x2, y1, x1, classes, -score))
+    ranked, ranked_classes = flags[order], classes[order]
 
+    n_tp, n_det, n_gt = int(np.count_nonzero(flags)), len(flags), len(gt_classes)
     precision = n_tp / n_det if n_det else 0.0
     recall = n_tp / n_gt if n_gt else 0.0
-    curve = _curve_from_flags(pooled, n_gt)
-    per_class_ap = {
-        cls: _curve_from_flags(per_class.get(cls, []), cnt).ap
-        for cls, cnt in sorted(class_gt_counts.items())
-    }
+    curve = _curve(ranked, n_gt)
+    gt_ids, gt_counts = np.unique(gt_classes, return_counts=True)
+    per_class_ap = {k: _curve(ranked[ranked_classes == k], n).ap
+                    for k, n in zip(gt_ids.tolist(), gt_counts.tolist())}
     summary = EvalSummary.build(precision, recall, curve.ap, model_size_mb, computation_macs)
     return summary, curve, per_class_ap
 

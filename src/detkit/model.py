@@ -64,6 +64,12 @@ from .ops import (ConvSpec, activation, activation_backward, check_activation, c
 from .tensor import ConfigError, Tensor, _require_finite
 
 
+# The config key of each layer-spec field whose name differs from it.
+_SPEC_FIELD_KEYS = {"kernel": "pconv_kernel", "reduction": "cbam_reduction",
+                    "spatial_kernel": "cbam_spatial_kernel",
+                    "composition": "cbam_composition", "channel_mlp": "cbam_channel_mlp"}
+
+
 @dataclass(frozen=True)
 class ToyNetSpec:
     image_size: int = 64
@@ -82,8 +88,7 @@ class ToyNetSpec:
     activation: str = "mish"
 
     def __post_init__(self):
-        for name in ("image_size", "in_channels", "num_classes", "stride",
-                     "pconv_kernel", "cbam_spatial_kernel"):
+        for name in ("image_size", "in_channels", "num_classes", "stride"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.image_size % self.stride != 0:
@@ -91,15 +96,21 @@ class ToyNetSpec:
         if not 0.0 < self.cp_fraction <= 1.0:
             raise ConfigError("cp_fraction must be in (0, 1]")
         if self.stem_channels < 4:
-            raise ConfigError("stem must have at least 4 channels")
+            raise ConfigError(f"stem_channels must be >= 4, got {self.stem_channels}")
         for name, check in (("spp_windows", check_pool_windows), ("activation", check_activation)):
             try:
                 check(getattr(self, name))
             except ConfigError as exc:
                 raise ConfigError(f"{name}: {exc}") from None
-        # the layer specs check what they own: expansion, the odd kernels, reduction
-        self.block_spec()
-        self.cbam_spec()
+        # The layer specs check what they own: expansion, the odd kernels,
+        # reduction and the CBAM modes. Their messages start with the field,
+        # which names its config key here.
+        try:
+            self.block_spec()
+            self.cbam_spec()
+        except ConfigError as exc:
+            key = _SPEC_FIELD_KEYS.get(str(exc).split()[0])
+            raise (ConfigError(f"{key}: {exc}") if key else exc) from None
 
     @property
     def grid(self) -> int:

@@ -416,38 +416,20 @@ def activation_backward(cache, kind: str, upstream: np.ndarray) -> np.ndarray:
 # fully connected
 # ---------------------------------------------------------------------------
 
-def _as_batch(x: np.ndarray):
-    x = np.asarray(x)
-    if x.ndim == 1:
-        return x[None, :], True
-    if x.ndim == 2:
-        return x, False
-    raise ConfigError("fully connected input must be a vector or a batch of vectors")
-
-
-def fully_connected(x, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """out = W @ x + b, applied rowwise for batched input (batch, in)."""
-    xb, squeeze = _as_batch(x)
+def fully_connected(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """out = x @ W.T + b for a (batch, in) input."""
     w = np.asarray(weights)
     b = np.asarray(bias)
-    if w.ndim != 2 or xb.shape[1] != w.shape[1]:
-        raise ConfigError(f"weight shape {w.shape} incompatible with input of {xb.shape[1]} features")
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[1]:
+        raise ConfigError(f"weight shape {w.shape} incompatible with (batch, features) input {x.shape}")
     if b.shape != (w.shape[0],):
         raise ConfigError(f"bias length must be {w.shape[0]}")
-    out = xb @ w.T + b
-    return out[0] if squeeze else out
+    return x @ w.T + b
 
 
-def fully_connected_backward(x, weights: np.ndarray, upstream):
-    """Gradients of <upstream, W x + b> w.r.t. x, W and b."""
-    xb, squeeze = _as_batch(x)
-    ub, _ = _as_batch(upstream)
+def fully_connected_backward(x: np.ndarray, weights: np.ndarray, upstream: np.ndarray):
+    """Gradients of <upstream, x @ W.T + b> w.r.t. x, W and b."""
     w = np.asarray(weights)
-    if ub.shape != (xb.shape[0], w.shape[0]):
+    if upstream.shape != (x.shape[0], w.shape[0]):
         raise ConfigError("upstream shape must match forward output")
-    grad_x = ub @ w
-    grad_w = ub.T @ xb
-    grad_b = ub.sum(axis=0)
-    if squeeze:
-        grad_x = grad_x[0]
-    return grad_x, grad_w, grad_b
+    return upstream @ w, upstream.T @ x, upstream.sum(axis=0)

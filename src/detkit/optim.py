@@ -11,6 +11,12 @@ import numpy as np
 from .tensor import ConfigError
 
 
+# Adam's moment decay rates and denominator guard, at Kingma & Ba's defaults.
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 @dataclass
 class AdamWState:
     """Per-parameter first/second moment estimates plus the step counter."""
@@ -18,9 +24,6 @@ class AdamWState:
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.01
 
     @classmethod
@@ -50,18 +53,18 @@ def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
                 f"gradient shape {g.shape} != parameter shape {params[name].shape} for {name!r}"
             )
     state.t += 1
-    bc1 = 1.0 - state.beta1**state.t
-    bc2 = 1.0 - state.beta2**state.t
+    bc1 = 1.0 - BETA1**state.t
+    bc2 = 1.0 - BETA2**state.t
     for name, g in grads.items():
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * np.square(g)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * np.square(g)
         m_hat = m / bc1
         v_hat = v / bc2
-        params[name] -= lr * (m_hat / (np.sqrt(v_hat) + state.eps) + state.weight_decay * params[name])
+        params[name] -= lr * (m_hat / (np.sqrt(v_hat) + EPS) + state.weight_decay * params[name])
     return params, state
 
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from detkit import losses, ops
+from detkit.metrics import EvalSummary, PRCurve, match_image
 from detkit.postprocess import _LOGIT_CAP
 from detkit.tensor import ConfigError, Tensor
 
@@ -324,6 +325,75 @@ def scalar_match_image(dets, gts, iou_thr):
             taken[best_j] = True
             tp[i] = True
     return tp
+
+
+def _ap_all_points(recalls: np.ndarray, precisions: np.ndarray) -> float:
+    """Exact area under the all-points interpolated PR curve."""
+    if len(recalls) == 0:
+        return 0.0
+    r = np.concatenate([[0.0], recalls, [recalls[-1]]])
+    p = np.concatenate([[0.0], precisions, [0.0]])
+    # interpolated precision: running max from the right
+    for i in range(len(p) - 2, -1, -1):
+        p[i] = max(p[i], p[i + 1])
+    ap = 0.0
+    for i in range(1, len(r)):
+        ap += (r[i] - r[i - 1]) * p[i]
+    return float(ap)
+
+
+def _curve_from_flags(flags_scores: list[tuple[float, bool, tuple]], n_gt: int):
+    """Build the swept PR curve from pooled (score, tp, tiebreak) records."""
+    if not flags_scores or n_gt == 0:
+        return PRCurve((), (), 0.0)
+    ordered = sorted(flags_scores, key=lambda z: (-z[0],) + z[2])
+    tp = np.cumsum([1 if z[1] else 0 for z in ordered])
+    fp = np.cumsum([0 if z[1] else 1 for z in ordered])
+    recalls = tp / n_gt
+    precisions = tp / np.maximum(tp + fp, 1)
+    ap = _ap_all_points(recalls, precisions)
+    return PRCurve(tuple(recalls.tolist()), tuple(precisions.tolist()), ap)
+
+
+def record_evaluate(detections, ground_truths, iou_thr: float = 0.5,
+                    model_size_mb: float = 0.0, computation_macs: int = 0):
+    """metrics.evaluate as it was written before its detections became one
+    ranked flag vector: one (score, flag, (class, x1, y1, x2, y2)) record per
+    detection, a dict of per-class records, tuple sorts and Python sums.
+
+    Returns (EvalSummary, PRCurve, per_class_ap dict). The result does not
+    depend on the order in which images are supplied.
+    """
+    if len(detections) != len(ground_truths):
+        raise ConfigError("detections and ground truths must cover the same images")
+    pooled: list[tuple[float, bool, tuple]] = []
+    per_class: dict[int, list[tuple[float, bool, tuple]]] = {}
+    class_gt_counts: dict[int, int] = {}
+    n_gt = 0
+    n_tp = 0
+    n_det = 0
+    for dets, gts in zip(detections, ground_truths):
+        n_gt += len(gts)
+        n_det += len(dets)
+        for gcls in gts[:, 4].astype(np.int64).tolist():
+            class_gt_counts[gcls] = class_gt_counts.get(gcls, 0) + 1
+        tp = match_image(dets, gts, iou_thr).tolist()
+        for (x1, y1, x2, y2, score, cls), flag in zip(dets.tolist(), tp):
+            n_tp += flag
+            # an int class id: summary.json's per_class_ap keys print it
+            key = (int(cls), x1, y1, x2, y2)
+            pooled.append((score, flag, key))
+            per_class.setdefault(key[0], []).append((score, flag, key))
+
+    precision = n_tp / n_det if n_det else 0.0
+    recall = n_tp / n_gt if n_gt else 0.0
+    curve = _curve_from_flags(pooled, n_gt)
+    per_class_ap = {
+        cls: _curve_from_flags(per_class.get(cls, []), cnt).ap
+        for cls, cnt in sorted(class_gt_counts.items())
+    }
+    summary = EvalSummary.build(precision, recall, curve.ap, model_size_mb, computation_macs)
+    return summary, curve, per_class_ap
 
 
 def brute_force_nms(dets, thr):

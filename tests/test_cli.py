@@ -159,6 +159,8 @@ class TestReportCommand:
         ("stride", "0"), ("stride", "-8"), ("image_size", "0"), ("in_channels", "0"),
         ("num_classes", "-5"), ("pconv_kernel", "-1"), ("cbam_spatial_kernel", "-1"),
         ("spp_windows", "4"), ("spp_windows", "0"), ("spp_windows", "-3"), ("activation", "foo"),
+        ("cbam_reduction", "0"), ("pconv_kernel", "2"), ("cbam_spatial_kernel", "2"),
+        ("cbam_composition", "foo"), ("cbam_channel_mlp", "bar"), ("stem_channels", "3"),
     ])
     def test_out_of_range_spec_value_is_a_config_error(self, tmp_path, capsys, command, key, value):
         path = tmp_path / "net.cfg"

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from oracles import Detection, detection_rows, random_detections, scalar_match_image, target_rows
+from oracles import (Detection, detection_rows, random_detections, record_evaluate, scalar_match_image,
+                     target_rows)
 
 from detkit import metrics
 from detkit.metrics import EvalSummary, PRCurve, match_image, pr_curve_csv
@@ -29,7 +30,7 @@ def evaluate(dets, gts, **kwargs):
 
 def match(dets, gts, thr):
     return match_image(np.array(dets, dtype=np.float64).reshape(-1, 6),
-                       np.array(gts, dtype=np.float64).reshape(-1, 5), thr)
+                       np.array(gts, dtype=np.float64).reshape(-1, 5), thr).tolist()
 
 
 class TestEvaluate:
@@ -117,6 +118,70 @@ class TestEvaluate:
             evaluate([[]], [[], []])
 
 
+def tied_draw(rng):
+    """Per-image (n, 6) detections and (t, 5) ground truths on a coarse grid:
+    quantised scores and corners make ties and duplicate rows common, within
+    and across images; images may be empty; ground-truth classes and
+    detection classes are drawn from overlapping ranges, so some classes have
+    ground truths but no detections and some the reverse."""
+    gt_lo, det_lo = rng.integers(0, 2, size=2)
+    dets, gts, carried = [], [], []
+    for _ in range(int(rng.integers(0, 6))):
+        t = int(rng.integers(0, 5))
+        xy = rng.integers(0, 10, size=(t, 2))
+        g = np.column_stack([xy, xy + rng.integers(0, 5, size=(t, 2)),
+                             rng.integers(gt_lo, gt_lo + 3, size=t)]).astype(np.float64)
+        n = int(rng.integers(0, 7))
+        xy = rng.integers(0, 10, size=(n, 2))
+        d = np.column_stack([xy, xy + rng.integers(0, 5, size=(n, 2)),
+                             rng.integers(1, 5, size=n) / 4.0,
+                             rng.integers(det_lo, det_lo + 3, size=n)]).astype(np.float64)
+        # detections that sit on a ground truth, and rows repeated from this
+        # image and from earlier ones
+        on_gt = np.column_stack([g[:, :4], np.full(t, 0.5), g[:, 4]])[:int(rng.integers(0, 3))]
+        d = np.concatenate([d, on_gt, d[:int(rng.integers(0, 3))], *carried[-1:]])
+        d = d[rng.permutation(len(d))]
+        carried.append(d[:int(rng.integers(0, 3))])
+        dets.append(d.astype(np.float32) if rng.random() < 0.1 else d)
+        gts.append(g)
+    return dets, gts
+
+
+class TestEvaluateOracle:
+    """evaluate ranks every detection once on arrays; it gives the record-based
+    oracle's summary, PR curve and per-class AP bit for bit."""
+
+    def test_matches_record_evaluate(self):
+        rng = np.random.default_rng(20)
+        for _ in range(2000):
+            dets, gts = tied_draw(rng)
+            for thr in (0.0, 0.1, 0.5, 1.0):
+                got = metrics.evaluate(dets, gts, thr, 0.25, 7)
+                want = record_evaluate(dets, gts, thr, 0.25, 7)
+                assert repr(got[0].to_json_dict()) == repr(want[0].to_json_dict())
+                assert pr_curve_csv(got[1]) == pr_curve_csv(want[1])
+                assert got[1] == want[1]
+                assert repr(got[2]) == repr(want[2])
+
+    def test_draws_cover_ties_duplicates_and_unmatched_classes(self):
+        rng = np.random.default_rng(20)
+        seen = dict.fromkeys(["empty image", "tied score", "duplicate row", "row of an earlier image",
+                              "gt class without detections", "detection class without gts"], 0)
+        for _ in range(200):
+            dets, gts = tied_draw(rng)
+            for d in dets:
+                seen["empty image"] += len(d) == 0
+                seen["tied score"] += len(np.unique(d[:, 4])) < len(d)
+                seen["duplicate row"] += len(np.unique(d, axis=0)) < len(d)
+            for a, b in zip(dets, dets[1:]):
+                seen["row of an earlier image"] += any((b == row).all(axis=1).any() for row in a)
+            det_classes = {int(k) for d in dets for k in d[:, 5]}
+            gt_classes = {int(k) for g in gts for k in g[:, 4]}
+            seen["gt class without detections"] += bool(gt_classes - det_classes)
+            seen["detection class without gts"] += bool(det_classes - gt_classes)
+        assert all(seen.values()), seen
+
+
 class TestMatchImage:
     """match_image reads one IoU matrix; it flags the same detections as the
     pair-by-pair scalar_match_image."""
@@ -131,7 +196,8 @@ class TestMatchImage:
             gts += gts[:int(rng.integers(0, 3))]
             dets += [Detection(g, 0.5, c) for g, c in gts[:int(rng.integers(0, 3))]]
             got = match_image(detection_rows(dets), target_rows(gts), thr)
-            assert got == scalar_match_image(dets, gts, thr)
+            assert got.dtype == bool and got.shape == (len(dets),)
+            assert got.tolist() == scalar_match_image(dets, gts, thr)
 
     def test_equal_iou_goes_to_the_first_ground_truth(self):
         """The first detection overlaps both ground truths at IoU 1/3 and

@@ -374,18 +374,21 @@ class TestActivations:
 
 class TestFullyConnected:
     def test_identity_weight(self):
-        x = np.array([1.0, -2.0, 3.0])
+        x = np.array([[1.0, -2.0, 3.0]])
         out = ops.fully_connected(x, np.eye(3), np.zeros(3))
         assert np.allclose(out, x)
 
     def test_zero_weight_returns_bias(self):
         b = np.array([4.0, 5.0])
-        out = ops.fully_connected(np.ones(3), np.zeros((2, 3)), b)
-        assert np.allclose(out, b)
+        out = ops.fully_connected(np.ones((1, 3)), np.zeros((2, 3)), b)
+        assert np.allclose(out, b[None])
 
     def test_dim_mismatch(self):
-        with pytest.raises(ConfigError):
-            ops.fully_connected(np.ones(3), np.zeros((2, 4)), np.zeros(2))
+        """A feature count other than the weights' and a vector in place of a
+        (batch, features) array are both rejected."""
+        for x in (np.ones((1, 3)), np.ones(4)):
+            with pytest.raises(ConfigError):
+                ops.fully_connected(x, np.zeros((2, 4)), np.zeros(2))
 
     def test_batched_matches_rowwise(self):
         rng = np.random.default_rng(6)
@@ -393,7 +396,7 @@ class TestFullyConnected:
         w = rng.standard_normal((2, 3))
         b = rng.standard_normal(2)
         batched = ops.fully_connected(x, w, b)
-        rows = np.stack([ops.fully_connected(x[i], w, b) for i in range(4)])
+        rows = np.concatenate([ops.fully_connected(x[i:i + 1], w, b) for i in range(4)])
         assert np.allclose(batched, rows)
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from detkit.optim import AdamWState, adamw_step, cosine_lr
+from detkit.optim import EPS, AdamWState, adamw_step, cosine_lr
 from detkit.tensor import ConfigError
 
 
@@ -40,7 +40,7 @@ class TestAdamW:
         state = AdamWState.init(params, weight_decay=wd)
         adamw_step(params, {"x": np.array([g])}, state, lr)
         # after one step from zero moments: m_hat = g, v_hat = g^2
-        want = theta0 - lr * (g / (abs(g) + state.eps) + wd * theta0)
+        want = theta0 - lr * (g / (abs(g) + EPS) + wd * theta0)
         assert params["x"][0] == pytest.approx(want, abs=1e-12)
         assert state.t == 1
 

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -86,6 +87,7 @@ class PConvSpec:
         if self.kernel < 1 or self.kernel % 2 == 0:
             raise ConfigError(f"kernel must be odd and >= 1, got {self.kernel}")
 
+    @cached_property
     def conv_spec(self) -> ConvSpec:
         return ConvSpec(
             in_channels=self.conv_channels,
@@ -132,6 +134,7 @@ class CBAMSpec:
         second: hidden in prose mode, channels in literal mode."""
         return self.channels if self.channel_mlp == "literal" else self.hidden
 
+    @cached_property
     def spatial_conv_spec(self) -> ConvSpec:
         return ConvSpec(
             in_channels=2,
@@ -163,9 +166,11 @@ class FasterNetBlockSpec:
     def hidden(self) -> int:
         return math.ceil(self.expansion * self.channels)
 
+    @cached_property
     def pw1_spec(self) -> ConvSpec:
         return ConvSpec(self.channels, self.hidden, kernel=1)
 
+    @cached_property
     def pw2_spec(self) -> ConvSpec:
         return ConvSpec(self.hidden, self.channels, kernel=1)
 
@@ -185,7 +190,7 @@ def pconv_forward(x: np.ndarray, weights: np.ndarray, spec: PConvSpec) -> np.nda
     if x.shape[1] != spec.channels:
         raise ConfigError(f"input has {x.shape[1]} channels, spec expects {spec.channels}")
     cp = spec.conv_channels
-    conv_out = conv2d_forward(x[:, :cp], weights, None, spec.conv_spec())
+    conv_out = conv2d_forward(x[:, :cp], weights, None, spec.conv_spec)
     if cp == spec.channels:
         return conv_out
     return np.concatenate([conv_out, x[:, cp:]], axis=1)
@@ -197,7 +202,7 @@ def pconv_backward(x: np.ndarray, weights: np.ndarray, spec: PConvSpec, upstream
     if upstream.shape != x.shape:
         raise ConfigError("upstream shape must match input (pconv preserves shape)")
     cp = spec.conv_channels
-    gx_front, gw, _ = conv2d_backward(x[:, :cp], weights, spec.conv_spec(), upstream[:, :cp])
+    gx_front, gw, _ = conv2d_backward(x[:, :cp], weights, spec.conv_spec, upstream[:, :cp])
     if cp == spec.channels:
         return gx_front, gw
     return np.concatenate([gx_front, upstream[:, cp:]], axis=1), gw
@@ -227,9 +232,9 @@ def fasternet_block_forward(x: np.ndarray, params, spec: FasterNetBlockSpec, pre
 
     Returns (output, cache) for :func:`fasternet_block_backward`."""
     pc = pconv_forward(x, params[prefix + "pconv.w"], spec.pconv)
-    z1 = conv2d_forward(pc, params[prefix + "pw1.w"], params[prefix + "pw1.b"], spec.pw1_spec())
+    z1 = conv2d_forward(pc, params[prefix + "pw1.w"], params[prefix + "pw1.b"], spec.pw1_spec)
     a1, act_cache = activation(z1, spec.activation)
-    z2 = conv2d_forward(a1, params[prefix + "pw2.w"], params[prefix + "pw2.b"], spec.pw2_spec())
+    z2 = conv2d_forward(a1, params[prefix + "pw2.w"], params[prefix + "pw2.b"], spec.pw2_spec)
     return x + z2, (x, pc, act_cache, a1)
 
 
@@ -240,9 +245,9 @@ def fasternet_block_backward(
     x, pc, act_cache, a1 = cache
     if upstream.shape != x.shape:
         raise ConfigError("upstream shape must match input (block preserves shape)")
-    g_a1, g_pw2w, g_pw2b = conv2d_backward(a1, params[prefix + "pw2.w"], spec.pw2_spec(), upstream)
+    g_a1, g_pw2w, g_pw2b = conv2d_backward(a1, params[prefix + "pw2.w"], spec.pw2_spec, upstream)
     g_z1 = activation_backward(act_cache, spec.activation, g_a1)
-    g_pc, g_pw1w, g_pw1b = conv2d_backward(pc, params[prefix + "pw1.w"], spec.pw1_spec(), g_z1)
+    g_pc, g_pw1w, g_pw1b = conv2d_backward(pc, params[prefix + "pw1.w"], spec.pw1_spec, g_z1)
     g_x_branch, g_pconvw = pconv_backward(x, params[prefix + "pconv.w"], spec.pconv, g_pc)
     grads = {
         prefix + "pconv.w": g_pconvw,
@@ -261,9 +266,9 @@ def fasternet_block_backward(
 def _check_channel_dims(spec: CBAMSpec, w1, b1, w2, b2) -> None:
     c, d = spec.channels, spec.mlp_width
     want1, want2 = (d, c), (c, d)
-    if np.shape(w1) != want1 or np.shape(b1) != (want1[0],):
+    if w1.shape != want1 or b1.shape != (want1[0],):
         raise ConfigError(f"first layer wants W1 {want1}, b1 ({want1[0]},)")
-    if np.shape(w2) != want2 or np.shape(b2) != (want2[0],):
+    if w2.shape != want2 or b2.shape != (want2[0],):
         raise ConfigError(f"second layer wants W2 {want2}, b2 ({want2[0]},)")
 
 
@@ -290,8 +295,10 @@ def channel_attention(x: np.ndarray, w1, b1, w2, b2, spec: CBAMSpec):
     return m_c, m_c * x, (x, gate, gap, z1, v1, z2, v2)
 
 
-def channel_attention_backward(cache, w1, w2, spec: CBAMSpec, upstream_fc: np.ndarray):
-    """Gradients of <upstream_fc, gated map> w.r.t. x, W1, b1, W2 and b2."""
+def channel_attention_backward(cache, w1, w2, spec: CBAMSpec, upstream_fc: np.ndarray,
+                               input_grad: bool = True):
+    """Gradients of <upstream_fc, gated map> w.r.t. x, W1, b1, W2 and b2; the
+    first is None when ``input_grad`` is false."""
     x, gate, gap, z1, v1, z2, v2 = cache
     if upstream_fc.shape != x.shape:
         raise ConfigError("upstream shape must match input")
@@ -299,16 +306,18 @@ def channel_attention_backward(cache, w1, w2, spec: CBAMSpec, upstream_fc: np.nd
     dz = d_gate * gate * (1.0 - gate)
     if spec.channel_mlp == "prose":
         dv1, gw2, gb2 = fully_connected_backward(v1, w2, dz)
-        d_gap, gw1, gb1 = fully_connected_backward(gap, w1, dv1 * relu_grad(z1))
+        d_gap, gw1, gb1 = fully_connected_backward(gap, w1, dv1 * relu_grad(z1), input_grad)
     else:
         # W1/b1 and W2/b2 each appear twice: inside their relu branch and in
         # the output combination, so the gradients accumulate across both uses.
         dv1, gw1, gb1 = fully_connected_backward(v1, w1, dz)
         dv2, gw2, gb2 = fully_connected_backward(v2, w2, dz)
-        d_gap1, gw1_in, gb1_in = fully_connected_backward(gap, w1, dv1 * relu_grad(z1))
-        d_gap2, gw2_in, gb2_in = fully_connected_backward(gap, w2, dv2 * relu_grad(z2))
+        d_gap1, gw1_in, gb1_in = fully_connected_backward(gap, w1, dv1 * relu_grad(z1), input_grad)
+        d_gap2, gw2_in, gb2_in = fully_connected_backward(gap, w2, dv2 * relu_grad(z2), input_grad)
         gw1, gb1, gw2, gb2 = gw1 + gw1_in, gb1 + gb1_in, gw2 + gw2_in, gb2 + gb2_in
-        d_gap = d_gap1 + d_gap2
+        d_gap = d_gap1 + d_gap2 if input_grad else None
+    if not input_grad:
+        return None, gw1, gb1, gw2, gb2
     grad_x = upstream_fc * gate[:, :, None, None]
     return grad_x + global_pool_backward(x, "avg", d_gap[:, :, None, None]), gw1, gb1, gw2, gb2
 
@@ -322,19 +331,23 @@ def spatial_attention(x: np.ndarray, conv_w: np.ndarray, conv_b, spec: CBAMSpec)
     (gate map (n, 1, h, w), gated feature map, cache for
     :func:`spatial_attention_backward`)."""
     stats, stats_cache = spatial_stats(x)
-    z = conv2d_forward(stats, conv_w, conv_b, spec.spatial_conv_spec())
+    z = conv2d_forward(stats, conv_w, conv_b, spec.spatial_conv_spec)
     m_s = sigmoid(z)
     return m_s, m_s * x, (x, stats, stats_cache, m_s)
 
 
-def spatial_attention_backward(cache, conv_w: np.ndarray, spec: CBAMSpec, upstream_fs: np.ndarray):
-    """Gradients of <upstream_fs, gated map> w.r.t. x, the conv kernel and bias."""
+def spatial_attention_backward(cache, conv_w: np.ndarray, spec: CBAMSpec, upstream_fs: np.ndarray,
+                               input_grad: bool = True):
+    """Gradients of <upstream_fs, gated map> w.r.t. x, the conv kernel and
+    bias; the first is None when ``input_grad`` is false."""
     x, stats, stats_cache, m_s = cache
     if upstream_fs.shape != x.shape:
         raise ConfigError("upstream shape must match input")
     d_ms = (upstream_fs * x).sum(axis=1, keepdims=True)
     dz = d_ms * m_s * (1.0 - m_s)
-    d_stats, gw, gb = conv2d_backward(stats, conv_w, spec.spatial_conv_spec(), dz)
+    d_stats, gw, gb = conv2d_backward(stats, conv_w, spec.spatial_conv_spec, dz, input_grad)
+    if not input_grad:
+        return None, gw, gb
     return upstream_fs * m_s + spatial_stats_backward(stats_cache, d_stats), gw, gb
 
 
@@ -374,19 +387,26 @@ def cbam_forward(x: np.ndarray, params, spec: CBAMSpec, prefix: str = ""):
     return f_c * f_s, (x, c_cache, s_cache, f_c, f_s)
 
 
-def cbam_backward(cache, params, spec: CBAMSpec, upstream: np.ndarray, prefix: str = ""):
-    """Returns (input gradient, parameter gradients keyed like ``params``)."""
+def cbam_backward(cache, params, spec: CBAMSpec, upstream: np.ndarray, prefix: str = "",
+                  input_grad: bool = True):
+    """Returns (input gradient, parameter gradients keyed like ``params``); the
+    input gradient is None when ``input_grad`` is false. The sequential
+    composition still takes the spatial half's input gradient, which feeds
+    the channel gate's parameters."""
     x, c_cache, s_cache, f_c, f_s = cache
     if upstream.shape != x.shape:
         raise ConfigError("upstream shape must match input (cbam preserves shape)")
     w1, w2, spatial_w = (params[prefix + k] for k in ("fc1.w", "fc2.w", "spatial.w"))
     if spec.composition == "sequential":
         g_fc, gsw, gsb = spatial_attention_backward(s_cache, spatial_w, spec, upstream)
-        grad_x, gw1, gb1, gw2, gb2 = channel_attention_backward(c_cache, w1, w2, spec, g_fc)
+        grad_x, gw1, gb1, gw2, gb2 = channel_attention_backward(c_cache, w1, w2, spec, g_fc,
+                                                                input_grad)
     else:
-        gx_c, gw1, gb1, gw2, gb2 = channel_attention_backward(c_cache, w1, w2, spec, upstream * f_s)
-        gx_s, gsw, gsb = spatial_attention_backward(s_cache, spatial_w, spec, upstream * f_c)
-        grad_x = gx_c + gx_s
+        gx_c, gw1, gb1, gw2, gb2 = channel_attention_backward(c_cache, w1, w2, spec,
+                                                              upstream * f_s, input_grad)
+        gx_s, gsw, gsb = spatial_attention_backward(s_cache, spatial_w, spec, upstream * f_c,
+                                                    input_grad)
+        grad_x = gx_c + gx_s if input_grad else None
     grads = {
         prefix + "fc1.w": gw1,
         prefix + "fc1.b": gb1,

@@ -14,11 +14,13 @@ The freeze boundary is the neck, the SPP output: the stem and both blocks
 below it form the backbone, CBAM and the head above it train in every phase.
 ``net_forward(..., freeze_backbone=True)`` keeps no backbone cache, and
 ``net_forward(..., neck=...)`` starts from a neck computed earlier; either
-way ``net_backward`` then stops at the neck and returns only the ``cbam.*``
-and ``head.*`` gradients, so what trains is decided by what it returns.
+way ``net_backward`` then stops at the neck, where ``cbam_backward``
+computes no input gradient, and returns only the ``cbam.*`` and ``head.*``
+gradients, so what trains is decided by what it returns.
 
-``ToyNetSpec`` is the one description of sizes and options; the trainer and
-the CLI read the image size and class count from it, and
+``ToyNetSpec`` is the one description of sizes and options; its layer specs
+are cached properties, built on first use and not on every call. The
+trainer and the CLI read the image size and class count from it, and
 ``postprocess.decode`` takes only its ``stride``, reading the grid and the
 class count from the head it decodes. The layer
 sequence itself is written out in three places: ``init_params`` (the flat
@@ -26,10 +28,10 @@ sequence itself is written out in three places: ``init_params`` (the flat
 ``net_forward``/``net_backward`` (the call order) and ``cost_layers`` (the
 cost model's rows). ``cost_layers`` restates no size: it prices every
 convolution with ``cost.conv_cost`` on the ``ConvSpec`` the forward passes
-to ``conv2d_forward`` (``stem_spec()``, the block's ``pconv.conv_spec()``
-without a bias, ``pw1_spec()``, ``pw2_spec()``, the CBAM
-``spatial_conv_spec()`` and ``head_spec()``), and the CBAM MLP on
-``cbam_spec()``. Tests hold them together: every parameter prefix names a
+to ``conv2d_forward`` (``stem_spec``, the block's ``pconv.conv_spec``
+without a bias, ``pw1_spec``, ``pw2_spec``, the CBAM
+``spatial_conv_spec`` and ``head_spec``), and the CBAM MLP on
+``cbam_spec``. Tests hold them together: every parameter prefix names a
 cost layer, a golden digest pins the initial manifest, a call-order test
 pins the layer calls, and a recorded forward checks that the conv rows
 price exactly the convolutions it runs. At ``cp_fraction = 1.0`` the
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -106,8 +109,8 @@ class ToyNetSpec:
         # reduction and the CBAM modes. Their messages start with the field,
         # which names its config key here.
         try:
-            self.block_spec()
-            self.cbam_spec()
+            self.block_spec
+            self.cbam_spec
         except ConfigError as exc:
             key = _SPEC_FIELD_KEYS.get(str(exc).split()[0])
             raise (ConfigError(f"{key}: {exc}") if key else exc) from None
@@ -128,10 +131,12 @@ class ToyNetSpec:
     def head_channels(self) -> int:
         return 5 + self.num_classes
 
+    @cached_property
     def stem_spec(self) -> ConvSpec:
         return ConvSpec(self.in_channels, self.stem_channels, kernel=self.stride,
                         stride=self.stride, padding=0)
 
+    @cached_property
     def block_spec(self) -> FasterNetBlockSpec:
         return FasterNetBlockSpec(
             pconv=PConvSpec(self.stem_channels, self.conv_channels, self.pconv_kernel),
@@ -139,6 +144,7 @@ class ToyNetSpec:
             activation=self.activation,
         )
 
+    @cached_property
     def cbam_spec(self) -> CBAMSpec:
         return CBAMSpec(
             channels=self.neck_channels,
@@ -148,6 +154,7 @@ class ToyNetSpec:
             channel_mlp=self.cbam_channel_mlp,
         )
 
+    @cached_property
     def head_spec(self) -> ConvSpec:
         return ConvSpec(self.neck_channels, self.head_channels, kernel=1)
 
@@ -156,15 +163,15 @@ def init_params(spec: ToyNetSpec, rng: np.random.Generator, dtype=np.float64) ->
     """Fresh parameter store in manifest order. Head biases start with small
     objectness prior (sigmoid(-2)) and a size prior of 2.5 cells so early boxes
     are plausible."""
-    st, hd = spec.stem_spec(), spec.head_spec()
+    st, hd = spec.stem_spec, spec.head_spec
     size_prior = math.log(2.5)
     return {
         "stem.w": he_normal(rng, (st.out_channels, st.in_channels, st.kernel, st.kernel),
                             st.in_channels * st.kernel**2, dtype),
         "stem.b": np.zeros(st.out_channels, dtype=dtype),
-        **fasternet_block_init(spec.block_spec(), rng, dtype, "block1."),
-        **fasternet_block_init(spec.block_spec(), rng, dtype, "block2."),
-        **cbam_init(spec.cbam_spec(), rng, dtype, "cbam."),
+        **fasternet_block_init(spec.block_spec, rng, dtype, "block1."),
+        **fasternet_block_init(spec.block_spec, rng, dtype, "block2."),
+        **cbam_init(spec.cbam_spec, rng, dtype, "cbam."),
         "head.w": he_normal(rng, (hd.out_channels, hd.in_channels, 1, 1), hd.in_channels, dtype) * 0.1,
         "head.b": np.array([0.0, 0.0, size_prior, size_prior, -2.0] + [0.0] * spec.num_classes,
                            dtype=dtype),
@@ -197,15 +204,15 @@ def net_forward(params: dict[str, np.ndarray], spec: ToyNetSpec, x: Tensor | Non
                 f"input shape {x.shape} does not match ({spec.in_channels}, "
                 f"{spec.image_size}, {spec.image_size})"
             )
-        stem_z = conv2d_forward(x.data, params["stem.w"], params["stem.b"], spec.stem_spec())
+        stem_z = conv2d_forward(x.data, params["stem.w"], params["stem.b"], spec.stem_spec)
         stem_a, stem_act_cache = activation(stem_z, spec.activation)
-        b1, b1_cache = fasternet_block_forward(stem_a, params, spec.block_spec(), "block1.")
-        b2, b2_cache = fasternet_block_forward(b1, params, spec.block_spec(), "block2.")
+        b1, b1_cache = fasternet_block_forward(stem_a, params, spec.block_spec, "block1.")
+        b2, b2_cache = fasternet_block_forward(b1, params, spec.block_spec, "block2.")
         neck, spp_cache = spp(b2, spec.spp_windows)
         if not freeze_backbone:
             backbone = (x.data, stem_act_cache, b1_cache, b2_cache, spp_cache)
-    att, cbam_cache = cbam_forward(neck, params, spec.cbam_spec(), "cbam.")
-    head = conv2d_forward(att, params["head.w"], params["head.b"], spec.head_spec())
+    att, cbam_cache = cbam_forward(neck, params, spec.cbam_spec, "cbam.")
+    head = conv2d_forward(att, params["head.w"], params["head.b"], spec.head_spec)
     _require_finite("head", head)
     return Tensor(head), NetCache(backbone, neck, cbam_cache, att)
 
@@ -214,17 +221,18 @@ def net_backward(params: dict[str, np.ndarray], spec: ToyNetSpec, cache: NetCach
     """Gradients of <upstream, head>, keyed and ordered like params: every
     parameter's, or, when the cache has no backbone part, only those of
     ``cbam.*`` and ``head.*``."""
-    g_att, g_headw, g_headb = conv2d_backward(cache.att, params["head.w"], spec.head_spec(), upstream.data)
-    g_neck, g_cbam = cbam_backward(cache.cbam, params, spec.cbam_spec(), g_att, "cbam.")
+    g_att, g_headw, g_headb = conv2d_backward(cache.att, params["head.w"], spec.head_spec, upstream.data)
+    g_neck, g_cbam = cbam_backward(cache.cbam, params, spec.cbam_spec, g_att, "cbam.",
+                                   input_grad=cache.backbone is not None)
     head_grads = {**g_cbam, "head.w": g_headw, "head.b": g_headb}
     if cache.backbone is None:
         return head_grads
     x, stem_act_cache, b1_cache, b2_cache, spp_cache = cache.backbone
     g_b2 = spp_backward(spp_cache, g_neck)
-    g_b1, g_block2 = fasternet_block_backward(b2_cache, params, spec.block_spec(), g_b2, "block2.")
-    g_stem_a, g_block1 = fasternet_block_backward(b1_cache, params, spec.block_spec(), g_b1, "block1.")
+    g_b1, g_block2 = fasternet_block_backward(b2_cache, params, spec.block_spec, g_b2, "block2.")
+    g_stem_a, g_block1 = fasternet_block_backward(b1_cache, params, spec.block_spec, g_b1, "block1.")
     g_stem_z = activation_backward(stem_act_cache, spec.activation, g_stem_a)
-    _, g_stemw, g_stemb = conv2d_backward(x, params["stem.w"], spec.stem_spec(), g_stem_z,
+    _, g_stemw, g_stemb = conv2d_backward(x, params["stem.w"], spec.stem_spec, g_stem_z,
                                           input_grad=False)
     return {"stem.w": g_stemw, "stem.b": g_stemb, **g_block1, **g_block2, **head_grads}
 
@@ -233,16 +241,16 @@ def cost_layers(spec: ToyNetSpec) -> list[LayerCost]:
     """Cost rows of one image's pass, in call order, each priced on the spec
     the forward runs that layer with."""
     g = spec.grid
-    block, cb = spec.block_spec(), spec.cbam_spec()
-    layers = [conv_cost(spec.stem_spec(), spec.image_size, spec.image_size, name="stem")]
+    block, cb = spec.block_spec, spec.cbam_spec
+    layers = [conv_cost(spec.stem_spec, spec.image_size, spec.image_size, name="stem")]
     for name in ("block1", "block2"):
-        layers += [conv_cost(block.pconv.conv_spec(), g, g, bias=False, name=f"{name}.pconv"),
-                   conv_cost(block.pw1_spec(), g, g, name=f"{name}.pw1"),
-                   conv_cost(block.pw2_spec(), g, g, name=f"{name}.pw2")]
+        layers += [conv_cost(block.pconv.conv_spec, g, g, bias=False, name=f"{name}.pconv"),
+                   conv_cost(block.pw1_spec, g, g, name=f"{name}.pw1"),
+                   conv_cost(block.pw2_spec, g, g, name=f"{name}.pw2")]
     return layers + [
         spp_cost(g, g, spec.stem_channels, len(spec.spp_windows), name="spp"),
         linear_cost(cb.channels, cb.mlp_width, name="cbam.fc1"),
         linear_cost(cb.mlp_width, cb.channels, name="cbam.fc2"),
-        conv_cost(cb.spatial_conv_spec(), g, g, name="cbam.spatial"),
-        conv_cost(spec.head_spec(), g, g, name="head"),
+        conv_cost(cb.spatial_conv_spec, g, g, name="cbam.spatial"),
+        conv_cost(spec.head_spec, g, g, name="head"),
     ]

@@ -15,9 +15,12 @@ Conventions shared by every operator here:
   output. The channel statistics and SPP keep only their input: the argmax
   that routes a max gradient and each pool window's winners are found in
   the backward, the one caller that reads them;
-* convolution runs as one matrix product over im2col windows, pooling as a
-  separable row-then-column max; SPP cascades its pools as YOLOv8's SPPF
-  does, pool 5 being pool 3 of pool 3.
+* convolution runs as one matrix product over im2col windows. The columns
+  are one ``np.take`` of the padded map along a flat window index, built
+  once per (padded size, kernel, stride) and kept in a bounded cache;
+  when kernel equals stride they are a reshape. Pooling is a separable
+  row-then-column max; SPP cascades its pools as YOLOv8's SPPF does, pool 5
+  being pool 3 of pool 3.
 
 Max reductions (pooling, per-position channel max) break ties by the first
 candidate in scan order, which keeps backward deterministic.
@@ -26,6 +29,7 @@ candidate in scan order, which keeps backward deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -83,26 +87,38 @@ def _pad(x: np.ndarray, p: int, value: float = 0.0) -> np.ndarray:
     if p == 0:
         return x
     n, c, h, w = x.shape
-    out = np.full((n, c, h + 2 * p, w + 2 * p), value, dtype=x.dtype)
+    shape = (n, c, h + 2 * p, w + 2 * p)
+    out = np.zeros(shape, dtype=x.dtype) if value == 0.0 else np.full(shape, value, dtype=x.dtype)
     out[:, :, p:p + h, p:p + w] = x
     return out
+
+
+@lru_cache(maxsize=128)
+def _window_index(hp: int, wp: int, k: int, s: int) -> np.ndarray:
+    """Flat offsets into an hp x wp map of every k x k window at stride s,
+    ordered (ki, kj, i, j): tap (ki, kj) of output position (i, j) is
+    (s * i + ki) * wp + s * j + kj. Read-only: the cache shares it."""
+    h_out, w_out = (hp - k) // s + 1, (wp - k) // s + 1
+    ki, kj = np.arange(k)[:, None, None, None], np.arange(k)[:, None, None]
+    i, j = np.arange(h_out)[:, None], np.arange(w_out)
+    index = ((s * i + ki) * wp + s * j + kj).ravel()
+    index.flags.writeable = False
+    return index
 
 
 def _columns(xp: np.ndarray, k: int, s: int) -> np.ndarray:
     """im2col: every k x k window of xp at stride s, as (n, c*k*k, h_out*w_out).
 
     When kernel equals stride the windows tile the input, so the columns are
-    an exact reshape (free for a 1x1 kernel); otherwise each kernel tap's
-    strided slice is copied into one column buffer."""
+    an exact reshape (free for a 1x1 kernel); otherwise one ``np.take``
+    gathers them from each channel's flattened map through the cached
+    :func:`_window_index`."""
     n, c, hp, wp = xp.shape
     h_out, w_out = (hp - k) // s + 1, (wp - k) // s + 1
     if k == s:
         tiles = xp[:, :, :h_out * k, :w_out * k].reshape(n, c, h_out, k, w_out, k)
         return tiles.transpose(0, 1, 3, 5, 2, 4).reshape(n, c * k * k, h_out * w_out)
-    cols = np.empty((n, c, k, k, h_out, w_out), dtype=xp.dtype)
-    for ki in range(k):
-        for kj in range(k):
-            cols[:, :, ki, kj] = xp[:, :, ki:ki + s * h_out:s, kj:kj + s * w_out:s]
+    cols = np.take(xp.reshape(n, c, hp * wp), _window_index(hp, wp, k, s), axis=2)
     return cols.reshape(n, c * k * k, h_out * w_out)
 
 
@@ -175,8 +191,8 @@ def global_pool(x: np.ndarray, kind: str) -> np.ndarray:
     """Per-channel mean or max over all spatial positions, output (n, c, 1, 1)."""
     if x.shape[2] * x.shape[3] < 1:
         raise ConfigError("global pool needs a non-empty spatial extent")
-    if kind == "avg":
-        return x.mean(axis=(2, 3), keepdims=True)
+    if kind == "avg":  # np.mean's sum and divide, without its Python wrapper
+        return np.add.reduce(x, axis=(2, 3), keepdims=True) / (x.shape[2] * x.shape[3])
     if kind == "max":
         return x.max(axis=(2, 3), keepdims=True)
     raise ConfigError(f"unknown pool kind {kind!r} (want 'avg' or 'max')")
@@ -208,7 +224,7 @@ def spatial_stats(x: np.ndarray):
     if x.shape[1] < 1:
         raise ConfigError("need at least one channel")
     mx = x.max(axis=1, keepdims=True)
-    mean = x.mean(axis=1, keepdims=True)
+    mean = np.add.reduce(x, axis=1, keepdims=True) / x.shape[1]
     return np.concatenate([mx, mean], axis=1), (x,)
 
 
@@ -418,18 +434,19 @@ def activation_backward(cache, kind: str, upstream: np.ndarray) -> np.ndarray:
 
 def fully_connected(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """out = x @ W.T + b for a (batch, in) input."""
-    w = np.asarray(weights)
-    b = np.asarray(bias)
-    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[1]:
-        raise ConfigError(f"weight shape {w.shape} incompatible with (batch, features) input {x.shape}")
-    if b.shape != (w.shape[0],):
-        raise ConfigError(f"bias length must be {w.shape[0]}")
-    return x @ w.T + b
+    if x.ndim != 2 or weights.ndim != 2 or x.shape[1] != weights.shape[1]:
+        raise ConfigError(
+            f"weight shape {weights.shape} incompatible with (batch, features) input {x.shape}")
+    if bias.shape != (weights.shape[0],):
+        raise ConfigError(f"bias length must be {weights.shape[0]}")
+    return x @ weights.T + bias
 
 
-def fully_connected_backward(x: np.ndarray, weights: np.ndarray, upstream: np.ndarray):
-    """Gradients of <upstream, x @ W.T + b> w.r.t. x, W and b."""
-    w = np.asarray(weights)
-    if upstream.shape != (x.shape[0], w.shape[0]):
+def fully_connected_backward(x: np.ndarray, weights: np.ndarray, upstream: np.ndarray,
+                             input_grad: bool = True):
+    """Gradients of <upstream, x @ W.T + b> w.r.t. x, W and b; the first is
+    None when ``input_grad`` is false."""
+    if upstream.shape != (x.shape[0], weights.shape[0]):
         raise ConfigError("upstream shape must match forward output")
-    return upstream @ w, upstream.T @ x, upstream.sum(axis=0)
+    grad_x = upstream @ weights if input_grad else None
+    return grad_x, upstream.T @ x, upstream.sum(axis=0)

@@ -186,6 +186,18 @@ def naive_sliding_max(x, window):
     return out
 
 
+def tap_loop_columns(xp, k, s):
+    """im2col as (n, c*k*k, h_out*w_out) by copying each kernel tap's strided
+    slice into one column buffer."""
+    n, c, hp, wp = xp.shape
+    h_out, w_out = (hp - k) // s + 1, (wp - k) // s + 1
+    cols = np.empty((n, c, k, k, h_out, w_out), dtype=xp.dtype)
+    for ki in range(k):
+        for kj in range(k):
+            cols[:, :, ki, kj] = xp[:, :, ki:ki + s * h_out:s, kj:kj + s * w_out:s]
+    return cols.reshape(n, c * k * k, h_out * w_out)
+
+
 def per_tap_conv2d(x, w, b, stride, padding):
     """Convolution as one channel contraction per kernel tap."""
     n = x.shape[0]

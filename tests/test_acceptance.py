@@ -43,7 +43,7 @@ def test_criterion_1_memory_access_ratio_exact_quarter():
         h = int(rng.integers(1, 129))
         w = int(rng.integers(1, 129))
         k = 2 * int(rng.integers(0, 4)) + 1
-        pc = conv_cost(PConvSpec(c, c // 4, k).conv_spec(), h, w, bias=False)
+        pc = conv_cost(PConvSpec(c, c // 4, k).conv_spec, h, w, bias=False)
         full = conv_cost(ops.ConvSpec(c, c, k, padding=(k - 1) // 2), h, w)
         ratio = Fraction(pc.mem_access_approx, full.mem_access_approx)
         assert ratio == Fraction(1, 4), f"h={h} w={w} c={c} k={k}: {ratio}"

@@ -11,6 +11,7 @@ from detkit.blocks import (
     CBAMSpec,
     FasterNetBlockSpec,
     PConvSpec,
+    cbam_backward,
     cbam_forward,
     cbam_init,
     channel_attention,
@@ -110,9 +111,9 @@ class TestFasterNetBlock:
         params = fasternet_block_init(spec, rng)
         x = rng.standard_normal((1, 6, 4, 4))
         pc = pconv_forward(x, params["pconv.w"], spec.pconv)
-        z1 = ops.conv2d_forward(pc, params["pw1.w"], params["pw1.b"], spec.pw1_spec())
+        z1 = ops.conv2d_forward(pc, params["pw1.w"], params["pw1.b"], spec.pw1_spec)
         a1, _ = ops.activation(z1, "mish")
-        z2 = ops.conv2d_forward(a1, params["pw2.w"], params["pw2.b"], spec.pw2_spec())
+        z2 = ops.conv2d_forward(a1, params["pw2.w"], params["pw2.b"], spec.pw2_spec)
         want = x + z2
         got, _ = fasternet_block_forward(x, params, spec)
         assert np.allclose(got, want, atol=1e-12)
@@ -274,3 +275,21 @@ class TestCBAM:
         p = cbam_init(spec, rng)
         x = rng.standard_normal((2, 6, 3, 5))
         assert cbam_forward(x, p, spec)[0].shape == x.shape
+
+    @pytest.mark.parametrize("channel_mlp", ["prose", "literal"])
+    @pytest.mark.parametrize("composition", ["sequential", "literal"])
+    def test_no_input_grad_keeps_the_parameter_gradients(self, composition, channel_mlp):
+        """Without the input gradient (a frozen step's neck) the backward
+        returns None for it and the same parameter gradients, bit for bit."""
+        spec = CBAMSpec(channels=6, reduction=2, spatial_kernel=3, composition=composition,
+                        channel_mlp=channel_mlp)
+        rng = np.random.default_rng(18)
+        p = cbam_init(spec, rng)
+        x, up = rng.standard_normal((2, 6, 4, 5)), rng.standard_normal((2, 6, 4, 5))
+        _, cache = cbam_forward(x, p, spec)
+        gx, full = cbam_backward(cache, p, spec, up)
+        no_gx, grads = cbam_backward(cache, p, spec, up, input_grad=False)
+        assert gx is not None and no_gx is None
+        assert list(grads) == list(full)
+        for k in full:
+            assert grads[k].tobytes() == full[k].tobytes(), k

@@ -23,7 +23,7 @@ def same_conv(c_in, c_out, k):
 def pconv_row(h, w, c, c_p, k):
     """Cost of the partial conv over the first c_p of c channels: the
     bias-free conv the block runs on those channels."""
-    return conv_cost(PConvSpec(c, c_p, k).conv_spec(), h, w, bias=False)
+    return conv_cost(PConvSpec(c, c_p, k).conv_spec, h, w, bias=False)
 
 
 class TestConvOutSize:
@@ -134,7 +134,7 @@ class TestPConvCost:
     def test_degenerates_to_full_conv_square_case(self):
         """At c_p = c the partial conv runs, and is priced as, the bias-free
         shape-preserving full conv."""
-        assert PConvSpec(6, 6, 3).conv_spec() == same_conv(6, 6, 3)
+        assert PConvSpec(6, 6, 3).conv_spec == same_conv(6, 6, 3)
         assert pconv_row(12, 10, 6, 6, 3) == conv_cost(same_conv(6, 6, 3), 12, 10, bias=False)
 
     def test_invariant_approx_not_above_exact(self):

@@ -182,6 +182,43 @@ class TestTensorBoundary:
         assert len(built) == 1 and built[0] is head
 
 
+class TestSpecsAreBuiltOnce:
+    """A layer spec's ConvSpec and the network's block and CBAM specs are
+    built once per spec, on first use, not on every forward and backward."""
+
+    SPEC_TYPES = (ops.ConvSpec, blocks.PConvSpec, blocks.FasterNetBlockSpec, blocks.CBAMSpec)
+
+    def _count_constructions(self, monkeypatch):
+        built = []
+        for cls in self.SPEC_TYPES:
+            def counting(obj, _post_init=cls.__post_init__):
+                built.append(type(obj).__name__)
+                _post_init(obj)
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        return built
+
+    def test_default_forward_and_backward_rebuild_no_spec(self, monkeypatch):
+        spec = ToyNetSpec()
+        rng = np.random.default_rng(9)
+        params = init_params(spec, rng)
+        x = Tensor(rng.uniform(0, 1, (1, 1, spec.image_size, spec.image_size)))
+        upstream = Tensor(rng.standard_normal((1, spec.head_channels, spec.grid, spec.grid)))
+        net_backward(params, spec, net_forward(params, spec, x)[1], upstream)
+        built = self._count_constructions(monkeypatch)
+        net_backward(params, spec, net_forward(params, spec, x)[1], upstream)
+        assert built == []
+
+    def test_repeated_pconv_forward_rebuilds_no_spec(self, monkeypatch):
+        spec = blocks.PConvSpec(6, 2, 3)
+        rng = np.random.default_rng(10)
+        x, w = rng.standard_normal((1, 6, 5, 5)), rng.standard_normal((2, 2, 3, 3))
+        first = blocks.pconv_forward(x, w, spec)
+        built = self._count_constructions(monkeypatch)
+        outs = [blocks.pconv_forward(x, w, spec) for _ in range(100)]
+        assert built == []
+        assert all(out.tobytes() == first.tobytes() for out in outs)
+
+
 class TestLayerCallOrder:
     """perfbench's tracer labels the model.<layer> spans by the order in which
     net_forward and net_backward call these ops through detkit.model's own

@@ -1,6 +1,7 @@
 """Core operator tests: trivial identities, brute-force oracles, invariants."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from oracles import (
     scan_maxpool_same,
     scan_maxpool_same_backward,
     scan_spatial_stats_backward,
+    tap_loop_columns,
 )
 
 from detkit import ops
@@ -143,6 +145,65 @@ class TestConvMatchesPerTapOracle:
         assert gw_only.tobytes() == gw.tobytes() and gb_only.tobytes() == gb.tobytes()
 
 
+def _assert_columns_match_tap_loop(xp, k, s, columns=ops._columns):
+    got, want = columns(xp, k, s), tap_loop_columns(xp, k, s)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+    return got
+
+
+class TestGatheredColumns:
+    """im2col gathers its columns through one flat window index per
+    (padded size, kernel, stride); the tap loop it replaced is the oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 4), c=st.integers(1, 6), k=st.integers(1, 5), s=st.integers(1, 3),
+           p=st.integers(0, 2), dh=st.integers(0, 4), dw=st.integers(0, 4),
+           dtype=st.sampled_from([np.float32, np.float64]), sliced=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_columns_equal_the_tap_loop_bytes(self, n, c, k, s, p, dh, dw, dtype, sliced, seed):
+        """Any (mostly non-square) map, padding, dtype and layout, both as
+        called directly and as conv2d_backward calls it: on the padded input
+        and on the stride-dilated upstream of its transposed convolution.
+        A channel slice is what pconv passes; unpadded, it reaches _columns
+        as a non-contiguous view."""
+        rng = np.random.default_rng(seed)
+        h, w = max(1, k - 2 * p) + dh, max(1, k - 2 * p) + dw
+        x = rng.standard_normal((n, c + 2 * sliced, h, w)).astype(dtype)[:, :c]
+        _assert_columns_match_tap_loop(ops._pad(x, p), k, s)
+
+        spec = ConvSpec(c, 2, k, s, p)
+        wt = rng.standard_normal((2, c, k, k)).astype(dtype)
+        up = rng.standard_normal((n, 2, spec.out_size(h), spec.out_size(w))).astype(dtype)
+        seen, gather = [], ops._columns
+
+        def checked(xp, kk, ss):
+            seen.append((kk, ss))
+            return _assert_columns_match_tap_loop(xp, kk, ss, gather)
+
+        with mock.patch.object(ops, "_columns", checked):
+            ops.conv2d_backward(x, wt, spec, up)
+        assert seen[0] == (k, s) and seen[1:] == ([] if k == s else [(k, 1)])
+
+    def test_index_cache_stays_bounded(self):
+        """More distinct map shapes than the cache holds: it never grows past
+        its bound and every shape's columns still match the oracle."""
+        info = ops._window_index.cache_info
+        rng = np.random.default_rng(35)
+        shapes = [(hp, wp) for hp in range(3, 20) for wp in range(3, 13)]
+        assert len(shapes) > info().maxsize
+        for hp, wp in shapes:
+            _assert_columns_match_tap_loop(rng.standard_normal((1, 2, hp, wp)), 3, 1 + hp % 2)
+            assert info().currsize <= info().maxsize
+        assert info().currsize == info().maxsize
+
+    def test_cached_index_is_read_only(self):
+        index = ops._window_index(5, 6, 3, 2)
+        assert index is ops._window_index(5, 6, 3, 2)
+        with pytest.raises(ValueError):
+            index[0] = 1
+
+
 class TestSeparableMaxPool:
     @pytest.mark.parametrize("window", [1, 3, 5, 7])
     def test_ties_pick_the_scan_order_winner(self, window):
@@ -258,6 +319,29 @@ class TestPooling:
         assert got.shape == want.shape
         assert np.ascontiguousarray(got).tobytes() == want.tobytes()
         assert not got.flags.writeable
+
+
+class TestMeansMatchNpMean:
+    """global_pool's average and spatial_stats' channel mean sum and divide
+    as np.mean does: the same bits, in float32 and float64, over counts that
+    are not powers of two."""
+
+    SHAPES = [(2, 3, 7, 5), (1, 5, 13, 11), (3, 7, 3, 3), (2, 120, 8, 8), (1, 6, 1, 9)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_bits(self, shape, dtype):
+        rng = np.random.default_rng(sum(shape))
+        for _ in range(20):
+            x = (rng.standard_normal(shape) * rng.uniform(0.1, 100)).astype(dtype)
+            pooled = ops.global_pool(x, "avg")
+            assert pooled.dtype == dtype
+            assert pooled.view(np.uint8).tobytes() == \
+                x.mean(axis=(2, 3), keepdims=True).view(np.uint8).tobytes()
+            mean = ops.spatial_stats(x)[0][:, 1:2]
+            assert mean.dtype == dtype
+            assert np.ascontiguousarray(mean).view(np.uint8).tobytes() == \
+                x.mean(axis=1, keepdims=True).view(np.uint8).tobytes()
 
 
 class TestSpatialStats:

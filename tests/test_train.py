@@ -52,7 +52,7 @@ class TestPhases:
         (the later epochs read the stored necks) and no backward below the
         neck runs: every conv2d_backward is the head's."""
         cfg = small_config(epochs=3, freeze_fraction=1.0)
-        stem = cfg.net.stem_spec()
+        stem = cfg.net.stem_spec
         stem_w = (stem.out_channels, stem.in_channels, stem.kernel, stem.kernel)
         images, calls = Counter(), Counter()
 

@@ -4,9 +4,10 @@ Every subcommand is deterministic given its config and seed. Machine
 outputs are JSON (sorted keys) or CSV; exit codes are stable and documented:
 
     0   success
-    2   configuration error (bad arguments, bad values, unknown filter)
+    2   configuration error (bad arguments, bad values, unknown filter, an
+        output path that cannot be created or written)
     3   gradient check failed
-    4   required file missing
+    4   required file missing (or a directory where a file is expected)
     5   config / net-spec parse error (message carries the line number)
     6   weights checksum mismatch
     7   weights format version mismatch
@@ -18,6 +19,7 @@ outputs are JSON (sorted keys) or CSV; exit codes are stable and documented:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -94,7 +96,7 @@ def _load_net_spec(values: dict) -> ToyNetSpec:
 def _load_run_config(path) -> tuple[TrainConfig, dict]:
     values = dict(_RUN_DEFAULTS)
     if path is not None:
-        values.update(parse_kv_file(path, _RUN_SCHEMA))
+        values.update(parse_kv_file(_require_file(path, "config file"), _RUN_SCHEMA))
     for key in _FRACTION_KEYS:
         if not 0.0 <= values[key] <= 1.0:
             raise ConfigError(f"{key} must be in [0, 1], got {values[key]}")
@@ -108,8 +110,22 @@ def _load_run_config(path) -> tuple[TrainConfig, dict]:
 def _require_file(path, what: str) -> Path:
     p = Path(path)
     if not p.is_file():
-        raise FileNotFoundError(f"{what} not found: {p}")
+        raise FileNotFoundError(f"{what} {'is not a file' if p.exists() else 'not found'}: {p}")
     return p
+
+
+def _load_spec_values(path) -> dict:
+    return parse_kv_file(_require_file(path, "net spec file"), _NET_SCHEMA) if path else {}
+
+
+@contextlib.contextmanager
+def _writing(path):
+    """A file-system error while the body writes the outputs at path becomes
+    a configuration error that names the output, not a traceback."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {exc.filename or path}: {exc.strerror}") from None
 
 
 def _head(params: dict, spec: ToyNetSpec, x: Tensor) -> Tensor:
@@ -163,8 +179,7 @@ def _bench_rows(spec: ToyNetSpec):
 
 
 def cmd_bench(args) -> int:
-    values = parse_kv_file(args.spec, _NET_SCHEMA) if args.spec else {}
-    spec = _load_net_spec(values)
+    spec = _load_net_spec(_load_spec_values(args.spec))
     if args.cp_fraction is not None:
         spec = replace(spec, cp_fraction=args.cp_fraction)
     rows, pconv_report, full_report = _bench_rows(spec)
@@ -178,51 +193,52 @@ def cmd_bench(args) -> int:
     print(f"{'TOTAL':<16} {full_report.total_params:>12} {pconv_report.total_params:>12} "
           f"{full_report.total_macs:>12} {pconv_report.total_macs:>12}")
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _json_dump({
-        "rows": rows,
-        "totals": {
-            "full_params": full_report.total_params,
-            "pconv_params": pconv_report.total_params,
-            "full_macs": full_report.total_macs,
-            "pconv_macs": pconv_report.total_macs,
-            "full_mem_approx": full_report.total_mem_approx,
-            "pconv_mem_approx": pconv_report.total_mem_approx,
-        },
-    }, out_dir / "bench.json")
+    totals = {
+        "full_params": full_report.total_params,
+        "pconv_params": pconv_report.total_params,
+        "full_macs": full_report.total_macs,
+        "pconv_macs": pconv_report.total_macs,
+        "full_mem_approx": full_report.total_mem_approx,
+        "pconv_mem_approx": pconv_report.total_mem_approx,
+    }
     lines = [",".join(rows[0])] + [",".join(map(str, r.values())) for r in rows]
     lines.append(f"TOTAL,{full_report.total_params},{pconv_report.total_params},"
                  f"{full_report.total_macs},{pconv_report.total_macs},"
                  f"{full_report.total_mem_approx},{pconv_report.total_mem_approx},")
-    (out_dir / "bench.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out_dir = Path(args.out_dir)
+    with _writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _json_dump({"rows": rows, "totals": totals}, out_dir / "bench.json")
+        (out_dir / "bench.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return EXIT_OK
 
 
 def cmd_report(args) -> int:
-    values = parse_kv_file(args.spec, _NET_SCHEMA) if args.spec else {}
-    spec = _load_net_spec(values)
+    spec = _load_net_spec(_load_spec_values(args.spec))
     report: CostReport = model_cost(cost_layers(spec))
     print(report.to_table(), end="")
     if args.json_out:
-        _json_dump(report.to_json_dict(), args.json_out)
+        with _writing(args.json_out):
+            _json_dump(report.to_json_dict(), args.json_out)
     if args.csv_out:
-        Path(args.csv_out).write_text(report.to_csv(), encoding="utf-8")
+        with _writing(args.csv_out):
+            Path(args.csv_out).write_text(report.to_csv(), encoding="utf-8")
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
     cfg, _ = _load_run_config(args.config)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
     # A diverging run is reported by the TrainingDiverged error, which names
     # the first non-finite value; numpy's overflow warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         params, stats = train_toy(cfg)
-    save_weights(params, out_dir / "weights.dkw")
-    with open(out_dir / "stats.jsonl", "w", encoding="utf-8") as fh:
-        for st in stats:
-            fh.write(st.to_json_line() + "\n")
+    with _writing(out_dir):
+        save_weights(params, out_dir / "weights.dkw")
+        (out_dir / "stats.jsonl").write_text("".join(st.to_json_line() + "\n" for st in stats),
+                                             encoding="utf-8")
     print(f"trained {cfg.epochs} epochs; weights -> {out_dir / 'weights.dkw'}")
     if stats:
         print(f"final loss {stats[-1].total_loss!r}")
@@ -243,12 +259,13 @@ def cmd_eval(args) -> int:
         model_size_mb=sum(p.nbytes for p in params.values()) / 1e6,
         computation_macs=model_cost(cost_layers(net)).total_macs,
     )
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     payload = summary.to_json_dict()
     payload["per_class_ap"] = {str(k): v for k, v in per_class.items()}
-    _json_dump(payload, out_dir / "summary.json")
-    (out_dir / "pr_curve.csv").write_text(pr_curve_csv(curve), encoding="utf-8")
+    out_dir = Path(args.out_dir)
+    with _writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _json_dump(payload, out_dir / "summary.json")
+        (out_dir / "pr_curve.csv").write_text(pr_curve_csv(curve), encoding="utf-8")
     print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -267,10 +284,12 @@ def cmd_detect(args) -> int:
     rows = [(*box, k, score) for box, k, score in
             zip(boxes, dets[:, 5].astype(np.int64).tolist(), dets[:, 4].tolist())]
     text = detections_to_json(rows)
-    Path(args.out).write_text(text + "\n", encoding="utf-8")
+    with _writing(args.out):
+        Path(args.out).write_text(text + "\n", encoding="utf-8")
     print(text)
     if args.overlay:
-        write_image(args.overlay, draw_boxes(image, boxes))
+        with _writing(args.overlay):
+            write_image(args.overlay, draw_boxes(image, boxes))
     return EXIT_OK
 
 

@@ -78,7 +78,8 @@ def synth_dataset(seed: int, count: int, image_size: int = 64, classes: int = 3)
         targets: list[tuple[float, float, float, float, int]] = []
         wanted = int(rng.integers(1, 5))
         for _ in range(wanted):
-            placed = False
+            # the first shape fits on its first attempt: nothing can clash
+            # with an empty target list
             for _attempt in range(40):
                 half_w = int(rng.integers(min_half, max_half + 1))
                 half_h = int(rng.integers(min_half, max_half + 1))
@@ -96,16 +97,8 @@ def synth_dataset(seed: int, count: int, image_size: int = 64, classes: int = 3)
                 mask = _rasterize(kind, cx, cy, float(half_w), float(half_h), image_size)
                 img[mask] = value
                 targets.append((x1, y1, x2, y2, kind))
-                placed = True
                 break
-            if not placed:
+            else:  # no free spot in 40 attempts: the image keeps what it has
                 break
-        if not targets:
-            # cannot happen with the sizes above, but the contract is >= 1 shape
-            half = float(min_half)
-            cx = cy = image_size // 2 + 0.5
-            mask = _rasterize(0, cx, cy, half, half, image_size)
-            img[mask] = 0.9
-            targets.append((cx - half, cy - half, cx + half, cy + half, 0))
         samples.append((Tensor(img[None, None, :, :]), np.array(targets, dtype=np.float64)))
     return samples

@@ -426,8 +426,7 @@ def _check_detection_loss(rng, case):
     _, grad = losses.detection_loss_and_grad(Tensor(head), [targets], variant, stride)
 
     def totals(rows):
-        terms = losses.detection_loss(Tensor(rows.reshape(-1, *head.shape[1:])),
-                                      [targets] * len(rows), variant, stride)
-        return np.array([t.total for t in terms])
+        return losses.detection_loss(Tensor(rows.reshape(-1, *head.shape[1:])),
+                                     [targets] * len(rows), variant, stride)[:, 3]
 
     return _arg_errors(totals, np.ones(1), (head,), (grad,))

@@ -23,13 +23,13 @@ box edges coincide (min/max switch points).
 ``detection_loss`` and ``detection_loss_and_grad`` take a whole batch of
 prediction grids, with each image's targets as a (t, 5) array of rows
 [x1, y1, x2, y2, class], and evaluate all of the batch's targets in one
-``_box_rows`` call.
+``_box_rows`` call. They return the loss terms as one (n, 4) float64 array,
+a row [box, objectness, class, total] per image.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,17 +38,6 @@ from .tensor import ConfigError, Tensor, _require_finite
 
 EPS = 1e-9
 _VARIANTS = ("iou", "ciou", "wiou")
-
-
-@dataclass(frozen=True)
-class LossBreakdown:
-    """Composite detection loss parts; total is their weighted sum."""
-
-    box_loss: float
-    objectness_loss: float
-    class_loss: float
-    total: float
-    variant: str
 
 
 def pairwise_iou(p: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -165,7 +154,7 @@ def _bce_with_logits(z: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _detection_terms(predictions: Tensor, target_lists, variant: str, stride: float,
                      box_weight: float, obj_weight: float, cls_weight: float, with_grad: bool):
-    """The composite loss of every image of the batch and, when with_grad,
+    """The (n, 4) loss terms of the batch's images and, when with_grad,
     the gradient w.r.t. the raw prediction grids (None otherwise). The batch's
     targets are the rows of one _box_rows call, in image then target order.
     An image's terms and gradient are those it gets on its own: per-image sums
@@ -217,7 +206,7 @@ def _detection_terms(predictions: Tensor, target_lists, variant: str, stride: fl
     total = box_weight * box_loss + obj_weight * obj_loss + cls_weight * cls_loss
     if not np.isfinite(total).all():
         raise FloatingPointError("detection loss is not finite")
-    terms = [LossBreakdown(*map(float, t), variant) for t in zip(box_loss, obj_loss, cls_loss, total)]
+    terms = np.stack([box_loss, obj_loss, cls_loss, total], axis=1)
     if not with_grad:
         return terms, None
 
@@ -248,7 +237,7 @@ def detection_loss(
     box_weight: float = 5.0,
     obj_weight: float = 1.0,
     cls_weight: float = 1.0,
-) -> list[LossBreakdown]:
+) -> np.ndarray:
     """Composite loss of each prediction grid of a batch.
 
     predictions: (n, 5 + K, gh, gw), channel layout [tx, ty, tw, th,
@@ -259,8 +248,9 @@ def detection_loss(
     trains the cell containing its center: the box
     term (selected variant, averaged over the image's targets), a one-vs-all
     class BCE on assigned cells, and an objectness BCE over every cell (1 on
-    assigned cells, 0 elsewhere). Returns one LossBreakdown per image, each
-    equal to the image's loss on its own.
+    assigned cells, 0 elsewhere). Returns an (n, 4) float64 array with one row
+    [box, objectness, class, total] per image, total the weighted sum of the
+    other three; each row equals the image's loss on its own.
 
     Value only: finite-difference checks evaluate it on batches of perturbed
     grids.
@@ -277,7 +267,7 @@ def detection_loss_and_grad(
     box_weight: float = 5.0,
     obj_weight: float = 1.0,
     cls_weight: float = 1.0,
-) -> tuple[list[LossBreakdown], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """detection_loss() and, in one pass, the gradient of each image's total
     w.r.t. its raw prediction grid: an (n, 5 + K, gh, gw) array in the grids'
     dtype. A non-finite gradient raises NonFiniteError("non-finite head

@@ -15,9 +15,11 @@ precision with zero predictions is defined as 0.
 once, with a stable ``np.lexsort`` on (-score, class, x1, y1, x2, y2), so the
 result does not depend on the order of the images. The PR curve sweeps the
 score threshold down that ranked flag vector, and each class's curve is the
-same vector under a class mask. AP is the exact area under the all-points
-interpolated curve: the sum over ranks of the recall step times the running
-max of precision from the right, added left to right.
+same vector under a class mask. A curve is an (m, 2) float64 array of rows
+[recall, precision], one per ranked detection; recall is a running count of
+hits over the ground truths, so it never decreases. AP is the exact area under
+the all-points interpolated curve: the sum over ranks of the recall step times
+the running max of precision from the right, added left to right.
 """
 
 from __future__ import annotations
@@ -28,23 +30,6 @@ import numpy as np
 
 from .losses import pairwise_iou
 from .tensor import ConfigError
-
-
-@dataclass(frozen=True)
-class PRCurve:
-    """Ordered (recall, precision) points; recall is non-decreasing."""
-
-    recalls: tuple[float, ...]
-    precisions: tuple[float, ...]
-    ap: float
-
-    def __post_init__(self):
-        if len(self.recalls) != len(self.precisions):
-            raise ConfigError("recall/precision lengths differ")
-        if any(b < a - 1e-12 for a, b in zip(self.recalls, self.recalls[1:])):
-            raise ConfigError("recall must be non-decreasing")
-        if not 0.0 <= self.ap <= 1.0:
-            raise ConfigError("AP must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -87,25 +72,26 @@ def match_image(dets: np.ndarray, gts: np.ndarray, iou_thr: float) -> np.ndarray
     return tp
 
 
-def _curve(flags: np.ndarray, n_gt: int) -> PRCurve:
-    """The swept PR curve of ranked true-positive flags and its all-points AP."""
+def _curve(flags: np.ndarray, n_gt: int) -> tuple[np.ndarray, float]:
+    """The swept (m, 2) PR curve of ranked true-positive flags and its
+    all-points AP."""
     if len(flags) == 0 or n_gt == 0:
-        return PRCurve((), (), 0.0)
+        return np.empty((0, 2)), 0.0
     hits = np.cumsum(flags)
     recalls = hits / n_gt
     precisions = hits / np.arange(1, len(flags) + 1)
     # interpolated precision: the running max from the right
     envelope = np.maximum.accumulate(precisions[::-1])[::-1]
     ap = np.add.accumulate(np.diff(recalls, prepend=0.0) * envelope)[-1]
-    return PRCurve(tuple(recalls.tolist()), tuple(precisions.tolist()), float(ap))
+    return np.stack([recalls, precisions], axis=1), float(ap)
 
 
 def evaluate(detections, ground_truths, iou_thr: float = 0.5,
              model_size_mb: float = 0.0, computation_macs: int = 0):
     """Score per-image detections against per-image ground truths.
 
-    Returns (EvalSummary, PRCurve, per_class_ap dict); per_class_ap has the
-    AP of each ground-truth class id, in ascending order.
+    Returns (EvalSummary, the (m, 2) PR curve, per_class_ap dict);
+    per_class_ap has the AP of each ground-truth class id, in ascending order.
     """
     if len(detections) != len(ground_truths):
         raise ConfigError("detections and ground truths must cover the same images")
@@ -123,16 +109,16 @@ def evaluate(detections, ground_truths, iou_thr: float = 0.5,
     n_tp, n_det, n_gt = int(np.count_nonzero(flags)), len(flags), len(gt_classes)
     precision = n_tp / n_det if n_det else 0.0
     recall = n_tp / n_gt if n_gt else 0.0
-    curve = _curve(ranked, n_gt)
+    curve, ap = _curve(ranked, n_gt)
     gt_ids, gt_counts = np.unique(gt_classes, return_counts=True)
-    per_class_ap = {k: _curve(ranked[ranked_classes == k], n).ap
+    per_class_ap = {k: _curve(ranked[ranked_classes == k], n)[1]
                     for k, n in zip(gt_ids.tolist(), gt_counts.tolist())}
-    summary = EvalSummary.build(precision, recall, curve.ap, model_size_mb, computation_macs)
+    summary = EvalSummary.build(precision, recall, ap, model_size_mb, computation_macs)
     return summary, curve, per_class_ap
 
 
-def pr_curve_csv(curve: PRCurve) -> str:
+def pr_curve_csv(curve: np.ndarray) -> str:
     lines = ["recall,precision"]
-    for r, p in zip(curve.recalls, curve.precisions):
+    for r, p in curve.tolist():
         lines.append(f"{r!r},{p!r}")
     return "\n".join(lines) + "\n"

@@ -89,7 +89,8 @@ def _batch_loss_and_grads(params, cfg: TrainConfig, images, target_lists, frozen
 
     ``frozen`` stops the backward at the neck, so only the CBAM and head
     gradients come back; ``neck``, the batch's stored neck, then stands in for
-    the images. Returns (loss terms, gradients, the batch's neck).
+    the images. Returns (the mean of the loss rows [box, objectness, class,
+    total], gradients, the batch's neck).
 
     Raises NonFiniteError naming the first non-finite value: the head (named
     by ``net_forward``), the head gradient (named by the loss) or a parameter
@@ -99,11 +100,10 @@ def _batch_loss_and_grads(params, cfg: TrainConfig, images, target_lists, frozen
     terms, grad = detection_loss_and_grad(head, target_lists, cfg.loss_variant, float(cfg.net.stride),
                                           cfg.box_weight, cfg.obj_weight, cfg.cls_weight)
     bsz = len(images)
-    totals = np.array([[t.box_loss, t.objectness_loss, t.class_loss, t.total] for t in terms])
     grads = net_backward(params, cfg.net, cache, Tensor(grad / bsz))
     for name, g in grads.items():
         _require_finite(f"{name} gradient", g)
-    return totals.sum(axis=0) / bsz, grads, cache.neck
+    return terms.sum(axis=0) / bsz, grads, cache.neck
 
 
 def train_toy(config: TrainConfig):

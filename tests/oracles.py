@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from detkit import losses, ops
-from detkit.metrics import EvalSummary, PRCurve, match_image
+from detkit.metrics import EvalSummary, match_image
 from detkit.postprocess import _LOGIT_CAP
 from detkit.tensor import ConfigError, Tensor
 
@@ -355,16 +355,17 @@ def _ap_all_points(recalls: np.ndarray, precisions: np.ndarray) -> float:
 
 
 def _curve_from_flags(flags_scores: list[tuple[float, bool, tuple]], n_gt: int):
-    """Build the swept PR curve from pooled (score, tp, tiebreak) records."""
+    """Build the swept (m, 2) PR curve and its AP from pooled (score, tp,
+    tiebreak) records."""
     if not flags_scores or n_gt == 0:
-        return PRCurve((), (), 0.0)
+        return np.empty((0, 2)), 0.0
     ordered = sorted(flags_scores, key=lambda z: (-z[0],) + z[2])
     tp = np.cumsum([1 if z[1] else 0 for z in ordered])
     fp = np.cumsum([0 if z[1] else 1 for z in ordered])
     recalls = tp / n_gt
     precisions = tp / np.maximum(tp + fp, 1)
     ap = _ap_all_points(recalls, precisions)
-    return PRCurve(tuple(recalls.tolist()), tuple(precisions.tolist()), ap)
+    return np.stack([recalls, precisions], axis=1), ap
 
 
 def record_evaluate(detections, ground_truths, iou_thr: float = 0.5,
@@ -373,8 +374,8 @@ def record_evaluate(detections, ground_truths, iou_thr: float = 0.5,
     ranked flag vector: one (score, flag, (class, x1, y1, x2, y2)) record per
     detection, a dict of per-class records, tuple sorts and Python sums.
 
-    Returns (EvalSummary, PRCurve, per_class_ap dict). The result does not
-    depend on the order in which images are supplied.
+    Returns (EvalSummary, the (m, 2) PR curve, per_class_ap dict). The result
+    does not depend on the order in which images are supplied.
     """
     if len(detections) != len(ground_truths):
         raise ConfigError("detections and ground truths must cover the same images")
@@ -399,12 +400,12 @@ def record_evaluate(detections, ground_truths, iou_thr: float = 0.5,
 
     precision = n_tp / n_det if n_det else 0.0
     recall = n_tp / n_gt if n_gt else 0.0
-    curve = _curve_from_flags(pooled, n_gt)
+    curve, ap = _curve_from_flags(pooled, n_gt)
     per_class_ap = {
-        cls: _curve_from_flags(per_class.get(cls, []), cnt).ap
+        cls: _curve_from_flags(per_class.get(cls, []), cnt)[1]
         for cls, cnt in sorted(class_gt_counts.items())
     }
-    summary = EvalSummary.build(precision, recall, curve.ap, model_size_mb, computation_macs)
+    summary = EvalSummary.build(precision, recall, ap, model_size_mb, computation_macs)
     return summary, curve, per_class_ap
 
 
@@ -698,8 +699,9 @@ def assign_cells(targets, stride, gh, gw):
 def per_image_detection_loss_and_grad(predictions, targets, variant="wiou", stride=8.0,
                                       box_weight=5.0, obj_weight=1.0, cls_weight=1.0):
     """The composite loss of one (1, 5 + K, gh, gw) grid and its gradient,
-    one target at a time: (LossBreakdown, (1, 5 + K, gh, gw) ndarray). The
-    image's (t, 5) target rows are read as (BBox, class) pairs."""
+    one target at a time: (the (4,) float64 row [box, objectness, class,
+    total], a (1, 5 + K, gh, gw) ndarray). The image's (t, 5) target rows are
+    read as (BBox, class) pairs."""
     targets = target_pairs(targets)
     num_classes, gh, gw = check_detection_args(predictions, targets, stride, variant)
     p = predictions.data[0]
@@ -737,7 +739,7 @@ def per_image_detection_loss_and_grad(predictions, targets, variant="wiou", stri
     if not math.isfinite(total):
         raise FloatingPointError("detection loss is not finite")
     grad[4] += (ops.sigmoid(p[4]).astype(np.float64, copy=False) - obj_target) * (obj_weight / (gh * gw))
-    return losses.LossBreakdown(box_loss, obj_loss, cls_loss, total, variant), grad[None]
+    return np.array([box_loss, obj_loss, cls_loss, total]), grad[None]
 
 
 def _box_loss_grad(variant, pred, gt):

@@ -757,6 +757,63 @@ class TestTrainEvalDetect:
         assert ":2:" in capsys.readouterr().err
 
 
+class TestUnusablePaths:
+    """A directory given where a file is read exits 4, and an output path the
+    file system cannot create exits 2; each prints one error line naming the
+    path instead of a traceback."""
+
+    @staticmethod
+    def _one_error_line(capsys, start: str) -> None:
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {start}") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--out-dir", "{tmp}/o", "--config"],
+        ["eval", "--weights", "{tmp}/w.dkw", "--out-dir", "{tmp}/o", "--config"],
+        ["detect", "--weights", "{tmp}/w.dkw", "--image", "{tmp}/x.pgm", "--out", "{tmp}/d.json", "--config"],
+        ["bench", "--out-dir", "{tmp}/o", "--spec"],
+        ["report", "--spec"],
+    ], ids=["train", "eval", "detect", "bench", "report"])
+    def test_a_directory_as_config_or_spec_is_a_missing_file(self, tmp_path, capsys, argv):
+        argv = [a.format(tmp=tmp_path) for a in argv] + [str(tmp_path)]
+        assert cli.main(argv) == cli.EXIT_MISSING
+        what = "net spec" if argv[0] in ("bench", "report") else "config"
+        assert capsys.readouterr().err == f"error: {what} file is not a file: {tmp_path}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--out-dir", "{file}"],
+        ["bench", "--out-dir", "{file}/sub"],
+        ["report", "--json-out", "{file}/cost.json"],
+        ["report", "--csv-out", "{file}/cost.csv"],
+    ], ids=["bench-dir-is-a-file", "bench-dir-under-a-file", "report-json", "report-csv"])
+    def test_a_cost_output_that_cannot_be_created_is_a_config_error(self, tmp_path, capsys, argv):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        assert cli.main([a.format(file=blocker) for a in argv]) == cli.EXIT_CONFIG
+        self._one_error_line(capsys, f"cannot write {blocker}")
+
+    def test_a_run_output_that_cannot_be_created_is_a_config_error(self, tmp_path, small_config, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        cfg = ["--config", str(small_config)]
+        # train creates its output directory before it trains
+        assert cli.main(["train", *cfg, "--out-dir", str(blocker)]) == cli.EXIT_CONFIG
+        self._one_error_line(capsys, f"cannot write {blocker}: ")
+        assert cli.main(["train", *cfg, "--out-dir", str(tmp_path / "t")]) == 0
+        image = tmp_path / "scene.pgm"
+        write_image(image, synth_dataset(5, 1, 32, 3)[0][0])
+        run = [*cfg, "--weights", str(tmp_path / "t" / "weights.dkw")]
+        capsys.readouterr()
+        assert cli.main(["eval", *run, "--out-dir", str(blocker)]) == cli.EXIT_CONFIG
+        self._one_error_line(capsys, f"cannot write {blocker}: ")
+        detect = ["detect", *run, "--image", str(image)]
+        assert cli.main([*detect, "--out", str(blocker / "d.json")]) == cli.EXIT_CONFIG
+        self._one_error_line(capsys, f"cannot write {blocker / 'd.json'}: ")
+        assert cli.main([*detect, "--out", str(tmp_path / "d.json"),
+                         "--overlay", str(tmp_path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: cannot write {tmp_path}: Is a directory\n"
+
+
 class TestImageIO:
     def test_pgm_round_trip(self, tmp_path):
         rng = np.random.default_rng(71)

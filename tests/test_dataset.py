@@ -1,6 +1,7 @@
 """Synthetic dataset contracts: determinism, bounds, mask-tight boxes."""
 
 import numpy as np
+import pytest
 from oracles import full_grid_rasterize
 
 from detkit import dataset
@@ -22,15 +23,19 @@ class TestDeterminism:
 
 
 class TestAnnotations:
-    def test_boxes_inside_bounds_with_positive_area(self):
-        for img, targets in synth_dataset(11, 30, 64, 3):
+    @pytest.mark.parametrize("classes", [1, 2, 3])
+    @pytest.mark.parametrize("size", [16, 32, 64])
+    def test_boxes_inside_bounds_with_positive_area(self, size, classes):
+        """Every image holds 1 to 4 shapes: the first is always placed, since
+        nothing can clash with an empty image."""
+        for img, targets in synth_dataset(11, 30, size, classes):
             assert targets.dtype == np.float64 and targets.shape[1:] == (5,)
             assert 1 <= len(targets) <= 4
             for x1, y1, x2, y2, cls in targets.tolist():
-                assert cls in (0, 1, 2)
+                assert cls in range(classes)
                 assert (x2 - x1) * (y2 - y1) > 0
-                assert 0.0 <= x1 < x2 <= 64.0
-                assert 0.0 <= y1 < y2 <= 64.0
+                assert 0.0 <= x1 < x2 <= size
+                assert 0.0 <= y1 < y2 <= size
 
     def test_mask_tight_boxes_within_one_pixel(self):
         """Rasterize-and-scan oracle: threshold the (bright shape on dim

@@ -304,11 +304,13 @@ class TestDetectionLoss:
 
     def test_zero_targets(self):
         head = self._head()
-        br, = detection_loss(head, [[]], "wiou", stride=8.0)
-        assert br.box_loss == 0.0 and br.class_loss == 0.0
+        terms = detection_loss(head, [[]], "wiou", stride=8.0)
+        assert terms.shape == (1, 4) and terms.dtype == np.float64
+        box, obj, cls, total = terms[0]
+        assert box == 0.0 and cls == 0.0
         # BCE of logit 0 against label 0 is log 2 per cell
-        assert br.objectness_loss == pytest.approx(math.log(2.0), abs=1e-12)
-        assert br.total == pytest.approx(br.objectness_loss, abs=1e-12)
+        assert obj == pytest.approx(math.log(2.0), abs=1e-12)
+        assert total == pytest.approx(obj, abs=1e-12)
 
     def test_saturated_perfect_predictions_drive_total_to_zero(self):
         target = BBox(6.0, 6.0, 16.0, 18.0)
@@ -321,8 +323,8 @@ class TestDetectionLoss:
         head[0, 3, row, col] = th
         head[0, 4, row, col] = 40.0  # confident "object" at the target cell
         head[0, 5, row, col] = 40.0  # confident class
-        br, = detection_loss(Tensor(head), [np.array([[6.0, 6.0, 16.0, 18.0, 0]])], "wiou", stride=8.0)
-        assert br.total < 1e-9
+        total = detection_loss(Tensor(head), [np.array([[6.0, 6.0, 16.0, 18.0, 0]])], "wiou", stride=8.0)[0, 3]
+        assert total < 1e-9
 
     def test_two_cell_hand_computed_case(self):
         """2x1 grid, stride 8, one target in the left cell; every term checked
@@ -330,8 +332,8 @@ class TestDetectionLoss:
         k = 1
         head = np.zeros((1, 6, 1, 2))
         target = BBox(2.0, 2.0, 6.0, 6.0)  # center (4, 4) -> cell (0, 0)
-        br, = detection_loss(Tensor(head), [np.array([[2.0, 2.0, 6.0, 6.0, 0]])], "wiou",
-                            stride=8.0, box_weight=1.0, obj_weight=1.0, cls_weight=1.0)
+        box, obj, cls, total = detection_loss(Tensor(head), [np.array([[2.0, 2.0, 6.0, 6.0, 0]])], "wiou",
+                                              stride=8.0, box_weight=1.0, obj_weight=1.0, cls_weight=1.0)[0]
         # pred box from zero logits: center (4, 4), size 8x8 -> (0, 0, 8, 8)
         pred = BBox(0.0, 0.0, 8.0, 8.0)
         want_box = wiou(pred, target)
@@ -342,19 +344,18 @@ class TestDetectionLoss:
         assert want_box == pytest.approx(1.0 - inter / union)
         want_obj = (math.log(2.0) + math.log(2.0)) / 2.0  # two cells, logits 0
         want_cls = math.log(2.0)  # one class logit at the assigned cell
-        assert br.box_loss == pytest.approx(want_box, abs=1e-12)
-        assert br.objectness_loss == pytest.approx(want_obj, abs=1e-12)
-        assert br.class_loss == pytest.approx(want_cls, abs=1e-12)
-        assert br.total == pytest.approx(want_box + want_obj + want_cls, abs=1e-12)
+        assert box == pytest.approx(want_box, abs=1e-12)
+        assert obj == pytest.approx(want_obj, abs=1e-12)
+        assert cls == pytest.approx(want_cls, abs=1e-12)
+        assert total == pytest.approx(want_box + want_obj + want_cls, abs=1e-12)
 
     def test_total_is_weighted_sum(self):
         rng = np.random.default_rng(25)
         head = Tensor(rng.standard_normal((1, 8, 3, 3)))
         targets = np.array([[4.0, 4.0, 14.0, 12.0, 1]])
-        br, = detection_loss(head, [targets], "ciou", stride=8.0,
-                            box_weight=5.0, obj_weight=2.0, cls_weight=3.0)
-        assert br.total == pytest.approx(
-            5.0 * br.box_loss + 2.0 * br.objectness_loss + 3.0 * br.class_loss, rel=1e-12)
+        box, obj, cls, total = detection_loss(head, [targets], "ciou", stride=8.0,
+                                              box_weight=5.0, obj_weight=2.0, cls_weight=3.0)[0]
+        assert total == pytest.approx(5.0 * box + 2.0 * obj + 3.0 * cls, rel=1e-12)
 
     @pytest.mark.parametrize("row, match", [
         ([-1.0, 0.0, 5.0, 5.0, 0], r"target \[-1\.0, 0\.0, 5\.0, 5\.0\] lies outside the 24\.0x24\.0 image"),
@@ -387,9 +388,9 @@ class TestDetectionLoss:
         for idx in range(flat.size):
             orig = flat[idx]
             flat[idx] = orig + h
-            fp = detection_loss(Tensor(head), [targets], "ciou", stride=8.0)[0].total
+            fp = detection_loss(Tensor(head), [targets], "ciou", stride=8.0)[0, 3]
             flat[idx] = orig - h
-            fm = detection_loss(Tensor(head), [targets], "ciou", stride=8.0)[0].total
+            fm = detection_loss(Tensor(head), [targets], "ciou", stride=8.0)[0, 3]
             flat[idx] = orig
             num = (fp - fm) / (2 * h)
             denom = max(abs(got.reshape(-1)[idx]), abs(num), 1e-4)
@@ -416,8 +417,8 @@ class TestDetectionLossAndGrad:
         head = Tensor((rng.standard_normal((1, 8, 3, 3)) * 2.0).astype(dtype))
         tg = self.TARGET_SETS[targets]
         args = (variant, 8.0, 5.0, 2.5, 2.5)
-        (br,), grad = detection_loss_and_grad(head, [tg], *args)
-        assert [br] == detection_loss(head, [tg], *args)
+        terms, grad = detection_loss_and_grad(head, [tg], *args)
+        assert _same_bits(terms, detection_loss(head, [tg], *args))
         want = separate_detection_loss_grad(head, tg, *args).data
         assert grad.dtype == dtype
         assert np.array_equal(grad, want)
@@ -431,8 +432,8 @@ class TestDetectionLossAndGrad:
         head[0, 2:4] = math.log(2.5e-7)  # a 2e-6 square centred at (4, 4)
         pred = cell_to_box(0.0, 0.0, head[0, 2, 0, 0], head[0, 3, 0, 0], 0, 0, 8.0)
         assert iou(pred, gt) == 0.25
-        (br,), _ = detection_loss_and_grad(Tensor(head), [[[gt.x1, gt.y1, gt.x2, gt.y2, 0]]], "iou", 8.0)
-        assert br.box_loss == 0.75
+        terms, _ = detection_loss_and_grad(Tensor(head), [[[gt.x1, gt.y1, gt.x2, gt.y2, 0]]], "iou", 8.0)
+        assert terms[0, 0] == 0.75
 
 
 def _same_bits(got, want) -> bool:
@@ -460,14 +461,13 @@ class TestBatchedLossMatchesPerImageOracle:
 
     def _check(self, head, target_lists, variant):
         terms, grad = detection_loss_and_grad(Tensor(head), target_lists, variant, *self.ARGS)
-        assert terms == detection_loss(Tensor(head), target_lists, variant, *self.ARGS)
+        assert terms.shape == (len(target_lists), 4)
+        assert _same_bits(terms, detection_loss(Tensor(head), target_lists, variant, *self.ARGS))
         assert grad.shape == head.shape and grad.dtype == head.dtype
         for i, targets in enumerate(target_lists):
             want_terms, want_grad = per_image_detection_loss_and_grad(
                 Tensor(head[i:i + 1]), targets, variant, *self.ARGS)
-            assert terms[i] == want_terms
-            assert all(_same_bits(getattr(terms[i], f), getattr(want_terms, f))
-                       for f in ("box_loss", "objectness_loss", "class_loss", "total"))
+            assert _same_bits(terms[i], want_terms)
             assert _same_bits(grad[i], want_grad[0])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -506,7 +506,7 @@ class TestBatchedLossMatchesPerImageOracle:
         for k, i in enumerate(order):
             (alone_terms,), alone_grad = detection_loss_and_grad(
                 Tensor(head[i:i + 1]), [self.MIXED[i]], variant, *self.ARGS)
-            assert terms[i] == alone_terms == shuffled_terms[k]
+            assert _same_bits(terms[i], alone_terms) and _same_bits(terms[i], shuffled_terms[k])
             assert _same_bits(grad[i], alone_grad[0]) and _same_bits(grad[i], shuffled_grad[k])
 
     def test_one_target_list_per_grid(self):

@@ -7,7 +7,7 @@ from oracles import (Detection, detection_rows, random_detections, record_evalua
                      target_rows)
 
 from detkit import metrics
-from detkit.metrics import EvalSummary, PRCurve, match_image, pr_curve_csv
+from detkit.metrics import EvalSummary, match_image, pr_curve_csv
 from detkit.tensor import ConfigError
 
 
@@ -26,6 +26,21 @@ def evaluate(dets, gts, **kwargs):
     (n, 6) and (t, 5) arrays it reads."""
     return metrics.evaluate([np.array(d, dtype=np.float64).reshape(-1, 6) for d in dets],
                             [np.array(g, dtype=np.float64).reshape(-1, 5) for g in gts], **kwargs)
+
+
+def same_curve(got, want) -> bool:
+    """Equal shape, dtype and bytes, so 0.0 and -0.0 differ."""
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and np.array_equal(got.view(np.uint8), want.view(np.uint8)))
+
+
+def check_curve(curve, ap):
+    """A curve's invariants: (m, 2) float64 rows [recall, precision] with
+    recall non-decreasing, precision in [0, 1], and an AP in [0, 1]."""
+    assert curve.dtype == np.float64 and curve.ndim == 2 and curve.shape[1] == 2
+    assert (np.diff(curve[:, 0]) >= 0.0).all()
+    assert ((curve[:, 1] >= 0.0) & (curve[:, 1] <= 1.0)).all()
+    assert 0.0 <= ap <= 1.0
 
 
 def match(dets, gts, thr):
@@ -110,7 +125,7 @@ class TestEvaluate:
         perm = list(rng.permutation(len(gts)))
         shuf, shuf_curve, shuf_pc = evaluate([dets[i] for i in perm], [gts[i] for i in perm])
         assert base == shuf
-        assert base_curve == shuf_curve
+        assert same_curve(base_curve, shuf_curve)
         assert base_pc == shuf_pc
 
     def test_mismatched_lengths_rejected(self):
@@ -149,7 +164,9 @@ def tied_draw(rng):
 
 class TestEvaluateOracle:
     """evaluate ranks every detection once on arrays; it gives the record-based
-    oracle's summary, PR curve and per-class AP bit for bit."""
+    oracle's summary, PR curve and per-class AP bit for bit. Every curve keeps
+    its invariants, and each class's AP is that of the overall curve of the
+    class's detections and ground truths alone."""
 
     def test_matches_record_evaluate(self):
         rng = np.random.default_rng(20)
@@ -160,8 +177,14 @@ class TestEvaluateOracle:
                 want = record_evaluate(dets, gts, thr, 0.25, 7)
                 assert repr(got[0].to_json_dict()) == repr(want[0].to_json_dict())
                 assert pr_curve_csv(got[1]) == pr_curve_csv(want[1])
-                assert got[1] == want[1]
+                assert same_curve(got[1], want[1])
                 assert repr(got[2]) == repr(want[2])
+                check_curve(got[1], got[0].ap)
+                for k, ap in got[2].items():
+                    alone, curve, _ = metrics.evaluate([d[d[:, 5] == k] for d in dets],
+                                                       [g[g[:, 4] == k] for g in gts], thr)
+                    assert repr(alone.ap) == repr(ap)
+                    check_curve(curve, ap)
 
     def test_draws_cover_ties_duplicates_and_unmatched_classes(self):
         rng = np.random.default_rng(20)
@@ -214,7 +237,7 @@ class TestMatchImage:
         assert match([det(1, 1, 1, 1, 0.5)], [gt(1, 1, 1, 1)], 0.1) == [False]
 
 
-class TestPRCurve:
+class TestPrecisionRecallCurve:
     def test_recall_non_decreasing_and_ap_bounded(self):
         rng = np.random.default_rng(52)
         gts, dets = [], []
@@ -228,10 +251,9 @@ class TestPRCurve:
                 img_dets.append(det(x, y, x + 8, y + 8, float(rng.uniform(0, 1))))
             gts.append(img_gts)
             dets.append(img_dets)
-        _, curve, _ = evaluate(dets, gts)
-        assert all(b >= a for a, b in zip(curve.recalls, curve.recalls[1:]))
-        assert 0.0 <= curve.ap <= 1.0
-        assert all(0.0 <= p <= 1.0 for p in curve.precisions)
+        summary, curve, _ = evaluate(dets, gts)
+        assert len(curve) == sum(map(len, dets))
+        check_curve(curve, summary.ap)
 
     def test_known_curve_area(self):
         # one image, two gt, dets: TP at 0.9, FP at 0.8, TP at 0.7
@@ -241,14 +263,10 @@ class TestPRCurve:
             det(50, 50, 60, 60, 0.8),
             det(20, 0, 30, 10, 0.7),
         ]]
-        _, curve, _ = evaluate(dets, gts)
-        # points: (0.5, 1), (0.5, 0.5), (1.0, 2/3); all-points AP:
-        # 0.5 * 1 + 0.5 * 2/3
-        assert curve.ap == pytest.approx(0.5 + 0.5 * 2 / 3)
-
-    def test_validation_rejects_decreasing_recall(self):
-        with pytest.raises(ConfigError):
-            PRCurve((0.5, 0.4), (1.0, 1.0), 0.5)
+        summary, curve, _ = evaluate(dets, gts)
+        assert curve.tolist() == [[0.5, 1.0], [0.5, 0.5], [1.0, 2 / 3]]
+        # all-points AP: 0.5 * 1 + 0.5 * 2/3
+        assert summary.ap == pytest.approx(0.5 + 0.5 * 2 / 3)
 
     def test_csv_emission(self):
         _, curve, _ = evaluate([[det(0, 0, 10, 10, 0.9)]], [[gt(0, 0, 10, 10)]])

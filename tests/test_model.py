@@ -58,7 +58,7 @@ class TestBackward:
 
         def loss_of(p):
             head, _ = net_forward(p, spec, x)
-            return detection_loss(head, [targets], "ciou", float(spec.stride))[0].total
+            return detection_loss(head, [targets], "ciou", float(spec.stride))[0, 3]
 
         head, cache = net_forward(params, spec, x)
         _, upstream = detection_loss_and_grad(head, [targets], "ciou", float(spec.stride))

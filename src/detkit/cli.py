@@ -5,7 +5,8 @@ outputs are JSON (sorted keys) or CSV; exit codes are stable and documented:
 
     0   success
     2   configuration error (bad arguments, bad values, unknown filter, an
-        output path that cannot be created or written)
+        output path that cannot be created or written, a net or dataset too
+        large to allocate)
     3   gradient check failed
     4   required file missing (or a directory where a file is expected)
     5   config / net-spec parse error (message carries the line number)
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import gradcheck as gradcheck_mod
 from .config import ParseError, parse_kv_file
-from .cost import CostReport, model_cost
+from .cost import CostReport, LayerCost, model_cost
 from .dataset import synth_dataset
 from .imageio import ImageFormatError, draw_boxes, read_image, to_channels, write_image
 from .metrics import evaluate, pr_curve_csv
@@ -69,6 +70,7 @@ _EXIT_CODES = (
     (ImageFormatError, EXIT_IMAGE),
     (TrainingDiverged, EXIT_DIVERGED),
     (ConfigError, EXIT_CONFIG),
+    (MemoryError, EXIT_CONFIG),
 )
 
 # "checked" only keeps older configs parsing: every Tensor checks finiteness.
@@ -78,12 +80,10 @@ _RUN_DEFAULTS = {"score_threshold": 0.25, "nms_iou": 0.45, "eval_iou": 0.5, "che
 _FRACTION_KEYS = ("score_threshold", "nms_iou", "eval_iou")
 
 # Config keys are the spec and trainer fields; each annotation names its parser.
-_PARSER_OF_TYPE = {"int": "int", "float": "float", "str": "str", "bool": "bool",
-                   "tuple[int, ...]": "int_tuple"}
-_NET_SCHEMA = {f.name: _PARSER_OF_TYPE[f.type] for f in fields(ToyNetSpec)}
+_NET_SCHEMA = {f.name: f.type for f in fields(ToyNetSpec)}
 _RUN_SCHEMA = {
     **_NET_SCHEMA,
-    **{f.name: _PARSER_OF_TYPE[f.type] for f in fields(TrainConfig) if f.name != "net"},
+    **{f.name: f.type for f in fields(TrainConfig) if f.name != "net"},
     **{k: type(v).__name__ for k, v in _RUN_DEFAULTS.items()},
 }
 
@@ -160,51 +160,43 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK
 
 
-def _bench_rows(spec: ToyNetSpec):
-    """Cost rows of spec beside its full-conv twin, the same spec with the
-    partial convolutions covering every channel."""
-    pconv_report = model_cost(cost_layers(spec))
-    full_report = model_cost(cost_layers(replace(spec, cp_fraction=1.0)))
-    rows = []
-    for pl, fl in zip(pconv_report.layers, full_report.layers):
-        ratio = Fraction(pl.mem_access_approx, fl.mem_access_approx) if fl.mem_access_approx else Fraction(1)
-        rows.append({
-            "layer": pl.name,
-            "full_params": fl.params, "pconv_params": pl.params,
-            "full_macs": fl.macs, "pconv_macs": pl.macs,
-            "full_mem_approx": fl.mem_access_approx, "pconv_mem_approx": pl.mem_access_approx,
-            "feature_access_ratio": float(ratio),
-        })
-    return rows, pconv_report, full_report
+def _bench_row(pconv: LayerCost, full: LayerCost) -> dict:
+    """A cost row of the spec beside the same row of its full-conv twin."""
+    return {
+        "layer": pconv.name,
+        "full_params": full.params, "pconv_params": pconv.params,
+        "full_macs": full.macs, "pconv_macs": pconv.macs,
+        "full_mem_approx": full.mem_access_approx, "pconv_mem_approx": pconv.mem_access_approx,
+    }
 
 
 def cmd_bench(args) -> int:
     spec = _load_net_spec(_load_spec_values(args.spec))
     if args.cp_fraction is not None:
         spec = replace(spec, cp_fraction=args.cp_fraction)
-    rows, pconv_report, full_report = _bench_rows(spec)
+    # the full-conv twin: the same spec with the partial convolutions
+    # covering every channel
+    pconv_report = model_cost(cost_layers(spec))
+    full_report = model_cost(cost_layers(replace(spec, cp_fraction=1.0)))
+    rows = []
+    for pl, fl in zip(pconv_report.layers, full_report.layers):
+        ratio = Fraction(pl.mem_access_approx, fl.mem_access_approx) if fl.mem_access_approx else Fraction(1)
+        rows.append({**_bench_row(pl, fl), "feature_access_ratio": float(ratio)})
+    total = _bench_row(pconv_report.total, full_report.total)
 
     header = f"{'layer':<16} {'full_params':>12} {'pconv_params':>12} {'full_macs':>12} {'pconv_macs':>12} {'ratio':>8}"
     print(header)
     print("-" * len(header))
-    for r in rows:
-        print(f"{r['layer']:<16} {r['full_params']:>12} {r['pconv_params']:>12} "
-              f"{r['full_macs']:>12} {r['pconv_macs']:>12} {r['feature_access_ratio']:>8.4f}")
-    print(f"{'TOTAL':<16} {full_report.total_params:>12} {pconv_report.total_params:>12} "
-          f"{full_report.total_macs:>12} {pconv_report.total_macs:>12}")
+    for r in [*rows, total]:
+        line = (f"{r['layer']:<16} {r['full_params']:>12} {r['pconv_params']:>12} "
+                f"{r['full_macs']:>12} {r['pconv_macs']:>12}")
+        if "feature_access_ratio" in r:
+            line += f" {r['feature_access_ratio']:>8.4f}"
+        print(line)
 
-    totals = {
-        "full_params": full_report.total_params,
-        "pconv_params": pconv_report.total_params,
-        "full_macs": full_report.total_macs,
-        "pconv_macs": pconv_report.total_macs,
-        "full_mem_approx": full_report.total_mem_approx,
-        "pconv_mem_approx": pconv_report.total_mem_approx,
-    }
-    lines = [",".join(rows[0])] + [",".join(map(str, r.values())) for r in rows]
-    lines.append(f"TOTAL,{full_report.total_params},{pconv_report.total_params},"
-                 f"{full_report.total_macs},{pconv_report.total_macs},"
-                 f"{full_report.total_mem_approx},{pconv_report.total_mem_approx},")
+    columns = list(rows[0])
+    lines = [",".join(columns)] + [",".join(str(r.get(k, "")) for k in columns) for r in [*rows, total]]
+    totals = {k: v for k, v in total.items() if k != "layer"}
     out_dir = Path(args.out_dir)
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -257,7 +249,7 @@ def cmd_eval(args) -> int:
         all_dets, [targets for _, targets in data],
         iou_thr=values["eval_iou"],
         model_size_mb=sum(p.nbytes for p in params.values()) / 1e6,
-        computation_macs=model_cost(cost_layers(net)).total_macs,
+        computation_macs=model_cost(cost_layers(net)).total.macs,
     )
     payload = summary.to_json_dict()
     payload["per_class_ap"] = {str(k): v for k, v in per_class.items()}

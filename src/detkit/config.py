@@ -32,18 +32,20 @@ def _parse_int_tuple(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in parts)
 
 
+# Each parser is named by the type annotation of the dataclass fields it fills.
 PARSERS = {
     "int": int,
     "float": float,
     "str": str,
     "bool": _parse_bool,
-    "int_tuple": _parse_int_tuple,
+    "tuple[int, ...]": _parse_int_tuple,
 }
 
 
 def parse_kv_file(path, schema: dict[str, str]) -> dict:
-    """Read the file against a {key: parser-name} schema; unknown keys and
-    unparseable values raise ParseError with the offending line number."""
+    """Read the file against a {key: parser-name} schema, a parser named by
+    its key in PARSERS; unknown keys and unparseable values raise ParseError
+    with the offending line number."""
     result: dict = {}
     with open(path, "rb") as fh:
         data = fh.read()

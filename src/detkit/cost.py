@@ -31,16 +31,22 @@ but nonzero memory traffic.
 
 Each ``*_cost`` builder prices one layer and returns a ``LayerCost`` row.
 :func:`detkit.model.cost_layers` calls them on the layer specs the network
-runs; :func:`model_cost` takes those rows, in order, and only sums them into
-a ``CostReport``.
+runs; :func:`model_cost` takes those rows, in order, into a ``CostReport``.
+Its ``total`` is one more ``LayerCost``, named TOTAL, that sums each column.
+The table, CSV and JSON write their header from ``COLUMNS`` and each row,
+TOTAL included, from its fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 from .ops import ConvSpec
 from .tensor import ConfigError
+
+
+# The header of every cost table: one column per LayerCost field, in field order.
+COLUMNS = ("layer", "params", "macs", "mem_exact", "mem_approx")
 
 
 @dataclass(frozen=True)
@@ -65,68 +71,37 @@ class CostReport:
     layers: list[LayerCost] = field(default_factory=list)
 
     @property
-    def total_params(self) -> int:
-        return sum(l.params for l in self.layers)
-
-    @property
-    def total_macs(self) -> int:
-        return sum(l.macs for l in self.layers)
-
-    @property
-    def total_mem_exact(self) -> int:
-        return sum(l.mem_access_exact for l in self.layers)
-
-    @property
-    def total_mem_approx(self) -> int:
-        return sum(l.mem_access_approx for l in self.layers)
-
-    def model_size_bytes(self) -> int:
-        """Size of the parameters stored as float64."""
-        return self.total_params * 8
-
-    def rows(self) -> list[dict]:
-        return [
-            {
-                "layer": l.name,
-                "params": l.params,
-                "macs": l.macs,
-                "mem_exact": l.mem_access_exact,
-                "mem_approx": l.mem_access_approx,
-            }
-            for l in self.layers
-        ]
+    def total(self) -> LayerCost:
+        """The TOTAL row: each column summed over the layers, zeros when
+        there are none."""
+        return LayerCost(
+            "TOTAL",
+            params=sum(l.params for l in self.layers),
+            macs=sum(l.macs for l in self.layers),
+            mem_access_exact=sum(l.mem_access_exact for l in self.layers),
+            mem_access_approx=sum(l.mem_access_approx for l in self.layers),
+        )
 
     def to_json_dict(self) -> dict:
-        return {
-            "layers": self.rows(),
-            "totals": {
-                "params": self.total_params,
-                "macs": self.total_macs,
-                "mem_exact": self.total_mem_exact,
-                "mem_approx": self.total_mem_approx,
-                "model_size_bytes": self.model_size_bytes(),
-            },
-        }
+        """Each layer as a {column: cell} dict, and the TOTAL row's counts
+        plus the parameters' size stored as float64."""
+        layers = [dict(zip(COLUMNS, astuple(l))) for l in self.layers]
+        totals = dict(zip(COLUMNS, astuple(self.total)))
+        del totals["layer"]
+        totals["model_size_bytes"] = 8 * totals["params"]
+        return {"layers": layers, "totals": totals}
 
     def to_csv(self) -> str:
-        lines = ["layer,params,macs,mem_exact,mem_approx"]
-        for r in self.rows():
-            lines.append(f"{r['layer']},{r['params']},{r['macs']},{r['mem_exact']},{r['mem_approx']}")
-        lines.append(
-            f"TOTAL,{self.total_params},{self.total_macs},{self.total_mem_exact},{self.total_mem_approx}"
-        )
+        lines = [",".join(COLUMNS)]
+        lines.extend(",".join(map(str, astuple(l))) for l in [*self.layers, self.total])
         return "\n".join(lines) + "\n"
 
     def to_table(self) -> str:
-        headers = ["layer", "params", "macs", "mem_exact", "mem_approx"]
-        rows = [[r["layer"], str(r["params"]), str(r["macs"]), str(r["mem_exact"]), str(r["mem_approx"])]
-                for r in self.rows()]
-        rows.append(["TOTAL", str(self.total_params), str(self.total_macs),
-                     str(self.total_mem_exact), str(self.total_mem_approx)])
-        widths = [max(len(h), *(len(row[i]) for row in rows)) for i, h in enumerate(headers)]
+        rows = [[str(c) for c in astuple(l)] for l in [*self.layers, self.total]]
+        widths = [max(len(h), *(len(row[i]) for row in rows)) for i, h in enumerate(COLUMNS)]
         def fmt(cells):
             return "  ".join(c.ljust(w) if i == 0 else c.rjust(w) for i, (c, w) in enumerate(zip(cells, widths)))
-        out = [fmt(headers), fmt(["-" * w for w in widths])]
+        out = [fmt(COLUMNS), fmt(["-" * w for w in widths])]
         out.extend(fmt(row) for row in rows)
         return "\n".join(out) + "\n"
 

@@ -99,8 +99,9 @@ def to_channels(image: Tensor, channels: int) -> Tensor:
 
 def draw_boxes(image: Tensor, boxes) -> Tensor:
     """Copy of the image with the outlines of the corner rows (x1, y1, x2, y2)
-    burned in (red when 3 channels)."""
+    burned in: red (1, 0, 0) on 3 channels, 1.0 in every channel otherwise."""
     out = image.data.copy()
+    color = np.array([1.0, 0.0, 0.0] if image.c == 3 else [1.0] * image.c)[:, None]
     for bx1, by1, bx2, by2 in boxes:
         x1 = int(np.clip(round(bx1), 0, image.w - 1))
         x2 = int(np.clip(round(bx2) - 1, 0, image.w - 1))
@@ -108,15 +109,8 @@ def draw_boxes(image: Tensor, boxes) -> Tensor:
         y2 = int(np.clip(round(by2) - 1, 0, image.h - 1))
         if x2 < x1 or y2 < y1:
             continue
-        if image.c == 3:
-            for ch, val in enumerate((1.0, 0.0, 0.0)):
-                out[0, ch, y1, x1:x2 + 1] = val
-                out[0, ch, y2, x1:x2 + 1] = val
-                out[0, ch, y1:y2 + 1, x1] = val
-                out[0, ch, y1:y2 + 1, x2] = val
-        else:
-            out[0, :, y1, x1:x2 + 1] = 1.0
-            out[0, :, y2, x1:x2 + 1] = 1.0
-            out[0, :, y1:y2 + 1, x1] = 1.0
-            out[0, :, y1:y2 + 1, x2] = 1.0
+        out[0, :, y1, x1:x2 + 1] = color
+        out[0, :, y2, x1:x2 + 1] = color
+        out[0, :, y1:y2 + 1, x1] = color
+        out[0, :, y1:y2 + 1, x2] = color
     return Tensor(out)

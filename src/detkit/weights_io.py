@@ -130,6 +130,8 @@ def load_weights(path) -> dict[str, np.ndarray]:
         pos += 8
     except struct.error as exc:
         raise WeightsTruncatedError(f"manifest ends early: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise WeightsFormatError(f"entry name at byte {pos} is not UTF-8: {exc.reason}") from None
     payload = body[pos:]
     if len(payload) != payload_size:
         raise WeightsTruncatedError(
@@ -138,6 +140,8 @@ def load_weights(path) -> dict[str, np.ndarray]:
 
     params: dict[str, np.ndarray] = {}
     for name, dims, offset in entries:
+        if name in params:
+            raise WeightsFormatError(f"entry {name!r} appears twice in the manifest")
         end = offset + math.prod(dims) * dtype.itemsize  # exact: no int64 wrap
         if end > payload_size:
             raise WeightsTruncatedError(f"entry {name!r} runs past the payload")

@@ -223,11 +223,11 @@ def test_criterion_6_pconv_net_strictly_cheaper():
     spec = ToyNetSpec()
     pconv_report = model_cost(cost_layers(spec))
     full_report = model_cost(cost_layers(replace(spec, cp_fraction=1.0)))
-    assert pconv_report.total_params < full_report.total_params
-    assert pconv_report.total_macs < full_report.total_macs
+    assert pconv_report.total.params < full_report.total.params
+    assert pconv_report.total.macs < full_report.total.macs
     report("criterion 6 (cheaper than full-conv twin)",
-           f"params {pconv_report.total_params} < {full_report.total_params}, "
-           f"macs {pconv_report.total_macs} < {full_report.total_macs} (exact ints)")
+           f"params {pconv_report.total.params} < {full_report.total.params}, "
+           f"macs {pconv_report.total.macs} < {full_report.total.macs} (exact ints)")
 
 
 # -------------------------------------------------------------------------

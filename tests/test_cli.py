@@ -425,7 +425,22 @@ EVAL_DIGESTS = {
 EVAL_CFG = "seed = 42\nepochs = 3\nbatch_size = 5\ndataset_count = 10\nscore_threshold = 0.01\n"
 
 
-def detect_digests(tmp_path, dtype):
+# SHA-256 of the image that `detkit detect --overlay` writes for the float64
+# DETECT_DIGESTS weights and threshold: the three DETECT_SIZES scenes as PGM
+# (white outlines), then the last one as a PPM whose channels differ (red
+# outlines). Dozens of boxes per scene pin draw_boxes' clamping, rounding and
+# colour, and write_image.
+OVERLAY_DIGESTS = (
+    "916bf29d27442ecf9eb8d9d8f45d9b83a89781e70f677f6fc05999e27af0f3a4",
+    "f314ab540f4c7f9896a4ec3b864643ceac8f7dbe6c0eb6792a7a186817ab16ba",
+    "faac3daa12d9d7751dc4191a7e2966c0d57de24c562a9b4515e662c0d598c000",
+    "552186e2259bcfca31c52feebd45ebb85b42e31469884659b23ffa11d2a55738",
+)
+
+
+def _detect_argv(tmp_path, dtype):
+    """detect's arguments up to --image: score threshold 0.01 and the
+    ToyNetSpec() weights drawn from PCG64(7) in dtype."""
     from detkit.model import init_params
     from detkit.weights_io import save_weights
 
@@ -434,15 +449,40 @@ def detect_digests(tmp_path, dtype):
     weights = tmp_path / "init.dkw"
     save_weights(init_params(ToyNetSpec(), np.random.Generator(np.random.PCG64(7)),
                              dtype=getattr(np, dtype)), weights)
+    return ["detect", "--config", str(cfg), "--weights", str(weights)]
+
+
+def _detect_scenes():
+    """Pixels of each DETECT_SIZES scene: a synthetic image cropped to (h, w)."""
+    return [synth_dataset(11 + k, 1, max(h, w))[0][0].data[:, :, :h, :w]
+            for k, (h, w) in enumerate(DETECT_SIZES)]
+
+
+def detect_digests(tmp_path, dtype):
+    argv = _detect_argv(tmp_path, dtype)
     digests = []
-    for k, (h, w) in enumerate(DETECT_SIZES):
-        scene, _ = synth_dataset(11 + k, 1, max(h, w))[0]
+    for k, pixels in enumerate(_detect_scenes()):
         image = tmp_path / f"scene{k}.pgm"
-        write_image(image, Tensor(scene.data[:, :, :h, :w]))
+        write_image(image, Tensor(pixels))
         out = tmp_path / f"dets{k}.json"
-        _quiet_main(["detect", "--config", str(cfg), "--weights", str(weights),
-                     "--image", str(image), "--out", str(out)])
+        _quiet_main([*argv, "--image", str(image), "--out", str(out)])
         digests.append(_sha256(out))
+    return tuple(digests)
+
+
+def overlay_digests(tmp_path):
+    argv = _detect_argv(tmp_path, "float64")
+    scenes = [(f"scene{k}.pgm", pixels) for k, pixels in enumerate(_detect_scenes())]
+    gray = scenes[-1][1]
+    scenes.append(("scene.ppm", np.concatenate([gray, 1.0 - gray, 0.5 * gray], axis=1)))
+    digests = []
+    for name, pixels in scenes:
+        image = tmp_path / name
+        write_image(image, Tensor(pixels))
+        overlay = tmp_path / f"overlay-{name}"
+        _quiet_main([*argv, "--image", str(image), "--out", str(tmp_path / "dets.json"),
+                     "--overlay", str(overlay)])
+        digests.append(_sha256(overlay))
     return tuple(digests)
 
 
@@ -470,6 +510,9 @@ class TestDetectEvalGolden:
 
     def test_eval_artifact_digests(self, tmp_path):
         assert eval_digests(tmp_path) == EVAL_DIGESTS
+
+    def test_detect_overlay_digests(self, tmp_path):
+        assert overlay_digests(tmp_path) == OVERLAY_DIGESTS
 
 
 class TestTrainEvalDetect:
@@ -738,6 +781,40 @@ class TestTrainEvalDetect:
                          "--out-dir", str(tmp_path / "e")])
         assert code == cli.EXIT_FORMAT
         assert capsys.readouterr().err == "error: entry 'stem.w' runs past the payload\n"
+
+    @pytest.mark.parametrize("edit", [
+        lambda body: body.replace(b"stem.w", b"\xfftem.w", 1),
+        lambda body: body.replace(b"stem.b", b"stem.w"),
+    ], ids=["name-not-utf8", "name-twice"])
+    def test_malformed_manifest_name_format_exit(self, tmp_path, small_config, capsys, edit):
+        """Entry names that are not UTF-8, or that name one entry twice, in a
+        file whose checksum holds: exit 9 with one error line."""
+        from detkit.model import init_params
+        from detkit.weights_io import save_weights
+
+        weights = tmp_path / "w.dkw"
+        save_weights(init_params(ToyNetSpec(image_size=32, stem_channels=8),
+                                 np.random.default_rng(0)), weights)
+        body = edit(weights.read_bytes()[:-8])
+        weights.write_bytes(body + hashlib.blake2b(body, digest_size=8).digest())
+        image = tmp_path / "x.pgm"
+        write_image(image, Tensor.full((1, 1, 32, 32), 0.2))
+        code = cli.main(["detect", "--config", str(small_config), "--weights", str(weights),
+                         "--image", str(image), "--out", str(tmp_path / "d.json")])
+        assert code == cli.EXIT_FORMAT
+        err = capsys.readouterr().err
+        assert err.startswith("error: entry ") and err.count("\n") == 1, err
+
+    # Each size needs more than an exbibyte, past the address space of any
+    # 64-bit machine, so the allocation fails before a byte is written.
+    @pytest.mark.parametrize("key, value", [("expansion", "1e14"), ("image_size", "1000000000")])
+    def test_a_net_too_large_to_allocate_is_a_config_error(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"epochs = 1\ndataset_count = 2\n{key} = {value}\n", encoding="utf-8")
+        code = cli.main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1, err
 
     def test_unchecked_train_leaves_tensors_checked(self, tmp_path):
         """checked = false has no effect: after a train run that sets it, a

@@ -4,7 +4,7 @@ import pytest
 
 from detkit.config import ParseError, parse_kv_file
 
-SCHEMA = {"alpha": "int", "beta": "float", "name": "str", "on": "bool", "dims": "int_tuple"}
+SCHEMA = {"alpha": "int", "beta": "float", "name": "str", "on": "bool", "dims": "tuple[int, ...]"}
 
 
 def write(tmp_path, text):

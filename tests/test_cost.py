@@ -6,10 +6,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from detkit import blocks, model, ops
 from detkit.blocks import PConvSpec
-from detkit.cost import LayerCost, conv_cost, linear_cost, model_cost
+from detkit.cost import COLUMNS, LayerCost, conv_cost, linear_cost, model_cost
 from detkit.model import ToyNetSpec, cost_layers, init_params
 from detkit.ops import ConvSpec
 from detkit.tensor import ConfigError, Tensor
@@ -142,31 +144,59 @@ class TestPConvCost:
             LayerCost("bad", 1, 1, 5, 6)
 
 
+@st.composite
+def cost_rows(draw):
+    """A valid LayerCost row; counts past int64 check that sums stay exact."""
+    count = st.integers(0, 10**20)
+    approx = draw(count)
+    return LayerCost(draw(st.text("abc.12", min_size=1, max_size=8)), draw(count), draw(count),
+                     approx + draw(count), approx)
+
+
 class TestModelCost:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(cost_rows(), max_size=8))
+    @example([])
+    def test_total_is_the_last_row_of_every_table_and_sums_each_column(self, rows):
+        report = model_cost(rows)
+        sums = [sum(r.params for r in rows), sum(r.macs for r in rows),
+                sum(r.mem_access_exact for r in rows), sum(r.mem_access_approx for r in rows)]
+        assert report.total == LayerCost("TOTAL", *sums)
+        cells = ["TOTAL", *map(str, sums)]
+        csv = report.to_csv().splitlines()
+        assert csv[0] == ",".join(COLUMNS) and len(csv) == len(rows) + 2
+        assert csv[-1] == ",".join(cells)
+        table = report.to_table().splitlines()
+        assert table[0].split() == list(COLUMNS) and len(table) == len(rows) + 3
+        assert table[-1].split() == cells
+        totals = report.to_json_dict()["totals"]
+        assert totals == {**dict(zip(COLUMNS[1:], sums)), "model_size_bytes": 8 * sums[0]}
+
     def test_empty_net(self):
         report = model_cost([])
-        assert report.total_params == 0
-        assert report.total_macs == 0
-        assert report.total_mem_exact == 0
+        assert report.total.params == 0
+        assert report.total.macs == 0
+        assert report.total.mem_access_exact == 0
+        assert report.total.mem_access_approx == 0
 
     def test_single_conv_totals(self):
         lc = conv_cost(same_conv(3, 8, 3), 16, 16)
         report = model_cost([lc])
-        assert report.total_params == lc.params
-        assert report.total_macs == lc.macs
+        assert report.total.params == lc.params
+        assert report.total.macs == lc.macs
 
     def test_totals_equal_sum_of_layers(self):
         report = model_cost(cost_layers(ToyNetSpec()))
-        assert report.total_params == sum(l.params for l in report.layers)
-        assert report.total_macs == sum(l.macs for l in report.layers)
-        assert report.total_mem_exact == sum(l.mem_access_exact for l in report.layers)
+        assert report.total.params == sum(l.params for l in report.layers)
+        assert report.total.macs == sum(l.macs for l in report.layers)
+        assert report.total.mem_access_exact == sum(l.mem_access_exact for l in report.layers)
 
     def test_pconv_net_strictly_cheaper_than_full_twin(self):
         spec = ToyNetSpec()
         pconv_report = model_cost(cost_layers(spec))
         full_report = model_cost(cost_layers(replace(spec, cp_fraction=1.0)))
-        assert pconv_report.total_params < full_report.total_params
-        assert pconv_report.total_macs < full_report.total_macs
+        assert pconv_report.total.params < full_report.total.params
+        assert pconv_report.total.macs < full_report.total.macs
 
     @pytest.mark.parametrize("cp_fraction", [0.25, 1.0])
     def test_params_total_matches_initialized_model(self, cp_fraction):
@@ -178,7 +208,7 @@ class TestModelCost:
         n_elements = sum(v.size for v in params.values())
         report = model_cost(cost_layers(spec))
         # pconv layers carry no bias; every other conv/linear does
-        assert report.total_params == n_elements
+        assert report.total.params == n_elements
 
     @pytest.mark.parametrize("spec", [
         ToyNetSpec(),

@@ -57,3 +57,20 @@ def test_every_detkit_name_the_benchmark_reads_exists():
         except ImportError:
             missing.append(f"{where}: {module}.{name}")
     assert not missing, missing
+
+
+def test_the_benchmark_layer_costs_are_pinned(monkeypatch):
+    """``layers.layer_costs()`` reads ``name``, ``macs`` and
+    ``mem_access_approx`` off each cost row, which the scan above cannot see.
+    It sums each layer's rows of the default net into (MACs, approximate
+    memory accesses)."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    layers = importlib.import_module("layers")
+    assert layers.layer_costs() == {
+        "stem": (163840, 6656),
+        "block1": (467200, 16640),
+        "block2": (467200, 16640),
+        "spp": (0, 12800),
+        "cbam": (7328, 492),
+        "head": (61440, 8192),
+    }

@@ -1,5 +1,7 @@
 """Weight-file round trips, corruption detection, error taxonomy."""
 
+import hashlib
+import re
 import struct
 
 import numpy as np
@@ -105,13 +107,27 @@ class TestCorruption:
             load_weights(path)
 
     def test_wrong_magic_distinct_error(self, tmp_path):
-        import hashlib
-
         body = b"NOPE" + struct.pack("<HBI", 1, 2, 0) + struct.pack("<Q", 0)
         blob = body + hashlib.blake2b(body, digest_size=8).digest()
         path = tmp_path / "w.dkw"
         path.write_bytes(blob)
         with pytest.raises(WeightsFormatError):
+            load_weights(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda body: body.replace(b"stem.w", b"\xfftem.w", 1),
+         "entry name at byte 13 is not UTF-8: invalid start byte"),
+        (lambda body: body.replace(b"stem.b", b"stem.w"),
+         "entry 'stem.w' appears twice in the manifest"),
+    ], ids=["name-not-utf8", "name-twice"])
+    def test_malformed_entry_name_is_a_format_error(self, tmp_path, edit, message):
+        """A manifest whose checksum is intact but whose entry names are not
+        UTF-8, or name one entry twice, is malformed; it must not load."""
+        path = tmp_path / "w.dkw"
+        save_weights({"stem.w": np.zeros((2, 2)), "stem.b": np.ones(2)}, path)
+        body = edit(path.read_bytes()[:-8])
+        path.write_bytes(body + hashlib.blake2b(body, digest_size=8).digest())
+        with pytest.raises(WeightsFormatError, match=f"^{re.escape(message)}$"):
             load_weights(path)
 
     def test_mixed_dtypes_rejected(self, tmp_path):

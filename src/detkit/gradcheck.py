@@ -110,10 +110,6 @@ def run_suites(pattern: str = "*", cases: int = 100, seed: int = 0) -> list[Grad
     return results
 
 
-def _probe(rng, shape):
-    return rng.standard_normal(shape)
-
-
 # Central differences straddle a kink of relu or max when a probe lies within
 # one step of it and then average the two one-sided slopes; a suite whose
 # kink input lies within KINK_MARGIN of a switch point returns None, and
@@ -215,10 +211,10 @@ def _check_conv2d(rng: np.random.Generator, case: int) -> float:
     p = int(rng.integers(0, 2))
     h = int(rng.integers(k, k + 4))
     spec = ops.ConvSpec(cin, cout, k, s, p)
-    x = _probe(rng, (2, cin, h, h))
-    w = _probe(rng, (cout, cin, k, k))
-    b = _probe(rng, (cout,))
-    g = _probe(rng, (2, cout, spec.out_size(h), spec.out_size(h)))
+    x = rng.standard_normal((2, cin, h, h))
+    w = rng.standard_normal((cout, cin, k, k))
+    b = rng.standard_normal((cout,))
+    g = rng.standard_normal((2, cout, spec.out_size(h), spec.out_size(h)))
     return _arg_errors(lambda xx, ww, bb: ops.conv2d_forward(xx, ww, bb, spec), g,
                        (x, w, b), ops.conv2d_backward(x, w, spec, g))
 
@@ -226,16 +222,16 @@ def _check_conv2d(rng: np.random.Generator, case: int) -> float:
 @register("fully_connected")
 def _check_fc(rng, case):
     nin, nout, batch = int(rng.integers(1, 6)), int(rng.integers(1, 6)), int(rng.integers(1, 4))
-    x = _probe(rng, (batch, nin))
-    w = _probe(rng, (nout, nin))
-    b = _probe(rng, (nout,))
-    g = _probe(rng, (batch, nout))
+    x = rng.standard_normal((batch, nin))
+    w = rng.standard_normal((nout, nin))
+    b = rng.standard_normal((nout,))
+    g = rng.standard_normal((batch, nout))
     return _arg_errors(ops.fully_connected, g, (x, w, b), ops.fully_connected_backward(x, w, g))
 
 
 def _check_activation(rng, case, kind):
-    x = _probe(rng, (2, 3, 4, 4)) * 3.0
-    g = _probe(rng, (2, 3, 4, 4))
+    x = rng.standard_normal((2, 3, 4, 4)) * 3.0
+    g = rng.standard_normal((2, 3, 4, 4))
     _, cache = ops.activation(x, kind)
     return _arg_errors(lambda v: ops.activation(v, kind)[0], g, (x,),
                        (ops.activation_backward(cache, kind, g),))
@@ -249,16 +245,16 @@ register("activation_mish")(functools.partial(_check_activation, kind="mish"))
 @register("global_pool")
 def _check_global_pool(rng, case):
     kind = "avg" if rng.integers(2) else "max"
-    x = _probe(rng, (2, 3, 4, 4))
-    g = _probe(rng, (2, 3, 1, 1))
+    x = rng.standard_normal((2, 3, 4, 4))
+    g = rng.standard_normal((2, 3, 1, 1))
     return _arg_errors(lambda v: ops.global_pool(v, kind), g, (x,),
                        (ops.global_pool_backward(x, kind, g),))
 
 
 @register("spatial_stats")
 def _check_spatial_stats(rng, case):
-    x = _probe(rng, (2, 4, 3, 3))
-    g = _probe(rng, (2, 2, 3, 3))
+    x = rng.standard_normal((2, 4, 3, 3))
+    g = rng.standard_normal((2, 2, 3, 3))
     _, cache = ops.spatial_stats(x)
     return _arg_errors(lambda v: ops.spatial_stats(v)[0], g, (x,),
                        (ops.spatial_stats_backward(cache, g),))
@@ -267,8 +263,8 @@ def _check_spatial_stats(rng, case):
 @register("spp")
 def _check_spp(rng, case):
     windows = [3] if rng.integers(2) else [3, 5]
-    x = _probe(rng, (1, 2, 6, 6))
-    g = _probe(rng, (1, 2 * (1 + len(windows)), 6, 6))
+    x = rng.standard_normal((1, 2, 6, 6))
+    g = rng.standard_normal((1, 2 * (1 + len(windows)), 6, 6))
     if any(_pool_near_tie(x, wsz) for wsz in windows):
         return None
     _, cache = ops.spp(x, windows)
@@ -284,9 +280,9 @@ def _check_pconv(rng, case):
     c = int(rng.integers(2, 7))
     cp = int(rng.integers(1, c + 1))
     spec = blocks.PConvSpec(c, cp, 3)
-    x = _probe(rng, (2, c, 5, 5))
-    w = _probe(rng, (cp, cp, 3, 3))
-    g = _probe(rng, (2, c, 5, 5))
+    x = rng.standard_normal((2, c, 5, 5))
+    w = rng.standard_normal((cp, cp, 3, 3))
+    g = rng.standard_normal((2, c, 5, 5))
     return _arg_errors(lambda xx, ww: blocks.pconv_forward(xx, ww, spec), g,
                        (x, w), blocks.pconv_backward(x, w, spec, g))
 
@@ -296,8 +292,8 @@ def _check_block(rng, case):
     c = int(rng.integers(2, 5))
     spec = blocks.FasterNetBlockSpec(blocks.PConvSpec(c, max(1, c // 2), 3))
     params = blocks.fasternet_block_init(spec, rng)
-    x = _probe(rng, (1, c, 4, 4))
-    g = _probe(rng, (1, c, 4, 4))
+    x = rng.standard_normal((1, c, 4, 4))
+    g = rng.standard_normal((1, c, 4, 4))
     _, cache = blocks.fasternet_block_forward(x, params, spec)
     gx, gp = blocks.fasternet_block_backward(cache, params, spec, g)
     return _param_errors(
@@ -308,12 +304,12 @@ def _check_channel_attention(rng, case, mlp_mode):
     c = int(rng.integers(2, 7))
     spec = blocks.CBAMSpec(c, reduction=2, channel_mlp=mlp_mode)
     d = spec.mlp_width
-    x = _probe(rng, (2, c, 3, 3))
-    w1 = _probe(rng, (d, c))
-    b1 = _probe(rng, (d,))
-    w2 = _probe(rng, (c, d))
-    b2 = _probe(rng, (c,))
-    g = _probe(rng, (2, c, 3, 3))
+    x = rng.standard_normal((2, c, 3, 3))
+    w1 = rng.standard_normal((d, c))
+    b1 = rng.standard_normal((d,))
+    w2 = rng.standard_normal((c, d))
+    b2 = rng.standard_normal((c,))
+    g = rng.standard_normal((2, c, 3, 3))
     _, _, cache = blocks.channel_attention(x, w1, b1, w2, b2, spec)
     _, _, _, z1, _, z2, _ = cache  # the relu inputs; z2 is None in prose mode
     if any(_near_kink(z) for z in (z1, z2) if z is not None):
@@ -331,10 +327,10 @@ def _check_spatial_attention(rng, case):
     c = int(rng.integers(2, 6))
     k = 3 if rng.integers(2) else 1
     spec = blocks.CBAMSpec(c, spatial_kernel=k)
-    x = _probe(rng, (2, c, 4, 4))
-    w = _probe(rng, (1, 2, k, k))
-    b = _probe(rng, (1,))
-    g = _probe(rng, (2, c, 4, 4))
+    x = rng.standard_normal((2, c, 4, 4))
+    w = rng.standard_normal((1, 2, k, k))
+    b = rng.standard_normal((1,))
+    g = rng.standard_normal((2, c, 4, 4))
     _, _, cache = blocks.spatial_attention(x, w, b, spec)
     return _arg_errors(lambda *args: blocks.spatial_attention(*args, spec)[1], g, (x, w, b),
                        blocks.spatial_attention_backward(cache, w, spec, g))
@@ -345,9 +341,9 @@ def _check_cbam(rng, case, composition):
     spec = blocks.CBAMSpec(c, reduction=2, spatial_kernel=1, composition=composition)
     params = blocks.cbam_init(spec, rng)
     for key in ("fc1.b", "fc2.b", "spatial.b"):
-        params[key] = _probe(rng, params[key].shape)
-    x = _probe(rng, (2, c, 3, 3))
-    g = _probe(rng, (2, c, 3, 3))
+        params[key] = rng.standard_normal(params[key].shape)
+    x = rng.standard_normal((2, c, 3, 3))
+    g = rng.standard_normal((2, c, 3, 3))
     _, cache = blocks.cbam_forward(x, params, spec)
     gx, gp = blocks.cbam_backward(cache, params, spec, g)
     return _param_errors(lambda xx, pp: blocks.cbam_forward(xx, pp, spec)[0], g, x, params, gx, gp)
@@ -417,16 +413,16 @@ def _check_detection_loss(rng, case):
     k = 2
     gh = gw = 3
     stride = 8.0
-    head = _probe(rng, (1, 5 + k, gh, gw))
+    head = rng.standard_normal((1, 5 + k, gh, gw))
     w, h = rng.uniform(4.0, 10.0, size=2)
     cx = rng.uniform(w / 2 + 0.1, 24.0 - w / 2 - 0.1)
     cy = rng.uniform(h / 2 + 0.1, 24.0 - h / 2 - 0.1)
     targets = np.array([[cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2, rng.integers(k)]])
     variant = "iou" if case % 2 == 0 else "ciou"
-    _, grad = losses.detection_loss_and_grad(Tensor(head), [targets], variant, stride)
+    _, grad = losses.detection_loss(Tensor(head), [targets], variant, stride)
 
     def totals(rows):
-        return losses.detection_loss(Tensor(rows.reshape(-1, *head.shape[1:])),
-                                     [targets] * len(rows), variant, stride)[:, 3]
+        return losses.detection_loss(Tensor(rows.reshape(-1, *head.shape[1:])), [targets] * len(rows),
+                                     variant, stride, with_grad=False)[0][:, 3]
 
     return _arg_errors(totals, np.ones(1), (head,), (grad,))

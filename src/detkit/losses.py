@@ -20,11 +20,13 @@ Every denominator carries eps = 1e-9; the losses never return NaN for
 finite inputs. Gradients are exact away from the measure-zero set where
 box edges coincide (min/max switch points).
 
-``detection_loss`` and ``detection_loss_and_grad`` take a whole batch of
-prediction grids, with each image's targets as a (t, 5) array of rows
-[x1, y1, x2, y2, class], and evaluate all of the batch's targets in one
-``_box_rows`` call. They return the loss terms as one (n, 4) float64 array,
-a row [box, objectness, class, total] per image.
+``detection_loss``, the one entry point of the composite loss, takes a whole
+batch of prediction grids, with each image's targets as a (t, 5) array of
+rows [x1, y1, x2, y2, class], and evaluates all of the batch's targets in one
+``_box_rows`` call. It returns the loss terms, one (n, 4) float64 array with
+a row [box, objectness, class, total] per image, and the gradient, which is
+None under ``with_grad=False``, as the backward passes return None for an
+input gradient they are not asked for.
 """
 
 from __future__ import annotations
@@ -152,13 +154,36 @@ def _bce_with_logits(z: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
 
 
-def _detection_terms(predictions: Tensor, target_lists, variant: str, stride: float,
-                     box_weight: float, obj_weight: float, cls_weight: float, with_grad: bool):
-    """The (n, 4) loss terms of the batch's images and, when with_grad,
-    the gradient w.r.t. the raw prediction grids (None otherwise). The batch's
-    targets are the rows of one _box_rows call, in image then target order.
-    An image's terms and gradient are those it gets on its own: per-image sums
-    run in target order and two targets of one cell accumulate in that order."""
+def detection_loss(
+    predictions: Tensor,
+    target_lists,
+    variant: str = "wiou",
+    stride: float = 8.0,
+    box_weight: float = 5.0,
+    obj_weight: float = 1.0,
+    cls_weight: float = 1.0,
+    with_grad: bool = True,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Composite loss of each prediction grid of a batch: (terms, grad).
+
+    predictions: (n, 5 + K, gh, gw), channel layout [tx, ty, tw, th,
+    objectness, class logits...]; target_lists: one (t, 5) float64 array per
+    image, a row [x1, y1, x2, y2, class] per target, with an integer class id
+    in [0, K) and a box of positive area inside the gw * stride by
+    gh * stride image (an image without targets may pass []). Each target
+    trains the cell containing its center: the box term (selected variant,
+    averaged over the image's targets), a one-vs-all class BCE on assigned
+    cells, and an objectness BCE over every cell (1 on assigned cells, 0
+    elsewhere).
+
+    terms is an (n, 4) float64 array, a row [box, objectness, class, total]
+    per image, total the weighted sum of the other three. grad, None unless
+    with_grad, is the gradient of each total w.r.t. the raw grids, in their
+    dtype; a non-finite one raises NonFiniteError("non-finite head
+    gradient"). An image's row and gradient are those it gets on its own: the
+    batch's targets are the rows of one _box_rows call, and per-image sums and
+    a cell's gradient accumulate in target order.
+    """
     if variant not in _VARIANTS:
         raise ConfigError(f"unknown loss variant {variant!r}")
     n, c, gh, gw = predictions.shape
@@ -228,49 +253,3 @@ def _detection_terms(predictions: Tensor, target_lists, variant: str, stride: fl
     _require_finite("head gradient", grad)
     return terms, grad
 
-
-def detection_loss(
-    predictions: Tensor,
-    target_lists,
-    variant: str = "wiou",
-    stride: float = 8.0,
-    box_weight: float = 5.0,
-    obj_weight: float = 1.0,
-    cls_weight: float = 1.0,
-) -> np.ndarray:
-    """Composite loss of each prediction grid of a batch.
-
-    predictions: (n, 5 + K, gh, gw), channel layout [tx, ty, tw, th,
-    objectness, class logits...]; target_lists: one (t, 5) float64 array per
-    image, a row [x1, y1, x2, y2, class] per target, with an integer class id
-    in [0, K) and a box of positive area inside the gw * stride by
-    gh * stride image (an image without targets may pass []). Each target
-    trains the cell containing its center: the box
-    term (selected variant, averaged over the image's targets), a one-vs-all
-    class BCE on assigned cells, and an objectness BCE over every cell (1 on
-    assigned cells, 0 elsewhere). Returns an (n, 4) float64 array with one row
-    [box, objectness, class, total] per image, total the weighted sum of the
-    other three; each row equals the image's loss on its own.
-
-    Value only: finite-difference checks evaluate it on batches of perturbed
-    grids.
-    """
-    return _detection_terms(predictions, target_lists, variant, stride,
-                            box_weight, obj_weight, cls_weight, with_grad=False)[0]
-
-
-def detection_loss_and_grad(
-    predictions: Tensor,
-    target_lists,
-    variant: str = "wiou",
-    stride: float = 8.0,
-    box_weight: float = 5.0,
-    obj_weight: float = 1.0,
-    cls_weight: float = 1.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """detection_loss() and, in one pass, the gradient of each image's total
-    w.r.t. its raw prediction grid: an (n, 5 + K, gh, gw) array in the grids'
-    dtype. A non-finite gradient raises NonFiniteError("non-finite head
-    gradient")."""
-    return _detection_terms(predictions, target_lists, variant, stride,
-                            box_weight, obj_weight, cls_weight, with_grad=True)

@@ -36,14 +36,14 @@ class AdamWState:
 
 
 def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-               state: AdamWState, lr: float):
+               state: AdamWState, lr: float) -> None:
     """One decoupled update in place:
 
         m <- b1 m + (1 - b1) g;  v <- b2 v + (1 - b2) g^2
         theta <- theta - lr (m_hat / (sqrt(v_hat) + eps) + wd theta)
 
     Only parameters named in ``grads`` are touched, so freezing a subset is
-    just omitting it from the gradient dict. Returns (params, state).
+    just omitting it from the gradient dict.
     """
     for name, g in grads.items():
         if name not in params:
@@ -65,7 +65,6 @@ def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         m_hat = m / bc1
         v_hat = v / bc2
         params[name] -= lr * (m_hat / (np.sqrt(v_hat) + EPS) + state.weight_decay * params[name])
-    return params, state
 
 
 def cosine_lr(t: float, total: float, lr_max: float, lr_min: float) -> float:

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .dataset import synth_dataset
-from .losses import detection_loss_and_grad
+from .losses import detection_loss
 from .model import ToyNetSpec, init_params, net_backward, net_forward
 from .optim import AdamWState, adamw_step, cosine_lr
 from .tensor import ConfigError, NonFiniteError, Tensor, _require_finite
@@ -97,8 +97,8 @@ def _batch_loss_and_grads(params, cfg: TrainConfig, images, target_lists, frozen
     gradient."""
     x = None if neck is not None else Tensor(np.concatenate([im.data for im in images], axis=0))
     head, cache = net_forward(params, cfg.net, x, neck=neck, freeze_backbone=frozen)
-    terms, grad = detection_loss_and_grad(head, target_lists, cfg.loss_variant, float(cfg.net.stride),
-                                          cfg.box_weight, cfg.obj_weight, cfg.cls_weight)
+    terms, grad = detection_loss(head, target_lists, cfg.loss_variant, float(cfg.net.stride),
+                                 cfg.box_weight, cfg.obj_weight, cfg.cls_weight)
     bsz = len(images)
     grads = net_backward(params, cfg.net, cache, Tensor(grad / bsz))
     for name, g in grads.items():

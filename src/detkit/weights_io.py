@@ -99,7 +99,8 @@ def load_weights(path) -> dict[str, np.ndarray]:
         blob = fh.read()
     if len(blob) < 4 + 7 + 8 + 8:
         raise WeightsTruncatedError(f"file is only {len(blob)} bytes")
-    body, stored = blob[:-8], blob[-8:]
+    # body is a view: the file's bytes are copied only into the arrays
+    body, stored = memoryview(blob)[:-8], blob[-8:]
     if _checksum(body) != stored:
         raise WeightsChecksumError("checksum mismatch, file is corrupt")
     if body[:4] != _MAGIC:
@@ -117,7 +118,7 @@ def load_weights(path) -> dict[str, np.ndarray]:
         for _ in range(count):
             (name_len,) = struct.unpack_from("<H", body, pos)
             pos += 2
-            name = body[pos:pos + name_len].decode("utf-8")
+            name = str(body[pos:pos + name_len], "utf-8")
             pos += name_len
             (ndim,) = struct.unpack_from("<B", body, pos)
             pos += 1

@@ -559,7 +559,7 @@ def inline_channel_attention_backward(cache, w1, w2, channel_mlp, upstream):
 # ---------------------------------------------------------------------------
 # The scalar box cores and the per-image composite loss that detkit.losses
 # evaluated before it took whole batches as rows. They are the bit-for-bit
-# reference of losses.detection_loss_and_grad and losses._box_rows.
+# reference of losses.detection_loss and losses._box_rows.
 
 def iou_with_grad(p, g):
     """IoU of pred corners p = [x1, y1, x2, y2] against fixed gt corners g,
@@ -696,8 +696,8 @@ def assign_cells(targets, stride, gh, gw):
     return assigned
 
 
-def per_image_detection_loss_and_grad(predictions, targets, variant="wiou", stride=8.0,
-                                      box_weight=5.0, obj_weight=1.0, cls_weight=1.0):
+def per_image_detection_loss(predictions, targets, variant="wiou", stride=8.0,
+                             box_weight=5.0, obj_weight=1.0, cls_weight=1.0):
     """The composite loss of one (1, 5 + K, gh, gw) grid and its gradient,
     one target at a time: (the (4,) float64 row [box, objectness, class,
     total], a (1, 5 + K, gh, gw) ndarray). The image's (t, 5) target rows are

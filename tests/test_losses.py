@@ -17,12 +17,12 @@ from oracles import (
     corners,
     encode_box,
     iou,
-    per_image_detection_loss_and_grad,
+    per_image_detection_loss,
     separate_detection_loss_grad,
 )
 
 from detkit import losses
-from detkit.losses import detection_loss, detection_loss_and_grad, pairwise_iou
+from detkit.losses import detection_loss, pairwise_iou
 from detkit.tensor import ConfigError, Tensor
 
 UNIT = BBox(0.0, 0.0, 1.0, 1.0)
@@ -304,7 +304,7 @@ class TestDetectionLoss:
 
     def test_zero_targets(self):
         head = self._head()
-        terms = detection_loss(head, [[]], "wiou", stride=8.0)
+        terms, _ = detection_loss(head, [[]], "wiou", stride=8.0)
         assert terms.shape == (1, 4) and terms.dtype == np.float64
         box, obj, cls, total = terms[0]
         assert box == 0.0 and cls == 0.0
@@ -323,7 +323,7 @@ class TestDetectionLoss:
         head[0, 3, row, col] = th
         head[0, 4, row, col] = 40.0  # confident "object" at the target cell
         head[0, 5, row, col] = 40.0  # confident class
-        total = detection_loss(Tensor(head), [np.array([[6.0, 6.0, 16.0, 18.0, 0]])], "wiou", stride=8.0)[0, 3]
+        total = detection_loss(Tensor(head), [np.array([[6.0, 6.0, 16.0, 18.0, 0]])], "wiou", stride=8.0)[0][0, 3]
         assert total < 1e-9
 
     def test_two_cell_hand_computed_case(self):
@@ -333,7 +333,7 @@ class TestDetectionLoss:
         head = np.zeros((1, 6, 1, 2))
         target = BBox(2.0, 2.0, 6.0, 6.0)  # center (4, 4) -> cell (0, 0)
         box, obj, cls, total = detection_loss(Tensor(head), [np.array([[2.0, 2.0, 6.0, 6.0, 0]])], "wiou",
-                                              stride=8.0, box_weight=1.0, obj_weight=1.0, cls_weight=1.0)[0]
+                                              stride=8.0, box_weight=1.0, obj_weight=1.0, cls_weight=1.0)[0][0]
         # pred box from zero logits: center (4, 4), size 8x8 -> (0, 0, 8, 8)
         pred = BBox(0.0, 0.0, 8.0, 8.0)
         want_box = wiou(pred, target)
@@ -354,7 +354,7 @@ class TestDetectionLoss:
         head = Tensor(rng.standard_normal((1, 8, 3, 3)))
         targets = np.array([[4.0, 4.0, 14.0, 12.0, 1]])
         box, obj, cls, total = detection_loss(head, [targets], "ciou", stride=8.0,
-                                              box_weight=5.0, obj_weight=2.0, cls_weight=3.0)[0]
+                                              box_weight=5.0, obj_weight=2.0, cls_weight=3.0)[0][0]
         assert total == pytest.approx(5.0 * box + 2.0 * obj + 3.0 * cls, rel=1e-12)
 
     @pytest.mark.parametrize("row, match", [
@@ -382,15 +382,15 @@ class TestDetectionLoss:
         rng = np.random.default_rng(26)
         head = rng.standard_normal((1, 7, 2, 2))
         targets = np.array([[2.0, 3.0, 9.0, 10.0, 1], [9.5, 9.5, 15.0, 15.5, 0]])
-        got = detection_loss_and_grad(Tensor(head), [targets], "ciou", stride=8.0)[1]
+        got = detection_loss(Tensor(head), [targets], "ciou", stride=8.0)[1]
         h = 1e-6
         flat = head.reshape(-1)
         for idx in range(flat.size):
             orig = flat[idx]
             flat[idx] = orig + h
-            fp = detection_loss(Tensor(head), [targets], "ciou", stride=8.0)[0, 3]
+            fp = detection_loss(Tensor(head), [targets], "ciou", stride=8.0, with_grad=False)[0][0, 3]
             flat[idx] = orig - h
-            fm = detection_loss(Tensor(head), [targets], "ciou", stride=8.0)[0, 3]
+            fm = detection_loss(Tensor(head), [targets], "ciou", stride=8.0, with_grad=False)[0][0, 3]
             flat[idx] = orig
             num = (fp - fm) / (2 * h)
             denom = max(abs(got.reshape(-1)[idx]), abs(num), 1e-4)
@@ -399,7 +399,8 @@ class TestDetectionLoss:
 
 class TestDetectionLossAndGrad:
     """The one-pass loss and gradient reproduces the value-only loss and the
-    separately computed gradient bit for bit."""
+    separately computed gradient bit for bit; the value-only call returns no
+    gradient."""
 
     TARGET_SETS = {
         "none": np.empty((0, 5)),
@@ -417,12 +418,13 @@ class TestDetectionLossAndGrad:
         head = Tensor((rng.standard_normal((1, 8, 3, 3)) * 2.0).astype(dtype))
         tg = self.TARGET_SETS[targets]
         args = (variant, 8.0, 5.0, 2.5, 2.5)
-        terms, grad = detection_loss_and_grad(head, [tg], *args)
-        assert _same_bits(terms, detection_loss(head, [tg], *args))
+        terms, grad = detection_loss(head, [tg], *args)
+        value_terms, no_grad = detection_loss(head, [tg], *args, with_grad=False)
+        assert no_grad is None and _same_bits(terms, value_terms)
         want = separate_detection_loss_grad(head, tg, *args).data
         assert grad.dtype == dtype
         assert np.array_equal(grad, want)
-        assert np.array_equal(per_image_detection_loss_and_grad(head, tg, *args)[1], want)
+        assert np.array_equal(per_image_detection_loss(head, tg, *args)[1], want)
 
     def test_iou_value_when_union_is_below_eps(self):
         """Boxes of area ~1e-12: the gradient core gives IoU 0 once the union
@@ -432,7 +434,7 @@ class TestDetectionLossAndGrad:
         head[0, 2:4] = math.log(2.5e-7)  # a 2e-6 square centred at (4, 4)
         pred = cell_to_box(0.0, 0.0, head[0, 2, 0, 0], head[0, 3, 0, 0], 0, 0, 8.0)
         assert iou(pred, gt) == 0.25
-        terms, _ = detection_loss_and_grad(Tensor(head), [[[gt.x1, gt.y1, gt.x2, gt.y2, 0]]], "iou", 8.0)
+        terms, _ = detection_loss(Tensor(head), [[[gt.x1, gt.y1, gt.x2, gt.y2, 0]]], "iou", 8.0)
         assert terms[0, 0] == 0.75
 
 
@@ -444,7 +446,7 @@ def _same_bits(got, want) -> bool:
 
 
 class TestBatchedLossMatchesPerImageOracle:
-    """detection_loss_and_grad over a batch equals, bit for bit, the
+    """detection_loss over a batch equals, bit for bit, the
     per-image, per-target loss of tests/oracles.py run on each image alone."""
 
     ARGS = (8.0, 5.0, 2.5, 2.5)  # stride and the default TrainConfig weights
@@ -460,12 +462,13 @@ class TestBatchedLossMatchesPerImageOracle:
     ]
 
     def _check(self, head, target_lists, variant):
-        terms, grad = detection_loss_and_grad(Tensor(head), target_lists, variant, *self.ARGS)
+        terms, grad = detection_loss(Tensor(head), target_lists, variant, *self.ARGS)
         assert terms.shape == (len(target_lists), 4)
-        assert _same_bits(terms, detection_loss(Tensor(head), target_lists, variant, *self.ARGS))
+        assert _same_bits(terms, detection_loss(Tensor(head), target_lists, variant, *self.ARGS,
+                                                with_grad=False)[0])
         assert grad.shape == head.shape and grad.dtype == head.dtype
         for i, targets in enumerate(target_lists):
-            want_terms, want_grad = per_image_detection_loss_and_grad(
+            want_terms, want_grad = per_image_detection_loss(
                 Tensor(head[i:i + 1]), targets, variant, *self.ARGS)
             assert _same_bits(terms[i], want_terms)
             assert _same_bits(grad[i], want_grad[0])
@@ -499,12 +502,12 @@ class TestBatchedLossMatchesPerImageOracle:
         and in a batch reordered around it."""
         rng = np.random.default_rng(32)
         head = rng.standard_normal((len(self.MIXED), 8, 3, 3)) * 2.0
-        terms, grad = detection_loss_and_grad(Tensor(head), self.MIXED, variant, *self.ARGS)
+        terms, grad = detection_loss(Tensor(head), self.MIXED, variant, *self.ARGS)
         order = [3, 0, 5, 4, 2, 1]
-        shuffled_terms, shuffled_grad = detection_loss_and_grad(
+        shuffled_terms, shuffled_grad = detection_loss(
             Tensor(head[order]), [self.MIXED[i] for i in order], variant, *self.ARGS)
         for k, i in enumerate(order):
-            (alone_terms,), alone_grad = detection_loss_and_grad(
+            (alone_terms,), alone_grad = detection_loss(
                 Tensor(head[i:i + 1]), [self.MIXED[i]], variant, *self.ARGS)
             assert _same_bits(terms[i], alone_terms) and _same_bits(terms[i], shuffled_terms[k])
             assert _same_bits(grad[i], alone_grad[0]) and _same_bits(grad[i], shuffled_grad[k])

@@ -74,3 +74,16 @@ def test_the_benchmark_layer_costs_are_pinned(monkeypatch):
         "cbam": (7328, 492),
         "head": (61440, 8192),
     }
+
+
+def test_train_calls_the_traced_loss(monkeypatch):
+    """The tracer spans ``losses.detection_loss`` through every module that
+    binds that function, and reports it as ``losses.detection_loss.ms``. If
+    train called another name for the loss, that metric would read 0 on
+    ``train``."""
+    from detkit import losses, train
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    layers = importlib.import_module("layers")
+    assert train.detection_loss is losses.detection_loss
+    assert "losses.detection_loss" in layers.TIMED_SPANS

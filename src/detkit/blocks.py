@@ -31,10 +31,9 @@ Feature maps, weights, gradients and caches are bare ndarrays, as in
 the intermediates its backward needs (the attention halves return gate, gated
 map and cache); each backward takes that cache in place of the input and
 recomputes nothing.
-The caches nest the operator caches of :mod:`detkit.ops`: the block keeps its
-activation's cache (for mish, exp(-|x|) and tanh(softplus(x))) and the
-spatial gate keeps its input, from which the backward takes the channel
-argmax of its statistics.
+The block keeps its activation's cache (for mish, exp(-|x|) and
+tanh(softplus(x))); the spatial gate keeps its input, from which the backward
+takes the channel argmax of its statistics.
 All backward passes are hand-derived and verified against central finite
 differences by the gradient-check suites.
 """
@@ -63,7 +62,7 @@ from .ops import (
     spatial_stats,
     spatial_stats_backward,
 )
-from .tensor import ConfigError
+from .tensor import MAX_ELEMENTS, ConfigError
 
 
 @dataclass(frozen=True)
@@ -157,6 +156,9 @@ class FasterNetBlockSpec:
         # also false for NaN; an infinite ratio has no hidden width
         if not 0.0 < self.expansion < math.inf:
             raise ConfigError(f"expansion must be finite and > 0, got {self.expansion}")
+        if self.hidden * self.channels > MAX_ELEMENTS:
+            raise ConfigError(f"expansion {self.expansion} is too large to allocate: "
+                              f"hidden width {self.hidden}")
 
     @property
     def channels(self) -> int:
@@ -330,17 +332,17 @@ def spatial_attention(x: np.ndarray, conv_w: np.ndarray, conv_b, spec: CBAMSpec)
     """Per-position gates from channel max/mean statistics. Returns
     (gate map (n, 1, h, w), gated feature map, cache for
     :func:`spatial_attention_backward`)."""
-    stats, stats_cache = spatial_stats(x)
+    stats = spatial_stats(x)
     z = conv2d_forward(stats, conv_w, conv_b, spec.spatial_conv_spec)
     m_s = sigmoid(z)
-    return m_s, m_s * x, (x, stats, stats_cache, m_s)
+    return m_s, m_s * x, (x, stats, m_s)
 
 
 def spatial_attention_backward(cache, conv_w: np.ndarray, spec: CBAMSpec, upstream_fs: np.ndarray,
                                input_grad: bool = True):
     """Gradients of <upstream_fs, gated map> w.r.t. x, the conv kernel and
     bias; the first is None when ``input_grad`` is false."""
-    x, stats, stats_cache, m_s = cache
+    x, stats, m_s = cache
     if upstream_fs.shape != x.shape:
         raise ConfigError("upstream shape must match input")
     d_ms = (upstream_fs * x).sum(axis=1, keepdims=True)
@@ -348,7 +350,7 @@ def spatial_attention_backward(cache, conv_w: np.ndarray, spec: CBAMSpec, upstre
     d_stats, gw, gb = conv2d_backward(stats, conv_w, spec.spatial_conv_spec, dz, input_grad)
     if not input_grad:
         return None, gw, gb
-    return upstream_fs * m_s + spatial_stats_backward(stats_cache, d_stats), gw, gb
+    return upstream_fs * m_s + spatial_stats_backward(x, d_stats), gw, gb
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ import functools
 import json
 import sys
 from dataclasses import fields, replace
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -180,8 +179,8 @@ def cmd_bench(args) -> int:
     full_report = model_cost(cost_layers(replace(spec, cp_fraction=1.0)))
     rows = []
     for pl, fl in zip(pconv_report.layers, full_report.layers):
-        ratio = Fraction(pl.mem_access_approx, fl.mem_access_approx) if fl.mem_access_approx else Fraction(1)
-        rows.append({**_bench_row(pl, fl), "feature_access_ratio": float(ratio)})
+        ratio = pl.mem_access_approx / fl.mem_access_approx if fl.mem_access_approx else 1.0
+        rows.append({**_bench_row(pl, fl), "feature_access_ratio": ratio})
     total = _bench_row(pconv_report.total, full_report.total)
 
     header = f"{'layer':<16} {'full_params':>12} {'pconv_params':>12} {'full_macs':>12} {'pconv_macs':>12} {'ratio':>8}"

@@ -24,8 +24,9 @@ both figures are therefore always reported.
 The untouched c - c_p channels of a partial conv cost nothing here: the
 operator never reads or writes them (pass-through).
 
-MAC counts are h_out * w_out * k^2 * c_in * c_out for convolutions and
-in_features * out_features for fully connected layers. Max pooling performs
+MAC counts are h_out * w_out * k^2 * c_in * c_out for convolutions. A fully
+connected layer is a 1x1 convolution on a 1x1 map: in * out MACs and
+in + out feature accesses, priced by the same builder. Max pooling performs
 comparisons, not multiply-accumulates, so pooling layers report zero MACs
 but nonzero memory traffic.
 
@@ -118,17 +119,6 @@ def conv_cost(spec: ConvSpec, h: int, w: int, bias: bool = True,
     feature_access = h * w * c_in + h_out * w_out * c_out
     exact = feature_access + k * k * c_in * c_out
     return LayerCost(name, params, macs, exact, feature_access)
-
-
-def linear_cost(in_features: int, out_features: int, name: str = "linear") -> LayerCost:
-    """Cost of a fully connected layer with bias."""
-    if in_features < 1 or out_features < 1:
-        raise ConfigError("feature counts must be >= 1")
-    params = in_features * out_features + out_features
-    macs = in_features * out_features
-    exact = in_features + out_features + in_features * out_features
-    approx = in_features + out_features
-    return LayerCost(name, params, macs, exact, approx)
 
 
 def spp_cost(h: int, w: int, c: int, num_windows: int, name: str = "spp") -> LayerCost:

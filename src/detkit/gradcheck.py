@@ -232,6 +232,8 @@ def _check_fc(rng, case):
 def _check_activation(rng, case, kind):
     x = rng.standard_normal((2, 3, 4, 4)) * 3.0
     g = rng.standard_normal((2, 3, 4, 4))
+    if kind == "relu" and _near_kink(x):
+        return None
     _, cache = ops.activation(x, kind)
     return _arg_errors(lambda v: ops.activation(v, kind)[0], g, (x,),
                        (ops.activation_backward(cache, kind, g),))
@@ -255,9 +257,7 @@ def _check_global_pool(rng, case):
 def _check_spatial_stats(rng, case):
     x = rng.standard_normal((2, 4, 3, 3))
     g = rng.standard_normal((2, 2, 3, 3))
-    _, cache = ops.spatial_stats(x)
-    return _arg_errors(lambda v: ops.spatial_stats(v)[0], g, (x,),
-                       (ops.spatial_stats_backward(cache, g),))
+    return _arg_errors(ops.spatial_stats, g, (x,), (ops.spatial_stats_backward(x, g),))
 
 
 @register("spp")
@@ -267,8 +267,7 @@ def _check_spp(rng, case):
     g = rng.standard_normal((1, 2 * (1 + len(windows)), 6, 6))
     if any(_pool_near_tie(x, wsz) for wsz in windows):
         return None
-    _, cache = ops.spp(x, windows)
-    return _arg_errors(lambda v: ops.spp(v, windows)[0], g, (x,), (ops.spp_backward(cache, g),))
+    return _arg_errors(lambda v: ops.spp(v, windows), g, (x,), (ops.spp_backward(x, windows, g),))
 
 
 # ---------------------------------------------------------------------------

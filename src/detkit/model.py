@@ -61,10 +61,10 @@ from .blocks import (
     fasternet_block_init,
     he_normal,
 )
-from .cost import LayerCost, conv_cost, linear_cost, spp_cost
+from .cost import LayerCost, conv_cost, spp_cost
 from .ops import (ConvSpec, activation, activation_backward, check_activation, check_pool_windows,
                   conv2d_backward, conv2d_forward, spp, spp_backward)
-from .tensor import ConfigError, Tensor, _require_finite
+from .tensor import MAX_ELEMENTS, ConfigError, Tensor, _require_finite
 
 
 # The config key of each layer-spec field whose name differs from it.
@@ -96,6 +96,8 @@ class ToyNetSpec:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.image_size % self.stride != 0:
             raise ConfigError("image_size must be a multiple of stride")
+        if self.image_size ** 2 > MAX_ELEMENTS:
+            raise ConfigError(f"image_size {self.image_size} is too large to allocate")
         if not 0.0 < self.cp_fraction <= 1.0:
             raise ConfigError("cp_fraction must be in (0, 1]")
         if self.stem_channels < 4:
@@ -180,8 +182,8 @@ def init_params(spec: ToyNetSpec, rng: np.random.Generator, dtype=np.float64) ->
 
 class NetCache(NamedTuple):
     """What ``net_backward`` needs from ``net_forward``. ``backbone`` holds the
-    input and the stem, block and SPP caches; it is None when the backbone is
-    frozen, and the backward then stops at ``neck``."""
+    input, the stem and block caches and the SPP input; it is None when the
+    backbone is frozen, and the backward then stops at ``neck``."""
 
     backbone: tuple | None
     neck: np.ndarray
@@ -208,9 +210,9 @@ def net_forward(params: dict[str, np.ndarray], spec: ToyNetSpec, x: Tensor | Non
         stem_a, stem_act_cache = activation(stem_z, spec.activation)
         b1, b1_cache = fasternet_block_forward(stem_a, params, spec.block_spec, "block1.")
         b2, b2_cache = fasternet_block_forward(b1, params, spec.block_spec, "block2.")
-        neck, spp_cache = spp(b2, spec.spp_windows)
+        neck = spp(b2, spec.spp_windows)
         if not freeze_backbone:
-            backbone = (x.data, stem_act_cache, b1_cache, b2_cache, spp_cache)
+            backbone = (x.data, stem_act_cache, b1_cache, b2_cache, b2)
     att, cbam_cache = cbam_forward(neck, params, spec.cbam_spec, "cbam.")
     head = conv2d_forward(att, params["head.w"], params["head.b"], spec.head_spec)
     _require_finite("head", head)
@@ -227,8 +229,8 @@ def net_backward(params: dict[str, np.ndarray], spec: ToyNetSpec, cache: NetCach
     head_grads = {**g_cbam, "head.w": g_headw, "head.b": g_headb}
     if cache.backbone is None:
         return head_grads
-    x, stem_act_cache, b1_cache, b2_cache, spp_cache = cache.backbone
-    g_b2 = spp_backward(spp_cache, g_neck)
+    x, stem_act_cache, b1_cache, b2_cache, b2 = cache.backbone
+    g_b2 = spp_backward(b2, spec.spp_windows, g_neck)
     g_b1, g_block2 = fasternet_block_backward(b2_cache, params, spec.block_spec, g_b2, "block2.")
     g_stem_a, g_block1 = fasternet_block_backward(b1_cache, params, spec.block_spec, g_b1, "block1.")
     g_stem_z = activation_backward(stem_act_cache, spec.activation, g_stem_a)
@@ -249,8 +251,8 @@ def cost_layers(spec: ToyNetSpec) -> list[LayerCost]:
                    conv_cost(block.pw2_spec, g, g, name=f"{name}.pw2")]
     return layers + [
         spp_cost(g, g, spec.stem_channels, len(spec.spp_windows), name="spp"),
-        linear_cost(cb.channels, cb.mlp_width, name="cbam.fc1"),
-        linear_cost(cb.mlp_width, cb.channels, name="cbam.fc2"),
+        conv_cost(ConvSpec(cb.channels, cb.mlp_width, kernel=1), 1, 1, name="cbam.fc1"),
+        conv_cost(ConvSpec(cb.mlp_width, cb.channels, kernel=1), 1, 1, name="cbam.fc2"),
         conv_cost(cb.spatial_conv_spec, g, g, name="cbam.spatial"),
         conv_cost(spec.head_spec, g, g, name="head"),
     ]

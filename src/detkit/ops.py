@@ -6,15 +6,13 @@ Conventions shared by every operator here:
   (n, c, h, w) layout;
 * zero padding only, square kernels, identical stride in both axes;
 * conv output size is floor((in - k + 2p) / s) + 1 per spatial axis;
-* a backward pass computes the gradients of the scalar sum
-  <upstream, output> with respect to each argument and consumes the
-  forward's cache: the forward inputs for convolution and global pooling,
-  the cache returned next to the output for ``activation``,
-  ``spatial_stats`` and ``spp``. Backward reuses what the forward
-  evaluated: mish keeps exp(-|x|) and tanh(softplus(x)), sigmoid its
-  output. The channel statistics and SPP keep only their input: the argmax
+* a forward returns its output, and its backward takes the forward's
+  arguments followed by ``upstream`` and computes the gradients of the
+  scalar sum <upstream, output> with respect to each argument. The argmax
   that routes a max gradient and each pool window's winners are found in
-  the backward, the one caller that reads them;
+  the backward, the one caller that reads them. ``activation`` alone also
+  returns a cache, so that its backward reuses what the forward evaluated:
+  the sigmoid output, mish's exp(-|x|) and tanh(softplus(x));
 * convolution runs as one matrix product over im2col windows. The columns
   are one ``np.take`` of the padded map along a flat window index, built
   once per (padded size, kernel, stride) and kept in a bounded cache;
@@ -214,22 +212,19 @@ def global_pool_backward(x: np.ndarray, kind: str, upstream: np.ndarray) -> np.n
     raise ConfigError(f"unknown pool kind {kind!r}")
 
 
-def spatial_stats(x: np.ndarray):
+def spatial_stats(x: np.ndarray) -> np.ndarray:
     """Per-position channel statistics: channel 0 is the max over channels,
-    channel 1 the mean. Output shape (n, 2, h, w).
-
-    Returns (output, cache); the cache is the input, from which
-    :func:`spatial_stats_backward` finds each position's winning channel (the
-    first maximum). Forward-only callers never pay for that argmax."""
+    channel 1 the mean. Output shape (n, 2, h, w)."""
     if x.shape[1] < 1:
         raise ConfigError("need at least one channel")
     mx = x.max(axis=1, keepdims=True)
     mean = np.add.reduce(x, axis=1, keepdims=True) / x.shape[1]
-    return np.concatenate([mx, mean], axis=1), (x,)
+    return np.concatenate([mx, mean], axis=1)
 
 
-def spatial_stats_backward(cache, upstream: np.ndarray) -> np.ndarray:
-    (x,) = cache
+def spatial_stats_backward(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
+    """Gradient of <upstream, spatial_stats(x)>: the max channel's share goes
+    to each position's first maximal channel."""
     n, c, h, w = x.shape
     if upstream.shape != (n, 2, h, w):
         raise ConfigError("upstream must have shape (n, 2, h, w)")
@@ -308,18 +303,14 @@ def _maxpool_values(x: np.ndarray, window: int) -> np.ndarray:
     return pooled
 
 
-def spp(x: np.ndarray, pool_windows):
+def spp(x: np.ndarray, pool_windows) -> np.ndarray:
     """Pyramid pooling: concatenate x with one shape-preserving max pool per
     window size. Output channels = c * (1 + len(pool_windows)).
 
     Pools cascade as in YOLOv8's SPPF: a window b that follows a window
     a <= b is the (b - a + 1) pool of pool a, which covers the same
     -inf-padded b x b window, and a smaller window pools x itself. Max is
-    exact, so the values are those of pooling x directly.
-
-    Returns (output, cache); the cache is the input and the windows, from
-    which :func:`spp_backward` finds each pool's winners. Forward-only
-    callers never pay for them."""
+    exact, so the values are those of pooling x directly."""
     windows = check_pool_windows(pool_windows)
     parts = [x]
     prev, prev_wsz = x, 1
@@ -330,11 +321,13 @@ def spp(x: np.ndarray, pool_windows):
             prev = _maxpool_values(x, wsz)
         prev_wsz = wsz
         parts.append(prev)
-    return np.concatenate(parts, axis=1), (x, windows)
+    return np.concatenate(parts, axis=1)
 
 
-def spp_backward(cache, upstream: np.ndarray) -> np.ndarray:
-    x, windows = cache
+def spp_backward(x: np.ndarray, pool_windows, upstream: np.ndarray) -> np.ndarray:
+    """Gradient of <upstream, spp(x, pool_windows)>: each pool's share goes
+    to its window winners, found here from x."""
+    windows = check_pool_windows(pool_windows)
     n, c, h, w = x.shape
     expect_c = c * (1 + len(windows))
     if upstream.shape != (n, expect_c, h, w):

@@ -30,6 +30,12 @@ class ConfigError(ValueError):
     """Invalid shapes, dimensions or operator configuration."""
 
 
+# Elements of the largest float64 array numpy can describe. A larger size
+# fails as ValueError("array is too big"), not as the MemoryError that a
+# smaller impossible size raises, so the specs reject it by name.
+MAX_ELEMENTS = np.iinfo(np.intp).max // 8
+
+
 class NonFiniteError(ConfigError):
     """A value held NaN or Inf; the message names the value."""
 

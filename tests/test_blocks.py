@@ -221,7 +221,7 @@ class TestSpatialAttention:
         b = rng.standard_normal(1)
         x = rng.standard_normal((1, 3, 5, 5))
         m_s, f_s, _ = spatial_attention(x, w, b, spec)
-        stats, _ = ops.spatial_stats(x)
+        stats = ops.spatial_stats(x)
         z = ops.conv2d_forward(stats, w, b, ConvSpec(2, 1, 3, 1, 1))
         want_gate = 1.0 / (1.0 + np.exp(-z))
         assert np.allclose(m_s, want_gate, atol=1e-12)

@@ -816,6 +816,18 @@ class TestTrainEvalDetect:
         err = capsys.readouterr().err
         assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1, err
 
+    # Past 8 EiB numpy cannot even describe the array and raises ValueError,
+    # not MemoryError; the spec rejects such a size and names its key.
+    @pytest.mark.parametrize("key, value", [("expansion", "1e16"), ("image_size", "2000000000")])
+    def test_a_net_past_the_largest_array_is_a_config_error(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"epochs = 1\ndataset_count = 2\n{key} = {value}\n", encoding="utf-8")
+        code = cli.main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} ") and "too large to allocate" in err, err
+        assert err.count("\n") == 1, err
+
     def test_unchecked_train_leaves_tensors_checked(self, tmp_path):
         """checked = false has no effect: after a train run that sets it, a
         Tensor made in the same process still rejects NaN."""
@@ -832,6 +844,21 @@ class TestTrainEvalDetect:
         code = cli.main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
         assert code == cli.EXIT_PARSE
         assert ":2:" in capsys.readouterr().err
+
+
+class TestExitCodeTable:
+    def test_docstring_constants_and_readme_list_the_same_codes(self):
+        """The exit codes are written three times: in the cli docstring, as
+        the EXIT_* constants and in the README table. All three list the
+        same codes, each once, and every code an error maps to is one."""
+        constants = sorted(v for k, v in vars(cli).items() if k.startswith("EXIT_"))
+        documented = [int(c) for c in re.findall(r"^    (\d+) ", cli.__doc__, re.M)]
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = [int(c) for c in re.findall(r"^\| (\d+) +\|", readme, re.M)]
+        assert len(set(constants)) == len(constants) > 1
+        assert documented == constants
+        assert table == constants
+        assert {code for _, code in cli._EXIT_CODES} <= set(constants)
 
 
 class TestUnusablePaths:

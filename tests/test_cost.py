@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from detkit import blocks, model, ops
 from detkit.blocks import PConvSpec
-from detkit.cost import COLUMNS, LayerCost, conv_cost, linear_cost, model_cost
+from detkit.cost import COLUMNS, LayerCost, conv_cost, model_cost
 from detkit.model import ToyNetSpec, cost_layers, init_params
 from detkit.ops import ConvSpec
 from detkit.tensor import ConfigError, Tensor
@@ -246,7 +246,11 @@ class TestModelCost:
 
 
 class TestLinearCost:
+    """A fully connected layer is priced as a 1x1 convolution on a 1x1 map."""
+
     def test_params_and_macs(self):
-        lc = linear_cost(10, 4)
+        lc = conv_cost(ConvSpec(10, 4, kernel=1), 1, 1)
         assert lc.params == 44
         assert lc.macs == 40
+        assert lc.mem_access_approx == 10 + 4
+        assert lc.mem_access_exact == 10 + 4 + 10 * 4

@@ -144,12 +144,14 @@ def test_registry_covers_every_core_operator():
 # The worst error of each redraw run below, to the bit.
 REDRAWN_ERRORS = {
     "channel_attention_literal": 2.296201298838112e-08,
+    "activation_relu": 1.3977811145813603e-10,
     "spp": 1.3977808503122168e-10,
 }
 
 
 @pytest.mark.parametrize("name,cases,seed", [
     ("channel_attention_literal", 1, 1473828573),  # a relu input within 1e-6 of 0
+    ("activation_relu", 1, 1056),                  # an input 4.7e-10 from 0
     ("spp", 2, 745203692),                         # two pool candidates within 1e-6
 ])
 def test_probes_near_a_kink_are_redrawn(name, cases, seed):

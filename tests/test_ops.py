@@ -225,14 +225,14 @@ SPP_WINDOWS = [(3, 5), (5, 9, 13), (5, 3), (3, 3), (1, 3), ()]
 
 class TestSppCascade:
     """spp pools values only, each window cascaded from the one before it as
-    SPPF does; spp_backward finds the winners from the cached input."""
+    SPPF does; spp_backward finds the winners from its input."""
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("windows", SPP_WINDOWS, ids=str)
     def test_cascaded_values_equal_the_scan_per_window(self, windows, dtype):
         rng = np.random.default_rng(len(windows))
         x = rng.standard_normal((2, 3, 7, 9)).astype(dtype)
-        out, _ = ops.spp(x, windows)
+        out = ops.spp(x, windows)
         want = np.concatenate([x] + [scan_maxpool_same(x, wsz)[0] for wsz in windows], axis=1)
         assert out.dtype == dtype
         assert np.array_equal(out, want)
@@ -248,12 +248,12 @@ class TestSppCascade:
             x = rng.integers(0, 3, size=(2, 2, 6, 5)).astype(np.float64)
         else:
             x = ops.relu(rng.standard_normal((2, 2, 6, 5)) - 0.7)
-        out, cache = ops.spp(x, windows)
+        out = ops.spp(x, windows)
         up = rng.integers(-3, 4, size=out.shape).astype(np.float64)
         want = up[:, 0:2].copy()
         for g, wsz in enumerate(windows):
             want += scan_maxpool_same_backward(x, wsz, up[:, 2 * (g + 1):2 * (g + 2)])
-        assert np.array_equal(ops.spp_backward(cache, up), want)
+        assert np.array_equal(ops.spp_backward(x, windows, up), want)
 
     def test_forward_finds_no_winners_and_backward_finds_each_once(self, monkeypatch):
         """Forward-only callers (detect, eval, a frozen epoch) never search
@@ -338,7 +338,7 @@ class TestMeansMatchNpMean:
             assert pooled.dtype == dtype
             assert pooled.view(np.uint8).tobytes() == \
                 x.mean(axis=(2, 3), keepdims=True).view(np.uint8).tobytes()
-            mean = ops.spatial_stats(x)[0][:, 1:2]
+            mean = ops.spatial_stats(x)[:, 1:2]
             assert mean.dtype == dtype
             assert np.ascontiguousarray(mean).view(np.uint8).tobytes() == \
                 x.mean(axis=1, keepdims=True).view(np.uint8).tobytes()
@@ -348,21 +348,21 @@ class TestSpatialStats:
     def test_single_channel_duplicates(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((1, 1, 3, 3))
-        out, _ = ops.spatial_stats(x)
+        out = ops.spatial_stats(x)
         assert np.allclose(out[:, 0], x[:, 0])
         assert np.allclose(out[:, 1], x[:, 0])
 
     def test_two_constant_channels(self):
         x = np.zeros((1, 2, 2, 2))
         x[0, 1] = 10.0
-        out, _ = ops.spatial_stats(x)
+        out = ops.spatial_stats(x)
         assert np.allclose(out[0, 0], 10.0)
         assert np.allclose(out[0, 1], 5.0)
 
     def test_matches_per_pixel_scan(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal((2, 5, 3, 4))
-        out = ops.spatial_stats(x)[0]
+        out = ops.spatial_stats(x)
         for n in range(2):
             for i in range(3):
                 for j in range(4):
@@ -370,15 +370,14 @@ class TestSpatialStats:
                     assert out[n, 0, i, j] == pytest.approx(max(col))
                     assert out[n, 1, i, j] == pytest.approx(sum(col) / 5)
 
-    def test_cached_backward_routes_ties_to_first_channel(self):
+    def test_backward_routes_ties_to_first_channel(self):
         """{0, 1, 2}-valued inputs tie often; the backward sends each max
         gradient to the first maximal channel, as a per-position scan does."""
         rng = np.random.default_rng(33)
         for c in (1, 2, 5):
             x = rng.integers(0, 3, size=(2, c, 4, 5)).astype(np.float64)
             up = rng.standard_normal((2, 2, 4, 5))
-            _, cache = ops.spatial_stats(x)
-            got = ops.spatial_stats_backward(cache, up)
+            got = ops.spatial_stats_backward(x, up)
             assert np.array_equal(got, scan_spatial_stats_backward(x, up))
 
     def test_statistic_on_exact_ties_is_the_channel_max(self):
@@ -387,10 +386,10 @@ class TestSpatialStats:
         and the backward still routes to the first maximum."""
         rng = np.random.default_rng(34)
         x = rng.choice([-0.0, 0.0, 1.0, -1.0], size=(3, 6, 4, 4))
-        out, cache = ops.spatial_stats(x)
+        out = ops.spatial_stats(x)
         assert out.tobytes() == np.stack([x.max(axis=1), x.mean(axis=1)], axis=1).tobytes()
         up = rng.standard_normal((3, 2, 4, 4))
-        got = ops.spatial_stats_backward(cache, up)
+        got = ops.spatial_stats_backward(x, up)
         assert np.array_equal(got, scan_spatial_stats_backward(x, up))
 
 
@@ -488,19 +487,19 @@ class TestSpp:
     def test_empty_windows_is_identity(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((1, 3, 4, 4))
-        out, _ = ops.spp(x, [])
+        out = ops.spp(x, [])
         assert np.array_equal(out, x)
 
     def test_constant_input(self):
         x = np.full((1, 2, 4, 4), 1.5)
-        out, _ = ops.spp(x, [3])
+        out = ops.spp(x, [3])
         assert out.shape == (1, 4, 4, 4)
         assert np.allclose(out, 1.5)
 
     def test_matches_sliding_max_oracle(self):
         rng = np.random.default_rng(13)
         x = rng.standard_normal((2, 2, 6, 7))
-        out = ops.spp(x, [3, 5])[0]
+        out = ops.spp(x, [3, 5])
         assert np.array_equal(out[:, 0:2], x)
         assert np.allclose(out[:, 2:4], naive_sliding_max(x, 3))
         assert np.allclose(out[:, 4:6], naive_sliding_max(x, 5))
@@ -508,6 +507,12 @@ class TestSpp:
     def test_even_window_rejected(self):
         with pytest.raises(ConfigError):
             ops.spp(np.zeros((1, 1, 4, 4)), [4])
+
+    def test_backward_rejects_an_even_window(self):
+        """spp_backward takes its windows from the caller and checks them
+        as spp does."""
+        with pytest.raises(ConfigError, match="pool window 4 must be odd"):
+            ops.spp_backward(np.zeros((1, 1, 4, 4)), [4], np.zeros((1, 2, 4, 4)))
 
 
 @settings(max_examples=60, deadline=None)

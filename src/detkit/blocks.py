@@ -21,16 +21,16 @@ Two selectable formulations exist for each half and all four are implemented:
 * ``composition="literal"``: both gates run on the raw input and their gated
   maps are multiplied elementwise, which squares the input contribution.
 
-Parameters live in the flat ``<layer>.<param>`` store of :mod:`detkit.model`.
-The block and CBAM functions read ``params[prefix + "pw1.w"]`` and friends and
-return gradients keyed the same way; ``prefix`` is ``"block1."``, ``"block2."``
-or ``"cbam."`` inside the network and ``""`` for a standalone block.
-
-Feature maps, weights, gradients and caches are bare ndarrays, as in
-:mod:`detkit.ops`. Each forward returns its output together with a cache of
-the intermediates its backward needs (the attention halves return gate, gated
-map and cache); each backward takes that cache in place of the input and
-recomputes nothing.
+Parameters live in the flat ``<layer>.<param>`` store of :mod:`detkit.model`,
+and the block, CBAM and its two halves share one convention: a forward
+``(x, params, spec, prefix)`` returns ``(output, cache)``, the cache holding
+the intermediates its backward needs, and the backward ``(cache, params,
+spec, upstream, prefix)`` returns ``(input gradient, its own parameters'
+gradients keyed like params)`` and recomputes nothing. ``prefix`` is
+``"block1."``, ``"block2."`` or ``"cbam."`` inside the network and ``""``
+standalone. Feature maps, weights, gradients and caches are bare ndarrays,
+as in :mod:`detkit.ops`; the partial convolution takes its one kernel as an
+array, as the ops do.
 The block keeps its activation's cache (for mish, exp(-|x|) and
 tanh(softplus(x))); the spatial gate keeps its input, from which the backward
 takes the channel argmax of its statistics.
@@ -85,6 +85,7 @@ class PConvSpec:
             )
         if self.kernel < 1 or self.kernel % 2 == 0:
             raise ConfigError(f"kernel must be odd and >= 1, got {self.kernel}")
+        self.conv_spec  # built now, so that its weight check runs when the spec is made
 
     @cached_property
     def conv_spec(self) -> ConvSpec:
@@ -122,6 +123,7 @@ class CBAMSpec:
             raise ConfigError(f"composition must be 'sequential' or 'literal', got {self.composition!r}")
         if self.channel_mlp not in ("prose", "literal"):
             raise ConfigError(f"channel_mlp must be 'prose' or 'literal', got {self.channel_mlp!r}")
+        self.spatial_conv_spec  # built now, so that its weight check runs when the spec is made
 
     @property
     def hidden(self) -> int:
@@ -274,10 +276,11 @@ def _check_channel_dims(spec: CBAMSpec, w1, b1, w2, b2) -> None:
         raise ConfigError(f"second layer wants W2 {want2}, b2 ({want2[0]},)")
 
 
-def channel_attention(x: np.ndarray, w1, b1, w2, b2, spec: CBAMSpec):
-    """Per-channel gates from the pooled input. Returns (gate map (n, c, 1, 1),
-    gated feature map, cache for :func:`channel_attention_backward`). Gates
-    depend on x only through its per-channel means."""
+def channel_attention(x: np.ndarray, params, spec: CBAMSpec, prefix: str = ""):
+    """Per-channel gates from the pooled input. Returns (gated feature map,
+    cache for :func:`channel_attention_backward`); the cache holds the (n, c)
+    gate at index 1. Gates depend on x only through its per-channel means."""
+    w1, b1, w2, b2 = (params[prefix + k] for k in ("fc1.w", "fc1.b", "fc2.w", "fc2.b"))
     if x.shape[1] != spec.channels:
         raise ConfigError(f"input has {x.shape[1]} channels, spec expects {spec.channels}")
     _check_channel_dims(spec, w1, b1, w2, b2)
@@ -293,18 +296,18 @@ def channel_attention(x: np.ndarray, w1, b1, w2, b2, spec: CBAMSpec):
         # (W1 v1 + b1) + W2 v2 + b2: a second fully_connected would add b2 first
         z = fully_connected(v1, w1, b1) + v2 @ w2.T + b2
     gate = sigmoid(z)
-    m_c = gate[:, :, None, None]
-    return m_c, m_c * x, (x, gate, gap, z1, v1, z2, v2)
+    return gate[:, :, None, None] * x, (x, gate, gap, z1, v1, z2, v2)
 
 
-def channel_attention_backward(cache, w1, w2, spec: CBAMSpec, upstream_fc: np.ndarray,
-                               input_grad: bool = True):
-    """Gradients of <upstream_fc, gated map> w.r.t. x, W1, b1, W2 and b2; the
-    first is None when ``input_grad`` is false."""
+def channel_attention_backward(cache, params, spec: CBAMSpec, upstream: np.ndarray,
+                               prefix: str = "", input_grad: bool = True):
+    """Returns (input gradient, gradients of ``fc1``/``fc2`` keyed like
+    ``params``); the input gradient is None when ``input_grad`` is false."""
     x, gate, gap, z1, v1, z2, v2 = cache
-    if upstream_fc.shape != x.shape:
+    if upstream.shape != x.shape:
         raise ConfigError("upstream shape must match input")
-    d_gate = (upstream_fc * x).sum(axis=(2, 3))
+    w1, w2 = params[prefix + "fc1.w"], params[prefix + "fc2.w"]
+    d_gate = (upstream * x).sum(axis=(2, 3))
     dz = d_gate * gate * (1.0 - gate)
     if spec.channel_mlp == "prose":
         dv1, gw2, gb2 = fully_connected_backward(v1, w2, dz)
@@ -318,39 +321,43 @@ def channel_attention_backward(cache, w1, w2, spec: CBAMSpec, upstream_fc: np.nd
         d_gap2, gw2_in, gb2_in = fully_connected_backward(gap, w2, dv2 * relu_grad(z2), input_grad)
         gw1, gb1, gw2, gb2 = gw1 + gw1_in, gb1 + gb1_in, gw2 + gw2_in, gb2 + gb2_in
         d_gap = d_gap1 + d_gap2 if input_grad else None
+    grads = {prefix + "fc1.w": gw1, prefix + "fc1.b": gb1, prefix + "fc2.w": gw2, prefix + "fc2.b": gb2}
     if not input_grad:
-        return None, gw1, gb1, gw2, gb2
-    grad_x = upstream_fc * gate[:, :, None, None]
-    return grad_x + global_pool_backward(x, "avg", d_gap[:, :, None, None]), gw1, gb1, gw2, gb2
+        return None, grads
+    grad_x = upstream * gate[:, :, None, None]
+    return grad_x + global_pool_backward(x, "avg", d_gap[:, :, None, None]), grads
 
 
 # ---------------------------------------------------------------------------
 # spatial attention
 # ---------------------------------------------------------------------------
 
-def spatial_attention(x: np.ndarray, conv_w: np.ndarray, conv_b, spec: CBAMSpec):
-    """Per-position gates from channel max/mean statistics. Returns
-    (gate map (n, 1, h, w), gated feature map, cache for
-    :func:`spatial_attention_backward`)."""
+def spatial_attention(x: np.ndarray, params, spec: CBAMSpec, prefix: str = ""):
+    """Per-position gates from channel max/mean statistics. Returns (gated
+    feature map, cache for :func:`spatial_attention_backward`); the cache
+    holds the (n, 1, h, w) gate at index 2."""
     stats = spatial_stats(x)
-    z = conv2d_forward(stats, conv_w, conv_b, spec.spatial_conv_spec)
+    z = conv2d_forward(stats, params[prefix + "spatial.w"], params[prefix + "spatial.b"],
+                       spec.spatial_conv_spec)
     m_s = sigmoid(z)
-    return m_s, m_s * x, (x, stats, m_s)
+    return m_s * x, (x, stats, m_s)
 
 
-def spatial_attention_backward(cache, conv_w: np.ndarray, spec: CBAMSpec, upstream_fs: np.ndarray,
-                               input_grad: bool = True):
-    """Gradients of <upstream_fs, gated map> w.r.t. x, the conv kernel and
-    bias; the first is None when ``input_grad`` is false."""
+def spatial_attention_backward(cache, params, spec: CBAMSpec, upstream: np.ndarray,
+                               prefix: str = "", input_grad: bool = True):
+    """Returns (input gradient, gradients of ``spatial`` keyed like
+    ``params``); the input gradient is None when ``input_grad`` is false."""
     x, stats, m_s = cache
-    if upstream_fs.shape != x.shape:
+    if upstream.shape != x.shape:
         raise ConfigError("upstream shape must match input")
-    d_ms = (upstream_fs * x).sum(axis=1, keepdims=True)
+    d_ms = (upstream * x).sum(axis=1, keepdims=True)
     dz = d_ms * m_s * (1.0 - m_s)
-    d_stats, gw, gb = conv2d_backward(stats, conv_w, spec.spatial_conv_spec, dz, input_grad)
+    d_stats, gw, gb = conv2d_backward(stats, params[prefix + "spatial.w"], spec.spatial_conv_spec,
+                                      dz, input_grad)
+    grads = {prefix + "spatial.w": gw, prefix + "spatial.b": gb}
     if not input_grad:
-        return None, gw, gb
-    return upstream_fs * m_s + spatial_stats_backward(x, d_stats), gw, gb
+        return None, grads
+    return upstream * m_s + spatial_stats_backward(x, d_stats), grads
 
 
 # ---------------------------------------------------------------------------
@@ -379,13 +386,11 @@ def cbam_forward(x: np.ndarray, params, spec: CBAMSpec, prefix: str = ""):
     literal: both gates consume x and the two gated maps are multiplied,
     so the result carries x twice.
     """
-    w1, b1, w2, b2 = (params[prefix + k] for k in ("fc1.w", "fc1.b", "fc2.w", "fc2.b"))
-    spatial_w, spatial_b = params[prefix + "spatial.w"], params[prefix + "spatial.b"]
-    _, f_c, c_cache = channel_attention(x, w1, b1, w2, b2, spec)
+    f_c, c_cache = channel_attention(x, params, spec, prefix)
     if spec.composition == "sequential":
-        _, f_s, s_cache = spatial_attention(f_c, spatial_w, spatial_b, spec)
+        f_s, s_cache = spatial_attention(f_c, params, spec, prefix)
         return f_s, (x, c_cache, s_cache, None, None)
-    _, f_s, s_cache = spatial_attention(x, spatial_w, spatial_b, spec)
+    f_s, s_cache = spatial_attention(x, params, spec, prefix)
     return f_c * f_s, (x, c_cache, s_cache, f_c, f_s)
 
 
@@ -398,23 +403,14 @@ def cbam_backward(cache, params, spec: CBAMSpec, upstream: np.ndarray, prefix: s
     x, c_cache, s_cache, f_c, f_s = cache
     if upstream.shape != x.shape:
         raise ConfigError("upstream shape must match input (cbam preserves shape)")
-    w1, w2, spatial_w = (params[prefix + k] for k in ("fc1.w", "fc2.w", "spatial.w"))
     if spec.composition == "sequential":
-        g_fc, gsw, gsb = spatial_attention_backward(s_cache, spatial_w, spec, upstream)
-        grad_x, gw1, gb1, gw2, gb2 = channel_attention_backward(c_cache, w1, w2, spec, g_fc,
-                                                                input_grad)
+        g_fc, g_spatial = spatial_attention_backward(s_cache, params, spec, upstream, prefix)
+        grad_x, g_channel = channel_attention_backward(c_cache, params, spec, g_fc, prefix,
+                                                       input_grad)
     else:
-        gx_c, gw1, gb1, gw2, gb2 = channel_attention_backward(c_cache, w1, w2, spec,
-                                                              upstream * f_s, input_grad)
-        gx_s, gsw, gsb = spatial_attention_backward(s_cache, spatial_w, spec, upstream * f_c,
-                                                    input_grad)
+        gx_c, g_channel = channel_attention_backward(c_cache, params, spec, upstream * f_s,
+                                                     prefix, input_grad)
+        gx_s, g_spatial = spatial_attention_backward(s_cache, params, spec, upstream * f_c,
+                                                     prefix, input_grad)
         grad_x = gx_c + gx_s if input_grad else None
-    grads = {
-        prefix + "fc1.w": gw1,
-        prefix + "fc1.b": gb1,
-        prefix + "fc2.w": gw2,
-        prefix + "fc2.b": gb2,
-        prefix + "spatial.w": gsw,
-        prefix + "spatial.b": gsb,
-    }
-    return grad_x, grads
+    return grad_x, {**g_channel, **g_spatial}

@@ -127,13 +127,15 @@ def _writing(path):
         raise ConfigError(f"cannot write {exc.filename or path}: {exc.strerror}") from None
 
 
-def _head(params: dict, spec: ToyNetSpec, x: Tensor) -> Tensor:
-    """The head net_forward computes from loaded weights. Weights that lack a
-    parameter of the spec are a configuration error, as a wrong shape is."""
+def _detections(params: dict, spec: ToyNetSpec, x: Tensor, values: dict) -> np.ndarray:
+    """The (n, 6) detections that NMS keeps from the head net_forward computes
+    from loaded weights. Weights that lack a parameter of the spec are a
+    configuration error, as a wrong shape is."""
     try:
-        return net_forward(params, spec, x)[0]
+        head = net_forward(params, spec, x)[0]
     except KeyError as exc:
         raise ConfigError(f"weights have no parameter {exc.args[0]!r}") from None
+    return nms(decode(head, spec.stride, values["score_threshold"]), values["nms_iou"])
 
 
 def _json_dump(obj, path) -> None:
@@ -242,8 +244,7 @@ def cmd_eval(args) -> int:
     params = load_weights(weights_path)
     net = cfg.net
     data = synth_dataset(cfg.seed, cfg.dataset_count, net.image_size, net.num_classes)
-    all_dets = [nms(decode(_head(params, net, image), net.stride, values["score_threshold"]),
-                    values["nms_iou"]) for image, _ in data]
+    all_dets = [_detections(params, net, image, values) for image, _ in data]
     summary, curve, per_class = evaluate(
         all_dets, [targets for _, targets in data],
         iou_thr=values["eval_iou"],
@@ -269,8 +270,7 @@ def cmd_detect(args) -> int:
     image = read_image(image_path)
     model_in = to_channels(image, cfg.net.in_channels)
     boxed, scale, pads = letterbox(model_in, cfg.net.image_size, cfg.net.image_size)
-    dets = nms(decode(_head(params, cfg.net, boxed), cfg.net.stride, values["score_threshold"]),
-               values["nms_iou"])
+    dets = _detections(params, cfg.net, boxed, values)
     boxes = boxes_to_source(dets[:, :4], scale, pads, image.w, image.h)
     rows = [(*box, k, score) for box, k, score in
             zip(boxes, dets[:, 5].astype(np.int64).tolist(), dets[:, 4].tolist())]

@@ -1,5 +1,5 @@
 """Analytical per-layer cost accounting: parameters, multiply-accumulates,
-and memory accesses. All arithmetic is exact (Python ints / Fractions).
+and memory accesses. All arithmetic is exact, in Python ints.
 
 Memory-access model (the formula sheet)
 ---------------------------------------

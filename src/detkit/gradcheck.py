@@ -304,17 +304,15 @@ def _check_channel_attention(rng, case, mlp_mode):
     spec = blocks.CBAMSpec(c, reduction=2, channel_mlp=mlp_mode)
     d = spec.mlp_width
     x = rng.standard_normal((2, c, 3, 3))
-    w1 = rng.standard_normal((d, c))
-    b1 = rng.standard_normal((d,))
-    w2 = rng.standard_normal((c, d))
-    b2 = rng.standard_normal((c,))
+    params = {"fc1.w": rng.standard_normal((d, c)), "fc1.b": rng.standard_normal((d,)),
+              "fc2.w": rng.standard_normal((c, d)), "fc2.b": rng.standard_normal((c,))}
     g = rng.standard_normal((2, c, 3, 3))
-    _, _, cache = blocks.channel_attention(x, w1, b1, w2, b2, spec)
+    _, cache = blocks.channel_attention(x, params, spec)
     _, _, _, z1, _, z2, _ = cache  # the relu inputs; z2 is None in prose mode
     if any(_near_kink(z) for z in (z1, z2) if z is not None):
         return None
-    return _arg_errors(lambda *args: blocks.channel_attention(*args, spec)[1], g,
-                       (x, w1, b1, w2, b2), blocks.channel_attention_backward(cache, w1, w2, spec, g))
+    gx, gp = blocks.channel_attention_backward(cache, params, spec, g)
+    return _param_errors(lambda xx, pp: blocks.channel_attention(xx, pp, spec)[0], g, x, params, gx, gp)
 
 
 register("channel_attention")(functools.partial(_check_channel_attention, mlp_mode="prose"))
@@ -327,12 +325,11 @@ def _check_spatial_attention(rng, case):
     k = 3 if rng.integers(2) else 1
     spec = blocks.CBAMSpec(c, spatial_kernel=k)
     x = rng.standard_normal((2, c, 4, 4))
-    w = rng.standard_normal((1, 2, k, k))
-    b = rng.standard_normal((1,))
+    params = {"spatial.w": rng.standard_normal((1, 2, k, k)), "spatial.b": rng.standard_normal((1,))}
     g = rng.standard_normal((2, c, 4, 4))
-    _, _, cache = blocks.spatial_attention(x, w, b, spec)
-    return _arg_errors(lambda *args: blocks.spatial_attention(*args, spec)[1], g, (x, w, b),
-                       blocks.spatial_attention_backward(cache, w, spec, g))
+    _, cache = blocks.spatial_attention(x, params, spec)
+    gx, gp = blocks.spatial_attention_backward(cache, params, spec, g)
+    return _param_errors(lambda xx, pp: blocks.spatial_attention(xx, pp, spec)[0], g, x, params, gx, gp)
 
 
 def _check_cbam(rng, case, composition):

@@ -108,14 +108,17 @@ class ToyNetSpec:
             except ConfigError as exc:
                 raise ConfigError(f"{name}: {exc}") from None
         # The layer specs check what they own: expansion, the odd kernels,
-        # reduction and the CBAM modes. Their messages start with the field,
-        # which names its config key here.
-        try:
-            self.block_spec
-            self.cbam_spec
-        except ConfigError as exc:
-            key = _SPEC_FIELD_KEYS.get(str(exc).split()[0])
-            raise (ConfigError(f"{key}: {exc}") if key else exc) from None
+        # reduction, the CBAM modes and each ConvSpec's weight size. A field's
+        # message starts with the field, which names its config key here; a
+        # weight's is named by its layer. The stem goes first, since
+        # conv_channels rounds stem_channels as a float.
+        for layer in ("stem", "block", "cbam", "head"):
+            try:
+                getattr(self, f"{layer}_spec")
+            except ConfigError as exc:
+                first = str(exc).split()[0]
+                key = layer if first == "weight" else _SPEC_FIELD_KEYS.get(first)
+                raise (ConfigError(f"{key}: {exc}") if key else exc) from None
 
     @property
     def grid(self) -> int:

@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .tensor import ConfigError
+from .tensor import MAX_ELEMENTS, ConfigError
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,9 @@ class ConvSpec:
             raise ConfigError("stride must be >= 1")
         if self.padding < 0:
             raise ConfigError("padding must be >= 0")
+        if self.out_channels * self.in_channels * self.kernel ** 2 > MAX_ELEMENTS:
+            raise ConfigError(f"weight ({self.out_channels}, {self.in_channels}, {self.kernel}, "
+                              f"{self.kernel}) is too large to allocate")
 
     def out_size(self, in_size: int) -> int:
         out = (in_size - self.kernel + 2 * self.padding) // self.stride + 1

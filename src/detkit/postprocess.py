@@ -207,6 +207,6 @@ def detections_from_json(text: str) -> list[Detection]:
                 raise TypeError(f"class must be an integer, got {label!r}")
             dets.append(Detection(BBox(float(x1), float(y1), float(x2), float(y2)),
                                   float(score), label))
-        except (KeyError, TypeError, ValueError, ConfigError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as exc:
             raise ConfigError(f"detections row {i} {row!r}: {type(exc).__name__}: {exc}") from exc
     return dets

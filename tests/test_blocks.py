@@ -1,5 +1,6 @@
 """Partial convolution, residual block, and attention behavior tests."""
 
+import inspect
 from dataclasses import fields
 
 import numpy as np
@@ -16,10 +17,12 @@ from detkit.blocks import (
     cbam_init,
     channel_attention,
     channel_attention_backward,
+    fasternet_block_backward,
     fasternet_block_forward,
     fasternet_block_init,
     pconv_forward,
     spatial_attention,
+    spatial_attention_backward,
 )
 from detkit.ops import ConvSpec
 from detkit.tensor import ConfigError
@@ -123,17 +126,13 @@ def _zero_cbam(spec: CBAMSpec) -> dict[str, np.ndarray]:
     return _zeroed(cbam_init(spec, np.random.default_rng(0)))
 
 
-def _channel_weights(p):
-    return p["fc1.w"], p["fc1.b"], p["fc2.w"], p["fc2.b"]
-
-
 class TestChannelAttention:
     def test_zero_params_give_half_gate(self):
         spec = CBAMSpec(channels=6, reduction=2)
         p = _zero_cbam(spec)
         x = np.random.default_rng(7).standard_normal((2, 6, 3, 3))
-        m_c, f_c, _ = channel_attention(x, *_channel_weights(p), spec)
-        assert np.allclose(m_c, 0.5)
+        f_c, cache = channel_attention(x, p, spec)
+        assert np.allclose(cache[1], 0.5)
         assert np.allclose(f_c, 0.5 * x)
 
     def test_gate_strictly_inside_unit_interval(self):
@@ -141,8 +140,9 @@ class TestChannelAttention:
         rng = np.random.default_rng(8)
         p = cbam_init(spec, rng)
         x = rng.standard_normal((3, 5, 4, 4)) * 5
-        m_c, _, _ = channel_attention(x, *_channel_weights(p), spec)
-        assert np.all(m_c > 0.0) and np.all(m_c < 1.0)
+        gate = channel_attention(x, p, spec)[1][1]
+        assert gate.shape == (3, 5)
+        assert np.all(gate > 0.0) and np.all(gate < 1.0)
 
     def test_gate_depends_only_on_channel_means(self):
         """Two inputs with equal per-channel means produce identical gates."""
@@ -155,8 +155,8 @@ class TestChannelAttention:
             shuffled, rng.permutation(16)[None, None, :].repeat(4, axis=1), axis=2
         ).reshape(1, 4, 4, 4)
         assert not np.array_equal(shuffled, x)
-        m1, _, _ = channel_attention(x, *_channel_weights(p), spec)
-        m2, _, _ = channel_attention(shuffled, *_channel_weights(p), spec)
+        m1 = channel_attention(x, p, spec)[1][1]
+        m2 = channel_attention(shuffled, p, spec)[1][1]
         assert np.allclose(m1, m2, atol=1e-12)
 
     def test_literal_mode_square_weights(self):
@@ -165,15 +165,16 @@ class TestChannelAttention:
         p = cbam_init(spec, rng)
         assert p["fc1.w"].shape == (4, 4) and p["fc2.w"].shape == (4, 4)
         x = rng.standard_normal((1, 4, 3, 3))
-        m_c, f_c, _ = channel_attention(x, *_channel_weights(p), spec)
+        f_c, cache = channel_attention(x, p, spec)
         # reference evaluation of the square-weight double-application form
         gap = x.mean(axis=(2, 3))
-        w1, b1, w2, b2 = _channel_weights(p)
+        w1, b1, w2, b2 = p["fc1.w"], p["fc1.b"], p["fc2.w"], p["fc2.b"]
         v1 = np.maximum(gap @ w1.T + b1, 0.0)
         v2 = np.maximum(gap @ w2.T + b2, 0.0)
         z = v1 @ w1.T + b1 + v2 @ w2.T + b2
         want = 1.0 / (1.0 + np.exp(-z))
-        assert np.allclose(m_c[:, :, 0, 0], want, atol=1e-12)
+        assert np.allclose(cache[1], want, atol=1e-12)
+        assert np.allclose(f_c, want[:, :, None, None] * x, atol=1e-12)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("channel_mlp", ["prose", "literal"])
@@ -190,11 +191,14 @@ class TestChannelAttention:
             x, up = (rng.standard_normal((n, c, h, w)).astype(dtype) for _ in range(2))
             w1, w2 = rng.standard_normal((d1, c)).astype(dtype), rng.standard_normal((c, d1)).astype(dtype)
             b1, b2 = rng.standard_normal(d1).astype(dtype), rng.standard_normal(c).astype(dtype)
-            m_c, f_c, cache = channel_attention(x, w1, b1, w2, b2, spec)
+            p = {"fc1.w": w1, "fc1.b": b1, "fc2.w": w2, "fc2.b": b2}
+            f_c, cache = channel_attention(x, p, spec)
             want_m, want_f, want_cache = inline_channel_attention(x, w1, b1, w2, b2, channel_mlp)
-            got = (m_c, f_c, *channel_attention_backward(cache, w1, w2, spec, up))
+            gx, grads = channel_attention_backward(cache, p, spec, up)
+            got = (cache[1][:, :, None, None], f_c, gx, *grads.values())
             want = (want_m, want_f,
                     *inline_channel_attention_backward(want_cache, w1, w2, channel_mlp, up))
+            assert list(grads) == list(p)
             for g, wv in zip(got, want, strict=True):
                 assert g.dtype == wv.dtype and np.array_equal(g, wv)
 
@@ -202,16 +206,17 @@ class TestChannelAttention:
         spec = CBAMSpec(channels=4, reduction=2)
         with pytest.raises(ConfigError):
             channel_attention(np.zeros((1, 4, 2, 2)),
-                              np.zeros((3, 4)), np.zeros(3),
-                              np.zeros((4, 2)), np.zeros(4), spec)
+                              {"fc1.w": np.zeros((3, 4)), "fc1.b": np.zeros(3),
+                               "fc2.w": np.zeros((4, 2)), "fc2.b": np.zeros(4)}, spec)
 
 
 class TestSpatialAttention:
     def test_zero_conv_gives_half_gate(self):
         spec = CBAMSpec(channels=3)
         x = np.random.default_rng(11).standard_normal((2, 3, 4, 4))
-        m_s, f_s, _ = spatial_attention(x, np.zeros((1, 2, 1, 1)), np.zeros(1), spec)
-        assert np.allclose(m_s, 0.5)
+        f_s, cache = spatial_attention(x, {"spatial.w": np.zeros((1, 2, 1, 1)),
+                                           "spatial.b": np.zeros(1)}, spec)
+        assert np.allclose(cache[2], 0.5)
         assert np.allclose(f_s, 0.5 * x)
 
     def test_matches_composed_ops(self):
@@ -220,11 +225,11 @@ class TestSpatialAttention:
         w = rng.standard_normal((1, 2, 3, 3))
         b = rng.standard_normal(1)
         x = rng.standard_normal((1, 3, 5, 5))
-        m_s, f_s, _ = spatial_attention(x, w, b, spec)
+        f_s, cache = spatial_attention(x, {"spatial.w": w, "spatial.b": b}, spec)
         stats = ops.spatial_stats(x)
         z = ops.conv2d_forward(stats, w, b, ConvSpec(2, 1, 3, 1, 1))
         want_gate = 1.0 / (1.0 + np.exp(-z))
-        assert np.allclose(m_s, want_gate, atol=1e-12)
+        assert np.allclose(cache[2], want_gate, atol=1e-12)
         assert np.allclose(f_s, want_gate * x, atol=1e-12)
 
     def test_gate_range(self):
@@ -232,7 +237,8 @@ class TestSpatialAttention:
         rng = np.random.default_rng(13)
         x = rng.standard_normal((2, 4, 3, 3)) * 4
         w = rng.standard_normal((1, 2, 1, 1))
-        m_s, _, _ = spatial_attention(x, w, rng.standard_normal(1), spec)
+        m_s = spatial_attention(x, {"spatial.w": w, "spatial.b": rng.standard_normal(1)}, spec)[1][2]
+        assert m_s.shape == (2, 1, 3, 3)
         assert np.all(m_s > 0.0) and np.all(m_s < 1.0)
 
     def test_even_kernel_rejected(self):
@@ -263,8 +269,8 @@ class TestCBAM:
         rng = np.random.default_rng(16)
         p = cbam_init(spec, rng)
         x = rng.standard_normal((2, 5, 4, 4))
-        _, f_c, _ = channel_attention(x, *_channel_weights(p), spec)
-        _, want, _ = spatial_attention(f_c, p["spatial.w"], p["spatial.b"], spec)
+        f_c, _ = channel_attention(x, p, spec)
+        want, _ = spatial_attention(f_c, p, spec)
         got, _ = cbam_forward(x, p, spec)
         assert np.allclose(got, want, atol=1e-12)
 
@@ -293,3 +299,50 @@ class TestCBAM:
         assert list(grads) == list(full)
         for k in full:
             assert grads[k].tobytes() == full[k].tobytes(), k
+
+
+# (forward, backward) of each block-level pair, and the store names its
+# backward returns gradients for, in store order.
+_BLOCK_PAIRS = {
+    "fasternet_block": (fasternet_block_forward, fasternet_block_backward,
+                        ("pconv.w", "pw1.w", "pw1.b", "pw2.w", "pw2.b")),
+    "channel_attention": (channel_attention, channel_attention_backward,
+                          ("fc1.w", "fc1.b", "fc2.w", "fc2.b")),
+    "spatial_attention": (spatial_attention, spatial_attention_backward,
+                          ("spatial.w", "spatial.b")),
+    "cbam": (cbam_forward, cbam_backward,
+             ("fc1.w", "fc1.b", "fc2.w", "fc2.b", "spatial.w", "spatial.b")),
+}
+
+
+@pytest.mark.parametrize("name", list(_BLOCK_PAIRS))
+def test_every_block_follows_one_convention(name):
+    """forward(x, params, spec, prefix) returns (output of x's shape, cache);
+    backward(cache, params, spec, upstream, prefix) returns (input gradient,
+    the gradients of the block's own prefixed parameters in store order), and
+    with input_grad=False, where it exists, None and the same gradients bit
+    for bit. The store also holds other layers' parameters, as the network's
+    does."""
+    forward, backward, names = _BLOCK_PAIRS[name]
+    prefix = "neck.1."
+    rng = np.random.default_rng(21)
+    if name == "fasternet_block":
+        spec = FasterNetBlockSpec(PConvSpec(6, 2, 3))
+        own = fasternet_block_init(spec, rng, prefix=prefix)
+    else:
+        spec = CBAMSpec(6, reduction=2, spatial_kernel=3)
+        own = cbam_init(spec, rng, prefix=prefix)
+    store = {"stem.b": np.zeros(6), **own, "head.b": np.zeros(6)}
+    x, up = rng.standard_normal((2, 6, 4, 5)), rng.standard_normal((2, 6, 4, 5))
+    out, cache = forward(x, store, spec, prefix)
+    assert out.shape == x.shape
+    gx, grads = backward(cache, store, spec, up, prefix)
+    assert gx.shape == x.shape
+    assert list(grads) == [prefix + n for n in names]
+    for k, g in grads.items():
+        assert g.shape == store[k].shape, k
+    if "input_grad" in inspect.signature(backward).parameters:
+        no_gx, same = backward(cache, store, spec, up, prefix, input_grad=False)
+        assert no_gx is None and list(same) == list(grads)
+        for k in grads:
+            assert same[k].tobytes() == grads[k].tobytes(), k

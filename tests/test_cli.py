@@ -817,16 +817,40 @@ class TestTrainEvalDetect:
         assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1, err
 
     # Past 8 EiB numpy cannot even describe the array and raises ValueError,
-    # not MemoryError; the spec rejects such a size and names its key.
-    @pytest.mark.parametrize("key, value", [("expansion", "1e16"), ("image_size", "2000000000")])
+    # not MemoryError (or, for a stem_channels too large for a float,
+    # OverflowError); the spec rejects such a size and names its key, or, for
+    # a convolution's weight, its layer.
+    @pytest.mark.parametrize("key, value", [
+        ("expansion", "1e16"), ("image_size", "2000000000"),
+        ("in_channels", "100000000000000000000"), ("pconv_kernel", "100000000000000000001"),
+        ("cbam_spatial_kernel", "100000000000000000001"),
+        pytest.param("stem_channels", "1" + "0" * 400, id="stem_channels-401-digits")])
     def test_a_net_past_the_largest_array_is_a_config_error(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"epochs = 1\ndataset_count = 2\n{key} = {value}\n", encoding="utf-8")
         code = cli.main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
         assert code == cli.EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {key} ") and "too large to allocate" in err, err
+        start = {"in_channels": "stem: weight (40, ", "pconv_kernel": "block: weight (10, 10, ",
+                 "cbam_spatial_kernel": "cbam: weight (1, 2, ",
+                 "stem_channels": "stem: weight (1000"}.get(key, f"{key} ")
+        assert err.startswith(f"error: {start}") and "too large to allocate" in err, err
         assert err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("command", ["report", "bench"])
+    def test_a_stem_too_large_for_a_float_is_a_config_error_in_report_and_bench(
+            self, tmp_path, capsys, command):
+        """conv_channels rounds cp_fraction * stem_channels as a float; the stem
+        is checked first, so a 401-digit width exits 2, not with OverflowError."""
+        spec = tmp_path / "net.cfg"
+        spec.write_text("stem_channels = 1" + "0" * 400 + "\n", encoding="utf-8")
+        out = tmp_path / "o"
+        argv = {"report": ["report", "--spec", str(spec), "--json-out", str(out)],
+                "bench": ["bench", "--spec", str(spec), "--out-dir", str(out)]}[command]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: stem: weight ") and err.endswith(" is too large to allocate\n")
+        assert not out.exists()
 
     def test_unchecked_train_leaves_tensors_checked(self, tmp_path):
         """checked = false has no effect: after a train run that sets it, a

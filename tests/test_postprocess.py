@@ -339,9 +339,16 @@ class TestDetectionJson:
         ('[{"bbox": [0, 0, 1e999, 1], "score": 0.5, "class": 0}]', r"row 0 .*non-finite corner"),
         ('[{"bbox": [2, 0, 1, 1], "score": 0.5, "class": 0}]', r"row 0 .*degenerate corner order"),
         ('[{"bbox": [0, 0, 1, 1], "score": 1.5, "class": 0}]', r"row 0 .*score 1\.5 outside \[0, 1\]"),
+        # integers too large for a float: float() raises OverflowError
+        ('[{"bbox": [0, 0, 1, 1], "score": 0.5, "class": 0}, '
+         f'{{"bbox": [0, 0, 1{"0" * 400}, 1], "score": 0.5, "class": 0}}]',
+         r"row 1 .*OverflowError: int too large to convert to float"),
+        (f'[{{"bbox": [0, 0, 1, 1], "score": 1{"0" * 400}, "class": 0}}]',
+         r"row 0 .*OverflowError: int too large to convert to float"),
     ], ids=["missing-class", "three-element-bbox", "top-level-object", "truncated",
             "fractional-class", "bool-score", "bool-class", "infinite-x2", "infinite-x1",
-            "infinite-y1-y2", "nan-y2", "overflowing-x2", "flipped-x", "score-above-one"])
+            "infinite-y1-y2", "nan-y2", "overflowing-x2", "flipped-x", "score-above-one",
+            "401-digit-x2", "401-digit-score"])
     def test_malformed_rows_raise_config_error(self, text, match):
         with pytest.raises(ConfigError, match=match):
             detections_from_json(text)

@@ -62,7 +62,7 @@ from .ops import (
     spatial_stats,
     spatial_stats_backward,
 )
-from .tensor import MAX_ELEMENTS, ConfigError
+from .tensor import ConfigError
 
 
 @dataclass(frozen=True)
@@ -158,9 +158,8 @@ class FasterNetBlockSpec:
         # also false for NaN; an infinite ratio has no hidden width
         if not 0.0 < self.expansion < math.inf:
             raise ConfigError(f"expansion must be finite and > 0, got {self.expansion}")
-        if self.hidden * self.channels > MAX_ELEMENTS:
-            raise ConfigError(f"expansion {self.expansion} is too large to allocate: "
-                              f"hidden width {self.hidden}")
+        # built now, so that their weight checks run when the spec is made
+        self.pw1_spec, self.pw2_spec
 
     @property
     def channels(self) -> int:

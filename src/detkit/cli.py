@@ -37,7 +37,7 @@ from .imageio import ImageFormatError, draw_boxes, read_image, to_channels, writ
 from .metrics import evaluate, pr_curve_csv
 from .model import ToyNetSpec, cost_layers, net_forward
 from .postprocess import boxes_to_source, decode, detections_to_json, letterbox, nms
-from .tensor import ConfigError, Tensor
+from .tensor import ConfigError
 from .train import TrainConfig, TrainingDiverged, train_toy
 from .weights_io import (
     WeightsChecksumError,
@@ -72,7 +72,8 @@ _EXIT_CODES = (
     (MemoryError, EXIT_CONFIG),
 )
 
-# "checked" only keeps older configs parsing: every Tensor checks finiteness.
+# "checked" only keeps older configs parsing: finiteness is always checked, of
+# each image where it is read or generated and of the head and its gradient.
 _RUN_DEFAULTS = {"score_threshold": 0.25, "nms_iou": 0.45, "eval_iou": 0.5, "checked": True}
 # Run values compared against scores and IoUs: each must lie in [0, 1], which
 # also rejects NaN, since every comparison with NaN is false.
@@ -127,7 +128,7 @@ def _writing(path):
         raise ConfigError(f"cannot write {exc.filename or path}: {exc.strerror}") from None
 
 
-def _detections(params: dict, spec: ToyNetSpec, x: Tensor, values: dict) -> np.ndarray:
+def _detections(params: dict, spec: ToyNetSpec, x: np.ndarray, values: dict) -> np.ndarray:
     """The (n, 6) detections that NMS keeps from the head net_forward computes
     from loaded weights. Weights that lack a parameter of the spec are a
     configuration error, as a wrong shape is."""
@@ -244,7 +245,7 @@ def cmd_eval(args) -> int:
     params = load_weights(weights_path)
     net = cfg.net
     data = synth_dataset(cfg.seed, cfg.dataset_count, net.image_size, net.num_classes)
-    all_dets = [_detections(params, net, image, values) for image, _ in data]
+    all_dets = [_detections(params, net, image.data, values) for image, _ in data]
     summary, curve, per_class = evaluate(
         all_dets, [targets for _, targets in data],
         iou_thr=values["eval_iou"],
@@ -268,7 +269,7 @@ def cmd_detect(args) -> int:
     image_path = _require_file(args.image, "image file")
     params = load_weights(weights_path)
     image = read_image(image_path)
-    model_in = to_channels(image, cfg.net.in_channels)
+    model_in = to_channels(image, cfg.net.in_channels).data
     boxed, scale, pads = letterbox(model_in, cfg.net.image_size, cfg.net.image_size)
     dets = _detections(params, cfg.net, boxed, values)
     boxes = boxes_to_source(dets[:, :4], scale, pads, image.w, image.h)

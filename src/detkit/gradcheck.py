@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from . import blocks, losses, ops
-from .tensor import ConfigError, Tensor
+from .tensor import ConfigError
 
 FD_STEP = 1e-6
 REL_ERR_FLOOR = 1e-4
@@ -415,10 +415,10 @@ def _check_detection_loss(rng, case):
     cy = rng.uniform(h / 2 + 0.1, 24.0 - h / 2 - 0.1)
     targets = np.array([[cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2, rng.integers(k)]])
     variant = "iou" if case % 2 == 0 else "ciou"
-    _, grad = losses.detection_loss(Tensor(head), [targets], variant, stride)
+    _, grad = losses.detection_loss(head, [targets], variant, stride)
 
     def totals(rows):
-        return losses.detection_loss(Tensor(rows.reshape(-1, *head.shape[1:])), [targets] * len(rows),
+        return losses.detection_loss(rows.reshape(-1, *head.shape[1:]), [targets] * len(rows),
                                      variant, stride, with_grad=False)[0][:, 3]
 
     return _arg_errors(totals, np.ones(1), (head,), (grad,))

@@ -1,7 +1,9 @@
 """Minimal PPM/PGM image reading and writing (binary and ASCII variants).
 
-Pixels are exchanged as Tensors with values in [0, 1]; PGM maps to one
-channel, PPM to three. Box overlays are drawn as 1-pixel-wide outlines.
+Pixels are exchanged as (1, c, h, w) Tensors with values in [0, 1]; PGM
+maps to one channel, PPM to three. This and ``dataset.synth_dataset`` are
+where images become Tensors, each scanned for NaN and Inf once; the detector
+takes their ``data``. Box overlays are drawn as 1-pixel-wide outlines.
 """
 
 from __future__ import annotations

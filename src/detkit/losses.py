@@ -36,7 +36,7 @@ import math
 import numpy as np
 
 from .ops import sigmoid
-from .tensor import ConfigError, Tensor, _require_finite
+from .tensor import ConfigError, _require_finite
 
 EPS = 1e-9
 _VARIANTS = ("iou", "ciou", "wiou")
@@ -155,7 +155,7 @@ def _bce_with_logits(z: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def detection_loss(
-    predictions: Tensor,
+    head: np.ndarray,
     target_lists,
     variant: str = "wiou",
     stride: float = 8.0,
@@ -166,15 +166,15 @@ def detection_loss(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Composite loss of each prediction grid of a batch: (terms, grad).
 
-    predictions: (n, 5 + K, gh, gw), channel layout [tx, ty, tw, th,
-    objectness, class logits...]; target_lists: one (t, 5) float64 array per
-    image, a row [x1, y1, x2, y2, class] per target, with an integer class id
-    in [0, K) and a box of positive area inside the gw * stride by
-    gh * stride image (an image without targets may pass []). Each target
-    trains the cell containing its center: the box term (selected variant,
-    averaged over the image's targets), a one-vs-all class BCE on assigned
-    cells, and an objectness BCE over every cell (1 on assigned cells, 0
-    elsewhere).
+    head: the (n, 5 + K, gh, gw) prediction grids, channel layout [tx, ty,
+    tw, th, objectness, class logits...]; target_lists: one (t, 5) float64
+    array per image, a row [x1, y1, x2, y2, class] per target, with an
+    integer class id in [0, K) and a box of positive area inside the
+    gw * stride by gh * stride image (an image without targets may pass []).
+    Each target trains the cell containing its center: the box term (selected
+    variant, averaged over the image's targets), a one-vs-all class BCE on
+    assigned cells, and an objectness BCE over every cell (1 on assigned
+    cells, 0 elsewhere).
 
     terms is an (n, 4) float64 array, a row [box, objectness, class, total]
     per image, total the weighted sum of the other three. grad, None unless
@@ -186,7 +186,7 @@ def detection_loss(
     """
     if variant not in _VARIANTS:
         raise ConfigError(f"unknown loss variant {variant!r}")
-    n, c, gh, gw = predictions.shape
+    n, c, gh, gw = head.shape
     if c < 6:
         raise ConfigError("prediction grid needs at least 5 + 1 channels")
     if stride <= 0:
@@ -195,7 +195,6 @@ def detection_loss(
         raise ConfigError(f"{len(target_lists)} target lists for {n} prediction grids")
     num_classes = c - 5
     img_w, img_h = gw * stride, gh * stride
-    head = predictions.data
     per_image = [np.asarray(t, dtype=np.float64).reshape(-1, 5) for t in target_lists]
     img = np.repeat(np.arange(n), [len(t) for t in per_image])
     targets = np.concatenate(per_image) if per_image else np.empty((0, 5))

@@ -5,10 +5,12 @@ runs on one grid), two partial-convolution residual blocks, pyramid max
 pooling, one CBAM attention block, then a pointwise prediction head emitting
 [tx, ty, tw, th, objectness, class logits] per cell.
 
-Inside the network every value is a bare ndarray, as in :mod:`detkit.ops`
-and :mod:`detkit.blocks`; a ``Tensor`` appears only where data crosses the
-model: ``net_forward`` takes the input image batch as one and returns the
-head as one, and ``net_backward`` takes the head gradient as one.
+Every value is a bare ndarray, as in :mod:`detkit.ops` and
+:mod:`detkit.blocks`: ``net_forward`` takes the input image batch and returns
+the head, ``net_backward`` takes the head gradient. Each reads its array
+argument through ``np.asarray``, so an image ``Tensor`` passes as its data.
+The head is the one value the model scans for NaN and Inf, by name; the
+images were scanned where they were read or generated.
 
 The freeze boundary is the neck, the SPP output: the stem and both blocks
 below it form the backbone, CBAM and the head above it train in every phase.
@@ -64,7 +66,7 @@ from .blocks import (
 from .cost import LayerCost, conv_cost, spp_cost
 from .ops import (ConvSpec, activation, activation_backward, check_activation, check_pool_windows,
                   conv2d_backward, conv2d_forward, spp, spp_backward)
-from .tensor import MAX_ELEMENTS, ConfigError, Tensor, _require_finite
+from .tensor import MAX_ELEMENTS, ConfigError, _require_finite
 
 
 # The config key of each layer-spec field whose name differs from it.
@@ -194,9 +196,11 @@ class NetCache(NamedTuple):
     att: np.ndarray
 
 
-def net_forward(params: dict[str, np.ndarray], spec: ToyNetSpec, x: Tensor | None = None,
+def net_forward(params: dict[str, np.ndarray], spec: ToyNetSpec, x: np.ndarray | None = None,
                 neck: np.ndarray | None = None, freeze_backbone: bool = False):
-    """Run the detector; returns (head tensor (n, 5+K, g, g), NetCache).
+    """Run the detector on the (n, in_channels, image_size, image_size) batch
+    x; returns (head (n, 5+K, g, g), NetCache), or raises
+    NonFiniteError("non-finite head").
 
     With ``neck``, the SPP output (n, neck_channels, g, g) of a frozen
     backbone, the backbone is not run and ``x`` is not used. With
@@ -204,29 +208,31 @@ def net_forward(params: dict[str, np.ndarray], spec: ToyNetSpec, x: Tensor | Non
     Either way the cache has no backbone part."""
     backbone = None
     if neck is None:
+        x = np.asarray(x)
         if x.shape[1:] != (spec.in_channels, spec.image_size, spec.image_size):
             raise ConfigError(
                 f"input shape {x.shape} does not match ({spec.in_channels}, "
                 f"{spec.image_size}, {spec.image_size})"
             )
-        stem_z = conv2d_forward(x.data, params["stem.w"], params["stem.b"], spec.stem_spec)
+        stem_z = conv2d_forward(x, params["stem.w"], params["stem.b"], spec.stem_spec)
         stem_a, stem_act_cache = activation(stem_z, spec.activation)
         b1, b1_cache = fasternet_block_forward(stem_a, params, spec.block_spec, "block1.")
         b2, b2_cache = fasternet_block_forward(b1, params, spec.block_spec, "block2.")
         neck = spp(b2, spec.spp_windows)
         if not freeze_backbone:
-            backbone = (x.data, stem_act_cache, b1_cache, b2_cache, b2)
+            backbone = (x, stem_act_cache, b1_cache, b2_cache, b2)
     att, cbam_cache = cbam_forward(neck, params, spec.cbam_spec, "cbam.")
     head = conv2d_forward(att, params["head.w"], params["head.b"], spec.head_spec)
     _require_finite("head", head)
-    return Tensor(head), NetCache(backbone, neck, cbam_cache, att)
+    return head, NetCache(backbone, neck, cbam_cache, att)
 
 
-def net_backward(params: dict[str, np.ndarray], spec: ToyNetSpec, cache: NetCache, upstream: Tensor):
+def net_backward(params: dict[str, np.ndarray], spec: ToyNetSpec, cache: NetCache, upstream: np.ndarray):
     """Gradients of <upstream, head>, keyed and ordered like params: every
     parameter's, or, when the cache has no backbone part, only those of
     ``cbam.*`` and ``head.*``."""
-    g_att, g_headw, g_headb = conv2d_backward(cache.att, params["head.w"], spec.head_spec, upstream.data)
+    upstream = np.asarray(upstream)
+    g_att, g_headw, g_headb = conv2d_backward(cache.att, params["head.w"], spec.head_spec, upstream)
     g_neck, g_cbam = cbam_backward(cache.cbam, params, spec.cbam_spec, g_att, "cbam.",
                                    input_grad=cache.backbone is not None)
     head_grads = {**g_cbam, "head.w": g_headw, "head.b": g_headb}

@@ -1,6 +1,6 @@
 """Anchor-free grid decode, greedy NMS, and letterbox preprocessing.
 
-A head tensor of shape (1, 5 + K, grid_h, grid_w) holds, per cell,
+A head array of shape (1, 5 + K, grid_h, grid_w) holds, per cell,
 [tx, ty, tw, th, objectness, K class logits]. Decode turns each cell into a
 candidate box: center ((col + sigmoid(tx)) stride, (row + sigmoid(ty)) stride),
 size (e^tw stride, e^th stride), scored sigmoid(obj) * max_k sigmoid(cls_k).
@@ -25,12 +25,12 @@ import numpy as np
 
 from .losses import pairwise_iou
 from .ops import sigmoid
-from .tensor import ConfigError, Tensor
+from .tensor import ConfigError
 
 _LOGIT_CAP = 60.0  # e^60 ~ 1e26; caps box sizes before the image-bounds clamp
 
 
-def decode(head: Tensor, stride: float, score_threshold: float) -> np.ndarray:
+def decode(head: np.ndarray, stride: float, score_threshold: float) -> np.ndarray:
     """The (n, 6) detections [x1, y1, x2, y2, score, class] of the cells whose
     score clears the threshold, boxes clamped to the image the grid covers,
     (grid_w stride) x (grid_h stride). The grid and the class count K are the
@@ -42,7 +42,7 @@ def decode(head: Tensor, stride: float, score_threshold: float) -> np.ndarray:
         raise ConfigError(f"head shape {head.shape} is not (1, 5 + K, h, w) with K >= 1")
     if not stride > 0:
         raise ConfigError(f"stride must be > 0, got {stride}")
-    p = head.data[0]
+    p = head[0]
     # a Python float: a numpy scalar would promote a float32 head's box sizes to float64
     s = float(stride)
     image_w, image_h = grid_w * s, grid_h * s
@@ -90,27 +90,29 @@ def nms(dets: np.ndarray, iou_threshold: float = 0.45) -> np.ndarray:
     return ranked[keep]
 
 
-def letterbox(image: Tensor, target_h: int, target_w: int):
-    """Aspect-preserving nearest-neighbor resize plus symmetric 0.5-valued
-    padding. Returns (tensor, scale, (pad_x, pad_y)); a source point maps to
-    (x * scale + pad_x, y * scale + pad_y)."""
+def letterbox(image: np.ndarray, target_h: int, target_w: int):
+    """Aspect-preserving nearest-neighbor resize of an (n, c, h, w) image
+    batch plus symmetric 0.5-valued padding. Returns (array, scale,
+    (pad_x, pad_y)); a source point maps to (x * scale + pad_x,
+    y * scale + pad_y)."""
     if target_h < 1 or target_w < 1:
         raise ConfigError("target dims must be >= 1")
-    if image.h < 1 or image.w < 1:
+    n, c, h, w = image.shape
+    if h < 1 or w < 1:
         raise ConfigError("cannot letterbox an empty image")
-    scale = min(target_h / image.h, target_w / image.w)
-    new_h = min(target_h, max(1, round(image.h * scale)))
-    new_w = min(target_w, max(1, round(image.w * scale)))
+    scale = min(target_h / h, target_w / w)
+    new_h = min(target_h, max(1, round(h * scale)))
+    new_w = min(target_w, max(1, round(w * scale)))
 
-    src_rows = np.minimum((np.arange(new_h) + 0.5) / scale, image.h - 1).astype(int)
-    src_cols = np.minimum((np.arange(new_w) + 0.5) / scale, image.w - 1).astype(int)
-    resized = image.data[:, :, src_rows[:, None], src_cols[None, :]]
+    src_rows = np.minimum((np.arange(new_h) + 0.5) / scale, h - 1).astype(int)
+    src_cols = np.minimum((np.arange(new_w) + 0.5) / scale, w - 1).astype(int)
+    resized = image[:, :, src_rows[:, None], src_cols[None, :]]
 
     pad_top = (target_h - new_h) // 2
     pad_left = (target_w - new_w) // 2
-    out = np.full((image.n, image.c, target_h, target_w), 0.5, dtype=image.dtype)
+    out = np.full((n, c, target_h, target_w), 0.5, dtype=image.dtype)
     out[:, :, pad_top:pad_top + new_h, pad_left:pad_left + new_w] = resized
-    return Tensor(out), scale, (pad_left, pad_top)
+    return out, scale, (pad_left, pad_top)
 
 
 def boxes_to_source(boxes: np.ndarray, scale: float, pads: tuple[int, int],

@@ -1,15 +1,17 @@
 """Dense rank-4 tensors in (n, c, h, w) layout, and the ``.dkt`` file format.
 
-A Tensor wraps data where it crosses the model or a file: images read,
-generated or letterboxed, the network input, the head that
-``model.net_forward`` returns and the head gradient given to
-``model.net_backward`` (``losses`` and ``postprocess.decode`` consume the
-head), and ``.dkt`` files. Inside the network (``ops``, ``blocks``,
-``model``) and in the parameter store every value is a bare ndarray. Data is
-stored row-major in (n, c, h, w) order, 64-bit by default. Every construction
-rejects NaN and Inf, so no non-finite image, network input, head or head
-gradient gets through; :func:`_require_finite` is that check, and callers that
-know what a value is use it to name it (``net_forward`` names the head).
+A Tensor wraps an image only where it meets a file or the generator:
+``imageio`` reads, writes, converts and draws Tensors,
+``dataset.synth_dataset`` yields them and ``.dkt`` files hold them. The
+detector (``ops``, ``blocks``, ``model``, ``losses``, ``postprocess``,
+``train``) takes and returns bare ndarrays; its callers unwrap an image's
+``data`` once, where it leaves ``imageio`` or the generator. Data is stored
+row-major in (n, c, h, w) order, 64-bit by default. Every construction
+rejects NaN and Inf, so each image read or generated is scanned once.
+:func:`_require_finite` is that check, and the detector scans each value it
+makes once with it, by name: the head (``model.net_forward``), the head
+gradient (``losses.detection_loss``) and each parameter gradient
+(``train``).
 """
 
 from __future__ import annotations
@@ -73,13 +75,9 @@ class Tensor:
         _require_finite("tensor", arr)
         self.data = arr
 
-    @classmethod
-    def zeros(cls, shape, dtype=DEFAULT_DTYPE) -> "Tensor":
-        return cls(np.zeros(shape, dtype=dtype))
-
-    @classmethod
-    def full(cls, shape, value, dtype=DEFAULT_DTYPE) -> "Tensor":
-        return cls(np.full(shape, value, dtype=dtype))
+    def __array__(self, dtype=None, copy=None):
+        """``np.asarray(tensor)`` is its data."""
+        return np.array(self.data, dtype=dtype, copy=copy)
 
     @property
     def shape(self) -> tuple[int, int, int, int]:
@@ -104,9 +102,6 @@ class Tensor:
     @property
     def w(self) -> int:
         return self.data.shape[3]
-
-    def astype(self, dtype) -> "Tensor":
-        return Tensor(self.data.astype(dtype))
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype})"

@@ -24,7 +24,7 @@ from .dataset import synth_dataset
 from .losses import detection_loss
 from .model import ToyNetSpec, init_params, net_backward, net_forward
 from .optim import AdamWState, adamw_step, cosine_lr
-from .tensor import ConfigError, NonFiniteError, Tensor, _require_finite
+from .tensor import ConfigError, NonFiniteError, _require_finite
 
 
 class TrainingDiverged(RuntimeError):
@@ -85,7 +85,8 @@ class EpochStats:
 
 def _batch_loss_and_grads(params, cfg: TrainConfig, images, target_lists, frozen, neck):
     """Mean loss over a batch plus parameter gradients: one net forward, one
-    loss call over the whole batch and one net backward.
+    loss call over the whole batch and one net backward. ``images`` are the
+    batch's (1, c, S, S) arrays.
 
     ``frozen`` stops the backward at the neck, so only the CBAM and head
     gradients come back; ``neck``, the batch's stored neck, then stands in for
@@ -95,12 +96,12 @@ def _batch_loss_and_grads(params, cfg: TrainConfig, images, target_lists, frozen
     Raises NonFiniteError naming the first non-finite value: the head (named
     by ``net_forward``), the head gradient (named by the loss) or a parameter
     gradient."""
-    x = None if neck is not None else Tensor(np.concatenate([im.data for im in images], axis=0))
+    x = None if neck is not None else np.concatenate(images, axis=0)
     head, cache = net_forward(params, cfg.net, x, neck=neck, freeze_backbone=frozen)
     terms, grad = detection_loss(head, target_lists, cfg.loss_variant, float(cfg.net.stride),
                                  cfg.box_weight, cfg.obj_weight, cfg.cls_weight)
     bsz = len(images)
-    grads = net_backward(params, cfg.net, cache, Tensor(grad / bsz))
+    grads = net_backward(params, cfg.net, cache, grad / bsz)
     for name, g in grads.items():
         _require_finite(f"{name} gradient", g)
     return terms.sum(axis=0) / bsz, grads, cache.neck
@@ -109,10 +110,10 @@ def _batch_loss_and_grads(params, cfg: TrainConfig, images, target_lists, frozen
 def train_toy(config: TrainConfig):
     """Run the two-phase schedule; returns (params, [EpochStats])."""
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    data = synth_dataset(config.seed, config.dataset_count, config.net.image_size,
-                         config.net.num_classes)
-    if config.dtype != "float64":
-        data = [(img.astype(config.np_dtype), t) for img, t in data]
+    # each image as a (1, c, S, S) array in the run's dtype
+    data = [(img.data.astype(config.np_dtype, copy=False), t)
+            for img, t in synth_dataset(config.seed, config.dataset_count,
+                                        config.net.image_size, config.net.num_classes)]
     params = init_params(config.net, rng, dtype=config.np_dtype)
     state = AdamWState.init(params, weight_decay=config.weight_decay)
     freeze_epochs = round(config.freeze_fraction * config.epochs)

@@ -13,7 +13,7 @@ import numpy as np
 from detkit import losses, ops
 from detkit.metrics import EvalSummary, match_image
 from detkit.postprocess import _LOGIT_CAP
-from detkit.tensor import ConfigError, Tensor
+from detkit.tensor import ConfigError
 
 # ---------------------------------------------------------------------------
 # The scalar box API: one box, one detection, one pair at a time, as detkit
@@ -275,7 +275,7 @@ def scalar_decode(head, stride, score_threshold):
     """Grid decode one cell at a time, on the grid of the head's shape: each
     emitted cell's corners are clamped with Python min/max on its own scalars
     to the image the grid covers."""
-    p = head.data[0]
+    p = head[0]
     s = stride
     grid_h, grid_w = p.shape[1:]
     image_w, image_h = grid_w * s, grid_h * s
@@ -666,14 +666,14 @@ def scalar_box_loss_and_grad(variant, pred, gt):
 def check_detection_args(predictions, targets, stride, variant):
     if variant not in ("iou", "ciou", "wiou"):
         raise ConfigError(f"unknown loss variant {variant!r}")
-    if predictions.n != 1:
+    n, c, gh, gw = predictions.shape
+    if n != 1:
         raise ConfigError("detection loss expects a single-image prediction grid")
-    if predictions.c < 6:
+    if c < 6:
         raise ConfigError("prediction grid needs at least 5 + 1 channels")
     if stride <= 0:
         raise ConfigError("stride must be positive")
-    num_classes = predictions.c - 5
-    gh, gw = predictions.h, predictions.w
+    num_classes = c - 5
     img_w, img_h = gw * stride, gh * stride
     for bbox, cls in targets:
         if not 0 <= cls < num_classes:
@@ -704,7 +704,7 @@ def per_image_detection_loss(predictions, targets, variant="wiou", stride=8.0,
     read as (BBox, class) pairs."""
     targets = target_pairs(targets)
     num_classes, gh, gw = check_detection_args(predictions, targets, stride, variant)
-    p = predictions.data[0]
+    p = predictions[0]
     assigned = assign_cells(targets, stride, gh, gw)
     n_t = len(assigned)
     grad = np.zeros_like(p)
@@ -766,7 +766,7 @@ def separate_detection_loss_grad(predictions, targets, variant="wiou", stride=8.
     in one pass changes no bit of the separate gradient."""
     targets = target_pairs(targets)
     num_classes, gh, gw = check_detection_args(predictions, targets, stride, variant)
-    p = predictions.data[0]
+    p = predictions[0]
     assigned = assign_cells(targets, stride, gh, gw)
     grad = np.zeros_like(p)
     n_t = len(assigned)
@@ -791,4 +791,4 @@ def separate_detection_loss_grad(predictions, targets, variant="wiou", stride=8.
         grad[5:, row, col] += (cls_prob - onehot) * cls_weight / (n_t * num_classes)
 
     grad[4] += (masked_sigmoid(p[4]).astype(np.float64, copy=False) - obj_target) * (obj_weight / (gh * gw))
-    return Tensor(grad[None])
+    return grad[None]

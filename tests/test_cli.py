@@ -590,7 +590,7 @@ class TestTrainEvalDetect:
         weights = tmp_path / "zero.dkw"
         save_weights(params, weights)
         img_path = tmp_path / "blank.pgm"
-        write_image(img_path, Tensor.full((1, 1, 32, 32), 0.2))
+        write_image(img_path, Tensor(np.full((1, 1, 32, 32), 0.2)))
         out_json = tmp_path / "dets.json"
         code = cli.main(["detect", "--config", str(small_config),
                          "--weights", str(weights), "--image", str(img_path),
@@ -612,7 +612,7 @@ class TestTrainEvalDetect:
         weights = tmp_path / "edge.dkw"
         save_weights(params, weights)
         img_path = tmp_path / "wide.pgm"
-        write_image(img_path, Tensor.full((1, 1, 20, 40), 0.2))
+        write_image(img_path, Tensor(np.full((1, 1, 20, 40), 0.2)))
         out_json = tmp_path / "dets.json"
         code = cli.main(["detect", "--config", str(small_config), "--weights", str(weights),
                          "--image", str(img_path), "--out", str(out_json)])
@@ -728,7 +728,7 @@ class TestTrainEvalDetect:
         weights = tmp_path / "nan.dkw"
         save_weights(params, weights)
         image = tmp_path / "x.pgm"
-        write_image(image, Tensor.full((1, 1, 32, 32), 0.2))
+        write_image(image, Tensor(np.full((1, 1, 32, 32), 0.2)))
         argv = [command, "--config", str(cfg), "--weights", str(weights)] + (
             ["--image", str(image), "--out", str(tmp_path / "d.json")] if command == "detect"
             else ["--out-dir", str(tmp_path / "e")])
@@ -763,7 +763,7 @@ class TestTrainEvalDetect:
         weights = tmp_path / "partial.dkw"
         save_weights(params, weights)
         image = tmp_path / "x.pgm"
-        write_image(image, Tensor.full((1, 1, 32, 32), 0.2))
+        write_image(image, Tensor(np.full((1, 1, 32, 32), 0.2)))
         argv = [command, "--config", str(small_config), "--weights", str(weights)] + (
             ["--image", str(image), "--out", str(tmp_path / "d.json")] if command == "detect"
             else ["--out-dir", str(tmp_path / "e")])
@@ -798,7 +798,7 @@ class TestTrainEvalDetect:
         body = edit(weights.read_bytes()[:-8])
         weights.write_bytes(body + hashlib.blake2b(body, digest_size=8).digest())
         image = tmp_path / "x.pgm"
-        write_image(image, Tensor.full((1, 1, 32, 32), 0.2))
+        write_image(image, Tensor(np.full((1, 1, 32, 32), 0.2)))
         code = cli.main(["detect", "--config", str(small_config), "--weights", str(weights),
                          "--image", str(image), "--out", str(tmp_path / "d.json")])
         assert code == cli.EXIT_FORMAT
@@ -819,21 +819,29 @@ class TestTrainEvalDetect:
     # Past 8 EiB numpy cannot even describe the array and raises ValueError,
     # not MemoryError (or, for a stem_channels too large for a float,
     # OverflowError); the spec rejects such a size and names its key, or, for
-    # a convolution's weight, its layer.
-    @pytest.mark.parametrize("key, value", [
-        ("expansion", "1e16"), ("image_size", "2000000000"),
-        ("in_channels", "100000000000000000000"), ("pconv_kernel", "100000000000000000001"),
-        ("cbam_spatial_kernel", "100000000000000000001"),
-        pytest.param("stem_channels", "1" + "0" * 400, id="stem_channels-401-digits")])
-    def test_a_net_past_the_largest_array_is_a_config_error(self, tmp_path, capsys, key, value):
+    # a convolution's weight, its layer. The block's pointwise weights are
+    # (hidden, channels, 1, 1) and (channels, hidden, 1, 1).
+    @pytest.mark.parametrize("key, value, start", [
+        pytest.param("expansion", "1e16", "block: weight (400000000000000000, 40, 1, 1) ",
+                     id="expansion-1e16"),
+        pytest.param("image_size", "2000000000", "image_size ", id="image_size-2000000000"),
+        pytest.param("in_channels", "100000000000000000000", "stem: weight (40, ",
+                     id="in_channels-100000000000000000000"),
+        pytest.param("pconv_kernel", "100000000000000000001", "block: weight (10, 10, ",
+                     id="pconv_kernel-100000000000000000001"),
+        pytest.param("cbam_spatial_kernel", "100000000000000000001", "cbam: weight (1, 2, ",
+                     id="cbam_spatial_kernel-100000000000000000001"),
+        pytest.param("stem_channels", "1000000000",
+                     "block: weight (2000000000, 1000000000, 1, 1) ", id="stem_channels-1000000000"),
+        pytest.param("stem_channels", "1" + "0" * 400, "stem: weight (1000",
+                     id="stem_channels-401-digits")])
+    def test_a_net_past_the_largest_array_is_a_config_error(self, tmp_path, capsys, key, value,
+                                                            start):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"epochs = 1\ndataset_count = 2\n{key} = {value}\n", encoding="utf-8")
         code = cli.main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
         assert code == cli.EXIT_CONFIG
         err = capsys.readouterr().err
-        start = {"in_channels": "stem: weight (40, ", "pconv_kernel": "block: weight (10, 10, ",
-                 "cbam_spatial_kernel": "cbam: weight (1, 2, ",
-                 "stem_channels": "stem: weight (1000"}.get(key, f"{key} ")
         assert err.startswith(f"error: {start}") and "too large to allocate" in err, err
         assert err.count("\n") == 1, err
 

@@ -14,7 +14,7 @@ from detkit.blocks import PConvSpec
 from detkit.cost import COLUMNS, LayerCost, conv_cost, model_cost
 from detkit.model import ToyNetSpec, cost_layers, init_params
 from detkit.ops import ConvSpec
-from detkit.tensor import ConfigError, Tensor
+from detkit.tensor import ConfigError
 
 
 def same_conv(c_in, c_out, k):
@@ -227,7 +227,7 @@ class TestModelCost:
         for module in (model, blocks):
             monkeypatch.setattr(module, "conv2d_forward", recording)
         size = spec.image_size
-        x = Tensor(np.random.default_rng(0).standard_normal((1, spec.in_channels, size, size)))
+        x = np.random.default_rng(0).standard_normal((1, spec.in_channels, size, size))
         model.net_forward(init_params(spec, np.random.default_rng(1)), spec, x)
 
         def unnamed(rows):

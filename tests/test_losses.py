@@ -23,7 +23,7 @@ from oracles import (
 
 from detkit import losses
 from detkit.losses import detection_loss, pairwise_iou
-from detkit.tensor import ConfigError, Tensor
+from detkit.tensor import ConfigError
 
 UNIT = BBox(0.0, 0.0, 1.0, 1.0)
 UNIT_SHIFTED = BBox(0.5, 0.0, 1.5, 1.0)
@@ -300,7 +300,7 @@ class TestLossGradients:
 
 class TestDetectionLoss:
     def _head(self, k=3, g=3):
-        return Tensor.zeros((1, 5 + k, g, g))
+        return np.zeros((1, 5 + k, g, g))
 
     def test_zero_targets(self):
         head = self._head()
@@ -323,7 +323,7 @@ class TestDetectionLoss:
         head[0, 3, row, col] = th
         head[0, 4, row, col] = 40.0  # confident "object" at the target cell
         head[0, 5, row, col] = 40.0  # confident class
-        total = detection_loss(Tensor(head), [np.array([[6.0, 6.0, 16.0, 18.0, 0]])], "wiou", stride=8.0)[0][0, 3]
+        total = detection_loss(head, [np.array([[6.0, 6.0, 16.0, 18.0, 0]])], "wiou", stride=8.0)[0][0, 3]
         assert total < 1e-9
 
     def test_two_cell_hand_computed_case(self):
@@ -332,7 +332,7 @@ class TestDetectionLoss:
         k = 1
         head = np.zeros((1, 6, 1, 2))
         target = BBox(2.0, 2.0, 6.0, 6.0)  # center (4, 4) -> cell (0, 0)
-        box, obj, cls, total = detection_loss(Tensor(head), [np.array([[2.0, 2.0, 6.0, 6.0, 0]])], "wiou",
+        box, obj, cls, total = detection_loss(head, [np.array([[2.0, 2.0, 6.0, 6.0, 0]])], "wiou",
                                               stride=8.0, box_weight=1.0, obj_weight=1.0, cls_weight=1.0)[0][0]
         # pred box from zero logits: center (4, 4), size 8x8 -> (0, 0, 8, 8)
         pred = BBox(0.0, 0.0, 8.0, 8.0)
@@ -351,7 +351,7 @@ class TestDetectionLoss:
 
     def test_total_is_weighted_sum(self):
         rng = np.random.default_rng(25)
-        head = Tensor(rng.standard_normal((1, 8, 3, 3)))
+        head = rng.standard_normal((1, 8, 3, 3))
         targets = np.array([[4.0, 4.0, 14.0, 12.0, 1]])
         box, obj, cls, total = detection_loss(head, [targets], "ciou", stride=8.0,
                                               box_weight=5.0, obj_weight=2.0, cls_weight=3.0)[0][0]
@@ -375,22 +375,22 @@ class TestDetectionLoss:
         """The bad row is the second target of the second image."""
         good = [2.0, 2.0, 6.0, 6.0, 0]
         with pytest.raises(ConfigError, match=match):
-            detection_loss(Tensor.zeros((2, 8, 3, 3)), [[good], np.array([good, row])],
+            detection_loss(np.zeros((2, 8, 3, 3)), [[good], np.array([good, row])],
                            "wiou", stride=8.0)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(26)
         head = rng.standard_normal((1, 7, 2, 2))
         targets = np.array([[2.0, 3.0, 9.0, 10.0, 1], [9.5, 9.5, 15.0, 15.5, 0]])
-        got = detection_loss(Tensor(head), [targets], "ciou", stride=8.0)[1]
+        got = detection_loss(head, [targets], "ciou", stride=8.0)[1]
         h = 1e-6
         flat = head.reshape(-1)
         for idx in range(flat.size):
             orig = flat[idx]
             flat[idx] = orig + h
-            fp = detection_loss(Tensor(head), [targets], "ciou", stride=8.0, with_grad=False)[0][0, 3]
+            fp = detection_loss(head, [targets], "ciou", stride=8.0, with_grad=False)[0][0, 3]
             flat[idx] = orig - h
-            fm = detection_loss(Tensor(head), [targets], "ciou", stride=8.0, with_grad=False)[0][0, 3]
+            fm = detection_loss(head, [targets], "ciou", stride=8.0, with_grad=False)[0][0, 3]
             flat[idx] = orig
             num = (fp - fm) / (2 * h)
             denom = max(abs(got.reshape(-1)[idx]), abs(num), 1e-4)
@@ -415,13 +415,13 @@ class TestDetectionLossAndGrad:
     @pytest.mark.parametrize("variant", ["iou", "ciou", "wiou"])
     def test_matches_value_only_loss_and_separate_gradient(self, variant, targets, dtype):
         rng = np.random.default_rng(27)
-        head = Tensor((rng.standard_normal((1, 8, 3, 3)) * 2.0).astype(dtype))
+        head = (rng.standard_normal((1, 8, 3, 3)) * 2.0).astype(dtype)
         tg = self.TARGET_SETS[targets]
         args = (variant, 8.0, 5.0, 2.5, 2.5)
         terms, grad = detection_loss(head, [tg], *args)
         value_terms, no_grad = detection_loss(head, [tg], *args, with_grad=False)
         assert no_grad is None and _same_bits(terms, value_terms)
-        want = separate_detection_loss_grad(head, tg, *args).data
+        want = separate_detection_loss_grad(head, tg, *args)
         assert grad.dtype == dtype
         assert np.array_equal(grad, want)
         assert np.array_equal(per_image_detection_loss(head, tg, *args)[1], want)
@@ -434,7 +434,7 @@ class TestDetectionLossAndGrad:
         head[0, 2:4] = math.log(2.5e-7)  # a 2e-6 square centred at (4, 4)
         pred = cell_to_box(0.0, 0.0, head[0, 2, 0, 0], head[0, 3, 0, 0], 0, 0, 8.0)
         assert iou(pred, gt) == 0.25
-        terms, _ = detection_loss(Tensor(head), [[[gt.x1, gt.y1, gt.x2, gt.y2, 0]]], "iou", 8.0)
+        terms, _ = detection_loss(head, [[[gt.x1, gt.y1, gt.x2, gt.y2, 0]]], "iou", 8.0)
         assert terms[0, 0] == 0.75
 
 
@@ -462,14 +462,14 @@ class TestBatchedLossMatchesPerImageOracle:
     ]
 
     def _check(self, head, target_lists, variant):
-        terms, grad = detection_loss(Tensor(head), target_lists, variant, *self.ARGS)
+        terms, grad = detection_loss(head, target_lists, variant, *self.ARGS)
         assert terms.shape == (len(target_lists), 4)
-        assert _same_bits(terms, detection_loss(Tensor(head), target_lists, variant, *self.ARGS,
+        assert _same_bits(terms, detection_loss(head, target_lists, variant, *self.ARGS,
                                                 with_grad=False)[0])
         assert grad.shape == head.shape and grad.dtype == head.dtype
         for i, targets in enumerate(target_lists):
             want_terms, want_grad = per_image_detection_loss(
-                Tensor(head[i:i + 1]), targets, variant, *self.ARGS)
+                head[i:i + 1], targets, variant, *self.ARGS)
             assert _same_bits(terms[i], want_terms)
             assert _same_bits(grad[i], want_grad[0])
 
@@ -502,19 +502,19 @@ class TestBatchedLossMatchesPerImageOracle:
         and in a batch reordered around it."""
         rng = np.random.default_rng(32)
         head = rng.standard_normal((len(self.MIXED), 8, 3, 3)) * 2.0
-        terms, grad = detection_loss(Tensor(head), self.MIXED, variant, *self.ARGS)
+        terms, grad = detection_loss(head, self.MIXED, variant, *self.ARGS)
         order = [3, 0, 5, 4, 2, 1]
         shuffled_terms, shuffled_grad = detection_loss(
-            Tensor(head[order]), [self.MIXED[i] for i in order], variant, *self.ARGS)
+            head[order], [self.MIXED[i] for i in order], variant, *self.ARGS)
         for k, i in enumerate(order):
             (alone_terms,), alone_grad = detection_loss(
-                Tensor(head[i:i + 1]), [self.MIXED[i]], variant, *self.ARGS)
+                head[i:i + 1], [self.MIXED[i]], variant, *self.ARGS)
             assert _same_bits(terms[i], alone_terms) and _same_bits(terms[i], shuffled_terms[k])
             assert _same_bits(grad[i], alone_grad[0]) and _same_bits(grad[i], shuffled_grad[k])
 
     def test_one_target_list_per_grid(self):
         with pytest.raises(ConfigError, match="2 target lists for 1 prediction grids"):
-            detection_loss(Tensor.zeros((1, 6, 2, 2)), [[], []])
+            detection_loss(np.zeros((1, 6, 2, 2)), [[], []])
 
 
 class TestBoxRowsMatchScalarOracle:

@@ -27,7 +27,7 @@ class TestForward:
     def test_head_shape(self):
         spec = tiny_spec()
         params = init_params(spec, np.random.default_rng(0))
-        x = Tensor(np.random.default_rng(1).uniform(0, 1, size=(3, 1, 16, 16)))
+        x = np.random.default_rng(1).uniform(0, 1, size=(3, 1, 16, 16))
         head, _ = net_forward(params, spec, x)
         assert head.shape == (3, 5 + 2, 2, 2)
 
@@ -35,7 +35,7 @@ class TestForward:
         spec = tiny_spec()
         params = init_params(spec, np.random.default_rng(0))
         with pytest.raises(ConfigError):
-            net_forward(params, spec, Tensor.zeros((1, 1, 8, 8)))
+            net_forward(params, spec, np.zeros((1, 1, 8, 8)))
 
     def test_deterministic_init(self):
         spec = tiny_spec()
@@ -53,7 +53,7 @@ class TestBackward:
         spec = tiny_spec()
         rng = np.random.default_rng(2)
         params = init_params(spec, rng)
-        x = Tensor(rng.uniform(0, 1, size=(1, 1, 16, 16)))
+        x = rng.uniform(0, 1, size=(1, 1, 16, 16))
         targets = np.array([[3.0, 3.0, 11.0, 12.0, 1]])
 
         def loss_of(p):
@@ -62,7 +62,7 @@ class TestBackward:
 
         head, cache = net_forward(params, spec, x)
         _, upstream = detection_loss(head, [targets], "ciou", float(spec.stride))
-        grads = net_backward(params, spec, cache, Tensor(upstream))
+        grads = net_backward(params, spec, cache, upstream)
         assert set(grads) == set(params)
 
         h = 1e-6
@@ -79,8 +79,8 @@ class TestBackward:
         spec = tiny_spec()
         rng = np.random.default_rng(3)
         params = init_params(spec, rng)
-        head, cache = net_forward(params, spec, Tensor(rng.uniform(0, 1, (2, 1, 16, 16))))
-        grads = net_backward(params, spec, cache, Tensor(rng.standard_normal(head.shape)))
+        head, cache = net_forward(params, spec, rng.uniform(0, 1, (2, 1, 16, 16)))
+        grads = net_backward(params, spec, cache, rng.standard_normal(head.shape))
         for k, v in params.items():
             assert grads[k].shape == v.shape
 
@@ -91,8 +91,8 @@ class TestBackward:
         spec = tiny_spec()
         rng = np.random.default_rng(6)
         params = init_params(spec, rng)
-        head, cache = net_forward(params, spec, Tensor(rng.uniform(0, 1, (2, 1, 16, 16))))
-        upstream = Tensor(rng.standard_normal(head.shape))
+        head, cache = net_forward(params, spec, rng.uniform(0, 1, (2, 1, 16, 16)))
+        upstream = rng.standard_normal(head.shape)
         want = net_backward(params, spec, cache, upstream)
 
         def forbidden(*args, **kwargs):
@@ -122,14 +122,14 @@ class TestFreezeBoundary:
         spec = tiny_spec()
         rng = np.random.default_rng(4)
         params = init_params(spec, rng)
-        x = Tensor(rng.uniform(0, 1, (3, 1, 16, 16)))
+        x = rng.uniform(0, 1, (3, 1, 16, 16))
         head, cache = net_forward(params, spec, x)
-        upstream = Tensor(rng.standard_normal(head.shape))
+        upstream = rng.standard_normal(head.shape)
         full = net_backward(params, spec, cache, upstream)
         trainable = [k for k in MANIFEST if k.startswith(("cbam.", "head."))]
         for frozen_head, frozen_cache in (net_forward(params, spec, x, freeze_backbone=True),
                                           net_forward(params, spec, neck=cache.neck)):
-            assert frozen_head.data.tobytes() == head.data.tobytes()
+            assert frozen_head.tobytes() == head.tobytes()
             assert frozen_cache.backbone is None
             grads = net_backward(params, spec, frozen_cache, upstream)
             assert list(grads) == trainable
@@ -147,7 +147,7 @@ class TestFreezeBoundary:
         images = rng.uniform(0, 1, (9, 1, 64, 64)).astype(dtype)
 
         def necks(rows):
-            _, cache = net_forward(params, spec, Tensor(images[rows]), freeze_backbone=True)
+            _, cache = net_forward(params, spec, images[rows], freeze_backbone=True)
             assert cache.neck.dtype == dtype
             return dict(zip(rows, cache.neck))
 
@@ -161,14 +161,14 @@ class TestFreezeBoundary:
 
 
 class TestTensorBoundary:
-    def test_forward_and_backward_build_only_the_head_tensor(self, monkeypatch):
-        """Inside the network every value is a bare ndarray: one net_forward
-        plus one net_backward construct exactly one Tensor, the head."""
+    def test_forward_and_backward_build_no_tensor(self, monkeypatch):
+        """The network takes and returns bare ndarrays: one net_forward plus
+        one net_backward construct no Tensor, and the head is an ndarray."""
         spec = tiny_spec()
         rng = np.random.default_rng(8)
         params = init_params(spec, rng)
-        x = Tensor(rng.uniform(0, 1, (2, 1, 16, 16)))
-        upstream = Tensor(rng.standard_normal((2, 5 + 2, 2, 2)))
+        x = rng.uniform(0, 1, (2, 1, 16, 16))
+        upstream = rng.standard_normal((2, 5 + 2, 2, 2))
         built = []
         original = Tensor.__init__
 
@@ -178,8 +178,25 @@ class TestTensorBoundary:
 
         monkeypatch.setattr(Tensor, "__init__", counting_init)
         head, cache = net_forward(params, spec, x)
-        net_backward(params, spec, cache, upstream)
-        assert len(built) == 1 and built[0] is head
+        grads = net_backward(params, spec, cache, upstream)
+        assert built == []
+        assert type(head) is np.ndarray and all(type(g) is np.ndarray for g in grads.values())
+
+    def test_an_image_tensor_is_taken_as_its_data(self):
+        """np.asarray of a Tensor is its data, so net_forward and net_backward
+        also take Tensors (perfbench's span tests pass them) and give the
+        bits of their data."""
+        spec = tiny_spec()
+        rng = np.random.default_rng(8)
+        params = init_params(spec, rng)
+        x = rng.uniform(0, 1, (2, 1, 16, 16))
+        upstream = rng.standard_normal((2, 5 + 2, 2, 2))
+        head, cache = net_forward(params, spec, x)
+        want = net_backward(params, spec, cache, upstream)
+        t_head, t_cache = net_forward(params, spec, Tensor(x))
+        got = net_backward(params, spec, t_cache, Tensor(upstream))
+        assert t_head.tobytes() == head.tobytes()
+        assert list(got) == list(want) and all(got[k].tobytes() == want[k].tobytes() for k in want)
 
 
 class TestSpecsAreBuiltOnce:
@@ -201,8 +218,8 @@ class TestSpecsAreBuiltOnce:
         spec = ToyNetSpec()
         rng = np.random.default_rng(9)
         params = init_params(spec, rng)
-        x = Tensor(rng.uniform(0, 1, (1, 1, spec.image_size, spec.image_size)))
-        upstream = Tensor(rng.standard_normal((1, spec.head_channels, spec.grid, spec.grid)))
+        x = rng.uniform(0, 1, (1, 1, spec.image_size, spec.image_size))
+        upstream = rng.standard_normal((1, spec.head_channels, spec.grid, spec.grid))
         net_backward(params, spec, net_forward(params, spec, x)[1], upstream)
         built = self._count_constructions(monkeypatch)
         net_backward(params, spec, net_forward(params, spec, x)[1], upstream)
@@ -240,10 +257,10 @@ class TestLayerCallOrder:
         spec = tiny_spec()
         rng = np.random.default_rng(7)
         params = init_params(spec, rng)
-        head, cache = net_forward(params, spec, Tensor(rng.uniform(0, 1, (1, 1, 16, 16))))
+        head, cache = net_forward(params, spec, rng.uniform(0, 1, (1, 1, 16, 16)))
         assert calls == [(op, "net_forward") for op in self.FORWARD]
         calls.clear()
-        net_backward(params, spec, cache, Tensor(rng.standard_normal(head.shape)))
+        net_backward(params, spec, cache, rng.standard_normal(head.shape))
         assert calls == [(op, "net_backward") for op in self.BACKWARD]
 
 

@@ -259,7 +259,6 @@ class TestSppCascade:
         """Forward-only callers (detect, eval, a frozen epoch) never search
         for winners; a full backward searches once per pool window."""
         from detkit.model import ToyNetSpec, init_params, net_backward, net_forward
-        from detkit.tensor import Tensor
 
         calls = []
         real = ops._maxpool_same
@@ -272,11 +271,11 @@ class TestSppCascade:
         spec = ToyNetSpec(image_size=16, stem_channels=4, spp_windows=(3, 5, 9))
         rng = np.random.default_rng(4)
         params = init_params(spec, rng)
-        x = Tensor(rng.uniform(size=(2, 1, 16, 16)))
+        x = rng.uniform(size=(2, 1, 16, 16))
         net_forward(params, spec, x, freeze_backbone=True)
         head, cache = net_forward(params, spec, x)
         assert calls == []
-        net_backward(params, spec, cache, Tensor(rng.standard_normal(head.shape)))
+        net_backward(params, spec, cache, rng.standard_normal(head.shape))
         assert calls == [3, 5, 9]
 
 

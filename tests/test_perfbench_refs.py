@@ -9,6 +9,8 @@ import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
+
 import detkit
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -87,3 +89,22 @@ def test_train_calls_the_traced_loss(monkeypatch):
     layers = importlib.import_module("layers")
     assert train.detection_loss is losses.detection_loss
     assert "losses.detection_loss" in layers.TIMED_SPANS
+
+
+def test_the_benchmark_scene_is_an_image_that_write_image_writes(monkeypatch, tmp_path):
+    """The detect workload makes each image with ``inputs._scene``, which
+    resamples ``synth_dataset``'s image ``data`` into a new ``Tensor``, and
+    writes it with ``imageio.write_image``. The scan above checks only that
+    these names exist; this runs both calls."""
+    from detkit.imageio import read_image, write_image
+    from detkit.tensor import Tensor
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    inputs = importlib.import_module("inputs")
+    scene = inputs._scene(1, 20, 30)
+    assert isinstance(scene, Tensor) and scene.shape == (1, 1, 20, 30)
+    path = tmp_path / "scene.pgm"
+    write_image(path, scene)
+    back = read_image(path)
+    assert back.shape == scene.shape
+    assert np.abs(back.data - scene.data).max() <= 0.5 / 255

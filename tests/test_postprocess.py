@@ -32,7 +32,7 @@ from detkit.postprocess import (
     letterbox,
     nms,
 )
-from detkit.tensor import ConfigError, Tensor
+from detkit.tensor import ConfigError
 
 
 def head_with_one_cell(grid, classes, row, col, tx, ty, tw, th, obj=40.0, cls_id=0,
@@ -45,7 +45,7 @@ def head_with_one_cell(grid, classes, row, col, tx, ty, tw, th, obj=40.0, cls_id
     head[0, 3, row, col] = th
     head[0, 4, row, col] = obj
     head[0, 5 + cls_id, row, col] = cls_logit
-    return Tensor(head)
+    return head
 
 
 def same_rows(got, want) -> bool:
@@ -71,7 +71,7 @@ class TestDecode:
         assert y2 - y1 == pytest.approx(8.0)
 
     def test_score_threshold_gates_emission(self):
-        head = Tensor.zeros((1, 6, 2, 2))  # score sigmoid(0)^2 = 0.25 everywhere
+        head = np.zeros((1, 6, 2, 2))  # score sigmoid(0)^2 = 0.25 everywhere
         assert len(decode(head, 8.0, 0.25)) == 4
         assert decode(head, 8.0, 0.2500001).shape == (0, 6)
 
@@ -85,12 +85,12 @@ class TestDecode:
                              ids=["batch-2", "batch-0", "no-class", "one-channel"])
     def test_head_that_is_not_one_image_with_a_class_rejected(self, shape):
         with pytest.raises(ConfigError, match=r"is not \(1, 5 \+ K, h, w\) with K >= 1"):
-            decode(Tensor.zeros(shape), 8.0, 0.25)
+            decode(np.zeros(shape), 8.0, 0.25)
 
     @pytest.mark.parametrize("stride", [0, -8, 0.0, -1e-300, float("nan")])
     def test_stride_not_positive_rejected(self, stride):
         with pytest.raises(ConfigError, match="stride must be > 0"):
-            decode(Tensor.zeros((1, 6, 2, 2)), stride, 0.25)
+            decode(np.zeros((1, 6, 2, 2)), stride, 0.25)
 
     def test_numpy_scalar_stride_decodes_like_a_python_number(self):
         """A float32 head's box sizes stay float32 whatever number type the
@@ -130,7 +130,7 @@ def hostile_head(rng, shape, dtype):
     flat[2:4, picks[cells // 6:cells // 3]] = rng.choice([_LOGIT_CAP, _LOGIT_CAP + 1.0, 400.0, 8.0],
                                                         size=(2, len(picks[cells // 6:cells // 3])))
     flat[2:4, picks[cells // 3:cells // 2]] = -200.0
-    return Tensor(head.astype(dtype))
+    return head.astype(dtype)
 
 
 class TestArrayDecode:
@@ -149,10 +149,10 @@ class TestArrayDecode:
     def test_score_at_threshold_and_both_edges_clamped(self):
         head = np.zeros((1, 6, 2, 2))
         head[0, 2:4, 1, 0] = _LOGIT_CAP  # a box far wider than the image
-        dets = decode(Tensor(head), 8.0, 0.25)
+        dets = decode(head, 8.0, 0.25)
         assert len(dets) == 4 and np.all(dets[:, 4] == 0.25)
         assert tuple(dets[2, :4]) == (0.0, 0.0, 16.0, 16.0)
-        assert same_rows(dets, detection_rows(scalar_decode(Tensor(head), 8.0, 0.25)))
+        assert same_rows(dets, detection_rows(scalar_decode(head, 8.0, 0.25)))
 
 
 def tied_detections(rng, n, classes=2):
@@ -251,24 +251,24 @@ class TestNMS:
 class TestLetterbox:
     def test_already_target_sized_is_identity(self):
         rng = np.random.default_rng(35)
-        img = Tensor(rng.uniform(0, 1, size=(1, 1, 16, 16)))
+        img = rng.uniform(0, 1, size=(1, 1, 16, 16))
         out, scale, pads = letterbox(img, 16, 16)
         assert scale == 1.0 and pads == (0, 0)
-        assert np.array_equal(out.data, img.data)
+        assert np.array_equal(out, img)
 
     def test_wide_image_pads_split_equally(self):
-        img = Tensor.full((1, 1, 8, 16), 1.0)
+        img = np.full((1, 1, 8, 16), 1.0)
         out, scale, (px, py) = letterbox(img, 16, 16)
         assert scale == 1.0
         assert (px, py) == (0, 4)
-        assert np.allclose(out.data[:, :, 4:12, :], 1.0)
-        assert np.allclose(out.data[:, :, :4, :], 0.5)
-        assert np.allclose(out.data[:, :, 12:, :], 0.5)
+        assert np.allclose(out[:, :, 4:12, :], 1.0)
+        assert np.allclose(out[:, :, :4, :], 0.5)
+        assert np.allclose(out[:, :, 12:, :], 0.5)
 
     def test_box_round_trip_within_a_pixel(self):
         """boxes_to_source inverts the letterbox mapping of a source box."""
         rng = np.random.default_rng(36)
-        img = Tensor(rng.uniform(0, 1, size=(1, 1, 30, 50)))
+        img = rng.uniform(0, 1, size=(1, 1, 30, 50))
         _, scale, pads = letterbox(img, 32, 32)
         for _ in range(20):
             x1, y1 = rng.uniform(0, 20, size=2)
@@ -289,7 +289,7 @@ class TestLetterbox:
 
     def test_empty_target_rejected(self):
         with pytest.raises(ConfigError):
-            letterbox(Tensor.zeros((1, 1, 4, 4)), 0, 4)
+            letterbox(np.zeros((1, 1, 4, 4)), 0, 4)
 
 
 _COORD = st.one_of(st.floats(), st.floats().map(np.float64), st.integers())

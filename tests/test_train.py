@@ -5,7 +5,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from detkit import losses, model, train
+from detkit import losses, model, tensor, train
+from detkit.dataset import synth_dataset
 from detkit.model import ToyNetSpec, init_params, net_backward
 from detkit.tensor import ConfigError
 from detkit.train import TrainConfig, TrainingDiverged, train_toy
@@ -169,6 +170,28 @@ class TestDivergence:
         monkeypatch.setattr(losses, "_box_rows", poisoned)
         with pytest.raises(TrainingDiverged, match=r"non-finite head gradient at epoch 0, batch 0$"):
             train_toy(small_config(epochs=1))
+
+
+class TestFiniteScans:
+    def test_a_step_scans_each_value_once_by_name(self, monkeypatch):
+        """One train step scans the head, the head gradient and each parameter
+        gradient for NaN and Inf once, in that order and under its name, and
+        no anonymous tensor: the images were scanned when generated."""
+        cfg = small_config()
+        data = synth_dataset(cfg.seed, cfg.batch_size, cfg.net.image_size, cfg.net.num_classes)
+        params = init_params(cfg.net, np.random.default_rng(cfg.seed))
+        scanned = []
+        require_finite = tensor._require_finite
+
+        def recording(what, arr):
+            scanned.append(what)
+            require_finite(what, arr)
+
+        for module in (model, losses, train, tensor):
+            monkeypatch.setattr(module, "_require_finite", recording)
+        train._batch_loss_and_grads(params, cfg, [img.data for img, _ in data],
+                                    [t for _, t in data], False, None)
+        assert scanned == ["head", "head gradient", *(f"{k} gradient" for k in params)]
 
 
 class TestConfigValidation:

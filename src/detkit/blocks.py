@@ -48,6 +48,7 @@ import numpy as np
 
 from .ops import (
     ConvSpec,
+    _grouped,
     activation,
     activation_backward,
     conv2d_backward,
@@ -267,11 +268,12 @@ def fasternet_block_backward(
 # ---------------------------------------------------------------------------
 
 def _check_channel_dims(spec: CBAMSpec, w1, b1, w2, b2) -> None:
+    """The trailing shapes; a leading axis of groups is left to the ops."""
     c, d = spec.channels, spec.mlp_width
     want1, want2 = (d, c), (c, d)
-    if w1.shape != want1 or b1.shape != (want1[0],):
+    if w1.shape[-2:] != want1 or b1.shape[-1:] != (want1[0],):
         raise ConfigError(f"first layer wants W1 {want1}, b1 ({want1[0]},)")
-    if w2.shape != want2 or b2.shape != (want2[0],):
+    if w2.shape[-2:] != want2 or b2.shape[-1:] != (want2[0],):
         raise ConfigError(f"second layer wants W2 {want2}, b2 ({want2[0]},)")
 
 
@@ -293,7 +295,8 @@ def channel_attention(x: np.ndarray, params, spec: CBAMSpec, prefix: str = ""):
         z2 = fully_connected(gap, w2, b2)
         v2 = relu(z2)
         # (W1 v1 + b1) + W2 v2 + b2: a second fully_connected would add b2 first
-        z = fully_connected(v1, w1, b1) + v2 @ w2.T + b2
+        z = _grouped(lambda a, v, w, b: a + np.matmul(v, w.transpose(0, 2, 1)) + b[:, None],
+                     (fully_connected(v1, w1, b1), v2), ((w2, 2), (b2, 1)))
     gate = sigmoid(z)
     return gate[:, :, None, None] * x, (x, gate, gap, z1, v1, z2, v2)
 

@@ -269,7 +269,7 @@ def cmd_detect(args) -> int:
     image_path = _require_file(args.image, "image file")
     params = load_weights(weights_path)
     image = read_image(image_path)
-    model_in = to_channels(image, cfg.net.in_channels).data
+    model_in = to_channels(image, cfg.net.in_channels)
     boxed, scale, pads = letterbox(model_in, cfg.net.image_size, cfg.net.image_size)
     dets = _detections(params, cfg.net, boxed, values)
     boxes = boxes_to_source(dets[:, :4], scale, pads, image.w, image.h)

@@ -12,12 +12,14 @@ A central difference of the probe takes f(x + h e_k) - f(x - h e_k)
 elementwise and only then the inner product with G. Differencing the two probe
 sums instead leaves their rounding, about eps |<G, f>| / h with sums of
 O(10-100), in every slope: enough to fail a correct gradient on an unlucky
-draw. The batch input (the first argument) is probed PROBES_PER_FORWARD
-entries per forward, their perturbed copies stacked along the batch axis, so
-every probed forward must treat each sample on its own; the other arguments
-are probed one entry at a time. The three loss suites take the same path with
-G = 1 over a batch input of one row, a box pair or a head, whose perturbed
-copies are the rows of one loss call.
+draw. Every argument is probed PROBES_PER_FORWARD entries per forward, their
+perturbed copies run in one call. The batch input's (the first argument's)
+copies are stacked along the batch axis, so every probed forward must treat
+each sample on its own. A parameter's copies are passed as one grouped
+parameter (see :mod:`detkit.ops`), with the batch input tiled once per copy.
+The three loss suites take the batch input's path with G = 1 over a batch
+input of one row, a box pair or a head, whose perturbed copies are the rows
+of one loss call.
 
 The error metric is |a - n| / max(|a|, |n|, 1e-4): purely relative for
 gradients of ordinary size, absolute (scaled by 1e4) for entries near zero.
@@ -40,10 +42,10 @@ from .tensor import ConfigError
 FD_STEP = 1e-6
 REL_ERR_FLOOR = 1e-4
 PASS_THRESHOLD = 1e-4
-# Entries of a suite's batch input probed per forward. Each forward stacks
-# twice as many copies of the input; more entries per forward save calls but
-# grow the stacked arrays.
-PROBES_PER_FORWARD = 16
+# Entries of one argument probed per forward. Each forward runs twice as many
+# copies of the batch input; more entries per forward save calls but grow the
+# stacked arrays.
+PROBES_PER_FORWARD = 32
 
 
 def max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -149,41 +151,50 @@ def _probe_slopes(diffs: np.ndarray, g: np.ndarray) -> np.ndarray:
     return (diffs * g).reshape(len(diffs), -1).sum(axis=1) / (2.0 * FD_STEP)
 
 
+def _copy_slopes(run: Callable[[np.ndarray], np.ndarray], v: np.ndarray,
+                 g: np.ndarray) -> np.ndarray:
+    """Central differences of the probe <g, f(v)> in every entry of v,
+    PROBES_PER_FORWARD entries per call of run: run takes their 2m perturbed
+    copies of v, stacked along a new leading axis, and returns f of each,
+    stacked along the batch axis."""
+    flat = v.reshape(-1)
+    slopes = np.empty(flat.size)
+    for start in range(0, flat.size, PROBES_PER_FORWARD):
+        entries = np.arange(start, min(start + PROBES_PER_FORWARD, flat.size))
+        y = run(_plus_minus(flat, entries).reshape(-1, *v.shape)).reshape(-1, *g.shape)
+        slopes[entries] = _probe_slopes(y[0::2] - y[1::2], g)
+    return slopes.reshape(v.shape)
+
+
 def batch_input_slopes(forward: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
                        g: np.ndarray) -> np.ndarray:
     """Central differences of the probe <g, forward(x)> in every entry of the
     batch input x, PROBES_PER_FORWARD entries per forward: their 2m perturbed
     copies of x are stacked along the batch axis, so forward must treat each
     sample on its own."""
-    flat = x.reshape(-1)
-    slopes = np.empty(flat.size)
-    for start in range(0, flat.size, PROBES_PER_FORWARD):
-        entries = np.arange(start, min(start + PROBES_PER_FORWARD, flat.size))
-        y = forward(_plus_minus(flat, entries).reshape(-1, *x.shape[1:]))
-        y = y.reshape(-1, *g.shape)
-        slopes[entries] = _probe_slopes(y[0::2] - y[1::2], g)
-    return slopes.reshape(x.shape)
+    return _copy_slopes(lambda copies: forward(copies.reshape(-1, *x.shape[1:])), x, g)
 
 
-def _entry_slopes(forward: Callable[[np.ndarray], np.ndarray], v: np.ndarray,
-                  g: np.ndarray) -> np.ndarray:
-    """Central differences of the probe <g, forward(v)> in every entry of v,
-    one forward per perturbed copy."""
-    rows = _plus_minus(v.reshape(-1), np.arange(v.size)).reshape(-1, *v.shape)
-    diffs = [forward(rows[2 * k]) - forward(rows[2 * k + 1]) for k in range(v.size)]
-    return _probe_slopes(np.stack(diffs), g).reshape(v.shape)
+def parameter_slopes(forward: Callable[[np.ndarray, np.ndarray], np.ndarray], x: np.ndarray,
+                     v: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Central differences of the probe <g, forward(x, v)> in every entry of
+    the parameter v, PROBES_PER_FORWARD entries per forward: x is tiled once
+    per perturbed copy of v, and the copies are passed as one grouped
+    parameter (see :mod:`detkit.ops`), so copy j meets the j-th tile."""
+    return _copy_slopes(lambda copies: forward(np.concatenate([x] * len(copies)), copies), v, g)
 
 
 def _arg_errors(forward: Callable[..., np.ndarray], g: np.ndarray, args: tuple,
                 analytic) -> float:
     """Worst error of analytic[i] against central differences of the probe
     <g, forward(*args)> in args[i], over every argument. args[0] is the batch
-    input, probed in batches; the others are probed one entry at a time."""
-    x, rest = args[0], args[1:]
-    numeric = [batch_input_slopes(lambda v: forward(v, *rest), x, g)]
+    input, probed by :func:`batch_input_slopes`; the others are parameters,
+    probed by :func:`parameter_slopes`."""
+    x = args[0]
+    numeric = [batch_input_slopes(lambda v: forward(v, *args[1:]), x, g)]
     for i in range(1, len(args)):
-        numeric.append(_entry_slopes(lambda v, i=i: forward(*args[:i], v, *args[i + 1:]),
-                                     args[i], g))
+        numeric.append(parameter_slopes(
+            lambda xx, v, i=i: forward(xx, *args[1:i], v, *args[i + 1:]), x, args[i], g))
     worst = 0.0
     for grad, num in zip(analytic, numeric, strict=True):
         worst = _worse(worst, max_rel_error(grad, num))

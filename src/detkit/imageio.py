@@ -3,7 +3,8 @@
 Pixels are exchanged as (1, c, h, w) Tensors with values in [0, 1]; PGM
 maps to one channel, PPM to three. This and ``dataset.synth_dataset`` are
 where images become Tensors, each scanned for NaN and Inf once; the detector
-takes their ``data``. Box overlays are drawn as 1-pixel-wide outlines.
+takes their ``data``, adapted to its channel count by ``to_channels``, which
+returns an array. Box overlays are drawn as 1-pixel-wide outlines.
 """
 
 from __future__ import annotations
@@ -88,14 +89,16 @@ def write_image(path, image: Tensor) -> None:
         fh.write(header + body)
 
 
-def to_channels(image: Tensor, channels: int) -> Tensor:
-    """Adapt channel count: 3 -> 1 averages, 1 -> 3 replicates."""
+def to_channels(image: Tensor, channels: int) -> np.ndarray:
+    """The image's pixels with their channel count adapted: 3 -> 1 averages,
+    1 -> 3 replicates. Not scanned again: a channel mean or a repeat of
+    finite pixels is finite."""
     if image.c == channels:
-        return image
+        return image.data
     if image.c == 3 and channels == 1:
-        return Tensor(image.data.mean(axis=1, keepdims=True))
+        return image.data.mean(axis=1, keepdims=True)
     if image.c == 1 and channels == 3:
-        return Tensor(np.repeat(image.data, 3, axis=1))
+        return np.repeat(image.data, 3, axis=1)
     raise ImageFormatError(f"cannot adapt {image.c} channels to {channels}")
 
 

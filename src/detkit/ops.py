@@ -18,7 +18,14 @@ Conventions shared by every operator here:
   once per (padded size, kernel, stride) and kept in a bounded cache;
   when kernel equals stride they are a reshape. Pooling is a separable
   row-then-column max; SPP cascades its pools as YOLOv8's SPPF does, pool 5
-  being pool 3 of pool 3.
+  being pool 3 of pool 3;
+* ``conv2d_forward`` and ``fully_connected`` take a parameter with one extra
+  leading axis of G groups: a conv weight (G, o, c, k, k) or bias (G, o), an
+  FC weight (G, out, in) or bias (G, out). The batch is then G equal,
+  consecutive slices, slice g uses parameter g, and its matrix product is
+  the one an ungrouped call on the slice makes. Only ``gradcheck`` passes
+  groups, the perturbed copies of one parameter in one forward; the
+  backwards take ungrouped parameters and reject grouped ones.
 
 Max reductions (pooling, per-position channel max) break ties by the first
 candidate in scan order, which keeps backward deterministic.
@@ -72,15 +79,38 @@ class ConvSpec:
 # ---------------------------------------------------------------------------
 
 def _check_conv_args(x: np.ndarray, w: np.ndarray, b, spec: ConvSpec) -> None:
+    """The trailing shapes of w and b; a leading axis of groups is left to
+    :func:`_grouped`."""
     if x.shape[1] != spec.in_channels:
         raise ConfigError(f"input has {x.shape[1]} channels, spec expects {spec.in_channels}")
-    if w.shape != (spec.out_channels, spec.in_channels, spec.kernel, spec.kernel):
+    if w.ndim not in (4, 5) or w.shape[-4:] != (spec.out_channels, spec.in_channels,
+                                                 spec.kernel, spec.kernel):
         raise ConfigError(
             f"weights shape {w.shape} does not match spec "
             f"({spec.out_channels}, {spec.in_channels}, {spec.kernel}, {spec.kernel})"
         )
-    if b is not None and np.asarray(b).shape != (spec.out_channels,):
+    if b is not None and (np.ndim(b) not in (1, 2) or np.shape(b)[-1:] != (spec.out_channels,)):
         raise ConfigError(f"bias length must be {spec.out_channels}")
+
+
+def _grouped(fn, batches: tuple, params: tuple) -> np.ndarray:
+    """fn(*batch groups, *parameter groups) on the G groups of a call, with
+    the batch axis of its (G, n // G, ...) result restored.
+
+    ``params`` pairs each parameter with its rank. One with an extra leading
+    axis holds G groups, and group g of each batch array is the g-th of G
+    equal, consecutive slices of its batch. An ungrouped parameter is one
+    group, which broadcasts over every group; with none grouped the whole
+    batch is the one group. So each group's matrix product is the one that
+    an ungrouped call on its slice makes, bit for bit."""
+    counts = {p.shape[0] for p, rank in params if p.ndim > rank}
+    groups = max(counts, default=1)
+    n = batches[0].shape[0]
+    if len(counts) > 1 or groups < 1 or n % groups:
+        raise ConfigError(f"parameter groups {sorted(counts)} do not divide a batch of {n}")
+    out = fn(*(v.reshape(groups, -1, *v.shape[1:]) for v in batches),
+             *(p if p.ndim > rank else p[None] for p, rank in params))
+    return out.reshape(n, *out.shape[2:])
 
 
 def _pad(x: np.ndarray, p: int, value: float = 0.0) -> np.ndarray:
@@ -123,22 +153,30 @@ def _columns(xp: np.ndarray, k: int, s: int) -> np.ndarray:
     return cols.reshape(n, c * k * k, h_out * w_out)
 
 
+def _conv_groups(cols: np.ndarray, wg: np.ndarray, *bg: np.ndarray) -> np.ndarray:
+    """The kernel times each sample's im2col columns, plus the bias if
+    given, on each group of :func:`_grouped`."""
+    out = np.matmul(wg.reshape(len(wg), 1, wg.shape[1], -1), cols)
+    if bg:
+        out += bg[0][:, None, :, None]
+    return out
+
+
 def conv2d_forward(x: np.ndarray, w: np.ndarray, b, spec: ConvSpec) -> np.ndarray:
     """Cross-correlate x with w and add bias.
 
     Each output element is the dot product of the kernel with the
     zero-padded input window plus the bias for that output channel,
-    computed as one matrix product of the kernel with the im2col columns.
+    computed as one matrix product of the kernel with each sample's im2col
+    columns. A weight (G, o, c, k, k) or bias (G, o) holds G groups (see
+    :func:`_grouped`).
     """
     _check_conv_args(x, w, b, spec)
     k, s, p = spec.kernel, spec.stride, spec.padding
     h_out, w_out = spec.out_size(x.shape[2]), spec.out_size(x.shape[3])
-    cols = _columns(_pad(x, p), k, s)
-    out = np.matmul(w.reshape(spec.out_channels, -1), cols)
-    out = out.reshape(x.shape[0], spec.out_channels, h_out, w_out)
-    if b is not None:
-        out += np.asarray(b, dtype=x.dtype)[None, :, None, None]
-    return out
+    params = ((w, 4),) if b is None else ((w, 4), (np.asarray(b, dtype=x.dtype), 1))
+    out = _grouped(_conv_groups, (_columns(_pad(x, p), k, s),), params)
+    return out.reshape(x.shape[0], spec.out_channels, h_out, w_out)
 
 
 def conv2d_backward(x: np.ndarray, w: np.ndarray, spec: ConvSpec, upstream: np.ndarray,
@@ -150,6 +188,8 @@ def conv2d_backward(x: np.ndarray, w: np.ndarray, spec: ConvSpec, upstream: np.n
     windows (kernel = stride) it is the kernel applied to upstream and
     reshaped back into tiles; otherwise it is a stride-1 correlation of the
     stride-dilated, (k-1)-padded upstream with the flipped kernel."""
+    if w.ndim != 4:
+        raise ConfigError(f"the backward takes one (o, c, k, k) weight, not {w.shape}")
     _check_conv_args(x, w, None, spec)
     k, s, p = spec.kernel, spec.stride, spec.padding
     n, c, o = x.shape[0], spec.in_channels, spec.out_channels
@@ -428,20 +468,28 @@ def activation_backward(cache, kind: str, upstream: np.ndarray) -> np.ndarray:
 # fully connected
 # ---------------------------------------------------------------------------
 
+def _fc_groups(xg: np.ndarray, wg: np.ndarray, bg: np.ndarray) -> np.ndarray:
+    """x @ W.T + b on each group of :func:`_grouped`."""
+    return np.matmul(xg, wg.transpose(0, 2, 1)) + bg[:, None]
+
+
 def fully_connected(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """out = x @ W.T + b for a (batch, in) input."""
-    if x.ndim != 2 or weights.ndim != 2 or x.shape[1] != weights.shape[1]:
+    """out = x @ W.T + b for a (batch, in) input. A weight (G, out, in) or
+    bias (G, out) holds G groups (see :func:`_grouped`)."""
+    if x.ndim != 2 or weights.ndim not in (2, 3) or x.shape[1] != weights.shape[-1]:
         raise ConfigError(
             f"weight shape {weights.shape} incompatible with (batch, features) input {x.shape}")
-    if bias.shape != (weights.shape[0],):
-        raise ConfigError(f"bias length must be {weights.shape[0]}")
-    return x @ weights.T + bias
+    if bias.ndim not in (1, 2) or bias.shape[-1:] != weights.shape[-2:-1]:
+        raise ConfigError(f"bias length must be {weights.shape[-2]}")
+    return _grouped(_fc_groups, (x,), ((weights, 2), (bias, 1)))
 
 
 def fully_connected_backward(x: np.ndarray, weights: np.ndarray, upstream: np.ndarray,
                              input_grad: bool = True):
     """Gradients of <upstream, x @ W.T + b> w.r.t. x, W and b; the first is
     None when ``input_grad`` is false."""
+    if weights.ndim != 2:
+        raise ConfigError(f"the backward takes one (out, in) weight, not {weights.shape}")
     if upstream.shape != (x.shape[0], weights.shape[0]):
         raise ConfigError("upstream shape must match forward output")
     grad_x = upstream @ weights if input_grad else None

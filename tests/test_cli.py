@@ -515,6 +515,28 @@ class TestDetectEvalGolden:
         assert overlay_digests(tmp_path) == OVERLAY_DIGESTS
 
 
+class TestDetectScans:
+    def test_a_ppm_scene_is_scanned_once(self, tmp_path, monkeypatch):
+        """detect scans a PPM scene for NaN and Inf once, where read_image
+        makes its Tensor: the channel mean that the one-channel net reads is
+        an array, not scanned again."""
+        gray = _detect_scenes()[0]
+        image = tmp_path / "scene.ppm"
+        write_image(image, Tensor(np.concatenate([gray, 1.0 - gray, 0.5 * gray], axis=1)))
+        argv = [*_detect_argv(tmp_path, "float64"), "--image", str(image),
+                "--out", str(tmp_path / "dets.json")]
+        scanned = []
+        require_finite = tensor._require_finite
+
+        def recording(what, arr):
+            scanned.append((what, arr.shape))
+            require_finite(what, arr)
+
+        monkeypatch.setattr(tensor, "_require_finite", recording)
+        _quiet_main(argv)
+        assert scanned == [("tensor", (1, 3, *gray.shape[2:]))]
+
+
 class TestTrainEvalDetect:
     def test_pipeline_round_trip(self, tmp_path, small_config, capsys):
         train_dir = tmp_path / "train"

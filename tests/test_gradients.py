@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from oracles import entrywise_central_differences
 
-from detkit import gradcheck, ops
+from detkit import blocks, gradcheck, ops
 
 # Each suite's 100-case worst error at its gate seed, to the bit: the suites'
 # draws, probes and finite differences, and the operators' floating-point
@@ -43,6 +43,11 @@ EXTRA_SUITES = {  # seed 11
 # three differentiate a scalar box or detection loss.
 PROBE_SUITES = sorted((CORE_SUITES.keys() | EXTRA_SUITES.keys())
                       - {"ciou_loss", "wiou_loss", "detection_loss"})
+
+# The suites whose forward takes parameters besides the batch input.
+PARAMETER_SUITES = ["cbam_literal", "cbam_sequential", "channel_attention",
+                    "channel_attention_literal", "conv2d", "fasternet_block",
+                    "fully_connected", "pconv", "spatial_attention"]
 
 
 @pytest.mark.parametrize("name", CORE_SUITES)
@@ -103,6 +108,46 @@ def test_batched_input_differences_see_a_forward_that_mixes_samples():
     assert gradcheck.max_rel_error(gradcheck.batch_input_slopes(centred, x, g), oracle) > 1e-2
 
 
+@pytest.mark.parametrize("name", PARAMETER_SUITES)
+def test_batched_parameter_differences_match_one_entry_at_a_time(name, monkeypatch):
+    """Every suite with parameters probes each of them with perturbed copies
+    passed as one grouped parameter, against the batch input tiled once per
+    copy. That gives the central differences of the ungrouped forward, one
+    entry at a time."""
+    calls = []
+    real = gradcheck.parameter_slopes
+
+    def spy(forward, x, v, g):
+        slopes = real(forward, x, v, g)
+        calls.append((forward, x, v, g, slopes))
+        return slopes
+
+    monkeypatch.setattr(gradcheck, "parameter_slopes", spy)
+    gradcheck.run_suites(name, cases=1, seed=7)
+    assert calls
+    for forward, x, v, g, slopes in calls:
+        oracle = entrywise_central_differences(lambda vv: forward(x, vv), v, g, gradcheck.FD_STEP)
+        assert gradcheck.max_rel_error(slopes, oracle) < 1e-9
+
+
+@pytest.mark.parametrize("name", ["conv2d", "pconv"])
+def test_batched_parameter_differences_see_a_forward_that_ignores_the_groups(name, monkeypatch):
+    """The comparison above has teeth: a grouped conv2d_forward that applies
+    group 0's kernel to every group differences copies that hold the same
+    perturbation, and every kernel slope reads 0."""
+    real = ops.conv2d_forward
+
+    def first_group_only(x, w, b, spec):
+        if w.ndim == 5:
+            w = np.broadcast_to(w[:1], w.shape)
+        return real(x, w, b, spec)
+
+    monkeypatch.setattr(ops, "conv2d_forward", first_group_only)
+    monkeypatch.setattr(blocks, "conv2d_forward", first_group_only)
+    (result,) = gradcheck.run_suites(name, cases=1, seed=7)
+    assert result.max_err == 1.0
+
+
 # Correct pconv gradients that reported 1.0057e-4 (a false alarm) and
 # 5.02e-5 when the two probe sums were differenced; the error, to the bit.
 @pytest.mark.parametrize("seed,err", [(1393656021, 3.703405297678748e-06),
@@ -113,20 +158,27 @@ def test_pconv_seeds_near_the_gate_pass_with_margin(seed, err):
     assert result.max_err == err
 
 
-def test_a_tenth_of_a_percent_off_in_one_input_gradient_entry_fails_conv2d(monkeypatch):
-    """A conv2d_backward whose input gradient is 0.1 % off in one entry fails
-    the conv2d suite."""
-    real = ops.conv2d_backward
+@pytest.mark.parametrize("backward,index,suite", [
+    pytest.param("conv2d_backward", 0, "conv2d", id="conv2d-input"),
+    pytest.param("fully_connected_backward", 1, "fully_connected", id="fully_connected-weight"),
+    pytest.param("conv2d_backward", 2, "conv2d", id="conv2d-bias"),
+])
+def test_a_tenth_of_a_percent_off_in_one_gradient_entry_fails(backward, index, suite, monkeypatch):
+    """A backward whose gradient (output ``index``) is 0.1 % off in one entry
+    fails its suite: the input gradient through the stacked input probes,
+    the parameter gradients through the grouped parameter probes."""
+    real = getattr(ops, backward)
 
     def off(*args, **kwargs):
-        gx, gw, gb = real(*args, **kwargs)
-        gx = gx.copy()
-        gx.flat[0] *= 1.001
-        return gx, gw, gb
+        grads = list(real(*args, **kwargs))
+        grads[index] = grads[index].copy()
+        grads[index].flat[0] *= 1.001
+        return tuple(grads)
 
-    monkeypatch.setattr(ops, "conv2d_backward", off)
-    (result,) = gradcheck.run_suites("conv2d", cases=3, seed=7)
+    monkeypatch.setattr(ops, backward, off)
+    (result,) = gradcheck.run_suites(suite, cases=3, seed=7)
     assert not result.passed
+    assert result.max_err == pytest.approx(0.001 / 1.001, rel=1e-3)
 
 
 def test_unknown_suite_name_lists_valid_ones():

@@ -12,14 +12,16 @@ A central difference of the probe takes f(x + h e_k) - f(x - h e_k)
 elementwise and only then the inner product with G. Differencing the two probe
 sums instead leaves their rounding, about eps |<G, f>| / h with sums of
 O(10-100), in every slope: enough to fail a correct gradient on an unlucky
-draw. Every argument is probed PROBES_PER_FORWARD entries per forward, their
-perturbed copies run in one call. The batch input's (the first argument's)
-copies are stacked along the batch axis, so every probed forward must treat
-each sample on its own. A parameter's copies are passed as one grouped
-parameter (see :mod:`detkit.ops`), with the batch input tiled once per copy.
-The three loss suites take the batch input's path with G = 1 over a batch
-input of one row, a box pair or a head, whose perturbed copies are the rows
-of one loss call.
+draw. The perturbed copies of a chunk of PROBES_PER_FORWARD probes run in one
+forward. Each copy of the batch input (the first argument) perturbs one entry
+position in every sample, and the copies are stacked along the batch axis, so
+every probed forward must treat each sample on its own: output sample b then
+holds only sample b's perturbation. The parameters are probed together, a
+chunk of the concatenation of their entries per forward: each parameter is
+passed as one grouped parameter (see :mod:`detkit.ops`) of its part of the
+copies, with the batch input tiled once per copy. The three loss suites take
+the batch input's path with G = 1 over a batch input of one row, a box pair
+or a head, whose perturbed copies are the rows of one loss call.
 
 The error metric is |a - n| / max(|a|, |n|, 1e-4): purely relative for
 gradients of ordinary size, absolute (scaled by 1e4) for entries near zero.
@@ -42,9 +44,10 @@ from .tensor import ConfigError
 FD_STEP = 1e-6
 REL_ERR_FLOOR = 1e-4
 PASS_THRESHOLD = 1e-4
-# Entries of one argument probed per forward. Each forward runs twice as many
-# copies of the batch input; more entries per forward save calls but grow the
-# stacked arrays.
+# Probes per forward: entry positions of every batch input sample, or entries
+# of a suite's parameters together. Each forward runs twice as many copies of
+# the batch input; more probes per forward save calls but grow the stacked
+# arrays.
 PROBES_PER_FORWARD = 32
 
 
@@ -94,7 +97,7 @@ def suite_names() -> list[str]:
 def run_suites(pattern: str = "*", cases: int = 100, seed: int = 0) -> list[GradCheckResult]:
     if cases < 1 or seed < 0:
         raise ConfigError(f"cases must be >= 1 and seed >= 0, got cases={cases}, seed={seed}")
-    names = [n for n in suite_names() if fnmatch.fnmatch(n, pattern)]
+    names = fnmatch.filter(suite_names(), pattern)
     if not names:
         raise ConfigError(
             f"no gradient suite matches {pattern!r}; valid names: {', '.join(suite_names())}"
@@ -135,14 +138,15 @@ def _pool_near_tie(x: np.ndarray, window: int) -> bool:
     return bool(np.min(top2[1] - top2[0]) < KINK_MARGIN)
 
 
-def _plus_minus(flat: np.ndarray, entries: np.ndarray) -> np.ndarray:
-    """Copies of the 1-D array flat, two per entry: row 2j has entry
-    entries[j] at orig + FD_STEP and row 2j + 1 at orig - FD_STEP."""
-    rows = np.tile(flat, (2 * len(entries), 1))
+def _plus_minus(base: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """Copies of the (r, p) array base, two per column: copy 2j has column
+    entries[j] of every row at orig + FD_STEP and copy 2j + 1 at
+    orig - FD_STEP."""
+    copies = np.repeat(base[None], 2 * len(entries), axis=0)
     j = np.arange(len(entries))
-    rows[2 * j, entries] += FD_STEP
-    rows[2 * j + 1, entries] -= FD_STEP
-    return rows
+    copies[2 * j, :, entries] += FD_STEP
+    copies[2 * j + 1, :, entries] -= FD_STEP
+    return copies
 
 
 def _probe_slopes(diffs: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -153,35 +157,56 @@ def _probe_slopes(diffs: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def _copy_slopes(run: Callable[[np.ndarray], np.ndarray], v: np.ndarray,
                  g: np.ndarray) -> np.ndarray:
-    """Central differences of the probe <g, f(v)> in every entry of v,
-    PROBES_PER_FORWARD entries per call of run: run takes their 2m perturbed
-    copies of v, stacked along a new leading axis, and returns f of each,
-    stacked along the batch axis."""
-    flat = v.reshape(-1)
-    slopes = np.empty(flat.size)
-    for start in range(0, flat.size, PROBES_PER_FORWARD):
-        entries = np.arange(start, min(start + PROBES_PER_FORWARD, flat.size))
-        y = run(_plus_minus(flat, entries).reshape(-1, *v.shape)).reshape(-1, *g.shape)
-        slopes[entries] = _probe_slopes(y[0::2] - y[1::2], g)
-    return slopes.reshape(v.shape)
+    """Central differences of the probe <g, f(v)> in every entry of the
+    (r, p) array v, whose row b feeds only the b-th of r equal, consecutive
+    parts of f's output. Each call of run takes the 2m perturbed copies of
+    PROBES_PER_FORWARD columns, stacked along a new leading axis, and returns
+    f of each, stacked along the batch axis; a copy perturbs its column in
+    every row. Row b's slope reduces a full g-shaped difference that holds
+    part b and exact zeros elsewhere, which is what a copy perturbing row b
+    alone gives, so its bits do not depend on r."""
+    r, p = v.shape
+    slopes = np.empty((r, p))
+    rows, columns = np.arange(r), np.arange(p)
+    for start in range(0, p, PROBES_PER_FORWARD):
+        chunk = slice(start, start + PROBES_PER_FORWARD)
+        entries = columns[chunk]
+        y = run(_plus_minus(v, entries)).reshape(-1, r, g.size // r)
+        diffs = np.zeros((len(entries), r, r, g.size // r))
+        diffs[:, rows, rows] = y[0::2] - y[1::2]
+        slopes[:, chunk] = _probe_slopes(diffs.reshape(-1, *g.shape), g).reshape(-1, r).T
+    return slopes
 
 
 def batch_input_slopes(forward: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
                        g: np.ndarray) -> np.ndarray:
     """Central differences of the probe <g, forward(x)> in every entry of the
-    batch input x, PROBES_PER_FORWARD entries per forward: their 2m perturbed
-    copies of x are stacked along the batch axis, so forward must treat each
-    sample on its own."""
-    return _copy_slopes(lambda copies: forward(copies.reshape(-1, *x.shape[1:])), x, g)
+    batch input x, PROBES_PER_FORWARD entry positions per forward: each
+    perturbed copy of x perturbs one position in every sample, and the copies
+    are stacked along the batch axis, so forward must treat each sample on
+    its own."""
+    slopes = _copy_slopes(lambda copies: forward(copies.reshape(-1, *x.shape[1:])),
+                          x.reshape(len(x), -1), g)
+    return slopes.reshape(x.shape)
 
 
-def parameter_slopes(forward: Callable[[np.ndarray, np.ndarray], np.ndarray], x: np.ndarray,
-                     v: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Central differences of the probe <g, forward(x, v)> in every entry of
-    the parameter v, PROBES_PER_FORWARD entries per forward: x is tiled once
-    per perturbed copy of v, and the copies are passed as one grouped
-    parameter (see :mod:`detkit.ops`), so copy j meets the j-th tile."""
-    return _copy_slopes(lambda copies: forward(np.concatenate([x] * len(copies)), copies), v, g)
+def parameter_slopes(forward: Callable[..., np.ndarray], x: np.ndarray, params: tuple,
+                     g: np.ndarray) -> list[np.ndarray]:
+    """Central differences of the probe <g, forward(x, *params)> in every
+    entry of every parameter, PROBES_PER_FORWARD entries of their
+    concatenation per forward. x is tiled once per perturbed copy of the
+    concatenation, and each parameter is passed as one grouped parameter (see
+    :mod:`detkit.ops`) of its slice of the copies, so copy j meets the j-th
+    tile. Returns the slopes of each parameter, in order."""
+    bounds = np.cumsum([0, *(v.size for v in params)])
+    parts = list(zip(params, bounds[:-1], bounds[1:]))
+
+    def run(copies):
+        return forward(np.concatenate([x] * len(copies)),
+                       *(copies[:, 0, a:b].reshape(-1, *v.shape) for v, a, b in parts))
+
+    slopes = _copy_slopes(run, np.concatenate([v.ravel() for v in params])[None], g)[0]
+    return [slopes[a:b].reshape(v.shape) for v, a, b in parts]
 
 
 def _arg_errors(forward: Callable[..., np.ndarray], g: np.ndarray, args: tuple,
@@ -189,12 +214,11 @@ def _arg_errors(forward: Callable[..., np.ndarray], g: np.ndarray, args: tuple,
     """Worst error of analytic[i] against central differences of the probe
     <g, forward(*args)> in args[i], over every argument. args[0] is the batch
     input, probed by :func:`batch_input_slopes`; the others are parameters,
-    probed by :func:`parameter_slopes`."""
-    x = args[0]
-    numeric = [batch_input_slopes(lambda v: forward(v, *args[1:]), x, g)]
-    for i in range(1, len(args)):
-        numeric.append(parameter_slopes(
-            lambda xx, v, i=i: forward(xx, *args[1:i], v, *args[i + 1:]), x, args[i], g))
+    probed together by :func:`parameter_slopes`."""
+    x, params = args[0], args[1:]
+    numeric = [batch_input_slopes(lambda v: forward(v, *params), x, g)]
+    if params:
+        numeric += parameter_slopes(forward, x, params, g)
     worst = 0.0
     for grad, num in zip(analytic, numeric, strict=True):
         worst = _worse(worst, max_rel_error(grad, num))

@@ -108,26 +108,46 @@ def test_batched_input_differences_see_a_forward_that_mixes_samples():
     assert gradcheck.max_rel_error(gradcheck.batch_input_slopes(centred, x, g), oracle) > 1e-2
 
 
+def test_batched_input_differences_see_a_forward_that_reads_the_previous_sample():
+    """A copy perturbs one entry position in every sample at once, so a
+    forward whose output sample b also reads input sample b - 1 sees two
+    perturbations in sample b, and its slopes disagree with the oracle."""
+    rng = np.random.default_rng(0)
+    x, g = rng.standard_normal((3, 2, 2)), rng.standard_normal((3, 2, 2))
+
+    def with_previous(v):
+        return v + np.roll(v, 1, axis=0)
+
+    oracle = entrywise_central_differences(with_previous, x, g, gradcheck.FD_STEP)
+    assert gradcheck.max_rel_error(gradcheck.batch_input_slopes(with_previous, x, g), oracle) > 1e-2
+
+
 @pytest.mark.parametrize("name", PARAMETER_SUITES)
 def test_batched_parameter_differences_match_one_entry_at_a_time(name, monkeypatch):
-    """Every suite with parameters probes each of them with perturbed copies
-    passed as one grouped parameter, against the batch input tiled once per
-    copy. That gives the central differences of the ungrouped forward, one
-    entry at a time."""
+    """Every suite with parameters probes the concatenation of their entries
+    with perturbed copies, each parameter passed as one grouped parameter,
+    against the batch input tiled once per copy. That gives the central
+    differences of the ungrouped forward, one entry of one parameter at a
+    time."""
     calls = []
     real = gradcheck.parameter_slopes
 
-    def spy(forward, x, v, g):
-        slopes = real(forward, x, v, g)
-        calls.append((forward, x, v, g, slopes))
+    def spy(forward, x, params, g):
+        slopes = real(forward, x, params, g)
+        calls.append((forward, x, params, g, slopes))
         return slopes
 
     monkeypatch.setattr(gradcheck, "parameter_slopes", spy)
     gradcheck.run_suites(name, cases=1, seed=7)
-    assert calls
-    for forward, x, v, g, slopes in calls:
-        oracle = entrywise_central_differences(lambda vv: forward(x, vv), v, g, gradcheck.FD_STEP)
-        assert gradcheck.max_rel_error(slopes, oracle) < 1e-9
+    assert len(calls) == 1
+    forward, x, params, g, slopes = calls[0]
+    assert len(slopes) == len(params)
+    for i, (v, num) in enumerate(zip(params, slopes)):
+        def one(vv, i=i):
+            return forward(x, *params[:i], vv, *params[i + 1:])
+
+        oracle = entrywise_central_differences(one, v, g, gradcheck.FD_STEP)
+        assert gradcheck.max_rel_error(num, oracle) < 1e-9
 
 
 @pytest.mark.parametrize("name", ["conv2d", "pconv"])
@@ -158,12 +178,17 @@ def test_pconv_seeds_near_the_gate_pass_with_margin(seed, err):
     assert result.max_err == err
 
 
-@pytest.mark.parametrize("backward,index,suite", [
-    pytest.param("conv2d_backward", 0, "conv2d", id="conv2d-input"),
-    pytest.param("fully_connected_backward", 1, "fully_connected", id="fully_connected-weight"),
-    pytest.param("conv2d_backward", 2, "conv2d", id="conv2d-bias"),
+@pytest.mark.parametrize("backward,index,entry,suite", [
+    pytest.param("conv2d_backward", 0, 0, "conv2d", id="conv2d-input"),
+    pytest.param("fully_connected_backward", 1, 0, "fully_connected", id="fully_connected-weight"),
+    pytest.param("conv2d_backward", 2, 0, "conv2d", id="conv2d-bias"),
+    # The chunk seams: the last entry of the second sample's row, and the
+    # last entry of the concatenated parameters.
+    pytest.param("conv2d_backward", 0, -1, "conv2d", id="conv2d-input-last-of-second-sample"),
+    pytest.param("conv2d_backward", 2, -1, "conv2d", id="conv2d-bias-last-of-last-parameter"),
 ])
-def test_a_tenth_of_a_percent_off_in_one_gradient_entry_fails(backward, index, suite, monkeypatch):
+def test_a_tenth_of_a_percent_off_in_one_gradient_entry_fails(backward, index, entry, suite,
+                                                              monkeypatch):
     """A backward whose gradient (output ``index``) is 0.1 % off in one entry
     fails its suite: the input gradient through the stacked input probes,
     the parameter gradients through the grouped parameter probes."""
@@ -172,13 +197,47 @@ def test_a_tenth_of_a_percent_off_in_one_gradient_entry_fails(backward, index, s
     def off(*args, **kwargs):
         grads = list(real(*args, **kwargs))
         grads[index] = grads[index].copy()
-        grads[index].flat[0] *= 1.001
+        grads[index].flat[entry] *= 1.001
         return tuple(grads)
 
     monkeypatch.setattr(ops, backward, off)
     (result,) = gradcheck.run_suites(suite, cases=3, seed=7)
     assert not result.passed
     assert result.max_err == pytest.approx(0.001 / 1.001, rel=1e-3)
+
+
+# The probe forwards of each suite's first case at its gate seed: one per
+# PROBES_PER_FORWARD entry positions of a batch input sample, and one per
+# PROBES_PER_FORWARD entries of all its parameters together.
+PROBE_FORWARDS = {
+    "activation_mish": 2, "activation_relu": 2, "activation_sigmoid": 2,
+    "cbam_literal": 3, "cbam_sequential": 3, "channel_attention": 4,
+    "channel_attention_literal": 5, "ciou_loss": 1, "conv2d": 6, "detection_loss": 2,
+    "fasternet_block": 2, "fully_connected": 2, "global_pool": 2, "pconv": 10,
+    "spatial_attention": 4, "spatial_stats": 2, "spp": 3, "wiou_loss": 1,
+}
+
+
+def test_each_suite_makes_its_pinned_number_of_probe_forwards(monkeypatch):
+    """A change that adds probe forwards fails here."""
+    forwards = []
+    real_input, real_params = gradcheck.batch_input_slopes, gradcheck.parameter_slopes
+
+    def counted(forward):
+        def call(*args):
+            forwards.append(None)
+            return forward(*args)
+        return call
+
+    monkeypatch.setattr(gradcheck, "batch_input_slopes", lambda f, *a: real_input(counted(f), *a))
+    monkeypatch.setattr(gradcheck, "parameter_slopes", lambda f, *a: real_params(counted(f), *a))
+    counts = {}
+    for name in gradcheck.suite_names():
+        before = len(forwards)
+        gradcheck.run_suites(name, cases=1, seed=11 if name in EXTRA_SUITES else 7)
+        counts[name] = len(forwards) - before
+    assert counts == PROBE_FORWARDS
+    assert sum(counts.values()) == 56
 
 
 def test_unknown_suite_name_lists_valid_ones():

@@ -5,7 +5,8 @@ central finite differences, an analytical cost model with exact integer
 arithmetic, and a deterministic toy training/evaluation pipeline.
 """
 
-from .tensor import ConfigError, Tensor, load_tensor, save_tensor
+from .tensor import ConfigError, Tensor
+from .weights_io import load_tensor, save_tensor
 
 __all__ = [
     "ConfigError",

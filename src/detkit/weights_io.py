@@ -1,9 +1,11 @@
-"""Versioned, checksummed weight files.
+"""Versioned, checksummed weight files: detkit's one binary file format.
 
-Layout (all integers little-endian):
+Weights (``.dkw``) hold the flat parameter store; a tensor (``.dkt``) is a
+weights file with the one entry ``tensor``. Layout (all integers
+little-endian):
 
     magic "DKW1"                     4 bytes
-    version            u16           currently 1
+    version            u16           currently 2
     dtype tag          u8            1 = float32, 2 = float64
     entry count        u32
     manifest, per entry:
@@ -14,25 +16,29 @@ Layout (all integers little-endian):
         offset         u64           byte offset into the payload
     payload size       u64
     payload            raw little-endian elements, manifest order
-    checksum           u64           blake2b-8 of every preceding byte
+    checksum           u32           CRC-32 of every preceding byte
 
-Loading verifies length, then checksum, then magic and version, so any
-single corrupted byte ahead of the checksum field is reported as a checksum
-mismatch and a flipped byte inside the checksum itself is too.
+Loading verifies length, then checksum, then magic and version. A CRC-32
+detects every burst of 32 bits or fewer, so every single corrupted byte,
+the version field and the checksum itself included, is reported as a
+checksum mismatch; a version-1 file, signed with blake2b-8, is one too.
+The checksum guards against damage, not tampering.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import struct
+import zlib
 
 import numpy as np
 
-from .tensor import _DTYPE_TAGS, _TAG_DTYPES
+from .tensor import Tensor
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _MAGIC = b"DKW1"
+_DTYPE_TAGS = {np.dtype(np.float32): 1, np.dtype(np.float64): 2}
+_TAG_DTYPES = {v: k for k, v in _DTYPE_TAGS.items()}
 
 
 class WeightsError(IOError):
@@ -55,11 +61,11 @@ class WeightsTruncatedError(WeightsError):
     """File shorter than its own accounting says it should be."""
 
 
-def _checksum(blob: bytes) -> bytes:
-    return hashlib.blake2b(blob, digest_size=8).digest()
+def _checksum(blob) -> bytes:
+    return struct.pack("<I", zlib.crc32(blob))
 
 
-def save_weights(params: dict[str, np.ndarray], path, version: int = FORMAT_VERSION) -> None:
+def save_weights(params: dict[str, np.ndarray], path) -> None:
     """Write parameters in manifest (insertion) order. Round-trips bit-exactly."""
     # ascontiguousarray would promote 0-d arrays to 1-d; keep scalar rank
     arrays = {
@@ -85,11 +91,11 @@ def save_weights(params: dict[str, np.ndarray], path, version: int = FORMAT_VERS
 
     blob = bytearray()
     blob += _MAGIC
-    blob += struct.pack("<HBI", version, _DTYPE_TAGS[dtype], len(arrays))
+    blob += struct.pack("<HBI", FORMAT_VERSION, _DTYPE_TAGS[dtype], len(arrays))
     blob += manifest
     blob += struct.pack("<Q", len(payload))
     blob += payload
-    blob += _checksum(bytes(blob))
+    blob += _checksum(blob)
     with open(path, "wb") as fh:
         fh.write(blob)
 
@@ -97,10 +103,10 @@ def save_weights(params: dict[str, np.ndarray], path, version: int = FORMAT_VERS
 def load_weights(path) -> dict[str, np.ndarray]:
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < 4 + 7 + 8 + 8:
+    if len(blob) < 4 + 7 + 8 + 4:
         raise WeightsTruncatedError(f"file is only {len(blob)} bytes")
     # body is a view: the file's bytes are copied only into the arrays
-    body, stored = memoryview(blob)[:-8], blob[-8:]
+    body, stored = memoryview(blob)[:-4], blob[-4:]
     if _checksum(body) != stored:
         raise WeightsChecksumError("checksum mismatch, file is corrupt")
     if body[:4] != _MAGIC:
@@ -149,3 +155,16 @@ def load_weights(path) -> dict[str, np.ndarray]:
         flat = np.frombuffer(payload[offset:end], dtype=dtype.newbyteorder("<"))
         params[name] = flat.astype(dtype).reshape(dims)
     return params
+
+
+def save_tensor(t: Tensor, path) -> None:
+    """Write a tensor as a weights file with the one entry ``tensor``."""
+    save_weights({"tensor": t.data}, path)
+
+
+def load_tensor(path) -> Tensor:
+    """Read a tensor written by :func:`save_tensor`. Round-trips bit-exactly."""
+    entries = load_weights(path)
+    if list(entries) != ["tensor"]:
+        raise WeightsFormatError(f"a tensor file holds the one entry 'tensor', not {list(entries)}")
+    return Tensor(entries["tensor"])

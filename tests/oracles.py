@@ -6,6 +6,8 @@ production code paths: explicit loops, exhaustive scans, no shared helpers.
 
 import json
 import math
+import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +16,7 @@ from detkit import losses, ops
 from detkit.metrics import EvalSummary, match_image
 from detkit.postprocess import _LOGIT_CAP
 from detkit.tensor import ConfigError
+from detkit.weights_io import FORMAT_VERSION
 
 # ---------------------------------------------------------------------------
 # The scalar box API: one box, one detection, one pair at a time, as detkit
@@ -792,3 +795,31 @@ def separate_detection_loss_grad(predictions, targets, variant="wiou", stride=8.
 
     grad[4] += (masked_sigmoid(p[4]).astype(np.float64, copy=False) - obj_target) * (obj_weight / (gh * gw))
     return grad[None]
+
+
+# ---------------------------------------------------------------------------
+# the weights container, signed as its layout says
+# ---------------------------------------------------------------------------
+# Tests build and edit weights files byte by byte with these, not with
+# weights_io's own writer, so a file that must pass the checksum is signed
+# by an independent CRC-32 over every byte before it.
+
+def signed(body: bytes) -> bytes:
+    """The body followed by its u32 little-endian CRC-32."""
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def unsigned(blob: bytes) -> bytes:
+    """A weights file without its trailing checksum."""
+    return blob[:-4]
+
+
+def weights_header(tag: int, count: int) -> bytes:
+    """Magic, current version, dtype tag (1 = f32, 2 = f64) and entry count."""
+    return b"DKW1" + struct.pack("<HBI", FORMAT_VERSION, tag, count)
+
+
+def with_version(blob: bytes, version: int) -> bytes:
+    """A signed weights file whose header states another version, re-signed."""
+    body = unsigned(blob)
+    return signed(body[:4] + struct.pack("<H", version) + body[6:])

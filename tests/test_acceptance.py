@@ -23,7 +23,13 @@ from detkit.model import ToyNetSpec, cost_layers, init_params, net_forward
 from detkit.postprocess import decode, nms
 from detkit.tensor import Tensor
 from detkit.train import TrainConfig, train_toy
-from detkit.weights_io import WeightsChecksumError, load_weights, save_weights
+from detkit.weights_io import (
+    WeightsChecksumError,
+    load_tensor,
+    load_weights,
+    save_tensor,
+    save_weights,
+)
 
 
 def report(criterion: str, detail: str):
@@ -265,8 +271,6 @@ def test_criterion_7_train_eval_byte_deterministic(tmp_path):
 # -------------------------------------------------------------------------
 
 def test_criterion_8_serialization_and_corruption(tmp_path):
-    from detkit.tensor import load_tensor, save_tensor
-
     rng = np.random.default_rng(108)
     t = Tensor(rng.standard_normal((2, 3, 4, 5)))
     tpath = tmp_path / "x.dkt"
@@ -280,16 +284,19 @@ def test_criterion_8_serialization_and_corruption(tmp_path):
     for k in params:
         assert back[k].tobytes() == params[k].tobytes()
 
-    blob = bytearray(wpath.read_bytes())
-    detected = 0
-    for pos in range(len(blob)):
-        corrupted = bytearray(blob)
-        corrupted[pos] ^= 0xA5
-        victim = tmp_path / "c.dkw"
-        victim.write_bytes(bytes(corrupted))
-        with pytest.raises(WeightsChecksumError):
-            load_weights(victim)
-        detected += 1
+    counts = []
+    for path, load in ((wpath, load_weights), (tpath, load_tensor)):
+        blob = path.read_bytes()
+        victim = tmp_path / f"c{path.suffix}"
+        detected = 0
+        for pos in range(len(blob)):
+            corrupted = bytearray(blob)
+            corrupted[pos] ^= 0xA5
+            victim.write_bytes(bytes(corrupted))
+            with pytest.raises(WeightsChecksumError):
+                load(victim)
+            detected += 1
+        counts.append(f"{detected}/{len(blob)} of {path.suffix}")
     report("criterion 8 (serialization integrity)",
-           f"bit-exact round trips; {detected}/{len(blob)} single-byte "
-           f"corruptions detected by checksum")
+           f"bit-exact round trips; single-byte corruptions detected by checksum: "
+           f"{', '.join(counts)}")

@@ -24,6 +24,7 @@ from detkit.model import ToyNetSpec
 from detkit.postprocess import detections_from_json
 from detkit.tensor import NonFiniteError, Tensor
 from detkit.train import TrainConfig
+from oracles import signed, unsigned, weights_header, with_version
 
 SMALL_CFG = """
 # small deterministic run for tests
@@ -663,13 +664,31 @@ class TestTrainEvalDetect:
         assert code == cli.EXIT_CHECKSUM
 
     def test_version_mismatch_distinct_exit(self, tmp_path, small_config):
-        from detkit.weights_io import save_weights
+        from detkit.weights_io import FORMAT_VERSION, save_weights
 
         weights = tmp_path / "w.dkw"
-        save_weights({"x": np.zeros(3)}, weights, version=2)
+        save_weights({"x": np.zeros(3)}, weights)
+        weights.write_bytes(with_version(weights.read_bytes(), FORMAT_VERSION + 1))
         code = cli.main(["eval", "--config", str(small_config),
                          "--weights", str(weights), "--out-dir", str(tmp_path / "e")])
         assert code == cli.EXIT_VERSION
+
+    def test_version_1_file_is_a_checksum_exit(self, tmp_path, small_config, capsys):
+        """A version-1 file, byte for byte what version 1 wrote, ends in a
+        blake2b-8 digest, not a CRC-32: the checksum is checked before the
+        version, so it exits 6."""
+        from detkit.model import init_params
+        from detkit.weights_io import save_weights
+
+        weights = tmp_path / "w.dkw"
+        save_weights(init_params(ToyNetSpec(image_size=32, stem_channels=8),
+                                 np.random.default_rng(0)), weights)
+        body = unsigned(with_version(weights.read_bytes(), 1))
+        weights.write_bytes(body + hashlib.blake2b(body, digest_size=8).digest())
+        code = cli.main(["eval", "--config", str(small_config),
+                         "--weights", str(weights), "--out-dir", str(tmp_path / "e")])
+        assert code == cli.EXIT_CHECKSUM
+        assert capsys.readouterr().err == "error: checksum mismatch, file is corrupt\n"
 
     def test_unreadable_image_distinct_exit(self, tmp_path, small_config):
         train_dir = tmp_path / "t"
@@ -795,10 +814,10 @@ class TestTrainEvalDetect:
     def test_weight_dims_past_int64_format_exit(self, tmp_path, small_config, capsys):
         """An entry of 2**31 x 2**31 x 4 elements, 2**64, wraps to 0 in int64.
         Counted exactly, it runs past the file's empty payload: exit 9."""
-        body = (b"DKW1" + struct.pack("<HBI", 1, 2, 1) + struct.pack("<H", 6) + b"stem.w"
+        body = (weights_header(2, 1) + struct.pack("<H", 6) + b"stem.w"
                 + struct.pack("<B3IQ", 3, 2**31, 2**31, 4, 0) + struct.pack("<Q", 0))
         weights = tmp_path / "huge.dkw"
-        weights.write_bytes(body + hashlib.blake2b(body, digest_size=8).digest())
+        weights.write_bytes(signed(body))
         code = cli.main(["eval", "--config", str(small_config), "--weights", str(weights),
                          "--out-dir", str(tmp_path / "e")])
         assert code == cli.EXIT_FORMAT
@@ -817,8 +836,7 @@ class TestTrainEvalDetect:
         weights = tmp_path / "w.dkw"
         save_weights(init_params(ToyNetSpec(image_size=32, stem_channels=8),
                                  np.random.default_rng(0)), weights)
-        body = edit(weights.read_bytes()[:-8])
-        weights.write_bytes(body + hashlib.blake2b(body, digest_size=8).digest())
+        weights.write_bytes(signed(edit(unsigned(weights.read_bytes()))))
         image = tmp_path / "x.pgm"
         write_image(image, Tensor(np.full((1, 1, 32, 32), 0.2)))
         code = cli.main(["detect", "--config", str(small_config), "--weights", str(weights),

@@ -276,8 +276,8 @@ MANIFEST = [
 # Pins entry names, order, shapes, values and the rng draw order; no BLAS is
 # involved, so the digest does not depend on the machine.
 INIT_DIGESTS = {
-    "float64": "a6b7846aa1ec2855a7b42059271d3a19bcc036fe13f7123f371764081ea9595e",
-    "float32": "88de84f93bc3661dd62af4a096d0ef28fa3c1a3d5c82547f8ea27a74b5878316",
+    "float64": "6b16937a66eac98cce1ef4ea66a7c041c05a7aeba55bfc3cdc902635099082ed",
+    "float32": "fba9d93e59a718f472324e37a6220ea096f8dc85eb51243965bbc39d72c59f94",
 }
 
 
@@ -297,9 +297,9 @@ class TestInitGolden:
 # full ones). Measured with NumPy 2.4 on x86-64 OpenBLAS; rerun-identical with
 # BLAS threads pinned to 1 or not.
 TRAIN_DIGESTS = {
-    "float64": {"weights.dkw": "43bcb7d3689494dec1dd2bca565f3e68c05c3a6a30fda7830a1e3abcedeefdb9",
+    "float64": {"weights.dkw": "f0ced506f9a257143b1f29c29691b15a8ca90c6c9f668d0407f2cab1a1ce29e2",
                 "stats.jsonl": "d3c0c87db3214649e8c84865191283532bb5d7ab46a9fa0fe89d86d8bf56de66"},
-    "float32": {"weights.dkw": "481b59142440f56459c3b8f7244b82fc1e810f1e2d198890ab5d013eac154355",
+    "float32": {"weights.dkw": "3b1c7b9a3d0787516b6059bf0da75f5b78ca7454e84d8785d2ef48a049fcd4f6",
                 "stats.jsonl": "2e17ce6d89e808b1f7c9b8b3578c59b7850a618d34d60b680fc579e368015b52"},
 }
 
@@ -307,9 +307,9 @@ TRAIN_DIGESTS = {
 # The same run with freeze_fraction = 1.0: three frozen-backbone epochs, so
 # the last two train on the necks stored in the first.
 FROZEN_TRAIN_DIGESTS = {
-    "float64": {"weights.dkw": "06e87dd5e6cd33df79d3a8dfb93c955131e2fe39eb01c62ce5995acf98a3822a",
+    "float64": {"weights.dkw": "cef08dcd8f09fa19b25896d080cc12c37b2b1615c358d20a2fb93f49b2108a84",
                 "stats.jsonl": "2b28e1fd162f85dbb02be20fdec3a89ed08342ee928fe4b1a147ff48389c2027"},
-    "float32": {"weights.dkw": "ab32c14d8558b6cc432e6d8c899cffe7c1a11c961f08f22b6d8d863968823f59",
+    "float32": {"weights.dkw": "c7de42ed8b2502b6235bc5a7daa1eec520959c9e68b1c746541cf49509360560",
                 "stats.jsonl": "69d5d564daf5073ee164aadc86376e27ca18ddb42684e019eda4c19ffc7d03a8"},
 }
 

@@ -3,7 +3,17 @@
 import numpy as np
 import pytest
 
-from detkit.tensor import ConfigError, Tensor, TensorFormatError, load_tensor, save_tensor
+from detkit.tensor import ConfigError, Tensor
+from detkit.weights_io import (
+    WeightsChecksumError,
+    WeightsError,
+    WeightsFormatError,
+    WeightsTruncatedError,
+    load_tensor,
+    save_tensor,
+    save_weights,
+)
+from oracles import signed, unsigned
 
 
 class TestConstruction:
@@ -53,18 +63,45 @@ class TestSerialization:
         assert back.data.tobytes() == t.data.tobytes()
 
     def test_bad_magic_rejected(self, tmp_path):
+        """A flipped magic byte fails the checksum; re-signed, it is still
+        not a weights file."""
         path = tmp_path / "t.dkt"
         save_tensor(Tensor(np.zeros((1, 1, 2, 2))), path)
         blob = bytearray(path.read_bytes())
         blob[0] ^= 0xFF
         path.write_bytes(bytes(blob))
-        with pytest.raises(TensorFormatError):
+        with pytest.raises(WeightsChecksumError):
+            load_tensor(path)
+        path.write_bytes(signed(unsigned(bytes(blob))))
+        with pytest.raises(WeightsFormatError, match="^bad magic"):
             load_tensor(path)
 
     def test_truncation_detected(self, tmp_path):
+        """Three bytes short fails the checksum; re-signed, the payload is
+        shorter than the manifest promises."""
         path = tmp_path / "t.dkt"
         save_tensor(Tensor(np.zeros((1, 1, 2, 2))), path)
         blob = path.read_bytes()
         path.write_bytes(blob[:-3])
-        with pytest.raises(TensorFormatError):
+        with pytest.raises(WeightsError):
+            load_tensor(path)
+        path.write_bytes(signed(unsigned(blob)[:-3]))
+        with pytest.raises(WeightsTruncatedError):
+            load_tensor(path)
+
+    @pytest.mark.parametrize("entries", [
+        {"image": np.zeros((1, 1, 2, 2))},
+        {"tensor": np.zeros((1, 1, 2, 2)), "extra": np.zeros(1)},
+        {},
+    ], ids=["other-name", "two-entries", "no-entry"])
+    def test_a_tensor_file_holds_one_entry_named_tensor(self, tmp_path, entries):
+        path = tmp_path / "t.dkt"
+        save_weights(entries, path)
+        with pytest.raises(WeightsFormatError, match="one entry 'tensor'"):
+            load_tensor(path)
+
+    def test_entry_of_another_rank_rejected(self, tmp_path):
+        path = tmp_path / "t.dkt"
+        save_weights({"tensor": np.zeros((2, 2))}, path)
+        with pytest.raises(ConfigError, match="rank 4"):
             load_tensor(path)

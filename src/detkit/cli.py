@@ -14,7 +14,7 @@ outputs are JSON (sorted keys) or CSV; exit codes are stable and documented:
     7   weights format version mismatch
     8   unreadable or unsupported image
     9   malformed or truncated data file
-    10  training diverged
+    10  training diverged (a non-finite head, loss or gradient)
 """
 
 from __future__ import annotations
@@ -231,11 +231,11 @@ def cmd_train(args) -> int:
         params, stats = train_toy(cfg)
     with _writing(out_dir):
         save_weights(params, out_dir / "weights.dkw")
-        (out_dir / "stats.jsonl").write_text("".join(st.to_json_line() + "\n" for st in stats),
-                                             encoding="utf-8")
+        (out_dir / "stats.jsonl").write_text(
+            "".join(json.dumps(row, sort_keys=True) + "\n" for row in stats), encoding="utf-8")
     print(f"trained {cfg.epochs} epochs; weights -> {out_dir / 'weights.dkw'}")
     if stats:
-        print(f"final loss {stats[-1].total_loss!r}")
+        print(f"final loss {stats[-1]['total_loss']!r}")
     return EXIT_OK
 
 
@@ -246,14 +246,13 @@ def cmd_eval(args) -> int:
     net = cfg.net
     data = synth_dataset(cfg.seed, cfg.dataset_count, net.image_size, net.num_classes)
     all_dets = [_detections(params, net, image.data, values) for image, _ in data]
-    summary, curve, per_class = evaluate(
-        all_dets, [targets for _, targets in data],
-        iou_thr=values["eval_iou"],
-        model_size_mb=sum(p.nbytes for p in params.values()) / 1e6,
-        computation_macs=model_cost(cost_layers(net)).total.macs,
-    )
-    payload = summary.to_json_dict()
-    payload["per_class_ap"] = {str(k): v for k, v in per_class.items()}
+    summary, curve = evaluate(all_dets, [targets for _, targets in data], iou_thr=values["eval_iou"])
+    payload = {
+        **summary,
+        "per_class_ap": {str(k): v for k, v in summary["per_class_ap"].items()},
+        "model_size_mb": sum(p.nbytes for p in params.values()) / 1e6,
+        "computation_macs": model_cost(cost_layers(net)).total.macs,
+    }
     out_dir = Path(args.out_dir)
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -4,7 +4,8 @@ Pixels are exchanged as (1, c, h, w) Tensors with values in [0, 1]; PGM
 maps to one channel, PPM to three. This and ``dataset.synth_dataset`` are
 where images become Tensors, each scanned for NaN and Inf once; the detector
 takes their ``data``, adapted to its channel count by ``to_channels``, which
-returns an array. Box overlays are drawn as 1-pixel-wide outlines.
+returns an array. Box overlays are drawn as 1-pixel-wide outlines into an
+array, which ``write_image`` takes as it takes a Tensor.
 """
 
 from __future__ import annotations
@@ -76,14 +77,18 @@ def read_image(path) -> Tensor:
     return Tensor(np.transpose(img, (2, 0, 1))[None])
 
 
-def write_image(path, image: Tensor) -> None:
-    """Write a (1, c, h, w) tensor as binary PGM (c=1) or PPM (c=3)."""
-    if image.n != 1 or image.c not in (1, 3):
+def write_image(path, image) -> None:
+    """Write a (1, c, h, w) image, a Tensor or the array draw_boxes returns,
+    as binary PGM (c=1) or PPM (c=3). The pixels are not scanned again: a
+    Tensor was scanned when made, and draw_boxes burns finite colours into
+    one."""
+    arr = np.asarray(image)
+    if arr.ndim != 4 or arr.shape[0] != 1 or arr.shape[1] not in (1, 3):
         raise ImageFormatError("expect a single image with 1 or 3 channels")
-    arr = np.clip(image.data[0], 0.0, 1.0)
-    pixels = np.round(arr * 255).astype(np.uint8)
-    magic = b"P5" if image.c == 1 else b"P6"
-    header = magic + f"\n{image.w} {image.h}\n255\n".encode("ascii")
+    _, c, h, w = arr.shape
+    pixels = np.round(np.clip(arr[0], 0.0, 1.0) * 255).astype(np.uint8)
+    magic = b"P5" if c == 1 else b"P6"
+    header = magic + f"\n{w} {h}\n255\n".encode("ascii")
     body = np.transpose(pixels, (1, 2, 0)).tobytes()
     with open(path, "wb") as fh:
         fh.write(header + body)
@@ -102,9 +107,10 @@ def to_channels(image: Tensor, channels: int) -> np.ndarray:
     raise ImageFormatError(f"cannot adapt {image.c} channels to {channels}")
 
 
-def draw_boxes(image: Tensor, boxes) -> Tensor:
-    """Copy of the image with the outlines of the corner rows (x1, y1, x2, y2)
-    burned in: red (1, 0, 0) on 3 channels, 1.0 in every channel otherwise."""
+def draw_boxes(image: Tensor, boxes) -> np.ndarray:
+    """The image's pixels, copied, with the outlines of the corner rows
+    (x1, y1, x2, y2) burned in: red (1, 0, 0) on 3 channels, 1.0 in every
+    channel otherwise."""
     out = image.data.copy()
     color = np.array([1.0, 0.0, 0.0] if image.c == 3 else [1.0] * image.c)[:, None]
     for bx1, by1, bx2, by2 in boxes:
@@ -118,4 +124,4 @@ def draw_boxes(image: Tensor, boxes) -> Tensor:
         out[0, :, y2, x1:x2 + 1] = color
         out[0, :, y1:y2 + 1, x1] = color
         out[0, :, y1:y2 + 1, x2] = color
-    return Tensor(out)
+    return out

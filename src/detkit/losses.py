@@ -40,6 +40,8 @@ from .tensor import ConfigError, _require_finite
 
 EPS = 1e-9
 _VARIANTS = ("iou", "ciou", "wiou")
+# the names of the columns of detection_loss's (n, 4) terms array
+TERMS = ("box_loss", "objectness_loss", "class_loss", "total_loss")
 
 
 def pairwise_iou(p: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -177,12 +179,13 @@ def detection_loss(
     cells, 0 elsewhere).
 
     terms is an (n, 4) float64 array, a row [box, objectness, class, total]
-    per image, total the weighted sum of the other three. grad, None unless
-    with_grad, is the gradient of each total w.r.t. the raw grids, in their
-    dtype; a non-finite one raises NonFiniteError("non-finite head
-    gradient"). An image's row and gradient are those it gets on its own: the
-    batch's targets are the rows of one _box_rows call, and per-image sums and
-    a cell's gradient accumulate in target order.
+    per image (the columns TERMS names), total the weighted sum of the other
+    three; a non-finite total raises NonFiniteError("non-finite loss"). grad,
+    None unless with_grad, is the gradient of each total w.r.t. the raw
+    grids, in their dtype; a non-finite one raises NonFiniteError("non-finite
+    head gradient"). An image's row and gradient are those it gets on its
+    own: the batch's targets are the rows of one _box_rows call, and
+    per-image sums and a cell's gradient accumulate in target order.
     """
     if variant not in _VARIANTS:
         raise ConfigError(f"unknown loss variant {variant!r}")
@@ -228,8 +231,7 @@ def detection_loss(
     cls_loss = cls_total / np.maximum(n_t, 1)
     obj_loss = _bce_with_logits(head[:, 4], obj_target).reshape(n, -1).mean(axis=1)
     total = box_weight * box_loss + obj_weight * obj_loss + cls_weight * cls_loss
-    if not np.isfinite(total).all():
-        raise FloatingPointError("detection loss is not finite")
+    _require_finite("loss", total)
     terms = np.stack([box_loss, obj_loss, cls_loss, total], axis=1)
     if not with_grad:
         return terms, None

@@ -20,39 +20,19 @@ same vector under a class mask. A curve is an (m, 2) float64 array of rows
 hits over the ground truths, so it never decreases. AP is the exact area under
 the all-points interpolated curve: the sum over ranks of the recall step times
 the running max of precision from the right, added left to right.
+
+``evaluate`` returns summary.json's scores as the dict that is written,
+{"precision", "recall", "f1", "ap", "per_class_ap"}, beside the curve;
+``cli.cmd_eval`` adds the other two of the six indicators, the model size and
+the computation, which it measures itself.
 """
 
 from __future__ import annotations
-
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .losses import pairwise_iou
 from .tensor import ConfigError
-
-
-@dataclass(frozen=True)
-class EvalSummary:
-    """The six-indicator summary: precision, recall, F1, AP, model size,
-    computation (MAC count). F1 is derived, never passed in."""
-
-    precision: float
-    recall: float
-    f1: float
-    ap: float
-    model_size_mb: float
-    computation_macs: int
-
-    @classmethod
-    def build(cls, precision: float, recall: float, ap: float,
-              model_size_mb: float = 0.0, computation_macs: int = 0) -> "EvalSummary":
-        pr = precision + recall
-        f1 = 2.0 * precision * recall / pr if pr > 0 else 0.0
-        return cls(precision, recall, f1, ap, model_size_mb, computation_macs)
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def match_image(dets: np.ndarray, gts: np.ndarray, iou_thr: float) -> np.ndarray:
@@ -86,19 +66,20 @@ def _curve(flags: np.ndarray, n_gt: int) -> tuple[np.ndarray, float]:
     return np.stack([recalls, precisions], axis=1), float(ap)
 
 
-def evaluate(detections, ground_truths, iou_thr: float = 0.5,
-             model_size_mb: float = 0.0, computation_macs: int = 0):
+def evaluate(detections, ground_truths, iou_thr: float = 0.5):
     """Score per-image detections against per-image ground truths.
 
-    Returns (EvalSummary, the (m, 2) PR curve, per_class_ap dict);
-    per_class_ap has the AP of each ground-truth class id, in ascending order.
+    Returns (summary, the (m, 2) PR curve). summary is the dict of
+    summary.json's scores: precision, recall, F1 (derived from the two), AP,
+    and per_class_ap, the AP of each ground-truth class id keyed by the int
+    id, in ascending order.
     """
     if len(detections) != len(ground_truths):
         raise ConfigError("detections and ground truths must cover the same images")
     flags = np.concatenate([np.zeros(0, dtype=bool), *(
         match_image(dets, gts, iou_thr) for dets, gts in zip(detections, ground_truths))])
     dets = np.concatenate([np.empty((0, 6)), *detections])
-    # int class ids: summary.json's per_class_ap keys print them
+    # int class ids: cmd_eval prints them as summary.json's per_class_ap keys
     classes = dets[:, 5].astype(np.int64)
     gt_classes = np.concatenate([np.empty(0), *(gts[:, 4] for gts in ground_truths)]).astype(np.int64)
     x1, y1, x2, y2, score = dets[:, :5].T
@@ -113,8 +94,10 @@ def evaluate(detections, ground_truths, iou_thr: float = 0.5,
     gt_ids, gt_counts = np.unique(gt_classes, return_counts=True)
     per_class_ap = {k: _curve(ranked[ranked_classes == k], n)[1]
                     for k, n in zip(gt_ids.tolist(), gt_counts.tolist())}
-    summary = EvalSummary.build(precision, recall, ap, model_size_mb, computation_macs)
-    return summary, curve, per_class_ap
+    pr = precision + recall
+    f1 = 2.0 * precision * recall / pr if pr > 0 else 0.0
+    return {"precision": precision, "recall": recall, "f1": f1, "ap": ap,
+            "per_class_ap": per_class_ap}, curve
 
 
 def pr_curve_csv(curve: np.ndarray) -> str:

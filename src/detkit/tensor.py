@@ -1,7 +1,7 @@
 """Dense rank-4 tensors in (n, c, h, w) layout.
 
 A Tensor wraps an image only where it meets a file or the generator:
-``imageio`` reads, writes, converts and draws Tensors,
+``imageio`` reads Tensors, and converts and draws on them,
 ``dataset.synth_dataset`` yields them and ``weights_io``'s ``.dkt`` files
 hold them. The detector (``ops``, ``blocks``, ``model``, ``losses``,
 ``postprocess``, ``train``) takes and returns bare ndarrays; its callers
@@ -10,8 +10,8 @@ generator. Data is stored row-major in (n, c, h, w) order, 64-bit by
 default. Every construction rejects NaN and Inf, so each image read or
 generated is scanned once. :func:`_require_finite` is that check, and the
 detector scans each value it makes once with it, by name: the head
-(``model.net_forward``), the head gradient (``losses.detection_loss``) and
-each parameter gradient (``train``).
+(``model.net_forward``), the loss and the head gradient
+(``losses.detection_loss``) and each parameter gradient (``train``).
 """
 
 from __future__ import annotations

@@ -8,20 +8,24 @@ frozen epoch, and read back in the later ones; phase 2 fine-tunes everything.
 The learning rate follows a cosine schedule over the full epoch range.
 Training is deterministic for a fixed seed: dataset generation, parameter
 initialization and batch shuffling all draw from one seeded generator, and
-every reduction happens in a fixed order. A non-finite head, head gradient,
-parameter gradient or loss stops training with a TrainingDiverged naming it.
+every reduction happens in a fixed order. A non-finite head, loss, head
+gradient or parameter gradient stops training with a TrainingDiverged naming
+it.
+
+``train_toy`` returns each epoch's statistics as the row that stats.jsonl
+writes, a dict of the epoch, its phase, its learning rate and the epoch's
+mean of each loss term, keyed by ``losses.TERMS``.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dataset import synth_dataset
-from .losses import detection_loss
+from .losses import TERMS, detection_loss
 from .model import ToyNetSpec, init_params, net_backward, net_forward
 from .optim import AdamWState, adamw_step, cosine_lr
 from .tensor import ConfigError, NonFiniteError, _require_finite
@@ -69,20 +73,6 @@ class TrainConfig:
         return np.float32 if self.dtype == "float32" else np.float64
 
 
-@dataclass(frozen=True)
-class EpochStats:
-    epoch: int
-    phase: str
-    lr: float
-    box_loss: float
-    objectness_loss: float
-    class_loss: float
-    total_loss: float
-
-    def to_json_line(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-
 def _batch_loss_and_grads(params, cfg: TrainConfig, images, target_lists, frozen, neck):
     """Mean loss over a batch plus parameter gradients: one net forward, one
     loss call over the whole batch and one net backward. ``images`` are the
@@ -94,8 +84,8 @@ def _batch_loss_and_grads(params, cfg: TrainConfig, images, target_lists, frozen
     total], gradients, the batch's neck).
 
     Raises NonFiniteError naming the first non-finite value: the head (named
-    by ``net_forward``), the head gradient (named by the loss) or a parameter
-    gradient."""
+    by ``net_forward``), the loss, the head gradient (both named by the loss)
+    or a parameter gradient."""
     x = None if neck is not None else np.concatenate(images, axis=0)
     head, cache = net_forward(params, cfg.net, x, neck=neck, freeze_backbone=frozen)
     terms, grad = detection_loss(head, target_lists, cfg.loss_variant, float(cfg.net.stride),
@@ -108,7 +98,8 @@ def _batch_loss_and_grads(params, cfg: TrainConfig, images, target_lists, frozen
 
 
 def train_toy(config: TrainConfig):
-    """Run the two-phase schedule; returns (params, [EpochStats])."""
+    """Run the two-phase schedule; returns (params, stats), stats the
+    stats.jsonl row of each epoch."""
     rng = np.random.Generator(np.random.PCG64(config.seed))
     # each image as a (1, c, S, S) array in the run's dtype
     data = [(img.data.astype(config.np_dtype, copy=False), t)
@@ -124,7 +115,7 @@ def train_toy(config: TrainConfig):
     # one process by 1.6 MB over training without a store, the rows by 0.7 MB.
     necks: dict[int, np.ndarray] = {}
 
-    stats: list[EpochStats] = []
+    stats: list[dict] = []
     n = len(data)
     for epoch in range(config.epochs):
         lr = cosine_lr(epoch, max(config.epochs, 1), config.lr_max, config.lr_min)
@@ -148,7 +139,7 @@ def train_toy(config: TrainConfig):
                 totals, grads, neck = _batch_loss_and_grads(params, config, images, targets, frozen, stored)
             except NonFiniteError as exc:
                 raise TrainingDiverged(f"{exc} at epoch {epoch}, batch {batches}") from exc
-            except (FloatingPointError, OverflowError) as exc:
+            except OverflowError as exc:
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}, batch {batches}: {exc}"
                 ) from exc
@@ -160,13 +151,8 @@ def train_toy(config: TrainConfig):
             epoch_totals += totals
             batches += 1
         epoch_totals /= max(batches, 1)
-        stats.append(EpochStats(
-            epoch=epoch, phase=phase, lr=lr,
-            box_loss=float(epoch_totals[0]),
-            objectness_loss=float(epoch_totals[1]),
-            class_loss=float(epoch_totals[2]),
-            total_loss=float(epoch_totals[3]),
-        ))
-        if not math.isfinite(epoch_totals[3]):
+        stats.append({"epoch": epoch, "phase": phase, "lr": lr,
+                      **dict(zip(TERMS, epoch_totals.tolist()))})
+        if not math.isfinite(stats[-1]["total_loss"]):
             raise TrainingDiverged(f"non-finite epoch loss at epoch {epoch}")
     return params, stats

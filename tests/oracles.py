@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from detkit import losses, ops
-from detkit.metrics import EvalSummary, match_image
+from detkit.metrics import match_image
 from detkit.postprocess import _LOGIT_CAP
 from detkit.tensor import ConfigError
 from detkit.weights_io import FORMAT_VERSION
@@ -371,14 +371,14 @@ def _curve_from_flags(flags_scores: list[tuple[float, bool, tuple]], n_gt: int):
     return np.stack([recalls, precisions], axis=1), ap
 
 
-def record_evaluate(detections, ground_truths, iou_thr: float = 0.5,
-                    model_size_mb: float = 0.0, computation_macs: int = 0):
+def record_evaluate(detections, ground_truths, iou_thr: float = 0.5):
     """metrics.evaluate as it was written before its detections became one
     ranked flag vector: one (score, flag, (class, x1, y1, x2, y2)) record per
     detection, a dict of per-class records, tuple sorts and Python sums.
 
-    Returns (EvalSummary, the (m, 2) PR curve, per_class_ap dict). The result
-    does not depend on the order in which images are supplied.
+    Returns (summary, the (m, 2) PR curve), summary the dict of precision,
+    recall, F1, AP and the per_class_ap dict, in evaluate's key order. The
+    result does not depend on the order in which images are supplied.
     """
     if len(detections) != len(ground_truths):
         raise ConfigError("detections and ground truths must cover the same images")
@@ -408,8 +408,10 @@ def record_evaluate(detections, ground_truths, iou_thr: float = 0.5,
         cls: _curve_from_flags(per_class.get(cls, []), cnt)[1]
         for cls, cnt in sorted(class_gt_counts.items())
     }
-    summary = EvalSummary.build(precision, recall, ap, model_size_mb, computation_macs)
-    return summary, curve, per_class_ap
+    pr = precision + recall
+    f1 = 2.0 * precision * recall / pr if pr > 0 else 0.0
+    return {"precision": precision, "recall": recall, "f1": f1, "ap": ap,
+            "per_class_ap": per_class_ap}, curve
 
 
 def brute_force_nms(dets, thr):

@@ -191,8 +191,7 @@ def _evaluate_params(params, cfg):
         head, _ = net_forward(params, cfg.net, image)
         dets.append(nms(decode(head, cfg.net.stride, 0.25), 0.45))
         gts.append(targets)
-    summary, _, per_class = evaluate(dets, gts, iou_thr=0.5)
-    return summary, per_class
+    return evaluate(dets, gts, iou_thr=0.5)[0]
 
 
 def test_criterion_5_overfit_run_reaches_target_metrics():
@@ -200,22 +199,23 @@ def test_criterion_5_overfit_run_reaches_target_metrics():
     cfg = TrainConfig(seed=42, epochs=200, dataset_count=50, net=ToyNetSpec(num_classes=3),
                       loss_variant="wiou")
     baseline_params = init_params(cfg.net, np.random.Generator(np.random.PCG64(cfg.seed)))
-    base_summary, _ = _evaluate_params(baseline_params, cfg)
+    base_summary = _evaluate_params(baseline_params, cfg)
 
     params, stats = train_toy(cfg)
-    assert stats[-1].total_loss < stats[0].total_loss
-    summary, per_class = _evaluate_params(params, cfg)
+    assert stats[-1]["total_loss"] < stats[0]["total_loss"]
+    summary = _evaluate_params(params, cfg)
 
     elapsed = time.monotonic() - start
     assert elapsed < 900.0, f"training budget exceeded: {elapsed:.0f}s"
-    assert summary.precision >= 0.95, f"precision {summary.precision}"
-    assert summary.recall >= 0.95, f"recall {summary.recall}"
-    assert summary.precision > base_summary.precision
-    assert summary.recall > base_summary.recall
+    precision, recall = summary["precision"], summary["recall"]
+    assert precision >= 0.95, f"precision {precision}"
+    assert recall >= 0.95, f"recall {recall}"
+    assert precision > base_summary["precision"]
+    assert recall > base_summary["recall"]
     report("criterion 5 (overfit run)",
-           f"P={summary.precision:.4f} R={summary.recall:.4f} "
-           f"(epoch-0 P={base_summary.precision:.2f} R={base_summary.recall:.2f}), "
-           f"per-class AP={ {k: round(v, 3) for k, v in per_class.items()} }, "
+           f"P={precision:.4f} R={recall:.4f} "
+           f"(epoch-0 P={base_summary['precision']:.2f} R={base_summary['recall']:.2f}), "
+           f"per-class AP={ {k: round(v, 3) for k, v in summary['per_class_ap'].items()} }, "
            f"{elapsed:.0f}s")
 
 

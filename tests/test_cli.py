@@ -517,15 +517,14 @@ class TestDetectEvalGolden:
 
 
 class TestDetectScans:
-    def test_a_ppm_scene_is_scanned_once(self, tmp_path, monkeypatch):
-        """detect scans a PPM scene for NaN and Inf once, where read_image
-        makes its Tensor: the channel mean that the one-channel net reads is
-        an array, not scanned again."""
+    def scans(self, tmp_path, monkeypatch, *extra):
+        """detect on a PPM scene, and each (name, shape) it scans for NaN and
+        Inf."""
         gray = _detect_scenes()[0]
         image = tmp_path / "scene.ppm"
         write_image(image, Tensor(np.concatenate([gray, 1.0 - gray, 0.5 * gray], axis=1)))
         argv = [*_detect_argv(tmp_path, "float64"), "--image", str(image),
-                "--out", str(tmp_path / "dets.json")]
+                "--out", str(tmp_path / "dets.json"), *extra]
         scanned = []
         require_finite = tensor._require_finite
 
@@ -535,7 +534,21 @@ class TestDetectScans:
 
         monkeypatch.setattr(tensor, "_require_finite", recording)
         _quiet_main(argv)
-        assert scanned == [("tensor", (1, 3, *gray.shape[2:]))]
+        return gray.shape[2:], scanned
+
+    def test_a_ppm_scene_is_scanned_once(self, tmp_path, monkeypatch):
+        """detect scans a PPM scene for NaN and Inf once, where read_image
+        makes its Tensor: the channel mean that the one-channel net reads is
+        an array, not scanned again."""
+        hw, scanned = self.scans(tmp_path, monkeypatch)
+        assert scanned == [("tensor", (1, 3, *hw))]
+
+    def test_an_overlay_is_not_scanned_again(self, tmp_path, monkeypatch):
+        """The overlay draw_boxes burns into the scene is the array that
+        write_image writes, not a second Tensor."""
+        hw, scanned = self.scans(tmp_path, monkeypatch, "--overlay", str(tmp_path / "overlay.ppm"))
+        assert (tmp_path / "overlay.ppm").is_file()
+        assert scanned == [("tensor", (1, 3, *hw))]
 
 
 class TestTrainEvalDetect:
@@ -553,8 +566,8 @@ class TestTrainEvalDetect:
                          "--weights", str(weights), "--out-dir", str(eval_dir)])
         assert code == 0
         summary = json.loads((eval_dir / "summary.json").read_text())
-        for key in ("precision", "recall", "f1", "ap", "model_size_mb", "computation_macs"):
-            assert key in summary
+        assert set(summary) == {"precision", "recall", "f1", "ap", "per_class_ap",
+                                "model_size_mb", "computation_macs"}
         assert (eval_dir / "pr_curve.csv").read_text().startswith("recall,precision")
 
         # detect on a dataset image written as PGM

@@ -7,7 +7,7 @@ from oracles import (Detection, detection_rows, random_detections, record_evalua
                      target_rows)
 
 from detkit import metrics
-from detkit.metrics import EvalSummary, match_image, pr_curve_csv
+from detkit.metrics import match_image, pr_curve_csv
 from detkit.tensor import ConfigError
 
 
@@ -55,22 +55,23 @@ class TestEvaluate:
             [det(0, 0, 10, 10, 0.9), det(20, 20, 30, 30, 0.8, cls=1)],
             [det(5, 5, 15, 15, 0.7, cls=2)],
         ]
-        summary, curve, per_class = evaluate(dets, gts)
-        assert summary.precision == 1.0
-        assert summary.recall == 1.0
-        assert summary.f1 == 1.0
-        assert summary.ap == pytest.approx(1.0)
+        summary, curve = evaluate(dets, gts)
+        per_class = summary["per_class_ap"]
+        assert summary["precision"] == 1.0
+        assert summary["recall"] == 1.0
+        assert summary["f1"] == 1.0
+        assert summary["ap"] == pytest.approx(1.0)
         assert all(v == pytest.approx(1.0) for v in per_class.values())
         # summary.json writes str(k): a class id must stay an int, not 1.0
         assert list(per_class) == [0, 1, 2] and all(type(k) is int for k in per_class)
 
     def test_zero_predictions_defines_precision_zero(self):
         gts = [[gt(0, 0, 10, 10)]]
-        summary, curve, _ = evaluate([[]], gts)
-        assert summary.precision == 0.0
-        assert summary.recall == 0.0
-        assert summary.f1 == 0.0
-        assert summary.ap == 0.0
+        summary, curve = evaluate([[]], gts)
+        assert summary["precision"] == 0.0
+        assert summary["recall"] == 0.0
+        assert summary["f1"] == 0.0
+        assert summary["ap"] == 0.0
 
     def test_hand_confusion_matrix(self):
         # 3 gt; detections: 2 TP, 1 FP -> P = 2/3, R = 2/3, F1 = 2/3
@@ -80,32 +81,32 @@ class TestEvaluate:
             det(20, 0, 30, 10, 0.8),
             det(70, 70, 80, 80, 0.7),
         ]]
-        summary, _, _ = evaluate(dets, gts)
-        assert summary.precision == pytest.approx(2 / 3)
-        assert summary.recall == pytest.approx(2 / 3)
-        assert summary.f1 == pytest.approx(2 / 3)
+        summary, _ = evaluate(dets, gts)
+        assert summary["precision"] == pytest.approx(2 / 3)
+        assert summary["recall"] == pytest.approx(2 / 3)
+        assert summary["f1"] == pytest.approx(2 / 3)
 
     def test_class_must_match(self):
         gts = [[gt(0, 0, 10, 10, cls=1)]]
         dets = [[det(0, 0, 10, 10, 0.9, cls=0)]]
-        summary, _, _ = evaluate(dets, gts)
-        assert summary.precision == 0.0
-        assert summary.recall == 0.0
+        summary, _ = evaluate(dets, gts)
+        assert summary["precision"] == 0.0
+        assert summary["recall"] == 0.0
 
     def test_each_gt_matched_at_most_once(self):
         gts = [[gt(0, 0, 10, 10)]]
         dets = [[det(0, 0, 10, 10, 0.9), det(0, 0, 10, 10, 0.8)]]
-        summary, _, _ = evaluate(dets, gts)
-        assert summary.precision == pytest.approx(0.5)
-        assert summary.recall == 1.0
+        summary, _ = evaluate(dets, gts)
+        assert summary["precision"] == pytest.approx(0.5)
+        assert summary["recall"] == 1.0
 
     def test_iou_threshold_gates_match(self):
         gts = [[gt(0, 0, 10, 10)]]
         dets = [[det(0, 0, 10, 5.4, 0.9)]]  # IoU 0.54
-        s_lo, _, _ = evaluate(dets, gts, iou_thr=0.5)
-        s_hi, _, _ = evaluate(dets, gts, iou_thr=0.6)
-        assert s_lo.recall == 1.0
-        assert s_hi.recall == 0.0
+        s_lo, _ = evaluate(dets, gts, iou_thr=0.5)
+        s_hi, _ = evaluate(dets, gts, iou_thr=0.6)
+        assert s_lo["recall"] == 1.0
+        assert s_hi["recall"] == 0.0
 
     def test_permutation_invariant_over_images(self):
         rng = np.random.default_rng(51)
@@ -121,12 +122,12 @@ class TestEvaluate:
                                         float(rng.uniform(0.3, 1.0)), img_gts[-1][4]))
             gts.append(img_gts)
             dets.append(img_dets)
-        base, base_curve, base_pc = evaluate(dets, gts)
+        base, base_curve = evaluate(dets, gts)
         perm = list(rng.permutation(len(gts)))
-        shuf, shuf_curve, shuf_pc = evaluate([dets[i] for i in perm], [gts[i] for i in perm])
+        shuf, shuf_curve = evaluate([dets[i] for i in perm], [gts[i] for i in perm])
         assert base == shuf
         assert same_curve(base_curve, shuf_curve)
-        assert base_pc == shuf_pc
+        assert base["per_class_ap"] == shuf["per_class_ap"]
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ConfigError):
@@ -173,17 +174,17 @@ class TestEvaluateOracle:
         for _ in range(2000):
             dets, gts = tied_draw(rng)
             for thr in (0.0, 0.1, 0.5, 1.0):
-                got = metrics.evaluate(dets, gts, thr, 0.25, 7)
-                want = record_evaluate(dets, gts, thr, 0.25, 7)
-                assert repr(got[0].to_json_dict()) == repr(want[0].to_json_dict())
+                got = metrics.evaluate(dets, gts, thr)
+                want = record_evaluate(dets, gts, thr)
+                assert repr(got[0]) == repr(want[0])
                 assert pr_curve_csv(got[1]) == pr_curve_csv(want[1])
                 assert same_curve(got[1], want[1])
-                assert repr(got[2]) == repr(want[2])
-                check_curve(got[1], got[0].ap)
-                for k, ap in got[2].items():
-                    alone, curve, _ = metrics.evaluate([d[d[:, 5] == k] for d in dets],
-                                                       [g[g[:, 4] == k] for g in gts], thr)
-                    assert repr(alone.ap) == repr(ap)
+                assert repr(got[0]["per_class_ap"]) == repr(want[0]["per_class_ap"])
+                check_curve(got[1], got[0]["ap"])
+                for k, ap in got[0]["per_class_ap"].items():
+                    alone, curve = metrics.evaluate([d[d[:, 5] == k] for d in dets],
+                                                    [g[g[:, 4] == k] for g in gts], thr)
+                    assert repr(alone["ap"]) == repr(ap)
                     check_curve(curve, ap)
 
     def test_draws_cover_ties_duplicates_and_unmatched_classes(self):
@@ -251,9 +252,9 @@ class TestPrecisionRecallCurve:
                 img_dets.append(det(x, y, x + 8, y + 8, float(rng.uniform(0, 1))))
             gts.append(img_gts)
             dets.append(img_dets)
-        summary, curve, _ = evaluate(dets, gts)
+        summary, curve = evaluate(dets, gts)
         assert len(curve) == sum(map(len, dets))
-        check_curve(curve, summary.ap)
+        check_curve(curve, summary["ap"])
 
     def test_known_curve_area(self):
         # one image, two gt, dets: TP at 0.9, FP at 0.8, TP at 0.7
@@ -263,30 +264,30 @@ class TestPrecisionRecallCurve:
             det(50, 50, 60, 60, 0.8),
             det(20, 0, 30, 10, 0.7),
         ]]
-        summary, curve, _ = evaluate(dets, gts)
+        summary, curve = evaluate(dets, gts)
         assert curve.tolist() == [[0.5, 1.0], [0.5, 0.5], [1.0, 2 / 3]]
         # all-points AP: 0.5 * 1 + 0.5 * 2/3
-        assert summary.ap == pytest.approx(0.5 + 0.5 * 2 / 3)
+        assert summary["ap"] == pytest.approx(0.5 + 0.5 * 2 / 3)
 
     def test_csv_emission(self):
-        _, curve, _ = evaluate([[det(0, 0, 10, 10, 0.9)]], [[gt(0, 0, 10, 10)]])
+        _, curve = evaluate([[det(0, 0, 10, 10, 0.9)]], [[gt(0, 0, 10, 10)]])
         text = pr_curve_csv(curve)
         lines = text.strip().splitlines()
         assert lines[0] == "recall,precision"
         assert len(lines) == 2
 
 
-class TestEvalSummary:
+class TestSummary:
     def test_f1_identity_enforced(self):
-        s = EvalSummary.build(precision=0.8, recall=0.4, ap=0.5)
-        assert s.f1 == pytest.approx(2 * 0.8 * 0.4 / 1.2)
+        # 10 gt; detections: 4 TP, 1 FP -> P = 0.8, R = 0.4
+        gts = [[gt(20 * i, 0, 20 * i + 10, 10) for i in range(10)]]
+        dets = [[*(det(20 * i, 0, 20 * i + 10, 10, 0.9) for i in range(4)),
+                 det(0, 50, 10, 60, 0.5)]]
+        summary, _ = evaluate(dets, gts)
+        assert (summary["precision"], summary["recall"]) == (0.8, 0.4)
+        assert summary["f1"] == pytest.approx(2 * 0.8 * 0.4 / 1.2)
 
     def test_f1_zero_when_both_zero(self):
-        s = EvalSummary.build(precision=0.0, recall=0.0, ap=0.0)
-        assert s.f1 == 0.0
-
-    def test_six_indicators_serialized(self):
-        s = EvalSummary.build(0.9, 0.8, 0.85, model_size_mb=1.5, computation_macs=12345)
-        d = s.to_json_dict()
-        assert set(d) == {"precision", "recall", "f1", "ap", "model_size_mb",
-                          "computation_macs"}
+        summary, _ = evaluate([[det(50, 50, 60, 60, 0.9)]], [[gt(0, 0, 10, 10)]])
+        assert (summary["precision"], summary["recall"]) == (0.0, 0.0)
+        assert summary["f1"] == 0.0

@@ -108,3 +108,23 @@ def test_the_benchmark_scene_is_an_image_that_write_image_writes(monkeypatch, tm
     back = read_image(path)
     assert back.shape == scene.shape
     assert np.abs(back.data - scene.data).max() <= 0.5 / 255
+
+
+def test_the_benchmark_reads_total_loss_from_each_stats_line(tmp_path, capsys):
+    """The train workload's check reads ``json.loads(line)["total_loss"]`` from
+    each ``stats.jsonl`` line, a key the scan above cannot see. Each line
+    ``detkit train`` writes holds exactly the epoch, phase, learning rate and
+    ``losses.TERMS``."""
+    import json
+
+    from detkit import cli, losses
+
+    config = tmp_path / "run.cfg"
+    config.write_text("epochs = 2\ndataset_count = 2\nimage_size = 32\nstem_channels = 8\n",
+                      encoding="utf-8")
+    assert cli.main(["train", "--config", str(config), "--out-dir", str(tmp_path)]) == 0
+    lines = (tmp_path / "stats.jsonl").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 2
+    assert "total_loss" in losses.TERMS
+    for line in lines:
+        assert set(json.loads(line)) == {"epoch", "phase", "lr", *losses.TERMS}

@@ -40,7 +40,7 @@ class TestPhases:
         rng = np.random.Generator(np.random.PCG64(cfg.seed))
         fresh = init_params(cfg.net, rng)
         frozen = [k for k in fresh if k.startswith(("stem.", "block1.", "block2."))]
-        assert all(st.phase == "frozen-backbone" for st in stats)
+        assert all(st["phase"] == "frozen-backbone" for st in stats)
         for k in frozen:
             assert params[k].tobytes() == fresh[k].tobytes(), f"{k} moved while frozen"
         moved = [k for k in fresh if k not in frozen
@@ -72,7 +72,7 @@ class TestPhases:
                      "spp_backward"):
             monkeypatch.setattr(model, name, counting(name, getattr(model, name)))
         _, stats = train_toy(cfg)
-        assert [st.phase for st in stats] == ["frozen-backbone"] * 3
+        assert [st["phase"] for st in stats] == ["frozen-backbone"] * 3
         n, steps = cfg.dataset_count, 3 * cfg.dataset_count // cfg.batch_size
         assert images == {"stem.conv2d_forward": n, "fasternet_block_forward": 2 * n, "spp": n,
                           "conv2d_forward": 3 * n}
@@ -81,7 +81,7 @@ class TestPhases:
     def test_phase_labels_follow_freeze_fraction(self):
         cfg = small_config(epochs=4, freeze_fraction=0.5)
         _, stats = train_toy(cfg)
-        assert [st.phase for st in stats] == [
+        assert [st["phase"] for st in stats] == [
             "frozen-backbone", "frozen-backbone", "full", "full"]
 
 
@@ -89,7 +89,7 @@ class TestTrajectory:
     def test_loss_decreases_on_tiny_overfit(self):
         cfg = small_config(epochs=12, dataset_count=4, freeze_fraction=0.25)
         _, stats = train_toy(cfg)
-        assert stats[-1].total_loss < stats[0].total_loss
+        assert stats[-1]["total_loss"] < stats[0]["total_loss"]
 
     def test_fixed_seed_reproduces_trajectory_bitwise(self):
         cfg = small_config(epochs=3)
@@ -105,7 +105,8 @@ class TestTrajectory:
         cfg = small_config(epochs=2)
         _, stats = train_toy(cfg)
         for st in stats:
-            row = json.loads(st.to_json_line())
+            row = json.loads(json.dumps(st, sort_keys=True))
+            assert row == st
             assert set(row) == {"epoch", "phase", "lr", "box_loss",
                                 "objectness_loss", "class_loss", "total_loss"}
 
@@ -171,12 +172,27 @@ class TestDivergence:
         with pytest.raises(TrainingDiverged, match=r"non-finite head gradient at epoch 0, batch 0$"):
             train_toy(small_config(epochs=1))
 
+    def test_non_finite_loss_is_named(self, monkeypatch):
+        """A non-finite loss value is named by the loss, as the head gradient
+        is, before the gradient is computed."""
+        box_rows = losses._box_rows
+
+        def poisoned(*args, **kwargs):
+            value, grad = box_rows(*args, **kwargs)
+            value[0] = np.nan
+            return value, grad
+
+        monkeypatch.setattr(losses, "_box_rows", poisoned)
+        with pytest.raises(TrainingDiverged, match=r"non-finite loss at epoch 0, batch 0$"):
+            train_toy(small_config(epochs=1))
+
 
 class TestFiniteScans:
     def test_a_step_scans_each_value_once_by_name(self, monkeypatch):
-        """One train step scans the head, the head gradient and each parameter
-        gradient for NaN and Inf once, in that order and under its name, and
-        no anonymous tensor: the images were scanned when generated."""
+        """One train step scans the head, the loss, the head gradient and each
+        parameter gradient for NaN and Inf once, in that order and under its
+        name, and no anonymous tensor: the images were scanned when
+        generated."""
         cfg = small_config()
         data = synth_dataset(cfg.seed, cfg.batch_size, cfg.net.image_size, cfg.net.num_classes)
         params = init_params(cfg.net, np.random.default_rng(cfg.seed))
@@ -191,7 +207,7 @@ class TestFiniteScans:
             monkeypatch.setattr(module, "_require_finite", recording)
         train._batch_loss_and_grads(params, cfg, [img.data for img, _ in data],
                                     [t for _, t in data], False, None)
-        assert scanned == ["head", "head gradient", *(f"{k} gradient" for k in params)]
+        assert scanned == ["head", "loss", "head gradient", *(f"{k} gradient" for k in params)]
 
 
 class TestConfigValidation:
